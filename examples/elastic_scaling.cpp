@@ -3,8 +3,8 @@
 //
 // A workload ramps up in steps; a naive autoscaler watches the slaves'
 // CPU utilization over a window and, when the average exceeds a threshold,
-// launches a new slave, pre-loads it from a snapshot (as an operator would
-// restore a backup), and attaches it to the master. Shows throughput
+// launches a new slave, copies the master's tables onto it (as an operator
+// would restore a backup), and attaches it to the master. Shows throughput
 // recovering after each scale-out and where scaling stops helping — the
 // master's write capacity, the paper's central scaling limit.
 
@@ -26,40 +26,10 @@
 #include "common/status.h"
 #include "common/time_types.h"
 #include "db/database.h"
-#include "db/table.h"
-#include "db/value.h"
 #include "repl/cost_model.h"
 #include "sim/simulation.h"
 
 using namespace clouddb;
-
-namespace {
-
-/// Copies the master's current contents into a fresh slave (the snapshot
-/// restore an operator performs before attaching a replica).
-void RestoreSnapshot(repl::MasterNode& master, repl::SlaveNode* slave) {
-  for (const std::string& name : master.database().TableNames()) {
-    const db::Table* src = master.database().GetTable(name);
-    std::string ddl = StrFormat("CREATE TABLE %s %s", name.c_str(),
-                                src->schema().ToString().c_str());
-    // Recreate the schema (Schema::ToString renders valid column defs).
-    auto created = slave->database().Execute(ddl);
-    if (!created.ok()) {
-      std::printf("snapshot DDL failed: %s\n",
-                  created.status().ToString().c_str());
-      continue;
-    }
-    src->ScanAll([&](db::RowId, const db::Row& row) {
-      auto inserted = slave->database().Execute(StrFormat(
-          "INSERT INTO %s VALUES %s", name.c_str(),
-          db::RowToString(row).c_str()));
-      (void)inserted;
-      return true;
-    });
-  }
-}
-
-}  // namespace
 
 int main() {
   sim::Simulation sim;
@@ -103,7 +73,7 @@ int main() {
   }
   {
     repl::SlaveNode* first = launch_slave();
-    RestoreSnapshot(master, first);
+    first->database().CopyTablesFrom(master.database());
     master.AttachSlave(first);
   }
 
@@ -168,7 +138,7 @@ int main() {
       action = "+40 users";
     } else if (worst > 0.9 && slaves.size() < 8 && master_util < 0.95) {
       repl::SlaveNode* fresh = launch_slave();
-      RestoreSnapshot(master, fresh);
+      fresh->database().CopyTablesFrom(master.database());
       master.AttachSlave(fresh);
       proxy->AddSlave(fresh);
       prev_busy.resize(slaves.size() + 8, 0);

@@ -32,8 +32,9 @@ const char* StatusCodeToString(StatusCode code);
 /// human-readable message. Cheap to copy in the OK case.
 ///
 /// `[[nodiscard]]` on the class makes the compiler flag any call site that
-/// drops a returned Status on the floor; discard deliberately with a
-/// `(void)` cast. clouddb_lint enforces the same rule (clouddb-status).
+/// drops a returned Status on the floor, and the build's
+/// -Werror=unused-result turns that into an error; discard deliberately with
+/// a `(void)` cast.
 class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.

@@ -53,7 +53,8 @@ struct ScalingEvent {
 /// reconfigures its own database tier — adding replicas under sustained
 /// pressure, retiring them when idle — because the cloud provider cannot see
 /// inside the replication protocol. Scale-out prefers reviving a retired
-/// replica (snapshot refresh + resync) over paying for a fresh instance.
+/// replica (re-attach + binlog resync of the missed span) over paying for a
+/// fresh instance (a copy of the master's tables).
 class ElasticityController {
  public:
   /// `proxy` may be null (the cluster still scales; no read rerouting).

@@ -1078,6 +1078,16 @@ bool Database::ValidateAllIndexes(std::string* error) const {
   return true;
 }
 
+void Database::CopyTablesFrom(const Database& source) {
+  assert(&source != this);
+  tables_.clear();
+  for (const auto& [key, table] : source.tables_) {
+    tables_.emplace(key, table->Clone());
+  }
+  // The catalog changed under any cached templates, exactly as after DDL.
+  statement_cache_.Invalidate();
+}
+
 bool Database::ContentsEqual(const Database& a, const Database& b,
                              const std::vector<std::string>& ignore_tables) {
   if (a.tables_.size() != b.tables_.size()) return false;

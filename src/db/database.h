@@ -176,9 +176,17 @@ class Database {
   /// True when every table's indexes are internally consistent (test hook).
   bool ValidateAllIndexes(std::string* error) const;
 
-  /// Deep content equality of two databases (same tables, same row
-  /// multisets) — the master/slave convergence check. Tables named in
-  /// `ignore_tables` are excluded: statement-based replication re-evaluates
+  /// Replaces every table with a copy of `source`'s (Table::Clone: rows
+  /// under their RowIds, schemas, primary and secondary indexes) and
+  /// invalidates the statement cache, as DDL does. The binlog, sessions and
+  /// options are untouched. This is the one way a replica is copied:
+  /// attaching a new slave and re-cloning failover survivors both use it.
+  void CopyTablesFrom(const Database& source);
+
+  /// Deep content equality of two databases (same tables, and per table the
+  /// same schema, secondary-index set and row multiset) — the master/slave
+  /// convergence check. Tables named in `ignore_tables` are excluded from
+  /// the per-table comparison: statement-based replication re-evaluates
   /// non-deterministic functions per replica, so tables like the heartbeat
   /// table (whose NOW_MICROS() column *intentionally* differs per replica)
   /// must be skipped.

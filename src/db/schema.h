@@ -17,6 +17,8 @@ struct ColumnDef {
   ValueType type = ValueType::kInt64;
   bool not_null = false;
   bool primary_key = false;  // at most one column per table
+
+  friend bool operator==(const ColumnDef&, const ColumnDef&) = default;
 };
 
 /// A table's column layout. Column order is the row layout.
@@ -46,6 +48,8 @@ class Schema {
   Status CoerceRow(Row* row) const;
 
   std::string ToString() const;
+
+  bool operator==(const Schema&) const = default;
 
  private:
   std::vector<ColumnDef> columns_;

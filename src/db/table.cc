@@ -12,11 +12,42 @@
 
 namespace clouddb::db {
 
+namespace {
+
+/// Rebuilds `to` as a copy of `from`. The source scan yields strictly
+/// increasing keys, which is exactly BulkLoad's precondition.
+template <typename K>
+void CopyTree(const BPlusTree<K, RowId>& from, BPlusTree<K, RowId>* to) {
+  std::vector<std::pair<K, RowId>> entries;
+  entries.reserve(from.size());
+  from.ScanAll([&](const K& key, const RowId& id) {
+    entries.emplace_back(key, id);
+    return true;
+  });
+  to->BulkLoad(std::move(entries));
+}
+
+}  // namespace
+
 Table::Table(std::string name, Schema schema)
     : name_(std::move(name)), schema_(std::move(schema)) {
   if (schema_.primary_key_index().has_value()) {
     primary_ = std::make_unique<BPlusTree<Value, RowId>>();
   }
+}
+
+std::unique_ptr<Table> Table::Clone() const {
+  auto copy = std::make_unique<Table>(name_, schema_);
+  copy->next_row_id_ = next_row_id_;
+  copy->rows_ = rows_;
+  if (primary_ != nullptr) CopyTree(*primary_, copy->primary_.get());
+  for (const SecondaryIndex& idx : secondary_) {
+    auto tree = std::make_unique<BPlusTree<SecondaryKey, RowId>>();
+    CopyTree(*idx.tree, tree.get());
+    copy->secondary_.push_back(
+        SecondaryIndex{idx.name, idx.column, std::move(tree)});
+  }
+  return copy;
 }
 
 Result<RowId> Table::Insert(Row row) {
@@ -330,7 +361,14 @@ void Table::Truncate() {
 }
 
 bool Table::ContentsEqual(const Table& a, const Table& b) {
-  if (a.schema_.num_columns() != b.schema_.num_columns()) return false;
+  if (a.schema_ != b.schema_) return false;
+  auto index_set = [](const Table& t) {
+    std::vector<std::pair<std::string, std::string>> indexes =
+        t.SecondaryIndexes();
+    std::sort(indexes.begin(), indexes.end());
+    return indexes;
+  };
+  if (index_set(a) != index_set(b)) return false;
   if (a.rows_.size() != b.rows_.size()) return false;
   // Compare as sorted multisets of rows (RowIds may differ between replicas
   // only if statements interleave differently; contents are what matter).

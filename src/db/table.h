@@ -64,6 +64,12 @@ class Table {
   Table(const Table&) = delete;
   Table& operator=(const Table&) = delete;
 
+  /// Deep copy: every row under its RowId, the RowId counter, the schema,
+  /// the primary index and every secondary index (each rebuilt with
+  /// BPlusTree::BulkLoad from the source tree's key order). The plan memo is
+  /// a cache and starts empty.
+  std::unique_ptr<Table> Clone() const;
+
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
   size_t num_rows() const { return rows_.size(); }
@@ -168,8 +174,9 @@ class Table {
   /// Removes all rows (indexes cleared; schema and index definitions kept).
   void Truncate();
 
-  /// Deep equality of contents (schemas equal, same multiset of rows);
-  /// used to assert master/slave convergence.
+  /// Deep equality of contents and catalog: equal schemas, the same set of
+  /// (index name, column) secondary indexes, and the same multiset of rows
+  /// (RowIds excluded); used to assert master/slave convergence.
   static bool ContentsEqual(const Table& a, const Table& b);
 
   /// Internal-consistency check for tests: every row is present in every

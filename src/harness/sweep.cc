@@ -1,16 +1,11 @@
 #include "harness/sweep.h"
 
-#include <atomic>
-#include <condition_variable>
-#include <mutex>
-#include <optional>
-#include <thread>
-
 #include "common/str_util.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "common/table_writer.h"
 #include "harness/experiment.h"
+#include "harness/grid.h"
 
 namespace clouddb::harness {
 
@@ -87,8 +82,8 @@ namespace {
 
 /// One grid cell's fully derived run configuration. Planning every cell up
 /// front (in grid order) makes each seed a pure function of the grid
-/// coordinates — never of worker scheduling — which is what lets the
-/// parallel runner reproduce the serial runner's output byte for byte.
+/// coordinates — never of worker scheduling — which is what lets RunGrid's
+/// parallel mode reproduce the serial output byte for byte.
 struct PlannedCell {
   int slaves = 0;
   int users = 0;
@@ -123,70 +118,15 @@ std::vector<PlannedCell> PlanCells(const SweepConfig& config) {
 Result<SweepResult> RunSweep(
     const SweepConfig& config,
     const std::function<void(const SweepCell&)>& progress) {
-  const std::vector<PlannedCell> cells = PlanCells(config);
-  const size_t n = cells.size();
   SweepResult result;
-
-  int jobs = config.jobs;
-  if (jobs <= 0) jobs = static_cast<int>(std::thread::hardware_concurrency());
-  if (jobs < 1) jobs = 1;
-  if (jobs > static_cast<int>(n)) jobs = static_cast<int>(n);
-
-  if (jobs <= 1) {
-    for (const PlannedCell& cell : cells) {
-      auto outcome = RunExperiment(cell.run);
-      if (!outcome.ok()) return outcome.status();
-      SweepCell done{cell.slaves, cell.users, std::move(outcome).value()};
-      if (progress) progress(done);
-      result.Add(std::move(done));
-    }
-    return result;
-  }
-
-  // Parallel runner: each cell is an independent single-threaded Simulation,
-  // so workers just claim cells from a shared cursor. The main thread
-  // consumes outcomes strictly in grid order — progress callbacks, cell
-  // order, and every derived table are byte-identical to jobs == 1.
-  std::vector<std::optional<Result<ExperimentResult>>> outcomes(n);
-  std::atomic<size_t> cursor{0};
-  std::mutex mu;
-  std::condition_variable cell_ready;
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(jobs));
-  for (int w = 0; w < jobs; ++w) {
-    workers.emplace_back([&] {
-      for (;;) {
-        size_t i = cursor.fetch_add(1);
-        if (i >= n) return;
-        Result<ExperimentResult> outcome = RunExperiment(cells[i].run);
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          outcomes[i] = std::move(outcome);
-        }
-        cell_ready.notify_all();
-      }
-    });
-  }
-
-  Status failed = Status::Ok();
-  for (size_t i = 0; i < n; ++i) {
-    std::unique_lock<std::mutex> lock(mu);
-    cell_ready.wait(lock, [&] { return outcomes[i].has_value(); });
-    Result<ExperimentResult>& outcome = *outcomes[i];
-    if (!outcome.ok()) {
-      // Match the serial runner: the first grid-order failure wins and no
-      // later cell is surfaced (workers still drain so join() returns).
-      failed = outcome.status();
-      break;
-    }
-    SweepCell done{cells[i].slaves, cells[i].users,
-                   std::move(outcome).value()};
-    lock.unlock();
-    if (progress) progress(done);
-    result.Add(std::move(done));
-  }
-  for (std::thread& worker : workers) worker.join();
-  if (!failed.ok()) return failed;
+  CLOUDDB_RETURN_IF_ERROR(RunGrid(
+      PlanCells(config), config.jobs,
+      [](const PlannedCell& cell) { return RunExperiment(cell.run); },
+      [&](const PlannedCell& cell, ExperimentResult outcome) {
+        SweepCell done{cell.slaves, cell.users, std::move(outcome)};
+        if (progress) progress(done);
+        result.Add(std::move(done));
+      }));
   return result;
 }
 

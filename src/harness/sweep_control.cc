@@ -1,16 +1,11 @@
 #include "harness/sweep_control.h"
 
-#include <atomic>
-#include <condition_variable>
-#include <mutex>
-#include <optional>
-#include <thread>
-
 #include "common/result.h"
 #include "common/status.h"
 #include "common/str_util.h"
 #include "common/table_writer.h"
 #include "harness/control_experiment.h"
+#include "harness/grid.h"
 #include "common/time_types.h"
 
 namespace clouddb::harness {
@@ -106,7 +101,7 @@ TableWriter ControlSweepResult::ReplicaTable(
 namespace {
 
 /// Planned grid cell: seeds derived from grid coordinates up front, exactly
-/// like harness::RunSweep — the parallel runner's output must be
+/// like harness::RunSweep — RunGrid's parallel output must be
 /// byte-identical to the serial one.
 struct PlannedControlCell {
   SimDuration bound = 0;
@@ -141,68 +136,17 @@ std::vector<PlannedControlCell> PlanCells(const ControlSweepConfig& config) {
 Result<ControlSweepResult> RunControlSweep(
     const ControlSweepConfig& config,
     const std::function<void(const ControlSweepCell&)>& progress) {
-  const std::vector<PlannedControlCell> cells = PlanCells(config);
-  const size_t n = cells.size();
   ControlSweepResult result;
-
-  int jobs = config.jobs;
-  if (jobs <= 0) jobs = static_cast<int>(std::thread::hardware_concurrency());
-  if (jobs < 1) jobs = 1;
-  if (jobs > static_cast<int>(n)) jobs = static_cast<int>(n);
-
-  if (jobs <= 1) {
-    for (const PlannedControlCell& cell : cells) {
-      auto outcome = RunControlExperiment(cell.run);
-      if (!outcome.ok()) return outcome.status();
-      ControlSweepCell done{cell.bound, cell.users,
-                            std::move(outcome).value()};
-      if (progress) progress(done);
-      result.Add(std::move(done));
-    }
-    return result;
-  }
-
-  // Parallel runner: independent single-threaded Simulations per cell; the
-  // main thread consumes outcomes strictly in grid order (see RunSweep).
-  std::vector<std::optional<Result<ControlExperimentResult>>> outcomes(n);
-  std::atomic<size_t> cursor{0};
-  std::mutex mu;
-  std::condition_variable cell_ready;
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(jobs));
-  for (int w = 0; w < jobs; ++w) {
-    workers.emplace_back([&] {
-      for (;;) {
-        size_t i = cursor.fetch_add(1);
-        if (i >= n) return;
-        Result<ControlExperimentResult> outcome =
-            RunControlExperiment(cells[i].run);
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          outcomes[i] = std::move(outcome);
-        }
-        cell_ready.notify_all();
-      }
-    });
-  }
-
-  Status failed = Status::Ok();
-  for (size_t i = 0; i < n; ++i) {
-    std::unique_lock<std::mutex> lock(mu);
-    cell_ready.wait(lock, [&] { return outcomes[i].has_value(); });
-    Result<ControlExperimentResult>& outcome = *outcomes[i];
-    if (!outcome.ok()) {
-      failed = outcome.status();
-      break;
-    }
-    ControlSweepCell done{cells[i].bound, cells[i].users,
-                          std::move(outcome).value()};
-    lock.unlock();
-    if (progress) progress(done);
-    result.Add(std::move(done));
-  }
-  for (std::thread& worker : workers) worker.join();
-  if (!failed.ok()) return failed;
+  CLOUDDB_RETURN_IF_ERROR(RunGrid(
+      PlanCells(config), config.jobs,
+      [](const PlannedControlCell& cell) {
+        return RunControlExperiment(cell.run);
+      },
+      [&](const PlannedControlCell& cell, ControlExperimentResult outcome) {
+        ControlSweepCell done{cell.bound, cell.users, std::move(outcome)};
+        if (progress) progress(done);
+        result.Add(std::move(done));
+      }));
   return result;
 }
 

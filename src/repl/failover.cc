@@ -3,51 +3,13 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/str_util.h"
-#include "common/status.h"
 #include "db/database.h"
-#include "db/table.h"
-#include "db/value.h"
 #include "net/network.h"
 #include "repl/master_node.h"
 #include "repl/slave_node.h"
 #include "sim/simulation.h"
 
 namespace clouddb::repl {
-
-Status ResyncDatabase(const db::Database& source, db::Database* target) {
-  // Drop everything the target has...
-  for (const std::string& name : target->TableNames()) {
-    auto dropped = target->Execute(StrFormat("DROP TABLE %s", name.c_str()));
-    if (!dropped.ok()) return dropped.status();
-  }
-  // ...and rebuild it from the source: schema, rows, secondary indexes.
-  for (const std::string& name : source.TableNames()) {
-    const db::Table* table = source.GetTable(name);
-    auto created = target->Execute(StrFormat(
-        "CREATE TABLE %s %s", name.c_str(), table->schema().ToString().c_str()));
-    if (!created.ok()) return created.status();
-    Status insert_status;
-    table->ScanAll([&](db::RowId, const db::Row& row) {
-      auto inserted = target->Execute(
-          StrFormat("INSERT INTO %s VALUES %s", name.c_str(),
-                    db::RowToString(row).c_str()));
-      if (!inserted.ok()) {
-        insert_status = inserted.status();
-        return false;
-      }
-      return true;
-    });
-    if (!insert_status.ok()) return insert_status;
-    for (const auto& [index_name, column] : table->SecondaryIndexes()) {
-      auto indexed = target->Execute(StrFormat(
-          "CREATE INDEX %s ON %s (%s)", index_name.c_str(), name.c_str(),
-          column.c_str()));
-      if (!indexed.ok()) return indexed.status();
-    }
-  }
-  return Status::Ok();
-}
 
 FailoverManager::FailoverManager(sim::Simulation* sim, net::Network* network,
                                  net::NodeId monitor_node, MasterNode* master,
@@ -151,9 +113,7 @@ void FailoverManager::PerformFailover() {
   std::vector<SlaveNode*> survivors;
   for (SlaveNode* slave : slaves_) {
     if (slave == winner || !slave->online()) continue;
-    Status resynced = ResyncDatabase(new_master->database(),
-                                     &slave->database());
-    if (!resynced.ok()) continue;  // leave it detached; operators page in
+    slave->database().CopyTablesFrom(new_master->database());
     slave->ReattachToNewTimeline(new_master);
     new_master->AttachSlave(slave);
     survivors.push_back(slave);

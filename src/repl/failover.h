@@ -9,16 +9,9 @@
 #include "repl/master_node.h"
 #include "repl/slave_node.h"
 #include "sim/simulation.h"
-#include "common/status.h"
 #include "common/time_types.h"
-#include "db/database.h"
 
 namespace clouddb::repl {
-
-/// Replaces `target`'s entire contents with a copy of `source`: schemas,
-/// rows and secondary indexes. The re-clone step of failover and of replica
-/// provisioning.
-Status ResyncDatabase(const db::Database& source, db::Database* target);
 
 /// Failover behaviour knobs.
 struct FailoverOptions {
@@ -41,9 +34,9 @@ struct FailoverOptions {
 ///  1. elect the most-up-to-date surviving slave (max applied binlog index);
 ///  2. promote it: its database is adopted by a new MasterNode on the same
 ///     instance, with binary logging enabled (a fresh binlog timeline);
-///  3. resynchronize every other surviving slave from the promoted copy
-///     (asynchronous replication can leave them behind the winner; in
-///     production this is the re-clone step) and re-attach them;
+///  3. re-clone every other surviving slave from the promoted copy
+///     (db::Database::CopyTablesFrom; asynchronous replication can leave
+///     them behind the winner) and re-attach them;
 ///  4. report the new master so the application can repoint its proxy.
 ///
 /// Writes that the old master committed but had not shipped are *lost* —

@@ -9,8 +9,6 @@
 #include "db/database.h"
 #include "db/sql_ast.h"
 #include "db/statement_cache.h"
-#include "db/table.h"
-#include "db/value.h"
 #include "net/network.h"
 #include "repl/master_node.h"
 #include "repl/slave_node.h"
@@ -50,39 +48,6 @@ int ReplicationCluster::num_active_slaves() const {
   return active;
 }
 
-Status ReplicationCluster::SnapshotInto(SlaveNode* slave) {
-  db::Database& src = master_->database();
-  db::Database& dst = slave->database();
-  for (const std::string& name : src.TableNames()) {
-    const db::Table* table = src.GetTable(name);
-    std::string ddl = StrFormat("CREATE TABLE %s %s", name.c_str(),
-                                table->schema().ToString().c_str());
-    auto created = dst.Execute(ddl);
-    if (!created.ok()) return created.status();
-    // One INSERT shape per table: prepare once, bind each row's literals —
-    // the restore costs one parse per table, not one per row.
-    Status row_status = Status::Ok();
-    table->ScanAll([&](db::RowId, const db::Row& row) {
-      std::string sql = StrFormat("INSERT INTO %s VALUES %s", name.c_str(),
-                                  db::RowToString(row).c_str());
-      Result<db::ExecResult> inserted = [&]() -> Result<db::ExecResult> {
-        if (dst.statement_cache_enabled()) {
-          Result<db::PreparedCall> call = dst.Prepare(sql);
-          if (call.ok()) return dst.ExecutePrepared(*call, sql, nullptr);
-        }
-        return dst.Execute(sql);
-      }();
-      if (!inserted.ok()) {
-        row_status = inserted.status();
-        return false;
-      }
-      return true;
-    });
-    if (!row_status.ok()) return row_status;
-  }
-  return Status::Ok();
-}
-
 Result<int> ReplicationCluster::AddSlave() {
   sim::Simulation* sim = &provider_->simulation();
   net::Network* network = &provider_->network();
@@ -95,8 +60,8 @@ Result<int> ReplicationCluster::AddSlave() {
       master_->database().statement_cache_enabled());
   slave->database().set_vectorized_exec_enabled(
       master_->database().vectorized_exec_enabled());
-  CLOUDDB_RETURN_IF_ERROR(SnapshotInto(slave.get()));
-  // The snapshot covers every event already in the binlog; attaching now
+  slave->database().CopyTablesFrom(master_->database());
+  // The copy covers every event already in the binlog; attaching now
   // streams everything committed from this instant on.
   slave->SeedFromSnapshot(master_->binlog_size() - 1);
   master_->AttachSlave(slave.get());

@@ -45,9 +45,10 @@ class ReplicationCluster {
   const ClusterConfig& config() const { return config_; }
 
   /// Elastic scale-out (the control loop's actuator): launches a fresh
-  /// instance, restores a snapshot of the master's current contents onto it
-  /// (as an operator restores a backup before attaching a replica), and
-  /// attaches it to the binlog stream. Returns the new slave's index.
+  /// instance, copies the master's current tables onto it
+  /// (db::Database::CopyTablesFrom — rows, schemas and indexes, as an
+  /// operator restores a backup before attaching a replica), and attaches it
+  /// to the binlog stream. Returns the new slave's index.
   Result<int> AddSlave();
 
   /// Elastic scale-in: detaches slave `i` from the master's stream and marks
@@ -56,9 +57,11 @@ class ReplicationCluster {
   /// longer receives events. Idempotent per slave.
   Status RetireSlave(int i);
 
-  /// Re-activates a previously retired slave: snapshot-refreshes its data
-  /// from the master and re-attaches it. Scale-out prefers reviving a
-  /// retired node over launching a new instance.
+  /// Re-activates a previously retired slave: re-attaches it to the master
+  /// and re-streams the binlog span it missed while detached
+  /// (SlaveNode::RequestResync), resuming where its SQL thread stopped. Its
+  /// data is not copied again. Scale-out prefers reviving a retired node
+  /// over launching a new instance.
   Status ReviveSlave(int i);
 
   bool IsSlaveRetired(int i) const;
@@ -89,14 +92,12 @@ class ReplicationCluster {
   /// True when every slave has applied the whole master binlog.
   bool FullyReplicated() const;
 
-  /// True when all replicas hold identical data (deep content equality) —
-  /// the eventual-consistency convergence check.
+  /// True when all replicas hold identical data and catalogs (deep content,
+  /// schema and secondary-index equality) — the eventual-consistency
+  /// convergence check.
   bool Converged() const;
 
  private:
-  /// Copies the master's current tables into `slave` (snapshot restore).
-  Status SnapshotInto(SlaveNode* slave);
-
   cloud::CloudProvider* provider_;
   ClusterConfig config_;
   std::unique_ptr<MasterNode> master_;

@@ -81,9 +81,9 @@ class SlaveNode : public DbNode {
   void OnBinlogBatch(const std::vector<db::BinlogEvent>& events);
 
   /// Marks the slave as pre-loaded with the master's data through binlog
-  /// index `applied_index` (snapshot restore before a mid-run attachment):
-  /// the IO thread expects the next event after the snapshot point instead
-  /// of index 0, so the first live event is not mistaken for a gap.
+  /// index `applied_index` (a table copy before a mid-run attachment): the
+  /// IO thread expects the next event after the copy point instead of
+  /// index 0, so the first live event is not mistaken for a gap.
   void SeedFromSnapshot(int64_t applied_index) {
     applied_index_ = applied_index;
     next_expected_ = applied_index + 1;

@@ -408,6 +408,21 @@ TEST_F(DatabaseTest, ContentsEqualAndIgnoreList) {
   EXPECT_TRUE(Database::ContentsEqual(db_, other, {"hb"}));
 }
 
+TEST_F(DatabaseTest, ContentsEqualComparesTheCatalog) {
+  Database other;
+  Must("CREATE TABLE t (a INT PRIMARY KEY, b INT)");
+  ASSERT_TRUE(other.Execute("CREATE TABLE t (a INT PRIMARY KEY, b TEXT)").ok());
+  EXPECT_FALSE(Database::ContentsEqual(db_, other));  // same arity, new type
+
+  Database twin;
+  ASSERT_TRUE(twin.Execute("CREATE TABLE t (a INT PRIMARY KEY, b INT)").ok());
+  EXPECT_TRUE(Database::ContentsEqual(db_, twin));
+  Must("CREATE INDEX idx_b ON t (b)");
+  EXPECT_FALSE(Database::ContentsEqual(db_, twin));
+  ASSERT_TRUE(twin.Execute("CREATE INDEX idx_other ON t (b)").ok());
+  EXPECT_FALSE(Database::ContentsEqual(db_, twin));  // index names differ
+}
+
 TEST_F(DatabaseTest, TableNamesListsTables) {
   SetUpPeople();
   Must("CREATE TABLE zoo (a INT)");

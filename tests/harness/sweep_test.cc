@@ -1,6 +1,9 @@
 #include "harness/sweep.h"
+#include "common/result.h"
+#include "common/status.h"
 #include "common/table_writer.h"
 #include "common/time_types.h"
+#include "harness/grid.h"
 
 #include <string>
 #include <utility>
@@ -119,6 +122,28 @@ TEST(SweepTest, JobsZeroMeansHardwareConcurrency) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(progress_calls, 4);
   EXPECT_EQ(result->cells().size(), 4u);
+}
+
+TEST(SweepTest, FailingCellStopsTheGridIdenticallyForEveryJobs) {
+  // Cell 5 of 10 fails. Serial and parallel runs must return its status and
+  // report exactly the cells before it, in order, even when parallel
+  // workers finish later cells first.
+  std::vector<int> cells = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  auto run = [](const int& cell) -> Result<int> {
+    if (cell == 5) return Status::Internal("cell 5 failed");
+    return cell * cell;
+  };
+  for (int jobs : {1, 4}) {
+    std::vector<std::pair<int, int>> seen;
+    Status status = RunGrid(cells, jobs, run, [&](const int& cell, int value) {
+      seen.emplace_back(cell, value);
+    });
+    EXPECT_EQ(status.ToString(), Status::Internal("cell 5 failed").ToString())
+        << "jobs=" << jobs;
+    EXPECT_EQ(seen, (std::vector<std::pair<int, int>>{
+                        {0, 0}, {1, 1}, {2, 4}, {3, 9}, {4, 16}}))
+        << "jobs=" << jobs;
+  }
 }
 
 TEST(SweepTest, SaturationDetection) {

@@ -13,6 +13,7 @@
 #include "common/time_types.h"
 #include "db/database.h"
 #include "db/table.h"
+#include "db/value.h"
 #include "repl/master_node.h"
 #include "repl/slave_node.h"
 #include "sim/simulation.h"
@@ -280,8 +281,8 @@ TEST_F(FailoverTest, SurvivorResyncRebuildsSecondaryIndexes) {
   ASSERT_TRUE(manager_->failover_performed());
   EXPECT_EQ(manager_->promoted_slave(), cluster_->slave(0));
   // The lagging survivor was re-cloned from the winner: identical contents
-  // AND a working secondary index (ResyncDatabase recreates indexes, not
-  // just rows).
+  // AND a working secondary index (CopyTablesFrom copies indexes, not just
+  // rows).
   ASSERT_EQ(manager_->active_slaves().size(), 1u);
   SlaveNode* survivor = manager_->active_slaves()[0];
   EXPECT_TRUE(db::Database::ContentsEqual(
@@ -302,7 +303,7 @@ TEST_F(FailoverTest, SurvivorResyncRebuildsSecondaryIndexes) {
       manager_->current_master()->database(), survivor->database()));
 }
 
-TEST_F(FailoverTest, ResyncDatabaseCopiesEverything) {
+TEST_F(FailoverTest, CopyTablesFromCopiesEverything) {
   db::Database source;
   ASSERT_TRUE(source
                   .Execute("CREATE TABLE a (id INT PRIMARY KEY, v TEXT, "
@@ -311,17 +312,31 @@ TEST_F(FailoverTest, ResyncDatabaseCopiesEverything) {
   ASSERT_TRUE(source.Execute("CREATE INDEX idx_v ON a (v)").ok());
   ASSERT_TRUE(source.Execute("INSERT INTO a VALUES (1, 'x', 1.5)").ok());
   ASSERT_TRUE(source.Execute("INSERT INTO a VALUES (2, NULL, NULL)").ok());
+  ASSERT_TRUE(source.Execute("INSERT INTO a VALUES (3, 'y', 2.5)").ok());
+  ASSERT_TRUE(source.Execute("DELETE FROM a WHERE id = 1").ok());
   db::Database target;
   ASSERT_TRUE(target.Execute("CREATE TABLE junk (z INT)").ok());
-  ASSERT_TRUE(ResyncDatabase(source, &target).ok());
+  ASSERT_TRUE(target.Execute("INSERT INTO junk VALUES (1)").ok());
+  int64_t invalidations = target.statement_cache().stats().invalidations;
+  target.CopyTablesFrom(source);
+  // Like DDL, the copy drops the target's cached templates.
+  EXPECT_GT(target.statement_cache().stats().invalidations, invalidations);
   EXPECT_TRUE(db::Database::ContentsEqual(source, target));
   EXPECT_EQ(target.GetTable("junk"), nullptr);
-  // Secondary indexes recreated.
-  auto v_col = target.GetTable("a")->schema().ColumnIndex("v");
-  ASSERT_TRUE(v_col.ok());
-  EXPECT_TRUE(target.GetTable("a")->HasIndexOn(*v_col));
+  // Rows keep their RowIds (the deleted row leaves the same gap).
+  const db::Table* a = target.GetTable("a");
+  EXPECT_EQ(a->Get(1), nullptr);
+  ASSERT_NE(a->Get(3), nullptr);
+  EXPECT_EQ((*a->Get(3))[1].AsString(), "y");
+  // Secondary indexes copied.
+  EXPECT_EQ(a->SecondaryIndexes(), source.GetTable("a")->SecondaryIndexes());
   std::string err;
   EXPECT_TRUE(target.ValidateAllIndexes(&err)) << err;
+  // New rows continue the source's RowId sequence.
+  ASSERT_TRUE(target.Execute("INSERT INTO a VALUES (4, 'z', 0.5)").ok());
+  auto found = a->FindByPrimaryKey(db::Value(int64_t{4}));
+  ASSERT_TRUE(found.ok());
+  EXPECT_EQ(*found, 4);
 }
 
 }  // namespace

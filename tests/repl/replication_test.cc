@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "cloud/cloud_provider.h"
+#include "cloudstone/schema.h"
 #include "common/stats.h"
 #include "common/str_util.h"
 #include "repl/delay_monitor.h"
@@ -12,6 +13,8 @@
 #include "common/time_types.h"
 #include "db/binlog.h"
 #include "db/database.h"
+#include "db/table.h"
+#include "db/value.h"
 #include "repl/cost_model.h"
 #include "sim/simulation.h"
 
@@ -226,6 +229,64 @@ TEST_F(ReplicationTest, ExecuteEverywhereDirectDoesNotReplicate) {
   EXPECT_EQ(cluster->master()->database().binlog().size(), 0);
   EXPECT_TRUE(cluster->Converged());
   EXPECT_TRUE(cluster->FullyReplicated());  // trivially: empty binlog
+}
+
+TEST_F(ReplicationTest, AddedSlaveIsATrueCopyOfTheMaster) {
+  auto cluster = MakeCluster(1);
+  cloudstone::WorkloadState state;
+  ASSERT_TRUE(cloudstone::LoadInitialData(
+                  [&](const std::string& sql) {
+                    return cluster->ExecuteEverywhereDirect(sql);
+                  },
+                  /*scale=*/20, /*seed=*/5, &state)
+                  .ok());
+  // A replicated delete leaves a RowId gap the copy must keep.
+  ASSERT_TRUE(cluster->master()
+                  ->ExecuteDirect("DELETE FROM events WHERE event_id = 1")
+                  .ok());
+  sim_.Run();
+  Result<int> added = cluster->AddSlave();
+  ASSERT_TRUE(added.ok());
+  sim_.Run();
+
+  const db::Database& master = cluster->master()->database();
+  const db::Database& copy = cluster->slave(*added)->database();
+  size_t indexes = 0;
+  for (const std::string& name : master.TableNames()) {
+    const db::Table* from = master.GetTable(name);
+    const db::Table* to = copy.GetTable(name);
+    ASSERT_NE(to, nullptr) << name;
+    EXPECT_EQ(to->SecondaryIndexes(), from->SecondaryIndexes()) << name;
+    indexes += from->SecondaryIndexes().size();
+    EXPECT_EQ(to->num_rows(), from->num_rows()) << name;
+    from->ForEachRow([&](db::RowId id, const db::Row& row) {
+      const db::Row* same = to->Get(id);
+      EXPECT_TRUE(same != nullptr && *same == row) << name << " row " << id;
+      return true;
+    });
+  }
+  EXPECT_EQ(indexes, 6u);  // Cloudstone's secondary indexes
+  std::string err;
+  EXPECT_TRUE(copy.ValidateAllIndexes(&err)) << err;
+  EXPECT_TRUE(cluster->Converged());
+}
+
+TEST_F(ReplicationTest, ConvergedCatchesASlaveMissingAnIndex) {
+  auto cluster = MakeCluster(1);
+  ASSERT_TRUE(cluster->master()
+                  ->ExecuteDirect("CREATE TABLE t (a INT PRIMARY KEY, b INT)")
+                  .ok());
+  ASSERT_TRUE(
+      cluster->master()->ExecuteDirect("INSERT INTO t VALUES (1, 2)").ok());
+  sim_.Run();
+  ASSERT_TRUE(cluster->Converged());
+  // An index built on the master outside replication: same rows, different
+  // catalog.
+  db::Database& master = cluster->master()->database();
+  master.set_binlog_suppressed(true);
+  ASSERT_TRUE(master.Execute("CREATE INDEX idx_b ON t (b)").ok());
+  master.set_binlog_suppressed(false);
+  EXPECT_FALSE(cluster->Converged());
 }
 
 TEST_F(ReplicationTest, TransactionAppliesAtomicallyOnSlave) {

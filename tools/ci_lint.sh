@@ -22,7 +22,7 @@ if [ ! -x "$LINT_BIN" ]; then
 fi
 
 # The tree scan runs every rule family: the interprocedural passes
-# (lock-order, use-after-move, status-path, determinism-taint) and the
+# (use-after-move, status-path, determinism-taint) and the
 # abstract-interpretation rules (bounds, div-zero, narrowing,
 # codec-symmetry) all at error severity, under --forbid-nolint.
 # --forbid-nolint fails only on *bare* suppressions: a

@@ -29,7 +29,6 @@ constexpr char kRuleRandom[] = "clouddb-random";
 constexpr char kRuleThread[] = "clouddb-thread";
 constexpr char kRuleLayering[] = "clouddb-layering";
 constexpr char kRuleCycle[] = "clouddb-include-cycle";
-constexpr char kRuleStatus[] = "clouddb-status";
 constexpr char kRuleMetricName[] = "clouddb-metric-name";
 constexpr char kRuleVecAlloc[] = "clouddb-vec-alloc";
 constexpr char kRuleApplyNoparse[] = "clouddb-apply-noparse";
@@ -157,19 +156,15 @@ bool RandomExempt(const std::string& rel) {
   return rel.rfind("src/common/rng", 0) == 0;
 }
 
-/// Sanctioned homes for real-thread primitives. The simulator itself is
-/// single-threaded by design (src/sim, src/db, src/repl, ... must stay
-/// thread-free — the tree-wide scan enforces it); the one exception is the
-/// harness's sweep runner, whose workers each drive an *independent*
+/// The one sanctioned home for real-thread primitives. The simulator itself
+/// is single-threaded by design (src/sim, src/db, src/repl, ... must stay
+/// thread-free — the tree-wide scan enforces it); the exception is the
+/// harness's grid runner, whose workers each drive an *independent*
 /// Simulation and merge results in deterministic grid order (DESIGN.md
-/// "Simulation kernel & parallel harness"). Extending this list requires the
+/// "Simulation kernel & parallel harness"). Adding a file here requires the
 /// same isolation argument.
 bool ThreadExempt(const std::string& rel) {
-  static constexpr const char* kSanctioned[] = {"src/harness/sweep"};
-  for (const char* prefix : kSanctioned) {
-    if (rel.rfind(prefix, 0) == 0) return true;
-  }
-  return false;
+  return rel == "src/harness/grid.h";
 }
 
 /// clouddb-vec-alloc is scope-*limited* rather than scope-exempted: it only
@@ -377,19 +372,8 @@ void CheckIncludeCycles(const std::vector<SourceFile>& files,
 }
 
 // ---------------------------------------------------------------------------
-// Rule: discarded Status / Result.
+// Status-returning function names (input to clouddb-status-path).
 // ---------------------------------------------------------------------------
-
-size_t MatchForward(const std::vector<Token>& t, size_t open, char oc, char cc) {
-  int depth = 0;
-  for (size_t i = open; i < t.size(); ++i) {
-    if (t[i].text.size() == 1) {
-      if (t[i].text[0] == oc) ++depth;
-      if (t[i].text[0] == cc && --depth == 0) return i;
-    }
-  }
-  return t.size();
-}
 
 size_t MatchBackward(const std::vector<Token>& t, size_t close, char oc,
                      char cc) {
@@ -405,10 +389,9 @@ size_t MatchBackward(const std::vector<Token>& t, size_t close, char oc,
 
 /// Collects names of functions declared in headers with a `Status` or
 /// `Result<...>` return type into `status_names`, and names declared with
-/// any *other* return type into `other_names`. The discard check only fires
-/// on unambiguous names (status minus other): a name shared with e.g. a
-/// void callback-style overload cannot be classified at token level, and the
-/// `[[nodiscard]]` attribute already covers those sites exactly.
+/// any *other* return type into `other_names`. clouddb-status-path only
+/// tracks unambiguous names (status minus other): a name shared with e.g. a
+/// void callback-style overload cannot be classified at token level.
 void CollectStatusFunctions(const SourceFile& fi,
                             std::set<std::string>* status_names,
                             std::set<std::string>* other_names) {
@@ -440,78 +423,6 @@ void CollectStatusFunctions(const SourceFile& fi,
       }
       // Non-type keywords (return, new, else, ...) mean this is a call or
       // expression, not a declaration — ignore.
-    }
-  }
-}
-
-void CheckDiscardedStatus(const SourceFile& fi,
-                          const std::set<std::string>& names,
-                          std::vector<Diagnostic>* out) {
-  const std::vector<Token>& t = fi.tokens;
-  for (size_t i = 0; i < t.size(); ++i) {
-    if (!t[i].ident || !names.count(t[i].text)) continue;
-    if (i + 1 >= t.size() || t[i + 1].text != "(") continue;
-    if (fi.directive_lines.count(t[i].line)) continue;  // macro bodies
-    size_t close = MatchForward(t, i + 1, '(', ')');
-    if (close + 1 >= t.size() || t[close + 1].text != ";") continue;
-
-    // Walk back over the postfix chain (obj.f, p->f, NS::f, g().f, a[i].f)
-    // to the start of the full expression statement.
-    size_t p = i;
-    bool bail = false;
-    while (p > 0) {
-      const std::string& prev = t[p - 1].text;
-      if (prev == "::" || prev == "." || prev == "->") {
-        if (p < 2) {
-          bail = true;
-          break;
-        }
-        const Token& pre = t[p - 2];
-        if (pre.ident) {
-          p -= 2;
-        } else if (pre.text == ")") {
-          size_t open = MatchBackward(t, p - 2, '(', ')');
-          p = (open > 0 && t[open - 1].ident) ? open - 1 : open;
-        } else if (pre.text == "]") {
-          size_t open = MatchBackward(t, p - 2, '[', ']');
-          p = (open > 0 && t[open - 1].ident) ? open - 1 : open;
-        } else {
-          bail = true;
-          break;
-        }
-      } else {
-        break;
-      }
-    }
-    if (bail) continue;
-
-    bool discarded = false;
-    if (p == 0) {
-      discarded = true;
-    } else {
-      const Token& before = t[p - 1];
-      if (before.text == ";" || before.text == "{" || before.text == "}") {
-        discarded = true;
-      } else if (before.ident) {
-        // `else Foo();` / `do Foo();` discard; `return Foo();`, declarations
-        // (`Status Foo();`) and everything else consume the value.
-        discarded = before.text == "else" || before.text == "do";
-      } else if (before.text == ")") {
-        size_t open = MatchBackward(t, p - 1, '(', ')');
-        bool void_cast = (p - 1) - open == 2 && t[open + 1].text == "void";
-        if (!void_cast && open > 0 && t[open - 1].ident) {
-          const std::string& kw = t[open - 1].text;
-          // Body of `if (...) Foo();` etc. still discards the result.
-          discarded = kw == "if" || kw == "while" || kw == "for" ||
-                      kw == "switch";
-        }
-      }
-    }
-    if (discarded) {
-      out->push_back({fi.rel, t[i].line, kRuleStatus,
-                      "result of '" + t[i].text +
-                          "' (returns Status/Result) is silently discarded; "
-                          "check it, propagate it, or cast to (void)"});
     }
   }
 }
@@ -719,7 +630,6 @@ LintResult RunLint(const Options& options) {
   for (const SourceFile& fi : files) {
     ScanBannedTokens(fi, &candidates);
     CheckLayering(fi, &candidates);
-    CheckDiscardedStatus(fi, status_fns, &candidates);
     CheckMetricNames(fi, &candidates);
     CheckApplyNoparse(fi, &candidates);
   }
@@ -730,7 +640,6 @@ LintResult RunLint(const Options& options) {
 
   // Interprocedural passes share one call graph + CFG context.
   InterprocContext interproc = BuildInterprocContext(analyzed);
-  CheckLockOrder(interproc, &candidates);
   CheckUseAfterMove(interproc, &candidates);
   CheckStatusPath(interproc, status_fns, &candidates);
   CheckDeterminismTaint(interproc, &candidates);

@@ -1,10 +1,7 @@
 #include "rules_interproc.h"
 
 #include <algorithm>
-#include <deque>
-#include <map>
 #include <string_view>
-#include <unordered_map>
 
 #include "dataflow.h"
 #include "frontend.h"
@@ -16,7 +13,6 @@
 namespace clouddb::lint {
 namespace {
 
-constexpr char kRuleLockOrder[] = "clouddb-lock-order";
 constexpr char kRuleUseAfterMove[] = "clouddb-use-after-move";
 constexpr char kRuleStatusPath[] = "clouddb-status-path";
 constexpr char kRuleDetTaint[] = "clouddb-determinism-taint";
@@ -39,34 +35,6 @@ std::vector<int> TokenToNode(const Cfg& cfg, const FunctionDef& fn) {
   return node_of;
 }
 
-/// Extracts the first string-literal argument of the call whose name token
-/// sits at stripped-line position: StripCommentsAndStrings blanks literal
-/// contents but preserves the quotes, so the key is recovered from the raw
-/// line between the stripped line's quote columns. Empty when the argument
-/// is not a literal (variable lock keys contribute nothing to the order
-/// graph — a documented capability limit).
-std::string LiteralArg(const SourceFile& file, const std::string& callee,
-                       int line) {
-  if (line <= 0 || static_cast<size_t>(line) > file.stripped_lines.size())
-    return "";
-  const std::string& s = file.stripped_lines[static_cast<size_t>(line) - 1];
-  const std::string& raw = file.raw_lines[static_cast<size_t>(line) - 1];
-  for (size_t pos = s.find(callee); pos != std::string::npos;
-       pos = s.find(callee, pos + 1)) {
-    if (pos > 0 && IsIdentChar(s[pos - 1])) continue;
-    size_t k = pos + callee.size();
-    while (k < s.size() && s[k] == ' ') ++k;
-    if (k >= s.size() || s[k] != '(') continue;
-    ++k;
-    while (k < s.size() && s[k] == ' ') ++k;
-    if (k >= s.size() || s[k] != '"') return "";
-    size_t close = s.find('"', k + 1);
-    if (close == std::string::npos || close > raw.size()) return "";
-    return raw.substr(k + 1, close - k - 1);
-  }
-  return "";
-}
-
 }  // namespace
 
 InterprocContext BuildInterprocContext(const std::vector<AnalyzedFile>& files) {
@@ -79,243 +47,6 @@ InterprocContext BuildInterprocContext(const std::vector<AnalyzedFile>& files) {
     ctx.cfgs.push_back(BuildCfg(*af.file, *af.index, *f.fn));
   }
   return ctx;
-}
-
-// ---------------------------------------------------------------------------
-// clouddb-lock-order.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-bool IsAcquireName(std::string_view s) {
-  return s == "Acquire" || s == "AcquireRead" || s == "AcquireWrite";
-}
-
-bool LockOrderScope(const std::string& rel) {
-  return StartsWith(rel, "src/db/") || StartsWith(rel, "src/repl/");
-}
-
-/// Names whose call (transitively) reaches ReleaseAll. Matching is by name:
-/// release entry points are declared in headers the scan may not load, so
-/// resolution cannot be required.
-std::set<std::string> ReleasingNames(const CallGraph& cg) {
-  std::set<std::string> releasing = {"ReleaseAll"};
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const CgFunction& f : cg.functions) {
-      if (releasing.count(f.name)) continue;
-      for (const CallSite& site : f.calls) {
-        if (releasing.count(site.name)) {
-          releasing.insert(f.name);
-          changed = true;
-          break;
-        }
-      }
-    }
-  }
-  return releasing;
-}
-
-struct LockEvent {
-  enum class Kind { kAcquire, kRelease, kCall };
-  Kind kind;
-  size_t token;
-  int line;
-  size_t key = FactTable::npos;  // kAcquire
-  int callee = -1;               // kCall: CgFunction index
-};
-
-struct EdgeSite {
-  std::string file;
-  int line = 0;
-};
-
-}  // namespace
-
-void CheckLockOrder(const InterprocContext& ctx, std::vector<Diagnostic>* out) {
-  const std::vector<AnalyzedFile>& files = *ctx.files;
-  const CallGraph& cg = ctx.cg;
-  std::set<std::string> releasing = ReleasingNames(cg);
-
-  // Per-function lock events, in token order, and the global key table.
-  FactTable keys;
-  std::vector<std::vector<LockEvent>> events(cg.functions.size());
-  for (size_t fi = 0; fi < cg.functions.size(); ++fi) {
-    const CgFunction& f = cg.functions[fi];
-    const AnalyzedFile& af = files[static_cast<size_t>(f.file)];
-    const std::vector<Token>& t = af.file->tokens;
-    std::unordered_map<size_t, const CallSite*> site_at;
-    for (const CallSite& s : f.calls) site_at[s.token] = &s;
-    for (size_t j = f.fn->body_begin + 1; j + 1 < f.fn->body_end; ++j) {
-      if (!t[j].ident || t[j + 1].text != "(") continue;
-      if (IsAcquireName(t[j].text)) {
-        std::string key = LiteralArg(*af.file, t[j].text, t[j].line);
-        if (!key.empty()) {
-          events[fi].push_back({LockEvent::Kind::kAcquire, j, t[j].line,
-                                keys.Intern(key), -1});
-        }
-        continue;
-      }
-      if (releasing.count(t[j].text)) {
-        events[fi].push_back({LockEvent::Kind::kRelease, j, t[j].line});
-        continue;
-      }
-      auto it = site_at.find(j);
-      if (it != site_at.end() && !it->second->targets.empty()) {
-        events[fi].push_back(
-            {LockEvent::Kind::kCall, j, t[j].line, FactTable::npos,
-             it->second->targets.front()});
-        // All same-name targets share one footprint union below; keep every
-        // resolved target so the edge set stays conservative.
-        for (size_t k = 1; k < it->second->targets.size(); ++k) {
-          events[fi].push_back(
-              {LockEvent::Kind::kCall, j, t[j].line, FactTable::npos,
-               it->second->targets[k]});
-        }
-      }
-    }
-  }
-  if (keys.size() == 0) return;
-
-  // Acquisition footprint of each function: keys it (or a callee) acquires.
-  std::vector<std::vector<bool>> footprint(cg.functions.size(),
-                                           std::vector<bool>(keys.size()));
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (size_t fi = 0; fi < cg.functions.size(); ++fi) {
-      for (const LockEvent& ev : events[fi]) {
-        if (ev.kind == LockEvent::Kind::kAcquire) {
-          if (!footprint[fi][ev.key]) {
-            footprint[fi][ev.key] = true;
-            changed = true;
-          }
-        } else if (ev.kind == LockEvent::Kind::kCall) {
-          const auto& callee_fp = footprint[static_cast<size_t>(ev.callee)];
-          for (size_t k = 0; k < keys.size(); ++k) {
-            if (callee_fp[k] && !footprint[fi][k]) {
-              footprint[fi][k] = true;
-              changed = true;
-            }
-          }
-        }
-      }
-    }
-  }
-
-  // Held-set dataflow per in-scope function, then edge collection. First
-  // site per (from, to) edge wins; the scan order is deterministic.
-  std::map<std::pair<std::string, std::string>, EdgeSite> edges;
-  auto add_edge = [&](size_t from, size_t to, const std::string& file,
-                      int line) {
-    if (from == to) return;
-    edges.emplace(std::make_pair(keys.Name(from), keys.Name(to)),
-                  EdgeSite{file, line});
-  };
-  for (size_t fi = 0; fi < cg.functions.size(); ++fi) {
-    const CgFunction& f = cg.functions[fi];
-    const AnalyzedFile& af = files[static_cast<size_t>(f.file)];
-    if (!LockOrderScope(af.file->rel)) continue;
-    const Cfg& cfg = ctx.cfgs[fi];
-    if (!cfg.ok || events[fi].empty()) continue;
-    std::vector<int> node_of = TokenToNode(cfg, *f.fn);
-
-    // Node-level gen/kill from the in-node event sequence.
-    std::vector<std::vector<bool>> gen(cfg.nodes.size());
-    std::vector<std::vector<bool>> kill(cfg.nodes.size());
-    for (const LockEvent& ev : events[fi]) {
-      int n = ev.token < node_of.size() ? node_of[ev.token] : -1;
-      if (n < 0) continue;
-      auto& g = gen[static_cast<size_t>(n)];
-      auto& k = kill[static_cast<size_t>(n)];
-      if (ev.kind == LockEvent::Kind::kAcquire) {
-        if (g.empty()) g.assign(keys.size(), false);
-        g[ev.key] = true;
-      } else if (ev.kind == LockEvent::Kind::kRelease) {
-        k.assign(keys.size(), true);
-        g.clear();  // acquires before the release in this node do not escape
-      }
-    }
-    DataflowResult held = SolveForward(cfg, keys.size(), gen, kill);
-
-    // Replay each node's events against its incoming held set.
-    std::vector<std::vector<const LockEvent*>> per_node(cfg.nodes.size());
-    for (const LockEvent& ev : events[fi]) {
-      int n = ev.token < node_of.size() ? node_of[ev.token] : -1;
-      if (n >= 0) per_node[static_cast<size_t>(n)].push_back(&ev);
-    }
-    for (size_t n = 0; n < cfg.nodes.size(); ++n) {
-      if (per_node[n].empty()) continue;
-      std::vector<bool> running = held.in[n];
-      running.resize(keys.size(), false);
-      for (const LockEvent* ev : per_node[n]) {
-        switch (ev->kind) {
-          case LockEvent::Kind::kAcquire:
-            for (size_t h = 0; h < keys.size(); ++h)
-              if (running[h]) add_edge(h, ev->key, af.file->rel, ev->line);
-            running[ev->key] = true;
-            break;
-          case LockEvent::Kind::kRelease:
-            running.assign(keys.size(), false);
-            break;
-          case LockEvent::Kind::kCall: {
-            const auto& fp = footprint[static_cast<size_t>(ev->callee)];
-            for (size_t h = 0; h < keys.size(); ++h) {
-              if (!running[h]) continue;
-              for (size_t k = 0; k < keys.size(); ++k)
-                if (fp[k]) add_edge(h, k, af.file->rel, ev->line);
-            }
-            break;
-          }
-        }
-      }
-    }
-  }
-
-  // Cycle detection over the key order graph. Each cycle is reported once,
-  // at the lexicographically smallest edge that participates in it.
-  std::map<std::string, std::vector<std::string>> adj;
-  for (const auto& [e, site] : edges) adj[e.first].push_back(e.second);
-  std::set<std::string> reported;
-  for (const auto& [e, site] : edges) {
-    const std::string& a = e.first;
-    const std::string& b = e.second;
-    // BFS b -> a.
-    std::map<std::string, std::string> parent;
-    std::deque<std::string> q{b};
-    parent[b] = b;
-    while (!q.empty() && !parent.count(a)) {
-      std::string u = q.front();
-      q.pop_front();
-      for (const std::string& v : adj[u]) {
-        if (!parent.count(v)) {
-          parent[v] = u;
-          q.push_back(v);
-        }
-      }
-    }
-    if (!parent.count(a)) continue;
-    std::vector<std::string> cycle{a};
-    for (std::string v = a; v != b; v = parent[v]) cycle.push_back(parent[v]);
-    std::reverse(cycle.begin() + 1, cycle.end());
-    std::vector<std::string> canon = cycle;
-    std::sort(canon.begin(), canon.end());
-    std::string canon_key;
-    for (const auto& k : canon) canon_key += k + "|";
-    if (!reported.insert(canon_key).second) continue;
-
-    const EdgeSite& closing = edges.at({cycle.back(), a});
-    std::string path;
-    for (const auto& k : cycle) path += "\"" + k + "\" -> ";
-    path += "\"" + a + "\"";
-    out->push_back(
-        {site.file, site.line, kRuleLockOrder,
-         "acquiring \"" + b + "\" while holding \"" + a +
-             "\" completes a lock-order cycle " + path + " (closing edge at " +
-             closing.file + ":" + std::to_string(closing.line) +
-             "); acquire lock keys in one global order to rule out deadlock"});
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -683,12 +414,11 @@ const std::vector<TaintSource>& TaintSources() {
 }
 
 /// Files sanctioned to touch the primitives directly: the seeded RNG module
-/// and the sweep harness (mirrors the syntactic rules' exemptions). Calls
-/// *from* these files are not reported; functions *defined* in them still
-/// taint their callers.
+/// and the harness's grid runner (mirrors the syntactic rules' exemptions).
+/// Calls *from* these files are not reported; functions *defined* in them
+/// still taint their callers.
 bool TaintExemptFile(const std::string& rel) {
-  return StartsWith(rel, "src/common/rng") ||
-         StartsWith(rel, "src/harness/sweep");
+  return StartsWith(rel, "src/common/rng") || rel == "src/harness/grid.h";
 }
 
 /// The primitive directly used in [begin, end), or "" when none.

@@ -24,15 +24,6 @@ struct InterprocContext {
 
 InterprocContext BuildInterprocContext(const std::vector<AnalyzedFile>& files);
 
-/// clouddb-lock-order: global lock acquisition-order graph. Held-lock sets
-/// (string-literal keys only; variable keys contribute nothing) are
-/// propagated through each function's CFG, calls to functions that
-/// transitively release (ReleaseAll closure) clear the held set, and calls
-/// into functions that transitively acquire add edges held -> footprint.
-/// A cycle in the resulting order graph is a potential deadlock between
-/// the 2PL (src/db) and replication-apply (src/repl) layers.
-void CheckLockOrder(const InterprocContext& ctx, std::vector<Diagnostic>* out);
-
 /// clouddb-use-after-move: forward may-analysis of moved-from locals.
 /// `std::move(v)` gens the moved state; assignment, re-declaration,
 /// `&v` out-param passing, and v.reset/clear/assign kill it. Any read of a
@@ -42,14 +33,14 @@ void CheckLockOrder(const InterprocContext& ctx, std::vector<Diagnostic>* out);
 void CheckUseAfterMove(const InterprocContext& ctx,
                        std::vector<Diagnostic>* out);
 
-/// clouddb-status-path: branch-sensitive upgrade of clouddb-status. A local
-/// assigned from a Status/Result-returning function is flagged when the
-/// value is consumed on one path out of the definition but silently dropped
-/// (overwritten or falls off the end unread) on another — the half-checked
-/// pattern the statement-level rule cannot see. Lambda bodies are opaque
-/// (their flow is not the enclosing function's), and an `Ok()` initializer
-/// never counts as a payload-carrying definition. `status_fns` is the same
-/// unambiguous name set the clouddb-status rule uses.
+/// clouddb-status-path: a local assigned from a Status/Result-returning
+/// function is flagged when the value is consumed on one path out of the
+/// definition but silently dropped (overwritten or falls off the end unread)
+/// on another — the half-checked pattern that [[nodiscard]] cannot see,
+/// since the value was stored. Lambda bodies are opaque (their flow is not
+/// the enclosing function's), and an `Ok()` initializer never counts as a
+/// payload-carrying definition. `status_fns` is the unambiguous set of
+/// Status/Result-returning names declared in headers.
 void CheckStatusPath(const InterprocContext& ctx,
                      const std::set<std::string>& status_fns,
                      std::vector<Diagnostic>* out);
