@@ -1,9 +1,7 @@
-// Microbenchmarks for the clouddb_lint analysis core. The interprocedural
-// passes (CFG + call graph + worklist dataflow) run on every CI lint gate,
-// so their cost has to stay a small multiple of the token scan itself. The
-// headline numbers: tokens/s through the front end, functions/s through CFG
-// construction, a dataflow solve on a branchy loop, and the end-to-end
-// tree scan (files/s) over a synthetic source tree.
+// Microbenchmarks for clouddb_lint, which runs on every CI lint gate. The
+// headline numbers: tokens/s through the front end, functions/s through the
+// structural index (classes, functions, lambdas, exports), and the
+// end-to-end tree scan (files/s) over a synthetic source tree.
 //
 // Usage: micro_lint [--json <path>] [google-benchmark flags]
 
@@ -15,21 +13,15 @@
 #include <string>
 #include <vector>
 
-#include "absint.h"
-#include "callgraph.h"
-#include "cfg.h"
-#include "dataflow.h"
 #include "frontend.h"
 #include "linter.h"
-#include "rules_flow.h"
-#include "rules_interproc.h"
 
 namespace {
 
 using namespace clouddb::lint;
 
-/// One representative function: branches, a counted loop, a switch — the
-/// statement mix the CFG builder sees in real engine code.
+/// One representative function: branches, a counted loop, a switch and a
+/// call — the statement mix of real engine code.
 std::string SyntheticFunction(const std::string& tag, int i) {
   std::string text = "int ";
   text += tag + std::to_string(i);
@@ -66,28 +58,6 @@ std::string SyntheticSource(const std::string& tag, int functions) {
   return text;
 }
 
-/// A vec-style kernel with the shapes the abstract-interpretation rules have
-/// to prove: guarded subscripts, a ceil-division word mask, a narrowing cast
-/// behind an assert, and a guarded division.
-std::string SyntheticKernel(const std::string& tag, int i) {
-  std::string name = tag + std::to_string(i);
-  std::string text = "int ";
-  text += name;
-  text +=
-      "(const int* vals, int len, int* out) {\n"
-      "  assert(len <= 1024);\n"
-      "  int words = (len + 63) / 64;\n"
-      "  int acc = 0;\n"
-      "  for (int j = 0; j < len; ++j) {\n"
-      "    out[j] = vals[j];\n"
-      "    if (vals[j] != 0) acc = acc + out[j] / vals[j];\n"
-      "  }\n"
-      "  for (int w = 0; w < words; ++w) acc = acc + w;\n"
-      "  return acc;\n"
-      "}\n\n";
-  return text;
-}
-
 void BM_Tokenize(benchmark::State& state) {
   std::string text = SyntheticSource("Helper", 100);
   size_t tokens = 0;
@@ -118,104 +88,8 @@ void BM_BuildIndex(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildIndex);
 
-void BM_BuildCfg(benchmark::State& state) {
-  std::string text = SyntheticSource("Helper", 100);
-  SourceFile sf = ParseSource(text, "src/gen/a.cc");
-  FileIndex idx = BuildIndex(sf);
-  for (auto _ : state) {
-    for (const FunctionDef& fn : idx.functions) {
-      Cfg cfg = BuildCfg(sf, idx, fn);
-      benchmark::DoNotOptimize(cfg.nodes.data());
-    }
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(idx.functions.size()));
-}
-BENCHMARK(BM_BuildCfg);
-
-void BM_BuildCallGraph(benchmark::State& state) {
-  std::string text = SyntheticSource("Helper", 100);
-  SourceFile sf = ParseSource(text, "src/gen/a.cc");
-  FileIndex idx = BuildIndex(sf);
-  std::vector<AnalyzedFile> files{{&sf, &idx}};
-  size_t functions = 0;
-  for (auto _ : state) {
-    CallGraph cg = BuildCallGraph(files);
-    functions = cg.functions.size();
-    benchmark::DoNotOptimize(cg.functions.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(functions));
-}
-BENCHMARK(BM_BuildCallGraph);
-
-void BM_SolveForward(benchmark::State& state) {
-  std::string text = SyntheticSource("Helper", 1);
-  SourceFile sf = ParseSource(text, "src/gen/a.cc");
-  FileIndex idx = BuildIndex(sf);
-  Cfg cfg = BuildCfg(sf, idx, idx.functions.front());
-  const size_t kFacts = 8;
-  std::vector<std::vector<bool>> gen(cfg.nodes.size());
-  std::vector<std::vector<bool>> kill(cfg.nodes.size());
-  for (size_t n = 2; n < cfg.nodes.size(); ++n) {
-    gen[n].assign(kFacts, false);
-    gen[n][n % kFacts] = true;
-    kill[n].assign(kFacts, false);
-    kill[n][(n + 3) % kFacts] = true;
-  }
-  for (auto _ : state) {
-    DataflowResult r = SolveForward(cfg, kFacts, gen, kill);
-    benchmark::DoNotOptimize(r.out.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(cfg.nodes.size()));
-  state.SetLabel("nodes=" + std::to_string(cfg.nodes.size()));
-}
-BENCHMARK(BM_SolveForward);
-
-/// Abstract interpretation (phase A + phase B, widening + narrowing) over a
-/// synthetic src/ tree of branchy functions and vec-style kernels. Items
-/// processed is the `interval_ops` counter — expression evaluations through
-/// the interval domain — so the rate reads as intervals solved per second.
-void BM_AbsIntSolve(benchmark::State& state) {
-  const int kFiles = 8;
-  const int kFns = 6;
-  std::vector<SourceFile> files;
-  files.reserve(kFiles);
-  for (int f = 0; f < kFiles; ++f) {
-    std::string tag = "K";
-    tag += std::to_string(f);
-    tag += "_";
-    std::string text = "namespace gen {\n\n";
-    for (int i = 0; i < kFns; ++i) text += SyntheticFunction(tag + "b", i);
-    for (int i = 0; i < kFns; ++i) text += SyntheticKernel(tag + "k", i);
-    text += "}  // namespace gen\n";
-    files.push_back(
-        ParseSource(text, "src/gen/k" + std::to_string(f) + ".cc"));
-  }
-  std::vector<FileIndex> indexes;
-  indexes.reserve(files.size());
-  for (const SourceFile& sf : files) indexes.push_back(BuildIndex(sf));
-  std::vector<AnalyzedFile> analyzed;
-  analyzed.reserve(files.size());
-  for (size_t i = 0; i < files.size(); ++i)
-    analyzed.push_back({&files[i], &indexes[i]});
-  InterprocContext ctx = BuildInterprocContext(analyzed);
-  int64_t ops = 0;
-  for (auto _ : state) {
-    AbsInterpreter ai(ctx);
-    ai.Run();
-    ops = ai.interval_ops();
-    benchmark::DoNotOptimize(ops);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * ops);
-  state.SetLabel("interval_ops=" + std::to_string(ops) +
-                 " fns=" + std::to_string(ctx.cg.functions.size()));
-}
-BENCHMARK(BM_AbsIntSolve);
-
-/// End-to-end RunLint over a synthetic tree: every rule family, including
-/// the interprocedural passes, on kFiles files of kFns functions each.
+/// End-to-end RunLint over a synthetic tree: every rule on kFiles files of
+/// kFns functions each.
 void BM_TreeScan(benchmark::State& state) {
   namespace fs = std::filesystem;
   const int kFiles = 24;

@@ -104,13 +104,10 @@ int main() {
 
   std::printf(
       "t(min) users slaves  tput(ops/s)  worst-slave-cpu  master-cpu  action\n");
-  int64_t window_ops_mark = 0;
-  std::vector<int64_t> busy_marks;
   auto window_stats = [&](SimDuration window) {
     double tput = static_cast<double>(
                       metrics.CountInWindow(sim.Now() - window, sim.Now())) /
                   ToSeconds(window);
-    (void)window_ops_mark;
     return tput;
   };
   std::vector<int64_t> prev_busy(16, 0);

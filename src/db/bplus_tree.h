@@ -105,9 +105,7 @@ class BPlusTree {
       size_t take = std::min(static_cast<size_t>(MaxKeys), n - i);
       auto leaf = std::make_unique<Node>(/*leaf=*/true);
       for (size_t j = 0; j < take; ++j) {
-        // NOLINTNEXTLINE(clouddb-bounds): i + j < i + take <= n: take = min(MaxKeys, n - i); min() composite bounds are outside the relational-fact domain
         leaf->keys.push_back(std::move(items[i + j].first));
-        // NOLINTNEXTLINE(clouddb-bounds): same take-bounded walk as the line above
         leaf->values.push_back(std::move(items[i + j].second));
       }
       i += take;
@@ -155,12 +153,10 @@ class BPlusTree {
           take = remaining - (static_cast<size_t>(kMinKeys) + 1);
         }
         auto parent = std::make_unique<Node>(/*leaf=*/false);
-        // NOLINTNEXTLINE(clouddb-bounds): idx < level.size() loop invariant and lows arity tracks level
+        // lows[k] is the lowest key under level[k]: the two run in parallel.
         parent_lows.push_back(lows[idx]);
         for (size_t j = 0; j < take; ++j) {
-          // NOLINTNEXTLINE(clouddb-bounds): idx + j < idx + take <= level.size(); lows.size() == level.size() by construction
           if (j > 0) parent->keys.push_back(std::move(lows[idx + j]));
-          // NOLINTNEXTLINE(clouddb-bounds): idx + j < idx + take <= level.size() chunked-walk invariant
           parent->children.push_back(std::move(level[idx + j]));
         }
         idx += take;
@@ -422,10 +418,9 @@ class BPlusTree {
 
   /// Child `ci` of `parent` underflowed: borrow from a sibling or merge.
   void Rebalance(Node* parent, int ci) {
-    // NOLINTNEXTLINE(clouddb-bounds): ci indexes a live child: Rebalance is only called with ci from ChildIndex, ci < children.size()
+    // Callers pass ci from ChildIndex, so it indexes a live child.
     Node* child = parent->children[static_cast<size_t>(ci)].get();
     Node* left =
-        // NOLINTNEXTLINE(clouddb-bounds): ci > 0 on this branch and ci < children.size() caller invariant
         ci > 0 ? parent->children[static_cast<size_t>(ci) - 1].get() : nullptr;
     Node* right = ci + 1 < static_cast<int>(parent->children.size())
                       ? parent->children[static_cast<size_t>(ci) + 1].get()
@@ -555,9 +550,7 @@ class BPlusTree {
       return fail("empty internal root");
     }
     for (size_t i = 0; i < n->children.size(); ++i) {
-      // NOLINTNEXTLINE(clouddb-bounds): i >= 1 on this branch and children.size() == keys.size() + 1 arity checked at function entry; two-size equalities are outside the fact domain
       const K* lo = i == 0 ? lower : &n->keys[i - 1];
-      // NOLINTNEXTLINE(clouddb-bounds): i != keys.size() on this branch and i < children.size() == keys.size() + 1
       const K* hi = i == n->keys.size() ? upper : &n->keys[i];
       if (!ValidateNode(n->children[i].get(), false, lo, hi, depth + 1,
                         leaf_depth, counted, error)) {

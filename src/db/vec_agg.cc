@@ -46,6 +46,8 @@ void VecAccumulateSum(const ColumnVector& col, const uint32_t* sel, size_t n,
 void VecAccumulateMinMax(const ColumnVector& col, const Row* const* rows,
                          const uint32_t* sel, size_t n, size_t column,
                          bool is_max, VecAggState* state) {
+  // sel entries are row indexes < the chunk's row count, so rows[lane] below
+  // is in bounds.
   bool has = state->best_row != nullptr;
   switch (col.type) {
     case ValueType::kInt64: {
@@ -57,7 +59,6 @@ void VecAccumulateMinMax(const ColumnVector& col, const Row* const* rows,
         int64_t v = col.i64[lane];
         if (!has || (is_max ? v > best : v < best)) {
           best = v;
-          // NOLINTNEXTLINE(clouddb-bounds): sel entries are row indexes < chunk row count by the selection-vector invariant
           state->best_row = rows[lane];
           has = true;
         }
@@ -75,7 +76,6 @@ void VecAccumulateMinMax(const ColumnVector& col, const Row* const* rows,
         // (NaN compares equal there, i.e. never a strict improvement).
         if (!has || (is_max ? v > best : v < best)) {
           best = v;
-          // NOLINTNEXTLINE(clouddb-bounds): sel entries are row indexes < chunk row count by the selection-vector invariant
           state->best_row = rows[lane];
           has = true;
         }
@@ -94,7 +94,6 @@ void VecAccumulateMinMax(const ColumnVector& col, const Row* const* rows,
         int c = v.compare(best);
         if (!has || (is_max ? c > 0 : c < 0)) {
           best = v;
-          // NOLINTNEXTLINE(clouddb-bounds): sel entries are row indexes < chunk row count by the selection-vector invariant
           state->best_row = rows[lane];
           has = true;
         }

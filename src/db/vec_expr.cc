@@ -90,13 +90,13 @@ bool IsFoldableConst(const Expr& e) {
   return IsConstOperand(e) || NegatedConstOperand(e) != nullptr;
 }
 
+// Column and constant slot indexes fit uint16_t: CompileNode disengages
+// once either count reaches 0xFFFF.
 uint16_t InternColumn(VecProgram* p, std::string_view name) {
   for (size_t i = 0; i < p->columns.size(); ++i) {
-    // NOLINTNEXTLINE(clouddb-narrowing): column count is capped by the 0xFFFF slot-overflow disengage in CompileNode
     if (p->columns[i] == name) return static_cast<uint16_t>(i);
   }
   p->columns.push_back(name);
-  // NOLINTNEXTLINE(clouddb-narrowing): column count is capped by the 0xFFFF slot-overflow disengage in CompileNode
   return static_cast<uint16_t>(p->columns.size() - 1);
 }
 
@@ -113,7 +113,6 @@ uint16_t InternConst(VecProgram* p, const Expr& e) {
     ref.param = static_cast<uint32_t>(operand->param_index);
   }
   p->consts.push_back(ref);
-  // NOLINTNEXTLINE(clouddb-narrowing): const-slot count is capped by the 0xFFFF slot-overflow disengage in CompileNode
   return static_cast<uint16_t>(p->consts.size() - 1);
 }
 
@@ -350,7 +349,6 @@ bool BindProgram(const VecProgram& program, const Schema& schema,
       }
     }
     if (idx == cols.size()) return false;
-    // NOLINTNEXTLINE(clouddb-narrowing): idx < cols.size() and schema width is nowhere near 2^32
     out->col_index.push_back(static_cast<uint32_t>(idx));
     out->col_type.push_back(cols[idx].type);
   }
@@ -397,29 +395,28 @@ size_t VecFilterChunk(const VecBinding& binding, const Row* const* rows,
   for (const std::vector<VecOp>& conjunct : p.conjuncts) {
     if (n == 0) break;  // short-circuit: selection already empty
     size_t sp = 0;
+    // Unchecked indexing rests on compile and bind invariants: BindProgram
+    // resolved every column reference (op.col < ncols), and CompileNode emits
+    // postfix from the expression tree and sizes the stack to its peak depth,
+    // so a binary op sees sp >= 2, a unary op sp >= 1, and a finished
+    // conjunct leaves exactly one mask.
     for (const VecOp& op : conjunct) {
       switch (op.code) {
         case VecOp::Code::kCmpColConst: {
           uint8_t* t = arena->AllocateArray<uint8_t>(n);
-          // NOLINTNEXTLINE(clouddb-bounds): op.col < ncols: BindProgram resolved every column reference before execution
           EvalCmpColConst(cols[op.col], *binding.consts[op.arg], op.cmp, sel,
                           n, t);
-          // NOLINTNEXTLINE(clouddb-bounds): sp < max_stack: CompileNode tracked postfix depth and sized the stack
           stack[sp++] = t;
           break;
         }
         case VecOp::Code::kIsNullCol: {
           uint8_t* t = arena->AllocateArray<uint8_t>(n);
-          // NOLINTNEXTLINE(clouddb-bounds): op.col < ncols: BindProgram resolved every column reference before execution
           EvalIsNull(cols[op.col], op.negated, sel, n, t);
-          // NOLINTNEXTLINE(clouddb-bounds): sp < max_stack postfix-depth invariant from CompileNode
           stack[sp++] = t;
           break;
         }
         case VecOp::Code::kAnd: {
-          // NOLINTNEXTLINE(clouddb-bounds): binary op implies sp >= 2: CompileNode rejects underflowing programs
           uint8_t* b = stack[--sp];
-          // NOLINTNEXTLINE(clouddb-bounds): binary op implies sp >= 2 after the pop above
           uint8_t* a = stack[sp - 1];
           for (size_t j = 0; j < n; ++j) {
             if (b[j] < a[j]) a[j] = b[j];
@@ -427,9 +424,7 @@ size_t VecFilterChunk(const VecBinding& binding, const Row* const* rows,
           break;
         }
         case VecOp::Code::kOr: {
-          // NOLINTNEXTLINE(clouddb-bounds): binary op implies sp >= 2: CompileNode rejects underflowing programs
           uint8_t* b = stack[--sp];
-          // NOLINTNEXTLINE(clouddb-bounds): binary op implies sp >= 2 after the pop above
           uint8_t* a = stack[sp - 1];
           for (size_t j = 0; j < n; ++j) {
             if (b[j] > a[j]) a[j] = b[j];
@@ -437,18 +432,15 @@ size_t VecFilterChunk(const VecBinding& binding, const Row* const* rows,
           break;
         }
         case VecOp::Code::kNot: {
-          // NOLINTNEXTLINE(clouddb-bounds): unary op implies sp >= 1: CompileNode rejects underflowing programs
           uint8_t* a = stack[sp - 1];
           for (size_t j = 0; j < n; ++j) a[j] = kTrue - a[j];
           break;
         }
       }
     }
-    // NOLINTNEXTLINE(clouddb-bounds): a conjunct evaluates to exactly one mask: sp == 1 here
     const uint8_t* t = stack[sp - 1];
     size_t m = 0;
     for (size_t j = 0; j < n; ++j) {
-      // NOLINTNEXTLINE(clouddb-bounds): compaction write: m <= j < n
       if (t[j] == kTrue) sel[m++] = sel[j];
     }
     n = m;

@@ -28,9 +28,7 @@ std::map<int64_t, int64_t> ReadHeartbeats(db::Database& database,
   int id_col = -1;
   int ts_col = -1;
   for (size_t i = 0; i < rows->column_names.size(); ++i) {
-    // NOLINTNEXTLINE(clouddb-narrowing): column index over a result-set width, far below 2^31
     if (rows->column_names[i] == "hb_id") id_col = static_cast<int>(i);
-    // NOLINTNEXTLINE(clouddb-narrowing): column index over a result-set width, far below 2^31
     if (rows->column_names[i] == "ts") ts_col = static_cast<int>(i);
   }
   if (id_col < 0 || ts_col < 0) return out;

@@ -101,7 +101,6 @@ void MasterNode::ExecuteAndRespond(const std::string& sql,
     return;
   }
   sync_waiters_.push_back(SyncWaiter{after - 1,
-                                     // NOLINTNEXTLINE(clouddb-narrowing): cluster size is operator-configured and tiny
                                      static_cast<int>(slaves_.size()),
                                      std::move(done), std::move(result)});
 }
@@ -166,7 +165,6 @@ void MasterNode::OnBinlogAppend(const db::BinlogEvent& event) {
     return;
   }
   pending_batch_.push_back(event);
-  // NOLINTNEXTLINE(clouddb-narrowing): pending batch is flushed at ship_.batch_size, far below 2^31
   if (static_cast<int>(pending_batch_.size()) >= ship_.batch_size) {
     FlushBatch();
   } else if (pending_batch_.size() == 1) {

@@ -39,7 +39,6 @@ class ReplicationCluster {
   SlaveNode* slave(int i) { return slaves_[static_cast<size_t>(i)].get(); }
   /// Total slaves ever launched, retired ones included — indexes are stable
   /// (they align with the proxy's backend indexes).
-  // NOLINTNEXTLINE(clouddb-narrowing): cluster size is operator-configured and tiny
   int num_slaves() const { return static_cast<int>(slaves_.size()); }
   int num_active_slaves() const;
   const ClusterConfig& config() const { return config_; }

@@ -271,6 +271,40 @@ TEST_F(ReplicationTest, AddedSlaveIsATrueCopyOfTheMaster) {
   EXPECT_TRUE(cluster->Converged());
 }
 
+TEST_F(ReplicationTest, RevivedSlaveCarriesTheMastersCatalog) {
+  auto cluster = MakeCluster(2);
+  const db::Database& master = cluster->master()->database();
+  ASSERT_TRUE(cluster->master()
+                  ->ExecuteDirect("CREATE TABLE t (a INT PRIMARY KEY, b INT)")
+                  .ok());
+  ASSERT_TRUE(
+      cluster->master()->ExecuteDirect("INSERT INTO t VALUES (1, 2)").ok());
+  sim_.Run();
+  ASSERT_TRUE(cluster->RetireSlave(1).ok());
+  // The catalog changes while slave 1 is detached.
+  ASSERT_TRUE(
+      cluster->master()->ExecuteDirect("CREATE INDEX idx_b ON t (b)").ok());
+  ASSERT_TRUE(
+      cluster->master()->ExecuteDirect("INSERT INTO t VALUES (2, 3)").ok());
+  sim_.Run();
+  const db::Database& revived = cluster->slave(1)->database();
+  ASSERT_TRUE(revived.GetTable("t")->SecondaryIndexes().empty());
+
+  ASSERT_TRUE(cluster->ReviveSlave(1).ok());
+  sim_.Run();
+  for (const std::string& name : master.TableNames()) {
+    const db::Table* to = revived.GetTable(name);
+    ASSERT_NE(to, nullptr) << name;
+    EXPECT_EQ(to->SecondaryIndexes(), master.GetTable(name)->SecondaryIndexes())
+        << name;
+  }
+  EXPECT_EQ(revived.GetTable("t")->SecondaryIndexes().size(), 1u);
+  std::string err;
+  EXPECT_TRUE(revived.ValidateAllIndexes(&err)) << err;
+  EXPECT_TRUE(cluster->FullyReplicated());
+  EXPECT_TRUE(cluster->Converged());
+}
+
 TEST_F(ReplicationTest, ConvergedCatchesASlaveMissingAnIndex) {
   auto cluster = MakeCluster(1);
   ASSERT_TRUE(cluster->master()

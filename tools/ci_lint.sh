@@ -21,26 +21,10 @@ if [ ! -x "$LINT_BIN" ]; then
   exit 2
 fi
 
-# The tree scan runs every rule family: the interprocedural passes
-# (use-after-move, status-path, determinism-taint) and the
-# abstract-interpretation rules (bounds, div-zero, narrowing,
-# codec-symmetry) all at error severity, under --forbid-nolint.
-# --forbid-nolint fails only on *bare* suppressions: a
-# `NOLINT(rule): rationale` comment is a justified exemption — the
-# sanctioned escape for invariants outside the solver's domain — and is
-# counted separately (`justified_suppressions` in the JSON). When a
-# committed baseline exists, pre-existing warnings frozen there are
-# dropped and only regressions fail; the baseline carries no
-# abstract-interpretation findings (those are fixed or justified inline).
-BASELINE_ARGS=""
-if [ -f "$ROOT/tools/lint_baseline.txt" ]; then
-  BASELINE_ARGS="--baseline $ROOT/tools/lint_baseline.txt"
-  echo "ci_lint: using baseline $ROOT/tools/lint_baseline.txt"
-fi
-
-echo "ci_lint: clouddb_lint --root $ROOT --forbid-nolint --json $BASELINE_ARGS"
-# shellcheck disable=SC2086  # BASELINE_ARGS is two words by construction
-"$LINT_BIN" --root "$ROOT" --forbid-nolint --json $BASELINE_ARGS
+# The tree scan runs every rule under --forbid-nolint, so merged code
+# carries zero suppressions.
+echo "ci_lint: clouddb_lint --root $ROOT --forbid-nolint --json"
+"$LINT_BIN" --root "$ROOT" --forbid-nolint --json
 
 # clang-format is optional in the build image; the lint gate must not fail
 # on machines that do not ship it. When present, check — never rewrite.

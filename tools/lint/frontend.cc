@@ -25,12 +25,9 @@ std::vector<std::string> SplitLines(const std::string& text) {
 }
 
 /// Parses NOLINT / NOLINT(rule, ...) / NOLINTNEXTLINE(...) markers from a raw
-/// source line into `out[target_line]`. A marker of the form
-/// `NOLINT(rule): rationale text` — explicit rule list, colon, non-empty
-/// justification — is additionally recorded in `justified[target_line]`.
+/// source line into `out[target_line]`.
 void ParseNolint(const std::string& raw, int line,
-                 std::map<int, std::set<std::string>>* out,
-                 std::map<int, std::set<std::string>>* justified) {
+                 std::map<int, std::set<std::string>>* out) {
   size_t pos = 0;
   while ((pos = raw.find("NOLINT", pos)) != std::string::npos) {
     size_t after = pos + 6;
@@ -56,18 +53,6 @@ void ParseNolint(const std::string& raw, int line,
       }
       rules.insert(named.begin(), named.end());
       if (named.empty()) rules.insert("*");
-      // `NOLINT(rule): why` — a named rule list followed by a rationale.
-      if (!named.empty() && close != std::string::npos) {
-        size_t q = close + 1;
-        if (q < raw.size() && raw[q] == ':') {
-          ++q;
-          while (q < raw.size() && (raw[q] == ' ' || raw[q] == '\t')) ++q;
-          if (q < raw.size()) {
-            std::set<std::string>& jr = (*justified)[target];
-            jr.insert(named.begin(), named.end());
-          }
-        }
-      }
     } else {
       rules.insert("*");  // bare NOLINT silences every rule on the line
     }
@@ -90,17 +75,6 @@ void ParseIncludes(SourceFile* f) {
     if (close == std::string::npos) continue;
     f->includes.push_back(
         {static_cast<int>(li) + 1, raw.substr(p + 1, close - p - 1)});
-  }
-}
-
-void MarkDirectiveLines(SourceFile* f) {
-  bool continuing = false;
-  for (size_t li = 0; li < f->raw_lines.size(); ++li) {
-    const std::string& raw = f->raw_lines[li];
-    size_t p = raw.find_first_not_of(" \t");
-    bool directive = continuing || (p != std::string::npos && raw[p] == '#');
-    if (directive) f->directive_lines.insert(static_cast<int>(li) + 1);
-    continuing = directive && !raw.empty() && raw.back() == '\\';
   }
 }
 
@@ -316,9 +290,6 @@ void FindFunctions(const std::vector<Token>& t, const std::vector<int>& match,
     FunctionDef fn;
     fn.name = t[i].text;
     fn.line = t[i].line;
-    fn.name_tok = i;
-    fn.params_begin = i + 2;
-    fn.params_end = close;
     fn.body_begin = body;
     fn.body_end = static_cast<size_t>(match[body]);
     // Qualifier / dtor detection, walking back from the name.
@@ -398,19 +369,6 @@ bool ParseLambda(const std::vector<Token>& t, const std::vector<int>& match,
     } else if (item[0]->ident && !IsKeyword(item[0]->text)) {
       out->by_copy.push_back(item[0]->text);  // [x] or [x = init]
     }
-  }
-  // Locate the body braces (used to scope statement-level passes).
-  size_t b = close + 1;
-  while (b < t.size() && !IsTok(t[b], "{") && !IsTok(t[b], ";")) {
-    if (IsTok(t[b], "(") && match[b] >= 0) {
-      b = static_cast<size_t>(match[b]) + 1;
-      continue;
-    }
-    ++b;
-  }
-  if (b < t.size() && IsTok(t[b], "{") && match[b] >= 0) {
-    out->body_begin = b;
-    out->body_end = static_cast<size_t>(match[b]);
   }
   return true;
 }
@@ -742,10 +700,8 @@ SourceFile ParseSource(const std::string& text, const std::string& rel,
   f.stripped_lines = SplitLines(StripCommentsAndStrings(text));
   f.tokens = Tokenize(f.stripped_lines);
   for (size_t li = 0; li < f.raw_lines.size(); ++li)
-    ParseNolint(f.raw_lines[li], static_cast<int>(li) + 1, &f.nolint,
-                &f.nolint_justified);
+    ParseNolint(f.raw_lines[li], static_cast<int>(li) + 1, &f.nolint);
   ParseIncludes(&f);
-  MarkDirectiveLines(&f);
   return f;
 }
 

@@ -13,8 +13,8 @@ namespace clouddb::lint {
 /// not a real parser: comments/strings are blanked (positions preserved), the
 /// result is tokenized, and brace/paren matching segments the token stream
 /// into class bodies, function bodies, and lambda expressions. That is enough
-/// structure for flow-aware rules (capture lifetimes, lock pairing, include
-/// hygiene) while staying dependency-free and byte-deterministic.
+/// structure for flow-aware rules (capture lifetimes, include hygiene) while
+/// staying dependency-free and byte-deterministic.
 
 struct Token {
   std::string text;
@@ -27,8 +27,8 @@ struct Include {
   std::string path;  // the quoted include path, verbatim
 };
 
-/// One loaded source file: raw + stripped text, tokens, includes, NOLINT
-/// markers, and preprocessor-directive lines.
+/// One loaded source file: raw + stripped text, tokens, includes, and NOLINT
+/// markers.
 struct SourceFile {
   std::string rel;  // '/'-separated path relative to the scan root
   std::vector<std::string> raw_lines;
@@ -37,12 +37,6 @@ struct SourceFile {
   std::vector<Include> includes;
   // line -> suppressed rule names ("*" = all). NOLINTNEXTLINE is folded in.
   std::map<int, std::set<std::string>> nolint;
-  // Subset of `nolint` entries written as `NOLINT(rule): justification` —
-  // an explicit rule list followed by a non-empty rationale. CI's
-  // --forbid-nolint gate exempts these (the rationale is the review record);
-  // bare or unjustified markers still fail it.
-  std::map<int, std::set<std::string>> nolint_justified;
-  std::set<int> directive_lines;  // preprocessor lines incl. continuations
   bool is_header = false;
 };
 
@@ -59,8 +53,6 @@ struct LambdaExpr {
   std::vector<std::string> by_copy;  // [name] / [name = init]
   std::string callee;    // e.g. "ScheduleAfter" for sim_->ScheduleAfter(...)
   std::string receiver;  // e.g. "sim_"; "?" when present but unresolvable
-  size_t body_begin = 0;  // token index of the body '{' (0 when not found)
-  size_t body_end = 0;    // token index of the matching '}'
 };
 
 /// A function definition (body found). `cls` is the qualifying class for
@@ -71,9 +63,6 @@ struct FunctionDef {
   std::string name;
   bool is_dtor = false;
   int line = 0;
-  size_t name_tok = 0;      // token index of the function name
-  size_t params_begin = 0;  // first token inside the parameter '(' ... ')'
-  size_t params_end = 0;    // token index of the closing ')' (exclusive end)
   size_t body_begin = 0;  // token index of '{'
   size_t body_end = 0;    // token index of matching '}'
   std::vector<LambdaExpr> lambdas;
@@ -119,7 +108,7 @@ std::string StripCommentsAndStrings(const std::string& source);
 std::vector<Token> Tokenize(const std::vector<std::string>& stripped_lines);
 
 /// Loads and pre-processes one file (raw/stripped lines, tokens, includes,
-/// NOLINT markers, directive lines).
+/// NOLINT markers).
 SourceFile LoadSourceFile(const std::filesystem::path& path,
                           const std::string& rel);
 

@@ -5,19 +5,14 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
-#include <iterator>
 #include <map>
 #include <set>
-#include <sstream>
 #include <string_view>
 #include <tuple>
 #include <vector>
 
 #include "frontend.h"
-#include "rules_absint.h"
 #include "rules_flow.h"
-#include "rules_interproc.h"
-#include "absint.h"
 
 namespace clouddb::lint {
 namespace {
@@ -372,62 +367,6 @@ void CheckIncludeCycles(const std::vector<SourceFile>& files,
 }
 
 // ---------------------------------------------------------------------------
-// Status-returning function names (input to clouddb-status-path).
-// ---------------------------------------------------------------------------
-
-size_t MatchBackward(const std::vector<Token>& t, size_t close, char oc,
-                     char cc) {
-  int depth = 0;
-  for (size_t i = close + 1; i-- > 0;) {
-    if (t[i].text.size() == 1) {
-      if (t[i].text[0] == cc) ++depth;
-      if (t[i].text[0] == oc && --depth == 0) return i;
-    }
-  }
-  return 0;
-}
-
-/// Collects names of functions declared in headers with a `Status` or
-/// `Result<...>` return type into `status_names`, and names declared with
-/// any *other* return type into `other_names`. clouddb-status-path only
-/// tracks unambiguous names (status minus other): a name shared with e.g. a
-/// void callback-style overload cannot be classified at token level.
-void CollectStatusFunctions(const SourceFile& fi,
-                            std::set<std::string>* status_names,
-                            std::set<std::string>* other_names) {
-  const std::vector<Token>& t = fi.tokens;
-  static const std::set<std::string_view> kTypeKeywords = {
-      "void", "bool", "int",   "long",     "double", "float",
-      "char", "auto", "short", "unsigned", "signed", "size_t",
-  };
-  for (size_t j = 0; j + 1 < t.size(); ++j) {
-    if (!t[j].ident || IsKeyword(t[j].text) || t[j + 1].text != "(") continue;
-    if (j == 0) continue;
-    // Walk back over ref/pointer decorations to the return-type token.
-    size_t p = j - 1;
-    while (p > 0 &&
-           (t[p].text == "&" || t[p].text == "*" || t[p].text == "&&"))
-      --p;
-    if (t[p].text == ">") {
-      size_t open = MatchBackward(t, p, '<', '>');
-      if (open == 0 || !t[open - 1].ident) continue;
-      if (t[open - 1].text == "Result")
-        status_names->insert(t[j].text);
-      else
-        other_names->insert(t[j].text);
-    } else if (t[p].ident) {
-      if (t[p].text == "Status") {
-        status_names->insert(t[j].text);
-      } else if (!IsKeyword(t[p].text) || kTypeKeywords.count(t[p].text)) {
-        other_names->insert(t[j].text);
-      }
-      // Non-type keywords (return, new, else, ...) mean this is a call or
-      // expression, not a declaration — ignore.
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Rule: metric-name hygiene.
 // ---------------------------------------------------------------------------
 
@@ -552,10 +491,6 @@ void CollectFiles(const fs::path& dir, std::vector<fs::path>* out) {
   }
 }
 
-const char* SeverityName(Severity s) {
-  return s == Severity::kWarn ? "warning" : "error";
-}
-
 void JsonEscape(const std::string& s, std::string* out) {
   for (char c : s) {
     switch (c) {
@@ -583,9 +518,7 @@ std::string Diagnostic::Key() const {
 }
 
 std::string Diagnostic::ToString() const {
-  std::string sev = severity == Severity::kWarn ? "warning: " : "";
-  return file + ":" + std::to_string(line) + ": " + rule + ": " + sev +
-         message;
+  return file + ":" + std::to_string(line) + ": " + rule + ": " + message;
 }
 
 LintResult RunLint(const Options& options) {
@@ -619,13 +552,6 @@ LintResult RunLint(const Options& options) {
   for (size_t i = 0; i < files.size(); ++i)
     analyzed.push_back({&files[i], &indexes[i]});
 
-  std::set<std::string> status_decls, other_decls, status_fns;
-  for (const SourceFile& fi : files)
-    if (fi.is_header) CollectStatusFunctions(fi, &status_decls, &other_decls);
-  std::set_difference(status_decls.begin(), status_decls.end(),
-                      other_decls.begin(), other_decls.end(),
-                      std::inserter(status_fns, status_fns.begin()));
-
   std::vector<Diagnostic> candidates;
   for (const SourceFile& fi : files) {
     ScanBannedTokens(fi, &candidates);
@@ -635,67 +561,21 @@ LintResult RunLint(const Options& options) {
   }
   CheckIncludeCycles(files, &candidates);
   CheckDanglingCaptures(analyzed, &candidates);
-  CheckLockDiscipline(analyzed, &candidates);
   CheckIncludeHygiene(analyzed, &candidates);
-
-  // Interprocedural passes share one call graph + CFG context.
-  InterprocContext interproc = BuildInterprocContext(analyzed);
-  CheckUseAfterMove(interproc, &candidates);
-  CheckStatusPath(interproc, status_fns, &candidates);
-  CheckDeterminismTaint(interproc, &candidates);
-
-  // Abstract-interpretation passes share one solved interpreter.
-  AbsInterpreter absint(interproc);
-  absint.Run();
-  CheckBounds(absint, &candidates);
-  CheckDivZero(absint, &candidates);
-  CheckNarrowing(absint, &candidates);
-  CheckCodecSymmetry(absint, &candidates);
-
-  std::set<std::string> baseline;
-  if (!options.baseline_file.empty()) {
-    std::ifstream bl(options.baseline_file);
-    std::string bl_line;
-    while (std::getline(bl, bl_line)) {
-      size_t b = bl_line.find_first_not_of(" \t");
-      if (b == std::string::npos || bl_line[b] == '#') continue;
-      size_t e = bl_line.find_last_not_of(" \t\r");
-      baseline.insert(bl_line.substr(b, e - b + 1));
-    }
-  }
-
-  auto severity_of = [&options](const std::string& rule) {
-    auto it = options.severities.find(rule);
-    return it == options.severities.end() ? Severity::kError : it->second;
-  };
 
   std::map<std::string, const SourceFile*> by_rel;
   for (const SourceFile& fi : files) by_rel[fi.rel] = &fi;
   for (Diagnostic& d : candidates) {
-    Severity sev = severity_of(d.rule);
-    if (sev == Severity::kOff) continue;  // disabled: not even a suppression
-    d.severity = sev;
     const SourceFile* fi = by_rel.at(d.file);
     auto it = fi->nolint.find(d.line);
     if (it != fi->nolint.end() &&
         (it->second.count("*") || it->second.count(d.rule))) {
       ++result.suppressions_used;
-      auto jt = fi->nolint_justified.find(d.line);
-      if (jt != fi->nolint_justified.end() && jt->second.count(d.rule)) {
-        ++result.justified_suppressions;
-      }
       continue;
     }
-    if (baseline.count(d.Key())) {
-      ++result.baselined;
-      continue;
-    }
-    if (sev == Severity::kWarn)
-      ++result.warnings;
-    else
-      ++result.errors;
     result.diagnostics.push_back(std::move(d));
   }
+  result.errors = static_cast<int>(result.diagnostics.size());
 
   std::sort(result.diagnostics.begin(), result.diagnostics.end(),
             [](const Diagnostic& a, const Diagnostic& b) {
@@ -710,11 +590,7 @@ std::string ToJson(const LintResult& result) {
   out += "  \"files_scanned\": " + std::to_string(result.files_scanned) + ",\n";
   out += "  \"suppressions_used\": " +
          std::to_string(result.suppressions_used) + ",\n";
-  out += "  \"justified_suppressions\": " +
-         std::to_string(result.justified_suppressions) + ",\n";
-  out += "  \"baselined\": " + std::to_string(result.baselined) + ",\n";
   out += "  \"errors\": " + std::to_string(result.errors) + ",\n";
-  out += "  \"warnings\": " + std::to_string(result.warnings) + ",\n";
   out += "  \"diagnostics\": [";
   for (size_t i = 0; i < result.diagnostics.size(); ++i) {
     const Diagnostic& d = result.diagnostics[i];
@@ -723,9 +599,7 @@ std::string ToJson(const LintResult& result) {
     JsonEscape(d.file, &out);
     out += "\", \"line\": " + std::to_string(d.line) + ", \"rule\": \"";
     JsonEscape(d.rule, &out);
-    out += "\", \"severity\": \"";
-    out += SeverityName(d.severity);
-    out += "\", \"message\": \"";
+    out += "\", \"severity\": \"error\", \"message\": \"";
     JsonEscape(d.message, &out);
     out += "\", \"fix\": \"";
     out += d.fix_kind == FixKind::kRemoveLine  ? "remove-line"

@@ -3,13 +3,10 @@
 
 #include <filesystem>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
 namespace clouddb::lint {
-
-enum class Severity { kError, kWarn, kOff };
 
 /// Mechanically safe auto-fix attached to a diagnostic (clouddb_lint --fix).
 enum class FixKind {
@@ -18,9 +15,9 @@ enum class FixKind {
   kAddInclude,   // insert `#include "fix_include"` into the quoted block
 };
 
-/// One finding. Rendered as "file:line: rule: message" with `file` relative
-/// to the scan root and '/'-separated on every platform, so fixture tests can
-/// assert diagnostics byte-for-byte.
+/// One finding — always an error. Rendered as "file:line: rule: message"
+/// with `file` relative to the scan root and '/'-separated on every platform,
+/// so fixture tests can assert diagnostics byte-for-byte.
 struct Diagnostic {
   Diagnostic() = default;
   Diagnostic(std::string file_in, int line_in, std::string rule_in,
@@ -34,14 +31,12 @@ struct Diagnostic {
   int line = 0;
   std::string rule;     // e.g. "clouddb-wallclock"
   std::string message;
-  Severity severity = Severity::kError;
   FixKind fix_kind = FixKind::kNone;
   std::string fix_include;  // include spelling for kAddInclude
 
   /// "file:line:rule" — the stable identity asserted by the fixture tests.
   std::string Key() const;
-  /// "file:line: rule: message" — the full human-readable form (warnings
-  /// render as "file:line: rule: warning: message").
+  /// "file:line: rule: message" — the full human-readable form.
   std::string ToString() const;
 };
 
@@ -52,40 +47,25 @@ struct Options {
   /// of {src, tools, bench, tests, examples} exist under `root`; if none do,
   /// `root` itself is scanned (the mode fixture suites use).
   std::vector<std::string> dirs;
-  /// Per-rule severity overrides (default: every rule is an error). A rule
-  /// set to kOff is skipped entirely (and never counts a suppression).
-  std::map<std::string, Severity> severities;
-  /// Baseline file: one "file:line:rule" key per line ('#' comments and
-  /// blanks ignored). Matching diagnostics are dropped from the result and
-  /// counted in LintResult::baselined, so pre-existing warnings can be
-  /// frozen while regressions still fail CI. Empty = no baseline.
-  std::filesystem::path baseline_file;
 };
 
 struct LintResult {
   std::vector<Diagnostic> diagnostics;  // sorted by (file, line, rule)
   int files_scanned = 0;
-  int errors = 0;    // diagnostics with Severity::kError
-  int warnings = 0;  // diagnostics with Severity::kWarn
+  int errors = 0;  // == diagnostics.size(): every finding is an error
   /// Number of violations silenced by NOLINT / NOLINTNEXTLINE comments.
   /// CI runs with --forbid-nolint so merged code needs zero of these.
   int suppressions_used = 0;
-  /// Subset of `suppressions_used` whose marker named the rule and carried a
-  /// written justification (`NOLINT(rule): why`). --forbid-nolint exempts
-  /// these: the rationale is the review record for an intentional pattern.
-  int justified_suppressions = 0;
-  /// Number of diagnostics dropped because their key is in the baseline.
-  int baselined = 0;
 };
 
-/// Runs every rule family (determinism, layering, status discipline, and the
-/// flow-aware passes: dangling captures, lock discipline, include hygiene)
-/// over the configured tree. Pure function of the filesystem: same tree,
+/// Runs every rule (the token-level determinism, layering and scope rules,
+/// and the flow-aware passes: dangling captures, include hygiene) over the
+/// configured tree. Pure function of the filesystem: same tree,
 /// same result, in deterministic order.
 LintResult RunLint(const Options& options);
 
 /// Serializes a result as machine-readable JSON (stable field order) for CI
-/// annotation: {files_scanned, suppressions_used, errors, warnings,
+/// annotation: {files_scanned, suppressions_used, errors,
 /// diagnostics: [{file, line, rule, severity, message, fix}]}.
 std::string ToJson(const LintResult& result);
 

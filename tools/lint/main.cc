@@ -1,53 +1,24 @@
 // clouddb_lint — project-specific static analyzer for the clouddb tree.
 //
 // Usage:
-//   clouddb_lint [--root DIR] [--dirs d1,d2,...] [--severity rule=level ...]
-//                [--json] [--fix] [--forbid-nolint] [--quiet]
-//                [--baseline FILE] [--write-baseline FILE]
+//   clouddb_lint [--root DIR] [--dirs d1,d2,...] [--json] [--fix]
+//                [--forbid-nolint] [--quiet]
 //
 // Scans src/, tools/, bench/, tests/, examples/ (or --dirs) under --root and
 // prints one "file:line: rule: message" diagnostic per violation (--json
-// emits the machine-readable form instead). Exit status is 0 when no errors
-// were found, 1 when errors were found (or, with --forbid-nolint, when any
-// NOLINT suppression was needed — CI runs in that mode so merged code carries
-// zero suppressions). Warnings (--severity rule=warn) print but do not fail
-// the run; --severity rule=off disables a rule entirely. --fix applies the
-// mechanically safe include-hygiene fixes in place, re-lints, and repeats
-// until no fixable diagnostics remain — exiting 1 if they fail to converge.
-// --baseline FILE drops diagnostics whose file:line:rule key is listed in
-// FILE (freeze pre-existing warnings; only regressions fail); --write-baseline
-// FILE records the current diagnostics as that baseline and exits 0.
+// emits the machine-readable form instead). Every rule runs at error
+// severity. Exit status is 0 when no errors were found, 1 when errors were
+// found (or, with --forbid-nolint, when any NOLINT suppression was needed —
+// CI runs in that mode so merged code carries zero suppressions). --fix
+// applies the mechanically safe include-hygiene fixes in place, re-lints,
+// and repeats until no fixable diagnostics remain — exiting 1 if they fail
+// to converge.
 
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 
 #include "linter.h"
-
-namespace {
-
-bool ParseSeverity(const std::string& spec, clouddb::lint::Options* opts) {
-  size_t eq = spec.find('=');
-  if (eq == std::string::npos || eq == 0) return false;
-  std::string rule = spec.substr(0, eq);
-  std::string level = spec.substr(eq + 1);
-  clouddb::lint::Severity sev;
-  if (level == "error") {
-    sev = clouddb::lint::Severity::kError;
-  } else if (level == "warn" || level == "warning") {
-    sev = clouddb::lint::Severity::kWarn;
-  } else if (level == "off") {
-    sev = clouddb::lint::Severity::kOff;
-  } else {
-    return false;
-  }
-  opts->severities[rule] = sev;
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   clouddb::lint::Options opts;
@@ -55,7 +26,6 @@ int main(int argc, char** argv) {
   bool quiet = false;
   bool json = false;
   bool fix = false;
-  std::string write_baseline;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--root" && i + 1 < argc) {
@@ -65,16 +35,6 @@ int main(int argc, char** argv) {
       std::string d;
       while (std::getline(ss, d, ','))
         if (!d.empty()) opts.dirs.push_back(d);
-    } else if (arg == "--severity" && i + 1 < argc) {
-      if (!ParseSeverity(argv[++i], &opts)) {
-        std::cerr << "clouddb_lint: bad --severity spec '" << argv[i]
-                  << "' (want rule=error|warn|off)\n";
-        return 2;
-      }
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      opts.baseline_file = argv[++i];
-    } else if (arg == "--write-baseline" && i + 1 < argc) {
-      write_baseline = argv[++i];
     } else if (arg == "--json") {
       json = true;
     } else if (arg == "--fix") {
@@ -85,9 +45,7 @@ int main(int argc, char** argv) {
       quiet = true;
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: clouddb_lint [--root DIR] [--dirs d1,d2,...] "
-                   "[--severity rule=error|warn|off] [--json] [--fix] "
-                   "[--forbid-nolint] [--quiet] [--baseline FILE] "
-                   "[--write-baseline FILE]\n";
+                   "[--json] [--fix] [--forbid-nolint] [--quiet]\n";
       return 0;
     } else {
       std::cerr << "clouddb_lint: unknown argument '" << arg << "'\n";
@@ -114,17 +72,6 @@ int main(int argc, char** argv) {
     res = clouddb::lint::RunLint(opts);
   }
 
-  if (!write_baseline.empty()) {
-    std::ofstream bl(write_baseline, std::ios::trunc);
-    bl << "# clouddb_lint baseline: one file:line:rule key per line.\n";
-    for (const auto& d : res.diagnostics) bl << d.Key() << "\n";
-    if (!quiet) {
-      std::cerr << "clouddb_lint: wrote " << res.diagnostics.size()
-                << " key(s) to " << write_baseline << "\n";
-    }
-    return 0;
-  }
-
   if (json) {
     std::cout << clouddb::lint::ToJson(res);
   } else {
@@ -132,22 +79,14 @@ int main(int argc, char** argv) {
   }
   if (!quiet) {
     std::cerr << "clouddb_lint: scanned " << res.files_scanned << " files, "
-              << res.errors << " error(s), " << res.warnings
-              << " warning(s), " << res.suppressions_used
-              << " NOLINT suppression(s) used";
-    if (res.baselined > 0) std::cerr << ", " << res.baselined << " baselined";
-    std::cerr << "\n";
+              << res.errors << " error(s), " << res.suppressions_used
+              << " NOLINT suppression(s) used\n";
   }
   if (fix_diverged) return 1;
   if (res.errors > 0) return 1;
-  // Justified suppressions (`NOLINT(rule): why`) are exempt: the written
-  // rationale is the review record for an intentional pattern. Bare or
-  // unjustified markers still fail the gate.
-  if (forbid_nolint &&
-      res.suppressions_used - res.justified_suppressions > 0) {
-    std::cerr << "clouddb_lint: unjustified NOLINT suppressions are forbidden "
-                 "in this mode; name the rule and add a `: reason` or remove "
-                 "them before merging\n";
+  if (forbid_nolint && res.suppressions_used > 0) {
+    std::cerr << "clouddb_lint: NOLINT suppressions are forbidden in this "
+                 "mode; fix the code or remove them before merging\n";
     return 1;
   }
   return 0;

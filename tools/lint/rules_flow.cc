@@ -1,10 +1,10 @@
 #include "rules_flow.h"
 
-#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "frontend.h"
 #include "linter.h"
@@ -13,7 +13,6 @@ namespace clouddb::lint {
 namespace {
 
 constexpr char kRuleCapture[] = "clouddb-dangling-capture";
-constexpr char kRuleLock[] = "clouddb-lock-discipline";
 constexpr char kRuleHygiene[] = "clouddb-include-hygiene";
 
 bool StartsWith(const std::string& s, std::string_view prefix) {
@@ -195,189 +194,6 @@ void CheckDanglingCaptures(const std::vector<AnalyzedFile>& files,
                  "destructor-side Cancel; the callback can fire after the "
                  "object dies — bind through a Timer member, store and Cancel "
                  "the EventHandle in the destructor, or capture by value"});
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// clouddb-lock-discipline
-// ---------------------------------------------------------------------------
-
-namespace {
-
-bool IsAcquireName(const std::string& s) {
-  return s == "AcquireRead" || s == "AcquireWrite";
-}
-
-/// Innermost '{' enclosing token `pos` within [body_begin, body_end].
-/// Returns the body range itself when no nested block encloses `pos`.
-std::pair<size_t, size_t> InnermostBlock(const FileIndex& idx, size_t pos,
-                                         size_t body_begin, size_t body_end) {
-  std::pair<size_t, size_t> best{body_begin, body_end};
-  const auto& match = idx.match;
-  for (size_t i = body_begin + 1; i < pos; ++i) {
-    if (match[i] < 0) continue;
-    size_t m = static_cast<size_t>(match[i]);
-    if (m > pos && m <= body_end && i > best.first) best = {i, m};
-  }
-  return best;
-}
-
-/// Extracts the first quoted string literal after column `from` on raw line
-/// `line` (1-based), or "" — used for literal lock-key ordering.
-std::string LiteralOnLine(const SourceFile& file, int line) {
-  if (line <= 0 || static_cast<size_t>(line) > file.raw_lines.size()) return "";
-  const std::string& raw = file.raw_lines[line - 1];
-  size_t q1 = raw.find('"');
-  if (q1 == std::string::npos) return "";
-  size_t q2 = raw.find('"', q1 + 1);
-  if (q2 == std::string::npos) return "";
-  return raw.substr(q1 + 1, q2 - q1 - 1);
-}
-
-}  // namespace
-
-void CheckLockDiscipline(const std::vector<AnalyzedFile>& files,
-                         std::vector<Diagnostic>* out_) {
-  // Pass 1: the transitive set of releasing functions in src/db — seeded by
-  // bodies that call LockManager::ReleaseAll, closed over the call graph so
-  // wrappers like Database::CommitSession/RollbackSession count as releases
-  // at their call sites.
-  std::map<std::string, std::vector<MethodBody>> db_functions;
-  for (const AnalyzedFile& af : files) {
-    if (!StartsWith(af.file->rel, "src/db/")) continue;
-    for (const FunctionDef& fn : af.index->functions) {
-      db_functions[fn.name].push_back(
-          {af.file, fn.body_begin, fn.body_end});
-    }
-  }
-  std::set<std::string> releasing = {"ReleaseAll"};
-  bool grew = true;
-  while (grew) {
-    grew = false;
-    for (const auto& [name, bodies] : db_functions) {
-      if (releasing.count(name)) continue;
-      for (const MethodBody& b : bodies) {
-        bool calls_release = false;
-        const auto& t = b.file->tokens;
-        for (size_t i = b.begin; i + 1 < b.end; ++i) {
-          if (t[i].ident && t[i + 1].text == "(" && releasing.count(t[i].text)) {
-            calls_release = true;
-            break;
-          }
-        }
-        if (calls_release) {
-          releasing.insert(name);
-          grew = true;
-          break;
-        }
-      }
-    }
-  }
-
-  // Pass 2: per-function pairing checks.
-  for (const AnalyzedFile& af : files) {
-    const SourceFile& file = *af.file;
-    if (!StartsWith(file.rel, "src/db/")) continue;
-    const auto& t = file.tokens;
-    for (const FunctionDef& fn : af.index->functions) {
-      // Collect acquire / release / return positions inside the body,
-      // excluding nested lambda bodies (their returns are not this
-      // function's exits).
-      auto in_lambda = [&fn](size_t pos) {
-        for (const LambdaExpr& lam : fn.lambdas) {
-          if (lam.body_begin != 0 && pos > lam.body_begin &&
-              pos < lam.body_end) {
-            return true;
-          }
-        }
-        return false;
-      };
-      std::vector<size_t> acquires, releases, returns;
-      for (size_t i = fn.body_begin + 1; i + 1 < fn.body_end; ++i) {
-        if (!t[i].ident) continue;
-        if (t[i].text == "return") {
-          if (!in_lambda(i)) returns.push_back(i);
-          continue;
-        }
-        if (t[i + 1].text != "(") continue;
-        if (IsAcquireName(t[i].text)) {
-          if (!in_lambda(i)) acquires.push_back(i);
-        } else if (releasing.count(t[i].text)) {
-          if (!in_lambda(i)) releases.push_back(i);
-        }
-      }
-      if (acquires.empty()) continue;
-
-      // (a) Acquire after a dominating release: 2PL's shrinking phase has
-      // begun, so growing again risks deadlock and breaks the protocol. A
-      // release dominates an acquire when the release's innermost block also
-      // contains the acquire (a release inside an early-return branch does
-      // not flow into code after the branch).
-      for (size_t a : acquires) {
-        for (size_t r : releases) {
-          if (r >= a) continue;
-          auto block = InnermostBlock(*af.index, r, fn.body_begin, fn.body_end);
-          if (a > block.first && a < block.second) {
-            out_->push_back(
-                {file.rel, t[a].line, kRuleLock,
-                 "lock acquired after a release on the same path: two-phase "
-                 "locking forbids growing the lock set once the shrinking "
-                 "phase has begun (acquire everything up front, release at "
-                 "commit/rollback)"});
-            break;
-          }
-        }
-      }
-
-      // (b)/(c) Every exit after the first acquire needs a release on the
-      // way (transaction-scoped 2PL: a releasing *wrapper* call — commit or
-      // rollback — counts; holding locks past a return with neither is a
-      // leak under the no-wait policy, which aborts whole transactions on
-      // conflict).
-      size_t first_acquire = acquires.front();
-      if (releases.empty()) {
-        out_->push_back(
-            {file.rel, t[first_acquire].line, kRuleLock,
-             "function acquires table locks but never releases them on any "
-             "path; pair every acquire with ReleaseAll (or a commit/rollback "
-             "wrapper) before the transaction scope ends"});
-      } else {
-        for (size_t r : returns) {
-          if (r < first_acquire) continue;
-          bool released = false;
-          for (size_t rel : releases) {
-            if (rel > first_acquire && rel < r) {
-              released = true;
-              break;
-            }
-          }
-          if (!released) {
-            out_->push_back(
-                {file.rel, t[r].line, kRuleLock,
-                 "exit path holds table locks: no release between the "
-                 "acquire and this return (a failed acquire must abort the "
-                 "transaction — release — before propagating its status)"});
-          }
-        }
-      }
-
-      // (d) Literal lock keys must grow in canonical (sorted) order so
-      // concurrent transactions cannot deadlock in the growing phase.
-      std::string prev_key;
-      for (size_t a : acquires) {
-        std::string key = LiteralOnLine(file, t[a].line);
-        if (key.empty()) continue;
-        if (!prev_key.empty() && key < prev_key) {
-          out_->push_back(
-              {file.rel, t[a].line, kRuleLock,
-               "lock keys acquired out of canonical order ('" + key +
-                   "' after '" + prev_key +
-                   "'); acquire table locks in sorted key order to keep the "
-                   "growing phase deadlock-free"});
-        }
-        prev_key = key;
       }
     }
   }

@@ -24,15 +24,6 @@ struct AnalyzedFile {
 void CheckDanglingCaptures(const std::vector<AnalyzedFile>& files,
                            std::vector<Diagnostic>* out);
 
-/// clouddb-lock-discipline: table-level 2PL pairing in src/db. Flags
-/// (a) a lock acquired after a release that dominates it in the same
-/// function (shrinking phase already began), (b) exit paths between an
-/// acquire and a return with no release on the way, (c) functions that
-/// acquire but never release on any path, and (d) literal lock keys taken
-/// out of canonical order (deadlock hazard in the growing phase).
-void CheckLockDiscipline(const std::vector<AnalyzedFile>& files,
-                         std::vector<Diagnostic>* out);
-
 /// clouddb-include-hygiene (IWYU-lite): quoted includes none of whose
 /// declared symbols are referenced (mechanically removable), and in-tree
 /// symbols that are used but reach the file only transitively (mechanically
