@@ -23,6 +23,7 @@
 #include "common/table_writer.h"
 #include "common/time_types.h"
 #include "db/database.h"
+#include "harness/deployment.h"
 #include "repl/master_node.h"
 #include "repl/replication_cluster.h"
 #include "repl/slave_node.h"
@@ -43,66 +44,48 @@ struct DrillResult {
 
 DrillResult RunDrill(const repl::FailoverOptions& failover_options,
                      uint64_t seed) {
-  sim::Simulation sim;
-  cloud::CloudOptions cloud_options;
-  cloud::CloudProvider provider(&sim, cloud_options, seed);
-
   repl::ClusterConfig cluster_config;
   cluster_config.num_slaves = 3;
   cluster_config.cost_model =
       cloudstone::MakeWorkloadCostModel(cloudstone::OperationCosts{});
-  repl::ReplicationCluster cluster(&provider, cluster_config);
-  cloud::Instance* app = provider.Launch("app", cloud::InstanceType::kLarge,
-                                         cloud::MasterPlacement());
-  cloud::Instance* monitor = provider.Launch(
+  harness::Deployment d(cloud::CloudOptions{}, seed, cluster_config,
+                        client::ProxyOptions{});
+  cloud::Instance* monitor = d.provider.Launch(
       "monitor", cloud::InstanceType::kSmall, cloud::MasterPlacement());
-
-  cloudstone::WorkloadState state;
-  Status loaded = cloudstone::LoadInitialData(
-      [&](const std::string& sql) {
-        return cluster.ExecuteEverywhereDirect(sql);
-      },
-      150, seed, &state);
-  if (!loaded.ok()) return DrillResult{};
+  if (!d.Load(150, seed).ok()) return DrillResult{};
 
   std::vector<repl::SlaveNode*> slaves;
-  for (int i = 0; i < 3; ++i) slaves.push_back(cluster.slave(i));
-  client::ReadWriteSplitProxy proxy(&sim, &provider.network(), app->node_id(),
-                                    cluster.master(), slaves,
-                                    client::ProxyOptions{});
-  repl::FailoverManager manager(&sim, &provider.network(), monitor->node_id(),
-                                cluster.master(), slaves, failover_options);
+  for (int i = 0; i < 3; ++i) slaves.push_back(d.cluster.slave(i));
+  repl::FailoverManager manager(&d.sim, &d.provider.network(),
+                                monitor->node_id(), d.cluster.master(), slaves,
+                                failover_options);
   DrillResult result;
   SimTime crash_at = Minutes(4);
   SimTime failover_done_at = 0;
   manager.SetFailoverListener([&](repl::MasterNode* new_master) {
-    failover_done_at = sim.Now();
-    proxy.ReplaceMaster(new_master);
-    for (int i = 0; i < 3; ++i) {
-      if (cluster.slave(i) == manager.promoted_slave()) {
-        proxy.DeactivateSlave(i);
-      }
-    }
+    failover_done_at = d.sim.Now();
+    d.proxy.ReplaceMaster(new_master);
   });
   manager.Start();
 
   cloudstone::OperationGenerator generator(
       cloudstone::WorkloadMix::FiftyFifty(), cloudstone::OperationCosts{},
-      &state, [&] { return app->LocalNowMicros(); });
+      &d.state, [&] { return d.app->LocalNowMicros(); });
   cloudstone::MetricsCollector metrics;
   std::vector<std::unique_ptr<cloudstone::UserEmulator>> users;
   Rng seeder(seed);
   SimTime horizon = Minutes(12);
   for (int i = 0; i < 60; ++i) {
     users.push_back(std::make_unique<cloudstone::UserEmulator>(
-        &sim, &proxy, &generator, &metrics, seeder.Fork(i + 1), Seconds(6)));
+        &d.sim, &d.proxy, &generator, &metrics, seeder.Fork(i + 1),
+        Seconds(6)));
     users.back()->Activate(Seconds(i), horizon);
   }
 
-  sim.ScheduleAt(crash_at, [&] { cluster.master()->set_online(false); });
-  sim.RunUntil(horizon);
+  d.sim.ScheduleAt(crash_at, [&] { d.cluster.master()->set_online(false); });
+  d.sim.RunUntil(horizon);
   manager.Stop();
-  sim.Run();
+  d.sim.Run();
 
   double window_s = ToSeconds(Minutes(2));
   result.detection_s =

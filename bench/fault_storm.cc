@@ -33,6 +33,7 @@
 #include "common/time_types.h"
 #include "db/database.h"
 #include "fault/fault_schedule.h"
+#include "harness/deployment.h"
 #include "repl/master_node.h"
 #include "repl/replication_cluster.h"
 #include "repl/slave_node.h"
@@ -52,52 +53,32 @@ struct StormResult {
 };
 
 StormResult RunStorm(uint64_t seed) {
-  sim::Simulation sim;
-  cloud::CloudProvider provider(&sim, cloud::CloudOptions{}, seed);
-
   repl::ClusterConfig cluster_config;
   cluster_config.num_slaves = 3;
   cluster_config.cost_model =
       cloudstone::MakeWorkloadCostModel(cloudstone::OperationCosts{});
-  repl::ReplicationCluster cluster(&provider, cluster_config);
-  cloud::Instance* app = provider.Launch("app", cloud::InstanceType::kLarge,
-                                         cloud::MasterPlacement());
-  cloud::Instance* monitor = provider.Launch(
+  harness::Deployment d(cloud::CloudOptions{}, seed, cluster_config,
+                        client::ProxyOptions{});
+  cloud::Instance* monitor = d.provider.Launch(
       "monitor", cloud::InstanceType::kSmall, cloud::MasterPlacement());
-
-  cloudstone::WorkloadState state;
-  Status loaded = cloudstone::LoadInitialData(
-      [&](const std::string& sql) {
-        return cluster.ExecuteEverywhereDirect(sql);
-      },
-      150, seed, &state);
-  if (!loaded.ok()) return StormResult{};
+  if (!d.Load(150, seed).ok()) return StormResult{};
 
   std::vector<repl::SlaveNode*> slaves;
   for (int i = 0; i < 3; ++i) {
-    slaves.push_back(cluster.slave(i));
+    slaves.push_back(d.cluster.slave(i));
     slaves.back()->StartAutoResync();
   }
-  client::ReadWriteSplitProxy proxy(&sim, &provider.network(), app->node_id(),
-                                    cluster.master(), slaves,
-                                    client::ProxyOptions{});
-  repl::FailoverManager manager(&sim, &provider.network(), monitor->node_id(),
-                                cluster.master(), slaves,
+  repl::FailoverManager manager(&d.sim, &d.provider.network(),
+                                monitor->node_id(), d.cluster.master(), slaves,
                                 repl::FailoverOptions{});
-  manager.SetFailoverListener([&](repl::MasterNode* new_master) {
-    proxy.ReplaceMaster(new_master);
-    for (int i = 0; i < 3; ++i) {
-      if (cluster.slave(i) == manager.promoted_slave()) {
-        proxy.DeactivateSlave(i);
-      }
-    }
-  });
+  manager.SetFailoverListener(
+      [&](repl::MasterNode* new_master) { d.proxy.ReplaceMaster(new_master); });
   manager.Start();
 
-  fault::RecoveryObserver observer(&sim, &manager);
+  fault::RecoveryObserver observer(&d.sim, &manager);
   observer.Start();
 
-  fault::FaultInjector injector(&sim, &provider);
+  fault::FaultInjector injector(&d.sim, &d.provider);
   // The crash is the storm's primary fault: the observer's episode clock
   // runs on it, not on the warm-up partition.
   injector.SetFaultListener([&](const fault::FaultEvent& event, bool begin) {
@@ -119,27 +100,28 @@ StormResult RunStorm(uint64_t seed) {
 
   cloudstone::OperationGenerator generator(
       cloudstone::WorkloadMix::FiftyFifty(), cloudstone::OperationCosts{},
-      &state, [&] { return app->LocalNowMicros(); });
+      &d.state, [&] { return d.app->LocalNowMicros(); });
   cloudstone::MetricsCollector metrics;
   std::vector<std::unique_ptr<cloudstone::UserEmulator>> users;
   Rng seeder(seed);
   SimTime horizon = Minutes(5);
   for (int i = 0; i < 60; ++i) {
     users.push_back(std::make_unique<cloudstone::UserEmulator>(
-        &sim, &proxy, &generator, &metrics, seeder.Fork(i + 1), Seconds(6)));
+        &d.sim, &d.proxy, &generator, &metrics, seeder.Fork(i + 1),
+        Seconds(6)));
     users.back()->Activate(Seconds(i % 20), horizon);
   }
 
-  sim.RunUntil(horizon);
+  d.sim.RunUntil(horizon);
   manager.Stop();
   observer.Stop();
   for (repl::SlaveNode* slave : slaves) slave->StopAutoResync();
-  sim.Run();
+  d.sim.Run();
 
   StormResult result;
   result.report = observer.report();
   result.failed_ops = metrics.failures();
-  result.slave2_resync_requests = cluster.slave(1)->resync_requests_sent();
+  result.slave2_resync_requests = d.cluster.slave(1)->resync_requests_sent();
   result.faults_begun = injector.faults_begun();
   result.faults_healed = injector.faults_healed();
   result.converged = true;

@@ -25,6 +25,7 @@
 #include "common/time_types.h"
 #include "db/database.h"
 #include "fault/fault_schedule.h"
+#include "harness/deployment.h"
 #include "repl/master_node.h"
 #include "repl/slave_node.h"
 #include "sim/simulation.h"
@@ -32,19 +33,15 @@
 int main() {
   using namespace clouddb;
 
-  sim::Simulation sim;
-  cloud::CloudProvider provider(&sim, cloud::CloudOptions{}, /*seed=*/42);
-
   repl::ClusterConfig cluster_config;
   cluster_config.num_slaves = 2;
   cluster_config.cost_model.insert_cost = Millis(5);
-  repl::ReplicationCluster cluster(&provider, cluster_config);
-  cloud::Instance* app = provider.Launch("app", cloud::InstanceType::kLarge,
-                                         cloud::MasterPlacement());
-  cloud::Instance* monitor = provider.Launch(
+  harness::Deployment d(cloud::CloudOptions{}, /*cloud_seed=*/42,
+                        cluster_config, client::ProxyOptions{});
+  cloud::Instance* monitor = d.provider.Launch(
       "monitor", cloud::InstanceType::kSmall, cloud::MasterPlacement());
 
-  Status created = cluster.ExecuteEverywhereDirect(
+  Status created = d.cluster.ExecuteEverywhereDirect(
       "CREATE TABLE events (id INT PRIMARY KEY, payload INT)");
   if (!created.ok()) {
     std::printf("setup failed: %s\n", created.ToString().c_str());
@@ -53,33 +50,26 @@ int main() {
 
   // Slaves survive transient faults by re-requesting missed events with
   // bounded exponential backoff instead of silently diverging.
-  std::vector<repl::SlaveNode*> slaves = {cluster.slave(0), cluster.slave(1)};
+  std::vector<repl::SlaveNode*> slaves = {d.cluster.slave(0),
+                                          d.cluster.slave(1)};
   for (repl::SlaveNode* slave : slaves) slave->StartAutoResync();
 
-  client::ReadWriteSplitProxy proxy(&sim, &provider.network(), app->node_id(),
-                                    cluster.master(), slaves,
-                                    client::ProxyOptions{});
-  repl::FailoverManager manager(&sim, &provider.network(), monitor->node_id(),
-                                cluster.master(), slaves,
+  repl::FailoverManager manager(&d.sim, &d.provider.network(),
+                                monitor->node_id(), d.cluster.master(), slaves,
                                 repl::FailoverOptions{});
   manager.AddFailoverListener([&](repl::MasterNode* new_master) {
     std::printf("t=%-8s failover! proxy repointed at the promoted slave\n",
-                FormatDuration(sim.Now()).c_str());
-    proxy.ReplaceMaster(new_master);
-    for (int i = 0; i < 2; ++i) {
-      if (cluster.slave(i) == manager.promoted_slave()) {
-        proxy.DeactivateSlave(i);
-      }
-    }
+                FormatDuration(d.sim.Now()).c_str());
+    d.proxy.ReplaceMaster(new_master);
   });
   manager.Start();
 
-  fault::RecoveryObserver observer(&sim, &manager);
+  fault::RecoveryObserver observer(&d.sim, &manager);
   observer.Start();
 
-  fault::FaultInjector injector(&sim, &provider);
+  fault::FaultInjector injector(&d.sim, &d.provider);
   injector.SetFaultListener([&](const fault::FaultEvent& event, bool begin) {
-    std::printf("t=%-8s %s %s\n", FormatDuration(sim.Now()).c_str(),
+    std::printf("t=%-8s %s %s\n", FormatDuration(d.sim.Now()).c_str(),
                 begin ? "inject:" : "heal:  ", event.ToString().c_str());
     if (event.kind != fault::FaultKind::kCrash) return;
     if (begin) {
@@ -102,8 +92,8 @@ int main() {
   SimTime horizon = Seconds(90);
   int64_t next_id = 0, write_ok = 0, write_failed = 0;
   std::function<void()> write_tick = [&] {
-    if (sim.Now() >= horizon) return;
-    proxy.Execute(
+    if (d.sim.Now() >= horizon) return;
+    d.proxy.Execute(
         StrFormat("INSERT INTO events VALUES (%lld, %lld)",
                   static_cast<long long>(next_id),
                   static_cast<long long>(next_id * 7)),
@@ -115,15 +105,15 @@ int main() {
           }
         });
     ++next_id;
-    sim.ScheduleAfter(Millis(500), write_tick);
+    d.sim.ScheduleAfter(Millis(500), write_tick);
   };
-  sim.ScheduleAfter(Millis(500), write_tick);
+  d.sim.ScheduleAfter(Millis(500), write_tick);
 
-  sim.RunUntil(horizon);
+  d.sim.RunUntil(horizon);
   manager.Stop();
   observer.Stop();
   for (repl::SlaveNode* slave : slaves) slave->StopAutoResync();
-  sim.Run();
+  d.sim.Run();
 
   bool converged = true;
   for (repl::SlaveNode* slave : manager.active_slaves()) {

@@ -16,51 +16,38 @@
 #include "cloudstone/schema.h"
 #include "repl/cluster_monitor.h"
 #include "repl/replication_cluster.h"
-#include "cloud/instance.h"
-#include "cloud/placement.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/time_types.h"
+#include "harness/deployment.h"
 #include "repl/slave_node.h"
 #include "sim/simulation.h"
 
 using namespace clouddb;
 
 int main() {
-  sim::Simulation sim;
   cloud::CloudOptions cloud_options;
   cloud_options.cpu_speed_cov = 0.0;  // clean curves for the demo
-  cloud::CloudProvider provider(&sim, cloud_options, 9);
-
   repl::ClusterConfig cluster_config;
   cluster_config.num_slaves = 2;
   cluster_config.cost_model =
       cloudstone::MakeWorkloadCostModel(cloudstone::OperationCosts{});
-  repl::ReplicationCluster cluster(&provider, cluster_config);
-  cloud::Instance* app = provider.Launch("app", cloud::InstanceType::kLarge,
-                                         cloud::MasterPlacement());
-
-  cloudstone::WorkloadState state;
-  Status loaded = cloudstone::LoadInitialData(
-      [&](const std::string& sql) {
-        return cluster.ExecuteEverywhereDirect(sql);
-      },
-      /*scale=*/120, /*seed=*/5, &state);
+  harness::Deployment d(cloud_options, /*cloud_seed=*/9, cluster_config,
+                        client::ProxyOptions{});
+  Status loaded = d.Load(/*scale=*/120, /*seed=*/5);
   if (!loaded.ok()) {
     std::printf("load failed: %s\n", loaded.ToString().c_str());
     return 1;
   }
 
-  std::vector<repl::SlaveNode*> slaves = {cluster.slave(0), cluster.slave(1)};
-  client::ReadWriteSplitProxy proxy(&sim, &provider.network(), app->node_id(),
-                                    cluster.master(), slaves,
-                                    client::ProxyOptions{});
-  repl::ClusterMonitor monitor(&sim, cluster.master(), slaves, Minutes(1));
+  std::vector<repl::SlaveNode*> slaves = {d.cluster.slave(0),
+                                          d.cluster.slave(1)};
+  repl::ClusterMonitor monitor(&d.sim, d.cluster.master(), slaves, Minutes(1));
   monitor.Start();
 
   cloudstone::OperationGenerator generator(
       cloudstone::WorkloadMix::FiftyFifty(), cloudstone::OperationCosts{},
-      &state, [&] { return app->LocalNowMicros(); });
+      &d.state, [&] { return d.app->LocalNowMicros(); });
   cloudstone::MetricsCollector metrics;
   std::vector<std::unique_ptr<cloudstone::UserEmulator>> users;
   Rng seeder(3);
@@ -68,18 +55,18 @@ int main() {
   auto add_users = [&](int n) {
     for (int i = 0; i < n; ++i) {
       users.push_back(std::make_unique<cloudstone::UserEmulator>(
-          &sim, &proxy, &generator, &metrics, seeder.Fork(users.size() + 1),
-          Seconds(9)));
-      users.back()->Activate(sim.Now(), horizon);
+          &d.sim, &d.proxy, &generator, &metrics,
+          seeder.Fork(users.size() + 1), Seconds(9)));
+      users.back()->Activate(d.sim.Now(), horizon);
     }
   };
   // Workload steps: 50 -> 100 -> 200 users.
   add_users(50);
-  sim.ScheduleAt(Minutes(5), [&] { add_users(50); });
-  sim.ScheduleAt(Minutes(10), [&] { add_users(100); });
-  sim.RunUntil(horizon);
+  d.sim.ScheduleAt(Minutes(5), [&] { add_users(50); });
+  d.sim.ScheduleAt(Minutes(10), [&] { add_users(100); });
+  d.sim.RunUntil(horizon);
   monitor.Stop();
-  sim.Run();
+  d.sim.Run();
 
   std::printf("Per-minute cluster health (50 users, +50 at 5min, +100 at "
               "10min):\n\n%s\n",

@@ -1,8 +1,9 @@
 // Example: the social-events-calendar application, end to end.
 //
 // Demonstrates the public API a downstream application would use directly:
-// a CloudProvider, a ReplicationCluster, the DBCP-style pool / R/W-splitting
-// proxy, and hand-written SQL — without the benchmark harness. Walks through
+// the Fig. 1 tier (harness::Deployment: a ReplicationCluster and the
+// R/W-splitting proxy over DBCP-style pools) and hand-written SQL — without
+// the benchmark driver. Walks through
 // a user's session (browse, view, create, join, comment) and shows where the
 // statements were routed and what the slaves can see.
 
@@ -14,12 +15,11 @@
 #include "cloudstone/schema.h"
 #include "common/str_util.h"
 #include "repl/replication_cluster.h"
-#include "cloud/instance.h"
-#include "cloud/placement.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "db/database.h"
 #include "db/value.h"
+#include "harness/deployment.h"
 #include "sim/simulation.h"
 
 using namespace clouddb;
@@ -49,76 +49,58 @@ void Run(sim::Simulation& sim, client::ReadWriteSplitProxy& proxy,
 }  // namespace
 
 int main() {
-  sim::Simulation sim;
-  cloud::CloudOptions cloud_options;
-  cloud::CloudProvider provider(&sim, cloud_options, /*seed=*/2026);
-
   // One master + two read replicas in the same availability zone.
   repl::ClusterConfig cluster_config;
   cluster_config.num_slaves = 2;
   cluster_config.cost_model =
       cloudstone::MakeWorkloadCostModel(cloudstone::OperationCosts{});
-  repl::ReplicationCluster cluster(&provider, cluster_config);
-
-  cloud::Instance* app = provider.Launch("web", cloud::InstanceType::kLarge,
-                                         cloud::MasterPlacement());
+  harness::Deployment d(cloud::CloudOptions{}, /*cloud_seed=*/2026,
+                        cluster_config, client::ProxyOptions{});
 
   // Pre-load the calendar on every replica.
-  cloudstone::WorkloadState state;
-  Status loaded = cloudstone::LoadInitialData(
-      [&](const std::string& sql) {
-        return cluster.ExecuteEverywhereDirect(sql);
-      },
-      /*scale=*/100, /*seed=*/7, &state);
+  Status loaded = d.Load(/*scale=*/100, /*seed=*/7);
   if (!loaded.ok()) {
     std::printf("load failed: %s\n", loaded.ToString().c_str());
     return 1;
   }
   std::printf("Loaded calendar: %lld users, %lld events\n\n",
-              static_cast<long long>(state.num_users),
-              static_cast<long long>(state.next_event_id - 1));
-
-  client::ProxyOptions proxy_options;
-  proxy_options.policy = client::BalancePolicy::kRoundRobin;
-  client::ReadWriteSplitProxy proxy(&sim, &provider.network(), app->node_id(),
-                                    cluster.master(),
-                                    {cluster.slave(0), cluster.slave(1)},
-                                    proxy_options);
+              static_cast<long long>(d.state.num_users),
+              static_cast<long long>(d.state.next_event_id - 1));
 
   std::printf("A user's session (reads go to slaves, writes to the master):\n");
-  Run(sim, proxy,
+  Run(d.sim, d.proxy,
       "SELECT event_id, title, event_date FROM events "
       "WHERE event_date >= 18100 ORDER BY event_date LIMIT 5");
-  Run(sim, proxy, "SELECT * FROM events WHERE event_id = 17");
-  int64_t new_event = state.next_event_id++;
-  Run(sim, proxy,
+  Run(d.sim, d.proxy, "SELECT * FROM events WHERE event_id = 17");
+  int64_t new_event = d.state.next_event_id++;
+  Run(d.sim, d.proxy,
       StrFormat("INSERT INTO events (event_id, title, description, "
                 "created_by, event_date, created_at) VALUES (%lld, "
                 "'Paper reading group', 'ICDE 2012 replication paper', 3, "
                 "18250, 0)",
                 static_cast<long long>(new_event)));
-  Run(sim, proxy,
+  Run(d.sim, d.proxy,
       StrFormat("INSERT INTO attendees (att_id, event_id, user_id, joined_at)"
                 " VALUES (%lld, %lld, 5, 0)",
-                static_cast<long long>(state.next_attendee_id++),
+                static_cast<long long>(d.state.next_attendee_id++),
                 static_cast<long long>(new_event)));
-  Run(sim, proxy,
+  Run(d.sim, d.proxy,
       StrFormat("INSERT INTO comments (comment_id, event_id, user_id, body, "
                 "created_at) VALUES (%lld, %lld, 5, 'count me in', 0)",
-                static_cast<long long>(state.next_comment_id++),
+                static_cast<long long>(d.state.next_comment_id++),
                 static_cast<long long>(new_event)));
   // The replicas have applied the writes by now (the sim drained); reads see
   // the new event on whichever slave the proxy picks.
-  Run(sim, proxy,
+  Run(d.sim, d.proxy,
       StrFormat("SELECT COUNT(*) FROM attendees WHERE event_id = %lld",
                 static_cast<long long>(new_event)));
 
   std::printf("\nRouting summary: %lld writes to the master; reads per slave:",
-              static_cast<long long>(proxy.writes_routed()));
-  for (int i = 0; i < proxy.num_slaves(); ++i) {
-    std::printf(" %lld", static_cast<long long>(proxy.reads_routed(i)));
+              static_cast<long long>(d.proxy.writes_routed()));
+  for (int i = 0; i < d.proxy.num_slaves(); ++i) {
+    std::printf(" %lld", static_cast<long long>(d.proxy.reads_routed(i)));
   }
   std::printf("\nAll replicas converged: %s\n",
-              cluster.Converged() ? "yes" : "no");
-  return cluster.Converged() ? 0 : 1;
+              d.cluster.Converged() ? "yes" : "no");
+  return d.cluster.Converged() ? 0 : 1;
 }

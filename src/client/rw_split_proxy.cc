@@ -37,8 +37,7 @@ ReadWriteSplitProxy::ReadWriteSplitProxy(sim::Simulation* sim,
                                          std::vector<repl::SlaveNode*> slaves,
                                          const ProxyOptions& options)
     : sim_(sim), network_(network), client_node_(client_node),
-      options_(options), route_cache_(options.route_cache_capacity),
-      metrics_("proxy") {
+      options_(options), metrics_("proxy") {
   reads_total_ = metrics_.AddCounter("proxy.reads.total");
   writes_total_ = metrics_.AddCounter("proxy.writes.total");
   bounded_reads_ = metrics_.AddCounter("proxy.reads.bounded");
@@ -83,6 +82,11 @@ void ReadWriteSplitProxy::ReplaceMaster(repl::MasterNode* master) {
   old_master_pools_.push_back(std::move(master_pool_));
   master_pool_ = std::make_unique<ConnectionPool>(sim_, network_, client_node_,
                                                   master, options_.pool);
+  for (size_t i = 0; i < slave_pools_.size(); ++i) {
+    if (slave_pools_[i]->target()->node_id() == master->node_id()) {
+      active_[i] = false;
+    }
+  }
 }
 
 void ReadWriteSplitProxy::DeactivateSlave(int slave_index) {
@@ -130,13 +134,7 @@ void ReadWriteSplitProxy::Execute(const std::string& sql, bool is_read,
         sql, cpu_cost,
         [this, slave, started,
          done = std::move(done)](Result<db::ExecResult> result) mutable {
-          --outstanding_[static_cast<size_t>(slave)];
-          double response = static_cast<double>(sim_->Now() - started);
-          double& ewma = ewma_response_us_[static_cast<size_t>(slave)];
-          ewma = ewma == 0.0
-                     ? response
-                     : (1.0 - options_.ewma_alpha) * ewma +
-                           options_.ewma_alpha * response;
+          FinishSlaveRead(slave, started);
           done(std::move(result));
         });
     return;
@@ -146,13 +144,7 @@ void ReadWriteSplitProxy::Execute(const std::string& sql, bool is_read,
       sql, cpu_cost,
       [this, slave, started, bound, sql, cpu_cost,
        done = std::move(done)](Result<db::ExecResult> result) mutable {
-        --outstanding_[static_cast<size_t>(slave)];
-        double response = static_cast<double>(sim_->Now() - started);
-        double& ewma = ewma_response_us_[static_cast<size_t>(slave)];
-        ewma = ewma == 0.0
-                   ? response
-                   : (1.0 - options_.ewma_alpha) * ewma +
-                         options_.ewma_alpha * response;
+        FinishSlaveRead(slave, started);
         if (!result.ok() && result.status().IsUnavailable()) {
           // The slave went away mid-query (partition, crash, retirement
           // race). A bounded read must still complete within its SLA, and
@@ -173,6 +165,16 @@ void ReadWriteSplitProxy::Execute(const std::string& sql, bool is_read,
         }
         done(std::move(result));
       });
+}
+
+void ReadWriteSplitProxy::FinishSlaveRead(int slave_index, SimTime started) {
+  // Smoothing of the kLatencyWeighted response-time estimate.
+  constexpr double kEwmaAlpha = 0.2;
+  --outstanding_[static_cast<size_t>(slave_index)];
+  double response = static_cast<double>(sim_->Now() - started);
+  double& ewma = ewma_response_us_[static_cast<size_t>(slave_index)];
+  ewma = ewma == 0.0 ? response
+                     : (1.0 - kEwmaAlpha) * ewma + kEwmaAlpha * response;
 }
 
 void ReadWriteSplitProxy::ExecuteAuto(const std::string& sql,
@@ -233,15 +235,9 @@ int ReadWriteSplitProxy::PickSlave(SimDuration max_staleness) {
     if (eligible[i]) ++eligible_count;
   }
   if (eligible_count == 0) return -1;
-  BalancePolicy policy = options_.policy == BalancePolicy::kFreshnessAware
-                             ? options_.freshness_base
-                             : options_.policy;
-  // A self-referential freshness_base degrades to round-robin.
-  if (policy == BalancePolicy::kFreshnessAware) {
-    policy = BalancePolicy::kRoundRobin;
-  }
-  switch (policy) {
-    case BalancePolicy::kRoundRobin: {
+  switch (options_.policy) {
+    case BalancePolicy::kRoundRobin:
+    case BalancePolicy::kFreshnessAware: {  // the filter above, then rotate
       // Advance past deactivated / over-bound replicas.
       for (size_t attempts = 0; attempts < n; ++attempts) {
         size_t pick = round_robin_next_ % n;

@@ -31,10 +31,10 @@ enum class BalancePolicy {
   kLatencyWeighted,
   /// Freshness-SLA routing: filter slaves down to those whose *observed*
   /// replication staleness (from the staleness probe; see
-  /// SetStalenessProbe) is within the read's bound, then balance among them
-  /// with `ProxyOptions::freshness_base`. Reads with no eligible slave —
-  /// every replica over bound, staleness unknown, or a bound of 0 — fall
-  /// back to the master, which is fresh by definition.
+  /// SetStalenessProbe) is within the read's bound, then round-robin among
+  /// them. Reads with no eligible slave — every replica over bound,
+  /// staleness unknown, or a bound of 0 — fall back to the master, which is
+  /// fresh by definition.
   kFreshnessAware,
 };
 
@@ -53,15 +53,9 @@ struct ReadOptions {
 struct ProxyOptions {
   BalancePolicy policy = BalancePolicy::kRoundRobin;
   ConnectionPoolOptions pool;
-  /// EWMA smoothing for kLatencyWeighted.
-  double ewma_alpha = 0.2;
   /// ExecuteAuto classifies read vs write through a proxy-local statement
   /// cache (fingerprint once per shape) instead of parsing every statement.
   bool route_cache = true;
-  size_t route_cache_capacity = db::StatementCache::kDefaultCapacity;
-  /// Balancing applied among the in-bound slaves under kFreshnessAware
-  /// (freshness filters, the base policy balances).
-  BalancePolicy freshness_base = BalancePolicy::kRoundRobin;
 };
 
 /// The application-side statement router (the paper's MySQL Connector/J
@@ -119,12 +113,14 @@ class ReadWriteSplitProxy {
 
   /// Repoints writes at a new master (after a failover promotion). A fresh
   /// connection pool is created; in-flight requests to the old master fail
-  /// with Unavailable and are the application's to retry.
+  /// with Unavailable and are the application's to retry. A promotion adopts
+  /// a slave's database on the same instance, so the slave on the new
+  /// master's node leaves the read rotation.
   void ReplaceMaster(repl::MasterNode* master);
 
   /// Removes a replica from the read rotation without invalidating
   /// in-flight requests (the pool stays alive until the proxy is destroyed).
-  /// Used when a slave is promoted to master or decommissioned.
+  /// Used when a slave is decommissioned.
   void DeactivateSlave(int slave_index);
   /// Puts a deactivated replica back into the rotation (elastic scale-out
   /// reviving a retired slave).
@@ -155,6 +151,9 @@ class ReadWriteSplitProxy {
 
  private:
   int PickSlave(SimDuration max_staleness);
+  /// Bookkeeping when a read on slave `slave_index` started at `started`
+  /// completes: outstanding count and the EWMA response time.
+  void FinishSlaveRead(int slave_index, SimTime started);
   bool WithinBound(int slave_index, SimDuration max_staleness) const;
 
   sim::Simulation* sim_;

@@ -4,8 +4,6 @@
 #include <memory>
 
 #include "client/rw_split_proxy.h"
-#include "cloud/cloud_provider.h"
-#include "cloud/instance.h"
 #include "cloudstone/benchmark_driver.h"
 #include "cloudstone/operations.h"
 #include "cloudstone/schema.h"
@@ -16,10 +14,10 @@
 #include "common/str_util.h"
 #include "control/elasticity_controller.h"
 #include "control/freshness_tracker.h"
+#include "harness/deployment.h"
 #include "metrics/metric_registry.h"
 #include "repl/heartbeat.h"
 #include "repl/replication_cluster.h"
-#include "repl/slave_node.h"
 #include "sim/simulation.h"
 #include "common/time_types.h"
 
@@ -40,55 +38,32 @@ std::string ControlExperimentResult::TimelineString() const {
 Result<ControlExperimentResult> RunControlExperiment(
     const ControlExperimentConfig& config) {
   Rng seeder(config.seed);
-  sim::Simulation sim;
   uint64_t derived_placement_seed = seeder.NextU64();
-  cloud::CloudProvider provider(
-      &sim, config.cloud,
-      config.placement_seed.value_or(derived_placement_seed));
-
   repl::ClusterConfig cluster_config;
   cluster_config.num_slaves = config.initial_slaves;
   cluster_config.cost_model =
       cloudstone::MakeWorkloadCostModel(config.costs, config.apply_factor);
-  repl::ReplicationCluster cluster(&provider, cluster_config);
-  cluster.SetStatementCacheEnabled(config.statement_cache);
-
-  cloud::Instance* bench_instance =
-      provider.Launch("cloudstone", cloud::InstanceType::kLarge,
-                      cluster_config.master_placement);
-
-  cloudstone::WorkloadState state;
-  uint64_t load_seed = seeder.NextU64();
-  Status load_status = cloudstone::LoadInitialData(
-      [&](const std::string& sql) {
-        return cluster.ExecuteEverywhereDirect(sql);
-      },
-      config.data_scale, load_seed, &state);
-  if (!load_status.ok()) return load_status;
-
-  repl::HeartbeatPlugin heartbeat(&sim, cluster.master(), config.heartbeat);
-  CLOUDDB_RETURN_IF_ERROR(heartbeat.CreateTable());
-  heartbeat.Start();
-
   client::ProxyOptions proxy_options;
   proxy_options.policy = client::BalancePolicy::kFreshnessAware;
   proxy_options.route_cache = config.statement_cache;
   proxy_options.pool.max_active =
       std::max(8, config.base_users + config.surge_users);
-  std::vector<repl::SlaveNode*> slaves;
-  for (int i = 0; i < cluster.num_slaves(); ++i) {
-    slaves.push_back(cluster.slave(i));
-  }
-  client::ReadWriteSplitProxy proxy(&sim, &provider.network(),
-                                    bench_instance->node_id(),
-                                    cluster.master(), slaves, proxy_options);
+  Deployment d(config.cloud,
+               config.placement_seed.value_or(derived_placement_seed),
+               cluster_config, proxy_options);
+  d.cluster.SetStatementCacheEnabled(config.statement_cache);
+  CLOUDDB_RETURN_IF_ERROR(d.Load(config.data_scale, seeder.NextU64()));
+
+  repl::HeartbeatPlugin heartbeat(&d.sim, d.cluster.master(), config.heartbeat);
+  CLOUDDB_RETURN_IF_ERROR(heartbeat.CreateTable());
+  heartbeat.Start();
 
   // The control plane: tracker feeds the proxy's SLA router and the
   // controller's lag signal.
-  control::FreshnessTracker tracker(&sim, &cluster, config.tracker);
-  proxy.SetStalenessProbe(tracker.Probe());
+  control::FreshnessTracker tracker(&d.sim, &d.cluster, config.tracker);
+  d.proxy.SetStalenessProbe(tracker.Probe());
   tracker.Start();
-  control::ElasticityController controller(&sim, &cluster, &proxy,
+  control::ElasticityController controller(&d.sim, &d.cluster, &d.proxy,
                                            tracker.Probe(),
                                            config.controller);
   if (config.enable_controller) controller.Start();
@@ -96,8 +71,8 @@ Result<ControlExperimentResult> RunControlExperiment(
   // Worst-staleness watermark, sampled at the tracker's own cadence.
   double peak_staleness_ms = 0.0;
   sim::PeriodicTimer staleness_watermark;
-  staleness_watermark.Start(&sim, config.tracker.poll_period, [&] {
-    for (int i = 0; i < cluster.num_slaves(); ++i) {
+  staleness_watermark.Start(&d.sim, config.tracker.poll_period, [&] {
+    for (int i = 0; i < d.cluster.num_slaves(); ++i) {
       peak_staleness_ms = std::max(peak_staleness_ms, tracker.StalenessMs(i));
     }
   });
@@ -105,13 +80,13 @@ Result<ControlExperimentResult> RunControlExperiment(
   // Workload: base users for the whole measured window, surge users for the
   // load step in the middle of it. Every read carries the staleness bound.
   cloudstone::OperationGenerator generator(
-      config.mix, config.costs, &state,
-      [bench_instance] { return bench_instance->LocalNowMicros(); });
+      config.mix, config.costs, &d.state,
+      [app = d.app] { return app->LocalNowMicros(); });
   cloudstone::MetricsCollector collector;
   client::ReadOptions read_options;
   read_options.max_staleness = config.staleness_bound;
 
-  SimTime measure_start = sim.Now() + config.warmup;
+  SimTime measure_start = d.sim.Now() + config.warmup;
   SimTime measure_end = measure_start + config.measure;
   SimTime surge_start = measure_start + config.surge_start;
   SimTime surge_end = surge_start + config.surge_duration;
@@ -119,7 +94,7 @@ Result<ControlExperimentResult> RunControlExperiment(
   std::vector<std::unique_ptr<cloudstone::UserEmulator>> users;
   for (int u = 0; u < config.base_users + config.surge_users; ++u) {
     users.push_back(std::make_unique<cloudstone::UserEmulator>(
-        &sim, &proxy, &generator, &collector, Rng(seeder.NextU64()),
+        &d.sim, &d.proxy, &generator, &collector, Rng(seeder.NextU64()),
         config.think_time_mean));
     users.back()->set_read_options(read_options);
     bool surge = u >= config.base_users;
@@ -127,15 +102,15 @@ Result<ControlExperimentResult> RunControlExperiment(
                            surge ? surge_end : measure_end);
   }
 
-  sim.RunUntil(measure_end);
+  d.sim.RunUntil(measure_end);
   heartbeat.Stop();
   tracker.Stop();
   controller.Stop();
   staleness_watermark.Stop();
-  sim.Run();  // drain in-flight operations and relay logs
+  d.sim.Run();  // drain in-flight operations and relay logs
 
   ControlExperimentResult result;
-  const metrics::MetricRegistry& pm = proxy.metrics();
+  const metrics::MetricRegistry& pm = d.proxy.metrics();
   result.bounded_reads = pm.FindCounter("proxy.reads.bounded")->value();
   result.bounded_to_slave =
       pm.FindCounter("proxy.reads.bounded_to_slave")->value();
@@ -158,7 +133,7 @@ Result<ControlExperimentResult> RunControlExperiment(
       controller.metrics().FindCounter("control.scale_out.total")->value();
   result.scale_ins =
       controller.metrics().FindCounter("control.scale_in.total")->value();
-  result.final_active_slaves = cluster.num_active_slaves();
+  result.final_active_slaves = d.cluster.num_active_slaves();
   result.scaling_events = controller.events();
   int active = config.initial_slaves;
   result.peak_active_slaves = active;
@@ -180,11 +155,11 @@ Result<ControlExperimentResult> RunControlExperiment(
   // metrics across slaves aggregate (counters add, gauges sum, EWMAs
   // count-weight); the table is deterministic by construction.
   metrics::MetricRegistry total("cluster");
-  total.MergeFrom(cluster.master()->metrics());
-  for (int i = 0; i < cluster.num_slaves(); ++i) {
-    total.MergeFrom(cluster.slave(i)->metrics());
+  total.MergeFrom(d.cluster.master()->metrics());
+  for (int i = 0; i < d.cluster.num_slaves(); ++i) {
+    total.MergeFrom(d.cluster.slave(i)->metrics());
   }
-  total.MergeFrom(proxy.metrics());
+  total.MergeFrom(d.proxy.metrics());
   total.MergeFrom(tracker.metrics());
   total.MergeFrom(controller.metrics());
   result.metrics_table = total.ToString();

@@ -6,8 +6,6 @@
 #include "cloudstone/schema.h"
 #include "repl/delay_monitor.h"
 #include "client/rw_split_proxy.h"
-#include "cloud/cloud_provider.h"
-#include "cloud/instance.h"
 #include "cloud/placement.h"
 #include "cloudstone/benchmark_driver.h"
 #include "cloudstone/operations.h"
@@ -16,9 +14,9 @@
 #include "common/stats.h"
 #include "common/status.h"
 #include "db/database.h"
+#include "harness/deployment.h"
 #include "repl/heartbeat.h"
 #include "repl/replication_cluster.h"
-#include "repl/slave_node.h"
 #include "sim/simulation.h"
 
 namespace clouddb::harness {
@@ -49,106 +47,82 @@ cloud::Placement SlavePlacementFor(LocationConfig location) {
 
 Result<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
   Rng seeder(config.seed);
-  sim::Simulation sim;
   uint64_t derived_placement_seed = seeder.NextU64();
-  cloud::CloudProvider provider(
-      &sim, config.cloud,
-      config.placement_seed.value_or(derived_placement_seed));
-
-  // L2/L3: the replication tier.
   repl::ClusterConfig cluster_config;
   cluster_config.num_slaves = config.num_slaves;
   cluster_config.slave_placement = SlavePlacementFor(config.location);
   cluster_config.cost_model =
       cloudstone::MakeWorkloadCostModel(config.costs, config.apply_factor);
   cluster_config.synchronous_replication = config.synchronous_replication;
-  repl::ReplicationCluster cluster(&provider, cluster_config);
-  cluster.SetStatementCacheEnabled(config.statement_cache);
-  cluster.SetVectorizedExecEnabled(config.vectorized_exec);
-  cluster.SetRowBasedReplication(config.row_based_repl);
-  cluster.SetBinlogBatchSize(config.binlog_batch_size);
-
-  // L1: the benchmark driver instance — a large instance in the master's
-  // zone ("the benchmark is deployed in a large instance to avoid any
-  // overload on the application tier").
-  cloud::Instance* bench_instance = provider.Launch(
-      "cloudstone", cloud::InstanceType::kLarge, cluster_config.master_placement);
-
-  // NTP daemons, synchronizing every second.
-  std::vector<std::unique_ptr<cloud::NtpClient>> ntp_clients;
-  if (config.enable_ntp) {
-    for (const auto& instance : provider.instances()) {
-      ntp_clients.push_back(std::make_unique<cloud::NtpClient>(
-          &sim, instance.get(), config.ntp, seeder.NextU64()));
-      ntp_clients.back()->StartPeriodic();
-    }
-  }
-
-  // Pre-load every replica with identical data.
-  cloudstone::WorkloadState state;
-  uint64_t load_seed = seeder.NextU64();
-  Status load_status = cloudstone::LoadInitialData(
-      [&](const std::string& sql) {
-        return cluster.ExecuteEverywhereDirect(sql);
-      },
-      config.data_scale, load_seed, &state);
-  if (!load_status.ok()) return load_status;
-
-  // Heartbeat probe.
-  repl::HeartbeatPlugin heartbeat(&sim, cluster.master(), config.heartbeat);
-  CLOUDDB_RETURN_IF_ERROR(heartbeat.CreateTable());
-  heartbeat.Start();
-
-  // Idle window: heartbeats with no workload.
-  sim.RunUntil(sim.Now() + config.idle_window);
-  int64_t idle_max_id = heartbeat.next_id() - 1;
-
   // The proxy (Connector/J-style) runs inside the benchmark process.
   client::ProxyOptions proxy_options;
   proxy_options.policy = config.policy;
   proxy_options.route_cache = config.statement_cache;
   proxy_options.pool.max_active = std::max(8, config.num_users);
-  std::vector<repl::SlaveNode*> slaves;
-  for (int i = 0; i < cluster.num_slaves(); ++i) slaves.push_back(cluster.slave(i));
-  client::ReadWriteSplitProxy proxy(&sim, &provider.network(),
-                                    bench_instance->node_id(),
-                                    cluster.master(), slaves, proxy_options);
+  Deployment d(config.cloud,
+               config.placement_seed.value_or(derived_placement_seed),
+               cluster_config, proxy_options);
+  d.cluster.SetStatementCacheEnabled(config.statement_cache);
+  d.cluster.SetVectorizedExecEnabled(config.vectorized_exec);
+  d.cluster.SetRowBasedReplication(config.row_based_repl);
+  d.cluster.SetBinlogBatchSize(config.binlog_batch_size);
+
+  // NTP daemons, synchronizing every second.
+  std::vector<std::unique_ptr<cloud::NtpClient>> ntp_clients;
+  if (config.enable_ntp) {
+    for (const auto& instance : d.provider.instances()) {
+      ntp_clients.push_back(std::make_unique<cloud::NtpClient>(
+          &d.sim, instance.get(), config.ntp, seeder.NextU64()));
+      ntp_clients.back()->StartPeriodic();
+    }
+  }
+
+  CLOUDDB_RETURN_IF_ERROR(d.Load(config.data_scale, seeder.NextU64()));
+
+  // Heartbeat probe.
+  repl::HeartbeatPlugin heartbeat(&d.sim, d.cluster.master(), config.heartbeat);
+  CLOUDDB_RETURN_IF_ERROR(heartbeat.CreateTable());
+  heartbeat.Start();
+
+  // Idle window: heartbeats with no workload.
+  d.sim.RunUntil(d.sim.Now() + config.idle_window);
+  int64_t idle_max_id = heartbeat.next_id() - 1;
 
   cloudstone::OperationGenerator generator(
-      config.mix, config.costs, &state,
-      [bench_instance] { return bench_instance->LocalNowMicros(); });
+      config.mix, config.costs, &d.state,
+      [app = d.app] { return app->LocalNowMicros(); });
   cloudstone::BenchmarkOptions bench_options = config.benchmark;
   bench_options.num_users = config.num_users;
   bench_options.seed = seeder.NextU64();
-  cloudstone::BenchmarkDriver driver(&sim, &proxy, &cluster, &generator,
+  cloudstone::BenchmarkDriver driver(&d.sim, &d.proxy, &d.cluster, &generator,
                                      bench_options);
   driver.Start();
 
   // Record which heartbeat ids fall inside the steady window.
   int64_t loaded_min_id = 0;
   int64_t loaded_max_id = 0;
-  sim.ScheduleAt(driver.steady_start(),
-                 [&] { loaded_min_id = heartbeat.next_id(); });
-  sim.ScheduleAt(driver.steady_end(),
-                 [&] { loaded_max_id = heartbeat.next_id() - 1; });
+  d.sim.ScheduleAt(driver.steady_start(),
+                   [&] { loaded_min_id = heartbeat.next_id(); });
+  d.sim.ScheduleAt(driver.steady_end(),
+                   [&] { loaded_max_id = heartbeat.next_id() - 1; });
 
-  sim.RunUntil(driver.end_time());
+  d.sim.RunUntil(driver.end_time());
   heartbeat.Stop();
   for (auto& ntp : ntp_clients) ntp->Stop();
   // Drain: outstanding operations complete and relay logs apply fully.
-  sim.Run();
+  d.sim.Run();
 
   ExperimentResult result;
   result.benchmark = driver.Report();
   result.heartbeats_issued = heartbeat.next_id() - 1;
-  result.binlog_events = cluster.master()->database().binlog().size();
-  result.fully_replicated = cluster.FullyReplicated();
-  result.converged = cluster.Converged();
+  result.binlog_events = d.cluster.master()->database().binlog().size();
+  result.fully_replicated = d.cluster.FullyReplicated();
+  result.converged = d.cluster.Converged();
 
-  db::Database& master_db = cluster.master()->database();
+  db::Database& master_db = d.cluster.master()->database();
   double sum_relative = 0.0;
-  for (int i = 0; i < cluster.num_slaves(); ++i) {
-    db::Database& slave_db = cluster.slave(i)->database();
+  for (int i = 0; i < d.cluster.num_slaves(); ++i) {
+    db::Database& slave_db = d.cluster.slave(i)->database();
     std::vector<double> idle = repl::HeartbeatDelaysMs(
         master_db, slave_db, 1, idle_max_id, config.heartbeat.table);
     std::vector<double> loaded =
@@ -164,9 +138,9 @@ Result<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
     result.relative_delay_ms.push_back(relative);
     sum_relative += relative;
   }
-  if (cluster.num_slaves() > 0) {
+  if (d.cluster.num_slaves() > 0) {
     result.mean_relative_delay_ms =
-        sum_relative / static_cast<double>(cluster.num_slaves());
+        sum_relative / static_cast<double>(d.cluster.num_slaves());
   }
   return result;
 }

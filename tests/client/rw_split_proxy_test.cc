@@ -4,11 +4,10 @@
 
 #include "cloud/cloud_provider.h"
 #include "repl/replication_cluster.h"
-#include "cloud/instance.h"
-#include "cloud/placement.h"
 #include "common/result.h"
 #include "common/time_types.h"
 #include "db/database.h"
+#include "harness/deployment.h"
 #include "repl/slave_node.h"
 #include "sim/simulation.h"
 
@@ -25,90 +24,78 @@ class RwSplitProxyTest : public ::testing::Test {
   }
 
   void MakeDeployment(int slaves, BalancePolicy policy) {
-    provider_ = std::make_unique<cloud::CloudProvider>(&sim_, options_, 1);
     repl::ClusterConfig config;
     config.num_slaves = slaves;
-    cluster_ = std::make_unique<repl::ReplicationCluster>(provider_.get(),
-                                                          config);
-    app_ = provider_->Launch("app", cloud::InstanceType::kLarge,
-                             cloud::MasterPlacement());
     ProxyOptions proxy_options;
     proxy_options.policy = policy;
-    std::vector<repl::SlaveNode*> slave_ptrs;
-    for (int i = 0; i < slaves; ++i) slave_ptrs.push_back(cluster_->slave(i));
-    proxy_ = std::make_unique<ReadWriteSplitProxy>(
-        &sim_, &provider_->network(), app_->node_id(), cluster_->master(),
-        slave_ptrs, proxy_options);
+    d_ = std::make_unique<harness::Deployment>(options_, 1, config,
+                                               proxy_options);
     ASSERT_TRUE(
-        cluster_->ExecuteEverywhereDirect("CREATE TABLE t (a INT)").ok());
+        d_->cluster.ExecuteEverywhereDirect("CREATE TABLE t (a INT)").ok());
   }
 
-  sim::Simulation sim_;
   cloud::CloudOptions options_;
-  std::unique_ptr<cloud::CloudProvider> provider_;
-  std::unique_ptr<repl::ReplicationCluster> cluster_;
-  cloud::Instance* app_ = nullptr;
-  std::unique_ptr<ReadWriteSplitProxy> proxy_;
+  std::unique_ptr<harness::Deployment> d_;
 };
 
 TEST_F(RwSplitProxyTest, WritesGoToMaster) {
   MakeDeployment(2, BalancePolicy::kRoundRobin);
   for (int i = 0; i < 5; ++i) {
-    proxy_->Execute("INSERT INTO t VALUES (1)", /*is_read=*/false, Millis(5),
-                    [](Result<db::ExecResult> r) { ASSERT_TRUE(r.ok()); });
+    d_->proxy.Execute("INSERT INTO t VALUES (1)", /*is_read=*/false, Millis(5),
+                      [](Result<db::ExecResult> r) { ASSERT_TRUE(r.ok()); });
   }
-  sim_.Run();
-  EXPECT_EQ(proxy_->writes_routed(), 5);
-  EXPECT_EQ(proxy_->total_reads_routed(), 0);
-  EXPECT_EQ(cluster_->master()->queries_completed(), 5 + 0);
+  d_->sim.Run();
+  EXPECT_EQ(d_->proxy.writes_routed(), 5);
+  EXPECT_EQ(d_->proxy.total_reads_routed(), 0);
+  EXPECT_EQ(d_->cluster.master()->queries_completed(), 5 + 0);
 }
 
 TEST_F(RwSplitProxyTest, RoundRobinSpreadsReadsEvenly) {
   MakeDeployment(3, BalancePolicy::kRoundRobin);
   for (int i = 0; i < 9; ++i) {
-    proxy_->Execute("SELECT COUNT(*) FROM t", /*is_read=*/true, Millis(5),
-                    [](Result<db::ExecResult> r) { ASSERT_TRUE(r.ok()); });
+    d_->proxy.Execute("SELECT COUNT(*) FROM t", /*is_read=*/true, Millis(5),
+                      [](Result<db::ExecResult> r) { ASSERT_TRUE(r.ok()); });
   }
-  sim_.Run();
-  EXPECT_EQ(proxy_->reads_routed(0), 3);
-  EXPECT_EQ(proxy_->reads_routed(1), 3);
-  EXPECT_EQ(proxy_->reads_routed(2), 3);
-  EXPECT_EQ(proxy_->writes_routed(), 0);
+  d_->sim.Run();
+  EXPECT_EQ(d_->proxy.reads_routed(0), 3);
+  EXPECT_EQ(d_->proxy.reads_routed(1), 3);
+  EXPECT_EQ(d_->proxy.reads_routed(2), 3);
+  EXPECT_EQ(d_->proxy.writes_routed(), 0);
 }
 
 TEST_F(RwSplitProxyTest, NoSlavesSendsReadsToMaster) {
   MakeDeployment(0, BalancePolicy::kRoundRobin);
   int done = 0;
-  proxy_->Execute("SELECT COUNT(*) FROM t", /*is_read=*/true, Millis(5),
-                  [&](Result<db::ExecResult> r) {
-                    ASSERT_TRUE(r.ok());
-                    ++done;
-                  });
-  sim_.Run();
+  d_->proxy.Execute("SELECT COUNT(*) FROM t", /*is_read=*/true, Millis(5),
+                    [&](Result<db::ExecResult> r) {
+                      ASSERT_TRUE(r.ok());
+                      ++done;
+                    });
+  d_->sim.Run();
   EXPECT_EQ(done, 1);
-  EXPECT_EQ(cluster_->master()->queries_completed(), 1);
+  EXPECT_EQ(d_->cluster.master()->queries_completed(), 1);
 }
 
 TEST_F(RwSplitProxyTest, LeastOutstandingAvoidsBusySlave) {
   MakeDeployment(2, BalancePolicy::kLeastOutstanding);
   // The first read goes to slave 0 (tie broken by index) and gets stuck
   // behind a 100-second CPU job, staying "outstanding" for the whole test.
-  cluster_->slave(0)->instance().cpu().Submit(Seconds(100), [] {});
-  proxy_->Execute("SELECT COUNT(*) FROM t", true, Millis(1),
-                  [](Result<db::ExecResult>) {});
+  d_->cluster.slave(0)->instance().cpu().Submit(Seconds(100), [] {});
+  d_->proxy.Execute("SELECT COUNT(*) FROM t", true, Millis(1),
+                    [](Result<db::ExecResult>) {});
   // Subsequent reads are issued one at a time, each after the previous one
   // completes; slave 0 always has 1 outstanding, so all go to slave 1.
   std::function<void(int)> chain = [&](int remaining) {
     if (remaining == 0) return;
-    proxy_->Execute("SELECT COUNT(*) FROM t", true, Millis(1),
-                    [&, remaining](Result<db::ExecResult>) {
-                      chain(remaining - 1);
-                    });
+    d_->proxy.Execute("SELECT COUNT(*) FROM t", true, Millis(1),
+                      [&, remaining](Result<db::ExecResult>) {
+                        chain(remaining - 1);
+                      });
   };
   chain(5);
-  sim_.Run();
-  EXPECT_EQ(proxy_->reads_routed(0), 1);
-  EXPECT_EQ(proxy_->reads_routed(1), 5);
+  d_->sim.Run();
+  EXPECT_EQ(d_->proxy.reads_routed(0), 1);
+  EXPECT_EQ(d_->proxy.reads_routed(1), 5);
 }
 
 TEST_F(RwSplitProxyTest, LatencyWeightedPrefersFastSlave) {
@@ -118,31 +105,31 @@ TEST_F(RwSplitProxyTest, LatencyWeightedPrefersFastSlave) {
   int completed = 0;
   std::function<void(int)> issue = [&](int remaining) {
     if (remaining == 0) return;
-    proxy_->Execute("SELECT COUNT(*) FROM t", true, Millis(5),
-                    [&, remaining](Result<db::ExecResult>) {
-                      ++completed;
-                      issue(remaining - 1);
-                    });
+    d_->proxy.Execute("SELECT COUNT(*) FROM t", true, Millis(5),
+                      [&, remaining](Result<db::ExecResult>) {
+                        ++completed;
+                        issue(remaining - 1);
+                      });
   };
   // Make slave 0 very slow by keeping its CPU busy the whole time.
-  cluster_->slave(0)->instance().cpu().Submit(Seconds(100), [] {});
+  d_->cluster.slave(0)->instance().cpu().Submit(Seconds(100), [] {});
   issue(20);
-  sim_.Run();
+  d_->sim.Run();
   EXPECT_EQ(completed, 20);
   // After the first probe of each slave, everything goes to slave 1.
-  EXPECT_LE(proxy_->reads_routed(0), 2);
-  EXPECT_GE(proxy_->reads_routed(1), 18);
+  EXPECT_LE(d_->proxy.reads_routed(0), 2);
+  EXPECT_GE(d_->proxy.reads_routed(1), 18);
 }
 
 TEST_F(RwSplitProxyTest, ExecuteAutoClassifiesStatements) {
   MakeDeployment(1, BalancePolicy::kRoundRobin);
-  proxy_->ExecuteAuto("INSERT INTO t VALUES (2)", Millis(5),
-                      [](Result<db::ExecResult> r) { ASSERT_TRUE(r.ok()); });
-  proxy_->ExecuteAuto("SELECT COUNT(*) FROM t", Millis(5),
-                      [](Result<db::ExecResult> r) { ASSERT_TRUE(r.ok()); });
-  sim_.Run();
-  EXPECT_EQ(proxy_->writes_routed(), 1);
-  EXPECT_EQ(proxy_->total_reads_routed(), 1);
+  d_->proxy.ExecuteAuto("INSERT INTO t VALUES (2)", Millis(5),
+                        [](Result<db::ExecResult> r) { ASSERT_TRUE(r.ok()); });
+  d_->proxy.ExecuteAuto("SELECT COUNT(*) FROM t", Millis(5),
+                        [](Result<db::ExecResult> r) { ASSERT_TRUE(r.ok()); });
+  d_->sim.Run();
+  EXPECT_EQ(d_->proxy.writes_routed(), 1);
+  EXPECT_EQ(d_->proxy.total_reads_routed(), 1);
 }
 
 TEST_F(RwSplitProxyTest, ReadYourWritesCanBeStale) {
@@ -150,23 +137,23 @@ TEST_F(RwSplitProxyTest, ReadYourWritesCanBeStale) {
   // immediately after a write completes may not see it on the slave.
   MakeDeployment(1, BalancePolicy::kRoundRobin);
   int64_t read_count = -1;
-  proxy_->Execute(
+  d_->proxy.Execute(
       "INSERT INTO t VALUES (42)", false, Millis(5),
       [&](Result<db::ExecResult> r) {
         ASSERT_TRUE(r.ok());
-        proxy_->Execute("SELECT COUNT(*) FROM t", true, Millis(5),
-                        [&](Result<db::ExecResult> rr) {
-                          ASSERT_TRUE(rr.ok());
-                          read_count = rr->rows[0][0].AsInt64();
-                        });
+        d_->proxy.Execute("SELECT COUNT(*) FROM t", true, Millis(5),
+                          [&](Result<db::ExecResult> rr) {
+                            ASSERT_TRUE(rr.ok());
+                            read_count = rr->rows[0][0].AsInt64();
+                          });
       });
-  sim_.Run();
+  d_->sim.Run();
   // With same-zone latencies the slave applies the event (~20ms after
   // commit) before the read arrives (~32ms later: round trip to the app and
   // back), so this read *does* see the write. The invariant that always
   // holds is eventual consistency:
   EXPECT_GE(read_count, 0);
-  EXPECT_TRUE(cluster_->Converged());
+  EXPECT_TRUE(d_->cluster.Converged());
 }
 
 TEST_F(RwSplitProxyTest, PolicyNamesRender) {

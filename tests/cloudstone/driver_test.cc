@@ -5,11 +5,10 @@
 #include "cloud/cloud_provider.h"
 #include "cloudstone/schema.h"
 #include "client/rw_split_proxy.h"
-#include "cloud/instance.h"
-#include "cloud/placement.h"
 #include "cloudstone/operations.h"
 #include "common/stats.h"
 #include "common/time_types.h"
+#include "harness/deployment.h"
 #include "repl/replication_cluster.h"
 #include "repl/slave_node.h"
 #include "sim/simulation.h"
@@ -27,37 +26,18 @@ class DriverTest : public ::testing::Test {
   }
 
   void Deploy(int slaves) {
-    provider_ = std::make_unique<cloud::CloudProvider>(&sim_, cloud_options_, 1);
     repl::ClusterConfig cluster_config;
     cluster_config.num_slaves = slaves;
     cluster_config.cost_model = MakeWorkloadCostModel(OperationCosts{});
-    cluster_ = std::make_unique<repl::ReplicationCluster>(provider_.get(),
-                                                          cluster_config);
-    app_ = provider_->Launch("app", cloud::InstanceType::kLarge,
-                             cloud::MasterPlacement());
-    ASSERT_TRUE(LoadInitialData(
-                    [&](const std::string& sql) {
-                      return cluster_->ExecuteEverywhereDirect(sql);
-                    },
-                    30, 2, &state_)
-                    .ok());
-    client::ProxyOptions proxy_options;
-    std::vector<repl::SlaveNode*> slave_ptrs;
-    for (int i = 0; i < slaves; ++i) slave_ptrs.push_back(cluster_->slave(i));
-    proxy_ = std::make_unique<client::ReadWriteSplitProxy>(
-        &sim_, &provider_->network(), app_->node_id(), cluster_->master(),
-        slave_ptrs, proxy_options);
+    d_ = std::make_unique<harness::Deployment>(
+        cloud_options_, 1, cluster_config, client::ProxyOptions{});
+    ASSERT_TRUE(d_->Load(30, 2).ok());
     generator_ = std::make_unique<OperationGenerator>(
-        WorkloadMix::FiftyFifty(), OperationCosts{}, &state_);
+        WorkloadMix::FiftyFifty(), OperationCosts{}, &d_->state);
   }
 
-  sim::Simulation sim_;
   cloud::CloudOptions cloud_options_;
-  std::unique_ptr<cloud::CloudProvider> provider_;
-  std::unique_ptr<repl::ReplicationCluster> cluster_;
-  cloud::Instance* app_ = nullptr;
-  WorkloadState state_;
-  std::unique_ptr<client::ReadWriteSplitProxy> proxy_;
+  std::unique_ptr<harness::Deployment> d_;
   std::unique_ptr<OperationGenerator> generator_;
 };
 
@@ -68,7 +48,7 @@ TEST_F(DriverTest, PhasesAreLaidOutSequentially) {
   options.ramp_up = Minutes(2);
   options.steady = Minutes(3);
   options.ramp_down = Minutes(1);
-  BenchmarkDriver driver(&sim_, proxy_.get(), cluster_.get(), generator_.get(),
+  BenchmarkDriver driver(&d_->sim, &d_->proxy, &d_->cluster, generator_.get(),
                          options);
   driver.Start();
   EXPECT_EQ(driver.steady_start(), Minutes(2));
@@ -85,11 +65,11 @@ TEST_F(DriverTest, RunProducesThroughputAndResponseStats) {
   options.ramp_down = Seconds(30);
   options.think_time_mean = Seconds(5);
   options.seed = 3;
-  BenchmarkDriver driver(&sim_, proxy_.get(), cluster_.get(), generator_.get(),
+  BenchmarkDriver driver(&d_->sim, &d_->proxy, &d_->cluster, generator_.get(),
                          options);
   driver.Start();
-  sim_.RunUntil(driver.end_time());
-  sim_.Run();  // drain
+  d_->sim.RunUntil(driver.end_time());
+  d_->sim.Run();  // drain
 
   BenchmarkReport report = driver.Report();
   // Closed loop, 20 users, ~5s cycles: roughly 4 ops/s, certainly 2..6.
@@ -112,46 +92,31 @@ TEST_F(DriverTest, RunProducesThroughputAndResponseStats) {
     EXPECT_LT(u, 1.01);
   }
   // Replication stayed healthy and converged after drain.
-  EXPECT_TRUE(cluster_->FullyReplicated());
-  EXPECT_TRUE(cluster_->Converged());
+  EXPECT_TRUE(d_->cluster.FullyReplicated());
+  EXPECT_TRUE(d_->cluster.Converged());
 }
 
 /// Builds a fresh deployment and runs a short benchmark; returns steady
 /// throughput. Everything is seeded, so two calls must agree exactly.
 double RunSeededBenchmark(uint64_t seed) {
-  sim::Simulation sim;
-  cloud::CloudOptions cloud_options;  // jitter/variance on: still seeded
-  auto provider = std::make_unique<cloud::CloudProvider>(&sim, cloud_options,
-                                                         seed);
   repl::ClusterConfig cluster_config;
-  cluster_config.num_slaves = 1;
   cluster_config.cost_model = MakeWorkloadCostModel(OperationCosts{});
-  repl::ReplicationCluster cluster(provider.get(), cluster_config);
-  cloud::Instance* app = provider->Launch("app", cloud::InstanceType::kLarge,
-                                          cloud::MasterPlacement());
-  WorkloadState state;
-  EXPECT_TRUE(LoadInitialData(
-                  [&](const std::string& sql) {
-                    return cluster.ExecuteEverywhereDirect(sql);
-                  },
-                  30, seed, &state)
-                  .ok());
-  client::ProxyOptions proxy_options;
-  client::ReadWriteSplitProxy proxy(&sim, &provider->network(),
-                                    app->node_id(), cluster.master(),
-                                    {cluster.slave(0)}, proxy_options);
+  // Jitter and variance on: still seeded.
+  harness::Deployment d(cloud::CloudOptions{}, seed, cluster_config,
+                        client::ProxyOptions{});
+  EXPECT_TRUE(d.Load(30, seed).ok());
   OperationGenerator generator(WorkloadMix::FiftyFifty(), OperationCosts{},
-                               &state);
+                               &d.state);
   BenchmarkOptions options;
   options.num_users = 10;
   options.ramp_up = Seconds(30);
   options.steady = Minutes(2);
   options.ramp_down = Seconds(10);
   options.seed = seed;
-  BenchmarkDriver driver(&sim, &proxy, &cluster, &generator, options);
+  BenchmarkDriver driver(&d.sim, &d.proxy, &d.cluster, &generator, options);
   driver.Start();
-  sim.RunUntil(driver.end_time());
-  sim.Run();
+  d.sim.RunUntil(driver.end_time());
+  d.sim.Run();
   return driver.Report().throughput_ops;
 }
 
@@ -170,13 +135,13 @@ TEST_F(DriverTest, UsersStopAtEndTime) {
   options.steady = Seconds(60);
   options.ramp_down = Seconds(10);
   options.think_time_mean = Seconds(2);
-  BenchmarkDriver driver(&sim_, proxy_.get(), cluster_.get(), generator_.get(),
+  BenchmarkDriver driver(&d_->sim, &d_->proxy, &d_->cluster, generator_.get(),
                          options);
   driver.Start();
-  sim_.RunUntil(driver.end_time());
-  sim_.Run();
+  d_->sim.RunUntil(driver.end_time());
+  d_->sim.Run();
   // The simulation drains fully: no runaway event sources.
-  EXPECT_EQ(sim_.pending_events(), 0u);
+  EXPECT_EQ(d_->sim.pending_events(), 0u);
   // No operation completed after a grace window past end_time.
   for (const OpRecord& r : driver.metrics().records()) {
     EXPECT_LT(r.completed_at, driver.end_time() + Minutes(2));

@@ -10,11 +10,10 @@
 #include <vector>
 
 #include "cloud/cloud_provider.h"
-#include "cloud/instance.h"
-#include "cloud/placement.h"
 #include "common/result.h"
 #include "common/time_types.h"
 #include "db/database.h"
+#include "harness/deployment.h"
 #include "repl/replication_cluster.h"
 #include "repl/slave_node.h"
 #include "sim/simulation.h"
@@ -33,48 +32,36 @@ class FreshnessRoutingTest : public ::testing::Test {
   }
 
   void MakeDeployment(int slaves) {
-    provider_ = std::make_unique<cloud::CloudProvider>(&sim_, options_, 1);
     repl::ClusterConfig config;
     config.num_slaves = slaves;
-    cluster_ =
-        std::make_unique<repl::ReplicationCluster>(provider_.get(), config);
-    app_ = provider_->Launch("app", cloud::InstanceType::kLarge,
-                             cloud::MasterPlacement());
     ProxyOptions proxy_options;
     proxy_options.policy = BalancePolicy::kFreshnessAware;
-    std::vector<repl::SlaveNode*> slave_ptrs;
-    for (int i = 0; i < slaves; ++i) slave_ptrs.push_back(cluster_->slave(i));
-    proxy_ = std::make_unique<ReadWriteSplitProxy>(
-        &sim_, &provider_->network(), app_->node_id(), cluster_->master(),
-        slave_ptrs, proxy_options);
+    d_ = std::make_unique<harness::Deployment>(options_, 1, config,
+                                               proxy_options);
     staleness_ms_.assign(static_cast<size_t>(slaves), -1.0);
-    proxy_->SetStalenessProbe([this](int i) {
+    d_->proxy.SetStalenessProbe([this](int i) {
       return staleness_ms_[static_cast<size_t>(i)];
     });
     ASSERT_TRUE(
-        cluster_->ExecuteEverywhereDirect("CREATE TABLE t (a INT)").ok());
+        d_->cluster.ExecuteEverywhereDirect("CREATE TABLE t (a INT)").ok());
   }
 
   int64_t Metric(const char* name) const {
-    const metrics::Counter* c = proxy_->metrics().FindCounter(name);
+    const metrics::Counter* c = d_->proxy.metrics().FindCounter(name);
     return c == nullptr ? -1 : c->value();
   }
 
   void BoundedRead(SimDuration bound, int* ok_count) {
     ReadOptions read_options;
     read_options.max_staleness = bound;
-    proxy_->Execute("SELECT COUNT(*) FROM t", /*is_read=*/true, Millis(1),
-                    read_options, [ok_count](Result<db::ExecResult> r) {
-                      *ok_count += r.ok();
-                    });
+    d_->proxy.Execute("SELECT COUNT(*) FROM t", /*is_read=*/true, Millis(1),
+                      read_options, [ok_count](Result<db::ExecResult> r) {
+                        *ok_count += r.ok();
+                      });
   }
 
-  sim::Simulation sim_;
   cloud::CloudOptions options_;
-  std::unique_ptr<cloud::CloudProvider> provider_;
-  std::unique_ptr<repl::ReplicationCluster> cluster_;
-  cloud::Instance* app_ = nullptr;
-  std::unique_ptr<ReadWriteSplitProxy> proxy_;
+  std::unique_ptr<harness::Deployment> d_;
   std::vector<double> staleness_ms_;
 };
 
@@ -83,9 +70,9 @@ TEST_F(FreshnessRoutingTest, InBoundSlaveServesBoundedReads) {
   staleness_ms_ = {40.0, 40.0};
   int ok = 0;
   for (int i = 0; i < 6; ++i) BoundedRead(Millis(100), &ok);
-  sim_.Run();
+  d_->sim.Run();
   EXPECT_EQ(ok, 6);
-  EXPECT_EQ(proxy_->reads_routed(0) + proxy_->reads_routed(1), 6);
+  EXPECT_EQ(d_->proxy.reads_routed(0) + d_->proxy.reads_routed(1), 6);
   EXPECT_EQ(Metric("proxy.reads.bounded"), 6);
   EXPECT_EQ(Metric("proxy.reads.bounded_to_slave"), 6);
   EXPECT_EQ(Metric("proxy.reads.master_fallback"), 0);
@@ -96,10 +83,10 @@ TEST_F(FreshnessRoutingTest, AllSlavesOverBoundFallsBackToMaster) {
   staleness_ms_ = {900.0, 1500.0};
   int ok = 0;
   for (int i = 0; i < 4; ++i) BoundedRead(Millis(100), &ok);
-  sim_.Run();
+  d_->sim.Run();
   EXPECT_EQ(ok, 4);
-  EXPECT_EQ(proxy_->total_reads_routed(), 0);
-  EXPECT_EQ(cluster_->master()->queries_completed(), 4);
+  EXPECT_EQ(d_->proxy.total_reads_routed(), 0);
+  EXPECT_EQ(d_->cluster.master()->queries_completed(), 4);
   EXPECT_EQ(Metric("proxy.reads.master_fallback"), 4);
   EXPECT_EQ(Metric("proxy.reads.bounded_to_slave"), 0);
 }
@@ -109,10 +96,10 @@ TEST_F(FreshnessRoutingTest, OnlyInBoundSlavesAreEligible) {
   staleness_ms_ = {2000.0, 10.0};  // slave 0 lagging badly, slave 1 fresh
   int ok = 0;
   for (int i = 0; i < 6; ++i) BoundedRead(Millis(100), &ok);
-  sim_.Run();
+  d_->sim.Run();
   EXPECT_EQ(ok, 6);
-  EXPECT_EQ(proxy_->reads_routed(0), 0);
-  EXPECT_EQ(proxy_->reads_routed(1), 6);
+  EXPECT_EQ(d_->proxy.reads_routed(0), 0);
+  EXPECT_EQ(d_->proxy.reads_routed(1), 6);
 }
 
 TEST_F(FreshnessRoutingTest, BoundZeroAlwaysGoesToMaster) {
@@ -120,10 +107,10 @@ TEST_F(FreshnessRoutingTest, BoundZeroAlwaysGoesToMaster) {
   staleness_ms_ = {0.0, 0.0};  // even "zero observed staleness" is not exact
   int ok = 0;
   for (int i = 0; i < 3; ++i) BoundedRead(SimDuration{0}, &ok);
-  sim_.Run();
+  d_->sim.Run();
   EXPECT_EQ(ok, 3);
-  EXPECT_EQ(proxy_->total_reads_routed(), 0);
-  EXPECT_EQ(cluster_->master()->queries_completed(), 3);
+  EXPECT_EQ(d_->proxy.total_reads_routed(), 0);
+  EXPECT_EQ(d_->cluster.master()->queries_completed(), 3);
 }
 
 TEST_F(FreshnessRoutingTest, UnknownStalenessCountsAsOverBound) {
@@ -131,9 +118,9 @@ TEST_F(FreshnessRoutingTest, UnknownStalenessCountsAsOverBound) {
   staleness_ms_ = {-1.0};  // probe has no data yet
   int ok = 0;
   BoundedRead(Millis(100), &ok);
-  sim_.Run();
+  d_->sim.Run();
   EXPECT_EQ(ok, 1);
-  EXPECT_EQ(proxy_->total_reads_routed(), 0);
+  EXPECT_EQ(d_->proxy.total_reads_routed(), 0);
   EXPECT_EQ(Metric("proxy.reads.master_fallback"), 1);
 }
 
@@ -142,23 +129,23 @@ TEST_F(FreshnessRoutingTest, UnboundedReadsIgnoreStaleness) {
   staleness_ms_ = {5000.0, 5000.0};  // hopelessly stale — and irrelevant
   int ok = 0;
   for (int i = 0; i < 4; ++i) BoundedRead(kNoStalenessBound, &ok);
-  sim_.Run();
+  d_->sim.Run();
   EXPECT_EQ(ok, 4);
-  EXPECT_EQ(proxy_->total_reads_routed(), 4);
+  EXPECT_EQ(d_->proxy.total_reads_routed(), 4);
 }
 
 TEST_F(FreshnessRoutingTest, SlavePartitionedMidQueryRetriesOnMaster) {
   MakeDeployment(1);
-  staleness_ms_ = {10.0};                 // probe says fresh...
-  cluster_->slave(0)->set_online(false);  // ...but the node is unreachable
+  staleness_ms_ = {10.0};                   // probe says fresh...
+  d_->cluster.slave(0)->set_online(false);  // ...but the node is unreachable
   int ok = 0;
   BoundedRead(Millis(100), &ok);
-  sim_.Run();
+  d_->sim.Run();
   // The bounded read was routed to the slave, failed Unavailable, and was
   // transparently retried on the master — the caller sees one success.
   EXPECT_EQ(ok, 1);
-  EXPECT_EQ(proxy_->reads_routed(0), 1);
-  EXPECT_EQ(cluster_->master()->queries_completed(), 1);
+  EXPECT_EQ(d_->proxy.reads_routed(0), 1);
+  EXPECT_EQ(d_->cluster.master()->queries_completed(), 1);
   EXPECT_EQ(Metric("proxy.reads.retries"), 1);
 }
 
@@ -170,7 +157,7 @@ TEST_F(FreshnessRoutingTest, SlaViolationIsCountedAtCompletion) {
   // While the read is in flight the replica falls behind; the completion-time
   // re-probe must count the violation.
   staleness_ms_ = {400.0};
-  sim_.Run();
+  d_->sim.Run();
   EXPECT_EQ(ok, 1);
   EXPECT_EQ(Metric("proxy.sla.checked"), 1);
   EXPECT_EQ(Metric("proxy.sla.violations"), 1);
@@ -179,17 +166,17 @@ TEST_F(FreshnessRoutingTest, SlaViolationIsCountedAtCompletion) {
 TEST_F(FreshnessRoutingTest, ReactivatedSlaveRejoinsBoundedRotation) {
   MakeDeployment(2);
   staleness_ms_ = {5.0, 5.0};
-  proxy_->DeactivateSlave(0);
+  d_->proxy.DeactivateSlave(0);
   int ok = 0;
   for (int i = 0; i < 4; ++i) BoundedRead(Millis(100), &ok);
-  sim_.Run();
-  EXPECT_EQ(proxy_->reads_routed(0), 0);
-  EXPECT_EQ(proxy_->reads_routed(1), 4);
-  proxy_->ReactivateSlave(0);
+  d_->sim.Run();
+  EXPECT_EQ(d_->proxy.reads_routed(0), 0);
+  EXPECT_EQ(d_->proxy.reads_routed(1), 4);
+  d_->proxy.ReactivateSlave(0);
   for (int i = 0; i < 4; ++i) BoundedRead(Millis(100), &ok);
-  sim_.Run();
+  d_->sim.Run();
   EXPECT_EQ(ok, 8);
-  EXPECT_GT(proxy_->reads_routed(0), 0);
+  EXPECT_GT(d_->proxy.reads_routed(0), 0);
 }
 
 }  // namespace

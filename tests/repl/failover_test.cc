@@ -195,15 +195,8 @@ TEST_F(FailoverTest, ProxyRepointsAfterFailover) {
   client::ReadWriteSplitProxy proxy(
       &sim_, &provider_->network(), app->node_id(), cluster_->master(),
       {cluster_->slave(0), cluster_->slave(1)}, client::ProxyOptions{});
-  manager_->SetFailoverListener([&](MasterNode* new_master) {
-    proxy.ReplaceMaster(new_master);
-    // The promoted node left the read rotation.
-    for (int i = 0; i < 2; ++i) {
-      if (cluster_->slave(i) == manager_->promoted_slave()) {
-        proxy.DeactivateSlave(i);
-      }
-    }
-  });
+  manager_->SetFailoverListener(
+      [&](MasterNode* new_master) { proxy.ReplaceMaster(new_master); });
   manager_->Start();
   sim_.RunUntil(Seconds(2));
   cluster_->master()->set_online(false);
@@ -223,6 +216,10 @@ TEST_F(FailoverTest, ProxyRepointsAfterFailover) {
   manager_->Stop();
   sim_.Run();
   EXPECT_EQ(ok_count, 2);
+  // The promoted node left the read rotation; the survivor serves reads.
+  int promoted = manager_->promoted_slave() == cluster_->slave(0) ? 0 : 1;
+  EXPECT_FALSE(proxy.IsSlaveActive(promoted));
+  EXPECT_TRUE(proxy.IsSlaveActive(1 - promoted));
 }
 
 TEST_F(FailoverTest, CountsLostWritesWhenLaggingSlaveIsPromoted) {

@@ -269,6 +269,18 @@ TEST_F(ReplicationTest, AddedSlaveIsATrueCopyOfTheMaster) {
   std::string err;
   EXPECT_TRUE(copy.ValidateAllIndexes(&err)) << err;
   EXPECT_TRUE(cluster->Converged());
+
+  // The copy joins the live stream at the master's binlog position: the
+  // next write applies on it, with no gap.
+  ASSERT_TRUE(cluster->master()
+                  ->ExecuteDirect("DELETE FROM events WHERE event_id = 2")
+                  .ok());
+  sim_.Run();
+  SlaveNode* slave = cluster->slave(*added);
+  EXPECT_GE(slave->events_applied(), 1);
+  EXPECT_EQ(slave->gap_events_detected(), 0);
+  EXPECT_TRUE(cluster->FullyReplicated());
+  EXPECT_TRUE(cluster->Converged());
 }
 
 TEST_F(ReplicationTest, RevivedSlaveCarriesTheMastersCatalog) {
