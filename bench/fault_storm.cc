@@ -31,7 +31,6 @@
 #include "common/str_util.h"
 #include "common/table_writer.h"
 #include "common/time_types.h"
-#include "db/database.h"
 #include "fault/fault_schedule.h"
 #include "harness/deployment.h"
 #include "repl/master_node.h"
@@ -63,15 +62,11 @@ StormResult RunStorm(uint64_t seed) {
       "monitor", cloud::InstanceType::kSmall, cloud::MasterPlacement());
   if (!d.Load(150, seed).ok()) return StormResult{};
 
-  std::vector<repl::SlaveNode*> slaves;
-  for (int i = 0; i < 3; ++i) {
-    slaves.push_back(d.cluster.slave(i));
-    slaves.back()->StartAutoResync();
-  }
+  for (int i = 0; i < 3; ++i) d.cluster.slave(i)->StartAutoResync();
   repl::FailoverManager manager(&d.sim, &d.provider.network(),
-                                monitor->node_id(), d.cluster.master(), slaves,
+                                monitor->node_id(), &d.cluster,
                                 repl::FailoverOptions{});
-  manager.SetFailoverListener(
+  manager.AddFailoverListener(
       [&](repl::MasterNode* new_master) { d.proxy.ReplaceMaster(new_master); });
   manager.Start();
 
@@ -115,7 +110,7 @@ StormResult RunStorm(uint64_t seed) {
   d.sim.RunUntil(horizon);
   manager.Stop();
   observer.Stop();
-  for (repl::SlaveNode* slave : slaves) slave->StopAutoResync();
+  for (int i = 0; i < 3; ++i) d.cluster.slave(i)->StopAutoResync();
   d.sim.Run();
 
   StormResult result;
@@ -124,13 +119,7 @@ StormResult RunStorm(uint64_t seed) {
   result.slave2_resync_requests = d.cluster.slave(1)->resync_requests_sent();
   result.faults_begun = injector.faults_begun();
   result.faults_healed = injector.faults_healed();
-  result.converged = true;
-  for (repl::SlaveNode* slave : manager.active_slaves()) {
-    if (!db::Database::ContentsEqual(manager.current_master()->database(),
-                                     slave->database(), {})) {
-      result.converged = false;
-    }
-  }
+  result.converged = d.cluster.Converged();
   return result;
 }
 

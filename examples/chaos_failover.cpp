@@ -50,12 +50,10 @@ int main() {
 
   // Slaves survive transient faults by re-requesting missed events with
   // bounded exponential backoff instead of silently diverging.
-  std::vector<repl::SlaveNode*> slaves = {d.cluster.slave(0),
-                                          d.cluster.slave(1)};
-  for (repl::SlaveNode* slave : slaves) slave->StartAutoResync();
+  for (int i = 0; i < 2; ++i) d.cluster.slave(i)->StartAutoResync();
 
   repl::FailoverManager manager(&d.sim, &d.provider.network(),
-                                monitor->node_id(), d.cluster.master(), slaves,
+                                monitor->node_id(), &d.cluster,
                                 repl::FailoverOptions{});
   manager.AddFailoverListener([&](repl::MasterNode* new_master) {
     std::printf("t=%-8s failover! proxy repointed at the promoted slave\n",
@@ -112,16 +110,10 @@ int main() {
   d.sim.RunUntil(horizon);
   manager.Stop();
   observer.Stop();
-  for (repl::SlaveNode* slave : slaves) slave->StopAutoResync();
+  for (int i = 0; i < 2; ++i) d.cluster.slave(i)->StopAutoResync();
   d.sim.Run();
 
-  bool converged = true;
-  for (repl::SlaveNode* slave : manager.active_slaves()) {
-    if (!db::Database::ContentsEqual(manager.current_master()->database(),
-                                     slave->database(), {})) {
-      converged = false;
-    }
-  }
+  bool converged = d.cluster.Converged();
 
   std::printf("\n-- recovery report --\n%s", observer.report().ToString().c_str());
   std::printf("writes acknowledged   %lld\n", static_cast<long long>(write_ok));

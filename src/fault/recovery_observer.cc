@@ -6,6 +6,7 @@
 #include "common/time_types.h"
 #include "repl/failover.h"
 #include "repl/master_node.h"
+#include "repl/replication_cluster.h"
 #include "repl/slave_node.h"
 #include "sim/simulation.h"
 
@@ -52,14 +53,8 @@ std::string RecoveryReport::ToString() const {
 }
 
 RecoveryObserver::RecoveryObserver(sim::Simulation* sim,
-                                   repl::FailoverManager* manager,
-                                   std::function<bool()> converged,
-                                   SimDuration poll_interval)
-    : sim_(sim),
-      manager_(manager),
-      converged_(std::move(converged)),
-      poll_interval_(poll_interval),
-      metrics_("recovery") {
+                                   repl::FailoverManager* manager)
+    : sim_(sim), manager_(manager), metrics_("recovery") {
   RegisterMetrics();
 }
 
@@ -109,7 +104,7 @@ void RecoveryObserver::Start() {
   manager_->AddFailoverListener([this](repl::MasterNode*) {
     if (report_.promoted_at < 0) report_.promoted_at = sim_->Now();
   });
-  poller_.Start(sim_, poll_interval_, [this] { Poll(); });
+  poller_.Start(sim_, kPollInterval, [this] { Poll(); });
 }
 
 void RecoveryObserver::Stop() {
@@ -126,9 +121,12 @@ void RecoveryObserver::NoteHeal() { report_.healed_at = sim_->Now(); }
 void RecoveryObserver::Poll() {
   if (!running_) return;
   polls_->Increment();
-  repl::MasterNode* master = manager_->current_master();
+  repl::ReplicationCluster* cluster = manager_->cluster();
+  repl::MasterNode* master = cluster->master();
   bool all_caught_up = true;
-  for (repl::SlaveNode* slave : manager_->active_slaves()) {
+  for (int i = 0; i < cluster->num_slaves(); ++i) {
+    if (cluster->IsSlaveRetired(i)) continue;
+    repl::SlaveNode* slave = cluster->slave(i);
     int64_t lag = master->binlog_size() - 1 - slave->applied_index();
     if (lag < 0) lag = 0;
     report_.peak_lag_events = std::max(report_.peak_lag_events, lag);
@@ -141,9 +139,8 @@ void RecoveryObserver::Poll() {
     }
   }
   report_.lost_writes = manager_->lost_writes_count();
-  if (report_.healed_at >= 0 && report_.reconverged_at < 0) {
-    bool converged = converged_ ? converged_() : all_caught_up;
-    if (converged) report_.reconverged_at = sim_->Now();
+  if (report_.healed_at >= 0 && report_.reconverged_at < 0 && all_caught_up) {
+    report_.reconverged_at = sim_->Now();
   }
 }
 

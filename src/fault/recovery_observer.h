@@ -1,7 +1,6 @@
 #ifndef CLOUDDB_FAULT_RECOVERY_OBSERVER_H_
 #define CLOUDDB_FAULT_RECOVERY_OBSERVER_H_
 
-#include <functional>
 #include <string>
 
 #include "metrics/metric_registry.h"
@@ -52,19 +51,19 @@ struct RecoveryReport {
 ///  - fault/heal instants come from NoteFault()/NoteHeal() — usually wired
 ///    to the FaultInjector's fault listener;
 ///  - lag/backlog peaks and the reconvergence instant come from a polling
-///    loop over the *current* master and its active slaves (the set changes
-///    across failovers, so the observer always asks the manager).
+///    loop, every kPollInterval, over the cluster's *current* master and
+///    its active slaves (the set changes across failovers, so the observer
+///    always asks the manager's cluster).
 ///
 /// Reconvergence means: the heal has been noted and every active slave has
-/// zero event lag and an empty relay log (override with `converged` for a
-/// stricter predicate, e.g. ReplicationCluster::Converged deep-compare).
-/// Polling is a repeating simulation event — Stop() before the final drain,
-/// like ClusterMonitor.
+/// zero event lag, an empty relay log and a running SQL thread. Polling is a
+/// repeating simulation event — Stop() before the final drain, like
+/// ClusterMonitor.
 class RecoveryObserver {
  public:
-  RecoveryObserver(sim::Simulation* sim, repl::FailoverManager* manager,
-                   std::function<bool()> converged = nullptr,
-                   SimDuration poll_interval = Millis(250));
+  static constexpr SimDuration kPollInterval = Millis(250);
+
+  RecoveryObserver(sim::Simulation* sim, repl::FailoverManager* manager);
 
   RecoveryObserver(const RecoveryObserver&) = delete;
   RecoveryObserver& operator=(const RecoveryObserver&) = delete;
@@ -97,8 +96,6 @@ class RecoveryObserver {
 
   sim::Simulation* sim_;
   repl::FailoverManager* manager_;
-  std::function<bool()> converged_;
-  SimDuration poll_interval_;
   bool running_ = false;
   RecoveryReport report_;
   metrics::MetricRegistry metrics_;

@@ -1,25 +1,23 @@
 #include "repl/failover.h"
 
-#include <algorithm>
 #include <cassert>
 
-#include "db/database.h"
 #include "net/network.h"
 #include "repl/master_node.h"
+#include "repl/replication_cluster.h"
 #include "repl/slave_node.h"
 #include "sim/simulation.h"
 
 namespace clouddb::repl {
 
 FailoverManager::FailoverManager(sim::Simulation* sim, net::Network* network,
-                                 net::NodeId monitor_node, MasterNode* master,
-                                 std::vector<SlaveNode*> slaves,
+                                 net::NodeId monitor_node,
+                                 ReplicationCluster* cluster,
                                  const FailoverOptions& options)
     : sim_(sim),
       network_(network),
       monitor_node_(monitor_node),
-      master_(master),
-      slaves_(std::move(slaves)),
+      cluster_(cluster),
       options_(options) {
   assert(options.failures_to_trip >= 1);
   probe_timeout_.Bind(sim_, [this] {
@@ -41,14 +39,12 @@ void FailoverManager::Stop() {
   next_probe_.Cancel();
 }
 
-MasterNode* FailoverManager::current_master() { return master_; }
-
 void FailoverManager::Probe() {
   if (!running_) return;
   ++probes_sent_;
   int64_t epoch = ++probe_epoch_;
   probe_answered_ = false;
-  MasterNode* target = master_;
+  MasterNode* target = cluster_->master();
   network_->Send(
       monitor_node_, target->node_id(), /*size_bytes=*/32,
       [this, target, epoch] {
@@ -84,43 +80,33 @@ void FailoverManager::OnProbeResult(bool alive) {
 
 void FailoverManager::PerformFailover() {
   // 1. Elect the most-up-to-date healthy slave.
-  SlaveNode* winner = nullptr;
-  for (SlaveNode* slave : slaves_) {
+  int winner = -1;
+  for (int i = 0; i < cluster_->num_slaves(); ++i) {
+    if (cluster_->IsSlaveRetired(i)) continue;
+    SlaveNode* slave = cluster_->slave(i);
     if (!slave->online() || slave->replication_broken()) continue;
-    if (winner == nullptr || slave->applied_index() > winner->applied_index()) {
-      winner = slave;
+    if (winner < 0 ||
+        slave->applied_index() > cluster_->slave(winner)->applied_index()) {
+      winner = i;
     }
   }
-  if (winner == nullptr) return;  // nothing to promote; keep probing
+  if (winner < 0) return;  // nothing to promote; keep probing
+  SlaveNode* promoted = cluster_->slave(winner);
 
   // Were there committed-but-unshipped writes on the dead master? (We can
   // see its binlog in the simulator; a real system only discovers this from
   // the wreckage later.)
-  if (master_->binlog_size() - 1 > winner->applied_index()) {
-    lost_writes_possible_ = true;
-    lost_writes_count_ += master_->binlog_size() - 1 - winner->applied_index();
-  }
+  int64_t unapplied =
+      cluster_->master()->binlog_size() - 1 - promoted->applied_index();
+  if (unapplied > 0) lost_writes_count_ += unapplied;
 
-  // 2. Promote: a new MasterNode on the winner's instance adopts its data.
-  promoted_slave_ = winner;
-  owned_masters_.push_back(std::make_unique<MasterNode>(
-      sim_, network_, &winner->instance(), winner->cost_model(),
-      winner->ReleaseDatabase()));
-  MasterNode* new_master = owned_masters_.back().get();
-
-  // 3. Resynchronize the other survivors and re-attach them to the new
-  //    binlog timeline.
-  std::vector<SlaveNode*> survivors;
-  for (SlaveNode* slave : slaves_) {
-    if (slave == winner || !slave->online()) continue;
-    slave->database().CopyTablesFrom(new_master->database());
-    slave->ReattachToNewTimeline(new_master);
-    new_master->AttachSlave(slave);
-    survivors.push_back(slave);
+  // 2. Promote, re-cloning the other survivors onto the new timeline (the
+  //    winner is an active slot, so the cluster accepts it).
+  if (!cluster_->PromoteSlave(winner).ok()) return;
+  promoted_slave_ = promoted;
+  for (const auto& listener : failover_listeners_) {
+    listener(cluster_->master());
   }
-  slaves_ = std::move(survivors);
-  master_ = new_master;
-  for (const auto& listener : failover_listeners_) listener(new_master);
 }
 
 }  // namespace clouddb::repl

@@ -2,11 +2,11 @@
 #define CLOUDDB_REPL_FAILOVER_H_
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "net/network.h"
 #include "repl/master_node.h"
+#include "repl/replication_cluster.h"
 #include "repl/slave_node.h"
 #include "sim/simulation.h"
 #include "common/time_types.h"
@@ -27,17 +27,16 @@ struct FailoverOptions {
 /// to enable automatic failover management and ensure high availability"
 /// (§I).
 ///
-/// The manager runs on a monitor instance, pings the master over the
-/// network, and on `failures_to_trip` consecutive probe timeouts performs a
-/// failover:
+/// The manager keeps only failover *policy*; the topology belongs to the
+/// ReplicationCluster. It runs on a monitor instance, pings the cluster's
+/// master over the network, and on `failures_to_trip` consecutive probe
+/// timeouts performs a failover:
 ///
-///  1. elect the most-up-to-date surviving slave (max applied binlog index);
-///  2. promote it: its database is adopted by a new MasterNode on the same
-///     instance, with binary logging enabled (a fresh binlog timeline);
-///  3. re-clone every other surviving slave from the promoted copy
-///     (db::Database::CopyTablesFrom; asynchronous replication can leave
-///     them behind the winner) and re-attach them;
-///  4. report the new master so the application can repoint its proxy.
+///  1. elect the most-up-to-date healthy slave (max applied binlog index)
+///     over the cluster's active slots, in index order;
+///  2. promote it through ReplicationCluster::PromoteSlave, which adopts its
+///     database into a new master and re-clones the other survivors;
+///  3. report the new master so the application can repoint its proxy.
 ///
 /// Writes that the old master committed but had not shipped are *lost* —
 /// the inherent asynchronous-replication risk the paper's §II describes
@@ -46,41 +45,31 @@ struct FailoverOptions {
 class FailoverManager {
  public:
   FailoverManager(sim::Simulation* sim, net::Network* network,
-                  net::NodeId monitor_node, MasterNode* master,
-                  std::vector<SlaveNode*> slaves,
+                  net::NodeId monitor_node, ReplicationCluster* cluster,
                   const FailoverOptions& options);
 
   /// Starts periodic health checks.
   void Start();
   void Stop();
 
-  /// The currently active master: the original one, or the promoted node
-  /// after a failover.
-  MasterNode* current_master();
-
-  bool failover_performed() const { return !owned_masters_.empty(); }
+  /// The tier under watch: its master() is the current one, its active
+  /// slots the surviving slaves.
+  ReplicationCluster* cluster() const { return cluster_; }
+  bool failover_performed() const { return promoted_slave_ != nullptr; }
   /// The slave that won the election (null before failover).
   SlaveNode* promoted_slave() const { return promoted_slave_; }
-  /// Surviving slaves attached to the current master.
-  const std::vector<SlaveNode*>& active_slaves() const { return slaves_; }
   int64_t probes_sent() const { return probes_sent_; }
   int64_t probes_failed() const { return probes_failed_; }
   /// True if the old master's binlog had events the promoted slave never
   /// applied (committed-but-unreplicated writes vanished).
-  bool lost_writes_possible() const { return lost_writes_possible_; }
+  bool lost_writes_possible() const { return lost_writes_count_ > 0; }
   /// Number of committed binlog events the election winner had not applied
   /// at promotion time, summed over failovers — the writes that vanished.
   int64_t lost_writes_count() const { return lost_writes_count_; }
 
-  /// Invoked (if set) right after a failover completes, with the new
-  /// master. Replaces all previously registered failover listeners.
-  void SetFailoverListener(std::function<void(MasterNode*)> listener) {
-    failover_listeners_.clear();
-    AddFailoverListener(std::move(listener));
-  }
-  /// Adds a failover-completion listener without disturbing the ones
-  /// already registered (the RecoveryObserver rides along with the
-  /// application's proxy-repoint listener).
+  /// Adds a listener fired right after a failover completes, with the new
+  /// master (the RecoveryObserver rides along with the application's
+  /// proxy-repoint listener).
   void AddFailoverListener(std::function<void(MasterNode*)> listener) {
     failover_listeners_.push_back(std::move(listener));
   }
@@ -99,18 +88,13 @@ class FailoverManager {
   sim::Simulation* sim_;
   net::Network* network_;
   net::NodeId monitor_node_;
-  MasterNode* master_;
-  std::vector<SlaveNode*> slaves_;
+  ReplicationCluster* cluster_;
   FailoverOptions options_;
   bool running_ = false;
   int consecutive_failures_ = 0;
   int64_t probes_sent_ = 0;
   int64_t probes_failed_ = 0;
-  bool lost_writes_possible_ = false;
   int64_t lost_writes_count_ = 0;
-  /// Masters created by promotions (kept alive for the manager's lifetime;
-  /// repeated failovers are supported).
-  std::vector<std::unique_ptr<MasterNode>> owned_masters_;
   SlaveNode* promoted_slave_ = nullptr;
   std::vector<std::function<void(MasterNode*)>> failover_listeners_;
   std::vector<std::function<void()>> detection_listeners_;

@@ -24,8 +24,9 @@ ReplicationCluster::ReplicationCluster(cloud::CloudProvider* provider,
 
   cloud::Instance* master_instance = provider->Launch(
       "master", config.master_type, config.master_placement);
-  master_ = std::make_unique<MasterNode>(sim, network, master_instance,
-                                         config.cost_model);
+  masters_.push_back(std::make_unique<MasterNode>(
+      sim, network, master_instance, config.cost_model));
+  master_ = masters_.back().get();
   master_->SetSynchronousReplication(config.synchronous_replication);
 
   for (int i = 0; i < config.num_slaves; ++i) {
@@ -60,14 +61,18 @@ Result<int> ReplicationCluster::AddSlave() {
       master_->database().statement_cache_enabled());
   slave->database().set_vectorized_exec_enabled(
       master_->database().vectorized_exec_enabled());
+  CloneMasterOnto(slave.get());
+  slaves_.push_back(std::move(slave));
+  retired_.push_back(false);
+  return num_slaves() - 1;
+}
+
+void ReplicationCluster::CloneMasterOnto(SlaveNode* slave) {
   slave->database().CopyTablesFrom(master_->database());
   // The copy covers every event already in the binlog; attaching now
   // streams everything committed from this instant on.
   slave->SeedFromSnapshot(master_->binlog_size() - 1);
-  master_->AttachSlave(slave.get());
-  slaves_.push_back(std::move(slave));
-  retired_.push_back(false);
-  return num_slaves() - 1;
+  master_->AttachSlave(slave);
 }
 
 Status ReplicationCluster::RetireSlave(int i) {
@@ -96,6 +101,34 @@ Status ReplicationCluster::ReviveSlave(int i) {
 
 bool ReplicationCluster::IsSlaveRetired(int i) const {
   return i >= 0 && i < num_slaves() && retired_[static_cast<size_t>(i)];
+}
+
+Status ReplicationCluster::PromoteSlave(int i) {
+  if (i < 0 || i >= num_slaves() || retired_[static_cast<size_t>(i)]) {
+    return Status::InvalidArgument("no such active slave");
+  }
+  SlaveNode* winner = slaves_[static_cast<size_t>(i)].get();
+  MasterNode* old_master = master_;
+  masters_.push_back(std::make_unique<MasterNode>(
+      &provider_->simulation(), &provider_->network(), &winner->instance(),
+      winner->cost_model(), winner->ReleaseDatabase()));
+  master_ = masters_.back().get();
+  master_->database().set_row_based_repl_enabled(
+      old_master->database().row_based_repl_enabled());
+  master_->SetShipOptions(old_master->ship_options());
+  master_->SetSynchronousReplication(old_master->synchronous());
+  // Neither the winner nor an offline survivor is attached to the new
+  // master, so retiring either is just the mark.
+  retired_[static_cast<size_t>(i)] = true;
+  for (size_t j = 0; j < slaves_.size(); ++j) {
+    if (retired_[j]) continue;
+    if (slaves_[j]->online()) {
+      CloneMasterOnto(slaves_[j].get());
+    } else {
+      retired_[j] = true;
+    }
+  }
+  return Status::Ok();
 }
 
 Status ReplicationCluster::ExecuteEverywhereDirect(const std::string& sql) {

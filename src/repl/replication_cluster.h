@@ -31,11 +31,15 @@ struct ClusterConfig {
 
 /// Launches instances on the given cloud and wires a master plus N slaves
 /// into a replication tier (the paper's "second layer" / "third layer").
+/// The cluster is the one owner of the topology: scale-out, scale-in and
+/// failover promotion are its actuators, so master(), FullyReplicated(),
+/// Converged() and AddSlave() hold across a promotion.
 class ReplicationCluster {
  public:
   ReplicationCluster(cloud::CloudProvider* provider, const ClusterConfig& config);
 
-  MasterNode* master() { return master_.get(); }
+  /// The current master: the original one, or the last promoted slave's.
+  MasterNode* master() { return master_; }
   SlaveNode* slave(int i) { return slaves_[static_cast<size_t>(i)].get(); }
   /// Total slaves ever launched, retired ones included — indexes are stable
   /// (they align with the proxy's backend indexes).
@@ -44,10 +48,8 @@ class ReplicationCluster {
   const ClusterConfig& config() const { return config_; }
 
   /// Elastic scale-out (the control loop's actuator): launches a fresh
-  /// instance, copies the master's current tables onto it
-  /// (db::Database::CopyTablesFrom — rows, schemas and indexes, as an
-  /// operator restores a backup before attaching a replica), and attaches it
-  /// to the binlog stream. Returns the new slave's index.
+  /// instance, clones the master onto it (CloneMasterOnto) and returns the
+  /// new slave's index.
   Result<int> AddSlave();
 
   /// Elastic scale-in: detaches slave `i` from the master's stream and marks
@@ -64,6 +66,20 @@ class ReplicationCluster {
   Status ReviveSlave(int i);
 
   bool IsSlaveRetired(int i) const;
+
+  /// Failover promotion (FailoverManager's actuator): a new MasterNode on
+  /// slave `i`'s instance adopts its database, with binary logging on a
+  /// fresh, empty timeline and the old master's replication mode (row-based
+  /// capture, ship options, synchronous acks). Slot `i` is retired; every
+  /// other active slave that is online is re-cloned from the new master
+  /// (asynchronous replication can leave it behind the winner) and attached
+  /// to the new timeline, in index order; an active slave that is offline is
+  /// retired. The old master stays alive for in-flight callbacks. Slots
+  /// already retired stay retired on the old timeline: no caller combines
+  /// failover with the elasticity controller. The promoted slot keeps no
+  /// database, so the set-up calls below (ExecuteEverywhereDirect, the
+  /// cache and engine toggles) belong before any promotion.
+  Status PromoteSlave(int i);
 
   /// Runs `sql` directly on every replica (master and slaves), bypassing CPU
   /// and replication — identical pre-loading of all copies.
@@ -97,9 +113,17 @@ class ReplicationCluster {
   bool Converged() const;
 
  private:
+  /// The one way a slave joins the stream mid-run: copies the master's
+  /// tables onto it (db::Database::CopyTablesFrom — rows, schemas and
+  /// indexes, as an operator restores a backup before attaching a replica),
+  /// seeds its binlog position at the copy point and attaches it.
+  void CloneMasterOnto(SlaveNode* slave);
+
   cloud::CloudProvider* provider_;
   ClusterConfig config_;
-  std::unique_ptr<MasterNode> master_;
+  /// Every master the tier has had, in promotion order; master_ is the last.
+  std::vector<std::unique_ptr<MasterNode>> masters_;
+  MasterNode* master_ = nullptr;
   std::vector<std::unique_ptr<SlaveNode>> slaves_;
   std::vector<bool> retired_;  // parallel to slaves_
 };

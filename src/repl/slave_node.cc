@@ -276,16 +276,15 @@ void SlaveNode::OnPowerEvent(bool up) {
   if (auto_resync_ && !broken_) RequestResync();
 }
 
-void SlaveNode::ReattachToNewTimeline(MasterNode* new_master) {
+void SlaveNode::SeedFromSnapshot(int64_t applied_index) {
   relay_log_.clear();
   batch_ack_marks_.clear();
-  applied_index_ = -1;
-  next_expected_ = 0;
+  applied_index_ = applied_index;
+  next_expected_ = applied_index + 1;
   broken_ = false;
   applying_ = false;
   ++apply_epoch_;
-  master_ = new_master;
-  // Abandon any catch-up attempt against the old timeline.
+  // Abandon any catch-up attempt against the previous stream.
   awaiting_ack_ = false;
   backoff_ = 0;
   ack_timer_.Cancel();

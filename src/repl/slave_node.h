@@ -81,13 +81,12 @@ class SlaveNode : public DbNode {
   void OnBinlogBatch(const std::vector<db::BinlogEvent>& events);
 
   /// Marks the slave as pre-loaded with the master's data through binlog
-  /// index `applied_index` (a table copy before a mid-run attachment): the
-  /// IO thread expects the next event after the copy point instead of
-  /// index 0, so the first live event is not mistaken for a gap.
-  void SeedFromSnapshot(int64_t applied_index) {
-    applied_index_ = applied_index;
-    next_expected_ = applied_index + 1;
-  }
+  /// index `applied_index` (a table copy before a mid-run attachment): drops
+  /// any relay-log remnants of an earlier stream, clears a broken SQL thread
+  /// and any pending reconnect attempt, and has the IO thread expect the
+  /// next event after the copy point, so the first live event is not
+  /// mistaken for a gap. A promotion passes -1: the new timeline is empty.
+  void SeedFromSnapshot(int64_t applied_index);
 
   /// Index of the last fully applied event (-1 if none).
   int64_t applied_index() const { return applied_index_; }
@@ -137,13 +136,6 @@ class SlaveNode : public DbNode {
   int64_t gap_events_detected() const { return gap_events_detected_; }
   SimDuration current_backoff() const { return backoff_; }
 
-  /// Rebases the slave onto a *new* master's (empty) binlog timeline after a
-  /// failover: drops any relay-log remnants of the old timeline, clears a
-  /// broken SQL thread and any pending reconnect attempt, and expects events
-  /// from index 0. The caller is responsible for having resynchronized the
-  /// data first.
-  void ReattachToNewTimeline(MasterNode* new_master);
-
  protected:
   // DbNode: crash loses the relay log and any half-applied event; restart
   // rejoins the stream via resync (when enabled).
@@ -169,7 +161,7 @@ class SlaveNode : public DbNode {
   int64_t writeset_applies_ = 0;
   int64_t fallback_applies_ = 0;
   int64_t next_expected_ = 0;
-  /// Bumped when the SQL thread's world is rebased (timeline reattach,
+  /// Bumped when the SQL thread's world is rebased (snapshot seed,
   /// power loss); an in-flight apply job from an older epoch must not touch
   /// the rebased database when its CPU callback finally fires.
   int64_t apply_epoch_ = 0;

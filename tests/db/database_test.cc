@@ -1,7 +1,10 @@
 #include "db/database.h"
+#include "common/status.h"
 #include "db/binlog.h"
 #include "db/transaction.h"
 #include "db/value.h"
+#include "db/writeset.h"
+#include "db/writeset_apply.h"
 
 #include <gtest/gtest.h>
 
@@ -27,6 +30,19 @@ class DatabaseTest : public ::testing::Test {
 
   Database db_;
 };
+
+RowOp PeopleOp(RowOp::Kind kind, Row before, Row after) {
+  RowOp op;
+  op.kind = kind;
+  op.table = "people";
+  op.before = std::move(before);
+  op.after = std::move(after);
+  return op;
+}
+
+Row Person(int64_t id, const char* name, int64_t age) {
+  return Row{Value(id), Value(name), Value(age)};
+}
 
 TEST_F(DatabaseTest, CreateInsertSelect) {
   SetUpPeople();
@@ -524,6 +540,79 @@ TEST_F(DatabaseTest, AvgOfDoubleColumn) {
   ExecResult r = Must("SELECT AVG(v), SUM(v) FROM m");
   EXPECT_DOUBLE_EQ(r.rows[0][0].AsDouble(), 2.0);
   EXPECT_DOUBLE_EQ(r.rows[0][1].AsDouble(), 4.0);
+}
+
+TEST_F(DatabaseTest, WritesetApplyRejectsUncoveredWriteset) {
+  SetUpPeople();
+  Database before;
+  before.CopyTablesFrom(db_);
+  StatementWriteset ws;  // covered = false: apply the statement text instead
+  ws.ops.push_back(PeopleOp(RowOp::Kind::kInsert, {}, Person(5, "eve", 40)));
+  auto session = db_.CreateSession();
+  Status st = ApplyStatementWriteset(&db_, session.get(), ws).status();
+  EXPECT_TRUE(st.IsFailedPrecondition()) << st.ToString();
+  EXPECT_TRUE(Database::ContentsEqual(before, db_));
+}
+
+TEST_F(DatabaseTest, WritesetApplyUnwindsOnDivergedBeforeImage) {
+  SetUpPeople();
+  Must("CREATE INDEX idx_age ON people (age)");
+  Database before;
+  before.CopyTablesFrom(db_);
+  StatementWriteset ws;
+  ws.covered = true;
+  ws.ops.push_back(PeopleOp(RowOp::Kind::kInsert, {}, Person(5, "eve", 40)));
+  ws.ops.push_back(PeopleOp(RowOp::Kind::kUpdate, Person(2, "bob", 25),
+                            Person(2, "bob", 26)));
+  ws.ops.push_back(PeopleOp(RowOp::Kind::kDelete, Person(3, "cat", 35), {}));
+  // This replica's dan is 25, not 99: the fourth op finds a diverged row.
+  ws.ops.push_back(PeopleOp(RowOp::Kind::kDelete, Person(4, "dan", 99), {}));
+  auto session = db_.CreateSession();
+  Status st = ApplyStatementWriteset(&db_, session.get(), ws).status();
+  EXPECT_TRUE(st.IsNotFound()) << st.ToString();
+  EXPECT_NE(st.ToString().find("replica diverged"), std::string::npos);
+  // The three applied ops were inverted: the statement stayed atomic.
+  EXPECT_TRUE(Database::ContentsEqual(before, db_));
+  std::string err;
+  EXPECT_TRUE(db_.ValidateAllIndexes(&err)) << err;
+  // And its locks were released.
+  auto other = db_.CreateSession();
+  EXPECT_TRUE(db_.lock_manager().AcquireWrite(other->id(), "people").ok());
+  db_.lock_manager().ReleaseAll(other->id());
+}
+
+TEST_F(DatabaseTest, WritesetApplyUnwindsOnMissingTable) {
+  SetUpPeople();
+  Database before;
+  before.CopyTablesFrom(db_);
+  StatementWriteset ws;
+  ws.covered = true;
+  ws.ops.push_back(PeopleOp(RowOp::Kind::kInsert, {}, Person(5, "eve", 40)));
+  RowOp ghost = PeopleOp(RowOp::Kind::kInsert, {}, Row{Value(int64_t{1})});
+  ghost.table = "ghosts";
+  ws.ops.push_back(ghost);
+  auto session = db_.CreateSession();
+  Status st = ApplyStatementWriteset(&db_, session.get(), ws).status();
+  EXPECT_TRUE(st.IsNotFound()) << st.ToString();
+  EXPECT_TRUE(Database::ContentsEqual(before, db_));
+  EXPECT_EQ(Must("SELECT COUNT(*) FROM people WHERE id = 5").rows[0][0],
+            Value(int64_t{0}));
+}
+
+TEST_F(DatabaseTest, WritesetApplyAbortsOnHeldWriteLock) {
+  SetUpPeople();
+  Database before;
+  before.CopyTablesFrom(db_);
+  auto holder = db_.CreateSession();
+  ASSERT_TRUE(db_.lock_manager().AcquireWrite(holder->id(), "people").ok());
+  StatementWriteset ws;
+  ws.covered = true;
+  ws.ops.push_back(PeopleOp(RowOp::Kind::kInsert, {}, Person(5, "eve", 40)));
+  auto session = db_.CreateSession();
+  Status st = ApplyStatementWriteset(&db_, session.get(), ws).status();
+  EXPECT_TRUE(st.IsAborted()) << st.ToString();
+  EXPECT_TRUE(Database::ContentsEqual(before, db_));
+  db_.lock_manager().ReleaseAll(holder->id());
 }
 
 }  // namespace

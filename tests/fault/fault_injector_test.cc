@@ -22,7 +22,6 @@
 namespace clouddb::fault {
 namespace {
 
-using repl::MasterNode;
 using repl::SlaveNode;
 
 /// One deterministic deployment (no jitter, no speed lottery, no clock
@@ -44,11 +43,9 @@ struct World {
                                                          config);
     monitor = provider->Launch("monitor", cloud::InstanceType::kSmall,
                                cloud::MasterPlacement());
-    std::vector<SlaveNode*> slave_ptrs;
-    for (int i = 0; i < slaves; ++i) slave_ptrs.push_back(cluster->slave(i));
     manager = std::make_unique<repl::FailoverManager>(
-        &sim, &provider->network(), monitor->node_id(), cluster->master(),
-        slave_ptrs, repl::FailoverOptions{});
+        &sim, &provider->network(), monitor->node_id(), cluster.get(),
+        repl::FailoverOptions{});
     injector = std::make_unique<FaultInjector>(&sim, provider.get());
     observer = std::make_unique<RecoveryObserver>(&sim, manager.get());
     injector->SetFaultListener([this](const FaultEvent&, bool begin) {
@@ -81,16 +78,6 @@ struct World {
     }
   }
 
-  bool ActiveSlavesConverged() {
-    for (SlaveNode* slave : manager->active_slaves()) {
-      if (!db::Database::ContentsEqual(manager->current_master()->database(),
-                                       slave->database(), {})) {
-        return false;
-      }
-    }
-    return true;
-  }
-
   sim::Simulation sim;
   std::unique_ptr<cloud::CloudProvider> provider;
   std::unique_ptr<repl::ReplicationCluster> cluster;
@@ -115,7 +102,7 @@ TEST(FaultInjectorTest, MasterCrashTriggersFailoverAndObserverMeasuresIt) {
   w.sim.Run();
 
   ASSERT_TRUE(w.manager->failover_performed());
-  EXPECT_TRUE(w.cluster->master()->instance().running());  // zombie rebooted
+  EXPECT_TRUE(w.provider->FindByName("master")->running());  // zombie rebooted
   const RecoveryReport& report = w.observer->report();
   EXPECT_EQ(report.fault_at, Seconds(10));
   EXPECT_EQ(report.healed_at, Seconds(30));
@@ -127,7 +114,7 @@ TEST(FaultInjectorTest, MasterCrashTriggersFailoverAndObserverMeasuresIt) {
   EXPECT_GE(report.reconverged_at, report.healed_at);
   // All writes replicated before the crash: nothing lost.
   EXPECT_EQ(report.lost_writes, 0);
-  EXPECT_TRUE(w.ActiveSlavesConverged());
+  EXPECT_TRUE(w.cluster->Converged());
 }
 
 TEST(FaultInjectorTest, PartitionedSlaveReconnectsViaBackoff) {

@@ -37,11 +37,9 @@ class FailoverTest : public ::testing::Test {
     cluster_ = std::make_unique<ReplicationCluster>(provider_.get(), config);
     monitor_ = provider_->Launch("monitor", cloud::InstanceType::kSmall,
                                  cloud::MasterPlacement());
-    std::vector<SlaveNode*> slave_ptrs;
-    for (int i = 0; i < slaves; ++i) slave_ptrs.push_back(cluster_->slave(i));
     manager_ = std::make_unique<FailoverManager>(
-        &sim_, &provider_->network(), monitor_->node_id(), cluster_->master(),
-        slave_ptrs, FailoverOptions{});
+        &sim_, &provider_->network(), monitor_->node_id(), cluster_.get(),
+        FailoverOptions{});
     ASSERT_TRUE(cluster_->master()
                     ->ExecuteDirect("CREATE TABLE t (a INT PRIMARY KEY)")
                     .ok());
@@ -58,6 +56,7 @@ class FailoverTest : public ::testing::Test {
 
 TEST_F(FailoverTest, HealthyMasterNeverTrips) {
   Deploy(2);
+  MasterNode* original = cluster_->master();
   manager_->Start();
   sim_.RunUntil(Minutes(2));
   manager_->Stop();
@@ -65,7 +64,7 @@ TEST_F(FailoverTest, HealthyMasterNeverTrips) {
   EXPECT_FALSE(manager_->failover_performed());
   EXPECT_GT(manager_->probes_sent(), 100);
   EXPECT_EQ(manager_->probes_failed(), 0);
-  EXPECT_EQ(manager_->current_master(), cluster_->master());
+  EXPECT_EQ(cluster_->master(), original);
 }
 
 TEST_F(FailoverTest, OfflineNodeRefusesQueries) {
@@ -92,14 +91,15 @@ TEST_F(FailoverTest, DetectsCrashAndPromotes) {
   manager_->Start();
   sim_.RunUntil(Seconds(5));
   // Crash the master.
-  cluster_->master()->set_online(false);
+  MasterNode* old_master = cluster_->master();
+  old_master->set_online(false);
   sim_.RunUntil(Seconds(30));
   manager_->Stop();
   sim_.Run();
 
   ASSERT_TRUE(manager_->failover_performed());
-  MasterNode* new_master = manager_->current_master();
-  ASSERT_NE(new_master, cluster_->master());
+  MasterNode* new_master = cluster_->master();
+  ASSERT_NE(new_master, old_master);
   // The promoted node serves the replicated data.
   auto count = new_master->database().Execute("SELECT COUNT(*) FROM t");
   ASSERT_TRUE(count.ok());
@@ -107,7 +107,7 @@ TEST_F(FailoverTest, DetectsCrashAndPromotes) {
   // No writes were in flight: nothing lost.
   EXPECT_FALSE(manager_->lost_writes_possible());
   // Two survivors re-attached.
-  EXPECT_EQ(manager_->active_slaves().size(), 2u);
+  EXPECT_EQ(cluster_->num_active_slaves(), 2);
 }
 
 TEST_F(FailoverTest, WritesReplicateAfterFailover) {
@@ -117,7 +117,7 @@ TEST_F(FailoverTest, WritesReplicateAfterFailover) {
   cluster_->master()->set_online(false);
   sim_.RunUntil(Seconds(30));
   ASSERT_TRUE(manager_->failover_performed());
-  MasterNode* new_master = manager_->current_master();
+  MasterNode* new_master = cluster_->master();
 
   for (int i = 0; i < 5; ++i) {
     new_master->Submit(StrFormat("INSERT INTO t VALUES (%d)", 100 + i),
@@ -127,14 +127,11 @@ TEST_F(FailoverTest, WritesReplicateAfterFailover) {
   }
   manager_->Stop();
   sim_.Run();
-  for (SlaveNode* slave : manager_->active_slaves()) {
-    EXPECT_FALSE(slave->replication_broken());
-    auto r = slave->database().Execute("SELECT COUNT(*) FROM t");
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r->rows[0][0].AsInt64(), 5);
-    EXPECT_TRUE(db::Database::ContentsEqual(new_master->database(),
-                                            slave->database()));
-  }
+  auto r = new_master->database().Execute("SELECT COUNT(*) FROM t");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->rows[0][0].AsInt64(), 5);
+  EXPECT_EQ(cluster_->num_active_slaves(), 2);
+  EXPECT_TRUE(cluster_->Converged());
 }
 
 TEST_F(FailoverTest, ElectsMostUpToDateSlave) {
@@ -159,9 +156,8 @@ TEST_F(FailoverTest, ElectsMostUpToDateSlave) {
   ASSERT_TRUE(manager_->failover_performed());
   EXPECT_EQ(manager_->promoted_slave(), cluster_->slave(0));
   // The lagging slave was resynced from the winner.
-  EXPECT_TRUE(db::Database::ContentsEqual(
-      manager_->current_master()->database(),
-      cluster_->slave(1)->database()));
+  EXPECT_TRUE(db::Database::ContentsEqual(cluster_->master()->database(),
+                                          cluster_->slave(1)->database()));
 }
 
 TEST_F(FailoverTest, DetectsPossibleWriteLoss) {
@@ -183,8 +179,7 @@ TEST_F(FailoverTest, DetectsPossibleWriteLoss) {
   // §II: "once the updated replica goes offline before duplicating data,
   // data loss may occur."
   EXPECT_TRUE(manager_->lost_writes_possible());
-  auto r = manager_->current_master()->database().Execute(
-      "SELECT COUNT(*) FROM t");
+  auto r = cluster_->master()->database().Execute("SELECT COUNT(*) FROM t");
   EXPECT_EQ(r->rows[0][0].AsInt64(), 0);
 }
 
@@ -195,7 +190,7 @@ TEST_F(FailoverTest, ProxyRepointsAfterFailover) {
   client::ReadWriteSplitProxy proxy(
       &sim_, &provider_->network(), app->node_id(), cluster_->master(),
       {cluster_->slave(0), cluster_->slave(1)}, client::ProxyOptions{});
-  manager_->SetFailoverListener(
+  manager_->AddFailoverListener(
       [&](MasterNode* new_master) { proxy.ReplaceMaster(new_master); });
   manager_->Start();
   sim_.RunUntil(Seconds(2));
@@ -280,10 +275,10 @@ TEST_F(FailoverTest, SurvivorResyncRebuildsSecondaryIndexes) {
   // The lagging survivor was re-cloned from the winner: identical contents
   // AND a working secondary index (CopyTablesFrom copies indexes, not just
   // rows).
-  ASSERT_EQ(manager_->active_slaves().size(), 1u);
-  SlaveNode* survivor = manager_->active_slaves()[0];
-  EXPECT_TRUE(db::Database::ContentsEqual(
-      manager_->current_master()->database(), survivor->database()));
+  ASSERT_EQ(cluster_->num_active_slaves(), 1);
+  SlaveNode* survivor = cluster_->slave(1);
+  EXPECT_TRUE(db::Database::ContentsEqual(cluster_->master()->database(),
+                                          survivor->database()));
   const db::Table* u = survivor->database().GetTable("u");
   ASSERT_NE(u, nullptr);
   auto tag_col = u->schema().ColumnIndex("tag");
@@ -292,12 +287,77 @@ TEST_F(FailoverTest, SurvivorResyncRebuildsSecondaryIndexes) {
   std::string err;
   EXPECT_TRUE(survivor->database().ValidateAllIndexes(&err)) << err;
   // Writes through the promoted master keep replicating to the survivor.
-  ASSERT_TRUE(manager_->current_master()
+  ASSERT_TRUE(cluster_->master()
                   ->ExecuteDirect("INSERT INTO u VALUES (100, 'tag-x')")
                   .ok());
   sim_.Run();
-  EXPECT_TRUE(db::Database::ContentsEqual(
-      manager_->current_master()->database(), survivor->database()));
+  EXPECT_TRUE(db::Database::ContentsEqual(cluster_->master()->database(),
+                                          survivor->database()));
+}
+
+TEST_F(FailoverTest, ClusterFollowsThePromotion) {
+  Deploy(2);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(cluster_->master()
+                    ->ExecuteDirect(StrFormat("INSERT INTO t VALUES (%d)", i))
+                    .ok());
+  }
+  sim_.Run();
+  MasterNode* old_master = cluster_->master();
+  manager_->Start();
+  old_master->set_online(false);
+  sim_.RunUntil(Seconds(30));
+  manager_->Stop();
+  sim_.Run();
+
+  ASSERT_TRUE(manager_->failover_performed());
+  // The cluster, not a private copy in the manager, names the new master.
+  EXPECT_NE(cluster_->master(), old_master);
+  EXPECT_EQ(&cluster_->master()->instance(),
+            &manager_->promoted_slave()->instance());
+  EXPECT_EQ(cluster_->num_active_slaves(), 1);
+  EXPECT_TRUE(cluster_->FullyReplicated());
+  EXPECT_TRUE(cluster_->Converged());
+
+  // Scale-out after the failover joins the new master's timeline.
+  Result<int> added = cluster_->AddSlave();
+  ASSERT_TRUE(added.ok());
+  ASSERT_TRUE(
+      cluster_->master()->ExecuteDirect("INSERT INTO t VALUES (100)").ok());
+  sim_.Run();
+  SlaveNode* fresh = cluster_->slave(*added);
+  EXPECT_GE(fresh->events_applied(), 1);
+  EXPECT_EQ(fresh->gap_events_detected(), 0);
+  EXPECT_EQ(cluster_->num_active_slaves(), 2);
+  EXPECT_TRUE(cluster_->FullyReplicated());
+  EXPECT_TRUE(cluster_->Converged());
+}
+
+TEST_F(FailoverTest, PromotedMasterKeepsTheReplicationMode) {
+  Deploy(2);
+  cluster_->SetRowBasedReplication(true);
+  cluster_->SetBinlogBatchSize(8);
+  cluster_->master()->SetSynchronousReplication(true);
+  manager_->Start();
+  cluster_->master()->set_online(false);
+  sim_.RunUntil(Seconds(30));
+  ASSERT_TRUE(manager_->failover_performed());
+
+  MasterNode* promoted = cluster_->master();
+  EXPECT_TRUE(promoted->database().row_based_repl_enabled());
+  EXPECT_EQ(promoted->ship_options().batch_size, 8);
+  EXPECT_TRUE(promoted->synchronous());
+  // A synchronous write on the new master completes once the survivor
+  // acknowledges it, and arrives as a row-image apply.
+  Status written = Status::Internal("no response");
+  promoted->Submit("INSERT INTO t VALUES (7)", Millis(5),
+                   [&](Result<db::ExecResult> r) { written = r.status(); });
+  manager_->Stop();
+  sim_.Run();
+  EXPECT_TRUE(written.ok()) << written.ToString();
+  EXPECT_EQ(cluster_->num_active_slaves(), 1);
+  EXPECT_EQ(cluster_->slave(1)->writeset_applies(), 1);
+  EXPECT_TRUE(cluster_->Converged());
 }
 
 TEST_F(FailoverTest, CopyTablesFromCopiesEverything) {
