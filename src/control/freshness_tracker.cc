@@ -2,6 +2,7 @@
 
 #include <map>
 
+#include "db/database.h"
 #include "repl/delay_monitor.h"
 #include "repl/replication_cluster.h"
 #include "sim/simulation.h"
@@ -27,6 +28,7 @@ void FreshnessTracker::SyncSlaveCount() {
   while (static_cast<int>(staleness_ms_.size()) < cluster_->num_slaves()) {
     int index = static_cast<int>(staleness_ms_.size());
     staleness_ms_.push_back(-1.0);
+    newest_hb_id_.push_back(0);
     cluster_->slave(index)->metrics().AddProbe(
         "repl.slave.observed_staleness_ms",
         [this, index] { return StalenessMs(index); });
@@ -36,28 +38,49 @@ void FreshnessTracker::SyncSlaveCount() {
 void FreshnessTracker::Poll() {
   polls_->Increment();
   SyncSlaveCount();
-  std::map<int64_t, int64_t> master_hb = repl::ReadHeartbeats(
-      cluster_->master()->database(), options_.heartbeat_table);
-  if (master_hb.empty()) {
+  db::Database& master_db = cluster_->master()->database();
+  if (&master_db != master_db_) {
+    // A promotion: the new master's heartbeat rows are not the old one's.
+    master_db_ = &master_db;
+    master_hb_.clear();
+  }
+  std::map<int64_t, int64_t> fresh = repl::ReadHeartbeats(
+      master_db, options_.heartbeat_table,
+      master_hb_.empty() ? 0 : master_hb_.rbegin()->first);
+  master_hb_.merge(fresh);
+  if (master_hb_.empty()) {
     // No heartbeats committed yet: nothing to measure.
     for (double& s : staleness_ms_) s = -1.0;
     return;
   }
-  int64_t master_latest_id = master_hb.rbegin()->first;
-  int64_t master_latest_ts = master_hb.rbegin()->second;
+  int64_t master_latest_id = master_hb_.rbegin()->first;
+  int64_t master_latest_ts = master_hb_.rbegin()->second;
   for (int i = 0; i < cluster_->num_slaves(); ++i) {
     if (cluster_->IsSlaveRetired(i)) {
       staleness_ms_[static_cast<size_t>(i)] = -1.0;
       continue;
     }
-    std::map<int64_t, int64_t> slave_hb = repl::ReadHeartbeats(
-        cluster_->slave(i)->database(), options_.heartbeat_table);
+    db::Database& slave_db = cluster_->slave(i)->database();
+    int64_t& newest = newest_hb_id_[static_cast<size_t>(i)];
+    // Re-read from the cursor row itself: a non-empty result ends at the
+    // table's newest id, and an empty one means a copy replaced the table
+    // with an older one.
+    int64_t after_id = newest > 0 ? newest - 1 : 0;
+    std::map<int64_t, int64_t> slave_hb =
+        repl::ReadHeartbeats(slave_db, options_.heartbeat_table, after_id);
+    if (after_id > 0 &&
+        (slave_hb.empty() || master_hb_.count(slave_hb.rbegin()->first) == 0)) {
+      // The table shrank, or the master lacks its newest id (the slave is
+      // ahead of a newly promoted master): walk the whole table.
+      slave_hb = repl::ReadHeartbeats(slave_db, options_.heartbeat_table);
+    }
+    newest = slave_hb.empty() ? 0 : slave_hb.rbegin()->first;
     double staleness = -1.0;
     // Latest heartbeat the slave has applied that the master also knows
     // about; both timestamps are master-local, so the clock offset cancels.
     for (auto it = slave_hb.rbegin(); it != slave_hb.rend(); ++it) {
-      auto on_master = master_hb.find(it->first);
-      if (on_master != master_hb.end()) {
+      auto on_master = master_hb_.find(it->first);
+      if (on_master != master_hb_.end()) {
         staleness = static_cast<double>(
                         (it->first == master_latest_id
                              ? 0

@@ -3,10 +3,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "common/time_types.h"
+#include "db/database.h"
 #include "metrics/metric_registry.h"
 #include "repl/replication_cluster.h"
 #include "sim/simulation.h"
@@ -32,6 +34,17 @@ struct FreshnessTrackerOptions {
 /// Both operands come from the *master's* clock, so inter-instance clock
 /// offset/drift cancels exactly — unlike the raw per-id delay, no idle
 /// baseline subtraction is needed. Granularity is one heartbeat period.
+///
+/// A poll reads only what changed since the last one. The tracker keeps the
+/// current master's id -> commit-time map and each slave's newest heartbeat
+/// id (its cursor), and reads each replica's heartbeat table from there
+/// (repl::ReadHeartbeats' `after_id`), so a poll costs O(new heartbeats +
+/// active replicas), not O(history). This relies on the heartbeat table
+/// being append-only while the tracker lives (only HeartbeatPlugin writes
+/// it). The master map is rebuilt when a promotion installs a new master.
+/// A slave whose newest id the master does not hold, or whose table shrank
+/// (a replica copy replaced it), is re-read whole, so every value equals
+/// the one two whole-table reads would give.
 ///
 /// The tracker publishes `repl.slave.observed_staleness_ms` into each
 /// slave's registry and hands the proxy a probe callback (Probe()) so the
@@ -67,6 +80,13 @@ class FreshnessTracker {
   repl::ReplicationCluster* cluster_;
   FreshnessTrackerOptions options_;
   std::vector<double> staleness_ms_;  // parallel to cluster slaves
+  // Cursor state. `master_hb_` is `master_db_`'s heartbeat table as of the
+  // last poll; old masters stay alive in the cluster, so a changed address
+  // always means a promotion. `newest_hb_id_` (parallel to cluster slaves)
+  // is each slave's newest heartbeat id at its last read, 0 before any.
+  const db::Database* master_db_ = nullptr;
+  std::map<int64_t, int64_t> master_hb_;
+  std::vector<int64_t> newest_hb_id_;
   metrics::MetricRegistry metrics_;
   metrics::Counter* polls_ = nullptr;
   sim::PeriodicTimer ticker_;

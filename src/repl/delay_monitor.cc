@@ -9,14 +9,18 @@
 namespace clouddb::repl {
 
 std::map<int64_t, int64_t> ReadHeartbeats(db::Database& database,
-                                          const std::string& table) {
+                                          const std::string& table,
+                                          int64_t after_id) {
   std::map<int64_t, int64_t> out;
   if (database.GetTable(table) == nullptr) return out;
   // The scan is issued through the statement cache: the first poll parses
   // the SELECT once, every later poll binds the same template again (the
-  // same parse-once discipline the apply path uses). Pollers run this every
-  // heartbeat period, so re-parsing here was pure overhead.
-  const std::string sql = "SELECT hb_id, ts FROM " + table;
+  // same parse-once discipline the apply path uses). A negative bound would
+  // lex as a unary minus, a second template, so it is clamped: no id is
+  // below 1 either way.
+  const std::string sql = "SELECT hb_id, ts FROM " + table +
+                          " WHERE hb_id > " +
+                          std::to_string(after_id < 0 ? 0 : after_id);
   Result<db::ExecResult> rows = [&]() -> Result<db::ExecResult> {
     if (database.statement_cache_enabled()) {
       Result<db::PreparedCall> call = database.Prepare(sql);
@@ -46,11 +50,11 @@ std::vector<double> HeartbeatDelaysMs(db::Database& master,
                                       db::Database& slave, int64_t min_id,
                                       int64_t max_id,
                                       const std::string& table) {
-  std::map<int64_t, int64_t> m = ReadHeartbeats(master, table);
-  std::map<int64_t, int64_t> s = ReadHeartbeats(slave, table);
+  std::map<int64_t, int64_t> m = ReadHeartbeats(master, table, min_id - 1);
+  std::map<int64_t, int64_t> s = ReadHeartbeats(slave, table, min_id - 1);
   std::vector<double> delays;
   for (const auto& [id, master_ts] : m) {
-    if (id < min_id || id > max_id) continue;
+    if (id > max_id) break;
     auto it = s.find(id);
     if (it == s.end()) continue;  // not yet replicated
     delays.push_back(static_cast<double>(it->second - master_ts) / 1000.0);

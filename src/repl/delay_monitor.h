@@ -10,12 +10,18 @@
 
 namespace clouddb::repl {
 
-/// Reads the heartbeat table of `database`: id -> committed local timestamp
-/// (µs on that replica's clock). The scan runs through the statement cache
-/// (non-const: the first call warms the template, repeated polls hit it),
-/// falling back to a plain parse when the cache is disabled.
+/// Reads the heartbeat rows of `database` with hb_id > `after_id`: id ->
+/// committed local timestamp (µs on that replica's clock). Heartbeat ids are
+/// positive (HeartbeatPlugin numbers them 1, 2, ...), so the default reads
+/// the whole table, and a poller that passes the newest id it holds reads
+/// only the rows committed since. Every call binds the one template
+/// `SELECT hb_id, ts FROM <table> WHERE hb_id > ?`, served as a primary-key
+/// index range, through the statement cache (non-const: the first call
+/// warms the template, later calls hit it), falling back to a plain parse
+/// when the cache is disabled.
 std::map<int64_t, int64_t> ReadHeartbeats(db::Database& database,
-                                          const std::string& table);
+                                          const std::string& table,
+                                          int64_t after_id = 0);
 
 /// Per-heartbeat replication delay in milliseconds for ids in
 /// [min_id, max_id] that are committed on both replicas:

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+
 #include "cloud/cloud_provider.h"
 #include "cloudstone/schema.h"
 #include "common/stats.h"
@@ -13,6 +16,7 @@
 #include "common/time_types.h"
 #include "db/binlog.h"
 #include "db/database.h"
+#include "db/statement_cache.h"
 #include "db/table.h"
 #include "db/value.h"
 #include "repl/cost_model.h"
@@ -456,6 +460,44 @@ TEST_F(HeartbeatTest, MoreHeartbeatsWithShorterPeriod) {
   heartbeat.Stop();
   sim_.Run();
   EXPECT_EQ(heartbeat.next_id() - 1, 51);  // t=0,0.2,...,10.0
+}
+
+TEST_F(HeartbeatTest, CursorReadsOnlyNewerIdsThroughOneIndexRange) {
+  auto cluster = MakeCluster(1);
+  HeartbeatOptions options;
+  HeartbeatPlugin heartbeat(&sim_, cluster->master(), options);
+  ASSERT_TRUE(heartbeat.CreateTable().ok());
+  heartbeat.Start();
+  sim_.RunUntil(Seconds(10));
+  heartbeat.Stop();
+  sim_.Run();
+
+  db::Database& master = cluster->master()->database();
+  std::map<int64_t, int64_t> all = ReadHeartbeats(master, options.table);
+  ASSERT_EQ(all.size(), 11u);
+  for (int64_t k = -1; k <= 12; ++k) {
+    std::map<int64_t, int64_t> expected(all.upper_bound(k), all.end());
+    EXPECT_EQ(ReadHeartbeats(master, options.table, k), expected)
+        << "after id " << k;
+  }
+
+  // The cursor read is a primary-key range scan that visits only the rows
+  // it returns, not the whole table.
+  auto newer =
+      master.Execute("SELECT hb_id, ts FROM heartbeat WHERE hb_id > 7");
+  ASSERT_TRUE(newer.ok());
+  EXPECT_EQ(newer->plan, "index_range(hb_id)");
+  EXPECT_EQ(newer->rows.size(), 4u);
+  EXPECT_EQ(newer->rows_examined, 4);
+
+  // A full read and a cursor read bind one template: one miss, then a hit.
+  db::Database& slave = cluster->slave(0)->database();
+  db::StatementCacheStats before = slave.statement_cache().stats();
+  EXPECT_EQ(ReadHeartbeats(slave, options.table).size(), 11u);
+  EXPECT_EQ(ReadHeartbeats(slave, options.table, 9).size(), 2u);
+  db::StatementCacheStats after = slave.statement_cache().stats();
+  EXPECT_EQ(after.misses - before.misses, 1);
+  EXPECT_EQ(after.hits - before.hits, 1);
 }
 
 TEST(ReconnectOptionsTest, EffectiveAckTimeoutFallsBackToNamedDefault) {
