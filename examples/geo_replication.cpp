@@ -66,24 +66,22 @@ int main() {
   cloud::Instance* app = provider.Launch("app", cloud::InstanceType::kLarge,
                                          cloud::MasterPlacement());
 
-  // Identical pre-load on every replica (binlog suppressed on the master).
+  // Pre-load the master (binlog suppressed: the load must not replicate),
+  // then give every slave one copy of its tables.
   cloudstone::WorkloadState state;
+  master.database().set_binlog_suppressed(true);
   Status loaded = cloudstone::LoadInitialData(
-      [&](const std::string& sql) -> Status {
-        master.database().set_binlog_suppressed(true);
-        auto r = master.database().Execute(sql);
-        master.database().set_binlog_suppressed(false);
-        if (!r.ok()) return r.status();
-        for (repl::SlaveNode* slave : slaves) {
-          auto rs = slave->database().Execute(sql);
-          if (!rs.ok()) return rs.status();
-        }
-        return Status::Ok();
+      [&](const std::string& sql) {
+        return master.database().Execute(sql).status();
       },
       /*scale=*/150, /*seed=*/3, &state);
+  master.database().set_binlog_suppressed(false);
   if (!loaded.ok()) {
     std::printf("load failed: %s\n", loaded.ToString().c_str());
     return 1;
+  }
+  for (repl::SlaveNode* slave : slaves) {
+    slave->database().CopyTablesFrom(master.database());
   }
 
   // Heartbeat probe + a moderate mixed workload through the proxy.

@@ -51,9 +51,10 @@ struct DataProfile {
 };
 
 /// Generates the initial data set (deterministic under `seed`) and feeds
-/// every statement to `execute` — callers pass a function that runs the SQL
-/// identically on every replica ("a pre-loaded, fully-synchronized
-/// database"). Fills `state` with the resulting id ranges.
+/// every statement to `execute` — the harness runs them on the master and
+/// copies the result onto every slave ("a pre-loaded, fully-synchronized
+/// database"). Calls no SQL function, so one evaluation serves every copy.
+/// Fills `state` with the resulting id ranges.
 Status LoadInitialData(
     const std::function<Status(const std::string&)>& execute, int64_t scale,
     uint64_t seed, WorkloadState* state);

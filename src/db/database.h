@@ -162,8 +162,8 @@ class Database {
   /// Replaces the NOW_MICROS time source (also updates options()).
   void SetTimeSource(std::function<int64_t()> now_micros);
 
-  /// Temporarily disables binlog appends (used when bulk pre-loading every
-  /// replica with identical data; the load must not replicate again).
+  /// Temporarily disables binlog appends (used by the direct pre-load and
+  /// set-up statements, which every replica gets without replication).
   void set_binlog_suppressed(bool suppressed) {
     binlog_suppressed_ = suppressed;
   }

@@ -370,8 +370,18 @@ bool Table::ContentsEqual(const Table& a, const Table& b) {
   };
   if (index_set(a) != index_set(b)) return false;
   if (a.rows_.size() != b.rows_.size()) return false;
-  // Compare as sorted multisets of rows (RowIds may differ between replicas
-  // only if statements interleave differently; contents are what matter).
+  // Replicas fed one statement stream hold their rows in the same RowId
+  // order (a copy keeps the RowIds; slaves assign them in binlog order), so
+  // walk both stores in lockstep first: equal sequences are equal multisets.
+  auto ia = a.rows_.begin();
+  auto ib = b.rows_.begin();
+  while (ia != a.rows_.end() && ia->second == ib->second) {
+    ++ia;
+    ++ib;
+  }
+  if (ia == a.rows_.end()) return true;
+  // The orders differ: compare as sorted multisets of rows (RowIds excluded;
+  // contents are what matter).
   std::vector<const Row*> ra, rb;
   ra.reserve(a.rows_.size());
   rb.reserve(b.rows_.size());

@@ -176,7 +176,11 @@ class Table {
 
   /// Deep equality of contents and catalog: equal schemas, the same set of
   /// (index name, column) secondary indexes, and the same multiset of rows
-  /// (RowIds excluded); used to assert master/slave convergence.
+  /// (RowIds excluded); used to assert master/slave convergence. The rows
+  /// are first walked in RowId order on both sides, one linear pass that
+  /// settles the common case (replicas fed one statement stream hold their
+  /// rows in the same order); at the first unequal pair it falls back to
+  /// comparing both tables' rows sorted, so the verdict stays exact.
   static bool ContentsEqual(const Table& a, const Table& b);
 
   /// Internal-consistency check for tests: every row is present in every

@@ -1,5 +1,6 @@
 #include "harness/deployment.h"
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -39,11 +40,10 @@ Deployment::Deployment(const cloud::CloudOptions& cloud_options,
             SlavesOf(cluster), proxy_options) {}
 
 Status Deployment::Load(int64_t scale, uint64_t seed) {
-  return cloudstone::LoadInitialData(
-      [this](const std::string& sql) {
-        return cluster.ExecuteEverywhereDirect(sql);
-      },
-      scale, seed, &state);
+  return cluster.LoadDirect(
+      [&](const std::function<Status(const std::string&)>& execute) {
+        return cloudstone::LoadInitialData(execute, scale, seed, &state);
+      });
 }
 
 }  // namespace clouddb::harness

@@ -31,11 +31,12 @@ struct Deployment {
   Deployment(const Deployment&) = delete;
   Deployment& operator=(const Deployment&) = delete;
 
-  /// Pre-loads the Cloudstone data set identically onto every replica,
-  /// bypassing CPU and replication (ExecuteEverywhereDirect), and records
-  /// its extent in `state`. Separate from construction because callers act
-  /// between the two: the experiment starts NTP (and draws its seeds) first,
-  /// the failover drills launch their monitor instance.
+  /// Pre-loads the Cloudstone data set, bypassing CPU and replication: the
+  /// loader runs on the master once and each slave gets one copy of its
+  /// tables (ReplicationCluster::LoadDirect). Records the data's extent in
+  /// `state`. Separate from construction because callers act between the
+  /// two: the experiment starts NTP (and draws its seeds) first, the
+  /// failover drills launch their monitor instance.
   Status Load(int64_t scale, uint64_t seed);
 
   sim::Simulation sim;

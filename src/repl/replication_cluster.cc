@@ -1,5 +1,10 @@
 #include "repl/replication_cluster.h"
 
+#include <functional>
+#include <optional>
+#include <string>
+#include <utility>
+
 #include "common/str_util.h"
 #include "db/sql_parser.h"
 #include "cloud/cloud_provider.h"
@@ -61,18 +66,18 @@ Result<int> ReplicationCluster::AddSlave() {
       master_->database().statement_cache_enabled());
   slave->database().set_vectorized_exec_enabled(
       master_->database().vectorized_exec_enabled());
-  CloneMasterOnto(slave.get());
+  CopyMasterOnto(slave.get());
+  master_->AttachSlave(slave.get());
   slaves_.push_back(std::move(slave));
   retired_.push_back(false);
   return num_slaves() - 1;
 }
 
-void ReplicationCluster::CloneMasterOnto(SlaveNode* slave) {
+void ReplicationCluster::CopyMasterOnto(SlaveNode* slave) {
   slave->database().CopyTablesFrom(master_->database());
-  // The copy covers every event already in the binlog; attaching now
-  // streams everything committed from this instant on.
+  // The copy covers every event already in the binlog; the stream resumes
+  // with everything committed from this instant on.
   slave->SeedFromSnapshot(master_->binlog_size() - 1);
-  master_->AttachSlave(slave);
 }
 
 Status ReplicationCluster::RetireSlave(int i) {
@@ -123,7 +128,8 @@ Status ReplicationCluster::PromoteSlave(int i) {
   for (size_t j = 0; j < slaves_.size(); ++j) {
     if (retired_[j]) continue;
     if (slaves_[j]->online()) {
-      CloneMasterOnto(slaves_[j].get());
+      CopyMasterOnto(slaves_[j].get());
+      master_->AttachSlave(slaves_[j].get());
     } else {
       retired_[j] = true;
     }
@@ -131,37 +137,49 @@ Status ReplicationCluster::PromoteSlave(int i) {
   return Status::Ok();
 }
 
+Status ReplicationCluster::LoadDirect(
+    const std::function<Status(
+        const std::function<Status(const std::string&)>&)>& load) {
+  CLOUDDB_RETURN_IF_ERROR(load([this](const std::string& sql) {
+    return RunDirect(sql, /*on_slaves=*/false);
+  }));
+  for (auto& slave : slaves_) CopyMasterOnto(slave.get());
+  return Status::Ok();
+}
+
 Status ReplicationCluster::ExecuteEverywhereDirect(const std::string& sql) {
-  // Parse once, execute everywhere (bulk loads run this for tens of
-  // thousands of statements across up to a dozen replicas). With the
-  // statement cache on, repeated load shapes (the common case: one INSERT
-  // form per table) parse once across the *whole* load, not once per
-  // statement — the master's prepared template runs on every replica.
-  if (master_->database().statement_cache_enabled()) {
-    Result<db::PreparedCall> call = master_->database().Prepare(sql);
-    if (call.ok()) {
-      master_->database().set_binlog_suppressed(true);
-      auto result = master_->database().ExecutePrepared(*call, sql, nullptr);
-      master_->database().set_binlog_suppressed(false);
-      if (!result.ok()) return result.status();
-      for (auto& slave : slaves_) {
-        auto slave_result =
-            slave->database().ExecutePrepared(*call, sql, nullptr);
-        if (!slave_result.ok()) return slave_result.status();
-      }
-      return Status::Ok();
-    }
+  return RunDirect(sql, /*on_slaves=*/true);
+}
+
+Status ReplicationCluster::RunDirect(const std::string& sql, bool on_slaves) {
+  // Parse once, execute everywhere. With the statement cache on, repeated
+  // shapes (one INSERT form per table in a load) parse once across the
+  // whole run of calls, not once per statement, and the master's prepared
+  // template runs on every copy; otherwise the master's parse does.
+  db::Database& master = master_->database();
+  std::optional<db::PreparedCall> call;
+  if (master.statement_cache_enabled()) {
+    Result<db::PreparedCall> prepared = master.Prepare(sql);
+    if (prepared.ok()) call = std::move(*prepared);
   }
-  CLOUDDB_ASSIGN_OR_RETURN(db::Statement stmt, db::ParseSql(sql));
-  // Suppress binlogging of the pre-load on the master: slaves are loaded
-  // identically and must not re-apply these statements.
-  master_->database().set_binlog_suppressed(true);
-  auto result = master_->database().ExecuteParsed(stmt, sql, nullptr);
-  master_->database().set_binlog_suppressed(false);
+  std::optional<db::Statement> stmt;
+  if (!call) {
+    CLOUDDB_ASSIGN_OR_RETURN(db::Statement parsed, db::ParseSql(sql));
+    stmt = std::move(parsed);
+  }
+  auto execute = [&](db::Database& db) {
+    return call ? db.ExecutePrepared(*call, sql, nullptr)
+                : db.ExecuteParsed(*stmt, sql, nullptr);
+  };
+  // These statements must not replicate: every copy gets them directly.
+  master.set_binlog_suppressed(true);
+  Result<db::ExecResult> result = execute(master);
+  master.set_binlog_suppressed(false);
   if (!result.ok()) return result.status();
+  if (!on_slaves) return Status::Ok();
   for (auto& slave : slaves_) {
-    auto slave_result = slave->database().ExecuteParsed(stmt, sql, nullptr);
-    if (!slave_result.ok()) return slave_result.status();
+    Result<db::ExecResult> copy = execute(slave->database());
+    if (!copy.ok()) return copy.status();
   }
   return Status::Ok();
 }

@@ -1,6 +1,7 @@
 #ifndef CLOUDDB_REPL_REPLICATION_CLUSTER_H_
 #define CLOUDDB_REPL_REPLICATION_CLUSTER_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -48,8 +49,8 @@ class ReplicationCluster {
   const ClusterConfig& config() const { return config_; }
 
   /// Elastic scale-out (the control loop's actuator): launches a fresh
-  /// instance, clones the master onto it (CloneMasterOnto) and returns the
-  /// new slave's index.
+  /// instance, copies the master onto it (CopyMasterOnto), attaches it and
+  /// returns the new slave's index.
   Result<int> AddSlave();
 
   /// Elastic scale-in: detaches slave `i` from the master's stream and marks
@@ -77,12 +78,28 @@ class ReplicationCluster {
   /// retired. The old master stays alive for in-flight callbacks. Slots
   /// already retired stay retired on the old timeline: no caller combines
   /// failover with the elasticity controller. The promoted slot keeps no
-  /// database, so the set-up calls below (ExecuteEverywhereDirect, the
-  /// cache and engine toggles) belong before any promotion.
+  /// database, so the set-up calls below (LoadDirect,
+  /// ExecuteEverywhereDirect, the cache and engine toggles) belong before
+  /// any promotion.
   Status PromoteSlave(int i);
 
+  /// The pre-load: runs `load` against the master's database only, with its
+  /// binlog suppressed and no CPU charged — `load` gets an executor that
+  /// runs one statement as ExecuteEverywhereDirect runs it on the master —
+  /// then gives every slave one copy of the master's tables
+  /// (CopyMasterOnto), as an operator seeds replicas from a snapshot. Each
+  /// statement is evaluated once, on the master: a loader that calls
+  /// NOW_MICROS() or another function leaves the master's values on every
+  /// slave (the Cloudstone loader calls none). Stops at the first failing
+  /// statement, before any slave is copied.
+  Status LoadDirect(
+      const std::function<Status(
+          const std::function<Status(const std::string&)>&)>& load);
+
   /// Runs `sql` directly on every replica (master and slaves), bypassing CPU
-  /// and replication — identical pre-loading of all copies.
+  /// and replication: set-up statements every copy needs without a binlog
+  /// event (a test's or drill's DDL; perfbench's layered replay also issues
+  /// its pre-load here, one call per statement).
   Status ExecuteEverywhereDirect(const std::string& sql);
 
   /// Toggles the statement cache on every replica's database (the fig2-style
@@ -113,11 +130,18 @@ class ReplicationCluster {
   bool Converged() const;
 
  private:
-  /// The one way a slave joins the stream mid-run: copies the master's
-  /// tables onto it (db::Database::CopyTablesFrom — rows, schemas and
-  /// indexes, as an operator restores a backup before attaching a replica),
-  /// seeds its binlog position at the copy point and attaches it.
-  void CloneMasterOnto(SlaveNode* slave);
+  /// The one way a slave's data is copied: replaces its tables with the
+  /// master's (db::Database::CopyTablesFrom — rows, schemas and indexes, as
+  /// an operator restores a backup onto a replica) and seeds its binlog
+  /// position at the copy point. A slave joining mid-run is then attached;
+  /// the pre-load's slaves already are.
+  void CopyMasterOnto(SlaveNode* slave);
+
+  /// Runs `sql` on the master's database with its binlog suppressed and,
+  /// with `on_slaves`, on every slave's: the master's prepared template (or
+  /// its parse, when the cache is off or bypasses the shape) executes on
+  /// each copy.
+  Status RunDirect(const std::string& sql, bool on_slaves);
 
   cloud::CloudProvider* provider_;
   ClusterConfig config_;

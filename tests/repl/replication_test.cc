@@ -2,6 +2,9 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cloud/cloud_provider.h"
 #include "cloudstone/schema.h"
@@ -235,14 +238,120 @@ TEST_F(ReplicationTest, ExecuteEverywhereDirectDoesNotReplicate) {
   EXPECT_TRUE(cluster->FullyReplicated());  // trivially: empty binlog
 }
 
+/// A cluster with its own simulation and cloud, so one test can build two
+/// from the same seeds.
+struct Tier {
+  Tier(const cloud::CloudOptions& options, int slaves)
+      : provider(&sim, options, /*seed=*/1),
+        cluster(&provider, [slaves] {
+          ClusterConfig config;
+          config.num_slaves = slaves;
+          return config;
+        }()) {}
+
+  db::Database& replica(int i) {
+    return i == 0 ? cluster.master()->database()
+                  : cluster.slave(i - 1)->database();
+  }
+
+  sim::Simulation sim;
+  cloud::CloudProvider provider;
+  ReplicationCluster cluster;
+};
+
+std::vector<std::pair<db::RowId, db::Row>> RowsOf(const db::Table& table) {
+  std::vector<std::pair<db::RowId, db::Row>> rows;
+  table.ForEachRow([&](db::RowId id, const db::Row& row) {
+    rows.emplace_back(id, row);
+    return true;
+  });
+  return rows;
+}
+
+void ExpectSameStats(const db::StatementCacheStats& a,
+                     const db::StatementCacheStats& b) {
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.invalidations, b.invalidations);
+  EXPECT_EQ(a.bypasses, b.bypasses);
+  EXPECT_EQ(a.programs_compiled, b.programs_compiled);
+  EXPECT_EQ(a.programs_invalidated, b.programs_invalidated);
+}
+
+// Loading the master once and copying it onto each slave leaves every
+// replica exactly as running each load statement on every replica does:
+// tables, RowIds, rows, indexes and statement-cache counters, with nothing
+// in the binlog. Checked on both of the shared executor's branches.
+TEST_F(ReplicationTest, LoadDirectMatchesLoadingEveryReplica) {
+  for (bool cache : {true, false}) {
+    SCOPED_TRACE(cache ? "statement cache on" : "statement cache off");
+    Tier copied(options_, 3);
+    Tier everywhere(options_, 3);
+    copied.cluster.SetStatementCacheEnabled(cache);
+    everywhere.cluster.SetStatementCacheEnabled(cache);
+    cloudstone::WorkloadState copied_state, everywhere_state;
+    ASSERT_TRUE(copied.cluster
+                    .LoadDirect([&](const auto& execute) {
+                      return cloudstone::LoadInitialData(
+                          execute, /*scale=*/20, /*seed=*/5, &copied_state);
+                    })
+                    .ok());
+    ASSERT_TRUE(cloudstone::LoadInitialData(
+                    [&](const std::string& sql) {
+                      return everywhere.cluster.ExecuteEverywhereDirect(sql);
+                    },
+                    /*scale=*/20, /*seed=*/5, &everywhere_state)
+                    .ok());
+    EXPECT_EQ(copied_state.next_comment_id, everywhere_state.next_comment_id);
+
+    for (int r = 0; r <= 3; ++r) {
+      SCOPED_TRACE(r == 0 ? std::string("master") : StrFormat("slave %d", r));
+      const db::Database& a = copied.replica(r);
+      const db::Database& b = everywhere.replica(r);
+      ASSERT_EQ(a.TableNames(), b.TableNames());
+      for (const std::string& name : a.TableNames()) {
+        const db::Table* ta = a.GetTable(name);
+        const db::Table* tb = b.GetTable(name);
+        EXPECT_TRUE(RowsOf(*ta) == RowsOf(*tb)) << name;
+        EXPECT_EQ(ta->SecondaryIndexes(), tb->SecondaryIndexes()) << name;
+      }
+      std::string err;
+      EXPECT_TRUE(a.ValidateAllIndexes(&err)) << err;
+      EXPECT_TRUE(b.ValidateAllIndexes(&err)) << err;
+      ExpectSameStats(a.statement_cache().stats(),
+                      b.statement_cache().stats());
+    }
+    for (Tier* tier : {&copied, &everywhere}) {
+      EXPECT_EQ(tier->cluster.master()->binlog_size(), 0);
+      for (int i = 0; i < 3; ++i) {
+        EXPECT_EQ(tier->cluster.slave(i)->applied_index(), -1);
+      }
+      EXPECT_TRUE(tier->cluster.FullyReplicated());
+      EXPECT_TRUE(tier->cluster.Converged());
+    }
+
+    // Both tiers replicate the next write from the same starting point.
+    for (Tier* tier : {&copied, &everywhere}) {
+      ASSERT_TRUE(tier->cluster.master()
+                      ->ExecuteDirect("INSERT INTO tags (tag_id, name) "
+                                      "VALUES (100000, 'fresh')")
+                      .ok());
+      tier->sim.Run();
+      EXPECT_TRUE(tier->cluster.FullyReplicated());
+      EXPECT_TRUE(tier->cluster.Converged());
+    }
+  }
+}
+
 TEST_F(ReplicationTest, AddedSlaveIsATrueCopyOfTheMaster) {
   auto cluster = MakeCluster(1);
   cloudstone::WorkloadState state;
-  ASSERT_TRUE(cloudstone::LoadInitialData(
-                  [&](const std::string& sql) {
-                    return cluster->ExecuteEverywhereDirect(sql);
-                  },
-                  /*scale=*/20, /*seed=*/5, &state)
+  ASSERT_TRUE(cluster
+                  ->LoadDirect([&](const auto& execute) {
+                    return cloudstone::LoadInitialData(
+                        execute, /*scale=*/20, /*seed=*/5, &state);
+                  })
                   .ok());
   // A replicated delete leaves a RowId gap the copy must keep.
   ASSERT_TRUE(cluster->master()
