@@ -2,13 +2,13 @@
 
 #include <cassert>
 
-#include "db/sql_parser.h"
 #include "client/connection_pool.h"
 #include "common/result.h"
 #include "common/str_util.h"
 #include "common/time_types.h"
 #include "db/database.h"
 #include "db/sql_ast.h"
+#include "db/statement_cache.h"
 #include "net/network.h"
 #include "repl/master_node.h"
 #include "repl/slave_node.h"
@@ -186,23 +186,14 @@ void ReadWriteSplitProxy::ExecuteAuto(const std::string& sql,
                                       SimDuration cpu_cost,
                                       const ReadOptions& read_options,
                                       Callback done) {
-  bool is_read = false;
-  bool classified = false;
-  if (options_.route_cache) {
-    // Route from the cached template: after the first sighting of a
-    // statement shape, classification costs a fingerprint, not a parse.
-    auto call = route_cache_.Prepare(sql);
-    if (call.ok()) {
-      is_read = !db::IsWriteStatement(call->prepared->statement) &&
-                !db::IsTransactionControl(call->prepared->statement);
-      classified = true;
-    }
-  }
-  if (!classified) {
-    auto parsed = db::ParseSql(sql);
-    is_read = parsed.ok() && !db::IsWriteStatement(*parsed) &&
-              !db::IsTransactionControl(*parsed);
-  }
+  // Route from the cached template when the route cache is on: after the
+  // first sighting of a statement shape, classification costs a
+  // fingerprint, not a parse.
+  Result<db::CompiledSql> compiled =
+      db::CompileSql(options_.route_cache ? &route_cache_ : nullptr, sql);
+  bool is_read = compiled.ok() &&
+                 !db::IsWriteStatement(compiled->statement()) &&
+                 !db::IsTransactionControl(compiled->statement());
   Execute(sql, is_read, cpu_cost, read_options, std::move(done));
 }
 

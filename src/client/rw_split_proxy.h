@@ -84,7 +84,8 @@ class ReadWriteSplitProxy {
   void Execute(const std::string& sql, bool is_read, SimDuration cpu_cost,
                const ReadOptions& read_options, Callback done);
 
-  /// Convenience: determines read vs write by parsing `sql`.
+  /// Convenience: determines read vs write by compiling `sql` (CompileSql,
+  /// through the route cache when ProxyOptions::route_cache is on).
   void ExecuteAuto(const std::string& sql, SimDuration cpu_cost,
                    Callback done);
 

@@ -5,7 +5,6 @@
 
 #include "common/str_util.h"
 #include "db/expr_eval.h"
-#include "db/sql_parser.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "db/schema.h"
@@ -31,24 +30,6 @@ bool IsDdl(const Statement& stmt) {
          std::holds_alternative<CreateIndexStatement>(stmt) ||
          std::holds_alternative<DropTableStatement>(stmt) ||
          std::holds_alternative<TruncateStatement>(stmt);
-}
-
-/// Target table of a statement (empty for transaction control).
-std::string TargetTable(const Statement& stmt) {
-  struct Visitor {
-    std::string operator()(const CreateTableStatement& s) { return s.table; }
-    std::string operator()(const CreateIndexStatement& s) { return s.table; }
-    std::string operator()(const DropTableStatement& s) { return s.table; }
-    std::string operator()(const TruncateStatement& s) { return s.table; }
-    std::string operator()(const InsertStatement& s) { return s.table; }
-    std::string operator()(const SelectStatement& s) { return s.table; }
-    std::string operator()(const UpdateStatement& s) { return s.table; }
-    std::string operator()(const DeleteStatement& s) { return s.table; }
-    std::string operator()(const BeginStatement&) { return ""; }
-    std::string operator()(const CommitStatement&) { return ""; }
-    std::string operator()(const RollbackStatement&) { return ""; }
-  };
-  return std::visit(Visitor{}, stmt);
 }
 
 /// A single-column comparison extracted from the WHERE conjunction, with the
@@ -935,9 +916,7 @@ class Executor {
 };
 
 Database::Database(DatabaseOptions options)
-    : options_(std::move(options)),
-      functions_(options_.now_micros),
-      statement_cache_(options_.statement_cache_capacity) {
+    : options_(std::move(options)), functions_(options_.now_micros) {
   autocommit_session_ = std::make_unique<Session>(0);
 }
 
@@ -947,39 +926,19 @@ std::unique_ptr<Session> Database::CreateSession() {
 
 Result<ExecResult> Database::Execute(const std::string& sql,
                                      Session* session) {
-  if (options_.statement_cache) {
-    Result<PreparedCall> call = statement_cache_.Prepare(sql);
-    if (call.ok()) return ExecutePrepared(*call, sql, session);
-    // Any Prepare failure — uncacheable shape, template parse failure, even
-    // a tokenizer error — falls through to the parse-every-time path, which
-    // reproduces cache-off behavior (and error text) byte for byte.
-  }
-  CLOUDDB_ASSIGN_OR_RETURN(Statement stmt, ParseSql(sql));
-  return ExecuteParsed(stmt, sql, session);
+  CLOUDDB_ASSIGN_OR_RETURN(CompiledSql compiled, Compile(sql));
+  return Execute(compiled, sql, session);
 }
 
-Result<PreparedCall> Database::Prepare(const std::string& sql) {
-  return statement_cache_.Prepare(sql);
+Result<CompiledSql> Database::Compile(const std::string& sql) {
+  return CompileSql(options_.statement_cache ? &statement_cache_ : nullptr,
+                    sql);
 }
 
-Result<ExecResult> Database::ExecutePrepared(const PreparedCall& call,
-                                             const std::string& sql_text,
-                                             Session* session) {
-  return ExecuteStatement(call.prepared->statement, &call.params, sql_text,
-                          session, call.prepared.get());
-}
-
-Result<ExecResult> Database::ExecuteParsed(const Statement& stmt,
-                                           const std::string& sql_text,
-                                           Session* session) {
-  return ExecuteStatement(stmt, nullptr, sql_text, session,
-                          /*prepared=*/nullptr);
-}
-
-Result<ExecResult> Database::ExecuteStatement(
-    const Statement& stmt, const std::vector<Value>* params,
-    const std::string& sql_text, Session* session,
-    const PreparedStatement* prepared) {
+Result<ExecResult> Database::Execute(const CompiledSql& compiled,
+                                     const std::string& sql_text,
+                                     Session* session) {
+  const Statement& stmt = compiled.statement();
   if (session == nullptr) session = autocommit_session_.get();
 
   // Transaction control.
@@ -1016,6 +975,9 @@ Result<ExecResult> Database::ExecuteStatement(
     return lock_status;
   }
 
+  // A template carries the WHERE bytecode compiled once at cache insert; a
+  // plain parse never met the compiler, so the executor may compile it now.
+  const PreparedStatement* prepared = compiled.prepared();
   const VecProgram* compiled_where =
       prepared != nullptr && prepared->has_where_program
           ? &prepared->where_program
@@ -1027,7 +989,7 @@ Result<ExecResult> Database::ExecuteStatement(
   bool row_capture = options_.row_based_repl && binlog_active && is_write &&
                      !IsDdl(stmt) && !StatementHasFunctionCall(stmt);
   std::vector<RowOp> captured_ops;
-  Executor executor(this, session, params, compiled_where,
+  Executor executor(this, session, compiled.params(), compiled_where,
                     /*jit_predicates=*/prepared == nullptr,
                     row_capture ? &captured_ops : nullptr);
   Result<ExecResult> result = executor.Run(stmt);

@@ -45,13 +45,11 @@ struct DatabaseOptions {
   /// (MySQL's default: no log-slave-updates).
   bool enable_binlog = true;
 
-  /// Whether Execute() goes through the statement cache (parse each distinct
-  /// statement shape once; bind literals per call). Off = parse every time.
-  /// Either way the results are identical — the cache is wall-clock-only.
+  /// Whether Compile() goes through the statement cache (parse each
+  /// distinct statement shape once; bind literals per call). Off = parse
+  /// every time. Either way the results are identical — the cache is
+  /// wall-clock-only.
   bool statement_cache = true;
-
-  /// LRU capacity of the statement cache (distinct statement shapes).
-  size_t statement_cache_capacity = StatementCache::kDefaultCapacity;
 
   /// Whether WHERE filtering and aggregation run batch-at-a-time over column
   /// chunks with compiled predicate bytecode. Off = row-at-a-time tree
@@ -97,29 +95,24 @@ class Database {
   /// Creates an independent session (connection context).
   std::unique_ptr<Session> CreateSession();
 
-  /// Parses and executes one statement on `session` (nullptr = the internal
-  /// autocommit session). On statement failure inside an explicit
+  /// Compiles and executes one statement on `session` (nullptr = the
+  /// internal autocommit session). On statement failure inside an explicit
   /// transaction the whole transaction is rolled back (no savepoints).
   Result<ExecResult> Execute(const std::string& sql, Session* session = nullptr);
 
-  /// Executes an already-parsed statement. `sql_text` is the statement text
+  /// Compiles `sql` through this database's statement cache when it is
+  /// enabled, else by a plain parse (see CompileSql). Callers that need the
+  /// AST before executing (cost estimation, one set-up statement run on
+  /// every replica) compile once and hand the result to Execute.
+  Result<CompiledSql> Compile(const std::string& sql);
+
+  /// Executes an already-compiled statement. It may come from another
+  /// replica's Compile: tables and columns resolve against this database's
+  /// catalog when it runs. `sql_text` is the original statement text,
   /// recorded in the binlog if this is a write.
-  Result<ExecResult> ExecuteParsed(const Statement& stmt,
-                                   const std::string& sql_text,
-                                   Session* session);
-
-  /// Fingerprints `sql` against the statement cache, parsing (and caching)
-  /// the template on a miss. Callers that need the AST before executing —
-  /// cost estimation, routing — use this so the later Execute() of the same
-  /// text is a cache hit instead of a second parse. Fails (NotSupported) for
-  /// shapes the cache bypasses; see StatementCache::Prepare.
-  Result<PreparedCall> Prepare(const std::string& sql);
-
-  /// Executes a prepared call (template + bound literals). `sql_text` is the
-  /// original statement text, recorded in the binlog if this is a write.
-  Result<ExecResult> ExecutePrepared(const PreparedCall& call,
-                                     const std::string& sql_text,
-                                     Session* session);
+  Result<ExecResult> Execute(const CompiledSql& compiled,
+                             const std::string& sql_text,
+                             Session* session = nullptr);
 
   // --- Introspection -------------------------------------------------------
   Table* GetTable(const std::string& name);
@@ -195,16 +188,6 @@ class Database {
 
  private:
   friend class Executor;
-
-  /// Shared execution path: `params` is null for fully-literal ASTs and the
-  /// bound literal vector for cached templates. `prepared` (nullable) is the
-  /// cache entry backing this execution; it carries the WHERE predicate
-  /// pre-compiled to vectorized bytecode.
-  Result<ExecResult> ExecuteStatement(const Statement& stmt,
-                                      const std::vector<Value>* params,
-                                      const std::string& sql_text,
-                                      Session* session,
-                                      const PreparedStatement* prepared);
 
   /// Commits `session`: appends pending write statements to the binlog as a
   /// single event, releases locks, clears transaction state.

@@ -161,6 +161,23 @@ bool IsTransactionControl(const Statement& stmt) {
          std::holds_alternative<RollbackStatement>(stmt);
 }
 
+std::string TargetTable(const Statement& stmt) {
+  struct Visitor {
+    std::string operator()(const CreateTableStatement& s) { return s.table; }
+    std::string operator()(const CreateIndexStatement& s) { return s.table; }
+    std::string operator()(const DropTableStatement& s) { return s.table; }
+    std::string operator()(const TruncateStatement& s) { return s.table; }
+    std::string operator()(const InsertStatement& s) { return s.table; }
+    std::string operator()(const SelectStatement& s) { return s.table; }
+    std::string operator()(const UpdateStatement& s) { return s.table; }
+    std::string operator()(const DeleteStatement& s) { return s.table; }
+    std::string operator()(const BeginStatement&) { return ""; }
+    std::string operator()(const CommitStatement&) { return ""; }
+    std::string operator()(const RollbackStatement&) { return ""; }
+  };
+  return std::visit(Visitor{}, stmt);
+}
+
 const char* StatementKindName(const Statement& stmt) {
   struct Visitor {
     const char* operator()(const CreateTableStatement&) { return "CREATE TABLE"; }

@@ -165,6 +165,10 @@ bool IsWriteStatement(const Statement& stmt);
 /// True for transaction-control statements (BEGIN/COMMIT/ROLLBACK).
 bool IsTransactionControl(const Statement& stmt);
 
+/// The table a statement targets, as spelled in the text (empty for
+/// transaction control). Callers lower-case it for catalog lookups.
+std::string TargetTable(const Statement& stmt);
+
 /// Short statement-kind name for diagnostics ("INSERT", "SELECT", ...).
 const char* StatementKindName(const Statement& stmt);
 

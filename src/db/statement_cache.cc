@@ -196,4 +196,13 @@ std::vector<std::string> StatementCache::FingerprintsByRecency() const {
   return out;
 }
 
+Result<CompiledSql> CompileSql(StatementCache* cache, const std::string& sql) {
+  if (cache != nullptr) {
+    Result<PreparedCall> call = cache->Prepare(sql);
+    if (call.ok()) return CompiledSql(std::move(*call));
+  }
+  CLOUDDB_ASSIGN_OR_RETURN(Statement stmt, ParseSql(sql));
+  return CompiledSql(std::move(stmt));
+}
+
 }  // namespace clouddb::db

@@ -89,7 +89,7 @@ class StatementCache {
   /// template plus this text's literal values. On a miss the literal-masked
   /// token stream is parsed and inserted first.
   ///
-  /// Failure modes callers must handle by falling back to plain ParseSql
+  /// Failure modes, on which CompileSql falls back to plain ParseSql
   /// (which reproduces byte-identical errors and behavior):
   ///  - NotSupported: statement shape is not cacheable (DDL, BEGIN/COMMIT/
   ///    ROLLBACK, empty input) or the template failed to parse.
@@ -131,6 +131,45 @@ class StatementCache {
   std::vector<Value> last_params_;
   std::list<Entry>::iterator last_it_;
 };
+
+/// One SQL text made executable: the statement cache's template with this
+/// text's literals bound, or, when the cache is off or does not admit the
+/// shape, a plain parse of the text. Copies share the template or the
+/// parse, so one compiled statement can run on every replica, or wait
+/// behind a queued CPU job, without a second parse.
+class CompiledSql {
+ public:
+  explicit CompiledSql(PreparedCall call) : call_(std::move(call)) {}
+  explicit CompiledSql(Statement parsed)
+      : parsed_(std::make_shared<Statement>(std::move(parsed))) {}
+
+  /// The AST either way: the template (literals as parameter slots) or the
+  /// plain parse (literals inline).
+  const Statement& statement() const {
+    return call_.prepared != nullptr ? call_.prepared->statement : *parsed_;
+  }
+  /// The cache entry behind a template (it carries the WHERE bytecode
+  /// compiled at insert); null for a plain parse.
+  const PreparedStatement* prepared() const { return call_.prepared.get(); }
+  /// The literals bound to the template's parameters; null for a plain
+  /// parse.
+  const std::vector<Value>* params() const {
+    return call_.prepared != nullptr ? &call_.params : nullptr;
+  }
+
+ private:
+  PreparedCall call_;                        // empty for a plain parse
+  std::shared_ptr<const Statement> parsed_;  // null for a template
+};
+
+/// The one compile step every executor of SQL text shares (the database,
+/// the slave apply loop, the cost estimate and the proxy's classifier):
+/// `cache`'s template when `cache` is non-null (on) and admits the shape,
+/// otherwise ParseSql. Any Prepare failure (an uncacheable shape, a
+/// template that fails to parse, even a tokenizer error) falls back to the
+/// plain parse, which reproduces cache-off behavior and error text byte for
+/// byte. Fails only when the text does not parse.
+Result<CompiledSql> CompileSql(StatementCache* cache, const std::string& sql);
 
 }  // namespace clouddb::db
 

@@ -7,28 +7,6 @@
 
 namespace clouddb::repl {
 
-namespace {
-
-/// Table a statement targets, lower-cased (empty for txn control).
-std::string StatementTable(const db::Statement& stmt) {
-  struct Visitor {
-    std::string operator()(const db::CreateTableStatement& s) { return s.table; }
-    std::string operator()(const db::CreateIndexStatement& s) { return s.table; }
-    std::string operator()(const db::DropTableStatement& s) { return s.table; }
-    std::string operator()(const db::TruncateStatement& s) { return s.table; }
-    std::string operator()(const db::InsertStatement& s) { return s.table; }
-    std::string operator()(const db::SelectStatement& s) { return s.table; }
-    std::string operator()(const db::UpdateStatement& s) { return s.table; }
-    std::string operator()(const db::DeleteStatement& s) { return s.table; }
-    std::string operator()(const db::BeginStatement&) { return ""; }
-    std::string operator()(const db::CommitStatement&) { return ""; }
-    std::string operator()(const db::RollbackStatement&) { return ""; }
-  };
-  return ToLower(std::visit(Visitor{}, stmt));
-}
-
-}  // namespace
-
 SimDuration CostModel::EstimateStatement(const db::Statement& stmt) const {
   if (std::holds_alternative<db::SelectStatement>(stmt)) return select_cost;
   if (std::holds_alternative<db::InsertStatement>(stmt)) return insert_cost;
@@ -45,7 +23,7 @@ SimDuration CostModel::EstimateWritesetApply(
 }
 
 SimDuration CostModel::EstimateApply(const db::Statement& stmt) const {
-  auto it = apply_cost_by_table.find(StatementTable(stmt));
+  auto it = apply_cost_by_table.find(ToLower(db::TargetTable(stmt)));
   if (it != apply_cost_by_table.end()) return it->second;
   return static_cast<SimDuration>(
       apply_factor * static_cast<double>(EstimateStatement(stmt)));

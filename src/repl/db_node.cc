@@ -1,12 +1,10 @@
 #include "repl/db_node.h"
 
-#include "db/sql_parser.h"
 #include "cloud/instance.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "common/time_types.h"
 #include "db/database.h"
-#include "db/sql_ast.h"
 #include "db/statement_cache.h"
 #include "net/network.h"
 #include "repl/cost_model.h"
@@ -97,21 +95,16 @@ void DbNode::Submit(const std::string& sql, SimDuration cpu_cost,
   }
   if (cpu_cost < 0) {
     // Parsing for cost estimation is not charged: real servers spend a
-    // negligible fraction of statement time in the parser. Estimating
-    // through Prepare() warms the statement cache, so the Execute() this
-    // submit leads to reuses the same parse instead of a second one.
+    // negligible fraction of statement time in the parser. Compiling here
+    // warms the statement cache, so the Execute() this submit leads to
+    // reuses the same parse instead of a second one. The compiled form is
+    // not carried across the CPU queue: the execution compiles again (a
+    // cache hit) when the CPU reaches it, in queue order with every other
+    // statement and after any DDL queued ahead of it.
     cpu_cost = SimDuration{0};
-    if (database_->statement_cache_enabled()) {
-      auto call = database_->Prepare(sql);
-      if (call.ok()) {
-        cpu_cost = cost_model_.EstimateStatement(call->prepared->statement);
-      } else {
-        auto parsed = db::ParseSql(sql);
-        if (parsed.ok()) cpu_cost = cost_model_.EstimateStatement(*parsed);
-      }
-    } else {
-      auto parsed = db::ParseSql(sql);
-      if (parsed.ok()) cpu_cost = cost_model_.EstimateStatement(*parsed);
+    Result<db::CompiledSql> compiled = database_->Compile(sql);
+    if (compiled.ok()) {
+      cpu_cost = cost_model_.EstimateStatement(compiled->statement());
     }
   }
   instance_->cpu().Submit(cpu_cost, [this, sql, done = std::move(done)]() mutable {
@@ -123,43 +116,15 @@ Result<db::ExecResult> DbNode::ExecuteDirect(const std::string& sql) {
   return ExecuteNow(sql);
 }
 
-Result<db::ExecResult> DbNode::ExecuteNow(const std::string& sql) {
+Result<db::ExecResult> DbNode::ExecuteNow(const std::string& sql,
+                                          const db::CompiledSql* compiled) {
   if (!online_ || database_ == nullptr) {
     ++queries_failed_;
     return Status::Unavailable("database node is offline");
   }
-  Result<db::ExecResult> result = database_->Execute(sql);
-  if (result.ok()) {
-    ++queries_completed_;
-  } else {
-    ++queries_failed_;
-  }
-  return result;
-}
-
-Result<db::ExecResult> DbNode::ExecutePreparedNow(const db::PreparedCall& call,
-                                                  const std::string& sql) {
-  if (!online_ || database_ == nullptr) {
-    ++queries_failed_;
-    return Status::Unavailable("database node is offline");
-  }
-  Result<db::ExecResult> result =
-      database_->ExecutePrepared(call, sql, nullptr);
-  if (result.ok()) {
-    ++queries_completed_;
-  } else {
-    ++queries_failed_;
-  }
-  return result;
-}
-
-Result<db::ExecResult> DbNode::ExecuteParsedNow(const db::Statement& stmt,
-                                                const std::string& sql) {
-  if (!online_ || database_ == nullptr) {
-    ++queries_failed_;
-    return Status::Unavailable("database node is offline");
-  }
-  Result<db::ExecResult> result = database_->ExecuteParsed(stmt, sql, nullptr);
+  Result<db::ExecResult> result = compiled != nullptr
+                                      ? database_->Execute(*compiled, sql)
+                                      : database_->Execute(sql);
   if (result.ok()) {
     ++queries_completed_;
   } else {

@@ -14,7 +14,6 @@
 #include "repl/cost_model.h"
 #include "sim/simulation.h"
 #include "common/time_types.h"
-#include "db/sql_ast.h"
 #include "db/statement_cache.h"
 
 namespace clouddb::repl {
@@ -90,18 +89,12 @@ class DbNode {
   sim::Simulation* sim() { return sim_; }
   net::Network* network() { return network_; }
 
-  /// Parses and executes on the autocommit session; updates counters.
-  Result<db::ExecResult> ExecuteNow(const std::string& sql);
-
-  /// Executes an already-prepared call (statement-cache template + bound
-  /// literals); updates counters. `sql` is the original text for the binlog.
-  Result<db::ExecResult> ExecutePreparedNow(const db::PreparedCall& call,
-                                            const std::string& sql);
-
-  /// Executes an already-parsed statement; updates counters. Used where the
-  /// AST was needed anyway (cost estimation) so the text is parsed once.
-  Result<db::ExecResult> ExecuteParsedNow(const db::Statement& stmt,
-                                          const std::string& sql);
+  /// Executes `sql` on the autocommit session and counts the outcome.
+  /// `compiled` (nullable) is `sql` as already compiled by this node's
+  /// database, where the AST was needed before the CPU reached the query
+  /// (the slave's apply cost); null compiles it here.
+  Result<db::ExecResult> ExecuteNow(const std::string& sql,
+                                    const db::CompiledSql* compiled = nullptr);
 
   /// Runs once the CPU reaches the query: executes and delivers the result.
   /// MasterNode overrides this to defer the response in synchronous

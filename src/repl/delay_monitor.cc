@@ -3,7 +3,6 @@
 #include "common/result.h"
 #include "common/stats.h"
 #include "db/database.h"
-#include "db/statement_cache.h"
 #include "db/value.h"
 
 namespace clouddb::repl {
@@ -13,21 +12,14 @@ std::map<int64_t, int64_t> ReadHeartbeats(db::Database& database,
                                           int64_t after_id) {
   std::map<int64_t, int64_t> out;
   if (database.GetTable(table) == nullptr) return out;
-  // The scan is issued through the statement cache: the first poll parses
-  // the SELECT once, every later poll binds the same template again (the
-  // same parse-once discipline the apply path uses). A negative bound would
+  // The first poll parses the SELECT once (when the statement cache is on);
+  // every later poll binds the same template again. A negative bound would
   // lex as a unary minus, a second template, so it is clamped: no id is
   // below 1 either way.
   const std::string sql = "SELECT hb_id, ts FROM " + table +
                           " WHERE hb_id > " +
                           std::to_string(after_id < 0 ? 0 : after_id);
-  Result<db::ExecResult> rows = [&]() -> Result<db::ExecResult> {
-    if (database.statement_cache_enabled()) {
-      Result<db::PreparedCall> call = database.Prepare(sql);
-      if (call.ok()) return database.ExecutePrepared(*call, sql, nullptr);
-    }
-    return database.Execute(sql);
-  }();
+  Result<db::ExecResult> rows = database.Execute(sql);
   if (!rows.ok()) return out;
   int id_col = -1;
   int ts_col = -1;

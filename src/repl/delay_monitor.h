@@ -16,9 +16,9 @@ namespace clouddb::repl {
 /// the whole table, and a poller that passes the newest id it holds reads
 /// only the rows committed since. Every call binds the one template
 /// `SELECT hb_id, ts FROM <table> WHERE hb_id > ?`, served as a primary-key
-/// index range, through the statement cache (non-const: the first call
-/// warms the template, later calls hit it), falling back to a plain parse
-/// when the cache is disabled.
+/// index range, through Database::Execute and so the statement cache when
+/// it is enabled (non-const: the first call warms the template, later calls
+/// hit it).
 std::map<int64_t, int64_t> ReadHeartbeats(db::Database& database,
                                           const std::string& table,
                                           int64_t after_id = 0);

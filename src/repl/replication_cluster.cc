@@ -1,18 +1,15 @@
 #include "repl/replication_cluster.h"
 
 #include <functional>
-#include <optional>
 #include <string>
 #include <utility>
 
 #include "common/str_util.h"
-#include "db/sql_parser.h"
 #include "cloud/cloud_provider.h"
 #include "cloud/instance.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "db/database.h"
-#include "db/sql_ast.h"
 #include "db/statement_cache.h"
 #include "net/network.h"
 #include "repl/master_node.h"
@@ -152,33 +149,20 @@ Status ReplicationCluster::ExecuteEverywhereDirect(const std::string& sql) {
 }
 
 Status ReplicationCluster::RunDirect(const std::string& sql, bool on_slaves) {
-  // Parse once, execute everywhere. With the statement cache on, repeated
-  // shapes (one INSERT form per table in a load) parse once across the
-  // whole run of calls, not once per statement, and the master's prepared
-  // template runs on every copy; otherwise the master's parse does.
+  // Compile once on the master, execute everywhere. With the statement
+  // cache on, repeated shapes (one INSERT form per table in a load) parse
+  // once across the whole run of calls, not once per statement, and the
+  // master's template runs on every copy; otherwise the master's parse does.
   db::Database& master = master_->database();
-  std::optional<db::PreparedCall> call;
-  if (master.statement_cache_enabled()) {
-    Result<db::PreparedCall> prepared = master.Prepare(sql);
-    if (prepared.ok()) call = std::move(*prepared);
-  }
-  std::optional<db::Statement> stmt;
-  if (!call) {
-    CLOUDDB_ASSIGN_OR_RETURN(db::Statement parsed, db::ParseSql(sql));
-    stmt = std::move(parsed);
-  }
-  auto execute = [&](db::Database& db) {
-    return call ? db.ExecutePrepared(*call, sql, nullptr)
-                : db.ExecuteParsed(*stmt, sql, nullptr);
-  };
+  CLOUDDB_ASSIGN_OR_RETURN(db::CompiledSql compiled, master.Compile(sql));
   // These statements must not replicate: every copy gets them directly.
   master.set_binlog_suppressed(true);
-  Result<db::ExecResult> result = execute(master);
+  Result<db::ExecResult> result = master.Execute(compiled, sql);
   master.set_binlog_suppressed(false);
   if (!result.ok()) return result.status();
   if (!on_slaves) return Status::Ok();
   for (auto& slave : slaves_) {
-    Result<db::ExecResult> copy = execute(slave->database());
+    Result<db::ExecResult> copy = slave->database().Execute(compiled, sql);
     if (!copy.ok()) return copy.status();
   }
   return Status::Ok();

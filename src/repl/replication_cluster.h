@@ -71,7 +71,8 @@ class ReplicationCluster {
   /// Failover promotion (FailoverManager's actuator): a new MasterNode on
   /// slave `i`'s instance adopts its database, with binary logging on a
   /// fresh, empty timeline and the old master's replication mode (row-based
-  /// capture, ship options, synchronous acks). Slot `i` is retired; every
+  /// capture, ship options, synchronous acks). An apply job the winner still
+  /// has queued on its CPU is dropped unapplied. Slot `i` is retired; every
   /// other active slave that is online is re-cloned from the new master
   /// (asynchronous replication can leave it behind the winner) and attached
   /// to the new timeline, in index order; an active slave that is offline is
@@ -138,9 +139,9 @@ class ReplicationCluster {
   void CopyMasterOnto(SlaveNode* slave);
 
   /// Runs `sql` on the master's database with its binlog suppressed and,
-  /// with `on_slaves`, on every slave's: the master's prepared template (or
-  /// its parse, when the cache is off or bypasses the shape) executes on
-  /// each copy.
+  /// with `on_slaves`, on every slave's: the master compiles it once
+  /// (Database::Compile) and that one compiled statement executes on each
+  /// copy.
   Status RunDirect(const std::string& sql, bool on_slaves);
 
   cloud::CloudProvider* provider_;

@@ -2,18 +2,15 @@
 
 #include <algorithm>
 #include <cassert>
-#include <memory>
 #include <optional>
 #include <vector>
 
-#include "db/sql_parser.h"
 #include "repl/master_node.h"
 #include "cloud/instance.h"
 #include "common/result.h"
 #include "common/time_types.h"
 #include "db/binlog.h"
 #include "db/database.h"
-#include "db/sql_ast.h"
 #include "db/statement_cache.h"
 #include "db/writeset_apply.h"
 #include "net/network.h"
@@ -85,58 +82,44 @@ void SlaveNode::OnBinlogEvent(db::BinlogEvent event) {
 }
 
 void SlaveNode::MaybeStartApply() {
-  if (applying_ || broken_ || relay_log_.empty()) return;
+  if (applying_ || broken_ || relay_log_.empty() || database_ == nullptr) {
+    return;
+  }
   applying_ = true;
   db::BinlogEvent event = std::move(relay_log_.front());
   relay_log_.pop_front();
 
-  // Parse each statement once: the same prepared call (or, for uncacheable
-  // shapes like replicated DDL, the same AST) feeds both the cost model and
-  // the apply below. Covered writesets skip the lexer/parser entirely —
-  // both here (cost) and in the apply (row images straight into the table).
-  struct PreparedApply {
-    bool direct = false;  // covered writeset: apply row images, no parsing
-    std::optional<db::PreparedCall> call;
-    std::optional<db::Statement> ast;
-  };
-  // shared_ptr because the CPU job is a std::function (copyable) while the
-  // prepared ASTs are move-only.
-  auto prepared =
-      std::make_shared<std::vector<PreparedApply>>(event.statements.size());
+  // Compile each statement once: the same compiled form feeds both the cost
+  // model and the apply below. Covered writesets skip the lexer/parser
+  // entirely — both here (cost) and in the apply (row images straight into
+  // the table) — and leave their slot empty.
+  std::vector<std::optional<db::CompiledSql>> compiled(
+      event.statements.size());
   SimDuration cost = 0;
   for (size_t i = 0; i < event.statements.size(); ++i) {
     if (event.has_writesets() && event.writesets[i].covered) {
       cost += cost_model_.EstimateWritesetApply(event.writesets[i]);
-      (*prepared)[i].direct = true;
       continue;
     }
-    const std::string& sql = event.statements[i];
-    if (database_ != nullptr && database_->statement_cache_enabled()) {
-      auto call = database_->Prepare(sql);
-      if (call.ok()) {
-        cost += cost_model_.EstimateApply(call->prepared->statement);
-        (*prepared)[i].call = std::move(*call);
-        continue;
-      }
+    Result<db::CompiledSql> c = database_->Compile(event.statements[i]);
+    if (c.ok()) {
+      cost += cost_model_.EstimateApply(c->statement());
+      compiled[i] = std::move(*c);
     }
-    auto parsed = db::ParseSql(sql);
-    if (parsed.ok()) {
-      cost += cost_model_.EstimateApply(*parsed);
-      (*prepared)[i].ast = std::move(*parsed);
-    }
-    // Unparseable statements contribute no cost; the apply below re-parses,
-    // fails identically, and stops the SQL thread.
+    // An unparseable statement contributes no cost and leaves its slot
+    // empty; the apply below compiles it again, fails identically, and
+    // stops the SQL thread.
   }
 
   int64_t epoch = apply_epoch_;
   instance_->cpu().Submit(cost, [this, epoch, event = std::move(event),
-                                 prepared = std::move(prepared)]() mutable {
-    if (epoch != apply_epoch_) return;  // rebased while this job was queued
+                                 compiled = std::move(compiled)]() mutable {
+    // Rebased while this job was queued, or promoted: the database went to
+    // the new master, and this job must not touch it.
+    if (epoch != apply_epoch_ || database_ == nullptr) return;
     // Apply the event atomically (it was one transaction on the master).
     for (size_t i = 0; i < event.statements.size(); ++i) {
-      const std::string& sql = event.statements[i];
-      PreparedApply& prep = (*prepared)[i];
-      if (prep.direct) {
+      if (event.has_writesets() && event.writesets[i].covered) {
         auto session = database_->CreateSession();
         Result<int64_t> rows = db::ApplyStatementWriteset(
             database_.get(), session.get(), event.writesets[i]);
@@ -149,11 +132,8 @@ void SlaveNode::MaybeStartApply() {
         continue;
       }
       if (event.has_writesets()) ++fallback_applies_;
-      Result<db::ExecResult> result =
-          prep.call.has_value()
-              ? ExecutePreparedNow(*prep.call, sql)
-              : (prep.ast.has_value() ? ExecuteParsedNow(*prep.ast, sql)
-                                      : ExecuteNow(sql));
+      Result<db::ExecResult> result = ExecuteNow(
+          event.statements[i], compiled[i] ? &*compiled[i] : nullptr);
       if (!result.ok()) {
         // MySQL stops the SQL thread on an apply error; replication on this
         // slave halts until an operator intervenes.

@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "client/rw_split_proxy.h"
+#include "common/str_util.h"
 #include "common/time_types.h"
 #include "harness/control_experiment.h"
 
@@ -49,6 +54,37 @@ TEST(ControlExperimentTest, ClosesTheLoopOnAShortRun) {
   EXPECT_NE(r.metrics_table.find("control.ticks"), std::string::npos);
   EXPECT_NE(r.metrics_table.find("repl.slave.applied_index"),
             std::string::npos);
+}
+
+/// The `db.statement_cache.*` rows of a metrics table, each as "name kind
+/// value count" with the column padding removed.
+std::vector<std::string> StatementCacheRows(const std::string& table) {
+  std::vector<std::string> rows;
+  for (const std::string& line : StrSplit(table, '\n')) {
+    std::vector<std::string> cells;
+    for (const std::string& cell : StrSplit(line, '|')) {
+      std::string_view trimmed = StripWhitespace(cell);
+      if (!trimmed.empty()) cells.emplace_back(trimmed);
+    }
+    if (!cells.empty() && StartsWith(cells[0], "db.statement_cache.")) {
+      rows.push_back(StrJoin(cells, " "));
+    }
+  }
+  return rows;
+}
+
+// Pins the statement-cache work of the short control run, merged over the
+// master and every slave: a second parse or a lost hit anywhere in the tier
+// moves these rows (see ExperimentTest.QuickRunPinsParseAndReplicationWork).
+TEST(ControlExperimentTest, ShortRunPinsStatementCacheWork) {
+  auto outcome = RunControlExperiment(ShortConfig());
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  // Gauges sum across nodes, so the merged hit rate is a sum of ratios.
+  EXPECT_EQ(StatementCacheRows(outcome->metrics_table),
+            (std::vector<std::string>{
+                "db.statement_cache.hit_rate gauge 2.964 1",
+                "db.statement_cache.hits gauge 3209.000 1",
+                "db.statement_cache.misses gauge 33.000 1"}));
 }
 
 TEST(ControlExperimentTest, IdenticalSeedsReproduceByteIdenticalMetrics) {

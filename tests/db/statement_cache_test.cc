@@ -232,9 +232,10 @@ TEST_F(CachedDatabaseTest, DdlDropsCompiledPredicateBytecode) {
   // Keep the prepared entry alive across the DDL, as an in-flight routed
   // execution would: its compiled program must never read the new catalog
   // through its old column slots.
-  auto call = db_.Prepare(select);
-  ASSERT_TRUE(call.ok());
-  ASSERT_TRUE(call->prepared->has_where_program);
+  auto compiled = db_.Compile(select);
+  ASSERT_TRUE(compiled.ok());
+  ASSERT_NE(compiled->prepared(), nullptr);
+  ASSERT_TRUE(compiled->prepared()->has_where_program);
 
   // DDL drops every cached template and counts the compiled programs that
   // went with them.
@@ -253,11 +254,59 @@ TEST_F(CachedDatabaseTest, DdlDropsCompiledPredicateBytecode) {
   }
   // The survivor re-binds its program by column name against the live
   // schema at execution, so it matches a fresh statement exactly.
-  auto stale = db_.ExecutePrepared(*call, select, nullptr);
+  auto stale = db_.Execute(*compiled, select);
   ASSERT_TRUE(stale.ok());
   ExecResult fresh = Must(select);
   EXPECT_EQ(stale->rows, fresh.rows);
   EXPECT_EQ(stale->rows, before.rows);  // same logical data, same ids
+}
+
+// ---------------------------------------------------------------------------
+// CompileSql: the one compile step behind every executor of SQL text
+
+TEST(CompileSql, TemplateWhenTheCacheAdmitsTheShapeElsePlainParse) {
+  StatementCache cache;
+  // Cache on, cacheable shape: the template, this text's literals bound.
+  auto dml = CompileSql(&cache, "SELECT a FROM t WHERE b = 5");
+  ASSERT_TRUE(dml.ok());
+  ASSERT_NE(dml->prepared(), nullptr);
+  EXPECT_EQ(&dml->statement(), &dml->prepared()->statement);
+  ASSERT_NE(dml->params(), nullptr);
+  EXPECT_EQ(*dml->params(), std::vector<Value>{Value(int64_t{5})});
+  EXPECT_EQ(cache.stats().misses, 1);
+  // Cache on, a shape it bypasses: a plain parse.
+  auto ddl = CompileSql(&cache, "CREATE TABLE t (a INT)");
+  ASSERT_TRUE(ddl.ok());
+  EXPECT_EQ(ddl->prepared(), nullptr);
+  EXPECT_EQ(ddl->params(), nullptr);
+  EXPECT_TRUE(std::holds_alternative<CreateTableStatement>(ddl->statement()));
+  EXPECT_EQ(cache.stats().bypasses, 1);
+  // Cache off: a plain parse even of a cacheable shape; the cache is idle.
+  auto off = CompileSql(nullptr, "SELECT a FROM t WHERE b = 5");
+  ASSERT_TRUE(off.ok());
+  EXPECT_EQ(off->prepared(), nullptr);
+  EXPECT_EQ(cache.stats().hits, 0);
+  // Copies share the template or the parse.
+  CompiledSql dml_copy = *dml;
+  CompiledSql off_copy = *off;
+  EXPECT_EQ(&dml_copy.statement(), &dml->statement());
+  EXPECT_EQ(&off_copy.statement(), &off->statement());
+}
+
+TEST(CompileSql, FailsOnlyWhenThePlainParseFails) {
+  StatementCache cache;
+  // A cacheable shape whose template does not parse, a tokenizer error and
+  // an uncacheable shape: each falls back to the plain parse, so the error
+  // is the cache-off error.
+  for (const std::string sql :
+       {"SELECT FROM t WHERE", "SELECT 'unterminated", "NOT SQL"}) {
+    auto on = CompileSql(&cache, sql);
+    auto off = CompileSql(nullptr, sql);
+    ASSERT_FALSE(on.ok()) << sql;
+    ASSERT_FALSE(off.ok()) << sql;
+    EXPECT_EQ(on.status().ToString(), off.status().ToString()) << sql;
+  }
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 // ---------------------------------------------------------------------------

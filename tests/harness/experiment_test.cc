@@ -126,6 +126,44 @@ TEST(ExperimentTest, VectorizedExecAblationIsBitIdentical) {
   EXPECT_EQ(on->binlog_events, off->binlog_events);
 }
 
+// Pins the parse and replication work of one quick cell, statement-based and
+// row-based with batched shipping. Every count is a pure function of the
+// seed, so a change that adds or removes work (a second parse, a lost cache
+// hit, an extra event or batch) fails here without timing noise; a change
+// that removes work on purpose updates these numbers and says so.
+TEST(ExperimentTest, QuickRunPinsParseAndReplicationWork) {
+  struct Pin {
+    bool row_based;
+    int64_t statement_cache_hits, statement_cache_misses;
+    int64_t route_cache_hits, route_cache_misses;
+    int64_t binlog_events, heartbeats_issued;
+    int64_t writeset_applies, fallback_applies, binlog_batches;
+  };
+  for (const Pin& pin : {Pin{false, 2743, 19, 927, 7, 788, 311, 0, 0, 0},
+                         Pin{true, 2271, 15, 927, 7, 788, 311, 476, 312,
+                             760}}) {
+    SCOPED_TRACE(pin.row_based ? "row-based, batches of 8"
+                               : "statement-based");
+    ExperimentConfig config = QuickConfig();
+    if (pin.row_based) {
+      config.row_based_repl = true;
+      config.binlog_batch_size = 8;
+    }
+    auto r = RunExperiment(config);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->benchmark.statement_cache_hits, pin.statement_cache_hits);
+    EXPECT_EQ(r->benchmark.statement_cache_misses,
+              pin.statement_cache_misses);
+    EXPECT_EQ(r->benchmark.route_cache_hits, pin.route_cache_hits);
+    EXPECT_EQ(r->benchmark.route_cache_misses, pin.route_cache_misses);
+    EXPECT_EQ(r->binlog_events, pin.binlog_events);
+    EXPECT_EQ(r->heartbeats_issued, pin.heartbeats_issued);
+    EXPECT_EQ(r->benchmark.writeset_applies, pin.writeset_applies);
+    EXPECT_EQ(r->benchmark.fallback_applies, pin.fallback_applies);
+    EXPECT_EQ(r->benchmark.binlog_batches, pin.binlog_batches);
+  }
+}
+
 TEST(ExperimentTest, DifferentSeedsDiffer) {
   ExperimentConfig config = QuickConfig();
   auto a = RunExperiment(config);

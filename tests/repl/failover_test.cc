@@ -360,6 +360,44 @@ TEST_F(FailoverTest, PromotedMasterKeepsTheReplicationMode) {
   EXPECT_TRUE(cluster_->Converged());
 }
 
+// The winner of a promotion may still have an apply job queued on its CPU
+// (the failover manager elects by applied index, so relay backlog does not
+// disqualify a slave). The database that job would apply to now belongs to
+// the new master: the job is dropped, whether it carries statements to
+// re-execute or row images to apply through a session.
+TEST_F(FailoverTest, PromotionDropsTheWinnersQueuedApply) {
+  for (bool row_based : {false, true}) {
+    SCOPED_TRACE(row_based ? "row-based" : "statement-based");
+    sim::Simulation sim;
+    cloud::CloudProvider provider(&sim, options_, 1);
+    ClusterConfig config;
+    config.num_slaves = 2;
+    ReplicationCluster cluster(&provider, config);
+    cluster.SetRowBasedReplication(row_based);
+    ASSERT_TRUE(cluster
+                    .ExecuteEverywhereDirect(
+                        "CREATE TABLE t (a INT PRIMARY KEY)")
+                    .ok());
+    SlaveNode* winner = cluster.slave(0);
+    // A long read holds the winner's CPU, so the INSERT's apply job queues
+    // behind it.
+    winner->Submit("SELECT COUNT(*) FROM t", Seconds(5),
+                   [](const Result<db::ExecResult>&) {});
+    ASSERT_TRUE(
+        cluster.master()->ExecuteDirect("INSERT INTO t VALUES (1)").ok());
+    sim.RunUntil(Seconds(1));
+    ASSERT_EQ(winner->relay_backlog(), 1u);
+
+    ASSERT_TRUE(cluster.PromoteSlave(0).ok());
+    sim.Run();
+    // The read finds the node offline; the apply job never runs.
+    EXPECT_EQ(winner->queries_failed(), 1);
+    EXPECT_EQ(winner->events_applied(), 0);
+    EXPECT_FALSE(winner->replication_broken());
+    EXPECT_TRUE(cluster.Converged());
+  }
+}
+
 TEST_F(FailoverTest, CopyTablesFromCopiesEverything) {
   db::Database source;
   ASSERT_TRUE(source

@@ -226,6 +226,20 @@ TEST_F(ReplicationTest, BrokenSlaveStopsApplying) {
   EXPECT_FALSE(cluster->FullyReplicated());
 }
 
+TEST_F(ReplicationTest, UnparseableEventStopsTheSqlThread) {
+  auto cluster = MakeCluster(1);
+  SlaveNode* slave = cluster->slave(0);
+  // Text no master would log: it compiles to nothing, and fails again when
+  // the apply compiles it.
+  db::BinlogEvent event;
+  event.statements = {"NOT SQL"};
+  slave->OnBinlogEvent(event);
+  sim_.Run();
+  EXPECT_TRUE(slave->replication_broken());
+  EXPECT_EQ(slave->queries_failed(), 1);
+  EXPECT_EQ(slave->applied_index(), -1);
+}
+
 TEST_F(ReplicationTest, ExecuteEverywhereDirectDoesNotReplicate) {
   auto cluster = MakeCluster(2);
   ASSERT_TRUE(
