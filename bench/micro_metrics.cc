@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/str_util.h"
 #include "db/database.h"
 #include "metrics/metric_registry.h"
@@ -69,20 +68,6 @@ void BM_EwmaObserve(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EwmaObserve);
-
-void BM_HistogramObserve(benchmark::State& state) {
-  metrics::MetricRegistry registry("bench");
-  metrics::HistogramSampler* histogram = registry.AddHistogram(
-      "bench.latency_us", /*first_upper=*/100.0, /*base=*/2.0,
-      /*num_buckets=*/24);
-  Rng rng(11);
-  for (auto _ : state) {
-    histogram->Observe(static_cast<double>(rng.UniformInt(1, 1000000)));
-    benchmark::DoNotOptimize(histogram);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HistogramObserve);
 
 void FillWideRegistry(metrics::MetricRegistry& registry, int n) {
   for (int i = 0; i < n; ++i) {

@@ -176,22 +176,6 @@ void BM_SlaveApplyWriteset(benchmark::State& state) {
 }
 BENCHMARK(BM_SlaveApplyWriteset)->Arg(768)->Arg(3072);
 
-// Codec cost on the shipping path: serialize + deserialize one captured
-// writeset event (what every group-shipped event pays on the wire).
-void BM_BinlogEventRoundTrip(benchmark::State& state) {
-  std::vector<db::BinlogEvent> events =
-      CaptureEvents(MakeBalancedWorkload(/*seed=*/17, 64));
-  size_t i = 0;
-  for (auto _ : state) {
-    std::string wire = db::SerializeBinlogEvent(events[i % events.size()]);
-    auto decoded = db::DeserializeBinlogEvent(wire);
-    benchmark::DoNotOptimize(decoded.ok());
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_BinlogEventRoundTrip);
-
 // Group shipping sweep: one master + two slaves in the simulated cloud,
 // replicating 256 covered writes at ship batch sizes 1/4/16/64. The
 // `ship_messages` counter is the acceptance metric — network sends on the

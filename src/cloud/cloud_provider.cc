@@ -9,16 +9,6 @@
 
 namespace clouddb::cloud {
 
-const char* InstanceTypeToString(InstanceType t) {
-  switch (t) {
-    case InstanceType::kSmall:
-      return "small";
-    case InstanceType::kLarge:
-      return "large";
-  }
-  return "?";
-}
-
 InstanceSpec SpecFor(InstanceType type) {
   switch (type) {
     case InstanceType::kSmall:

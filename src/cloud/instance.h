@@ -23,8 +23,6 @@ enum class InstanceType {
   kLarge,
 };
 
-const char* InstanceTypeToString(InstanceType t);
-
 /// Nominal core count / per-core speed for an instance type.
 struct InstanceSpec {
   int cores;

@@ -77,40 +77,6 @@ double Rng::ClampedNormal(double mean, double stddev, double lo, double hi) {
   return v;
 }
 
-int64_t Rng::Zipf(int64_t n, double s) {
-  assert(n > 0);
-  if (n == 1) return 0;
-  if (s <= 0.0) return UniformInt(0, n - 1);
-  // Rejection-inversion method over the harmonic-like CDF approximation.
-  // Simple and adequate for workload generation (n is modest).
-  // Uses the classical "two-segment" bound from Jacobsen/Hormann.
-  double one_minus_s = 1.0 - s;
-  double zeta2 = one_minus_s == 0.0
-                     ? std::log(2.0)
-                     : (std::pow(2.0, one_minus_s) - 1.0) / one_minus_s;
-  double zetan = one_minus_s == 0.0
-                     ? std::log(static_cast<double>(n) + 1.0)
-                     : (std::pow(static_cast<double>(n) + 1.0, one_minus_s) -
-                        1.0) /
-                           one_minus_s;
-  while (true) {
-    double u = NextDouble();
-    double x;
-    if (u * zetan < zeta2) {
-      x = 1.0 + u * zetan / zeta2;  // within the first segment
-    } else if (one_minus_s == 0.0) {
-      x = std::exp(u * zetan);
-    } else {
-      x = std::pow(u * zetan * one_minus_s + 1.0, 1.0 / one_minus_s);
-    }
-    int64_t k = static_cast<int64_t>(x);
-    if (k < 1) k = 1;
-    if (k > n) k = n;
-    double ratio = std::pow(static_cast<double>(k) / x, s);
-    if (NextDouble() < ratio) return k - 1;
-  }
-}
-
 int Rng::WeightedIndex(const std::vector<double>& weights) {
   assert(!weights.empty());
   double total = 0.0;

@@ -45,10 +45,6 @@ class Rng {
   /// Normal clamped to [lo, hi].
   double ClampedNormal(double mean, double stddev, double lo, double hi);
 
-  /// Zipf-distributed integer in [0, n) with skew `s` (s = 0 is uniform).
-  /// Used for popularity skew in workload key selection.
-  int64_t Zipf(int64_t n, double s);
-
   /// Picks an index in [0, weights.size()) with probability proportional to
   /// weights[i]. Requires a non-empty vector of non-negative weights with a
   /// positive sum.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
-#include <limits>
 
 namespace clouddb {
 
@@ -71,72 +69,6 @@ double Sample::TrimmedMean(double fraction) const {
   double s = 0.0;
   for (size_t i = cut; i < sorted.size() - cut; ++i) s += sorted[i];
   return s / static_cast<double>(n);
-}
-
-Histogram::Histogram(double first_upper, double base, int num_buckets)
-    : first_upper_(first_upper), base_(base) {
-  assert(first_upper > 0 && base > 1.0 && num_buckets >= 1);
-  counts_.assign(static_cast<size_t>(num_buckets) + 1, 0);  // +1 overflow
-}
-
-double Histogram::UpperBound(int bucket) const {
-  return first_upper_ * std::pow(base_, bucket);
-}
-
-void Histogram::Add(double v) {
-  ++total_;
-  for (size_t b = 0; b + 1 < counts_.size(); ++b) {
-    if (v < UpperBound(static_cast<int>(b))) {
-      ++counts_[b];
-      return;
-    }
-  }
-  ++counts_.back();  // overflow bucket
-}
-
-void Histogram::Merge(const Histogram& other) {
-  assert(counts_.size() == other.counts_.size());
-  for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  total_ += other.total_;
-}
-
-double Histogram::ApproxPercentile(double q) const {
-  if (total_ == 0) return 0.0;
-  int64_t target = static_cast<int64_t>(q * static_cast<double>(total_));
-  int64_t acc = 0;
-  for (size_t b = 0; b < counts_.size(); ++b) {
-    acc += counts_[b];
-    if (acc > target) {
-      return UpperBound(static_cast<int>(b));
-    }
-  }
-  return UpperBound(static_cast<int>(counts_.size()) - 1);
-}
-
-std::string Histogram::ToString() const {
-  std::string out;
-  double lo = 0.0;
-  char buf[128];
-  for (size_t b = 0; b < counts_.size(); ++b) {
-    double hi = b + 1 == counts_.size()
-                    ? std::numeric_limits<double>::infinity()
-                    : UpperBound(static_cast<int>(b));
-    if (counts_[b] > 0) {
-      std::snprintf(buf, sizeof(buf), "[%.3g, %.3g) %lld\n", lo, hi,
-                    static_cast<long long>(counts_[b]));
-      out += buf;
-    }
-    lo = hi;
-  }
-  return out;
-}
-
-double RateCounter::RatePerSecond(int64_t window_start_us,
-                                  int64_t window_end_us) const {
-  if (window_end_us <= window_start_us) return 0.0;
-  double secs =
-      static_cast<double>(window_end_us - window_start_us) / 1'000'000.0;
-  return static_cast<double>(count_) / secs;
 }
 
 }  // namespace clouddb

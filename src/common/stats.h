@@ -2,8 +2,6 @@
 #define CLOUDDB_COMMON_STATS_H_
 
 #include <cstddef>
-#include <cstdint>
-#include <string>
 #include <vector>
 
 namespace clouddb {
@@ -50,57 +48,6 @@ class Sample {
 
  private:
   std::vector<double> values_;
-};
-
-/// Fixed set of log-spaced buckets for latency-style distributions;
-/// cheap to merge and render.
-class Histogram {
- public:
-  /// Buckets are powers of `base` starting at `first_upper` (values below go
-  /// to bucket 0), e.g. base=2, first_upper=1ms covers 1ms..~17min in 20
-  /// buckets.
-  Histogram(double first_upper, double base, int num_buckets);
-
-  void Add(double v);
-  void Merge(const Histogram& other);
-
-  int64_t TotalCount() const { return total_; }
-  /// Approximate quantile from bucket boundaries.
-  double ApproxPercentile(double q) const;
-  /// One line per non-empty bucket: "[lo, hi) count".
-  std::string ToString() const;
-
-  const std::vector<int64_t>& counts() const { return counts_; }
-
- private:
-  double UpperBound(int bucket) const;
-
-  double first_upper_;
-  double base_;
-  std::vector<int64_t> counts_;
-  int64_t total_ = 0;
-};
-
-/// Counts events over simulated time to produce rates (e.g. operations per
-/// second in the steady-state measurement window).
-class RateCounter {
- public:
-  RateCounter() = default;
-
-  void Record(int64_t timestamp_us) {
-    ++count_;
-    if (count_ == 1) first_us_ = timestamp_us;
-    last_us_ = timestamp_us;
-  }
-
-  int64_t count() const { return count_; }
-  /// Events per second over [window_start_us, window_end_us].
-  double RatePerSecond(int64_t window_start_us, int64_t window_end_us) const;
-
- private:
-  int64_t count_ = 0;
-  int64_t first_us_ = 0;
-  int64_t last_us_ = 0;
 };
 
 }  // namespace clouddb

@@ -1,219 +1,16 @@
 #include "db/binlog.h"
 
-#include <algorithm>
-#include <cassert>
-#include <cstring>
-#include <limits>
 #include <utility>
 
-#include "common/status.h"
-#include "common/str_util.h"
 #include "db/value.h"
-#include "common/result.h"
 #include "db/writeset.h"
 
 namespace clouddb::db {
 
 namespace {
 
-// --- Little-endian primitive codec -----------------------------------------
-
-void AppendU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void AppendU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendI64(std::string* out, int64_t v) {
-  AppendU64(out, static_cast<uint64_t>(v));
-}
-
-void AppendDouble(std::string* out, double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  AppendU64(out, bits);
-}
-
-/// Collection counts and string lengths ship as explicit 32-bit wire
-/// fields. Everything counted here lives in memory on the master first, so
-/// 2^32 is unreachable in practice; the assert pins the invariant where the
-/// truncating cast happens.
-void AppendCount(std::string* out, size_t n) {
-  assert(n <= std::numeric_limits<uint32_t>::max());
-  AppendU32(out, static_cast<uint32_t>(n));
-}
-
-void AppendLengthPrefixed(std::string* out, const std::string& s) {
-  AppendCount(out, s.size());
-  out->append(s);
-}
-
-/// Bounds-checked reader over the serialized buffer.
-class Reader {
- public:
-  explicit Reader(std::string_view data) : data_(data) {}
-
-  Status ReadU8(uint8_t* v) {
-    if (pos_ + 1 > data_.size()) return Truncated();
-    *v = static_cast<uint8_t>(data_[pos_++]);
-    return Status::Ok();
-  }
-
-  Status ReadU32(uint32_t* v) {
-    if (pos_ + 4 > data_.size()) return Truncated();
-    uint32_t out = 0;
-    for (int i = 0; i < 4; ++i) {
-      out |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_ + i]))
-             << (8 * i);
-    }
-    pos_ += 4;
-    *v = out;
-    return Status::Ok();
-  }
-
-  Status ReadU64(uint64_t* v) {
-    if (pos_ + 8 > data_.size()) return Truncated();
-    uint64_t out = 0;
-    for (int i = 0; i < 8; ++i) {
-      out |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i]))
-             << (8 * i);
-    }
-    pos_ += 8;
-    *v = out;
-    return Status::Ok();
-  }
-
-  Status ReadI64(int64_t* v) {
-    uint64_t bits;
-    CLOUDDB_RETURN_IF_ERROR(ReadU64(&bits));
-    *v = static_cast<int64_t>(bits);
-    return Status::Ok();
-  }
-
-  Status ReadDouble(double* v) {
-    uint64_t bits;
-    CLOUDDB_RETURN_IF_ERROR(ReadU64(&bits));
-    std::memcpy(v, &bits, sizeof(*v));
-    return Status::Ok();
-  }
-
-  /// Mirror of AppendCount: counts and lengths are explicit 32-bit fields.
-  Status ReadCount(uint32_t* v) { return ReadU32(v); }
-
-  Status ReadLengthPrefixed(std::string* s) {
-    uint32_t len;
-    CLOUDDB_RETURN_IF_ERROR(ReadCount(&len));
-    if (pos_ + len > data_.size()) return Truncated();
-    s->assign(data_.substr(pos_, len));
-    pos_ += len;
-    return Status::Ok();
-  }
-
-  bool AtEnd() const { return pos_ == data_.size(); }
-
-  /// Bytes left in the buffer. Decode loops cap their `reserve()` at what
-  /// the remaining wire could possibly encode (every element costs at least
-  /// one byte), so a hostile count field near 2^32 cannot force a
-  /// multi-gigabyte allocation before the truncation check catches it.
-  size_t Remaining() const { return data_.size() - pos_; }
-
- private:
-  static Status Truncated() {
-    return Status::InvalidArgument("truncated binlog event");
-  }
-
-  std::string_view data_;
-  size_t pos_ = 0;
-};
-
-// --- Value / row codec ------------------------------------------------------
-
-// Value tags. The tag byte doubles as the type check on decode.
-constexpr uint8_t kTagNull = 0;
-constexpr uint8_t kTagInt64 = 1;
-constexpr uint8_t kTagDouble = 2;
-constexpr uint8_t kTagString = 3;
-
-void AppendValue(std::string* out, const Value& v) {
-  switch (v.type()) {
-    case ValueType::kNull:
-      AppendU8(out, kTagNull);
-      break;
-    case ValueType::kInt64:
-      AppendU8(out, kTagInt64);
-      AppendI64(out, v.AsInt64());
-      break;
-    case ValueType::kDouble:
-      AppendU8(out, kTagDouble);
-      AppendDouble(out, v.AsDouble());
-      break;
-    case ValueType::kString:
-      AppendU8(out, kTagString);
-      AppendLengthPrefixed(out, v.AsString());
-      break;
-  }
-}
-
-Status ReadValue(Reader* r, Value* out) {
-  uint8_t tag;
-  CLOUDDB_RETURN_IF_ERROR(r->ReadU8(&tag));
-  switch (tag) {
-    case kTagNull:
-      *out = Value::Null();
-      return Status::Ok();
-    case kTagInt64: {
-      int64_t v;
-      CLOUDDB_RETURN_IF_ERROR(r->ReadI64(&v));
-      *out = Value(v);
-      return Status::Ok();
-    }
-    case kTagDouble: {
-      double v;
-      CLOUDDB_RETURN_IF_ERROR(r->ReadDouble(&v));
-      *out = Value(v);
-      return Status::Ok();
-    }
-    case kTagString: {
-      std::string s;
-      CLOUDDB_RETURN_IF_ERROR(r->ReadLengthPrefixed(&s));
-      *out = Value(std::move(s));
-      return Status::Ok();
-    }
-    default:
-      return Status::InvalidArgument(
-          StrFormat("unknown value tag %d in binlog event", tag));
-  }
-}
-
-void AppendRow(std::string* out, const Row& row) {
-  AppendCount(out, row.size());
-  for (const Value& v : row) AppendValue(out, v);
-}
-
-Status ReadRow(Reader* r, Row* out) {
-  uint32_t n;
-  CLOUDDB_RETURN_IF_ERROR(r->ReadCount(&n));
-  out->clear();
-  out->reserve(std::min<size_t>(n, r->Remaining()));
-  for (uint32_t i = 0; i < n; ++i) {
-    Value v;
-    CLOUDDB_RETURN_IF_ERROR(ReadValue(r, &v));
-    out->push_back(std::move(v));
-  }
-  return Status::Ok();
-}
-
+// Charge per value: a one-byte type tag, then 8 bytes for a number or a
+// 4-byte length plus the bytes for a string.
 int64_t ValueWireSize(const Value& v) {
   switch (v.type()) {
     case ValueType::kNull:
@@ -227,6 +24,7 @@ int64_t ValueWireSize(const Value& v) {
   return 1;
 }
 
+// Charge per row image: a 4-byte value count plus each value.
 int64_t RowWireSize(const Row& row) {
   int64_t size = 4;
   for (const Value& v : row) size += ValueWireSize(v);
@@ -248,79 +46,6 @@ int64_t EventWireSize(const BinlogEvent& event) {
     }
   }
   return size;
-}
-
-std::string SerializeBinlogEvent(const BinlogEvent& event) {
-  std::string out;
-  out.reserve(static_cast<size_t>(EventWireSize(event)));
-  AppendI64(&out, event.index);
-  AppendI64(&out, event.commit_micros);
-  AppendCount(&out, event.statements.size());
-  AppendU8(&out, event.has_writesets() ? 1 : 0);
-  for (const std::string& sql : event.statements) {
-    AppendLengthPrefixed(&out, sql);
-  }
-  if (event.has_writesets()) {
-    for (const StatementWriteset& ws : event.writesets) {
-      AppendU8(&out, ws.covered ? 1 : 0);
-      AppendCount(&out, ws.ops.size());
-      for (const RowOp& op : ws.ops) {
-        AppendU8(&out, static_cast<uint8_t>(op.kind));
-        AppendLengthPrefixed(&out, op.table);
-        AppendRow(&out, op.before);
-        AppendRow(&out, op.after);
-      }
-    }
-  }
-  return out;
-}
-
-Result<BinlogEvent> DeserializeBinlogEvent(std::string_view data) {
-  Reader r(data);
-  BinlogEvent event;
-  CLOUDDB_RETURN_IF_ERROR(r.ReadI64(&event.index));
-  CLOUDDB_RETURN_IF_ERROR(r.ReadI64(&event.commit_micros));
-  uint32_t num_statements = 0;
-  CLOUDDB_RETURN_IF_ERROR(r.ReadCount(&num_statements));
-  uint8_t has_writesets = 0;
-  CLOUDDB_RETURN_IF_ERROR(r.ReadU8(&has_writesets));
-  event.statements.reserve(std::min<size_t>(num_statements, r.Remaining()));
-  for (uint32_t i = 0; i < num_statements; ++i) {
-    std::string sql;
-    CLOUDDB_RETURN_IF_ERROR(r.ReadLengthPrefixed(&sql));
-    event.statements.push_back(std::move(sql));
-  }
-  if (has_writesets != 0) {
-    event.writesets.reserve(std::min<size_t>(num_statements, r.Remaining()));
-    for (uint32_t i = 0; i < num_statements; ++i) {
-      StatementWriteset ws;
-      uint8_t covered = 0;
-      CLOUDDB_RETURN_IF_ERROR(r.ReadU8(&covered));
-      ws.covered = covered != 0;
-      uint32_t num_ops = 0;
-      CLOUDDB_RETURN_IF_ERROR(r.ReadCount(&num_ops));
-      ws.ops.reserve(std::min<size_t>(num_ops, r.Remaining()));
-      for (uint32_t j = 0; j < num_ops; ++j) {
-        RowOp op;
-        uint8_t kind = 0;
-        CLOUDDB_RETURN_IF_ERROR(r.ReadU8(&kind));
-        if (kind > static_cast<uint8_t>(RowOp::Kind::kUpdate)) {
-          return Status::InvalidArgument(
-              StrFormat("unknown row op kind %d in binlog event", kind));
-        }
-        op.kind = static_cast<RowOp::Kind>(kind);
-        CLOUDDB_RETURN_IF_ERROR(r.ReadLengthPrefixed(&op.table));
-        CLOUDDB_RETURN_IF_ERROR(ReadRow(&r, &op.before));
-        CLOUDDB_RETURN_IF_ERROR(ReadRow(&r, &op.after));
-        ws.ops.push_back(std::move(op));
-      }
-      event.writesets.push_back(std::move(ws));
-    }
-  }
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after binlog event");
-  }
-  return event;
 }
 
 int64_t Binlog::Append(std::vector<std::string> statements,

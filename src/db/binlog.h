@@ -4,10 +4,8 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "common/result.h"
 #include "db/writeset.h"
 
 namespace clouddb::db {
@@ -32,18 +30,15 @@ struct BinlogEvent {
   bool has_writesets() const { return !writesets.empty(); }
 };
 
-/// Serialized wire size of an event in bytes (header + payload). For a
-/// statement-only event this is exactly the 32-byte header plus the
-/// statement text — the size the simulated network has always charged —
-/// so disabling row-based mode reproduces historical traffic byte for byte.
-/// Writeset-bearing events additionally pay for their encoded row images.
+/// Bytes the simulated network charges for shipping an event to a slave.
+/// Events travel in memory and are never encoded; this is the one cost
+/// model. A statement-only event costs a 32-byte header plus the statement
+/// text — the size the network has always charged — so disabling row-based
+/// mode reproduces historical traffic byte for byte. Each writeset adds 5
+/// bytes, each row op 5 plus its table name, and each before/after row
+/// image 4 plus, per value, 1 (NULL), 9 (integer or double) or 5 plus the
+/// length (string).
 int64_t EventWireSize(const BinlogEvent& event);
-
-/// Binary codec for binlog events (the on-the-wire format of the group
-/// shipping path). Round-trips every Value type including NULL, empty
-/// strings, negative integers, and doubles bit-exactly.
-std::string SerializeBinlogEvent(const BinlogEvent& event);
-Result<BinlogEvent> DeserializeBinlogEvent(std::string_view data);
 
 /// Append-only, in-memory binary log.
 class Binlog {

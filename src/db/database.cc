@@ -549,14 +549,26 @@ class Executor {
   }
 
   /// Extracts index-usable single-column constraints from the WHERE
-  /// conjunction (col op <row-independent expr>, either side).
+  /// conjunction (col op <row-independent expr>, either side). Clears
+  /// `*exhaustive` when some leaf yields no constraint.
   Status ExtractConstraints(const Expr& expr, const Schema& schema,
-                            std::vector<Constraint>* out) {
+                            std::vector<Constraint>* out, bool* exhaustive) {
     if (expr.kind == Expr::Kind::kBinary && expr.op == BinaryOp::kAnd) {
-      CLOUDDB_RETURN_IF_ERROR(ExtractConstraints(*expr.lhs, schema, out));
-      CLOUDDB_RETURN_IF_ERROR(ExtractConstraints(*expr.rhs, schema, out));
-      return Status::Ok();
+      CLOUDDB_RETURN_IF_ERROR(
+          ExtractConstraints(*expr.lhs, schema, out, exhaustive));
+      return ExtractConstraints(*expr.rhs, schema, out, exhaustive);
     }
+    const size_t before = out->size();
+    CLOUDDB_RETURN_IF_ERROR(ExtractConstraint(expr, schema, out));
+    if (out->size() == before) *exhaustive = false;
+    return Status::Ok();
+  }
+
+  /// Appends the constraint of one WHERE leaf, if it has one. A
+  /// non-comparison, a column-vs-column or unknown-column comparison and a
+  /// NULL-valued comparison have none.
+  Status ExtractConstraint(const Expr& expr, const Schema& schema,
+                           std::vector<Constraint>* out) {
     if (expr.kind != Expr::Kind::kBinary) return Status::Ok();
     BinaryOp op = expr.op;
     if (op != BinaryOp::kEq && op != BinaryOp::kLt && op != BinaryOp::kLe &&
@@ -603,54 +615,6 @@ class Executor {
     return Status::Ok();
   }
 
-  /// True iff every leaf of the WHERE conjunction is a comparison on
-  /// `column` that the chosen scan's bounds fully encode — i.e. the index
-  /// scan alone proves the predicate. For an equality path the leaf must
-  /// compare equal to the chosen value; for a range path any </<=/>/>= on
-  /// the column qualifies (all of them were folded into the bounds).
-  bool PredicateSubsumedByScan(const Expr& expr, const Schema& schema,
-                               size_t column, const Constraint* chosen_eq) {
-    if (expr.kind == Expr::Kind::kBinary && expr.op == BinaryOp::kAnd) {
-      return PredicateSubsumedByScan(*expr.lhs, schema, column, chosen_eq) &&
-             PredicateSubsumedByScan(*expr.rhs, schema, column, chosen_eq);
-    }
-    if (expr.kind != Expr::Kind::kBinary) return false;
-    const Expr* col_side = nullptr;
-    const Expr* val_side = nullptr;
-    BinaryOp op = expr.op;
-    if (expr.lhs->kind == Expr::Kind::kColumnRef &&
-        IsRowIndependent(*expr.rhs)) {
-      col_side = expr.lhs.get();
-      val_side = expr.rhs.get();
-    } else if (expr.rhs->kind == Expr::Kind::kColumnRef &&
-               IsRowIndependent(*expr.lhs)) {
-      col_side = expr.rhs.get();
-      val_side = expr.lhs.get();
-      switch (op) {
-        case BinaryOp::kLt: op = BinaryOp::kGt; break;
-        case BinaryOp::kLe: op = BinaryOp::kGe; break;
-        case BinaryOp::kGt: op = BinaryOp::kLt; break;
-        case BinaryOp::kGe: op = BinaryOp::kLe; break;
-        default: break;
-      }
-    } else {
-      return false;
-    }
-    auto idx = schema.ColumnIndex(col_side->column);
-    if (!idx.ok() || *idx != column) return false;
-    // NULL-valued comparisons match nothing and are never folded into scan
-    // bounds; they must disqualify subsumption.
-    auto value =
-        EvaluateExpr(*val_side, nullptr, nullptr, db_->functions_, params_);
-    if (!value.ok() || value->is_null()) return false;
-    if (chosen_eq != nullptr) {
-      return op == BinaryOp::kEq &&
-             Value::Compare(*value, chosen_eq->value) == 0;
-    }
-    return op == BinaryOp::kLt || op == BinaryOp::kLe ||
-           op == BinaryOp::kGt || op == BinaryOp::kGe;
-  }
-
   /// Selects an access path, gathers candidate rows, applies the full
   /// predicate, and returns matching RowIds in access order.
   ///
@@ -669,8 +633,10 @@ class Executor {
       std::vector<const Row*>* match_rows = nullptr) {
     const Schema& schema = table->schema();
     std::vector<Constraint> constraints;
+    bool exhaustive = true;  // every WHERE leaf became a constraint
     if (where != nullptr) {
-      CLOUDDB_RETURN_IF_ERROR(ExtractConstraints(*where, schema, &constraints));
+      CLOUDDB_RETURN_IF_ERROR(
+          ExtractConstraints(*where, schema, &constraints, &exhaustive));
     }
     // Predicate shape: the ordered (op, column) pairs of the extracted
     // constraints. Values are excluded on purpose — NULL-valued comparisons
@@ -748,12 +714,19 @@ class Executor {
     }
 
     // Limit pushdown: decide whether the scan alone proves the predicate
-    // and delivers the requested order.
+    // and delivers the requested order. It does when every WHERE leaf is a
+    // constraint the scan's bounds encode: `=` the chosen value on an
+    // equality path, any range comparison on the column of a range path.
     size_t scan_col = chosen_eq != nullptr ? chosen_eq->column : range_col;
-    bool subsumed =
-        where == nullptr ||
-        (scan_col != SIZE_MAX &&
-         PredicateSubsumedByScan(*where, schema, scan_col, chosen_eq));
+    bool subsumed = where == nullptr || (scan_col != SIZE_MAX && exhaustive);
+    for (size_t i = 0; subsumed && i < constraints.size(); ++i) {
+      const Constraint& c = constraints[i];
+      subsumed = c.column == scan_col &&
+                 (chosen_eq != nullptr
+                      ? c.op == BinaryOp::kEq &&
+                            Value::Compare(c.value, chosen_eq->value) == 0
+                      : c.op != BinaryOp::kEq);
+    }
     int64_t early_stop = -1;
     if (limit_hint >= 0 && subsumed) {
       bool order_satisfied =

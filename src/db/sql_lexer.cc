@@ -90,6 +90,154 @@ bool IsIdentStart(char c) {
 bool IsIdentChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
+bool IsDigitAt(const std::string& sql, size_t k) {
+  return k < sql.size() && std::isdigit(static_cast<unsigned char>(sql[k]));
+}
+
+/// The one lexical scan of SQL text, shared by Tokenize and FingerprintSql.
+/// Skips whitespace and hands each lexeme, with its source offset, to
+/// `sink`:
+///   Word(type, start, text)       keyword (canonical uppercase spelling),
+///                                 identifier or symbol, as emitted;
+///   Integer(start, text, value)   Double(start, text, value);
+///   String(start, value)          quotes stripped, '' unescaped.
+/// Returns the first lexical error; the sink has then seen a prefix.
+template <typename Sink>
+Status ScanSql(const std::string& sql, Sink* sink) {
+  size_t i = 0;
+  const size_t n = sql.size();
+  while (i < n) {
+    char c = sql[i];
+    if (std::isspace(static_cast<unsigned char>(c))) {
+      ++i;
+      continue;
+    }
+    const size_t start = i;
+    if (IsIdentStart(c)) {
+      while (i < n && IsIdentChar(sql[i])) ++i;
+      const size_t len = i - start;
+      const char* keyword = Keywords().Match(sql.data() + start, len);
+      if (keyword != nullptr) {
+        sink->Word(TokenType::kKeyword, start, std::string_view(keyword, len));
+      } else {
+        sink->Word(TokenType::kIdentifier, start,
+                   std::string_view(sql.data() + start, len));
+      }
+      continue;
+    }
+    if (IsDigitAt(sql, i) || (c == '.' && IsDigitAt(sql, i + 1))) {
+      bool is_double = false;
+      while (IsDigitAt(sql, i)) ++i;
+      if (i < n && sql[i] == '.') {
+        is_double = true;
+        ++i;
+        while (IsDigitAt(sql, i)) ++i;
+      }
+      if (i < n && (sql[i] == 'e' || sql[i] == 'E')) {
+        size_t k = i + 1;
+        if (k < n && (sql[k] == '+' || sql[k] == '-')) ++k;
+        if (IsDigitAt(sql, k)) {
+          is_double = true;
+          i = k;
+          while (IsDigitAt(sql, i)) ++i;
+        }
+      }
+      const std::string_view text(sql.data() + start, i - start);
+      // strtod/strtoll stop at exactly the character the scan above stopped
+      // at, so they parse in place from the source buffer.
+      if (is_double) {
+        sink->Double(start, text, std::strtod(sql.c_str() + start, nullptr));
+      } else {
+        errno = 0;
+        int64_t v = std::strtoll(sql.c_str() + start, nullptr, 10);
+        if (errno == ERANGE) {
+          return Status::InvalidArgument(
+              StrFormat("integer literal out of range at offset %zu", start));
+        }
+        sink->Integer(start, text, v);
+      }
+      continue;
+    }
+    if (c == '\'') {
+      std::string value;
+      bool closed = false;
+      ++i;
+      // Copy whole runs up to each quote instead of byte-at-a-time appends.
+      while (i < n) {
+        size_t quote = sql.find('\'', i);
+        if (quote == std::string::npos) break;  // unterminated
+        value.append(sql, i, quote - i);
+        i = quote + 1;
+        if (i < n && sql[i] == '\'') {  // '' escape
+          value += '\'';
+          ++i;
+          continue;
+        }
+        closed = true;
+        break;
+      }
+      if (!closed) {
+        return Status::InvalidArgument(
+            StrFormat("unterminated string literal at offset %zu", start));
+      }
+      sink->String(start, std::move(value));
+      continue;
+    }
+    // Two-character symbols first: <= >= != <>.
+    const char next = i + 1 < n ? sql[i + 1] : '\0';
+    size_t len = 1;
+    if ((next == '=' && (c == '<' || c == '>' || c == '!')) ||
+        (c == '<' && next == '>')) {
+      len = 2;
+    } else if (std::string_view("(),*=<>+-/.;").find(c) ==
+               std::string_view::npos) {
+      return Status::InvalidArgument(
+          StrFormat("unexpected character '%c' at offset %zu", c, start));
+    }
+    sink->Word(TokenType::kSymbol, start,
+               std::string_view(sql.data() + start, len));
+    i += len;
+  }
+  return Status::Ok();
+}
+
+/// Tokenize's sink: one Token per lexeme.
+struct TokenSink {
+  void Word(TokenType type, size_t start, std::string_view text) {
+    out->push_back(Token{type, std::string(text), 0, 0.0, start});
+  }
+  void Integer(size_t start, std::string_view text, int64_t v) {
+    out->push_back(
+        Token{TokenType::kInteger, std::string(text), v, 0.0, start});
+  }
+  void Double(size_t start, std::string_view text, double v) {
+    out->push_back(Token{TokenType::kDouble, std::string(text), 0, v, start});
+  }
+  void String(size_t start, std::string value) {
+    out->push_back(Token{TokenType::kString, std::move(value), 0, 0.0, start});
+  }
+
+  std::vector<Token>* out;
+};
+
+/// FingerprintSql's sink: appends each lexeme's text and one space to the
+/// fingerprint; a literal appends `?` and its value to `params`.
+struct FingerprintSink {
+  void Word(TokenType, size_t, std::string_view text) {
+    fp->append(text);
+    *fp += ' ';
+  }
+  void Integer(size_t, std::string_view, int64_t v) { Literal(Value(v)); }
+  void Double(size_t, std::string_view, double v) { Literal(Value(v)); }
+  void String(size_t, std::string value) { Literal(Value(std::move(value))); }
+  void Literal(Value v) {
+    params->push_back(std::move(v));
+    *fp += "? ";
+  }
+
+  std::string* fp;
+  std::vector<Value>* params;
+};
 
 }  // namespace
 
@@ -106,138 +254,9 @@ Result<std::vector<Token>> Tokenize(const std::string& sql) {
   // Tokens average a handful of bytes of source each; one upfront reservation
   // avoids the O(log n) vector regrowths per statement.
   out.reserve(sql.size() / 4 + 4);
-  size_t i = 0;
-  const size_t n = sql.size();
-  while (i < n) {
-    char c = sql[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++i;
-      continue;
-    }
-    size_t start = i;
-    if (IsIdentStart(c)) {
-      size_t j = i;
-      while (j < n && IsIdentChar(sql[j])) ++j;
-      const size_t len = j - i;
-      Token t;
-      t.offset = start;
-      const char* canonical = Keywords().Match(sql.data() + i, len);
-      if (canonical != nullptr) {
-        t.type = TokenType::kKeyword;
-        t.text.assign(canonical, len);
-      } else {
-        t.type = TokenType::kIdentifier;
-        t.text.assign(sql, i, len);
-      }
-      out.push_back(std::move(t));
-      i = j;
-      continue;
-    }
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '.' && i + 1 < n &&
-         std::isdigit(static_cast<unsigned char>(sql[i + 1])))) {
-      size_t j = i;
-      bool is_double = false;
-      while (j < n && std::isdigit(static_cast<unsigned char>(sql[j]))) ++j;
-      if (j < n && sql[j] == '.') {
-        is_double = true;
-        ++j;
-        while (j < n && std::isdigit(static_cast<unsigned char>(sql[j]))) ++j;
-      }
-      if (j < n && (sql[j] == 'e' || sql[j] == 'E')) {
-        size_t k = j + 1;
-        if (k < n && (sql[k] == '+' || sql[k] == '-')) ++k;
-        if (k < n && std::isdigit(static_cast<unsigned char>(sql[k]))) {
-          is_double = true;
-          j = k;
-          while (j < n && std::isdigit(static_cast<unsigned char>(sql[j]))) {
-            ++j;
-          }
-        }
-      }
-      std::string text = sql.substr(i, j - i);
-      Token t;
-      t.offset = start;
-      t.text = text;
-      if (is_double) {
-        t.type = TokenType::kDouble;
-        t.double_value = std::strtod(text.c_str(), nullptr);
-      } else {
-        t.type = TokenType::kInteger;
-        errno = 0;
-        t.int_value = std::strtoll(text.c_str(), nullptr, 10);
-        if (errno == ERANGE) {
-          return Status::InvalidArgument(
-              StrFormat("integer literal out of range at offset %zu", start));
-        }
-      }
-      out.push_back(std::move(t));
-      i = j;
-      continue;
-    }
-    if (c == '\'') {
-      std::string value;
-      size_t j = i + 1;
-      bool closed = false;
-      // Copy whole runs up to each quote instead of byte-at-a-time appends.
-      while (j < n) {
-        size_t quote = sql.find('\'', j);
-        if (quote == std::string::npos) break;  // unterminated
-        value.append(sql, j, quote - j);
-        if (quote + 1 < n && sql[quote + 1] == '\'') {  // '' escape
-          value += '\'';
-          j = quote + 2;
-          continue;
-        }
-        closed = true;
-        j = quote + 1;
-        break;
-      }
-      if (!closed) {
-        return Status::InvalidArgument(
-            StrFormat("unterminated string literal at offset %zu", start));
-      }
-      Token t;
-      t.type = TokenType::kString;
-      t.text = std::move(value);
-      t.offset = start;
-      out.push_back(std::move(t));
-      i = j;
-      continue;
-    }
-    // Multi-char symbols first.
-    auto symbol = [&](const char* sym) {
-      Token t;
-      t.type = TokenType::kSymbol;
-      t.text = sym;
-      t.offset = start;
-      out.push_back(std::move(t));
-    };
-    if (c == '<' && i + 1 < n && sql[i + 1] == '=') {
-      symbol("<=");
-      i += 2;
-    } else if (c == '>' && i + 1 < n && sql[i + 1] == '=') {
-      symbol(">=");
-      i += 2;
-    } else if (c == '<' && i + 1 < n && sql[i + 1] == '>') {
-      symbol("<>");
-      i += 2;
-    } else if (c == '!' && i + 1 < n && sql[i + 1] == '=') {
-      symbol("!=");
-      i += 2;
-    } else if (std::string("(),*=<>+-/.;").find(c) != std::string::npos) {
-      char buf[2] = {c, 0};
-      symbol(buf);
-      ++i;
-    } else {
-      return Status::InvalidArgument(
-          StrFormat("unexpected character '%c' at offset %zu", c, start));
-    }
-  }
-  Token end;
-  end.type = TokenType::kEnd;
-  end.offset = n;
-  out.push_back(std::move(end));
+  TokenSink sink{&out};
+  CLOUDDB_RETURN_IF_ERROR(ScanSql(sql, &sink));
+  out.push_back(Token{TokenType::kEnd, std::string(), 0, 0.0, sql.size()});
   return out;
 }
 
@@ -247,117 +266,8 @@ Result<std::string> FingerprintSql(const std::string& sql,
   // Every source byte maps to at most one fingerprint byte plus the token
   // separators; sql.size() + a small slack avoids regrowth.
   fp.reserve(sql.size() + 8);
-  size_t i = 0;
-  const size_t n = sql.size();
-  while (i < n) {
-    char c = sql[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++i;
-      continue;
-    }
-    size_t start = i;
-    if (IsIdentStart(c)) {
-      size_t j = i;
-      while (j < n && IsIdentChar(sql[j])) ++j;
-      const size_t len = j - i;
-      const char* canonical = Keywords().Match(sql.data() + i, len);
-      if (canonical != nullptr) {
-        fp.append(canonical, len);
-      } else {
-        fp.append(sql, i, len);
-      }
-      fp += ' ';
-      i = j;
-      continue;
-    }
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '.' && i + 1 < n &&
-         std::isdigit(static_cast<unsigned char>(sql[i + 1])))) {
-      size_t j = i;
-      bool is_double = false;
-      while (j < n && std::isdigit(static_cast<unsigned char>(sql[j]))) ++j;
-      if (j < n && sql[j] == '.') {
-        is_double = true;
-        ++j;
-        while (j < n && std::isdigit(static_cast<unsigned char>(sql[j]))) ++j;
-      }
-      if (j < n && (sql[j] == 'e' || sql[j] == 'E')) {
-        size_t k = j + 1;
-        if (k < n && (sql[k] == '+' || sql[k] == '-')) ++k;
-        if (k < n && std::isdigit(static_cast<unsigned char>(sql[k]))) {
-          is_double = true;
-          j = k;
-          while (j < n && std::isdigit(static_cast<unsigned char>(sql[j]))) {
-            ++j;
-          }
-        }
-      }
-      // strtod/strtoll stop at exactly the character the scan above stopped
-      // at, so parsing in place from the source buffer matches Tokenize's
-      // substr-then-parse byte for byte.
-      if (is_double) {
-        params->push_back(Value(std::strtod(sql.c_str() + i, nullptr)));
-      } else {
-        errno = 0;
-        int64_t v = std::strtoll(sql.c_str() + i, nullptr, 10);
-        if (errno == ERANGE) {
-          return Status::InvalidArgument(
-              StrFormat("integer literal out of range at offset %zu", start));
-        }
-        params->push_back(Value(v));
-      }
-      fp += "? ";
-      i = j;
-      continue;
-    }
-    if (c == '\'') {
-      std::string value;
-      size_t j = i + 1;
-      bool closed = false;
-      while (j < n) {
-        size_t quote = sql.find('\'', j);
-        if (quote == std::string::npos) break;  // unterminated
-        value.append(sql, j, quote - j);
-        if (quote + 1 < n && sql[quote + 1] == '\'') {  // '' escape
-          value += '\'';
-          j = quote + 2;
-          continue;
-        }
-        closed = true;
-        j = quote + 1;
-        break;
-      }
-      if (!closed) {
-        return Status::InvalidArgument(
-            StrFormat("unterminated string literal at offset %zu", start));
-      }
-      params->push_back(Value(std::move(value)));
-      fp += "? ";
-      i = j;
-      continue;
-    }
-    if (c == '<' && i + 1 < n && sql[i + 1] == '=') {
-      fp += "<= ";
-      i += 2;
-    } else if (c == '>' && i + 1 < n && sql[i + 1] == '=') {
-      fp += ">= ";
-      i += 2;
-    } else if (c == '<' && i + 1 < n && sql[i + 1] == '>') {
-      fp += "<> ";
-      i += 2;
-    } else if (c == '!' && i + 1 < n && sql[i + 1] == '=') {
-      fp += "!= ";
-      i += 2;
-    } else if (std::string_view("(),*=<>+-/.;").find(c) !=
-               std::string_view::npos) {
-      fp += c;
-      fp += ' ';
-      ++i;
-    } else {
-      return Status::InvalidArgument(
-          StrFormat("unexpected character '%c' at offset %zu", c, start));
-    }
-  }
+  FingerprintSink sink{&fp, params};
+  CLOUDDB_RETURN_IF_ERROR(ScanSql(sql, &sink));
   return fp;
 }
 

@@ -39,14 +39,14 @@ struct Token {
 /// terminated by a kEnd token, or an error pointing at the offending byte.
 Result<std::vector<Token>> Tokenize(const std::string& sql);
 
-/// Fused single-pass fingerprint scan: the statement cache's hit path.
-/// Produces exactly the fingerprint the cache would build by tokenizing and
-/// masking (every token uppercased-if-keyword and emitted with one trailing
-/// space; literals collapse to `?` with their values appended to `params` in
-/// token order) — but without materializing a token vector, so a cache hit
-/// costs one scan over the text. Lexical errors are byte-identical to
-/// Tokenize's. Equivalence with the token-based construction is enforced by
-/// tests (statement_cache_test).
+/// Fingerprint scan: the statement cache's hit path. Produces exactly the
+/// fingerprint the cache would build by tokenizing and masking (every token
+/// uppercased-if-keyword and emitted with one trailing space; literals
+/// collapse to `?` with their values appended to `params` in token order) —
+/// but without materializing a token vector, so a cache hit costs one scan
+/// over the text. It runs Tokenize's scan with a different sink, so lexical
+/// errors are byte-identical to Tokenize's. Equivalence with the token-based
+/// construction is enforced by tests (statement_cache_test).
 Result<std::string> FingerprintSql(const std::string& sql,
                                    std::vector<Value>* params);
 

@@ -49,16 +49,4 @@ void LockManager::ReleaseAll(int64_t session_id) {
   }
 }
 
-bool LockManager::HoldsRead(int64_t session_id,
-                            const std::string& table) const {
-  auto it = locks_.find(table);
-  return it != locks_.end() && it->second.readers.count(session_id) > 0;
-}
-
-bool LockManager::HoldsWrite(int64_t session_id,
-                             const std::string& table) const {
-  auto it = locks_.find(table);
-  return it != locks_.end() && it->second.writer == session_id;
-}
-
 }  // namespace clouddb::db

@@ -36,9 +36,6 @@ class LockManager {
   /// Drops every lock `session_id` holds.
   void ReleaseAll(int64_t session_id);
 
-  bool HoldsRead(int64_t session_id, const std::string& table) const;
-  bool HoldsWrite(int64_t session_id, const std::string& table) const;
-
  private:
   struct TableLock {
     std::set<int64_t> readers;

@@ -1,5 +1,6 @@
 #include "fault/fault_injector.h"
 
+#include <limits>
 #include <utility>
 
 #include "common/str_util.h"
@@ -9,8 +10,39 @@
 #include "fault/fault_schedule.h"
 #include "net/network.h"
 #include "sim/simulation.h"
+#include "common/time_types.h"
 
 namespace clouddb::fault {
+
+namespace {
+
+bool IsLinkFault(FaultKind kind) {
+  return kind == FaultKind::kPartition || kind == FaultKind::kLatencySpike ||
+         kind == FaultKind::kPacketLoss;
+}
+
+/// True when `a` and `b` are faults of one kind on one target whose windows
+/// overlap or touch. The injector applies and heals through on/off hooks, so
+/// the first heal would end both windows; at a shared instant the outcome
+/// would hang on the order the events were listed. A link fault's target is
+/// the unordered endpoint pair, a permanent fault (duration 0) never ends,
+/// and clock steps are instantaneous.
+bool WindowsCollide(const FaultEvent& a, const FaultEvent& b) {
+  if (a.kind != b.kind || a.kind == FaultKind::kClockStep) return false;
+  bool same_target = a.target == b.target;
+  if (IsLinkFault(a.kind)) {
+    same_target = (same_target && a.peer == b.peer) ||
+                  (a.target == b.peer && a.peer == b.target);
+  }
+  if (!same_target) return false;
+  auto end = [](const FaultEvent& e) {
+    return e.duration == 0 ? std::numeric_limits<SimTime>::max()
+                           : e.at + e.duration;
+  };
+  return a.at <= end(b) && b.at <= end(a);
+}
+
+}  // namespace
 
 FaultInjector::FaultInjector(sim::Simulation* sim,
                              cloud::CloudProvider* provider)
@@ -33,22 +65,16 @@ Status FaultInjector::Validate(const FaultEvent& event) const {
     return Status::InvalidArgument(
         StrFormat("unknown instance '%s'", event.target.c_str()));
   }
-  switch (event.kind) {
-    case FaultKind::kPartition:
-    case FaultKind::kLatencySpike:
-    case FaultKind::kPacketLoss:
-      if (provider_->FindByName(event.peer) == nullptr) {
-        return Status::InvalidArgument(
-            StrFormat("unknown instance '%s'", event.peer.c_str()));
-      }
-      if (event.peer == event.target) {
-        return Status::InvalidArgument(StrFormat(
-            "link fault needs two distinct endpoints, got '%s' twice",
-            event.target.c_str()));
-      }
-      break;
-    default:
-      break;
+  if (IsLinkFault(event.kind)) {
+    if (provider_->FindByName(event.peer) == nullptr) {
+      return Status::InvalidArgument(
+          StrFormat("unknown instance '%s'", event.peer.c_str()));
+    }
+    if (event.peer == event.target) {
+      return Status::InvalidArgument(StrFormat(
+          "link fault needs two distinct endpoints, got '%s' twice",
+          event.target.c_str()));
+    }
   }
   if (event.kind == FaultKind::kSlowdown && event.magnitude <= 0.0) {
     return Status::InvalidArgument(
@@ -63,8 +89,18 @@ Status FaultInjector::Validate(const FaultEvent& event) const {
 }
 
 Status FaultInjector::Arm(const FaultSchedule& schedule) {
+  std::vector<const FaultEvent*> windows;
+  for (const auto& armed : armed_) windows.push_back(armed.get());
   for (const FaultEvent& event : schedule.events()) {
     CLOUDDB_RETURN_IF_ERROR(Validate(event));
+    for (const FaultEvent* other : windows) {
+      if (WindowsCollide(*other, event)) {
+        return Status::InvalidArgument(StrFormat(
+            "faults '%s' and '%s' overlap: one kind on one target",
+            other->ToString().c_str(), event.ToString().c_str()));
+      }
+    }
+    windows.push_back(&event);
   }
   // All valid: schedule everything. Heap copies give the begin/heal lambdas
   // a stable event to point at across vector growth.
@@ -101,14 +137,12 @@ void FaultInjector::Begin(const FaultEvent& event) {
     case FaultKind::kFreeze:
       target->cpu().Freeze();
       break;
-    case FaultKind::kSlowdown:
-      // Remember the pre-fault speed once, so overlapping slowdowns on the
-      // same instance heal back to the original, not to an already-degraded
-      // intermediate.
-      saved_speeds_.emplace(event.target, target->cpu().speed_factor());
-      target->cpu().SetSpeedFactor(saved_speeds_[event.target] *
-                                   event.magnitude);
+    case FaultKind::kSlowdown: {
+      double speed = target->cpu().speed_factor();
+      saved_speeds_[event.target] = speed;
+      target->cpu().SetSpeedFactor(speed * event.magnitude);
       break;
+    }
     case FaultKind::kPartition:
       ForEachDirection(event, [&net](net::NodeId from, net::NodeId to) {
         net.SetLinkDown(from, to, true);
@@ -145,11 +179,11 @@ void FaultInjector::Heal(const FaultEvent& event) {
       target->cpu().Thaw();
       break;
     case FaultKind::kSlowdown: {
+      // Arm admits one slowdown window per instance at a time, so this
+      // heal's saved speed is the only one pending.
       auto it = saved_speeds_.find(event.target);
-      if (it != saved_speeds_.end()) {
-        target->cpu().SetSpeedFactor(it->second);
-        saved_speeds_.erase(it);
-      }
+      target->cpu().SetSpeedFactor(it->second);
+      saved_speeds_.erase(it);
       break;
     }
     case FaultKind::kPartition:

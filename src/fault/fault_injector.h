@@ -42,8 +42,10 @@ class FaultInjector {
 
   /// Validates and schedules every event of `schedule`. May be called more
   /// than once (schedules accumulate). Returns InvalidArgument on unknown
-  /// instance names, out-of-range magnitudes, negative times/durations or
-  /// self-partitions — nothing is scheduled on error.
+  /// instance names, out-of-range magnitudes, negative times/durations,
+  /// self-partitions, or two windows of one kind on one target (link faults:
+  /// one endpoint pair, either order) that overlap or touch, counting events
+  /// armed earlier — nothing is scheduled on error.
   Status Arm(const FaultSchedule& schedule);
 
   /// `listener(event, begin)` fires as each fault begins (begin = true) and
@@ -78,7 +80,7 @@ class FaultInjector {
   std::vector<std::unique_ptr<FaultEvent>> armed_;
   /// Kernel handles for every scheduled begin/heal, cancelled on teardown.
   std::vector<sim::Simulation::EventHandle> scheduled_;
-  /// Pre-fault CPU speeds, keyed by instance name, for slowdown heals.
+  /// Pre-fault CPU speed of each slowed instance, for its heal.
   std::map<std::string, double> saved_speeds_;
 };
 

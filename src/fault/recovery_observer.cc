@@ -54,46 +54,7 @@ std::string RecoveryReport::ToString() const {
 
 RecoveryObserver::RecoveryObserver(sim::Simulation* sim,
                                    repl::FailoverManager* manager)
-    : sim_(sim), manager_(manager), metrics_("recovery") {
-  RegisterMetrics();
-}
-
-void RecoveryObserver::RegisterMetrics() {
-  polls_ = metrics_.AddCounter("fault.polls");
-  metrics_.AddProbe("fault.fault_at_us", [this] {
-    return static_cast<double>(report_.fault_at);
-  });
-  metrics_.AddProbe("fault.detected_at_us", [this] {
-    return static_cast<double>(report_.detected_at);
-  });
-  metrics_.AddProbe("fault.promoted_at_us", [this] {
-    return static_cast<double>(report_.promoted_at);
-  });
-  metrics_.AddProbe("fault.healed_at_us", [this] {
-    return static_cast<double>(report_.healed_at);
-  });
-  metrics_.AddProbe("fault.reconverged_at_us", [this] {
-    return static_cast<double>(report_.reconverged_at);
-  });
-  metrics_.AddProbe("fault.lost_writes", [this] {
-    return static_cast<double>(report_.lost_writes);
-  });
-  metrics_.AddProbe("fault.peak_lag_events", [this] {
-    return static_cast<double>(report_.peak_lag_events);
-  });
-  metrics_.AddProbe("fault.peak_relay_backlog", [this] {
-    return static_cast<double>(report_.peak_relay_backlog);
-  });
-  metrics_.AddProbe("fault.time_to_detect_us", [this] {
-    return static_cast<double>(report_.TimeToDetect());
-  });
-  metrics_.AddProbe("fault.time_to_promote_us", [this] {
-    return static_cast<double>(report_.TimeToPromote());
-  });
-  metrics_.AddProbe("fault.time_to_reconverge_us", [this] {
-    return static_cast<double>(report_.TimeToReconverge());
-  });
-}
+    : sim_(sim), manager_(manager) {}
 
 void RecoveryObserver::Start() {
   if (running_) return;
@@ -120,7 +81,6 @@ void RecoveryObserver::NoteHeal() { report_.healed_at = sim_->Now(); }
 
 void RecoveryObserver::Poll() {
   if (!running_) return;
-  polls_->Increment();
   repl::ReplicationCluster* cluster = manager_->cluster();
   repl::MasterNode* master = cluster->master();
   bool all_caught_up = true;

@@ -3,7 +3,6 @@
 
 #include <string>
 
-#include "metrics/metric_registry.h"
 #include "repl/failover.h"
 #include "sim/simulation.h"
 #include "common/time_types.h"
@@ -82,24 +81,13 @@ class RecoveryObserver {
 
   const RecoveryReport& report() const { return report_; }
 
-  /// The fault-tier slice of the metrics spine: every RecoveryReport field
-  /// exposed as a `fault.*` probe plus a poll counter, so the same
-  /// aggregation path that collects db/repl/proxy metrics sees recovery
-  /// timings too. The report struct remains the equality-comparable
-  /// determinism artifact; the registry is a live view over it.
-  metrics::MetricRegistry& metrics() { return metrics_; }
-  const metrics::MetricRegistry& metrics() const { return metrics_; }
-
  private:
   void Poll();
-  void RegisterMetrics();
 
   sim::Simulation* sim_;
   repl::FailoverManager* manager_;
   bool running_ = false;
   RecoveryReport report_;
-  metrics::MetricRegistry metrics_;
-  metrics::Counter* polls_ = nullptr;
   sim::PeriodicTimer poller_;
 };
 

@@ -37,11 +37,6 @@ double ControlSweepResult::MasterOffload(SimDuration bound, int users) const {
   return cell == nullptr ? 0.0 : cell->result.master_offload_pct;
 }
 
-int ControlSweepResult::PeakReplicas(SimDuration bound, int users) const {
-  const ControlSweepCell* cell = Find(bound, users);
-  return cell == nullptr ? 0 : cell->result.peak_active_slaves;
-}
-
 TableWriter ControlSweepResult::FreshnessTable(
     const std::vector<SimDuration>& bounds,
     const std::vector<int>& user_counts) const {

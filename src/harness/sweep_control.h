@@ -43,7 +43,6 @@ class ControlSweepResult {
 
   double AchievedFreshness(SimDuration bound, int users) const;
   double MasterOffload(SimDuration bound, int users) const;
-  int PeakReplicas(SimDuration bound, int users) const;
 
   /// Figure tables: one row per SLA bound, one column per offered load.
   TableWriter FreshnessTable(const std::vector<SimDuration>& bounds,

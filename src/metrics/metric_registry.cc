@@ -25,7 +25,6 @@ const char* MetricKindName(MetricKind kind) {
     case MetricKind::kCounter: return "counter";
     case MetricKind::kGauge: return "gauge";
     case MetricKind::kEwma: return "ewma";
-    case MetricKind::kHistogram: return "histogram";
   }
   return "unknown";
 }
@@ -90,15 +89,6 @@ Ewma* MetricRegistry::AddEwma(const std::string& name, double alpha) {
   return e->ewma.get();
 }
 
-HistogramSampler* MetricRegistry::AddHistogram(const std::string& name,
-                                               double first_upper, double base,
-                                               int num_buckets) {
-  Entry* e = Register(name, MetricKind::kHistogram);
-  e->histogram =
-      std::make_unique<HistogramSampler>(first_upper, base, num_buckets);
-  return e->histogram.get();
-}
-
 const Counter* MetricRegistry::FindCounter(const std::string& name) const {
   auto it = metrics_.find(name);
   return it == metrics_.end() ? nullptr : it->second.counter.get();
@@ -112,12 +102,6 @@ const Gauge* MetricRegistry::FindGauge(const std::string& name) const {
 const Ewma* MetricRegistry::FindEwma(const std::string& name) const {
   auto it = metrics_.find(name);
   return it == metrics_.end() ? nullptr : it->second.ewma.get();
-}
-
-const HistogramSampler* MetricRegistry::FindHistogram(
-    const std::string& name) const {
-  auto it = metrics_.find(name);
-  return it == metrics_.end() ? nullptr : it->second.histogram.get();
 }
 
 bool MetricRegistry::Has(const std::string& name) const {
@@ -135,8 +119,6 @@ double MetricRegistry::ValueOf(const std::string& name) const {
       return e.gauge->value();
     case MetricKind::kEwma:
       return e.ewma->value();
-    case MetricKind::kHistogram:
-      return e.histogram->histogram().ApproxPercentile(0.95);
   }
   return 0.0;
 }
@@ -160,10 +142,6 @@ std::vector<MetricSnapshot> MetricRegistry::Snapshot() const {
       case MetricKind::kEwma:
         snap.value = e.ewma->value();
         snap.count = e.ewma->count();
-        break;
-      case MetricKind::kHistogram:
-        snap.value = e.histogram->histogram().ApproxPercentile(0.95);
-        snap.count = e.histogram->histogram().TotalCount();
         break;
     }
     out.push_back(std::move(snap));
@@ -193,10 +171,6 @@ void MetricRegistry::MergeFrom(const MetricRegistry& other) {
           fresh.ewma->value_ = theirs.ewma->value();
           fresh.ewma->count_ = theirs.ewma->count();
           break;
-        case MetricKind::kHistogram:
-          fresh.histogram =
-              std::make_unique<HistogramSampler>(theirs.histogram->histogram_);
-          break;
       }
       metrics_.emplace(name, std::move(fresh));
       continue;
@@ -224,9 +198,6 @@ void MetricRegistry::MergeFrom(const MetricRegistry& other) {
         mine.ewma->count_ = total;
         break;
       }
-      case MetricKind::kHistogram:
-        mine.histogram->histogram_.Merge(theirs.histogram->histogram());
-        break;
     }
   }
 }

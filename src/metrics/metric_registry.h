@@ -8,8 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.h"
-
 namespace clouddb::metrics {
 
 /// The metrics spine: one `MetricRegistry` per node (or per component),
@@ -22,7 +20,7 @@ namespace clouddb::metrics {
 /// properties are enforced here at registration and statically by the
 /// `clouddb-metric-name` lint rule.
 
-enum class MetricKind { kCounter, kGauge, kEwma, kHistogram };
+enum class MetricKind { kCounter, kGauge, kEwma };
 
 /// Monotone event count (e.g. reads routed, SLA violations).
 class Counter {
@@ -72,24 +70,9 @@ class Ewma {
   int64_t count_ = 0;
 };
 
-/// Log-bucketed distribution sampler wrapping clouddb::Histogram.
-class HistogramSampler {
- public:
-  HistogramSampler(double first_upper, double base, int num_buckets)
-      : histogram_(first_upper, base, num_buckets) {}
-  explicit HistogramSampler(Histogram seed) : histogram_(std::move(seed)) {}
-
-  void Observe(double v) { histogram_.Add(v); }
-  const Histogram& histogram() const { return histogram_; }
-
- private:
-  friend class MetricRegistry;
-  Histogram histogram_;
-};
-
 /// One row of a registry snapshot. `value` is the counter total, gauge
-/// level, EWMA value, or histogram p95; `count` is the number of
-/// observations (1 for counters/gauges).
+/// level or EWMA value; `count` is the number of observations (1 for
+/// counters/gauges).
 struct MetricSnapshot {
   std::string name;
   MetricKind kind = MetricKind::kCounter;
@@ -118,18 +101,15 @@ class MetricRegistry {
   /// existing counter field costs nothing on the hot path.
   Gauge* AddProbe(const std::string& name, std::function<double()> probe);
   Ewma* AddEwma(const std::string& name, double alpha = 0.2);
-  HistogramSampler* AddHistogram(const std::string& name, double first_upper,
-                                 double base, int num_buckets);
 
   /// Lookup; nullptr (or 0.0 for ValueOf) when the name is absent or of a
   /// different kind.
   const Counter* FindCounter(const std::string& name) const;
   const Gauge* FindGauge(const std::string& name) const;
   const Ewma* FindEwma(const std::string& name) const;
-  const HistogramSampler* FindHistogram(const std::string& name) const;
   bool Has(const std::string& name) const;
-  /// The snapshot `value` of one metric: counter total, gauge level, EWMA
-  /// value, histogram p95. 0.0 when absent.
+  /// The snapshot `value` of one metric: counter total, gauge level or EWMA
+  /// value. 0.0 when absent.
   double ValueOf(const std::string& name) const;
 
   const std::string& scope() const { return scope_; }
@@ -143,8 +123,8 @@ class MetricRegistry {
   std::vector<MetricSnapshot> Snapshot() const;
 
   /// Cluster-wide aggregation: folds `other` into this registry. Counters
-  /// and histogram buckets add, gauges sum (probes are sampled at merge
-  /// time and become plain values), EWMAs combine count-weighted. Metrics
+  /// add, gauges sum (probes are sampled at merge time and become plain
+  /// values), EWMAs combine count-weighted. Metrics
   /// absent here are created; same-named metrics must have the same kind.
   void MergeFrom(const MetricRegistry& other);
 
@@ -157,7 +137,6 @@ class MetricRegistry {
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Ewma> ewma;
-    std::unique_ptr<HistogramSampler> histogram;
   };
 
   Entry* Register(const std::string& name, MetricKind kind);

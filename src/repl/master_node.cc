@@ -132,7 +132,6 @@ void MasterNode::OnSlaveAck(net::NodeId slave_node, int64_t index) {
 
 void MasterNode::OnDumpRequest(SlaveNode* slave, int64_t from_index) {
   if (!online() || database_ == nullptr) return;  // dead masters stay silent
-  ++dump_requests_served_;
   if (from_index < 0) from_index = 0;
   int64_t size = binlog_size();
   network_->Send(node_id(), slave->node_id(), /*size_bytes=*/32,

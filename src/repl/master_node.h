@@ -87,7 +87,6 @@ class MasterNode : public DbNode {
   void OnDumpRequest(SlaveNode* slave, int64_t from_index);
 
   int64_t events_pushed() const { return events_pushed_; }
-  int64_t dump_requests_served() const { return dump_requests_served_; }
   /// Network messages carrying binlog events (per-event sends plus group
   /// messages). The shipping-cost figure the batching ablation reduces.
   int64_t messages_sent() const { return messages_sent_; }
@@ -126,7 +125,6 @@ class MasterNode : public DbNode {
   std::vector<db::BinlogEvent> pending_batch_;
   sim::Timer flush_timer_;
   int64_t events_pushed_ = 0;
-  int64_t dump_requests_served_ = 0;
   int64_t messages_sent_ = 0;
   int64_t batches_shipped_ = 0;
   metrics::Counter* batches_counter_ = nullptr;   // owned by metrics_

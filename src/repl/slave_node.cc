@@ -65,7 +65,6 @@ void SlaveNode::OnBinlogEvent(db::BinlogEvent event) {
   if (broken_ || !online()) return;
   if (event.index < next_expected_) {
     // Already received (a resync stream overlapping live pushes).
-    ++duplicate_events_dropped_;
     return;
   }
   if (event.index > next_expected_) {
@@ -166,7 +165,6 @@ void SlaveNode::MaybeStartApply() {
                        master->OnSlaveAck(node_id(), index);
                      });
     }
-    if (apply_listener_) apply_listener_(event);
     applying_ = false;
     MaybeStartApply();
   });

@@ -2,7 +2,6 @@
 #define CLOUDDB_REPL_SLAVE_NODE_H_
 
 #include <deque>
-#include <functional>
 
 #include "db/binlog.h"
 #include "repl/db_node.h"
@@ -101,11 +100,6 @@ class SlaveNode : public DbNode {
   /// True if an apply error stopped replication (MySQL stops the SQL thread).
   bool replication_broken() const { return broken_; }
 
-  /// Instrumentation hook: fires after each event is applied.
-  void SetApplyListener(std::function<void(const db::BinlogEvent&)> listener) {
-    apply_listener_ = std::move(listener);
-  }
-
   // --- Transient-fault survival (IO-thread reconnect) ---
 
   /// Starts the keepalive/catch-up loop: the slave periodically confirms
@@ -132,7 +126,6 @@ class SlaveNode : public DbNode {
   /// Reconnect observability.
   int64_t resync_requests_sent() const { return resync_requests_sent_; }
   int64_t resync_acks_received() const { return resync_acks_received_; }
-  int64_t duplicate_events_dropped() const { return duplicate_events_dropped_; }
   int64_t gap_events_detected() const { return gap_events_detected_; }
   SimDuration current_backoff() const { return backoff_; }
 
@@ -165,7 +158,6 @@ class SlaveNode : public DbNode {
   /// power loss); an in-flight apply job from an older epoch must not touch
   /// the rebased database when its CPU callback finally fires.
   int64_t apply_epoch_ = 0;
-  std::function<void(const db::BinlogEvent&)> apply_listener_;
   metrics::Ewma* apply_delay_ms_ = nullptr;  // owned by metrics_
 
   // Reconnect state.
@@ -175,7 +167,6 @@ class SlaveNode : public DbNode {
   SimDuration backoff_ = 0;
   int64_t resync_requests_sent_ = 0;
   int64_t resync_acks_received_ = 0;
-  int64_t duplicate_events_dropped_ = 0;
   int64_t gap_events_detected_ = 0;
   // Persistent kernel slots: the keepalive re-arms in place every period,
   // and the per-request ack timeout / backoff retry arm and cancel the same

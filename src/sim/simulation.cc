@@ -122,7 +122,7 @@ bool Simulation::Step() {
     // Periodic fast path: re-arm by overwriting the just-fired top entry —
     // one sift instead of pop + push. Re-arming *before* the callback runs
     // means the callback observes the next tick as pending and may Stop()
-    // or set_period() it; `rec.armed` and `live_pending_` are unchanged
+    // it; `rec.armed` and `live_pending_` are unchanged
     // (one occurrence fired, one armed). `rec` stays valid across the
     // callback's own scheduling because records_ is a deque.
     heap_.front() = HeapEntry{now_ + rec.period, next_seq_++, top.slot,
@@ -254,15 +254,6 @@ void PeriodicTimer::Start(Simulation* sim, SimDuration period,
 
 void PeriodicTimer::Stop() {
   if (sim_ != nullptr) sim_->DisarmTimer(slot_);
-}
-
-void PeriodicTimer::set_period(SimDuration period) {
-  assert(sim_ != nullptr && period > 0);
-  sim_->SetTimerPeriod(slot_, period);
-}
-
-SimDuration PeriodicTimer::period() const {
-  return sim_ != nullptr ? sim_->TimerPeriod(slot_) : 0;
 }
 
 }  // namespace clouddb::sim

@@ -140,10 +140,6 @@ class Simulation {
   void DisarmTimer(uint32_t slot);
   void ReleaseTimerSlot(uint32_t slot);
   bool TimerArmed(uint32_t slot) const { return records_[slot].armed; }
-  SimDuration TimerPeriod(uint32_t slot) const { return records_[slot].period; }
-  void SetTimerPeriod(uint32_t slot, SimDuration period) {
-    records_[slot].period = period;
-  }
 
   SimTime now_ = 0;
   int64_t next_seq_ = 0;
@@ -193,9 +189,9 @@ class Timer {
 
 /// Fixed-cadence timer: fires every `period` starting at Start()+period. The
 /// kernel re-arms the slot in place *before* invoking the callback, so a tick
-/// never constructs a closure and the callback may call Stop()/set_period()
-/// on its own timer. Start must not be called from the timer's own callback;
-/// like Timer, it must not outlive its Simulation.
+/// never constructs a closure and the callback may call Stop() on its own
+/// timer. Start must not be called from the timer's own callback; like
+/// Timer, it must not outlive its Simulation.
 class PeriodicTimer {
  public:
   PeriodicTimer() = default;
@@ -212,11 +208,6 @@ class PeriodicTimer {
   /// own callback (cancels the already re-armed next tick).
   void Stop();
   bool running() const { return sim_ != nullptr && sim_->TimerArmed(slot_); }
-
-  /// Changes the cadence used when the *next* tick re-arms; the already
-  /// scheduled tick keeps its deadline. Safe from the timer's own callback.
-  void set_period(SimDuration period);
-  SimDuration period() const;
 
  private:
   Simulation* sim_ = nullptr;

@@ -142,38 +142,6 @@ TEST(RngTest, BernoulliFraction) {
   EXPECT_NEAR(static_cast<double>(heads) / kDraws, 0.8, 0.01);
 }
 
-TEST(RngTest, ZipfInRange) {
-  Rng rng(18);
-  for (int i = 0; i < 10000; ++i) {
-    int64_t v = rng.Zipf(100, 0.99);
-    ASSERT_GE(v, 0);
-    ASSERT_LT(v, 100);
-  }
-}
-
-TEST(RngTest, ZipfSkewsTowardSmallValues) {
-  Rng rng(19);
-  int small = 0;
-  const int kDraws = 20000;
-  for (int i = 0; i < kDraws; ++i) {
-    if (rng.Zipf(1000, 1.1) < 10) ++small;
-  }
-  // With heavy skew, the first 1% of values get far more than 1% of mass.
-  EXPECT_GT(small, kDraws / 5);
-}
-
-TEST(RngTest, ZipfZeroSkewIsUniform) {
-  Rng rng(20);
-  std::vector<int> counts(10, 0);
-  const int kDraws = 100000;
-  for (int i = 0; i < kDraws; ++i) {
-    ++counts[static_cast<size_t>(rng.Zipf(10, 0.0))];
-  }
-  for (int c : counts) {
-    EXPECT_NEAR(c, kDraws / 10, kDraws / 10 * 0.1);
-  }
-}
-
 TEST(RngTest, WeightedIndexFollowsWeights) {
   Rng rng(21);
   std::vector<double> weights = {1.0, 3.0, 6.0};

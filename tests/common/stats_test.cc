@@ -120,67 +120,5 @@ TEST(SampleTest, AddAllAppends) {
   EXPECT_DOUBLE_EQ(s.Sum(), 6.0);
 }
 
-TEST(HistogramTest, BucketsCountCorrectly) {
-  Histogram h(1.0, 2.0, 10);  // buckets: <1, <2, <4, <8, ...
-  h.Add(0.5);
-  h.Add(1.5);
-  h.Add(3.0);
-  h.Add(3.9);
-  EXPECT_EQ(h.TotalCount(), 4);
-  EXPECT_EQ(h.counts()[0], 1);
-  EXPECT_EQ(h.counts()[1], 1);
-  EXPECT_EQ(h.counts()[2], 2);
-}
-
-TEST(HistogramTest, OverflowBucket) {
-  Histogram h(1.0, 2.0, 3);  // <1, <2, <4, overflow
-  h.Add(100.0);
-  EXPECT_EQ(h.counts().back(), 1);
-}
-
-TEST(HistogramTest, MergeAddsCounts) {
-  Histogram a(1.0, 2.0, 4);
-  Histogram b(1.0, 2.0, 4);
-  a.Add(0.5);
-  b.Add(0.5);
-  b.Add(3.0);
-  a.Merge(b);
-  EXPECT_EQ(a.TotalCount(), 3);
-  EXPECT_EQ(a.counts()[0], 2);
-}
-
-TEST(HistogramTest, ApproxPercentile) {
-  Histogram h(1.0, 10.0, 5);
-  for (int i = 0; i < 99; ++i) h.Add(0.5);
-  h.Add(5000.0);
-  // p50 falls in the first bucket, p999 in a later one.
-  EXPECT_LE(h.ApproxPercentile(0.5), 1.0);
-  EXPECT_GT(h.ApproxPercentile(0.999), 100.0);
-}
-
-TEST(HistogramTest, ToStringListsNonEmptyBuckets) {
-  Histogram h(1.0, 2.0, 4);
-  h.Add(0.2);
-  h.Add(3.0);
-  std::string s = h.ToString();
-  EXPECT_NE(s.find("1"), std::string::npos);
-  EXPECT_FALSE(s.empty());
-}
-
-TEST(RateCounterTest, RateOverWindow) {
-  RateCounter c;
-  for (int i = 0; i < 100; ++i) c.Record(i * 10000);
-  // 100 events over a 1-second window.
-  EXPECT_DOUBLE_EQ(c.RatePerSecond(0, 1000000), 100.0);
-  EXPECT_EQ(c.count(), 100);
-}
-
-TEST(RateCounterTest, DegenerateWindowIsZero) {
-  RateCounter c;
-  c.Record(5);
-  EXPECT_EQ(c.RatePerSecond(10, 10), 0.0);
-  EXPECT_EQ(c.RatePerSecond(10, 5), 0.0);
-}
-
 }  // namespace
 }  // namespace clouddb

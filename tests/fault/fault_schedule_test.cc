@@ -125,6 +125,63 @@ TEST_F(ArmValidationTest, BadMagnitudesRejected) {
   EXPECT_TRUE(injector.Arm(negative_duration).IsInvalidArgument());
 }
 
+TEST_F(ArmValidationTest, OverlappingWindowsOfOneKindOnOneTargetRejected) {
+  provider_.Launch("slave-2", cloud::InstanceType::kSmall,
+                   cloud::SameZonePlacement());
+  // Two slowdowns of one instance in one schedule: the first heal would
+  // restore full speed while the second window is still open.
+  {
+    FaultInjector injector(&sim_, &provider_);
+    FaultSchedule schedule;
+    schedule.Slowdown(Seconds(1), "master", 0.5, Seconds(4))
+        .Slowdown(Seconds(2), "master", 0.25, Seconds(6));
+    Status s = injector.Arm(schedule);
+    EXPECT_TRUE(s.IsInvalidArgument());
+    EXPECT_NE(s.message().find("x0.50"), std::string::npos) << s.message();
+    EXPECT_NE(s.message().find("x0.25"), std::string::npos) << s.message();
+    EXPECT_EQ(sim_.pending_events(), 0u);
+  }
+  // Across two Arm calls, and a permanent fault runs to infinity.
+  {
+    FaultInjector injector(&sim_, &provider_);
+    FaultSchedule first;
+    first.Crash(Seconds(1), "slave-1");
+    ASSERT_TRUE(injector.Arm(first).ok());
+    FaultSchedule second;
+    second.Crash(Seconds(100), "slave-1", Seconds(1));
+    EXPECT_TRUE(injector.Arm(second).IsInvalidArgument());
+  }
+  // Link faults name an unordered pair: both orders collide.
+  for (bool reversed : {false, true}) {
+    FaultInjector injector(&sim_, &provider_);
+    FaultSchedule schedule;
+    schedule.Partition(Seconds(1), "master", "slave-1", Seconds(4))
+        .Partition(Seconds(2), reversed ? "slave-1" : "master",
+                   reversed ? "master" : "slave-1", Seconds(6));
+    EXPECT_TRUE(injector.Arm(schedule).IsInvalidArgument()) << reversed;
+  }
+  // Windows that only touch collide too: at the shared instant the heal
+  // and the begin would fire in listing order.
+  {
+    FaultInjector injector(&sim_, &provider_);
+    FaultSchedule schedule;
+    schedule.Freeze(Seconds(1), "master", Seconds(1))
+        .Freeze(Seconds(2), "master", Seconds(1));
+    EXPECT_TRUE(injector.Arm(schedule).IsInvalidArgument());
+  }
+  sim_.Run();
+  // Still accepted: the same kind on a different target, and two windows
+  // on one target separated by a gap.
+  FaultInjector injector(&sim_, &provider_);
+  FaultSchedule schedule;
+  schedule.Slowdown(Seconds(1), "master", 0.5, Seconds(4))
+      .Slowdown(Seconds(2), "slave-1", 0.25, Seconds(6))
+      .Partition(Seconds(1), "master", "slave-1", Seconds(4))
+      .Partition(Seconds(2), "master", "slave-2", Seconds(4))
+      .Slowdown(Seconds(6), "master", 0.5, Seconds(1));
+  EXPECT_TRUE(injector.Arm(schedule).ok());
+}
+
 TEST_F(ArmValidationTest, ValidScheduleArmsBeginAndHealEvents) {
   FaultInjector injector(&sim_, &provider_);
   FaultSchedule schedule;

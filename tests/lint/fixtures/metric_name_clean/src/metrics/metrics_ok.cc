@@ -13,7 +13,6 @@ void RegisterAll(MetricRegistry& m) {
   m.AddProbe(
       "node.relay.backlog", [] { return 0.0; });
   m.AddEwma("node.apply_delay_ms");
-  m.AddHistogram("node.latency_us", 100.0, 2.0, 24);
   m.AddCounter(StrFormat("node.backend_%d.total", 7));
   MyAddCounter("Not A Metric");
 }

@@ -127,26 +127,6 @@ TEST(MetricRegistryTest, MergeCombinesEwmasCountWeighted) {
   EXPECT_DOUBLE_EQ(merged->value(), 20.0);
 }
 
-TEST(MetricRegistryTest, MergeAddsHistogramBuckets) {
-  MetricRegistry a("node-a");
-  HistogramSampler* ha =
-      a.AddHistogram("node.latency_us", /*first_upper=*/10.0, /*base=*/2.0,
-                     /*num_buckets=*/8);
-  for (int i = 0; i < 10; ++i) ha->Observe(5.0);
-  MetricRegistry b("node-b");
-  HistogramSampler* hb =
-      b.AddHistogram("node.latency_us", /*first_upper=*/10.0, /*base=*/2.0,
-                     /*num_buckets=*/8);
-  for (int i = 0; i < 10; ++i) hb->Observe(100.0);
-
-  MetricRegistry total("cluster");
-  total.MergeFrom(a);
-  total.MergeFrom(b);
-  const HistogramSampler* merged = total.FindHistogram("node.latency_us");
-  ASSERT_NE(merged, nullptr);
-  EXPECT_EQ(merged->histogram().TotalCount(), 20);
-}
-
 TEST(MetricRegistryTest, ToStringIsDeterministicAcrossEqualRegistries) {
   auto build = [](MetricRegistry& r) {
     r.AddCounter("node.ops.total")->Increment(3);

@@ -15,6 +15,8 @@
 #include "metrics/metric_registry.h"
 #include "sim/simulation.h"
 #include "db/binlog.h"
+#include "db/value.h"
+#include "db/writeset.h"
 
 namespace clouddb::repl {
 namespace {
@@ -238,6 +240,35 @@ TEST(RowReplTest, LegacyModeIsByteIdenticalOnTheWire) {
   EXPECT_TRUE(event.writesets.empty());
   EXPECT_EQ(db::EventWireSize(event),
             32 + static_cast<int64_t>(event.statements[0].size()));
+}
+
+TEST(RowReplTest, WritesetEventWireSizeIsPinned) {
+  // What the network charges for a row-based event: 32 + the statement text;
+  // 5 per writeset; 5 + the table name per op; and per before/after row
+  // image 4, plus 1 per NULL, 9 per integer or double, 5 + length per string.
+  db::BinlogEvent event;
+  event.statements = {"UPDATE items SET qty = 7 WHERE id = 1",
+                      "CREATE TABLE x (a INT PRIMARY KEY)"};
+  db::StatementWriteset update;
+  update.covered = true;
+  update.ops.push_back(db::RowOp{
+      db::RowOp::Kind::kUpdate, "items",
+      {db::Value(int64_t{1}), db::Value(2.5), db::Value("ab"),
+       db::Value::Null()},
+      {db::Value(int64_t{1}), db::Value(2.5), db::Value("abc"),
+       db::Value::Null()}});
+  update.ops.push_back(db::RowOp{
+      db::RowOp::Kind::kInsert, "t", {}, {db::Value(int64_t{42})}});
+  event.writesets = {update, db::StatementWriteset{}};  // DDL: no ops
+
+  const int64_t text = 37 + 34;
+  ASSERT_EQ(event.statements[0].size() + event.statements[1].size(),
+            static_cast<size_t>(text));
+  const int64_t update_op = (5 + 5) + (4 + 9 + 9 + (5 + 2) + 1) +
+                            (4 + 9 + 9 + (5 + 3) + 1);  // 71
+  const int64_t insert_op = (5 + 1) + 4 + (4 + 9);      // 23
+  EXPECT_EQ(db::EventWireSize(event),
+            32 + text + 2 * 5 + update_op + insert_op);  // 207
 }
 
 TEST(RowReplTest, ReplicationMetricsAppearInSnapshots) {

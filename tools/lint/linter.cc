@@ -395,7 +395,7 @@ bool IsValidMetricName(const std::string& name) {
 }
 
 /// Scans MetricRegistry registration calls (AddCounter/AddGauge/AddProbe/
-/// AddEwma/AddHistogram) whose first argument is a string literal and checks
+/// AddEwma) whose first argument is a string literal and checks
 /// the name. Dynamic names (StrFormat(...)) are exempt — per-index backend
 /// probes legitimately compute names — as are declarations/definitions,
 /// where the char after '(' is a parameter type, not a quote. Duplicate
@@ -404,7 +404,7 @@ bool IsValidMetricName(const std::string& name) {
 /// while tests legitimately reuse a name across many short-lived registries.
 void CheckMetricNames(const SourceFile& fi, std::vector<Diagnostic>* out) {
   static constexpr std::string_view kRegisterFns[] = {
-      "AddCounter", "AddGauge", "AddProbe", "AddEwma", "AddHistogram"};
+      "AddCounter", "AddGauge", "AddProbe", "AddEwma"};
   const bool check_duplicates = fi.rel.rfind("src/", 0) == 0;
   std::map<std::string, int> first_seen;  // literal -> first line
   for (size_t li = 0; li < fi.stripped_lines.size(); ++li) {
