@@ -95,17 +95,28 @@ inline void Progress(const harness::SweepCell& cell) {
                cell.result.mean_relative_delay_ms);
 }
 
-/// Runs one location's sweep and prints throughput and/or delay tables.
+/// One figure printed from a grid: its title and its subfigure prefix
+/// ("Fig2" names subfigures Fig2a, Fig2b and Fig2c).
+struct FigureLabel {
+  const char* title;
+  const char* prefix;
+};
+
+/// Runs one grid's sweep in each of the three placements, then prints the
+/// throughput figure's tables followed by the delay figure's tables. Both
+/// figures come from the same simulations (the paper reports Figs. 2 and 5,
+/// and Figs. 3 and 6, from the same runs).
 inline int RunLocationSweeps(const harness::ExperimentConfig& base,
                              const std::vector<int>& slaves,
                              const std::vector<int>& users,
-                             bool print_throughput, bool print_delay,
-                             const char* figure_prefix, int jobs = 1) {
+                             const FigureLabel& throughput,
+                             const FigureLabel& delay, int jobs = 1) {
   using harness::LocationConfig;
   const LocationConfig kLocations[] = {LocationConfig::kSameZone,
                                        LocationConfig::kDifferentZone,
                                        LocationConfig::kDifferentRegion};
   const char* kSubfig[] = {"a", "b", "c"};
+  std::vector<harness::SweepResult> results;
   for (int i = 0; i < 3; ++i) {
     harness::SweepConfig sweep;
     sweep.base = base;
@@ -116,35 +127,38 @@ inline int RunLocationSweeps(const harness::ExperimentConfig& base,
     sweep.slave_counts = slaves;
     sweep.user_counts = users;
     sweep.jobs = jobs;
-    std::fprintf(stderr, "[%s%s] sweeping %s...\n", figure_prefix, kSubfig[i],
-                 LocationConfigToString(kLocations[i]));
+    std::fprintf(stderr, "[%s%s] sweeping %s...\n", throughput.prefix,
+                 kSubfig[i], LocationConfigToString(kLocations[i]));
     auto result = harness::RunSweep(sweep, Progress);
     if (!result.ok()) {
       std::fprintf(stderr, "sweep failed: %s\n",
                    result.status().ToString().c_str());
       return 1;
     }
-    if (print_throughput) {
-      PrintHeader(StrFormat(
-          "%s%s: End-to-end throughput (ops/s) — %s, read/write %d/%d",
-          figure_prefix, kSubfig[i], LocationConfigToString(kLocations[i]),
-          static_cast<int>(base.mix.read_fraction * 100),
-          static_cast<int>((1 - base.mix.read_fraction) * 100 + 0.5)));
-      std::printf("%s",
-                  result->ThroughputTable(slaves, users).ToAscii().c_str());
-      std::printf("Observed saturation points (users right after max "
-                  "throughput; 0 = still rising):\n");
-      for (int s : slaves) {
-        std::printf("  %2d slave%s: %d\n", s, s == 1 ? " " : "s",
-                    result->SaturationUsers(s, users));
-      }
+    results.push_back(std::move(result).value());
+  }
+  PrintHeader(throughput.title);
+  for (int i = 0; i < 3; ++i) {
+    PrintHeader(StrFormat(
+        "%s%s: End-to-end throughput (ops/s) — %s, read/write %d/%d",
+        throughput.prefix, kSubfig[i], LocationConfigToString(kLocations[i]),
+        static_cast<int>(base.mix.read_fraction * 100),
+        static_cast<int>((1 - base.mix.read_fraction) * 100 + 0.5)));
+    std::printf("%s",
+                results[i].ThroughputTable(slaves, users).ToAscii().c_str());
+    std::printf("Observed saturation points (users right after max "
+                "throughput; 0 = still rising):\n");
+    for (int s : slaves) {
+      std::printf("  %2d slave%s: %d\n", s, s == 1 ? " " : "s",
+                  results[i].SaturationUsers(s, users));
     }
-    if (print_delay) {
-      PrintHeader(StrFormat(
-          "%s%s: Average relative replication delay (ms) — %s",
-          figure_prefix, kSubfig[i], LocationConfigToString(kLocations[i])));
-      std::printf("%s", result->DelayTable(slaves, users).ToAscii().c_str());
-    }
+  }
+  PrintHeader(delay.title);
+  for (int i = 0; i < 3; ++i) {
+    PrintHeader(StrFormat("%s%s: Average relative replication delay (ms) — %s",
+                          delay.prefix, kSubfig[i],
+                          LocationConfigToString(kLocations[i])));
+    std::printf("%s", results[i].DelayTable(slaves, users).ToAscii().c_str());
   }
   return 0;
 }

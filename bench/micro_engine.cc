@@ -16,13 +16,9 @@
 #include "common/str_util.h"
 #include "db/bplus_tree.h"
 #include "db/database.h"
-#include "db/schema.h"
 #include "db/sql_lexer.h"
 #include "db/sql_parser.h"
 #include "db/statement_cache.h"
-#include "db/table.h"
-#include "db/value.h"
-#include "db/vec_chunk.h"
 #include "sim/cpu_scheduler.h"
 #include "sim/simulation.h"
 
@@ -321,97 +317,6 @@ void BM_DatabaseExecuteParamVaried(benchmark::State& state) {
   state.SetLabel(cache_enabled ? "cache_on" : "cache_off");
 }
 BENCHMARK(BM_DatabaseExecuteParamVaried)->ArgName("cache")->Arg(0)->Arg(1);
-
-db::DatabaseOptions VecDbOptions(bool vectorized) {
-  db::DatabaseOptions options;
-  options.vectorized_exec = vectorized;
-  return options;
-}
-
-// Tentpole comparison: a full-table-scan SELECT whose WHERE touches only
-// non-indexed columns, executed row-at-a-time (vec:0, tree-walking
-// EvaluateExpr per row) vs batch-at-a-time (vec:1, compiled predicate
-// bytecode over 1024-row column chunks). Results are bit-identical; only
-// the evaluation strategy differs.
-void BM_DatabaseScanFilter(benchmark::State& state) {
-  const bool vectorized = state.range(0) != 0;
-  db::Database database(VecDbOptions(vectorized));
-  FillEventsTable(database);
-  const std::string sql =
-      "SELECT event_id FROM events "
-      "WHERE created_by = 57 AND event_date >= 18300";
-  for (auto _ : state) {
-    auto r = database.Execute(sql);
-    benchmark::DoNotOptimize(r.ok());
-  }
-  state.SetItemsProcessed(state.iterations() * 2048);
-  state.SetLabel(vectorized ? "vec_on" : "vec_off");
-}
-BENCHMARK(BM_DatabaseScanFilter)->ArgName("vec")->Arg(0)->Arg(1);
-
-// Vectorized aggregation over a filtered scan: the filter runs through the
-// predicate kernels and the aggregates accumulate directly over column
-// chunks (vec:1) instead of per-row Value inspection (vec:0).
-void BM_DatabaseAggregate(benchmark::State& state) {
-  const bool vectorized = state.range(0) != 0;
-  db::Database database(VecDbOptions(vectorized));
-  FillEventsTable(database);
-  const std::string sql =
-      "SELECT COUNT(*), SUM(event_date), MIN(event_date), MAX(created_by) "
-      "FROM events WHERE created_by < 50";
-  for (auto _ : state) {
-    auto r = database.Execute(sql);
-    benchmark::DoNotOptimize(r.ok());
-  }
-  state.SetItemsProcessed(state.iterations() * 2048);
-  state.SetLabel(vectorized ? "vec_on" : "vec_off");
-}
-BENCHMARK(BM_DatabaseAggregate)->ArgName("vec")->Arg(0)->Arg(1);
-
-// Dispatch cost isolated from SQL: visiting every row of a table through
-// the type-erased ScanAll (one std::function call per row), the templated
-// ForEachRow (inlined visitor, no type erasure), and the chunked visitor
-// (one indirect call per 1024 rows, plus the cost of staging id/row
-// pointers into chunk arrays — which pays off only when the per-chunk work
-// is substantial, as in the vectorized filter kernels).
-void BM_TableVisitDispatch(benchmark::State& state) {
-  const int64_t mode = state.range(0);
-  auto schema = db::Schema::Create({
-      {"id", db::ValueType::kInt64, false, true},
-      {"v", db::ValueType::kInt64, false, false},
-  });
-  db::Table table("t", std::move(schema).value());
-  for (int64_t i = 0; i < 8192; ++i) {
-    (void)table.Insert({db::Value(i), db::Value(i % 97)});
-  }
-  for (auto _ : state) {
-    int64_t sum = 0;
-    if (mode == 2) {
-      table.ForEachChunk<db::kVecChunkSize>(
-          [&](const db::RowId* ids, const db::Row* const* rows, size_t len) {
-            for (size_t i = 0; i < len; ++i) {
-              sum += (*rows[i])[1].AsInt64() + ids[i];
-            }
-            return true;
-          });
-    } else if (mode == 1) {
-      table.ForEachRow([&](db::RowId id, const db::Row& row) {
-        sum += row[1].AsInt64() + id;
-        return true;
-      });
-    } else {
-      table.ScanAll([&](db::RowId id, const db::Row& row) {
-        sum += row[1].AsInt64() + id;
-        return true;
-      });
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * 8192);
-  state.SetLabel(mode == 2 ? "chunked" : (mode == 1 ? "for_each_row"
-                                                    : "scan_all"));
-}
-BENCHMARK(BM_TableVisitDispatch)->ArgName("mode")->Arg(0)->Arg(1)->Arg(2);
 
 void BM_SimulationEventThroughput(benchmark::State& state) {
   for (auto _ : state) {

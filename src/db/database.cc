@@ -13,9 +13,6 @@
 #include "db/table.h"
 #include "db/transaction.h"
 #include "db/value.h"
-#include "db/vec_agg.h"
-#include "db/vec_chunk.h"
-#include "db/vec_expr.h"
 #include "db/writeset.h"
 
 namespace clouddb::db {
@@ -80,25 +77,13 @@ bool StatementHasFunctionCall(const Statement& stmt) {
 /// path selection, predicate filtering, mutation with undo capture.
 class Executor {
  public:
-  /// `compiled_where` (nullable) is the statement-cache-compiled predicate
-  /// bytecode for this statement's WHERE clause. `jit_predicates` allows
-  /// compiling the predicate on the fly when there is no cache entry (the
-  /// parse-every-time path); cached templates never JIT — compilation
-  /// happened, or failed, once at insert time.
   /// `capture` (nullable) receives the row images of every mutation this
   /// statement performs — the row-based replication writeset. Null (the
   /// default) skips capture entirely, so statement-based mode pays nothing.
   Executor(Database* database, Session* session,
            const std::vector<Value>* params = nullptr,
-           const VecProgram* compiled_where = nullptr,
-           bool jit_predicates = false,
            std::vector<RowOp>* capture = nullptr)
-      : db_(database),
-        session_(session),
-        params_(params),
-        compiled_where_(compiled_where),
-        jit_predicates_(jit_predicates),
-        capture_(capture) {}
+      : db_(database), session_(session), params_(params), capture_(capture) {}
 
   Result<ExecResult> Run(const Statement& stmt) {
     struct Visitor {
@@ -254,16 +239,11 @@ class Executor {
     if (!stmt.order_by.empty()) {
       CLOUDDB_ASSIGN_OR_RETURN(order_col, schema.ColumnIndex(stmt.order_by));
     }
-    std::vector<const Row*> match_rows;
     CLOUDDB_ASSIGN_OR_RETURN(
         std::vector<RowId> matches,
         CollectMatches(table, stmt.where.get(), &result, limit_hint,
-                       order_col, stmt.order_desc, &match_rows));
+                       order_col, stmt.order_desc));
     if (!stmt.aggregates.empty()) {
-      if (db_->options_.vectorized_exec) {
-        return AggregateVectorized(stmt, *table, matches, match_rows,
-                                   std::move(result));
-      }
       return Aggregate(stmt, *table, matches, std::move(result));
     }
     // Resolve projection.
@@ -281,15 +261,10 @@ class Executor {
       }
     }
     // Fetch each matched row once; sorting and projection work on cached
-    // pointers (Table::Get per comparison was the hot spot under load). The
-    // vectorized filter already produced the pointers; reuse them.
+    // pointers (Table::Get per comparison was the hot spot under load).
     std::vector<const Row*> rows;
-    if (match_rows.size() == matches.size()) {
-      rows = std::move(match_rows);
-    } else {
-      rows.reserve(matches.size());
-      for (RowId id : matches) rows.push_back(table->Get(id));
-    }
+    rows.reserve(matches.size());
+    for (RowId id : matches) rows.push_back(table->Get(id));
     // ORDER BY before projection (the sort column need not be projected).
     if (!stmt.order_by.empty()) {
       CLOUDDB_ASSIGN_OR_RETURN(size_t sort_col,
@@ -391,98 +366,6 @@ class Executor {
           out_row.push_back(
               Value((dbl_sum + static_cast<double>(int_sum)) /
                     static_cast<double>(count)));
-          break;
-        default:
-          break;
-      }
-    }
-    result.rows.push_back(std::move(out_row));
-    return result;
-  }
-
-  /// Vectorized Aggregate: same structure, error paths, names, and final
-  /// arithmetic as the scalar version, but the per-row accumulation loop is
-  /// replaced by chunked column kernels (vec_agg.h). The accumulator types
-  /// and accumulation order are identical, so results are bit-identical —
-  /// including the float summation order for AVG/SUM over double columns.
-  Result<ExecResult> AggregateVectorized(
-      const SelectStatement& stmt, const Table& table,
-      const std::vector<RowId>& matches,
-      const std::vector<const Row*>& match_rows, ExecResult result) {
-    const Schema& schema = table.schema();
-    // Row pointers: reuse the filter's, else fetch each matched row once for
-    // all aggregate items (the scalar loop re-fetches per item).
-    std::vector<const Row*> fetched;
-    const Row* const* rows;
-    if (match_rows.size() == matches.size()) {
-      rows = match_rows.data();
-    } else {
-      fetched.reserve(matches.size());
-      for (RowId id : matches) fetched.push_back(table.Get(id));
-      rows = fetched.data();
-    }
-    ++db_->vec_stats_.fused_aggregates;
-    Row out_row;
-    for (const AggregateItem& item : stmt.aggregates) {
-      if (item.fn == AggregateFn::kCountStar) {
-        result.column_names.push_back("COUNT(*)");
-        out_row.push_back(Value(static_cast<int64_t>(matches.size())));
-        continue;
-      }
-      CLOUDDB_ASSIGN_OR_RETURN(size_t col, schema.ColumnIndex(item.column));
-      result.column_names.push_back(StrFormat(
-          "%s(%s)", AggregateFnToString(item.fn), item.column.c_str()));
-      bool numeric_needed =
-          item.fn == AggregateFn::kSum || item.fn == AggregateFn::kAvg;
-      if (numeric_needed && schema.columns()[col].type == ValueType::kString) {
-        return Status::InvalidArgument(
-            StrFormat("%s over non-numeric column '%s'",
-                      AggregateFnToString(item.fn), item.column.c_str()));
-      }
-      ValueType col_type = schema.columns()[col].type;
-      VecAggState state;
-      for (size_t base = 0; base < matches.size(); base += kVecChunkSize) {
-        size_t len = std::min(kVecChunkSize, matches.size() - base);
-        db_->vec_arena_.Reset();
-        ColumnVector cv = MaterializeColumn(rows + base, len, col, col_type,
-                                            &db_->vec_arena_);
-        uint32_t* sel = db_->vec_arena_.AllocateArray<uint32_t>(len);
-        for (size_t j = 0; j < len; ++j) sel[j] = static_cast<uint32_t>(j);
-        switch (item.fn) {
-          case AggregateFn::kMin:
-          case AggregateFn::kMax:
-            VecAccumulateMinMax(cv, rows + base, sel, len, col,
-                                item.fn == AggregateFn::kMax, &state);
-            break;
-          case AggregateFn::kSum:
-          case AggregateFn::kAvg:
-            VecAccumulateSum(cv, sel, len, &state);
-            break;
-          default:
-            break;
-        }
-      }
-      if (state.count == 0) {
-        out_row.push_back(Value::Null());
-        continue;
-      }
-      switch (item.fn) {
-        case AggregateFn::kMin:
-        case AggregateFn::kMax:
-          out_row.push_back((*state.best_row)[col]);
-          break;
-        case AggregateFn::kSum:
-          if (schema.columns()[col].type == ValueType::kInt64) {
-            out_row.push_back(Value(state.int_sum));
-          } else {
-            out_row.push_back(Value(state.dbl_sum +
-                                    static_cast<double>(state.int_sum)));
-          }
-          break;
-        case AggregateFn::kAvg:
-          out_row.push_back(
-              Value((state.dbl_sum + static_cast<double>(state.int_sum)) /
-                    static_cast<double>(state.count)));
           break;
         default:
           break;
@@ -622,15 +505,10 @@ class Executor {
   /// pushdown: when the scan's bounds prove the whole predicate and the
   /// index order satisfies the requested ORDER BY (or there is none), the
   /// scan stops after `limit_hint` rows.
-  /// `match_rows`, when non-null and the vectorized filter ran, receives the
-  /// row pointer for each returned RowId (1:1 with the result). Callers must
-  /// check sizes match before using it — scalar paths leave it empty — and
-  /// must not mutate the table while holding the pointers.
   Result<std::vector<RowId>> CollectMatches(
       Table* table, const Expr* where, ExecResult* meta,
       int64_t limit_hint = -1, size_t order_col = SIZE_MAX,
-      bool order_desc = false,
-      std::vector<const Row*>* match_rows = nullptr) {
+      bool order_desc = false) {
     const Schema& schema = table->schema();
     std::vector<Constraint> constraints;
     bool exhaustive = true;  // every WHERE leaf became a constraint
@@ -744,27 +622,6 @@ class Executor {
              static_cast<int64_t>(collected.size()) < early_stop;
     };
 
-    // Vectorized filtering: when the predicate is not proven by the scan
-    // bounds, try the compiled bytecode path. The program comes from the
-    // statement cache (compiled once at insert) or is JIT-compiled for
-    // uncached statements; binding resolves its column names against the
-    // live schema each execution, so a program cached before a DDL change
-    // can never read stale slots — it either rebinds or falls back.
-    const VecProgram* prog = nullptr;
-    VecProgram local_prog;
-    if (db_->options_.vectorized_exec && where != nullptr && !subsumed) {
-      if (compiled_where_ != nullptr) {
-        prog = compiled_where_;
-      } else if (jit_predicates_ && CompilePredicate(*where, &local_prog)) {
-        prog = &local_prog;
-      }
-      if (prog != nullptr &&
-          !BindProgram(*prog, schema, params_, &db_->vec_binding_)) {
-        prog = nullptr;
-      }
-      if (prog == nullptr) ++db_->vec_stats_.scalar_fallbacks;
-    }
-
     std::vector<RowId> candidates;
     if (chosen_eq != nullptr) {
       meta->plan = hint->plan;
@@ -811,33 +668,6 @@ class Executor {
           }));
     } else {
       meta->plan = hint->plan;
-      if (prog != nullptr) {
-        // Column-chunk scan: materialize 1024-row batches straight off the
-        // row store and filter each with the compiled kernels — no per-row
-        // std::function dispatch, no tree walk, no candidate list. A table
-        // scan with a residual predicate never has early_stop set (limit
-        // pushdown requires subsumption), so visiting every row keeps
-        // rows_examined identical to the scalar path.
-        std::vector<RowId> matches;
-        table->ForEachChunk<kVecChunkSize>(
-            [&](const RowId* ids, const Row* const* rows, size_t len) {
-              db_->vec_arena_.Reset();
-              uint32_t sel[kVecChunkSize];
-              size_t m = VecFilterChunk(db_->vec_binding_, rows, len, sel,
-                                        &db_->vec_arena_);
-              for (size_t j = 0; j < m; ++j) {
-                matches.push_back(ids[sel[j]]);
-                if (match_rows != nullptr) {
-                  match_rows->push_back(rows[sel[j]]);
-                }
-              }
-              meta->rows_examined += static_cast<int64_t>(len);
-              ++db_->vec_stats_.chunks_filtered;
-              db_->vec_stats_.rows_filtered += static_cast<int64_t>(len);
-              return true;
-            });
-        return matches;
-      }
       table->ForEachRow([&](RowId id, const Row&) {
         candidates.push_back(id);
         return keep_scanning(candidates);
@@ -848,28 +678,6 @@ class Executor {
     if (where == nullptr || subsumed) return candidates;
     std::vector<RowId> matches;
     matches.reserve(candidates.size());
-    if (prog != nullptr) {
-      // Residual filter after an index scan: batch the candidates into
-      // chunks and run the same kernels over them.
-      const Row* rows_buf[kVecChunkSize];
-      uint32_t sel[kVecChunkSize];
-      for (size_t base = 0; base < candidates.size(); base += kVecChunkSize) {
-        size_t len = std::min(kVecChunkSize, candidates.size() - base);
-        for (size_t j = 0; j < len; ++j) {
-          rows_buf[j] = table->Get(candidates[base + j]);
-        }
-        db_->vec_arena_.Reset();
-        size_t m = VecFilterChunk(db_->vec_binding_, rows_buf, len, sel,
-                                  &db_->vec_arena_);
-        for (size_t j = 0; j < m; ++j) {
-          matches.push_back(candidates[base + sel[j]]);
-          if (match_rows != nullptr) match_rows->push_back(rows_buf[sel[j]]);
-        }
-        ++db_->vec_stats_.chunks_filtered;
-        db_->vec_stats_.rows_filtered += static_cast<int64_t>(len);
-      }
-      return matches;
-    }
     for (RowId id : candidates) {
       const Row* row = table->Get(id);
       CLOUDDB_ASSIGN_OR_RETURN(
@@ -883,8 +691,6 @@ class Executor {
   Database* db_;
   Session* session_;
   const std::vector<Value>* params_;  // null unless running a cached template
-  const VecProgram* compiled_where_;  // cache-compiled WHERE bytecode or null
-  bool jit_predicates_;               // may compile uncached predicates
   std::vector<RowOp>* capture_;       // row-based writeset sink or null
 };
 
@@ -948,13 +754,6 @@ Result<ExecResult> Database::Execute(const CompiledSql& compiled,
     return lock_status;
   }
 
-  // A template carries the WHERE bytecode compiled once at cache insert; a
-  // plain parse never met the compiler, so the executor may compile it now.
-  const PreparedStatement* prepared = compiled.prepared();
-  const VecProgram* compiled_where =
-      prepared != nullptr && prepared->has_where_program
-          ? &prepared->where_program
-          : nullptr;
   // Row-based capture: only statements that will reach the binlog capture
   // row images, and only when the coverage rule admits them (no DDL, no
   // function calls — see StatementHasFunctionCall).
@@ -962,8 +761,7 @@ Result<ExecResult> Database::Execute(const CompiledSql& compiled,
   bool row_capture = options_.row_based_repl && binlog_active && is_write &&
                      !IsDdl(stmt) && !StatementHasFunctionCall(stmt);
   std::vector<RowOp> captured_ops;
-  Executor executor(this, session, compiled.params(), compiled_where,
-                    /*jit_predicates=*/prepared == nullptr,
+  Executor executor(this, session, compiled.params(),
                     row_capture ? &captured_ops : nullptr);
   Result<ExecResult> result = executor.Run(stmt);
   if (!result.ok()) {

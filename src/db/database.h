@@ -17,8 +17,6 @@
 #include "db/table.h"
 #include "db/transaction.h"
 #include "db/value.h"
-#include "db/vec_arena.h"
-#include "db/vec_expr.h"
 
 namespace clouddb::db {
 
@@ -51,26 +49,12 @@ struct DatabaseOptions {
   /// wall-clock-only.
   bool statement_cache = true;
 
-  /// Whether WHERE filtering and aggregation run batch-at-a-time over column
-  /// chunks with compiled predicate bytecode. Off = row-at-a-time tree
-  /// walking. Either way the results are byte-identical — predicates outside
-  /// the compiler's coverage always fall back to the scalar path.
-  bool vectorized_exec = true;
-
   /// Whether committed write statements additionally capture row-based
   /// writesets into their binlog events (row images for insert/delete/
   /// update). Off = statement-only events, the historical format. DDL and
   /// function-bearing statements are never covered regardless of this flag;
   /// they replicate as statement text (see db/writeset.h).
   bool row_based_repl = false;
-};
-
-/// Counters for the vectorized engine (benchmark and test introspection).
-struct VecExecStats {
-  int64_t chunks_filtered = 0;   // chunks run through VecFilterChunk
-  int64_t rows_filtered = 0;     // rows those chunks contained
-  int64_t fused_aggregates = 0;  // aggregate SELECTs via the vector kernels
-  int64_t scalar_fallbacks = 0;  // eligible predicates that ran scalar
 };
 
 /// A single-node relational database: catalog, SQL execution, table-level
@@ -134,23 +118,12 @@ class Database {
   }
   bool statement_cache_enabled() const { return options_.statement_cache; }
 
-  /// Toggles the vectorized execution engine at runtime (ablation studies
-  /// and the on/off equivalence tests flip this; see
-  /// DatabaseOptions::vectorized_exec).
-  void set_vectorized_exec_enabled(bool enabled) {
-    options_.vectorized_exec = enabled;
-  }
-  bool vectorized_exec_enabled() const { return options_.vectorized_exec; }
-
   /// Toggles row-based writeset capture at runtime (the replication-mode
   /// ablation flips this on the master; slaves detect the mode per event).
   void set_row_based_repl_enabled(bool enabled) {
     options_.row_based_repl = enabled;
   }
   bool row_based_repl_enabled() const { return options_.row_based_repl; }
-
-  const VecExecStats& vec_stats() const { return vec_stats_; }
-  void ResetVecStats() { vec_stats_ = VecExecStats{}; }
 
   /// Replaces the NOW_MICROS time source (also updates options()).
   void SetTimeSource(std::function<int64_t()> now_micros);
@@ -204,12 +177,6 @@ class Database {
   bool binlog_suppressed_ = false;
   int64_t next_session_id_ = 1;
   std::unique_ptr<Session> autocommit_session_;
-  // Vectorized-execution scratch state, reused across statements so steady
-  // workloads allocate nothing per chunk. Single-threaded like the rest of
-  // the engine (the simulation interleaves whole statements).
-  VecArena vec_arena_;
-  VecBinding vec_binding_;
-  VecExecStats vec_stats_;
 };
 
 }  // namespace clouddb::db

@@ -1,7 +1,6 @@
 #include "db/statement_cache.h"
 
 #include <utility>
-#include <variant>
 
 #include "db/sql_lexer.h"
 #include "db/sql_parser.h"
@@ -9,7 +8,6 @@
 #include "common/status.h"
 #include "db/sql_ast.h"
 #include "db/value.h"
-#include "db/vec_expr.h"
 
 namespace clouddb::db {
 
@@ -138,25 +136,6 @@ Result<PreparedCall> StatementCache::Prepare(const std::string& sql) {
   prepared->fingerprint = fingerprint;
   prepared->statement = std::move(*parsed);
   prepared->param_count = params.size();
-  // Lower the WHERE clause to vectorized bytecode once per template; every
-  // execution through this entry then skips both the compile and the
-  // tree-walking evaluator. Uncovered predicates simply leave
-  // has_where_program false and execute scalar.
-  const Expr* where = nullptr;
-  if (const auto* sel = std::get_if<SelectStatement>(&prepared->statement)) {
-    where = sel->where.get();
-  } else if (const auto* upd =
-                 std::get_if<UpdateStatement>(&prepared->statement)) {
-    where = upd->where.get();
-  } else if (const auto* del =
-                 std::get_if<DeleteStatement>(&prepared->statement)) {
-    where = del->where.get();
-  }
-  if (where != nullptr &&
-      CompilePredicate(*where, &prepared->where_program)) {
-    prepared->has_where_program = true;
-    ++stats_.programs_compiled;
-  }
 
   lru_.push_front(Entry{fingerprint, std::move(prepared)});
   index_.emplace(std::move(fingerprint), lru_.begin());
@@ -181,9 +160,6 @@ void StatementCache::RememberLast(const std::string& sql,
 
 void StatementCache::Invalidate() {
   stats_.invalidations += static_cast<int64_t>(lru_.size());
-  for (const Entry& e : lru_) {
-    if (e.prepared->has_where_program) ++stats_.programs_invalidated;
-  }
   index_.clear();
   lru_.clear();
   has_last_ = false;

@@ -13,7 +13,6 @@
 #include "db/sql_ast.h"
 #include "db/sql_lexer.h"
 #include "db/value.h"
-#include "db/vec_expr.h"
 
 namespace clouddb::db {
 
@@ -34,8 +33,6 @@ struct StatementCacheStats {
   int64_t evictions = 0;       // LRU capacity evictions
   int64_t invalidations = 0;   // entries dropped by Invalidate() (DDL)
   int64_t bypasses = 0;        // statements not eligible for caching
-  int64_t programs_compiled = 0;     // WHERE predicates lowered to bytecode
-  int64_t programs_invalidated = 0;  // compiled programs dropped by DDL
 };
 
 /// A parsed statement template: the AST with every literal replaced by an
@@ -47,14 +44,6 @@ struct PreparedStatement {
   std::string fingerprint;
   Statement statement;
   size_t param_count = 0;
-  /// The WHERE clause lowered to vectorized bytecode at insert time, when
-  /// the predicate falls inside CompilePredicate's coverage. The program
-  /// references the statement's own Expr tree, so it lives and dies with
-  /// this struct — Invalidate() dropping the entry drops the program. It is
-  /// schema-independent and re-bound on every execution (see VecBinding),
-  /// which is what keeps a holder that outlives DDL invalidation safe.
-  VecProgram where_program;
-  bool has_where_program = false;
 };
 
 /// One executable call: a template plus the literal values extracted from a
@@ -148,9 +137,6 @@ class CompiledSql {
   const Statement& statement() const {
     return call_.prepared != nullptr ? call_.prepared->statement : *parsed_;
   }
-  /// The cache entry behind a template (it carries the WHERE bytecode
-  /// compiled at insert); null for a plain parse.
-  const PreparedStatement* prepared() const { return call_.prepared.get(); }
   /// The literals bound to the template's parameters; null for a plain
   /// parse.
   const std::vector<Value>* params() const {

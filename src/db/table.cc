@@ -349,11 +349,6 @@ Status Table::ScanPrimary(const Value* lo, bool lo_inclusive, const Value* hi,
   return Status::Ok();
 }
 
-void Table::ScanAll(
-    const std::function<bool(RowId, const Row&)>& visit) const {
-  ForEachRow(visit);
-}
-
 void Table::Truncate() {
   rows_.clear();
   if (primary_ != nullptr) primary_->Clear();

@@ -136,39 +136,13 @@ class Table {
                      bool hi_inclusive,
                      const std::function<bool(RowId)>& visit) const;
 
-  /// Visits every live row in RowId order. Visitor: bool(RowId, const Row&).
-  /// Type-erased convenience wrapper over ForEachRow — hot paths should call
-  /// ForEachRow directly to avoid per-row std::function dispatch.
-  void ScanAll(const std::function<bool(RowId, const Row&)>& visit) const;
-
-  /// Statically-dispatched full scan in RowId order.
+  /// Visits every live row in RowId order.
   /// Visitor: bool(RowId, const Row&) — return false to stop.
   template <typename Visitor>
   void ForEachRow(Visitor&& visit) const {
     for (const auto& [id, row] : rows_) {
       if (!visit(id, row)) return;
     }
-  }
-
-  /// Batched full scan: visits live rows in RowId order, N at a time, as
-  /// parallel id/row-pointer arrays (the last chunk may be short). Row
-  /// pointers stay valid while the table is not mutated.
-  /// Visitor: bool(const RowId* ids, const Row* const* rows, size_t len) —
-  /// return false to stop.
-  template <size_t N, typename Visitor>
-  void ForEachChunk(Visitor&& visit) const {
-    RowId ids[N];
-    const Row* rows[N];
-    size_t len = 0;
-    for (const auto& [id, row] : rows_) {
-      ids[len] = id;
-      rows[len] = &row;
-      if (++len == N) {
-        if (!visit(ids, rows, len)) return;
-        len = 0;
-      }
-    }
-    if (len > 0) visit(ids, rows, len);
   }
 
   /// Removes all rows (indexes cleared; schema and index definitions kept).
@@ -223,7 +197,7 @@ class Table {
   std::string name_;
   Schema schema_;
   RowId next_row_id_ = 1;
-  // std::map keeps ScanAll deterministic in RowId order.
+  // std::map keeps ForEachRow deterministic in RowId order.
   std::map<RowId, Row> rows_;
   std::unique_ptr<BPlusTree<Value, RowId>> primary_;  // null if no PK
   std::vector<SecondaryIndex> secondary_;

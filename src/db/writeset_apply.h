@@ -15,8 +15,7 @@ class Session;
 /// statement's row ops to `db` through Table::ApplyRowDelta — no lexer, no
 /// parser, no planner, no expression evaluation. This translation unit is
 /// forbidden from including sql_parser/sql_lexer by the clouddb-apply-noparse
-/// lint rule, the same way clouddb-vec-alloc keeps allocation out of the
-/// vector kernels.
+/// lint rule.
 ///
 /// The statement applies atomically: table write locks are taken under
 /// `session`'s identity first (2PL parity with statement apply), every op

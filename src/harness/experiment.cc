@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/status.h"
+#include "common/str_util.h"
 #include "db/database.h"
 #include "harness/deployment.h"
 #include "repl/heartbeat.h"
@@ -63,7 +64,6 @@ Result<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
                config.placement_seed.value_or(derived_placement_seed),
                cluster_config, proxy_options);
   d.cluster.SetStatementCacheEnabled(config.statement_cache);
-  d.cluster.SetVectorizedExecEnabled(config.vectorized_exec);
   d.cluster.SetRowBasedReplication(config.row_based_repl);
   d.cluster.SetBinlogBatchSize(config.binlog_batch_size);
 
@@ -118,6 +118,13 @@ Result<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
   result.binlog_events = d.cluster.master()->database().binlog().size();
   result.fully_replicated = d.cluster.FullyReplicated();
   result.converged = d.cluster.Converged();
+  if (!result.fully_replicated || !result.converged) {
+    return Status::Internal(StrFormat(
+        "%d slaves, %d users: %s after the drain", config.num_slaves,
+        config.num_users,
+        !result.fully_replicated ? "a slave has not applied the whole binlog"
+                                 : "the replicas' contents differ"));
+  }
 
   db::Database& master_db = d.cluster.master()->database();
   double sum_relative = 0.0;

@@ -53,10 +53,9 @@ struct ExperimentConfig {
   /// Off reverts to parse-per-statement; experiment *results* must be
   /// bit-identical either way (the cache only removes redundant work).
   bool statement_cache = true;
-  /// Vectorized batch execution on every replica (chunked scans, compiled
-  /// predicate bytecode, fused aggregation). Same ablation contract as the
-  /// statement cache: off reverts to row-at-a-time tree walking and results
-  /// must be bit-identical either way.
+  /// Has no effect. Kept only because perfbench's replay
+  /// (perfbench/src/layered.cc) still reads it; ROADMAP item 1 deletes it
+  /// together with ReplicationCluster::SetVectorizedExecEnabled.
   bool vectorized_exec = true;
   /// Row-based writeset replication: the master ships row images next to
   /// statement events and slaves apply covered statements without the
@@ -86,7 +85,8 @@ struct ExperimentResult {
   std::vector<double> loaded_delay_ms;
   /// Mean of relative_delay_ms across slaves.
   double mean_relative_delay_ms = 0.0;
-  /// Post-drain invariants.
+  /// Post-drain invariants. RunExperiment fails unless both hold, so a
+  /// returned result always has both true.
   bool fully_replicated = false;
   bool converged = false;
   int64_t heartbeats_issued = 0;
@@ -95,7 +95,9 @@ struct ExperimentResult {
 
 /// Builds the full three-layer deployment of the paper's Fig. 1 — benchmark
 /// instance (L1), master (L2), slaves (L3) — runs one 35-minute Cloudstone
-/// benchmark with the heartbeat probe, drains, and reports.
+/// benchmark with the heartbeat probe, drains, and reports. Fails when,
+/// after the drain, a slave has not applied the whole binlog or the
+/// replicas' contents differ.
 Result<ExperimentResult> RunExperiment(const ExperimentConfig& config);
 
 }  // namespace clouddb::harness

@@ -61,8 +61,6 @@ Result<int> ReplicationCluster::AddSlave() {
                                            config_.cost_model);
   slave->database().set_statement_cache_enabled(
       master_->database().statement_cache_enabled());
-  slave->database().set_vectorized_exec_enabled(
-      master_->database().vectorized_exec_enabled());
   CopyMasterOnto(slave.get());
   master_->AttachSlave(slave.get());
   slaves_.push_back(std::move(slave));
@@ -172,13 +170,6 @@ void ReplicationCluster::SetStatementCacheEnabled(bool enabled) {
   master_->database().set_statement_cache_enabled(enabled);
   for (auto& slave : slaves_) {
     slave->database().set_statement_cache_enabled(enabled);
-  }
-}
-
-void ReplicationCluster::SetVectorizedExecEnabled(bool enabled) {
-  master_->database().set_vectorized_exec_enabled(enabled);
-  for (auto& slave : slaves_) {
-    slave->database().set_vectorized_exec_enabled(enabled);
   }
 }
 

@@ -80,7 +80,7 @@ class ReplicationCluster {
   /// already retired stay retired on the old timeline: no caller combines
   /// failover with the elasticity controller. The promoted slot keeps no
   /// database, so the set-up calls below (LoadDirect,
-  /// ExecuteEverywhereDirect, the cache and engine toggles) belong before
+  /// ExecuteEverywhereDirect, the statement-cache toggle) belong before
   /// any promotion.
   Status PromoteSlave(int i);
 
@@ -107,9 +107,10 @@ class ReplicationCluster {
   /// cache on/off ablation; results must be bit-identical either way).
   void SetStatementCacheEnabled(bool enabled);
 
-  /// Toggles the vectorized execution engine on every replica's database
-  /// (same ablation contract: results must be bit-identical either way).
-  void SetVectorizedExecEnabled(bool enabled);
+  /// Has no effect. Kept only because perfbench's replay
+  /// (perfbench/src/layered.cc) still calls it; ROADMAP item 1 deletes it
+  /// together with ExperimentConfig::vectorized_exec.
+  void SetVectorizedExecEnabled(bool /*enabled*/) {}
 
   /// Toggles row-based replication: the master captures row images next to
   /// each statement event, and slaves apply covered statements via the

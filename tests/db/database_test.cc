@@ -66,6 +66,11 @@ TEST_F(DatabaseTest, FullScanWithoutIndex) {
   EXPECT_EQ(r.plan, "table_scan");
   EXPECT_EQ(r.rows_examined, 4);
   EXPECT_EQ(r.rows.size(), 2u);
+  // A comparison with NULL gives the planner no key to look up, and it
+  // matches no row.
+  ExecResult null_key = Must("SELECT * FROM people WHERE id = NULL");
+  EXPECT_EQ(null_key.plan, "table_scan");
+  EXPECT_EQ(null_key.rows.size(), 0u);
 }
 
 TEST_F(DatabaseTest, SecondaryIndexEqPlan) {
@@ -522,6 +527,11 @@ TEST_F(DatabaseTest, AggregatesSkipNulls) {
   EXPECT_EQ(row[1], Value(int64_t{30}));
   EXPECT_DOUBLE_EQ(row[2].AsDouble(), 15.0);
   EXPECT_EQ(row[3], Value(int64_t{10}));
+  // IS [NOT] NULL filters on the stored NULL.
+  ExecResult null_b = Must("SELECT a FROM t WHERE b IS NULL");
+  ASSERT_EQ(null_b.rows.size(), 1u);
+  EXPECT_EQ(null_b.rows[0][0], Value(int64_t{2}));
+  EXPECT_EQ(Must("SELECT a FROM t WHERE b IS NOT NULL").rows.size(), 2u);
 }
 
 TEST_F(DatabaseTest, SumOverStringColumnRejected) {

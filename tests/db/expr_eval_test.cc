@@ -83,14 +83,22 @@ TEST_F(ExprEvalTest, StringComparisons) {
   EXPECT_TRUE(*Pred("name = 'ann'"));
   EXPECT_FALSE(*Pred("name = 'bob'"));
   EXPECT_TRUE(*Pred("name < 'bob'"));
+  EXPECT_TRUE(*Pred("name > ''"));
+  // A number never equals a string and ranks below every string.
+  EXPECT_FALSE(*Pred("id = '7'"));
+  EXPECT_TRUE(*Pred("id < 'x'"));
+  EXPECT_TRUE(*Pred("name > 5"));
 }
 
 TEST_F(ExprEvalTest, NullComparisonsAreUnknown) {
   EXPECT_TRUE(Eval("NULL = 1")->is_null());
   EXPECT_TRUE(Eval("NULL != NULL")->is_null());
   EXPECT_TRUE(Eval("id + NULL = 7")->is_null());
-  // ...and unknown predicates are false.
+  // ...and unknown predicates are false, whatever the operator or column.
   EXPECT_FALSE(*Pred("NULL = 1"));
+  EXPECT_FALSE(*Pred("id = NULL"));
+  EXPECT_FALSE(*Pred("id != NULL"));
+  EXPECT_FALSE(*Pred("name < NULL"));
 }
 
 TEST_F(ExprEvalTest, ThreeValuedAnd) {
@@ -153,8 +161,14 @@ TEST_F(ExprEvalTest, ExprToStringRoundTripsStructure) {
 
 TEST_F(ExprEvalTest, MixedIntDoubleComparison) {
   EXPECT_TRUE(*Pred("score = 2.5"));
+  EXPECT_FALSE(*Pred("score != 2.5"));
   EXPECT_TRUE(*Pred("score > 2"));
   EXPECT_TRUE(*Pred("2 < score"));
+  EXPECT_FALSE(*Pred("score < -1"));
+  // Int column against a double literal.
+  EXPECT_TRUE(*Pred("id = 7.0"));
+  EXPECT_TRUE(*Pred("id < 7.5"));
+  EXPECT_FALSE(*Pred("id >= 7.5"));
 }
 
 TEST_F(ExprEvalTest, ThreeValuedOr) {

@@ -220,40 +220,34 @@ TEST_F(CachedDatabaseTest, DropAndRecreateResolvesAgainstNewCatalog) {
   EXPECT_EQ(Must("SELECT COUNT(*) FROM t").rows[0][0].AsInt64(), 0);
 }
 
-TEST_F(CachedDatabaseTest, DdlDropsCompiledPredicateBytecode) {
+TEST_F(CachedDatabaseTest, CompiledStatementHeldAcrossDdlRunsOnNewCatalog) {
   Must("CREATE TABLE t (id BIGINT PRIMARY KEY, n BIGINT, s TEXT)");
   for (int i = 0; i < 30; ++i) {
     Must(StrFormat("INSERT INTO t VALUES (%d, %d, 'x%d')", i, i % 7, i % 3));
   }
-  // Caching the SELECT's template lowers its WHERE to predicate bytecode.
   const std::string select = "SELECT id FROM t WHERE n = 3 AND s = 'x1'";
   ExecResult before = Must(select);
-  EXPECT_GE(db_.statement_cache().stats().programs_compiled, 1);
-  // Keep the prepared entry alive across the DDL, as an in-flight routed
-  // execution would: its compiled program must never read the new catalog
-  // through its old column slots.
+  // Keep the cached template alive across the DDL, as an in-flight routed
+  // execution would.
   auto compiled = db_.Compile(select);
   ASSERT_TRUE(compiled.ok());
-  ASSERT_NE(compiled->prepared(), nullptr);
-  ASSERT_TRUE(compiled->prepared()->has_where_program);
+  ASSERT_NE(compiled->params(), nullptr);
 
-  // DDL drops every cached template and counts the compiled programs that
-  // went with them.
+  // DDL drops every cached template.
   Must("DROP TABLE t");
-  EXPECT_GE(db_.statement_cache().stats().programs_invalidated, 1);
   EXPECT_EQ(db_.statement_cache().size(), 0u);
 
   // Re-create the table with the filtered columns at different slots (and
-  // an extra column in between): a stale program executing by its old slot
-  // indexes would filter id against 'n = 3' and s against a double.
+  // an extra column in between): a statement that ran by its old column
+  // slots would filter id against 'n = 3' and s against a double.
   Must("CREATE TABLE t (id BIGINT PRIMARY KEY, s TEXT, extra DOUBLE, "
        "n BIGINT)");
   for (int i = 0; i < 30; ++i) {
     Must(StrFormat("INSERT INTO t VALUES (%d, 'x%d', 0.5, %d)", i, i % 3,
                    i % 7));
   }
-  // The survivor re-binds its program by column name against the live
-  // schema at execution, so it matches a fresh statement exactly.
+  // The survivor resolves its column names against the live schema when it
+  // runs, so it matches a fresh statement exactly.
   auto stale = db_.Execute(*compiled, select);
   ASSERT_TRUE(stale.ok());
   ExecResult fresh = Must(select);
@@ -269,23 +263,26 @@ TEST(CompileSql, TemplateWhenTheCacheAdmitsTheShapeElsePlainParse) {
   // Cache on, cacheable shape: the template, this text's literals bound.
   auto dml = CompileSql(&cache, "SELECT a FROM t WHERE b = 5");
   ASSERT_TRUE(dml.ok());
-  ASSERT_NE(dml->prepared(), nullptr);
-  EXPECT_EQ(&dml->statement(), &dml->prepared()->statement);
   ASSERT_NE(dml->params(), nullptr);
   EXPECT_EQ(*dml->params(), std::vector<Value>{Value(int64_t{5})});
   EXPECT_EQ(cache.stats().misses, 1);
   // Cache on, a shape it bypasses: a plain parse.
   auto ddl = CompileSql(&cache, "CREATE TABLE t (a INT)");
   ASSERT_TRUE(ddl.ok());
-  EXPECT_EQ(ddl->prepared(), nullptr);
   EXPECT_EQ(ddl->params(), nullptr);
   EXPECT_TRUE(std::holds_alternative<CreateTableStatement>(ddl->statement()));
   EXPECT_EQ(cache.stats().bypasses, 1);
   // Cache off: a plain parse even of a cacheable shape; the cache is idle.
   auto off = CompileSql(nullptr, "SELECT a FROM t WHERE b = 5");
   ASSERT_TRUE(off.ok());
-  EXPECT_EQ(off->prepared(), nullptr);
+  EXPECT_EQ(off->params(), nullptr);
   EXPECT_EQ(cache.stats().hits, 0);
+  // A second text of the same shape: the same template, its own literals.
+  auto same_shape = CompileSql(&cache, "SELECT a FROM t WHERE b = 6");
+  ASSERT_TRUE(same_shape.ok());
+  EXPECT_EQ(&same_shape->statement(), &dml->statement());
+  EXPECT_EQ(*same_shape->params(), std::vector<Value>{Value(int64_t{6})});
+  EXPECT_EQ(cache.stats().hits, 1);
   // Copies share the template or the parse.
   CompiledSql dml_copy = *dml;
   CompiledSql off_copy = *off;

@@ -185,12 +185,12 @@ TEST_F(TableTest, ScanPrimaryRange) {
   EXPECT_EQ(ids, (std::vector<int64_t>{5, 6, 7}));
 }
 
-TEST_F(TableTest, ScanAllVisitsEveryRow) {
+TEST_F(TableTest, ForEachRowVisitsEveryRow) {
   for (int64_t i = 1; i <= 4; ++i) {
     ASSERT_TRUE(table_.Insert(MakeUser(i, "u", i)).ok());
   }
   int visited = 0;
-  table_.ScanAll([&](RowId, const Row&) {
+  table_.ForEachRow([&](RowId, const Row&) {
     ++visited;
     return true;
   });

@@ -91,41 +91,6 @@ TEST(ExperimentTest, StatementCacheAblationIsBitIdentical) {
   EXPECT_EQ(off->benchmark.route_cache_hits, 0);
 }
 
-TEST(ExperimentTest, VectorizedExecAblationIsBitIdentical) {
-  // Same invariant for the vectorized engine: chunked filtering, compiled
-  // predicate bytecode, and fused aggregation change only how WHERE clauses
-  // and aggregates are evaluated, never what they produce — so every
-  // measured number must be bit-identical with the engine on and off.
-  ExperimentConfig config = QuickConfig();
-  config.vectorized_exec = true;
-  auto on = RunExperiment(config);
-  config.vectorized_exec = false;
-  auto off = RunExperiment(config);
-  ASSERT_TRUE(on.ok());
-  ASSERT_TRUE(off.ok());
-  EXPECT_EQ(on->benchmark.throughput_ops, off->benchmark.throughput_ops);
-  EXPECT_EQ(on->benchmark.read_throughput_ops,
-            off->benchmark.read_throughput_ops);
-  EXPECT_EQ(on->benchmark.write_throughput_ops,
-            off->benchmark.write_throughput_ops);
-  EXPECT_EQ(on->benchmark.mean_response_ms, off->benchmark.mean_response_ms);
-  EXPECT_EQ(on->benchmark.p95_response_ms, off->benchmark.p95_response_ms);
-  EXPECT_EQ(on->benchmark.completed_ops, off->benchmark.completed_ops);
-  EXPECT_EQ(on->benchmark.failed_ops, off->benchmark.failed_ops);
-  EXPECT_EQ(on->benchmark.master_cpu_utilization,
-            off->benchmark.master_cpu_utilization);
-  EXPECT_EQ(on->benchmark.slave_cpu_utilization,
-            off->benchmark.slave_cpu_utilization);
-  EXPECT_EQ(on->idle_delay_ms, off->idle_delay_ms);
-  EXPECT_EQ(on->loaded_delay_ms, off->loaded_delay_ms);
-  EXPECT_EQ(on->relative_delay_ms, off->relative_delay_ms);
-  EXPECT_EQ(on->mean_relative_delay_ms, off->mean_relative_delay_ms);
-  EXPECT_EQ(on->fully_replicated, off->fully_replicated);
-  EXPECT_EQ(on->converged, off->converged);
-  EXPECT_EQ(on->heartbeats_issued, off->heartbeats_issued);
-  EXPECT_EQ(on->binlog_events, off->binlog_events);
-}
-
 // Pins the parse and replication work of one quick cell, statement-based and
 // row-based with batched shipping. Every count is a pure function of the
 // seed, so a change that adds or removes work (a second parse, a lost cache

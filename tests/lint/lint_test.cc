@@ -356,28 +356,6 @@ TEST(MetricNameRule, IgnoresDefinitionsWrappedLiteralsAndComputedNames) {
   EXPECT_EQ(r.files_scanned, 1);
 }
 
-TEST(VecAllocRule, FlagsStringAllocationOnlyInsideVecKernelFiles) {
-  // src/db/vec_bad_kernel.cc allocates (std::string local, std::to_string);
-  // src/db/query_exec.cc uses the same constructs but is outside the
-  // src/db/vec_* scope, so it must stay silent.
-  LintResult r = RunOn("vec_alloc");
-  EXPECT_EQ(Keys(r), (StrVec{
-                         "src/db/vec_bad_kernel.cc:1:clouddb-vec-alloc",
-                         "src/db/vec_bad_kernel.cc:4:clouddb-vec-alloc",
-                         "src/db/vec_bad_kernel.cc:5:clouddb-vec-alloc",
-                     }));
-  EXPECT_EQ(r.files_scanned, 2);
-  ASSERT_GE(r.diagnostics.size(), 1u);
-  EXPECT_NE(r.diagnostics[0].message.find("allocation-free"),
-            std::string::npos);
-}
-
-TEST(VecAllocRule, StringViewKernelsAreClean) {
-  LintResult r = RunOn("vec_alloc_clean");
-  EXPECT_EQ(Keys(r), StrVec{});
-  EXPECT_EQ(r.files_scanned, 1);
-}
-
 TEST(ApplyNoparseRule, FlagsParserIncludesOnlyInWritesetApplyFiles) {
   // src/db/writeset_apply.cc pulls in both front-end headers (lines 1-2);
   // src/db/statement_apply.cc includes sql_parser.h too but sits outside

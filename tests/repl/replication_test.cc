@@ -289,8 +289,6 @@ void ExpectSameStats(const db::StatementCacheStats& a,
   EXPECT_EQ(a.evictions, b.evictions);
   EXPECT_EQ(a.invalidations, b.invalidations);
   EXPECT_EQ(a.bypasses, b.bypasses);
-  EXPECT_EQ(a.programs_compiled, b.programs_compiled);
-  EXPECT_EQ(a.programs_invalidated, b.programs_invalidated);
 }
 
 // Loading the master once and copying it onto each slave leaves every

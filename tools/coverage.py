@@ -17,8 +17,8 @@ share one denominator.
   python3 tools/coverage.py
 
 Needs python3 and gcov only. Exits nonzero if the build, a binary or a test
-fails. A full run takes about 10-12 minutes on 4 vCPUs; fig3 and fig6 take
-about four minutes each.
+fails. A full run takes about 6-8 minutes on 4 vCPUs, about four of them in
+fig3 (which also prints Fig. 6 from the same runs).
 """
 
 import argparse

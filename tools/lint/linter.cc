@@ -25,7 +25,6 @@ constexpr char kRuleThread[] = "clouddb-thread";
 constexpr char kRuleLayering[] = "clouddb-layering";
 constexpr char kRuleCycle[] = "clouddb-include-cycle";
 constexpr char kRuleMetricName[] = "clouddb-metric-name";
-constexpr char kRuleVecAlloc[] = "clouddb-vec-alloc";
 constexpr char kRuleApplyNoparse[] = "clouddb-apply-noparse";
 
 /// Module layer ranks. An include edge is legal only if it points at a
@@ -116,16 +115,6 @@ const std::vector<TokenRule>& BannedTokens() {
       {"usleep", kRuleThread, "blocks a real thread"},
       {"nanosleep", kRuleThread, "blocks a real thread"},
       {"sleep", kRuleThread, "blocks a real thread", true},
-      // --- clouddb-vec-alloc: vectorized kernel files (src/db/vec_*) sit on
-      // the per-chunk hot path and must stay allocation-free — operands are
-      // string_views into row storage and scratch comes from VecArena. Any
-      // std::string construction or formatting there is an accidental
-      // per-lane heap allocation.
-      {"string", kRuleVecAlloc, "allocates per-value heap storage"},
-      {"to_string", kRuleVecAlloc, "formats into a heap buffer"},
-      {"stringstream", kRuleVecAlloc, "is a heap-backed formatter"},
-      {"ostringstream", kRuleVecAlloc, "is a heap-backed formatter"},
-      {"StrFormat", kRuleVecAlloc, "formats into a heap buffer"},
   };
   return kRules;
 }
@@ -134,9 +123,6 @@ const char* RuleRemedy(std::string_view rule) {
   if (rule == kRuleWallclock)
     return "derive time from sim::Simulation::Now() / LocalClock";
   if (rule == kRuleRandom) return "draw from a seeded clouddb::Rng instead";
-  if (rule == kRuleVecAlloc)
-    return "keep vec kernels allocation-free: string_view operands and "
-           "VecArena/caller-owned scratch";
   if (rule == kRuleApplyNoparse)
     return "operate on db::RowOp images via Table::ApplyRowDelta only";
   return "model concurrency as simulation events (sim/simulation.h)";
@@ -160,13 +146,6 @@ bool RandomExempt(const std::string& rel) {
 /// same isolation argument.
 bool ThreadExempt(const std::string& rel) {
   return rel == "src/harness/grid.h";
-}
-
-/// clouddb-vec-alloc is scope-*limited* rather than scope-exempted: it only
-/// applies inside the vectorized kernel files, everywhere else std::string
-/// use is normal engine code.
-bool VecAllocScoped(const std::string& rel) {
-  return rel.rfind("src/db/vec_", 0) == 0;
 }
 
 void ScanBannedTokens(const SourceFile& fi, std::vector<Diagnostic>* out) {
@@ -195,9 +174,6 @@ void ScanBannedTokens(const SourceFile& fi, std::vector<Diagnostic>* out) {
         if (tr.rule == std::string_view(kRuleRandom) && RandomExempt(fi.rel))
           continue;
         if (tr.rule == std::string_view(kRuleThread) && ThreadExempt(fi.rel))
-          continue;
-        if (tr.rule == std::string_view(kRuleVecAlloc) &&
-            !VecAllocScoped(fi.rel))
           continue;
         if (tr.call_only) {
           size_t k = j;
@@ -289,8 +265,8 @@ void CheckLayering(const SourceFile& fi, std::vector<Diagnostic>* out) {
 /// The row-based replication fast path exists to apply row images WITHOUT
 /// the SQL front end; an sql_parser/sql_lexer include in its translation
 /// units would silently reintroduce the per-statement parse cost the
-/// whole subsystem is designed to avoid. Scope-limited like
-/// clouddb-vec-alloc: only the writeset apply TUs are checked.
+/// whole subsystem is designed to avoid. The rule is scope-limited rather
+/// than scope-exempted: only the writeset apply TUs are checked.
 bool ApplyNoparseScoped(const std::string& rel) {
   return rel.rfind("src/db/writeset_apply", 0) == 0;
 }
