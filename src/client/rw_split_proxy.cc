@@ -191,9 +191,7 @@ void ReadWriteSplitProxy::ExecuteAuto(const std::string& sql,
   // fingerprint, not a parse.
   Result<db::CompiledSql> compiled =
       db::CompileSql(options_.route_cache ? &route_cache_ : nullptr, sql);
-  bool is_read = compiled.ok() &&
-                 !db::IsWriteStatement(compiled->statement()) &&
-                 !db::IsTransactionControl(compiled->statement());
+  bool is_read = compiled.ok() && !db::IsWriteStatement(compiled->statement());
   Execute(sql, is_read, cpu_cost, read_options, std::move(done));
 }
 

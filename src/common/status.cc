@@ -20,8 +20,6 @@ const char* StatusCodeToString(StatusCode code) {
       return "ResourceExhausted";
     case StatusCode::kUnavailable:
       return "Unavailable";
-    case StatusCode::kAborted:
-      return "Aborted";
     case StatusCode::kTimedOut:
       return "TimedOut";
     case StatusCode::kCorruption:

@@ -17,7 +17,6 @@ enum class StatusCode {
   kOutOfRange,
   kResourceExhausted,
   kUnavailable,
-  kAborted,
   kTimedOut,
   kCorruption,
   kNotSupported,
@@ -70,9 +69,6 @@ class [[nodiscard]] Status {
   static Status Unavailable(std::string msg) {
     return Status(StatusCode::kUnavailable, std::move(msg));
   }
-  static Status Aborted(std::string msg) {
-    return Status(StatusCode::kAborted, std::move(msg));
-  }
   static Status TimedOut(std::string msg) {
     return Status(StatusCode::kTimedOut, std::move(msg));
   }
@@ -103,7 +99,6 @@ class [[nodiscard]] Status {
     return code_ == StatusCode::kResourceExhausted;
   }
   bool IsUnavailable() const { return code_ == StatusCode::kUnavailable; }
-  bool IsAborted() const { return code_ == StatusCode::kAborted; }
   bool IsTimedOut() const { return code_ == StatusCode::kTimedOut; }
   bool IsCorruption() const { return code_ == StatusCode::kCorruption; }
   bool IsNotSupported() const { return code_ == StatusCode::kNotSupported; }

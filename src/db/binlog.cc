@@ -35,12 +35,10 @@ int64_t RowWireSize(const Row& row) {
 
 int64_t EventWireSize(const BinlogEvent& event) {
   int64_t size = 32;  // header
-  for (const auto& s : event.statements) {
-    size += static_cast<int64_t>(s.size());
-  }
-  for (const StatementWriteset& ws : event.writesets) {
+  size += static_cast<int64_t>(event.statement.size());
+  if (event.writeset.has_value()) {
     size += 5;  // covered flag + op count
-    for (const RowOp& op : ws.ops) {
+    for (const RowOp& op : event.writeset->ops) {
       size += 5 + static_cast<int64_t>(op.table.size());  // kind + table
       size += RowWireSize(op.before) + RowWireSize(op.after);
     }
@@ -48,18 +46,13 @@ int64_t EventWireSize(const BinlogEvent& event) {
   return size;
 }
 
-int64_t Binlog::Append(std::vector<std::string> statements,
-                       int64_t commit_micros) {
-  return Append(std::move(statements), {}, commit_micros);
-}
-
-int64_t Binlog::Append(std::vector<std::string> statements,
-                       std::vector<StatementWriteset> writesets,
+int64_t Binlog::Append(std::string statement,
+                       std::optional<StatementWriteset> writeset,
                        int64_t commit_micros) {
   BinlogEvent ev;
   ev.index = static_cast<int64_t>(events_.size());
-  ev.statements = std::move(statements);
-  ev.writesets = std::move(writesets);
+  ev.statement = std::move(statement);
+  ev.writeset = std::move(writeset);
   ev.commit_micros = commit_micros;
   events_.push_back(std::move(ev));
   if (listener_) listener_(events_.back());

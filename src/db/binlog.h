@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -10,31 +11,28 @@
 
 namespace clouddb::db {
 
-/// One committed transaction in the binary log. The event always carries the
-/// SQL *text* of every write statement in commit order — slaves re-parse and
-/// re-execute it, which is what makes non-deterministic functions
-/// (NOW_MICROS) evaluate per replica.
+/// One committed statement in the binary log. Every statement is its own
+/// transaction, so an event carries exactly one write statement's SQL
+/// *text* — slaves re-parse and re-execute it, which is what makes
+/// non-deterministic functions (NOW_MICROS) evaluate per replica.
 ///
-/// In row-based mode the event additionally carries one StatementWriteset
-/// per statement (`writesets` parallel to `statements`): the row images the
-/// master's execution produced. Slaves apply covered writesets directly
-/// through Table::ApplyRowDelta and fall back to the statement text for
-/// uncovered entries (DDL, function-bearing statements).
+/// In row-based mode the event also carries the statement's writeset: the
+/// row images the master's execution produced. Slaves apply a covered
+/// writeset directly through Table::ApplyRowDelta and fall back to the text
+/// for an uncovered one (DDL, function-bearing statements).
 struct BinlogEvent {
   int64_t index = 0;  // position in the log, 0-based and dense
-  std::vector<std::string> statements;
-  /// Empty in statement-based mode; otherwise parallel to `statements`.
-  std::vector<StatementWriteset> writesets;
+  std::string statement;
+  /// Empty in statement-based mode.
+  std::optional<StatementWriteset> writeset;
   int64_t commit_micros = 0;  // committing server's local clock at commit
-
-  bool has_writesets() const { return !writesets.empty(); }
 };
 
 /// Bytes the simulated network charges for shipping an event to a slave.
 /// Events travel in memory and are never encoded; this is the one cost
 /// model. A statement-only event costs a 32-byte header plus the statement
 /// text — the size the network has always charged — so disabling row-based
-/// mode reproduces historical traffic byte for byte. Each writeset adds 5
+/// mode reproduces historical traffic byte for byte. A writeset adds 5
 /// bytes, each row op 5 plus its table name, and each before/after row
 /// image 4 plus, per value, 1 (NULL), 9 (integer or double) or 5 plus the
 /// length (string).
@@ -47,12 +45,10 @@ class Binlog {
   Binlog(const Binlog&) = delete;
   Binlog& operator=(const Binlog&) = delete;
 
-  /// Appends a statement-based event; returns its index.
-  int64_t Append(std::vector<std::string> statements, int64_t commit_micros);
-
-  /// Appends a row-based event (`writesets` parallel to `statements`).
-  int64_t Append(std::vector<std::string> statements,
-                 std::vector<StatementWriteset> writesets,
+  /// Appends one statement's event (`writeset` set in row-based mode);
+  /// returns its index.
+  int64_t Append(std::string statement,
+                 std::optional<StatementWriteset> writeset,
                  int64_t commit_micros);
 
   int64_t size() const { return static_cast<int64_t>(events_.size()); }

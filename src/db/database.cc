@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 #include "common/str_util.h"
 #include "db/expr_eval.h"
@@ -11,7 +12,6 @@
 #include "db/sql_ast.h"
 #include "db/statement_cache.h"
 #include "db/table.h"
-#include "db/transaction.h"
 #include "db/value.h"
 #include "db/writeset.h"
 
@@ -71,19 +71,32 @@ bool StatementHasFunctionCall(const Statement& stmt) {
   return false;
 }
 
+/// One row mutation of the running statement, replayed in reverse if the
+/// statement fails part-way.
+struct UndoRecord {
+  enum class Kind {
+    kInsert,  // row was inserted -> undo deletes it
+    kDelete,  // row was deleted  -> undo restores old_row at row_id
+    kUpdate,  // row was updated  -> undo restores old_row at row_id
+  };
+  Kind kind;
+  std::string table;
+  RowId row_id = 0;
+  Row old_row;  // kDelete/kUpdate only
+};
+
 }  // namespace
 
-/// Statement executor bound to one (database, session) pair. Performs access
-/// path selection, predicate filtering, mutation with undo capture.
+/// Executor of one statement: access path selection, predicate filtering,
+/// and mutation with a statement-local undo log.
 class Executor {
  public:
   /// `capture` (nullable) receives the row images of every mutation this
   /// statement performs — the row-based replication writeset. Null (the
   /// default) skips capture entirely, so statement-based mode pays nothing.
-  Executor(Database* database, Session* session,
-           const std::vector<Value>* params = nullptr,
+  Executor(Database* database, const std::vector<Value>* params = nullptr,
            std::vector<RowOp>* capture = nullptr)
-      : db_(database), session_(session), params_(params), capture_(capture) {}
+      : db_(database), params_(params), capture_(capture) {}
 
   Result<ExecResult> Run(const Statement& stmt) {
     struct Visitor {
@@ -112,17 +125,31 @@ class Executor {
       Result<ExecResult> operator()(const DeleteStatement& s) {
         return e->Delete(s);
       }
-      Result<ExecResult> operator()(const BeginStatement&) {
-        return Status::Internal("txn control reached executor");
-      }
-      Result<ExecResult> operator()(const CommitStatement&) {
-        return Status::Internal("txn control reached executor");
-      }
-      Result<ExecResult> operator()(const RollbackStatement&) {
-        return Status::Internal("txn control reached executor");
-      }
     };
     return std::visit(Visitor{this}, stmt);
+  }
+
+  /// Reverts the statement's mutations, newest first, so a statement that
+  /// failed part-way leaves its tables as it found them.
+  void Undo() {
+    for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
+      Table* table = db_->GetTable(it->table);
+      assert(table != nullptr);
+      Status st;
+      switch (it->kind) {
+        case UndoRecord::Kind::kInsert:
+          st = table->Delete(it->row_id);
+          break;
+        case UndoRecord::Kind::kDelete:
+          st = table->RestoreRow(it->row_id, std::move(it->old_row));
+          break;
+        case UndoRecord::Kind::kUpdate:
+          st = table->Update(it->row_id, std::move(it->old_row));
+          break;
+      }
+      assert(st.ok());
+      (void)st;
+    }
   }
 
  private:
@@ -201,7 +228,7 @@ class Executor {
       }
     }
     CLOUDDB_ASSIGN_OR_RETURN(RowId id, table->Insert(std::move(row)));
-    session_->undo().push_back(
+    undo_.push_back(
         UndoRecord{UndoRecord::Kind::kInsert, TableKey(stmt.table), id, {}});
     if (capture_ != nullptr) {
       // The after image is the row as *stored* (post type-coercion), fetched
@@ -403,9 +430,8 @@ class Executor {
         capture_->push_back(RowOp{RowOp::Kind::kUpdate, TableKey(stmt.table),
                                   saved, *table->Get(id)});
       }
-      session_->undo().push_back(UndoRecord{UndoRecord::Kind::kUpdate,
-                                            TableKey(stmt.table), id,
-                                            std::move(saved)});
+      undo_.push_back(UndoRecord{UndoRecord::Kind::kUpdate,
+                                 TableKey(stmt.table), id, std::move(saved)});
       ++result.rows_affected;
     }
     return result;
@@ -423,9 +449,8 @@ class Executor {
         capture_->push_back(RowOp{RowOp::Kind::kDelete, TableKey(stmt.table),
                                   saved, {}});
       }
-      session_->undo().push_back(UndoRecord{UndoRecord::Kind::kDelete,
-                                            TableKey(stmt.table), id,
-                                            std::move(saved)});
+      undo_.push_back(UndoRecord{UndoRecord::Kind::kDelete,
+                                 TableKey(stmt.table), id, std::move(saved)});
       ++result.rows_affected;
     }
     return result;
@@ -689,24 +714,17 @@ class Executor {
   }
 
   Database* db_;
-  Session* session_;
   const std::vector<Value>* params_;  // null unless running a cached template
   std::vector<RowOp>* capture_;       // row-based writeset sink or null
+  std::vector<UndoRecord> undo_;      // this statement's mutations, in order
 };
 
 Database::Database(DatabaseOptions options)
-    : options_(std::move(options)), functions_(options_.now_micros) {
-  autocommit_session_ = std::make_unique<Session>(0);
-}
+    : options_(std::move(options)), functions_(options_.now_micros) {}
 
-std::unique_ptr<Session> Database::CreateSession() {
-  return std::make_unique<Session>(next_session_id_++);
-}
-
-Result<ExecResult> Database::Execute(const std::string& sql,
-                                     Session* session) {
+Result<ExecResult> Database::Execute(const std::string& sql) {
   CLOUDDB_ASSIGN_OR_RETURN(CompiledSql compiled, Compile(sql));
-  return Execute(compiled, sql, session);
+  return Execute(compiled, sql);
 }
 
 Result<CompiledSql> Database::Compile(const std::string& sql) {
@@ -715,45 +733,9 @@ Result<CompiledSql> Database::Compile(const std::string& sql) {
 }
 
 Result<ExecResult> Database::Execute(const CompiledSql& compiled,
-                                     const std::string& sql_text,
-                                     Session* session) {
+                                     const std::string& sql_text) {
   const Statement& stmt = compiled.statement();
-  if (session == nullptr) session = autocommit_session_.get();
-
-  // Transaction control.
-  if (std::holds_alternative<BeginStatement>(stmt)) {
-    if (session->in_explicit_transaction()) {
-      return Status::FailedPrecondition("transaction already open");
-    }
-    session->BeginExplicit();
-    return ExecResult{};
-  }
-  if (std::holds_alternative<CommitStatement>(stmt)) {
-    CommitSession(session);  // COMMIT outside a transaction is a no-op
-    return ExecResult{};
-  }
-  if (std::holds_alternative<RollbackStatement>(stmt)) {
-    RollbackSession(session);
-    return ExecResult{};
-  }
-
-  // DDL implicitly commits any open transaction (MySQL semantics) and is
-  // itself not transactional.
-  if (IsDdl(stmt) && session->in_explicit_transaction()) {
-    CommitSession(session);
-  }
-
   bool is_write = IsWriteStatement(stmt);
-  std::string lock_key = TableKey(TargetTable(stmt));
-  Status lock_status =
-      is_write ? lock_manager_.AcquireWrite(session->id(), lock_key)
-               : lock_manager_.AcquireRead(session->id(), lock_key);
-  if (!lock_status.ok()) {
-    // A lock conflict aborts the whole transaction (no-wait policy).
-    RollbackSession(session);
-    return lock_status;
-  }
-
   // Row-based capture: only statements that will reach the binlog capture
   // row images, and only when the coverage rule admits them (no DDL, no
   // function calls — see StatementHasFunctionCall).
@@ -761,24 +743,26 @@ Result<ExecResult> Database::Execute(const CompiledSql& compiled,
   bool row_capture = options_.row_based_repl && binlog_active && is_write &&
                      !IsDdl(stmt) && !StatementHasFunctionCall(stmt);
   std::vector<RowOp> captured_ops;
-  Executor executor(this, session, compiled.params(),
+  Executor executor(this, compiled.params(),
                     row_capture ? &captured_ops : nullptr);
   Result<ExecResult> result = executor.Run(stmt);
   if (!result.ok()) {
-    RollbackSession(session);
+    executor.Undo();
     return result;
   }
   // DDL changed the catalog: cached templates (and the plan hints resolved
   // through them) must not survive it.
   if (IsDdl(stmt)) statement_cache_.Invalidate();
-  if (is_write) {
-    session->pending_binlog().push_back(sql_text);
-    if (options_.row_based_repl && binlog_active) {
-      session->pending_writesets().push_back(
-          StatementWriteset{row_capture, std::move(captured_ops)});
+  // Commit: a write becomes one binlog event, carrying a writeset in
+  // row-based mode (uncovered, with no ops, for DDL and function calls).
+  if (is_write && binlog_active) {
+    std::optional<StatementWriteset> writeset;
+    if (options_.row_based_repl) {
+      writeset = StatementWriteset{row_capture, std::move(captured_ops)};
     }
+    binlog_.Append(sql_text, std::move(writeset),
+                   options_.now_micros ? options_.now_micros() : 0);
   }
-  if (!session->in_explicit_transaction()) CommitSession(session);
   return result;
 }
 
@@ -837,51 +821,6 @@ bool Database::ContentsEqual(const Database& a, const Database& b,
     if (!Table::ContentsEqual(*table, *it->second)) return false;
   }
   return true;
-}
-
-void Database::CommitSession(Session* session) {
-  if (options_.enable_binlog && !binlog_suppressed_ &&
-      !session->pending_binlog().empty()) {
-    int64_t now =
-        options_.now_micros ? options_.now_micros() : 0;
-    // A full set of writesets (one per statement) makes this a row-based
-    // event. A partial set — the toggle flipped mid-transaction — is
-    // discarded: the event falls back to statement-only, which is always
-    // correct to apply.
-    if (session->pending_writesets().size() ==
-        session->pending_binlog().size()) {
-      binlog_.Append(std::move(session->pending_binlog()),
-                     std::move(session->pending_writesets()), now);
-    } else {
-      binlog_.Append(std::move(session->pending_binlog()), now);
-    }
-  }
-  lock_manager_.ReleaseAll(session->id());
-  session->ClearTransactionState();
-}
-
-void Database::RollbackSession(Session* session) {
-  auto& undo = session->undo();
-  for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
-    Table* table = GetTable(it->table);
-    assert(table != nullptr);
-    Status st;
-    switch (it->kind) {
-      case UndoRecord::Kind::kInsert:
-        st = table->Delete(it->row_id);
-        break;
-      case UndoRecord::Kind::kDelete:
-        st = table->RestoreRow(it->row_id, std::move(it->old_row));
-        break;
-      case UndoRecord::Kind::kUpdate:
-        st = table->Update(it->row_id, std::move(it->old_row));
-        break;
-    }
-    assert(st.ok());
-    (void)st;
-  }
-  lock_manager_.ReleaseAll(session->id());
-  session->ClearTransactionState();
 }
 
 }  // namespace clouddb::db

@@ -15,7 +15,6 @@
 #include "db/sql_ast.h"
 #include "db/statement_cache.h"
 #include "db/table.h"
-#include "db/transaction.h"
 #include "db/value.h"
 
 namespace clouddb::db {
@@ -57,18 +56,16 @@ struct DatabaseOptions {
   bool row_based_repl = false;
 };
 
-/// A single-node relational database: catalog, SQL execution, table-level
-/// 2PL transactions with rollback, and a statement-based binlog.
+/// A single-node relational database: catalog, SQL execution and a
+/// statement-based binlog. Every statement is its own transaction
+/// (auto-commit): a statement that fails part-way replays its undo log in
+/// reverse and leaves no trace, and a committed write appends exactly one
+/// binlog event.
 ///
 /// Typical use:
 ///
 ///   Database database(options);
-///   auto session = database.CreateSession();
-///   auto result = database.Execute("SELECT * FROM t WHERE id = 7",
-///                                  session.get());
-///
-/// `Execute(sql)` without a session runs the statement on an internal
-/// autocommit session.
+///   auto result = database.Execute("SELECT * FROM t WHERE id = 7");
 class Database {
  public:
   explicit Database(DatabaseOptions options = {});
@@ -76,13 +73,8 @@ class Database {
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
 
-  /// Creates an independent session (connection context).
-  std::unique_ptr<Session> CreateSession();
-
-  /// Compiles and executes one statement on `session` (nullptr = the
-  /// internal autocommit session). On statement failure inside an explicit
-  /// transaction the whole transaction is rolled back (no savepoints).
-  Result<ExecResult> Execute(const std::string& sql, Session* session = nullptr);
+  /// Compiles and executes one statement as its own transaction.
+  Result<ExecResult> Execute(const std::string& sql);
 
   /// Compiles `sql` through this database's statement cache when it is
   /// enabled, else by a plain parse (see CompileSql). Callers that need the
@@ -95,8 +87,7 @@ class Database {
   /// catalog when it runs. `sql_text` is the original statement text,
   /// recorded in the binlog if this is a write.
   Result<ExecResult> Execute(const CompiledSql& compiled,
-                             const std::string& sql_text,
-                             Session* session = nullptr);
+                             const std::string& sql_text);
 
   // --- Introspection -------------------------------------------------------
   Table* GetTable(const std::string& name);
@@ -106,7 +97,6 @@ class Database {
   Binlog& binlog() { return binlog_; }
   const Binlog& binlog() const { return binlog_; }
   FunctionRegistry& functions() { return functions_; }
-  LockManager& lock_manager() { return lock_manager_; }
   const DatabaseOptions& options() const { return options_; }
   StatementCache& statement_cache() { return statement_cache_; }
   const StatementCache& statement_cache() const { return statement_cache_; }
@@ -144,8 +134,8 @@ class Database {
 
   /// Replaces every table with a copy of `source`'s (Table::Clone: rows
   /// under their RowIds, schemas, primary and secondary indexes) and
-  /// invalidates the statement cache, as DDL does. The binlog, sessions and
-  /// options are untouched. This is the one way a replica is copied:
+  /// invalidates the statement cache, as DDL does. The binlog and options
+  /// are untouched. This is the one way a replica is copied:
   /// attaching a new slave and re-cloning failover survivors both use it.
   void CopyTablesFrom(const Database& source);
 
@@ -162,21 +152,12 @@ class Database {
  private:
   friend class Executor;
 
-  /// Commits `session`: appends pending write statements to the binlog as a
-  /// single event, releases locks, clears transaction state.
-  void CommitSession(Session* session);
-  /// Rolls back `session`: applies the undo log in reverse, releases locks.
-  void RollbackSession(Session* session);
-
   DatabaseOptions options_;
   FunctionRegistry functions_;
   Binlog binlog_;
-  LockManager lock_manager_;
   StatementCache statement_cache_;
   std::map<std::string, std::unique_ptr<Table>> tables_;  // keys lower-cased
   bool binlog_suppressed_ = false;
-  int64_t next_session_id_ = 1;
-  std::unique_ptr<Session> autocommit_session_;
 };
 
 }  // namespace clouddb::db

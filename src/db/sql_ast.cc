@@ -155,12 +155,6 @@ bool IsWriteStatement(const Statement& stmt) {
          std::holds_alternative<DeleteStatement>(stmt);
 }
 
-bool IsTransactionControl(const Statement& stmt) {
-  return std::holds_alternative<BeginStatement>(stmt) ||
-         std::holds_alternative<CommitStatement>(stmt) ||
-         std::holds_alternative<RollbackStatement>(stmt);
-}
-
 std::string TargetTable(const Statement& stmt) {
   struct Visitor {
     std::string operator()(const CreateTableStatement& s) { return s.table; }
@@ -171,9 +165,6 @@ std::string TargetTable(const Statement& stmt) {
     std::string operator()(const SelectStatement& s) { return s.table; }
     std::string operator()(const UpdateStatement& s) { return s.table; }
     std::string operator()(const DeleteStatement& s) { return s.table; }
-    std::string operator()(const BeginStatement&) { return ""; }
-    std::string operator()(const CommitStatement&) { return ""; }
-    std::string operator()(const RollbackStatement&) { return ""; }
   };
   return std::visit(Visitor{}, stmt);
 }
@@ -188,9 +179,6 @@ const char* StatementKindName(const Statement& stmt) {
     const char* operator()(const SelectStatement&) { return "SELECT"; }
     const char* operator()(const UpdateStatement&) { return "UPDATE"; }
     const char* operator()(const DeleteStatement&) { return "DELETE"; }
-    const char* operator()(const BeginStatement&) { return "BEGIN"; }
-    const char* operator()(const CommitStatement&) { return "COMMIT"; }
-    const char* operator()(const RollbackStatement&) { return "ROLLBACK"; }
   };
   return std::visit(Visitor{}, stmt);
 }

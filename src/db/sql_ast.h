@@ -147,26 +147,18 @@ struct DeleteStatement {
   ExprPtr where;  // may be null
 };
 
-struct BeginStatement {};
-struct CommitStatement {};
-struct RollbackStatement {};
-
 /// A parsed SQL statement. Move-only (expressions own their children).
 using Statement =
     std::variant<CreateTableStatement, CreateIndexStatement,
                  DropTableStatement, TruncateStatement, InsertStatement,
-                 SelectStatement, UpdateStatement, DeleteStatement,
-                 BeginStatement, CommitStatement, RollbackStatement>;
+                 SelectStatement, UpdateStatement, DeleteStatement>;
 
 /// True for statements that modify data or schema (and therefore must be
 /// written to the binlog and routed to the master).
 bool IsWriteStatement(const Statement& stmt);
 
-/// True for transaction-control statements (BEGIN/COMMIT/ROLLBACK).
-bool IsTransactionControl(const Statement& stmt);
-
-/// The table a statement targets, as spelled in the text (empty for
-/// transaction control). Callers lower-case it for catalog lookups.
+/// The table a statement targets, as spelled in the text. Callers
+/// lower-case it for catalog lookups.
 std::string TargetTable(const Statement& stmt);
 
 /// Short statement-kind name for diagnostics ("INSERT", "SELECT", ...).

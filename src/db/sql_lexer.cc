@@ -29,7 +29,7 @@ class KeywordTrie {
         "SELECT", "FROM",   "WHERE",  "ORDER",  "BY",     "ASC",    "DESC",
         "LIMIT",  "UPDATE", "SET",    "DELETE", "AND",    "NOT",    "NULL",
         "PRIMARY", "KEY",   "INT",    "BIGINT", "DOUBLE", "TEXT",   "VARCHAR",
-        "TIMESTAMP", "BEGIN", "COMMIT", "ROLLBACK", "COUNT", "TRUNCATE",
+        "TIMESTAMP", "COUNT", "TRUNCATE",
         "IS",     "DROP",   "OR",     "IN",     "BETWEEN",
         "MIN",    "MAX",    "SUM",    "AVG",
     };

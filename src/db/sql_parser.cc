@@ -29,18 +29,6 @@ class Parser {
       if (t.IsKeyword("SELECT")) return ParseSelect();
       if (t.IsKeyword("UPDATE")) return ParseUpdate();
       if (t.IsKeyword("DELETE")) return ParseDelete();
-      if (t.IsKeyword("BEGIN")) {
-        Advance();
-        return Statement(BeginStatement{});
-      }
-      if (t.IsKeyword("COMMIT")) {
-        Advance();
-        return Statement(CommitStatement{});
-      }
-      if (t.IsKeyword("ROLLBACK")) {
-        Advance();
-        return Statement(RollbackStatement{});
-      }
       return Error("expected a statement");
     }();
     if (!result.ok()) return result;

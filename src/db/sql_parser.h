@@ -23,7 +23,6 @@ namespace clouddb::db {
 ///       [LIMIT n]
 ///   UPDATE t SET col = expr [, ...] [WHERE pred]
 ///   DELETE FROM t [WHERE pred]
-///   BEGIN | COMMIT | ROLLBACK
 ///
 /// TYPE is INT | BIGINT | TIMESTAMP (64-bit int), DOUBLE,
 /// TEXT | VARCHAR[(n)] (string).

@@ -14,9 +14,8 @@ namespace clouddb::db {
 namespace {
 
 /// True when the fingerprint's leading token can begin a cacheable
-/// statement. Everything else (DDL, transaction control, garbage) takes the
-/// plain parse path so its behavior — including error text — is identical
-/// with the cache off. The check is exact: keywords are uppercased in the
+/// statement. Everything else (DDL, garbage) takes the plain parse path so
+/// its behavior — including error text — is identical with the cache off. The check is exact: keywords are uppercased in the
 /// fingerprint and every token carries a trailing space, so an identifier
 /// spelled "selectx" ("selectx ") can never match "SELECT ".
 bool CacheableFingerprint(const std::string& fp) {

@@ -65,8 +65,8 @@ struct PreparedCall {
 /// and replicas (a hard requirement: the simulation's results must be
 /// independent of host timing).
 ///
-/// Only DML (SELECT/INSERT/UPDATE/DELETE) is cached. DDL and transaction
-/// control bypass the cache, and executing DDL must call Invalidate().
+/// Only DML (SELECT/INSERT/UPDATE/DELETE) is cached. DDL bypasses the cache,
+/// and executing DDL must call Invalidate().
 class StatementCache {
  public:
   explicit StatementCache(size_t capacity = kDefaultCapacity);
@@ -80,8 +80,8 @@ class StatementCache {
   ///
   /// Failure modes, on which CompileSql falls back to plain ParseSql
   /// (which reproduces byte-identical errors and behavior):
-  ///  - NotSupported: statement shape is not cacheable (DDL, BEGIN/COMMIT/
-  ///    ROLLBACK, empty input) or the template failed to parse.
+  ///  - NotSupported: statement shape is not cacheable (DDL, empty input)
+  ///    or the template failed to parse.
   ///  - any tokenizer error, returned verbatim.
   Result<PreparedCall> Prepare(const std::string& sql);
 

@@ -86,7 +86,7 @@ class Table {
   Status Update(RowId id, Row new_row);
 
   /// Re-inserts a previously deleted row under its original RowId (used by
-  /// transaction rollback). Fails if the id is live or the primary key
+  /// a failed statement's undo). Fails if the id is live or the primary key
   /// duplicates a live row.
   Status RestoreRow(RowId id, Row row);
 

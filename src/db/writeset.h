@@ -24,8 +24,8 @@ struct RowOp {
   Row after;
 };
 
-/// The row-based payload of one write statement inside a binlog event,
-/// parallel to BinlogEvent::statements.
+/// The row-based payload of one write statement, carried by its binlog
+/// event (BinlogEvent::writeset).
 ///
 /// `covered` is the coverage/fallback rule's verdict: DDL and any statement
 /// whose expressions contain a function call are *not* covered — function

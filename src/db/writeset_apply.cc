@@ -7,7 +7,6 @@
 #include "common/str_util.h"
 #include "db/database.h"
 #include "db/table.h"
-#include "db/transaction.h"
 #include "common/result.h"
 #include "db/writeset.h"
 
@@ -16,7 +15,7 @@ namespace clouddb::db {
 namespace {
 
 /// The op that undoes `op`: insert <-> delete, update swaps its images.
-/// Inverses are themselves RowOps, so rollback reuses ApplyRowDelta.
+/// Inverses are themselves RowOps, so the unwind reuses ApplyRowDelta.
 RowOp InverseOf(const RowOp& op) {
   RowOp inv;
   inv.table = op.table;
@@ -40,17 +39,16 @@ RowOp InverseOf(const RowOp& op) {
 
 }  // namespace
 
-Result<int64_t> ApplyStatementWriteset(Database* db, Session* session,
+Result<int64_t> ApplyStatementWriteset(Database* db,
                                        const StatementWriteset& ws) {
   if (!ws.covered) {
     return Status::FailedPrecondition(
         "writeset not covered; apply the statement text instead");
   }
-  LockManager& locks = db->lock_manager();
   // Almost every statement touches one table, so memoize the last
-  // name -> Table* resolution instead of paying a catalog map lookup (and a
-  // lock-table lookup) per row op. A short equal-string compare is far
-  // cheaper than either, and this path runs once per replicated row.
+  // name -> Table* resolution instead of paying a catalog map lookup per
+  // row op. A short equal-string compare is far cheaper, and this path runs
+  // once per replicated row.
   const std::string* cached_name = nullptr;
   Table* cached_table = nullptr;
   auto resolve = [&](const std::string& name) -> Table* {
@@ -60,18 +58,6 @@ Result<int64_t> ApplyStatementWriteset(Database* db, Session* session,
     }
     return cached_table;
   };
-  // Lock every touched table up front (no-wait 2PL, like statement apply).
-  // AcquireWrite is re-entrant, so consecutive ops on the same table skip it.
-  const std::string* last_locked = nullptr;
-  for (const RowOp& op : ws.ops) {
-    if (last_locked != nullptr && *last_locked == op.table) continue;
-    Status lock_st = locks.AcquireWrite(session->id(), op.table);
-    if (!lock_st.ok()) {
-      locks.ReleaseAll(session->id());
-      return lock_st;
-    }
-    last_locked = &op.table;
-  }
   // Ops apply in order, so a plain count of successes is enough to drive the
   // unwind below — no per-statement bookkeeping allocation.
   size_t applied = 0;
@@ -97,10 +83,8 @@ Result<int64_t> ApplyStatementWriteset(Database* db, Session* session,
         (void)undone;  // a failing inverse means the replica already diverged
       }
     }
-    locks.ReleaseAll(session->id());
     return st;
   }
-  locks.ReleaseAll(session->id());
   return static_cast<int64_t>(ws.ops.size());
 }
 

@@ -9,7 +9,6 @@
 namespace clouddb::db {
 
 class Database;
-class Session;
 
 /// Row-based replication's slave-side fast path: applies one covered
 /// statement's row ops to `db` through Table::ApplyRowDelta — no lexer, no
@@ -17,11 +16,11 @@ class Session;
 /// forbidden from including sql_parser/sql_lexer by the clouddb-apply-noparse
 /// lint rule.
 ///
-/// The statement applies atomically: table write locks are taken under
-/// `session`'s identity first (2PL parity with statement apply), every op
-/// already applied is inverted on a mid-statement failure, and all locks are
-/// released before returning. Returns the number of rows affected.
-Result<int64_t> ApplyStatementWriteset(Database* db, Session* session,
+/// The statement applies atomically, as the executor's undo log makes
+/// statement apply: on a mid-statement failure (a replica that diverged from
+/// the master's before images, or a missing table) every op already applied
+/// is inverted. Returns the number of rows affected.
+Result<int64_t> ApplyStatementWriteset(Database* db,
                                        const StatementWriteset& ws);
 
 }  // namespace clouddb::db

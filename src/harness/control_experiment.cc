@@ -108,6 +108,17 @@ Result<ControlExperimentResult> RunControlExperiment(
   controller.Stop();
   staleness_watermark.Stop();
   d.sim.Run();  // drain in-flight operations and relay logs
+  bool fully_replicated = d.cluster.FullyReplicated();
+  if (!fully_replicated || !d.cluster.Converged()) {
+    return Status::Internal(StrFormat(
+        "%d+%d users, staleness bound %s: %s after the drain",
+        config.base_users, config.surge_users,
+        config.staleness_bound < 0
+            ? "none"
+            : FormatDuration(config.staleness_bound).c_str(),
+        !fully_replicated ? "a slave has not applied the whole binlog"
+                          : "the replicas' contents differ"));
+  }
 
   ControlExperimentResult result;
   const metrics::MetricRegistry& pm = d.proxy.metrics();

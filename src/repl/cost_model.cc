@@ -12,7 +12,6 @@ SimDuration CostModel::EstimateStatement(const db::Statement& stmt) const {
   if (std::holds_alternative<db::InsertStatement>(stmt)) return insert_cost;
   if (std::holds_alternative<db::UpdateStatement>(stmt)) return update_cost;
   if (std::holds_alternative<db::DeleteStatement>(stmt)) return delete_cost;
-  if (db::IsTransactionControl(stmt)) return txn_control_cost;
   return ddl_cost;
 }
 

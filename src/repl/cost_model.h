@@ -21,7 +21,6 @@ struct CostModel {
   SimDuration update_cost = Millis(40);
   SimDuration delete_cost = Millis(40);
   SimDuration ddl_cost = Millis(5);
-  SimDuration txn_control_cost = Micros(100);
 
   /// Slave apply cost = apply_factor * the statement's nominal cost
   /// (statement re-execution skips the application round trip, connection

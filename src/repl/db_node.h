@@ -89,7 +89,7 @@ class DbNode {
   sim::Simulation* sim() { return sim_; }
   net::Network* network() { return network_; }
 
-  /// Executes `sql` on the autocommit session and counts the outcome.
+  /// Executes `sql` as its own transaction and counts the outcome.
   /// `compiled` (nullable) is `sql` as already compiled by this node's
   /// database, where the AST was needed before the CPU reached the query
   /// (the slave's apply cost); null compiles it here.

@@ -33,9 +33,9 @@ struct ShipOptions {
   SimDuration flush_interval = Millis(5);
 };
 
-/// The replication master. All writes execute here; every committed
-/// transaction is appended to the binlog and pushed (a "binlog dump thread"
-/// per slave) over the network to each attached slave.
+/// The replication master. All writes execute here; every committed write
+/// statement is appended to the binlog as one event and pushed (a "binlog
+/// dump thread" per slave) over the network to each attached slave.
 ///
 /// Replication is asynchronous by default, exactly as in the paper: the
 /// client's write completes as soon as the master commits, and writesets

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "repl/master_node.h"
@@ -88,58 +89,46 @@ void SlaveNode::MaybeStartApply() {
   db::BinlogEvent event = std::move(relay_log_.front());
   relay_log_.pop_front();
 
-  // Compile each statement once: the same compiled form feeds both the cost
-  // model and the apply below. Covered writesets skip the lexer/parser
+  // Compile the statement once: the same compiled form feeds both the cost
+  // model and the apply below. A covered writeset skips the lexer/parser
   // entirely — both here (cost) and in the apply (row images straight into
-  // the table) — and leave their slot empty.
-  std::vector<std::optional<db::CompiledSql>> compiled(
-      event.statements.size());
+  // the table).
+  bool covered = event.writeset.has_value() && event.writeset->covered;
+  std::optional<db::CompiledSql> compiled;
   SimDuration cost = 0;
-  for (size_t i = 0; i < event.statements.size(); ++i) {
-    if (event.has_writesets() && event.writesets[i].covered) {
-      cost += cost_model_.EstimateWritesetApply(event.writesets[i]);
-      continue;
-    }
-    Result<db::CompiledSql> c = database_->Compile(event.statements[i]);
+  if (covered) {
+    cost = cost_model_.EstimateWritesetApply(*event.writeset);
+  } else {
+    Result<db::CompiledSql> c = database_->Compile(event.statement);
     if (c.ok()) {
-      cost += cost_model_.EstimateApply(c->statement());
-      compiled[i] = std::move(*c);
+      cost = cost_model_.EstimateApply(c->statement());
+      compiled = std::move(*c);
     }
-    // An unparseable statement contributes no cost and leaves its slot
-    // empty; the apply below compiles it again, fails identically, and
-    // stops the SQL thread.
+    // An unparseable statement costs nothing and leaves `compiled` empty;
+    // the apply below compiles it again, fails identically, and stops the
+    // SQL thread.
   }
 
   int64_t epoch = apply_epoch_;
-  instance_->cpu().Submit(cost, [this, epoch, event = std::move(event),
+  instance_->cpu().Submit(cost, [this, epoch, covered, event = std::move(event),
                                  compiled = std::move(compiled)]() mutable {
     // Rebased while this job was queued, or promoted: the database went to
     // the new master, and this job must not touch it.
     if (epoch != apply_epoch_ || database_ == nullptr) return;
-    // Apply the event atomically (it was one transaction on the master).
-    for (size_t i = 0; i < event.statements.size(); ++i) {
-      if (event.has_writesets() && event.writesets[i].covered) {
-        auto session = database_->CreateSession();
-        Result<int64_t> rows = db::ApplyStatementWriteset(
-            database_.get(), session.get(), event.writesets[i]);
-        if (!rows.ok()) {
-          broken_ = true;
-          applying_ = false;
-          return;
-        }
-        ++writeset_applies_;
-        continue;
-      }
-      if (event.has_writesets()) ++fallback_applies_;
-      Result<db::ExecResult> result = ExecuteNow(
-          event.statements[i], compiled[i] ? &*compiled[i] : nullptr);
-      if (!result.ok()) {
-        // MySQL stops the SQL thread on an apply error; replication on this
-        // slave halts until an operator intervenes.
-        broken_ = true;
-        applying_ = false;
-        return;
-      }
+    bool ok;
+    if (covered) {
+      ok = db::ApplyStatementWriteset(database_.get(), *event.writeset).ok();
+      if (ok) ++writeset_applies_;
+    } else {
+      if (event.writeset.has_value()) ++fallback_applies_;
+      ok = ExecuteNow(event.statement, compiled ? &*compiled : nullptr).ok();
+    }
+    if (!ok) {
+      // MySQL stops the SQL thread on an apply error; replication on this
+      // slave halts until an operator intervenes.
+      broken_ = true;
+      applying_ = false;
+      return;
     }
     applied_index_ = event.index;
     ++events_applied_;

@@ -26,7 +26,7 @@ TEST(ResultTest, HoldsError) {
 }
 
 TEST(ResultTest, ValueOrFallsBack) {
-  Result<int> err(Status::Aborted("x"));
+  Result<int> err(Status::Internal("x"));
   EXPECT_EQ(err.value_or(7), 7);
   Result<int> ok(3);
   EXPECT_EQ(ok.value_or(7), 3);

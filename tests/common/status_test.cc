@@ -50,7 +50,6 @@ INSTANTIATE_TEST_SUITE_P(
                  StatusCode::kResourceExhausted, "ResourceExhausted"},
         CodeCase{Status::Unavailable("m"), StatusCode::kUnavailable,
                  "Unavailable"},
-        CodeCase{Status::Aborted("m"), StatusCode::kAborted, "Aborted"},
         CodeCase{Status::TimedOut("m"), StatusCode::kTimedOut, "TimedOut"},
         CodeCase{Status::Corruption("m"), StatusCode::kCorruption,
                  "Corruption"},
@@ -60,8 +59,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(StatusTest, PredicatesMatchCode) {
   EXPECT_TRUE(Status::NotFound("x").IsNotFound());
-  EXPECT_FALSE(Status::NotFound("x").IsAborted());
-  EXPECT_TRUE(Status::Aborted("x").IsAborted());
+  EXPECT_FALSE(Status::NotFound("x").IsInternal());
   EXPECT_TRUE(Status::InvalidArgument("x").IsInvalidArgument());
   EXPECT_TRUE(Status::AlreadyExists("x").IsAlreadyExists());
   EXPECT_TRUE(Status::FailedPrecondition("x").IsFailedPrecondition());
@@ -71,7 +69,7 @@ TEST(StatusTest, PredicatesMatchCode) {
 TEST(StatusTest, EqualityComparesCodeAndMessage) {
   EXPECT_EQ(Status::NotFound("a"), Status::NotFound("a"));
   EXPECT_FALSE(Status::NotFound("a") == Status::NotFound("b"));
-  EXPECT_FALSE(Status::NotFound("a") == Status::Aborted("a"));
+  EXPECT_FALSE(Status::NotFound("a") == Status::Internal("a"));
 }
 
 TEST(StatusTest, StreamInsertion) {

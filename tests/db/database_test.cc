@@ -1,7 +1,6 @@
 #include "db/database.h"
 #include "common/status.h"
 #include "db/binlog.h"
-#include "db/transaction.h"
 #include "db/value.h"
 #include "db/writeset.h"
 #include "db/writeset_apply.h"
@@ -13,8 +12,8 @@ namespace {
 
 class DatabaseTest : public ::testing::Test {
  protected:
-  ExecResult Must(const std::string& sql, Session* session = nullptr) {
-    auto r = db_.Execute(sql, session);
+  ExecResult Must(const std::string& sql) {
+    auto r = db_.Execute(sql);
     EXPECT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
     return r.ok() ? std::move(r).value() : ExecResult{};
   }
@@ -223,106 +222,6 @@ TEST_F(DatabaseTest, TableNamesAreCaseInsensitive) {
   EXPECT_EQ(Must("SELECT COUNT(*) FROM CAMELCASE").rows[0][0].AsInt64(), 1);
 }
 
-// ---- Transactions --------------------------------------------------------
-
-TEST_F(DatabaseTest, ExplicitCommitPersists) {
-  SetUpPeople();
-  auto session = db_.CreateSession();
-  Must("BEGIN", session.get());
-  Must("INSERT INTO people VALUES (10, 'joe', 40)", session.get());
-  Must("UPDATE people SET age = 41 WHERE id = 10", session.get());
-  Must("COMMIT", session.get());
-  EXPECT_EQ(Must("SELECT COUNT(*) FROM people WHERE id = 10")
-                .rows[0][0]
-                .AsInt64(),
-            1);
-}
-
-TEST_F(DatabaseTest, RollbackUndoesInsertUpdateDelete) {
-  SetUpPeople();
-  auto session = db_.CreateSession();
-  Must("BEGIN", session.get());
-  Must("INSERT INTO people VALUES (10, 'joe', 40)", session.get());
-  Must("UPDATE people SET age = 99 WHERE id = 1", session.get());
-  Must("DELETE FROM people WHERE id = 2", session.get());
-  Must("ROLLBACK", session.get());
-  EXPECT_EQ(Must("SELECT COUNT(*) FROM people").rows[0][0].AsInt64(), 4);
-  EXPECT_EQ(Must("SELECT age FROM people WHERE id = 1").rows[0][0].AsInt64(),
-            30);
-  EXPECT_EQ(Must("SELECT COUNT(*) FROM people WHERE id = 2")
-                .rows[0][0]
-                .AsInt64(),
-            1);
-  std::string err;
-  EXPECT_TRUE(db_.ValidateAllIndexes(&err)) << err;
-}
-
-TEST_F(DatabaseTest, NestedBeginFails) {
-  auto session = db_.CreateSession();
-  Must("BEGIN", session.get());
-  auto r = db_.Execute("BEGIN", session.get());
-  EXPECT_TRUE(r.status().IsFailedPrecondition());
-}
-
-TEST_F(DatabaseTest, CommitWithoutBeginIsNoOp) {
-  EXPECT_TRUE(db_.Execute("COMMIT").ok());
-  EXPECT_TRUE(db_.Execute("ROLLBACK").ok());
-}
-
-TEST_F(DatabaseTest, FailedStatementAbortsExplicitTransaction) {
-  SetUpPeople();
-  auto session = db_.CreateSession();
-  Must("BEGIN", session.get());
-  Must("INSERT INTO people VALUES (10, 'joe', 40)", session.get());
-  auto bad = db_.Execute("INSERT INTO people VALUES (1, 'dup', 0)",
-                         session.get());
-  EXPECT_FALSE(bad.ok());
-  EXPECT_FALSE(session->in_explicit_transaction());
-  // The earlier insert of the transaction must be rolled back too.
-  EXPECT_EQ(Must("SELECT COUNT(*) FROM people WHERE id = 10")
-                .rows[0][0]
-                .AsInt64(),
-            0);
-}
-
-TEST_F(DatabaseTest, LockConflictAbortsNoWait) {
-  SetUpPeople();
-  auto s1 = db_.CreateSession();
-  auto s2 = db_.CreateSession();
-  Must("BEGIN", s1.get());
-  Must("UPDATE people SET age = 1 WHERE id = 1", s1.get());
-  // s2 cannot read or write while s1 holds the write lock.
-  EXPECT_TRUE(
-      db_.Execute("SELECT * FROM people", s2.get()).status().IsAborted());
-  EXPECT_TRUE(db_.Execute("DELETE FROM people", s2.get()).status().IsAborted());
-  Must("COMMIT", s1.get());
-  EXPECT_TRUE(db_.Execute("SELECT * FROM people", s2.get()).ok());
-}
-
-TEST_F(DatabaseTest, ConcurrentReadersAllowed) {
-  SetUpPeople();
-  auto s1 = db_.CreateSession();
-  auto s2 = db_.CreateSession();
-  Must("BEGIN", s1.get());
-  Must("SELECT * FROM people", s1.get());
-  EXPECT_TRUE(db_.Execute("SELECT * FROM people", s2.get()).ok());
-  // But a writer is blocked by s1's read lock.
-  auto s3 = db_.CreateSession();
-  EXPECT_TRUE(db_.Execute("DELETE FROM people", s3.get()).status().IsAborted());
-  Must("COMMIT", s1.get());
-}
-
-TEST_F(DatabaseTest, ReadLockUpgradesWithinSession) {
-  SetUpPeople();
-  auto s1 = db_.CreateSession();
-  Must("BEGIN", s1.get());
-  Must("SELECT * FROM people", s1.get());
-  // Sole reader can upgrade to writer.
-  EXPECT_TRUE(
-      db_.Execute("UPDATE people SET age = 1 WHERE id = 1", s1.get()).ok());
-  Must("COMMIT", s1.get());
-}
-
 // ---- Binlog --------------------------------------------------------------
 
 TEST_F(DatabaseTest, BinlogRecordsWritesNotReads) {
@@ -333,38 +232,31 @@ TEST_F(DatabaseTest, BinlogRecordsWritesNotReads) {
   Must("INSERT INTO people VALUES (9, 'zed', 1)");
   EXPECT_EQ(db_.binlog().size(), before + 1);
   const BinlogEvent& ev = db_.binlog().At(before);
-  ASSERT_EQ(ev.statements.size(), 1u);
-  EXPECT_EQ(ev.statements[0], "INSERT INTO people VALUES (9, 'zed', 1)");
-}
-
-TEST_F(DatabaseTest, TransactionIsOneBinlogEvent) {
-  SetUpPeople();
-  int64_t before = db_.binlog().size();
-  auto session = db_.CreateSession();
-  Must("BEGIN", session.get());
-  Must("INSERT INTO people VALUES (10, 'x', 1)", session.get());
-  Must("INSERT INTO people VALUES (11, 'y', 2)", session.get());
-  EXPECT_EQ(db_.binlog().size(), before);  // nothing until commit
-  Must("COMMIT", session.get());
-  ASSERT_EQ(db_.binlog().size(), before + 1);
-  EXPECT_EQ(db_.binlog().At(before).statements.size(), 2u);
-}
-
-TEST_F(DatabaseTest, RolledBackTransactionNotLogged) {
-  SetUpPeople();
-  int64_t before = db_.binlog().size();
-  auto session = db_.CreateSession();
-  Must("BEGIN", session.get());
-  Must("INSERT INTO people VALUES (10, 'x', 1)", session.get());
-  Must("ROLLBACK", session.get());
-  EXPECT_EQ(db_.binlog().size(), before);
+  EXPECT_EQ(ev.statement, "INSERT INTO people VALUES (9, 'zed', 1)");
 }
 
 TEST_F(DatabaseTest, FailedAutocommitNotLogged) {
   SetUpPeople();
-  int64_t before = db_.binlog().size();
-  EXPECT_FALSE(db_.Execute("INSERT INTO people VALUES (1, 'dup', 0)").ok());
-  EXPECT_EQ(db_.binlog().size(), before);
+  Must("CREATE INDEX idx_age ON people (age)");
+  const char* const kFailing[] = {
+      "INSERT INTO people VALUES (1, 'dup', 0)",
+      // Row 1 becomes 5, then row 2 collides with it: the statement's undo
+      // must put row 1 back.
+      "UPDATE people SET id = 5 WHERE id < 3",
+  };
+  for (bool row_based : {false, true}) {
+    db_.set_row_based_repl_enabled(row_based);
+    for (const char* sql : kFailing) {
+      Database before;
+      before.CopyTablesFrom(db_);
+      int64_t logged = db_.binlog().size();
+      EXPECT_FALSE(db_.Execute(sql).ok()) << sql;
+      EXPECT_TRUE(Database::ContentsEqual(before, db_)) << sql;
+      std::string err;
+      EXPECT_TRUE(db_.ValidateAllIndexes(&err)) << sql << ": " << err;
+      EXPECT_EQ(db_.binlog().size(), logged) << sql;
+    }
+  }
 }
 
 TEST_F(DatabaseTest, BinlogDisabledDatabaseLogsNothing) {
@@ -385,21 +277,6 @@ TEST_F(DatabaseTest, BinlogSuppressionScopes) {
   EXPECT_EQ(db_.binlog().size(), before);
   Must("INSERT INTO people VALUES (21, 'live', 1)");
   EXPECT_EQ(db_.binlog().size(), before + 1);
-}
-
-TEST_F(DatabaseTest, DdlCausesImplicitCommit) {
-  SetUpPeople();
-  auto session = db_.CreateSession();
-  Must("BEGIN", session.get());
-  Must("INSERT INTO people VALUES (10, 'x', 1)", session.get());
-  Must("CREATE TABLE other (a INT)", session.get());  // implicit commit
-  EXPECT_FALSE(session->in_explicit_transaction());
-  // The insert survived the implicit commit; rollback now has nothing.
-  Must("ROLLBACK", session.get());
-  EXPECT_EQ(Must("SELECT COUNT(*) FROM people WHERE id = 10")
-                .rows[0][0]
-                .AsInt64(),
-            1);
 }
 
 TEST_F(DatabaseTest, NowMicrosFlowsFromTimeSource) {
@@ -558,8 +435,7 @@ TEST_F(DatabaseTest, WritesetApplyRejectsUncoveredWriteset) {
   before.CopyTablesFrom(db_);
   StatementWriteset ws;  // covered = false: apply the statement text instead
   ws.ops.push_back(PeopleOp(RowOp::Kind::kInsert, {}, Person(5, "eve", 40)));
-  auto session = db_.CreateSession();
-  Status st = ApplyStatementWriteset(&db_, session.get(), ws).status();
+  Status st = ApplyStatementWriteset(&db_, ws).status();
   EXPECT_TRUE(st.IsFailedPrecondition()) << st.ToString();
   EXPECT_TRUE(Database::ContentsEqual(before, db_));
 }
@@ -577,18 +453,13 @@ TEST_F(DatabaseTest, WritesetApplyUnwindsOnDivergedBeforeImage) {
   ws.ops.push_back(PeopleOp(RowOp::Kind::kDelete, Person(3, "cat", 35), {}));
   // This replica's dan is 25, not 99: the fourth op finds a diverged row.
   ws.ops.push_back(PeopleOp(RowOp::Kind::kDelete, Person(4, "dan", 99), {}));
-  auto session = db_.CreateSession();
-  Status st = ApplyStatementWriteset(&db_, session.get(), ws).status();
+  Status st = ApplyStatementWriteset(&db_, ws).status();
   EXPECT_TRUE(st.IsNotFound()) << st.ToString();
   EXPECT_NE(st.ToString().find("replica diverged"), std::string::npos);
   // The three applied ops were inverted: the statement stayed atomic.
   EXPECT_TRUE(Database::ContentsEqual(before, db_));
   std::string err;
   EXPECT_TRUE(db_.ValidateAllIndexes(&err)) << err;
-  // And its locks were released.
-  auto other = db_.CreateSession();
-  EXPECT_TRUE(db_.lock_manager().AcquireWrite(other->id(), "people").ok());
-  db_.lock_manager().ReleaseAll(other->id());
 }
 
 TEST_F(DatabaseTest, WritesetApplyUnwindsOnMissingTable) {
@@ -601,28 +472,11 @@ TEST_F(DatabaseTest, WritesetApplyUnwindsOnMissingTable) {
   RowOp ghost = PeopleOp(RowOp::Kind::kInsert, {}, Row{Value(int64_t{1})});
   ghost.table = "ghosts";
   ws.ops.push_back(ghost);
-  auto session = db_.CreateSession();
-  Status st = ApplyStatementWriteset(&db_, session.get(), ws).status();
+  Status st = ApplyStatementWriteset(&db_, ws).status();
   EXPECT_TRUE(st.IsNotFound()) << st.ToString();
   EXPECT_TRUE(Database::ContentsEqual(before, db_));
   EXPECT_EQ(Must("SELECT COUNT(*) FROM people WHERE id = 5").rows[0][0],
             Value(int64_t{0}));
-}
-
-TEST_F(DatabaseTest, WritesetApplyAbortsOnHeldWriteLock) {
-  SetUpPeople();
-  Database before;
-  before.CopyTablesFrom(db_);
-  auto holder = db_.CreateSession();
-  ASSERT_TRUE(db_.lock_manager().AcquireWrite(holder->id(), "people").ok());
-  StatementWriteset ws;
-  ws.covered = true;
-  ws.ops.push_back(PeopleOp(RowOp::Kind::kInsert, {}, Person(5, "eve", 40)));
-  auto session = db_.CreateSession();
-  Status st = ApplyStatementWriteset(&db_, session.get(), ws).status();
-  EXPECT_TRUE(st.IsAborted()) << st.ToString();
-  EXPECT_TRUE(Database::ContentsEqual(before, db_));
-  db_.lock_manager().ReleaseAll(holder->id());
 }
 
 }  // namespace

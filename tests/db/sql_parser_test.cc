@@ -128,13 +128,6 @@ TEST(ParserTest, DeleteWithAndWithoutWhere) {
   EXPECT_EQ(d2.where, nullptr);
 }
 
-TEST(ParserTest, TransactionControl) {
-  EXPECT_TRUE(std::holds_alternative<BeginStatement>(MustParse("BEGIN")));
-  EXPECT_TRUE(std::holds_alternative<CommitStatement>(MustParse("commit")));
-  EXPECT_TRUE(
-      std::holds_alternative<RollbackStatement>(MustParse("ROLLBACK;")));
-}
-
 TEST(ParserTest, ExpressionPrecedence) {
   auto sel = MustParseAs<SelectStatement>(("SELECT * FROM t WHERE a = 1 + 2 * 3"));
   // Rhs of '=' must be 1 + (2*3).
@@ -184,17 +177,12 @@ TEST(ParserTest, StatementClassifiers) {
   EXPECT_TRUE(IsWriteStatement(MustParse("CREATE TABLE t (a INT)")));
   EXPECT_TRUE(IsWriteStatement(MustParse("DROP TABLE t")));
   EXPECT_FALSE(IsWriteStatement(MustParse("SELECT * FROM t")));
-  EXPECT_FALSE(IsWriteStatement(MustParse("BEGIN")));
-  EXPECT_TRUE(IsTransactionControl(MustParse("BEGIN")));
-  EXPECT_TRUE(IsTransactionControl(MustParse("COMMIT")));
-  EXPECT_FALSE(IsTransactionControl(MustParse("SELECT * FROM t")));
 }
 
 TEST(ParserTest, StatementKindNames) {
   EXPECT_STREQ(StatementKindName(MustParse("SELECT * FROM t")), "SELECT");
   EXPECT_STREQ(StatementKindName(MustParse("INSERT INTO t VALUES (1)")),
                "INSERT");
-  EXPECT_STREQ(StatementKindName(MustParse("BEGIN")), "BEGIN");
 }
 
 struct BadSqlCase {
@@ -231,7 +219,9 @@ INSTANTIATE_TEST_SUITE_P(
                       BadSqlCase{"SELECT * FROM t LIMIT x"},
                       BadSqlCase{"SELECT * FROM t ORDER a"},
                       BadSqlCase{"SELECT * FROM t extra garbage"},
-                      BadSqlCase{"SELECT * FROM t WHERE a IS 5"}));
+                      BadSqlCase{"SELECT * FROM t WHERE a IS 5"},
+                      // Auto-commit only: no transaction control.
+                      BadSqlCase{"BEGIN"}));
 
 TEST(ParserTest, TrailingSemicolonAccepted) {
   EXPECT_TRUE(ParseSql("SELECT * FROM t;").ok());

@@ -27,7 +27,6 @@ TEST(CostModelTest, PerKindDefaults) {
             model.delete_cost);
   EXPECT_EQ(model.EstimateStatement(Parse("CREATE TABLE t (a INT)")),
             model.ddl_cost);
-  EXPECT_EQ(model.EstimateStatement(Parse("BEGIN")), model.txn_control_cost);
 }
 
 TEST(CostModelTest, ApplyScalesByFactor) {

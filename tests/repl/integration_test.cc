@@ -1,8 +1,8 @@
-// End-to-end property tests: a randomized mixed workload (DDL, DML,
-// transactions, rollbacks, failures) runs against a full replicated
-// deployment; afterwards every replica must converge to the master and all
-// index structures must validate. Also: bitwise-deterministic replay and a
-// parser robustness fuzz.
+// End-to-end property tests: a randomized auto-commit workload (inserts,
+// updates, deletes, reads, and statements that fail) runs against a full
+// replicated deployment; afterwards every replica must converge to the
+// master and all index structures must validate. Also: bitwise-deterministic
+// replay and a parser robustness fuzz.
 
 #include <gtest/gtest.h>
 
@@ -56,8 +56,6 @@ class StatementFuzzer {
                      static_cast<long long>(rng_.UniformInt(100, 200)));
   }
 
-  Rng& rng() { return rng_; }
-
  private:
   Rng rng_;
 };
@@ -72,8 +70,7 @@ struct RunDigest {
   bool indexes_valid = true;
 };
 
-RunDigest RunRandomWorkload(uint64_t seed, int num_slaves, int statements,
-                            bool with_transactions) {
+RunDigest RunRandomWorkload(uint64_t seed, int num_slaves, int statements) {
   sim::Simulation sim;
   cloud::CloudOptions cloud_options;
   cloud::CloudProvider provider(&sim, cloud_options, seed);
@@ -91,36 +88,15 @@ RunDigest RunRandomWorkload(uint64_t seed, int num_slaves, int statements,
 
   StatementFuzzer fuzzer(seed * 31 + 7);
   RunDigest digest;
-  auto session = cluster.master()->database().CreateSession();
-  int txn_depth = 0;
   for (int i = 0; i < statements; ++i) {
-    // Occasionally wrap stretches in explicit transactions, some of which
-    // roll back.
-    if (with_transactions && txn_depth == 0 && fuzzer.rng().Bernoulli(0.1)) {
-      EXPECT_TRUE(cluster.master()
-                      ->database()
-                      .Execute("BEGIN", session.get())
-                      .ok());
-      txn_depth = static_cast<int>(fuzzer.rng().UniformInt(1, 5));
-    }
-    auto result =
-        cluster.master()->database().Execute(fuzzer.Next(), session.get());
+    auto result = cluster.master()->database().Execute(fuzzer.Next());
     if (result.ok()) {
       ++digest.ok_statements;
     } else {
       ++digest.failed_statements;
     }
-    if (txn_depth > 0 && --txn_depth == 0) {
-      const char* end = fuzzer.rng().Bernoulli(0.3) ? "ROLLBACK" : "COMMIT";
-      EXPECT_TRUE(
-          cluster.master()->database().Execute(end, session.get()).ok());
-    }
     // Let replication make progress between statements now and then.
     if (i % 50 == 0) sim.RunUntil(sim.Now() + Seconds(1));
-  }
-  if (session->in_explicit_transaction()) {
-    EXPECT_TRUE(
-        cluster.master()->database().Execute("COMMIT", session.get()).ok());
   }
   sim.Run();  // drain replication fully
 
@@ -148,8 +124,7 @@ RunDigest RunRandomWorkload(uint64_t seed, int num_slaves, int statements,
 class ReplicationFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ReplicationFuzzTest, RandomWorkloadConvergesOnAllReplicas) {
-  RunDigest digest = RunRandomWorkload(GetParam(), 3, 1500,
-                                       /*with_transactions=*/true);
+  RunDigest digest = RunRandomWorkload(GetParam(), 3, 1500);
   EXPECT_TRUE(digest.converged);
   EXPECT_TRUE(digest.indexes_valid);
   EXPECT_GT(digest.ok_statements, 0);
@@ -161,8 +136,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReplicationFuzzTest,
                          ::testing::Values(1, 2, 3, 4, 5));
 
 TEST(ReplicationReplayTest, IdenticalSeedsProduceIdenticalDigests) {
-  RunDigest a = RunRandomWorkload(77, 2, 800, true);
-  RunDigest b = RunRandomWorkload(77, 2, 800, true);
+  RunDigest a = RunRandomWorkload(77, 2, 800);
+  RunDigest b = RunRandomWorkload(77, 2, 800);
   EXPECT_EQ(a.binlog_events, b.binlog_events);
   EXPECT_EQ(a.ok_statements, b.ok_statements);
   EXPECT_EQ(a.failed_statements, b.failed_statements);
@@ -171,8 +146,8 @@ TEST(ReplicationReplayTest, IdenticalSeedsProduceIdenticalDigests) {
 }
 
 TEST(ReplicationReplayTest, DifferentSeedsDiverge) {
-  RunDigest a = RunRandomWorkload(101, 1, 500, false);
-  RunDigest b = RunRandomWorkload(202, 1, 500, false);
+  RunDigest a = RunRandomWorkload(101, 1, 500);
+  RunDigest b = RunRandomWorkload(202, 1, 500);
   // Overwhelmingly likely to differ in at least one digest field.
   EXPECT_TRUE(a.binlog_events != b.binlog_events ||
               a.final_sum != b.final_sum || a.final_count != b.final_count);

@@ -232,7 +232,7 @@ TEST_F(ReplicationTest, UnparseableEventStopsTheSqlThread) {
   // Text no master would log: it compiles to nothing, and fails again when
   // the apply compiles it.
   db::BinlogEvent event;
-  event.statements = {"NOT SQL"};
+  event.statement = "NOT SQL";
   slave->OnBinlogEvent(event);
   sim_.Run();
   EXPECT_TRUE(slave->replication_broken());
@@ -458,29 +458,6 @@ TEST_F(ReplicationTest, ConvergedCatchesASlaveMissingAnIndex) {
   ASSERT_TRUE(master.Execute("CREATE INDEX idx_b ON t (b)").ok());
   master.set_binlog_suppressed(false);
   EXPECT_FALSE(cluster->Converged());
-}
-
-TEST_F(ReplicationTest, TransactionAppliesAtomicallyOnSlave) {
-  auto cluster = MakeCluster(1);
-  ASSERT_TRUE(
-      cluster->master()->ExecuteDirect("CREATE TABLE t (a INT PRIMARY KEY)").ok());
-  auto session = cluster->master()->database().CreateSession();
-  ASSERT_TRUE(cluster->master()->database().Execute("BEGIN", session.get()).ok());
-  ASSERT_TRUE(cluster->master()
-                  ->database()
-                  .Execute("INSERT INTO t VALUES (1)", session.get())
-                  .ok());
-  ASSERT_TRUE(cluster->master()
-                  ->database()
-                  .Execute("INSERT INTO t VALUES (2)", session.get())
-                  .ok());
-  ASSERT_TRUE(
-      cluster->master()->database().Execute("COMMIT", session.get()).ok());
-  sim_.Run();
-  EXPECT_TRUE(cluster->Converged());
-  // One binlog event carried both statements.
-  const db::Binlog& binlog = cluster->master()->database().binlog();
-  EXPECT_EQ(binlog.At(binlog.size() - 1).statements.size(), 2u);
 }
 
 // ---- Heartbeat & delay monitor -------------------------------------------

@@ -136,6 +136,15 @@ TEST(RowReplTest, RandomizedWorkloadIsBitIdenticalAcrossModes) {
   // Batching shipped group messages on the row cluster only.
   EXPECT_GT(row_mode.cluster->master()->batches_shipped(), 0);
   EXPECT_EQ(stmt_mode.cluster->master()->batches_shipped(), 0);
+
+  // Wire traffic, pinned exactly: the in-memory event format may change,
+  // what the network carries and charges for it may not.
+  EXPECT_EQ(stmt_mode.provider->network().messages_sent(), 242);
+  EXPECT_EQ(stmt_mode.provider->network().bytes_sent(), 16930);
+  EXPECT_EQ(stmt_mode.cluster->master()->events_pushed(), 242);
+  EXPECT_EQ(row_mode.provider->network().messages_sent(), 32);
+  EXPECT_EQ(row_mode.provider->network().bytes_sent(), 30386);
+  EXPECT_EQ(row_mode.cluster->master()->events_pushed(), 242);
 }
 
 TEST(RowReplTest, FunctionBearingStatementsFallBackAndReplicate) {
@@ -236,39 +245,41 @@ TEST(RowReplTest, LegacyModeIsByteIdenticalOnTheWire) {
   EXPECT_EQ(d.cluster->master()->batches_shipped(), 0);
   const db::BinlogEvent& event =
       d.cluster->master()->database().binlog().At(1);
-  ASSERT_EQ(event.statements.size(), 1u);
-  EXPECT_TRUE(event.writesets.empty());
+  EXPECT_FALSE(event.writeset.has_value());
   EXPECT_EQ(db::EventWireSize(event),
-            32 + static_cast<int64_t>(event.statements[0].size()));
+            32 + static_cast<int64_t>(event.statement.size()));
 }
 
 TEST(RowReplTest, WritesetEventWireSizeIsPinned) {
   // What the network charges for a row-based event: 32 + the statement text;
-  // 5 per writeset; 5 + the table name per op; and per before/after row
+  // 5 for its writeset; 5 + the table name per op; and per before/after row
   // image 4, plus 1 per NULL, 9 per integer or double, 5 + length per string.
-  db::BinlogEvent event;
-  event.statements = {"UPDATE items SET qty = 7 WHERE id = 1",
-                      "CREATE TABLE x (a INT PRIMARY KEY)"};
-  db::StatementWriteset update;
-  update.covered = true;
-  update.ops.push_back(db::RowOp{
+  db::StatementWriteset ws;
+  ws.covered = true;
+  ws.ops.push_back(db::RowOp{
       db::RowOp::Kind::kUpdate, "items",
       {db::Value(int64_t{1}), db::Value(2.5), db::Value("ab"),
        db::Value::Null()},
       {db::Value(int64_t{1}), db::Value(2.5), db::Value("abc"),
        db::Value::Null()}});
-  update.ops.push_back(db::RowOp{
+  ws.ops.push_back(db::RowOp{
       db::RowOp::Kind::kInsert, "t", {}, {db::Value(int64_t{42})}});
-  event.writesets = {update, db::StatementWriteset{}};  // DDL: no ops
-
-  const int64_t text = 37 + 34;
-  ASSERT_EQ(event.statements[0].size() + event.statements[1].size(),
-            static_cast<size_t>(text));
+  db::BinlogEvent update;
+  update.statement = "UPDATE items SET qty = 7 WHERE id = 1";
+  update.writeset = ws;
+  ASSERT_EQ(update.statement.size(), 37u);
   const int64_t update_op = (5 + 5) + (4 + 9 + 9 + (5 + 2) + 1) +
                             (4 + 9 + 9 + (5 + 3) + 1);  // 71
   const int64_t insert_op = (5 + 1) + 4 + (4 + 9);      // 23
-  EXPECT_EQ(db::EventWireSize(event),
-            32 + text + 2 * 5 + update_op + insert_op);  // 207
+  EXPECT_EQ(db::EventWireSize(update),
+            32 + 37 + 5 + update_op + insert_op);  // 168
+
+  // DDL is never covered: its writeset ships with no ops.
+  db::BinlogEvent ddl;
+  ddl.statement = "CREATE TABLE x (a INT PRIMARY KEY)";
+  ddl.writeset = db::StatementWriteset{};
+  ASSERT_EQ(ddl.statement.size(), 34u);
+  EXPECT_EQ(db::EventWireSize(ddl), 32 + 34 + 5);  // 71
 }
 
 TEST(RowReplTest, ReplicationMetricsAppearInSnapshots) {
