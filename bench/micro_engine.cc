@@ -62,42 +62,6 @@ void BM_BPlusTreeFind(benchmark::State& state) {
 }
 BENCHMARK(BM_BPlusTreeFind)->Arg(10000)->Arg(100000);
 
-// Sorted-insert baseline for BulkLoad below: n individual descents with
-// splits, over already-ordered keys.
-void BM_BPlusTreeSortedInsert(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  for (auto _ : state) {
-    state.PauseTiming();
-    db::BPlusTree<int64_t, int64_t> tree;
-    state.ResumeTiming();
-    for (int64_t i = 0; i < n; ++i) {
-      tree.Insert(i, i);
-    }
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_BPlusTreeSortedInsert)->Arg(10000)->Arg(100000);
-
-// Bottom-up bulk load of the same sorted keys: leaves packed to full
-// fan-out, no splits, no per-key descent. This is the CREATE INDEX backfill
-// path; compare against BM_BPlusTreeSortedInsert at equal n.
-void BM_BPlusTreeBulkLoad(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  for (auto _ : state) {
-    state.PauseTiming();
-    std::vector<std::pair<int64_t, int64_t>> items;
-    items.reserve(n);
-    for (int64_t i = 0; i < n; ++i) items.emplace_back(i, i);
-    db::BPlusTree<int64_t, int64_t> tree;
-    state.ResumeTiming();
-    tree.BulkLoad(std::move(items));
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_BPlusTreeBulkLoad)->Arg(10000)->Arg(100000);
-
 void BM_BPlusTreeScan100(benchmark::State& state) {
   db::BPlusTree<int64_t, int64_t> tree;
   for (int64_t i = 0; i < 100000; ++i) tree.Insert(i, i);
@@ -151,8 +115,8 @@ void BM_SqlTokenizeSelect(benchmark::State& state) {
 }
 BENCHMARK(BM_SqlTokenizeSelect);
 
-// Hit-path throughput on identical text: one string compare against the
-// last-call memo, no scan, no parse.
+// Hit-path throughput on identical text: the fused fingerprint scan, the
+// LRU touch and the literal binding, no parse.
 void BM_StatementCachePrepareHit(benchmark::State& state) {
   db::StatementCache cache;
   const std::string sql =
@@ -168,8 +132,7 @@ void BM_StatementCachePrepareHit(benchmark::State& state) {
 }
 BENCHMARK(BM_StatementCachePrepareHit);
 
-// Hit-path throughput when the text changes call to call (fresh literals):
-// the fused fingerprint scan + LRU touch + literal binding, still no parse.
+// The same hit path when the text changes call to call (fresh literals).
 // Compare against BM_SqlParseSelect for the per-statement work removed.
 void BM_StatementCachePrepareScanHit(benchmark::State& state) {
   db::StatementCache cache;
@@ -281,8 +244,9 @@ void FillEventsTable(db::Database& database) {
 // The PR's headline comparison: end-to-end Execute() throughput of one
 // repeated statement (a fixed point SELECT, as issued by an application's
 // fixed query set) with the statement cache on (cache:1) vs off (cache:0).
-// With the cache on the repeated text resolves to the cached template
-// without a parse; off, it is parsed from scratch every call.
+// With the cache on the repeated text is fingerprinted and resolves to the
+// cached template without a parse; off, it is parsed from scratch every
+// call.
 void BM_DatabaseExecuteRepeated(benchmark::State& state) {
   const bool cache_enabled = state.range(0) != 0;
   db::Database database(EventsDbOptions(cache_enabled));

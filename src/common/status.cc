@@ -14,16 +14,8 @@ const char* StatusCodeToString(StatusCode code) {
       return "AlreadyExists";
     case StatusCode::kFailedPrecondition:
       return "FailedPrecondition";
-    case StatusCode::kOutOfRange:
-      return "OutOfRange";
-    case StatusCode::kResourceExhausted:
-      return "ResourceExhausted";
     case StatusCode::kUnavailable:
       return "Unavailable";
-    case StatusCode::kTimedOut:
-      return "TimedOut";
-    case StatusCode::kCorruption:
-      return "Corruption";
     case StatusCode::kNotSupported:
       return "NotSupported";
     case StatusCode::kInternal:

@@ -14,11 +14,7 @@ enum class StatusCode {
   kNotFound,
   kAlreadyExists,
   kFailedPrecondition,
-  kOutOfRange,
-  kResourceExhausted,
   kUnavailable,
-  kTimedOut,
-  kCorruption,
   kNotSupported,
   kInternal,
 };
@@ -60,20 +56,8 @@ class [[nodiscard]] Status {
   static Status FailedPrecondition(std::string msg) {
     return Status(StatusCode::kFailedPrecondition, std::move(msg));
   }
-  static Status OutOfRange(std::string msg) {
-    return Status(StatusCode::kOutOfRange, std::move(msg));
-  }
-  static Status ResourceExhausted(std::string msg) {
-    return Status(StatusCode::kResourceExhausted, std::move(msg));
-  }
   static Status Unavailable(std::string msg) {
     return Status(StatusCode::kUnavailable, std::move(msg));
-  }
-  static Status TimedOut(std::string msg) {
-    return Status(StatusCode::kTimedOut, std::move(msg));
-  }
-  static Status Corruption(std::string msg) {
-    return Status(StatusCode::kCorruption, std::move(msg));
   }
   static Status NotSupported(std::string msg) {
     return Status(StatusCode::kNotSupported, std::move(msg));
@@ -94,13 +78,7 @@ class [[nodiscard]] Status {
   bool IsFailedPrecondition() const {
     return code_ == StatusCode::kFailedPrecondition;
   }
-  bool IsOutOfRange() const { return code_ == StatusCode::kOutOfRange; }
-  bool IsResourceExhausted() const {
-    return code_ == StatusCode::kResourceExhausted;
-  }
   bool IsUnavailable() const { return code_ == StatusCode::kUnavailable; }
-  bool IsTimedOut() const { return code_ == StatusCode::kTimedOut; }
-  bool IsCorruption() const { return code_ == StatusCode::kCorruption; }
   bool IsNotSupported() const { return code_ == StatusCode::kNotSupported; }
   bool IsInternal() const { return code_ == StatusCode::kInternal; }
 

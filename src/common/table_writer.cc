@@ -2,26 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <fstream>
-
-#include "common/str_util.h"
 
 namespace clouddb {
 
 void TableWriter::AddRow(std::vector<std::string> row) {
   assert(row.size() == header_.size());
   rows_.push_back(std::move(row));
-}
-
-void TableWriter::AddNumericRow(const std::vector<double>& row,
-                                int precision) {
-  std::vector<std::string> cells;
-  cells.reserve(row.size());
-  for (double v : row) {
-    cells.push_back(StrFormat("%.*f", precision, v));
-  }
-  AddRow(std::move(cells));
 }
 
 std::string TableWriter::ToAscii() const {
@@ -50,40 +36,6 @@ std::string TableWriter::ToAscii() const {
   for (const auto& row : rows_) out += render_row(row);
   out += render_sep();
   return out;
-}
-
-namespace {
-std::string CsvEscape(const std::string& field) {
-  if (field.find_first_of(",\"\n") == std::string::npos) return field;
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out += "\"\"";
-    else out += c;
-  }
-  out += "\"";
-  return out;
-}
-}  // namespace
-
-std::string TableWriter::ToCsv() const {
-  std::string out;
-  std::vector<std::string> escaped;
-  escaped.reserve(header_.size());
-  for (const auto& h : header_) escaped.push_back(CsvEscape(h));
-  out += StrJoin(escaped, ",") + "\n";
-  for (const auto& row : rows_) {
-    escaped.clear();
-    for (const auto& cell : row) escaped.push_back(CsvEscape(cell));
-    out += StrJoin(escaped, ",") + "\n";
-  }
-  return out;
-}
-
-bool TableWriter::WriteCsvFile(const std::string& path) const {
-  std::ofstream f(path);
-  if (!f) return false;
-  f << ToCsv();
-  return static_cast<bool>(f);
 }
 
 }  // namespace clouddb

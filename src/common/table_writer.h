@@ -1,15 +1,14 @@
 #ifndef CLOUDDB_COMMON_TABLE_WRITER_H_
 #define CLOUDDB_COMMON_TABLE_WRITER_H_
 
-#include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace clouddb {
 
-/// Accumulates rows of strings and renders them either as an aligned ASCII
-/// table (for terminal output of reproduced figures) or as CSV (for plotting
-/// the series against the paper's charts).
+/// Accumulates rows of strings and renders them as an aligned ASCII table
+/// (the terminal output of the reproduced figures).
 class TableWriter {
  public:
   explicit TableWriter(std::vector<std::string> header)
@@ -18,19 +17,10 @@ class TableWriter {
   /// Appends a row; must have the same arity as the header.
   void AddRow(std::vector<std::string> row);
 
-  /// Convenience: formats each double with `precision` digits.
-  void AddNumericRow(const std::vector<double>& row, int precision = 2);
-
   size_t num_rows() const { return rows_.size(); }
 
   /// Renders an aligned, boxed ASCII table.
   std::string ToAscii() const;
-
-  /// Renders RFC-4180-ish CSV (quotes fields containing commas/quotes).
-  std::string ToCsv() const;
-
-  /// Writes CSV to `path`; returns false on I/O failure.
-  bool WriteCsvFile(const std::string& path) const;
 
  private:
   std::vector<std::string> header_;

@@ -1,10 +1,10 @@
 #ifndef CLOUDDB_DB_BPLUS_TREE_H_
 #define CLOUDDB_DB_BPLUS_TREE_H_
 
-#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
@@ -18,6 +18,7 @@ namespace clouddb::db {
 /// - Unique keys (composite keys are used for non-unique secondary indexes).
 /// - Leaves are linked for ordered range scans.
 /// - Full rebalancing on erase (borrow from siblings, else merge).
+/// - Copies are deep, node for node (`Table::Clone` copies each index so).
 /// - `Validate()` checks all structural invariants; the property-based tests
 ///   run it against a std::map reference model after every mutation batch.
 ///
@@ -31,19 +32,29 @@ class BPlusTree {
  public:
   BPlusTree() : root_(std::make_unique<Node>(/*leaf=*/true)) {}
 
-  BPlusTree(const BPlusTree&) = delete;
+  /// Deep copy, node for node: the copy has the source's shape and its own
+  /// leaf chain, and changes independently of the source.
+  BPlusTree(const BPlusTree& other) : less_(other.less_), size_(other.size_) {
+    Node* last_leaf = nullptr;
+    root_ = CopyNode(*other.root_, &last_leaf);
+  }
   BPlusTree& operator=(const BPlusTree&) = delete;
   BPlusTree(BPlusTree&&) noexcept = default;
   BPlusTree& operator=(BPlusTree&&) noexcept = default;
 
   /// Inserts; returns false (and leaves the tree unchanged) if `key` exists.
   bool Insert(const K& key, V value) {
-    return InsertImpl(key, std::move(value), /*assign=*/false);
-  }
-
-  /// Inserts or overwrites. Returns true if a new key was inserted.
-  bool InsertOrAssign(const K& key, V value) {
-    return InsertImpl(key, std::move(value), /*assign=*/true);
+    bool inserted = false;
+    auto split = InsertRecurse(root_.get(), key, std::move(value), &inserted);
+    if (split.has_value()) {
+      auto new_root = std::make_unique<Node>(/*leaf=*/false);
+      new_root->keys.push_back(std::move(split->separator));
+      new_root->children.push_back(std::move(root_));
+      new_root->children.push_back(std::move(split->right));
+      root_ = std::move(new_root);
+    }
+    if (inserted) ++size_;
+    return inserted;
   }
 
   /// Pointer to the value for `key`, or nullptr.
@@ -82,90 +93,6 @@ class BPlusTree {
   void Clear() {
     root_ = std::make_unique<Node>(/*leaf=*/true);
     size_ = 0;
-  }
-
-  /// Replaces the tree's contents with `items`, which must be strictly
-  /// increasing by key. Builds bottom-up at full fan-out — O(n) with no
-  /// comparisons or splits, versus O(n log n) with node splits for repeated
-  /// Insert — which is what makes CREATE INDEX backfill cheap.
-  ///
-  /// Occupancy: every leaf except possibly the last is packed to MaxKeys; a
-  /// short tail leaf borrows from its (full) left neighbor so the >= kMinKeys
-  /// invariant holds. Internal levels pack MaxKeys+1 children per node with
-  /// the same tail adjustment. The result passes Validate().
-  void BulkLoad(std::vector<std::pair<K, V>> items) {
-    Clear();
-    size_t n = items.size();
-    if (n == 0) return;
-    size_ = n;
-    // Leaves, packed to MaxKeys.
-    std::vector<std::unique_ptr<Node>> level;
-    for (size_t i = 0; i < n;) {
-      assert(i == 0 || less_(items[i - 1].first, items[i].first));
-      size_t take = std::min(static_cast<size_t>(MaxKeys), n - i);
-      auto leaf = std::make_unique<Node>(/*leaf=*/true);
-      for (size_t j = 0; j < take; ++j) {
-        leaf->keys.push_back(std::move(items[i + j].first));
-        leaf->values.push_back(std::move(items[i + j].second));
-      }
-      i += take;
-      level.push_back(std::move(leaf));
-    }
-    // A short tail leaf borrows from its full left neighbor; the donor keeps
-    // MaxKeys - deficit >= kMinKeys keys since deficit < kMinKeys <= MaxKeys/2.
-    if (level.size() > 1) {
-      Node* last = level.back().get();
-      if (static_cast<int>(last->keys.size()) < kMinKeys) {
-        Node* donor = level[level.size() - 2].get();
-        size_t deficit = static_cast<size_t>(kMinKeys) - last->keys.size();
-        last->keys.insert(last->keys.begin(),
-                          std::make_move_iterator(donor->keys.end() - deficit),
-                          std::make_move_iterator(donor->keys.end()));
-        last->values.insert(
-            last->values.begin(),
-            std::make_move_iterator(donor->values.end() - deficit),
-            std::make_move_iterator(donor->values.end()));
-        donor->keys.resize(donor->keys.size() - deficit);
-        donor->values.resize(donor->values.size() - deficit);
-      }
-    }
-    for (size_t j = 0; j + 1 < level.size(); ++j) {
-      level[j]->next = level[j + 1].get();
-      level[j + 1]->prev = level[j].get();
-    }
-    // Internal levels. Separators follow the existing convention (child i
-    // holds keys < keys[i], equal goes right): the separator before child j
-    // is a copy of that subtree's lowest key, tracked per node in `lows`.
-    std::vector<K> lows;
-    lows.reserve(level.size());
-    for (const auto& leaf : level) lows.push_back(leaf->keys.front());
-    while (level.size() > 1) {
-      std::vector<std::unique_ptr<Node>> parents;
-      std::vector<K> parent_lows;
-      size_t count = level.size();
-      for (size_t idx = 0; idx < count;) {
-        size_t remaining = count - idx;
-        size_t take = std::min(static_cast<size_t>(MaxKeys) + 1, remaining);
-        size_t rest = remaining - take;
-        // Don't strand a tail below kMinKeys+1 children: shrink this node
-        // instead (it stays >= kMinKeys+1 because MaxKeys >= 2 * kMinKeys).
-        if (rest > 0 && rest < static_cast<size_t>(kMinKeys) + 1) {
-          take = remaining - (static_cast<size_t>(kMinKeys) + 1);
-        }
-        auto parent = std::make_unique<Node>(/*leaf=*/false);
-        // lows[k] is the lowest key under level[k]: the two run in parallel.
-        parent_lows.push_back(lows[idx]);
-        for (size_t j = 0; j < take; ++j) {
-          if (j > 0) parent->keys.push_back(std::move(lows[idx + j]));
-          parent->children.push_back(std::move(level[idx + j]));
-        }
-        idx += take;
-        parents.push_back(std::move(parent));
-      }
-      level = std::move(parents);
-      lows = std::move(parent_lows);
-    }
-    root_ = std::move(level.front());
   }
 
   /// Visits entries with lo <= key <= hi in key order (bounds optional via
@@ -318,33 +245,36 @@ class BPlusTree {
     return n;
   }
 
+  /// Copies the subtree under `from`, appending its leaves, left to right,
+  /// to the chain that ends at `*last_leaf`.
+  static std::unique_ptr<Node> CopyNode(const Node& from, Node** last_leaf) {
+    auto to = std::make_unique<Node>(from.leaf);
+    to->keys = from.keys;
+    if (from.leaf) {
+      to->values = from.values;
+      to->prev = *last_leaf;
+      if (*last_leaf != nullptr) (*last_leaf)->next = to.get();
+      *last_leaf = to.get();
+      return to;
+    }
+    to->children.reserve(from.children.size());
+    for (const auto& child : from.children) {
+      to->children.push_back(CopyNode(*child, last_leaf));
+    }
+    return to;
+  }
+
   struct SplitResult {
     K separator;
     std::unique_ptr<Node> right;
   };
 
-  bool InsertImpl(const K& key, V value, bool assign) {
-    bool inserted = false;
-    auto split = InsertRecurse(root_.get(), key, std::move(value), assign,
-                               &inserted);
-    if (split.has_value()) {
-      auto new_root = std::make_unique<Node>(/*leaf=*/false);
-      new_root->keys.push_back(std::move(split->separator));
-      new_root->children.push_back(std::move(root_));
-      new_root->children.push_back(std::move(split->right));
-      root_ = std::move(new_root);
-    }
-    if (inserted) ++size_;
-    return inserted;
-  }
-
   std::optional<SplitResult> InsertRecurse(Node* n, const K& key, V value,
-                                           bool assign, bool* inserted) {
+                                           bool* inserted) {
     if (n->leaf) {
       int i = LowerBound(n->keys, key);
       if (i < static_cast<int>(n->keys.size()) &&
           Equal(n->keys[static_cast<size_t>(i)], key)) {
-        if (assign) n->values[static_cast<size_t>(i)] = std::move(value);
         *inserted = false;
         return std::nullopt;
       }
@@ -356,7 +286,7 @@ class BPlusTree {
     }
     int ci = ChildIndex(n, key);
     auto split = InsertRecurse(n->children[static_cast<size_t>(ci)].get(), key,
-                               std::move(value), assign, inserted);
+                               std::move(value), inserted);
     if (!split.has_value()) return std::nullopt;
     n->keys.insert(n->keys.begin() + ci, std::move(split->separator));
     n->children.insert(n->children.begin() + ci + 1, std::move(split->right));

@@ -71,18 +71,14 @@ bool StatementHasFunctionCall(const Statement& stmt) {
   return false;
 }
 
-/// One row mutation of the running statement, replayed in reverse if the
-/// statement fails part-way.
+/// The before image of one row the running UPDATE changed, put back if the
+/// statement fails part-way. Only an UPDATE can fail after a mutation: an
+/// INSERT writes its one row as its last fallible step, and a DELETE's
+/// Table::Delete of a row CollectMatches just returned cannot fail.
 struct UndoRecord {
-  enum class Kind {
-    kInsert,  // row was inserted -> undo deletes it
-    kDelete,  // row was deleted  -> undo restores old_row at row_id
-    kUpdate,  // row was updated  -> undo restores old_row at row_id
-  };
-  Kind kind;
-  std::string table;
-  RowId row_id = 0;
-  Row old_row;  // kDelete/kUpdate only
+  Table* table;
+  RowId row_id;
+  Row old_row;
 };
 
 }  // namespace
@@ -129,24 +125,11 @@ class Executor {
     return std::visit(Visitor{this}, stmt);
   }
 
-  /// Reverts the statement's mutations, newest first, so a statement that
-  /// failed part-way leaves its tables as it found them.
+  /// Reverts the statement's row updates, newest first, so a statement that
+  /// failed part-way leaves its table as it found it.
   void Undo() {
     for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
-      Table* table = db_->GetTable(it->table);
-      assert(table != nullptr);
-      Status st;
-      switch (it->kind) {
-        case UndoRecord::Kind::kInsert:
-          st = table->Delete(it->row_id);
-          break;
-        case UndoRecord::Kind::kDelete:
-          st = table->RestoreRow(it->row_id, std::move(it->old_row));
-          break;
-        case UndoRecord::Kind::kUpdate:
-          st = table->Update(it->row_id, std::move(it->old_row));
-          break;
-      }
+      Status st = it->table->Update(it->row_id, std::move(it->old_row));
       assert(st.ok());
       (void)st;
     }
@@ -228,8 +211,6 @@ class Executor {
       }
     }
     CLOUDDB_ASSIGN_OR_RETURN(RowId id, table->Insert(std::move(row)));
-    undo_.push_back(
-        UndoRecord{UndoRecord::Kind::kInsert, TableKey(stmt.table), id, {}});
     if (capture_ != nullptr) {
       // The after image is the row as *stored* (post type-coercion), fetched
       // back so a slave's direct apply reproduces it bit for bit.
@@ -430,8 +411,7 @@ class Executor {
         capture_->push_back(RowOp{RowOp::Kind::kUpdate, TableKey(stmt.table),
                                   saved, *table->Get(id)});
       }
-      undo_.push_back(UndoRecord{UndoRecord::Kind::kUpdate,
-                                 TableKey(stmt.table), id, std::move(saved)});
+      undo_.push_back(UndoRecord{table, id, std::move(saved)});
       ++result.rows_affected;
     }
     return result;
@@ -443,14 +423,11 @@ class Executor {
     CLOUDDB_ASSIGN_OR_RETURN(std::vector<RowId> matches,
                              CollectMatches(table, stmt.where.get(), &result));
     for (RowId id : matches) {
-      Row saved = *table->Get(id);
-      CLOUDDB_RETURN_IF_ERROR(table->Delete(id));
       if (capture_ != nullptr) {
         capture_->push_back(RowOp{RowOp::Kind::kDelete, TableKey(stmt.table),
-                                  saved, {}});
+                                  *table->Get(id), {}});
       }
-      undo_.push_back(UndoRecord{UndoRecord::Kind::kDelete,
-                                 TableKey(stmt.table), id, std::move(saved)});
+      CLOUDDB_RETURN_IF_ERROR(table->Delete(id));
       ++result.rows_affected;
     }
     return result;
@@ -541,79 +518,26 @@ class Executor {
       CLOUDDB_RETURN_IF_ERROR(
           ExtractConstraints(*where, schema, &constraints, &exhaustive));
     }
-    // Predicate shape: the ordered (op, column) pairs of the extracted
-    // constraints. Values are excluded on purpose — NULL-valued comparisons
-    // were already dropped by ExtractConstraints, and everything
-    // value-dependent (bounds, subsumption) is recomputed below.
-    std::string shape;
-    if (where == nullptr) {
-      shape = "-";
-    } else {
-      shape.reserve(constraints.size() * 4);
-      for (const Constraint& c : constraints) {
-        shape += static_cast<char>('a' + static_cast<int>(c.op));
-        shape += std::to_string(c.column);
-        shape += ';';
-      }
-    }
     // Access-path selection: PK equality, then any indexed equality, then an
-    // indexed range, then full scan. The decision depends only on the shape
-    // and the table's index set, so it is memoized per shape (the memo is
-    // cleared when an index is added).
+    // indexed range, then full scan.
     auto pk = schema.primary_key_index();
     const Constraint* chosen_eq = nullptr;
     size_t range_col = SIZE_MAX;
-    PlanHint local;
-    const PlanHint* hint = table->FindPlanHint(shape);
-    if (hint != nullptr) {
-      switch (hint->kind) {
-        case AccessPathKind::kPkEq:
-        case AccessPathKind::kIndexEq:
-          chosen_eq = &constraints[hint->chosen];
-          break;
-        case AccessPathKind::kIndexRange:
-          range_col = hint->chosen;
-          break;
-        case AccessPathKind::kTableScan:
-          break;
+    for (const Constraint& c : constraints) {
+      if (c.op != BinaryOp::kEq || !table->HasIndexOn(c.column)) continue;
+      if (pk.has_value() && c.column == *pk) {
+        chosen_eq = &c;
+        break;  // best possible
       }
-    } else {
+      if (chosen_eq == nullptr) chosen_eq = &c;
+    }
+    if (chosen_eq == nullptr) {
       for (const Constraint& c : constraints) {
-        if (c.op != BinaryOp::kEq || !table->HasIndexOn(c.column)) continue;
-        if (pk.has_value() && c.column == *pk) {
-          chosen_eq = &c;
-          break;  // best possible
-        }
-        if (chosen_eq == nullptr) chosen_eq = &c;
-      }
-      if (chosen_eq == nullptr) {
-        for (const Constraint& c : constraints) {
-          if (c.op != BinaryOp::kEq && table->HasIndexOn(c.column)) {
-            range_col = c.column;
-            break;
-          }
+        if (c.op != BinaryOp::kEq && table->HasIndexOn(c.column)) {
+          range_col = c.column;
+          break;
         }
       }
-      if (chosen_eq != nullptr) {
-        bool is_pk = pk.has_value() && chosen_eq->column == *pk;
-        local.kind = is_pk ? AccessPathKind::kPkEq : AccessPathKind::kIndexEq;
-        local.chosen = static_cast<size_t>(chosen_eq - constraints.data());
-        local.plan =
-            StrFormat(is_pk ? "pk_eq(%s)" : "index_eq(%s)",
-                      schema.columns()[chosen_eq->column].name.c_str());
-        local.ordered_by = schema.columns()[chosen_eq->column].name;
-      } else if (range_col != SIZE_MAX) {
-        local.kind = AccessPathKind::kIndexRange;
-        local.chosen = range_col;
-        local.plan = StrFormat("index_range(%s)",
-                               schema.columns()[range_col].name.c_str());
-        local.ordered_by = schema.columns()[range_col].name;
-      } else {
-        local.kind = AccessPathKind::kTableScan;
-        local.plan = "table_scan";
-      }
-      table->MemoizePlanHint(shape, local);
-      hint = &local;
     }
 
     // Limit pushdown: decide whether the scan alone proves the predicate
@@ -649,8 +573,10 @@ class Executor {
 
     std::vector<RowId> candidates;
     if (chosen_eq != nullptr) {
-      meta->plan = hint->plan;
-      meta->scan_ordered_by = hint->ordered_by;
+      const std::string& name = schema.columns()[chosen_eq->column].name;
+      bool is_pk = pk.has_value() && chosen_eq->column == *pk;
+      meta->plan = (is_pk ? "pk_eq(" : "index_eq(") + name + ")";
+      meta->scan_ordered_by = name;
       CLOUDDB_RETURN_IF_ERROR(table->ScanIndex(
           chosen_eq->column, &chosen_eq->value, true, &chosen_eq->value, true,
           [&](RowId id) {
@@ -684,15 +610,16 @@ class Executor {
             break;
         }
       }
-      meta->plan = hint->plan;
-      meta->scan_ordered_by = hint->ordered_by;
+      const std::string& name = schema.columns()[range_col].name;
+      meta->plan = "index_range(" + name + ")";
+      meta->scan_ordered_by = name;
       CLOUDDB_RETURN_IF_ERROR(
           table->ScanIndex(range_col, lo, lo_inc, hi, hi_inc, [&](RowId id) {
             candidates.push_back(id);
             return keep_scanning(candidates);
           }));
     } else {
-      meta->plan = hint->plan;
+      meta->plan = "table_scan";
       table->ForEachRow([&](RowId id, const Row&) {
         candidates.push_back(id);
         return keep_scanning(candidates);
@@ -716,7 +643,7 @@ class Executor {
   Database* db_;
   const std::vector<Value>* params_;  // null unless running a cached template
   std::vector<RowOp>* capture_;       // row-based writeset sink or null
-  std::vector<UndoRecord> undo_;      // this statement's mutations, in order
+  std::vector<UndoRecord> undo_;      // this statement's updates, in order
 };
 
 Database::Database(DatabaseOptions options)
@@ -750,8 +677,7 @@ Result<ExecResult> Database::Execute(const CompiledSql& compiled,
     executor.Undo();
     return result;
   }
-  // DDL changed the catalog: cached templates (and the plan hints resolved
-  // through them) must not survive it.
+  // DDL changed the catalog: cached templates must not survive it.
   if (IsDdl(stmt)) statement_cache_.Invalidate();
   // Commit: a write becomes one binlog event, carrying a writeset in
   // row-based mode (uncovered, with no ops, for DDL and function calls).

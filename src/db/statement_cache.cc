@@ -93,14 +93,6 @@ StatementCache::StatementCache(size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
 Result<PreparedCall> StatementCache::Prepare(const std::string& sql) {
-  // Fastest path: the exact same text as the previous call (a client
-  // re-issuing a fixed statement). One string compare, no scan.
-  if (has_last_ && sql == last_sql_) {
-    ++stats_.hits;
-    lru_.splice(lru_.begin(), lru_, last_it_);
-    return PreparedCall{last_it_->prepared, last_params_};
-  }
-
   // Hit path: one fused scan over the text — no token vector, no parse.
   std::vector<Value> params;
   CLOUDDB_ASSIGN_OR_RETURN(std::string fingerprint,
@@ -114,7 +106,6 @@ Result<PreparedCall> StatementCache::Prepare(const std::string& sql) {
   if (it != index_.end()) {
     ++stats_.hits;
     lru_.splice(lru_.begin(), lru_, it->second);  // touch: move to MRU
-    RememberLast(sql, params);
     return PreparedCall{it->second->prepared, std::move(params)};
   }
 
@@ -139,29 +130,17 @@ Result<PreparedCall> StatementCache::Prepare(const std::string& sql) {
   lru_.push_front(Entry{fingerprint, std::move(prepared)});
   index_.emplace(std::move(fingerprint), lru_.begin());
   if (lru_.size() > capacity_) {
-    if (has_last_ && last_it_ == std::prev(lru_.end())) has_last_ = false;
     index_.erase(lru_.back().fingerprint);
     lru_.pop_back();
     ++stats_.evictions;
   }
-  RememberLast(sql, params);
   return PreparedCall{lru_.front().prepared, std::move(params)};
-}
-
-void StatementCache::RememberLast(const std::string& sql,
-                                  const std::vector<Value>& params) {
-  // Assignment reuses the buffers' capacity across calls.
-  last_sql_ = sql;
-  last_params_ = params;
-  last_it_ = lru_.begin();
-  has_last_ = true;
 }
 
 void StatementCache::Invalidate() {
   stats_.invalidations += static_cast<int64_t>(lru_.size());
   index_.clear();
   lru_.clear();
-  has_last_ = false;
 }
 
 std::vector<std::string> StatementCache::FingerprintsByRecency() const {

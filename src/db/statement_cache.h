@@ -74,9 +74,9 @@ class StatementCache {
   StatementCache(const StatementCache&) = delete;
   StatementCache& operator=(const StatementCache&) = delete;
 
-  /// Tokenizes `sql`, computes its fingerprint, and returns the cached
-  /// template plus this text's literal values. On a miss the literal-masked
-  /// token stream is parsed and inserted first.
+  /// Scans `sql` once for its fingerprint and literal values, and returns
+  /// the cached template plus those values. On a miss the text is tokenized
+  /// and the literal-masked token stream is parsed and inserted first.
   ///
   /// Failure modes, on which CompileSql falls back to plain ParseSql
   /// (which reproduces byte-identical errors and behavior):
@@ -99,8 +99,6 @@ class StatementCache {
   static constexpr size_t kDefaultCapacity = 256;
 
  private:
-  void RememberLast(const std::string& sql, const std::vector<Value>& params);
-
   struct Entry {
     std::string fingerprint;
     std::shared_ptr<const PreparedStatement> prepared;
@@ -111,14 +109,6 @@ class StatementCache {
   std::list<Entry> lru_;
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
   StatementCacheStats stats_;
-  // Identical-text memo: when `sql` is byte-equal to the previous successful
-  // Prepare, the fingerprint scan is skipped entirely and the remembered
-  // entry and literal values are reused. Counts as a hit and touches the LRU
-  // exactly like the scan path, so observable cache state is unchanged.
-  bool has_last_ = false;
-  std::string last_sql_;
-  std::vector<Value> last_params_;
-  std::list<Entry>::iterator last_it_;
 };
 
 /// One SQL text made executable: the statement cache's template with this

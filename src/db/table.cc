@@ -12,23 +12,6 @@
 
 namespace clouddb::db {
 
-namespace {
-
-/// Rebuilds `to` as a copy of `from`. The source scan yields strictly
-/// increasing keys, which is exactly BulkLoad's precondition.
-template <typename K>
-void CopyTree(const BPlusTree<K, RowId>& from, BPlusTree<K, RowId>* to) {
-  std::vector<std::pair<K, RowId>> entries;
-  entries.reserve(from.size());
-  from.ScanAll([&](const K& key, const RowId& id) {
-    entries.emplace_back(key, id);
-    return true;
-  });
-  to->BulkLoad(std::move(entries));
-}
-
-}  // namespace
-
 Table::Table(std::string name, Schema schema)
     : name_(std::move(name)), schema_(std::move(schema)) {
   if (schema_.primary_key_index().has_value()) {
@@ -40,12 +23,13 @@ std::unique_ptr<Table> Table::Clone() const {
   auto copy = std::make_unique<Table>(name_, schema_);
   copy->next_row_id_ = next_row_id_;
   copy->rows_ = rows_;
-  if (primary_ != nullptr) CopyTree(*primary_, copy->primary_.get());
+  if (primary_ != nullptr) {
+    copy->primary_ = std::make_unique<BPlusTree<Value, RowId>>(*primary_);
+  }
   for (const SecondaryIndex& idx : secondary_) {
-    auto tree = std::make_unique<BPlusTree<SecondaryKey, RowId>>();
-    CopyTree(*idx.tree, tree.get());
-    copy->secondary_.push_back(
-        SecondaryIndex{idx.name, idx.column, std::move(tree)});
+    copy->secondary_.push_back(SecondaryIndex{
+        idx.name, idx.column,
+        std::make_unique<BPlusTree<SecondaryKey, RowId>>(*idx.tree)});
   }
   return copy;
 }
@@ -123,25 +107,6 @@ Status Table::UpdateLocated(std::map<RowId, Row>::iterator it, Row new_row) {
     idx.tree->Insert(SecondaryKey{new_row[idx.column], id}, id);
   }
   it->second = std::move(new_row);
-  return Status::Ok();
-}
-
-Status Table::RestoreRow(RowId id, Row row) {
-  if (rows_.count(id) > 0) {
-    return Status::AlreadyExists(
-        StrFormat("row %lld is live in table '%s'", static_cast<long long>(id),
-                  name_.c_str()));
-  }
-  CLOUDDB_RETURN_IF_ERROR(schema_.CoerceRow(&row));
-  if (primary_ != nullptr) {
-    const Value& pk = row[*schema_.primary_key_index()];
-    if (primary_->Contains(pk)) {
-      return Status::AlreadyExists("duplicate primary key on restore");
-    }
-  }
-  CLOUDDB_RETURN_IF_ERROR(IndexInsert(id, row));
-  rows_.emplace(id, std::move(row));
-  if (id >= next_row_id_) next_row_id_ = id + 1;
   return Status::Ok();
 }
 
@@ -244,32 +209,11 @@ Status Table::CreateIndex(const std::string& index_name,
   idx.name = index_name;
   idx.column = col;
   idx.tree = std::make_unique<BPlusTree<SecondaryKey, RowId>>();
-  // Backfill via sort + bulk load: building the tree bottom-up at full
-  // fan-out beats n individual inserts (no splits, no per-key descent).
-  // SecondaryKey's RowId tiebreaker makes the sorted keys strictly
-  // increasing, which BulkLoad requires.
-  std::vector<std::pair<SecondaryKey, RowId>> entries;
-  entries.reserve(rows_.size());
   for (const auto& [id, row] : rows_) {
-    entries.emplace_back(SecondaryKey{row[col], id}, id);
+    idx.tree->Insert(SecondaryKey{row[col], id}, id);
   }
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  idx.tree->BulkLoad(std::move(entries));
   secondary_.push_back(std::move(idx));
-  // The new index can beat the memoized path for already-seen shapes.
-  plan_memo_.clear();
   return Status::Ok();
-}
-
-const PlanHint* Table::FindPlanHint(const std::string& shape) const {
-  auto it = plan_memo_.find(shape);
-  return it == plan_memo_.end() ? nullptr : &it->second;
-}
-
-void Table::MemoizePlanHint(const std::string& shape, PlanHint hint) {
-  if (plan_memo_.size() >= kPlanMemoMaxShapes) return;
-  plan_memo_.emplace(shape, std::move(hint));
 }
 
 bool Table::HasIndexOn(size_t column_index) const {

@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -20,23 +19,6 @@ namespace clouddb::db {
 
 /// Internal row identifier; stable for the life of the row.
 using RowId = int64_t;
-
-/// Access paths the executor can choose for a statement.
-enum class AccessPathKind { kPkEq, kIndexEq, kIndexRange, kTableScan };
-
-/// Memoized access-path decision for one WHERE predicate shape — the
-/// ordered (column, op) list of index-usable constraints. Literal values are
-/// deliberately absent from both key and hint: NULL-valued comparisons are
-/// dropped before the shape is built, and every value-dependent decision
-/// (predicate subsumption, scan bounds) is recomputed per execution.
-struct PlanHint {
-  AccessPathKind kind = AccessPathKind::kTableScan;
-  /// kPkEq/kIndexEq: index of the chosen constraint in the extracted list;
-  /// kIndexRange: the column index to range-scan. Unused for kTableScan.
-  size_t chosen = 0;
-  std::string plan;        // ExecResult.plan label, e.g. "pk_eq(id)"
-  std::string ordered_by;  // ExecResult.scan_ordered_by
-};
 
 /// Composite key for secondary (non-unique) indexes: the indexed value plus
 /// the row id as a tiebreaker, making every key unique in the B+Tree.
@@ -65,9 +47,8 @@ class Table {
   Table& operator=(const Table&) = delete;
 
   /// Deep copy: every row under its RowId, the RowId counter, the schema,
-  /// the primary index and every secondary index (each rebuilt with
-  /// BPlusTree::BulkLoad from the source tree's key order). The plan memo is
-  /// a cache and starts empty.
+  /// the primary index and every secondary index, each copied node for node
+  /// by BPlusTree's copy constructor.
   std::unique_ptr<Table> Clone() const;
 
   const std::string& name() const { return name_; }
@@ -84,11 +65,6 @@ class Table {
   /// Replaces the row's contents (all indexes updated). The primary key may
   /// change as long as it stays unique.
   Status Update(RowId id, Row new_row);
-
-  /// Re-inserts a previously deleted row under its original RowId (used by
-  /// a failed statement's undo). Fails if the id is live or the primary key
-  /// duplicates a live row.
-  Status RestoreRow(RowId id, Row row);
 
   /// Row-based replication's direct-apply path: applies one captured row
   /// image delta — insert the after image, delete/update the row matching
@@ -115,7 +91,8 @@ class Table {
   }
 
   /// Creates a secondary index on `column` (named `index_name`). Fails if the
-  /// name exists or the column is unknown. Backfills existing rows.
+  /// name exists or the column is unknown. Backfills existing rows, one
+  /// B+Tree insert each.
   Status CreateIndex(const std::string& index_name, const std::string& column);
   bool HasIndexOn(size_t column_index) const;
   bool HasIndexNamed(const std::string& index_name) const;
@@ -161,22 +138,6 @@ class Table {
   /// index exactly once and vice versa.
   bool ValidateIndexes(std::string* error) const;
 
-  // --- Planner memoization --------------------------------------------------
-  // Access-path selection depends only on the predicate shape and this
-  // table's index set, so repeated statements (the common case under the
-  // statement cache) skip re-deriving it. CreateIndex clears the memo — a
-  // new index can change the best path for an already-seen shape.
-
-  /// Cached decision for `shape`, or nullptr if not yet memoized.
-  const PlanHint* FindPlanHint(const std::string& shape) const;
-  /// Records the decision for `shape` (no-op once kPlanMemoMaxShapes
-  /// distinct shapes are held; a workload with unbounded shapes would
-  /// otherwise grow the memo without ever hitting it).
-  void MemoizePlanHint(const std::string& shape, PlanHint hint);
-  size_t plan_memo_size() const { return plan_memo_.size(); }
-
-  static constexpr size_t kPlanMemoMaxShapes = 64;
-
  private:
   struct SecondaryIndex {
     std::string name;
@@ -201,7 +162,6 @@ class Table {
   std::map<RowId, Row> rows_;
   std::unique_ptr<BPlusTree<Value, RowId>> primary_;  // null if no PK
   std::vector<SecondaryIndex> secondary_;
-  std::unordered_map<std::string, PlanHint> plan_memo_;
 };
 
 }  // namespace clouddb::db

@@ -44,15 +44,8 @@ INSTANTIATE_TEST_SUITE_P(
                  "AlreadyExists"},
         CodeCase{Status::FailedPrecondition("m"),
                  StatusCode::kFailedPrecondition, "FailedPrecondition"},
-        CodeCase{Status::OutOfRange("m"), StatusCode::kOutOfRange,
-                 "OutOfRange"},
-        CodeCase{Status::ResourceExhausted("m"),
-                 StatusCode::kResourceExhausted, "ResourceExhausted"},
         CodeCase{Status::Unavailable("m"), StatusCode::kUnavailable,
                  "Unavailable"},
-        CodeCase{Status::TimedOut("m"), StatusCode::kTimedOut, "TimedOut"},
-        CodeCase{Status::Corruption("m"), StatusCode::kCorruption,
-                 "Corruption"},
         CodeCase{Status::NotSupported("m"), StatusCode::kNotSupported,
                  "NotSupported"},
         CodeCase{Status::Internal("m"), StatusCode::kInternal, "Internal"}));
@@ -74,8 +67,8 @@ TEST(StatusTest, EqualityComparesCodeAndMessage) {
 
 TEST(StatusTest, StreamInsertion) {
   std::ostringstream os;
-  os << Status::TimedOut("slow");
-  EXPECT_EQ(os.str(), "TimedOut: slow");
+  os << Status::Unavailable("slow");
+  EXPECT_EQ(os.str(), "Unavailable: slow");
 }
 
 Status Fails() { return Status::NotFound("gone"); }

@@ -18,43 +18,5 @@ TEST(TableWriterTest, AsciiTableContainsHeaderAndRows) {
   EXPECT_EQ(t.num_rows(), 2u);
 }
 
-TEST(TableWriterTest, CsvOutput) {
-  TableWriter t({"a", "b"});
-  t.AddRow({"1", "2"});
-  EXPECT_EQ(t.ToCsv(), "a,b\n1,2\n");
-}
-
-TEST(TableWriterTest, CsvEscapesSpecialCharacters) {
-  TableWriter t({"name", "note"});
-  t.AddRow({"x,y", "he said \"hi\""});
-  std::string csv = t.ToCsv();
-  EXPECT_NE(csv.find("\"x,y\""), std::string::npos);
-  EXPECT_NE(csv.find("\"he said \"\"hi\"\"\""), std::string::npos);
-}
-
-TEST(TableWriterTest, NumericRowFormatting) {
-  TableWriter t({"a", "b"});
-  t.AddNumericRow({1.23456, 2.0}, 2);
-  EXPECT_EQ(t.ToCsv(), "a,b\n1.23,2.00\n");
-}
-
-TEST(TableWriterTest, WriteCsvFile) {
-  TableWriter t({"x"});
-  t.AddRow({"1"});
-  std::string path = ::testing::TempDir() + "/table_writer_test.csv";
-  ASSERT_TRUE(t.WriteCsvFile(path));
-  FILE* f = fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  char buf[64] = {};
-  size_t n = fread(buf, 1, sizeof(buf) - 1, f);
-  fclose(f);
-  EXPECT_EQ(std::string(buf, n), "x\n1\n");
-}
-
-TEST(TableWriterTest, WriteCsvFileFailsOnBadPath) {
-  TableWriter t({"x"});
-  EXPECT_FALSE(t.WriteCsvFile("/nonexistent_dir_xyz/file.csv"));
-}
-
 }  // namespace
 }  // namespace clouddb

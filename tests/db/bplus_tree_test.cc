@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,14 +44,6 @@ TEST(BPlusTreeTest, DuplicateInsertFails) {
   EXPECT_TRUE(tree.Insert(1, 10));
   EXPECT_FALSE(tree.Insert(1, 99));
   EXPECT_EQ(*tree.Find(1), 10);
-  EXPECT_EQ(tree.size(), 1u);
-}
-
-TEST(BPlusTreeTest, InsertOrAssignOverwrites) {
-  Tree tree;
-  EXPECT_TRUE(tree.InsertOrAssign(1, 10));
-  EXPECT_FALSE(tree.InsertOrAssign(1, 20));
-  EXPECT_EQ(*tree.Find(1), 20);
   EXPECT_EQ(tree.size(), 1u);
 }
 
@@ -252,107 +245,89 @@ TEST(BPlusTreePropertyTest, RangeScansMatchModelAfterChurn) {
 }
 
 // ---------------------------------------------------------------------------
-// BulkLoad: bottom-up construction from sorted input must produce a tree
-// indistinguishable (Find, Scan order, Validate, further mutation) from one
-// built by repeated Insert.
+// Copy constructor: a deep copy, node for node (Table::Clone copies every
+// index this way). The copy must be indistinguishable from its source
+// (Find, Scan order, Validate) and change independently of it.
 
-TEST(BPlusTreeBulkLoad, NodeBoundarySizesValidateAndFind) {
-  // Sizes straddling every packing boundary of the 32-key nodes: empty,
-  // one leaf, leaf exactly full, tail-leaf underflow (borrows from its left
-  // neighbor), one internal level, and tail adjustments at the internal
-  // level.
+/// Every (key, value) pair in scan order, through the leaf chain.
+std::vector<std::pair<int, int>> Entries(const Tree& tree) {
+  std::vector<std::pair<int, int>> out;
+  tree.ScanAll([&](const int& k, const int& v) {
+    out.emplace_back(k, v);
+    return true;
+  });
+  return out;
+}
+
+TEST(BPlusTreeCopy, NodeBoundarySizesValidateAndFind) {
+  // Sizes straddling the 32-key node boundaries: empty, one leaf, leaf
+  // exactly full, the first split, one internal level, and the sizes where
+  // the internal level fills and splits.
   for (int n : {0, 1, 15, 16, 17, 31, 32, 33, 48, 49, 63, 64, 65, 100, 1024,
                 1056, 1057, 5000}) {
-    Tree tree;
-    std::vector<std::pair<int, int>> items;
-    items.reserve(n);
-    for (int i = 0; i < n; ++i) items.emplace_back(i * 2, i);
-    tree.BulkLoad(std::move(items));
-    ASSERT_EQ(tree.size(), static_cast<size_t>(n)) << "n=" << n;
+    Tree source;
+    for (int i = 0; i < n; ++i) ASSERT_TRUE(source.Insert(i * 2, i));
+    Tree copy(source);
+    ASSERT_EQ(copy.size(), static_cast<size_t>(n)) << "n=" << n;
+    EXPECT_EQ(copy.Height(), source.Height()) << "n=" << n;
     std::string err;
-    ASSERT_TRUE(tree.Validate(&err)) << "n=" << n << ": " << err;
+    ASSERT_TRUE(copy.Validate(&err)) << "n=" << n << ": " << err;
+    EXPECT_EQ(Entries(copy), Entries(source)) << "n=" << n;
     for (int i = 0; i < n; ++i) {
-      const int* v = tree.Find(i * 2);
+      const int* v = copy.Find(i * 2);
       ASSERT_NE(v, nullptr) << "n=" << n << " key " << i * 2;
       EXPECT_EQ(*v, i);
     }
-    EXPECT_EQ(tree.Find(-1), nullptr);
-    EXPECT_EQ(tree.Find(2 * n + 1), nullptr);
+    EXPECT_EQ(copy.Find(-1), nullptr);
+    EXPECT_EQ(copy.Find(2 * n + 1), nullptr);
   }
 }
 
-TEST(BPlusTreeBulkLoad, ScanYieldsLoadOrderThroughLeafChain) {
-  Tree tree;
-  std::vector<std::pair<int, int>> items;
-  for (int i = 0; i < 2000; ++i) items.emplace_back(i * 3, i);
-  tree.BulkLoad(std::move(items));
-  int expect = 0;
-  tree.Scan(nullptr, true, nullptr, true, [&](const int& k, const int& v) {
-    EXPECT_EQ(k, expect * 3);
-    EXPECT_EQ(v, expect);
-    ++expect;
-    return true;
-  });
-  EXPECT_EQ(expect, 2000);
-}
-
-TEST(BPlusTreeBulkLoad, MatchesInsertBuiltTreeAndStaysMutable) {
+TEST(BPlusTreeCopy, MatchesSourceAndChangesIndependently) {
   Rng rng(77);
-  std::vector<std::pair<int, int>> items;
-  int key = 0;
-  for (int i = 0; i < 777; ++i) {
-    key += static_cast<int>(rng.UniformInt(1, 50));  // strictly increasing
-    items.emplace_back(key, i);
+  auto source = std::make_unique<Tree>();
+  std::map<int, int> source_model;
+  // Inserts, then erases, so the copied tree has been through splits,
+  // borrows and merges.
+  for (int i = 0; i < 2000; ++i) {
+    int k = static_cast<int>(rng.UniformInt(0, 5000));
+    if (source->Insert(k, i)) source_model.emplace(k, i);
   }
-  Tree inserted;
-  for (const auto& [k, v] : items) ASSERT_TRUE(inserted.Insert(k, v));
-  Tree loaded;
-  loaded.BulkLoad(items);
-  ASSERT_EQ(loaded.size(), inserted.size());
+  for (int i = 0; i < 800; ++i) {
+    int k = static_cast<int>(rng.UniformInt(0, 5000));
+    source->Erase(k);
+    source_model.erase(k);
+  }
+  Tree copy(*source);
+  std::map<int, int> copy_model = source_model;
   std::string err;
-  ASSERT_TRUE(loaded.Validate(&err)) << err;
-  for (const auto& [k, v] : items) {
-    const int* found = loaded.Find(k);
-    ASSERT_NE(found, nullptr);
-    EXPECT_EQ(*found, v);
-  }
-  // The loaded tree must keep working as a normal tree: mixed churn after
-  // the bulk build, validating throughout.
-  for (int i = 0; i < 300; ++i) {
-    int k = items[static_cast<size_t>(rng.UniformInt(
-        0, static_cast<int64_t>(items.size()) - 1))].first;
-    if (rng.UniformInt(0, 1)) {
-      loaded.Erase(k);
-      inserted.Erase(k);
-    } else {
-      loaded.InsertOrAssign(k, -i);
-      inserted.InsertOrAssign(k, -i);
+  ASSERT_TRUE(copy.Validate(&err)) << err;
+  EXPECT_EQ(Entries(copy), Entries(*source));
+  // Different churn on each side: neither may see the other's changes.
+  for (int i = 0; i < 600; ++i) {
+    for (auto [tree, model] : {std::make_pair(source.get(), &source_model),
+                               std::make_pair(&copy, &copy_model)}) {
+      int k = static_cast<int>(rng.UniformInt(0, 5000));
+      if (rng.UniformInt(0, 1)) {
+        tree->Erase(k);
+        model->erase(k);
+      } else if (tree->Insert(k, -i)) {
+        model->emplace(k, -i);
+      }
     }
   }
-  ASSERT_TRUE(loaded.Validate(&err)) << err;
-  EXPECT_EQ(loaded.size(), inserted.size());
-  std::vector<int> a, b;
-  loaded.Scan(nullptr, true, nullptr, true, [&](const int& k, const int&) {
-    a.push_back(k);
-    return true;
-  });
-  inserted.Scan(nullptr, true, nullptr, true, [&](const int& k, const int&) {
-    b.push_back(k);
-    return true;
-  });
-  EXPECT_EQ(a, b);
-}
-
-TEST(BPlusTreeBulkLoad, ReplacesExistingContents) {
-  Tree tree;
-  for (int i = 0; i < 50; ++i) ASSERT_TRUE(tree.Insert(i, i));
-  std::vector<std::pair<int, int>> items = {{100, 1}, {200, 2}};
-  tree.BulkLoad(std::move(items));
-  EXPECT_EQ(tree.size(), 2u);
-  EXPECT_EQ(tree.Find(5), nullptr);
-  ASSERT_NE(tree.Find(200), nullptr);
-  std::string err;
-  EXPECT_TRUE(tree.Validate(&err)) << err;
+  ASSERT_TRUE(source->Validate(&err)) << err;
+  ASSERT_TRUE(copy.Validate(&err)) << err;
+  auto as_vector = [](const std::map<int, int>& m) {
+    return std::vector<std::pair<int, int>>(m.begin(), m.end());
+  };
+  EXPECT_EQ(Entries(*source), as_vector(source_model));
+  EXPECT_EQ(Entries(copy), as_vector(copy_model));
+  EXPECT_NE(source_model, copy_model);
+  // The copy owns every node it reaches: it outlives its source.
+  source.reset();
+  ASSERT_TRUE(copy.Validate(&err)) << err;
+  EXPECT_EQ(Entries(copy), as_vector(copy_model));
 }
 
 }  // namespace

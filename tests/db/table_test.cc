@@ -209,30 +209,6 @@ TEST_F(TableTest, TruncateClearsRowsKeepsIndexes) {
   EXPECT_TRUE(table_.ValidateIndexes(&err)) << err;
 }
 
-TEST_F(TableTest, RestoreRowReinstatesExactRowId) {
-  auto id = table_.Insert(MakeUser(1, "ann", 30));
-  ASSERT_TRUE(id.ok());
-  Row saved = *table_.Get(*id);
-  ASSERT_TRUE(table_.Delete(*id).ok());
-  ASSERT_TRUE(table_.RestoreRow(*id, saved).ok());
-  EXPECT_NE(table_.Get(*id), nullptr);
-  EXPECT_TRUE(table_.FindByPrimaryKey(Value(int64_t{1})).ok());
-  std::string err;
-  EXPECT_TRUE(table_.ValidateIndexes(&err)) << err;
-}
-
-TEST_F(TableTest, RestoreRowRejectsLiveIdAndDuplicatePk) {
-  auto id = table_.Insert(MakeUser(1, "ann", 30));
-  ASSERT_TRUE(id.ok());
-  EXPECT_TRUE(table_.RestoreRow(*id, MakeUser(9, "x", 1)).IsAlreadyExists());
-  // Delete then try restoring with a PK owned by another row.
-  ASSERT_TRUE(table_.Insert(MakeUser(2, "bob", 25)).ok());
-  Row saved = *table_.Get(*id);
-  ASSERT_TRUE(table_.Delete(*id).ok());
-  EXPECT_TRUE(table_.RestoreRow(*id, MakeUser(2, "x", 1)).IsAlreadyExists());
-  EXPECT_TRUE(table_.RestoreRow(*id, saved).ok());
-}
-
 TEST_F(TableTest, ContentsEqualIgnoresRowIds) {
   Table other("users", UserSchema());
   ASSERT_TRUE(table_.Insert(MakeUser(1, "a", 1)).ok());

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <tuple>
+#include <vector>
 
 #include "cloud/cloud_provider.h"
 #include "common/str_util.h"
@@ -15,6 +16,7 @@
 #include "common/time_types.h"
 #include "db/database.h"
 #include "fault/fault_schedule.h"
+#include "net/network.h"
 #include "repl/master_node.h"
 #include "repl/slave_node.h"
 #include "sim/simulation.h"
@@ -243,8 +245,39 @@ TEST(FaultInjectorTest, PacketLossIsSurvivedWithAutoResync) {
   EXPECT_TRUE(w.cluster->Converged());
 }
 
-TEST(FaultInjectorTest, SlaveCrashLosesRelayLogButResyncRecovers) {
+TEST(FaultInjectorTest, LatencySpikeAddsToEveryHopUntilHealed) {
+  World w(1, 1);
+  const SimDuration spike = Millis(50);
+  FaultSchedule schedule;
+  schedule.LatencySpike(Seconds(2), "master", "slave-1", spike, Seconds(4));
+  ASSERT_TRUE(w.injector->Arm(schedule).ok());
+  net::NodeId master = w.cluster->master()->node_id();
+  net::NodeId slave = w.cluster->slave(0)->node_id();
+  // One ping before, one inside and one after the window. The deployment
+  // has no jitter, so each round trip is exact.
+  std::vector<SimDuration> rtts;
+  for (SimTime at : {Seconds(1), Seconds(3), Seconds(8)}) {
+    w.sim.ScheduleAt(at, [&] {
+      w.provider->network().Ping(master, slave, [&rtts](SimDuration rtt) {
+        rtts.push_back(rtt);
+      });
+    });
+  }
+  w.sim.Run();
+  ASSERT_EQ(rtts.size(), 3u);
+  SimDuration base = rtts[0];
+  EXPECT_GT(base, 0);
+  EXPECT_EQ(rtts[1], base + 2 * spike);  // the spike delays both directions
+  EXPECT_EQ(rtts[2], base);
+}
+
+/// The slave-crash scenario at each binlog shipping batch size: 1 ships
+/// every event on its own, 8 re-streams the missed range in batches.
+class FaultInjectorBatchTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(FaultInjectorBatchTest, SlaveCrashLosesRelayLogButResyncRecovers) {
   World w(2, 1);
+  w.cluster->SetBinlogBatchSize(GetParam());
   w.cluster->slave(0)->StartAutoResync();
   w.cluster->slave(1)->StartAutoResync();
   FaultSchedule schedule;
@@ -261,8 +294,12 @@ TEST(FaultInjectorTest, SlaveCrashLosesRelayLogButResyncRecovers) {
   EXPECT_TRUE(w.cluster->slave(1)->instance().running());
   EXPECT_EQ(w.cluster->slave(1)->instance().crash_count(), 1);
   EXPECT_FALSE(w.cluster->slave(1)->replication_broken());
+  EXPECT_TRUE(w.cluster->FullyReplicated());
   EXPECT_TRUE(w.cluster->Converged());
 }
+
+INSTANTIATE_TEST_SUITE_P(BinlogBatchSize, FaultInjectorBatchTest,
+                         ::testing::Values(1, 8));
 
 TEST(FaultInjectorTest, IsolationHealsAndRejoins) {
   World w(2, 1);

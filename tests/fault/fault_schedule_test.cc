@@ -58,6 +58,7 @@ TEST(FaultScheduleTest, ToStringDescribesEveryKind) {
       .Crash(Seconds(90), "slave-1")  // permanent
       .Slowdown(Seconds(1), "slave-2", 0.5, Seconds(2))
       .PacketLoss(Seconds(2), "a", "b", 0.25, Seconds(3))
+      .LatencySpike(Seconds(4), "a", "b", Millis(50), Seconds(5))
       .ClockStep(Seconds(3), "slave-1", Millis(40));
   std::string s = schedule.ToString();
   EXPECT_NE(s.find("crash master"), std::string::npos);
@@ -65,6 +66,7 @@ TEST(FaultScheduleTest, ToStringDescribesEveryKind) {
   EXPECT_NE(s.find("permanently"), std::string::npos);
   EXPECT_NE(s.find("x0.50"), std::string::npos);
   EXPECT_NE(s.find("p=0.25"), std::string::npos);
+  EXPECT_NE(s.find("latency-spike a <-> b +50.00ms"), std::string::npos) << s;
   EXPECT_NE(s.find("clock-step"), std::string::npos);
 }
 

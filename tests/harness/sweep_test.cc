@@ -60,8 +60,9 @@ TEST(SweepTest, TablesHaveOneRowPerWorkload) {
   TableWriter throughput =
       result->ThroughputTable(sweep.slave_counts, sweep.user_counts);
   EXPECT_EQ(throughput.num_rows(), sweep.user_counts.size());
-  std::string csv = throughput.ToCsv();
-  EXPECT_NE(csv.find("users,1 slave,2 slaves"), std::string::npos);
+  std::string ascii = throughput.ToAscii();
+  EXPECT_NE(ascii.find("| users | 1 slave"), std::string::npos) << ascii;
+  EXPECT_NE(ascii.find("| 2 slaves"), std::string::npos) << ascii;
   TableWriter delay = result->DelayTable(sweep.slave_counts,
                                          sweep.user_counts);
   EXPECT_EQ(delay.num_rows(), sweep.user_counts.size());
@@ -105,13 +106,13 @@ TEST(SweepTest, ParallelJobsAreByteIdenticalToSerial) {
     }
   }
   EXPECT_EQ(serial_result->ThroughputTable(serial.slave_counts,
-                                           serial.user_counts).ToCsv(),
+                                           serial.user_counts).ToAscii(),
             parallel_result->ThroughputTable(parallel.slave_counts,
-                                             parallel.user_counts).ToCsv());
+                                             parallel.user_counts).ToAscii());
   EXPECT_EQ(serial_result->DelayTable(serial.slave_counts,
-                                      serial.user_counts).ToCsv(),
+                                      serial.user_counts).ToAscii(),
             parallel_result->DelayTable(parallel.slave_counts,
-                                        parallel.user_counts).ToCsv());
+                                        parallel.user_counts).ToAscii());
 }
 
 TEST(SweepTest, JobsZeroMeansHardwareConcurrency) {

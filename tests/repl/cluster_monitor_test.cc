@@ -103,9 +103,9 @@ TEST_F(ClusterMonitorTest, TableHasOneRowPerSample) {
   sim_.Run();
   TableWriter table = monitor.ToTable();
   EXPECT_EQ(table.num_rows(), monitor.samples().size());
-  std::string csv = table.ToCsv();
-  EXPECT_NE(csv.find("master_cpu"), std::string::npos);
-  EXPECT_NE(csv.find("slave2_backlog"), std::string::npos);
+  std::string ascii = table.ToAscii();
+  EXPECT_NE(ascii.find("master_cpu"), std::string::npos);
+  EXPECT_NE(ascii.find("slave2_backlog"), std::string::npos);
 }
 
 TEST_F(ClusterMonitorTest, StopHaltsSampling) {

@@ -145,6 +145,32 @@ TEST_F(ReplicationTest, SyncWriteWaitsForAllSlaveAcks) {
   EXPECT_GE(responded_at, Millis(10) + 2 * options_.same_zone_one_way);
 }
 
+TEST_F(ReplicationTest, RetiringTheUnackedSlaveReleasesASyncWrite) {
+  auto cluster = MakeCluster(2, /*sync=*/true);
+  ASSERT_TRUE(
+      cluster->master()->ExecuteDirect("CREATE TABLE t (a INT)").ok());
+  sim_.Run();
+  // The second slave's CPU stops, so it never applies or acks the write.
+  cluster->slave(1)->instance().cpu().Freeze();
+  bool responded = false;
+  cluster->master()->Submit("INSERT INTO t VALUES (1)", Millis(10),
+                            [&](Result<db::ExecResult> r) {
+                              EXPECT_TRUE(r.ok()) << r.status().ToString();
+                              responded = true;
+                            });
+  sim_.RunUntil(Seconds(5));
+  // The first slave has applied and acked; the write waits on the second.
+  EXPECT_EQ(cluster->slave(0)->events_applied(),
+            cluster->master()->binlog_size());
+  EXPECT_FALSE(responded);
+  // Scale-in of the silent slave releases the client at once.
+  ASSERT_TRUE(cluster->RetireSlave(1).ok());
+  EXPECT_TRUE(responded);
+  cluster->slave(1)->instance().cpu().Thaw();
+  sim_.Run();
+  EXPECT_TRUE(cluster->FullyReplicated());
+}
+
 TEST_F(ReplicationTest, SyncModeSlowerThanAsyncForTheClient) {
   SimTime async_done = 0;
   SimTime sync_done = 0;
