@@ -67,10 +67,6 @@ class BPlusTree {
     return nullptr;
   }
 
-  V* FindMutable(const K& key) {
-    return const_cast<V*>(static_cast<const BPlusTree*>(this)->Find(key));
-  }
-
   bool Contains(const K& key) const { return Find(key) != nullptr; }
 
   /// Removes `key`; returns false if absent.
@@ -128,12 +124,6 @@ class BPlusTree {
       leaf = leaf->next;
       i = 0;
     }
-  }
-
-  /// Visits all entries in order.
-  template <typename Visitor>
-  void ScanAll(Visitor&& visit) const {
-    Scan(nullptr, true, nullptr, true, std::forward<Visitor>(visit));
   }
 
   /// Tree height (1 = just a leaf root).
@@ -194,7 +184,6 @@ class BPlusTree {
     // Leaves only:
     std::vector<V> values;
     Node* next = nullptr;
-    Node* prev = nullptr;
   };
 
   static constexpr int kMinKeys = MaxKeys / 2;
@@ -252,7 +241,6 @@ class BPlusTree {
     to->keys = from.keys;
     if (from.leaf) {
       to->values = from.values;
-      to->prev = *last_leaf;
       if (*last_leaf != nullptr) (*last_leaf)->next = to.get();
       *last_leaf = to.get();
       return to;
@@ -304,8 +292,6 @@ class BPlusTree {
     n->keys.resize(static_cast<size_t>(mid));
     n->values.resize(static_cast<size_t>(mid));
     right->next = n->next;
-    right->prev = n;
-    if (n->next != nullptr) n->next->prev = right.get();
     n->next = right.get();
     // Leaf split: the separator is a *copy* of the right node's first key.
     return SplitResult{right->keys.front(), std::move(right)};
@@ -420,7 +406,6 @@ class BPlusTree {
         left->values.push_back(std::move(right->values[i]));
       }
       left->next = right->next;
-      if (right->next != nullptr) right->next->prev = left;
     } else {
       left->keys.push_back(std::move(parent->keys[static_cast<size_t>(li)]));
       for (auto& k : right->keys) left->keys.push_back(std::move(k));

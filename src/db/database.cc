@@ -268,8 +268,8 @@ class Executor {
         result.column_names.push_back(schema.columns()[idx].name);
       }
     }
-    // Fetch each matched row once; sorting and projection work on cached
-    // pointers (Table::Get per comparison was the hot spot under load).
+    // Fetch each matched row once (a bounds check and an index); sorting
+    // and projection work on the cached pointers.
     std::vector<const Row*> rows;
     rows.reserve(matches.size());
     for (RowId id : matches) rows.push_back(table->Get(id));

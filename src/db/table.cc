@@ -1,6 +1,7 @@
 #include "db/table.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/str_util.h"
 #include "common/result.h"
@@ -21,8 +22,9 @@ Table::Table(std::string name, Schema schema)
 
 std::unique_ptr<Table> Table::Clone() const {
   auto copy = std::make_unique<Table>(name_, schema_);
-  copy->next_row_id_ = next_row_id_;
   copy->rows_ = rows_;
+  copy->first_row_id_ = first_row_id_;
+  copy->live_rows_ = live_rows_;
   if (primary_ != nullptr) {
     copy->primary_ = std::make_unique<BPlusTree<Value, RowId>>(*primary_);
   }
@@ -39,7 +41,7 @@ Result<RowId> Table::Insert(Row row) {
   // The primary tree's Insert already detects duplicates, so there is no
   // separate Contains() probe — one traversal instead of two. The row id is
   // only consumed once the insert is known to stick.
-  RowId id = next_row_id_;
+  RowId id = next_row_id();
   Status st = IndexInsert(id, row);
   if (!st.ok()) {
     if (primary_ != nullptr) {
@@ -50,37 +52,34 @@ Result<RowId> Table::Insert(Row row) {
     }
     return st;
   }
-  ++next_row_id_;
-  rows_.emplace(id, std::move(row));
+  rows_.push_back(std::move(row));
+  ++live_rows_;
   return id;
 }
 
 Status Table::Delete(RowId id) {
-  auto it = rows_.find(id);
-  if (it == rows_.end()) {
+  const Row* row = Get(id);
+  if (row == nullptr) {
     return Status::NotFound(StrFormat("row %lld not found in table '%s'",
                                       static_cast<long long>(id),
                                       name_.c_str()));
   }
-  IndexErase(id, it->second);
-  rows_.erase(it);
+  IndexErase(id, *row);
+  // The empty row marks the slot dead and frees the values.
+  Slot(id) = Row();
+  --live_rows_;
   return Status::Ok();
 }
 
 Status Table::Update(RowId id, Row new_row) {
-  auto it = rows_.find(id);
-  if (it == rows_.end()) {
+  const Row* row = Get(id);
+  if (row == nullptr) {
     return Status::NotFound(StrFormat("row %lld not found in table '%s'",
                                       static_cast<long long>(id),
                                       name_.c_str()));
   }
-  return UpdateLocated(it, std::move(new_row));
-}
-
-Status Table::UpdateLocated(std::map<RowId, Row>::iterator it, Row new_row) {
-  RowId id = it->first;
   CLOUDDB_RETURN_IF_ERROR(schema_.CoerceRow(&new_row));
-  const Row& old_row = it->second;
+  const Row& old_row = *row;
   // Maintain only the indexes whose key column actually changed. The common
   // replicated UPDATE touches non-indexed columns, where a blanket
   // erase+reinsert would pay two B+Tree rebalances per index for nothing.
@@ -106,7 +105,7 @@ Status Table::UpdateLocated(std::map<RowId, Row>::iterator it, Row new_row) {
     idx.tree->Erase(SecondaryKey{old_row[idx.column], id});
     idx.tree->Insert(SecondaryKey{new_row[idx.column], id}, id);
   }
-  it->second = std::move(new_row);
+  Slot(id) = std::move(new_row);
   return Status::Ok();
 }
 
@@ -117,20 +116,18 @@ Status Table::ApplyRowDelta(const RowOp& op) {
       return id.ok() ? Status::Ok() : id.status();
     }
     case RowOp::Kind::kDelete: {
-      CLOUDDB_ASSIGN_OR_RETURN(auto it, LocateByImage(op.before));
-      IndexErase(it->first, it->second);
-      rows_.erase(it);
-      return Status::Ok();
+      CLOUDDB_ASSIGN_OR_RETURN(RowId id, LocateByImage(op.before));
+      return Delete(id);
     }
     case RowOp::Kind::kUpdate: {
-      CLOUDDB_ASSIGN_OR_RETURN(auto it, LocateByImage(op.before));
-      return UpdateLocated(it, Row(op.after));
+      CLOUDDB_ASSIGN_OR_RETURN(RowId id, LocateByImage(op.before));
+      return Update(id, Row(op.after));
     }
   }
   return Status::Internal("unknown row op kind");
 }
 
-Result<std::map<RowId, Row>::iterator> Table::LocateByImage(const Row& image) {
+Result<RowId> Table::LocateByImage(const Row& image) const {
   if (image.size() != schema_.num_columns()) {
     return Status::InvalidArgument(
         StrFormat("row image has %zu columns, table '%s' has %zu",
@@ -145,21 +142,24 @@ Result<std::map<RowId, Row>::iterator> Table::LocateByImage(const Row& image) {
   if (primary_ != nullptr) {
     CLOUDDB_ASSIGN_OR_RETURN(
         RowId id, FindByPrimaryKey(image[*schema_.primary_key_index()]));
-    auto it = rows_.find(id);
-    if (it == rows_.end() || !matches(it->second)) {
+    const Row* row = Get(id);
+    if (row == nullptr || !matches(*row)) {
       return Status::NotFound(StrFormat(
           "before image mismatch for %s in table '%s' (replica diverged)",
           image[*schema_.primary_key_index()].ToSqlLiteral().c_str(),
           name_.c_str()));
     }
-    return it;
+    return id;
   }
   // No primary key: first content-equal row in RowId order. Any matching
   // row is interchangeable for multiset equality, and scanning in RowId
   // order keeps the choice deterministic.
-  for (auto it = rows_.begin(); it != rows_.end(); ++it) {
-    if (matches(it->second)) return it;
-  }
+  std::optional<RowId> found;
+  ForEachRow([&](RowId id, const Row& row) {
+    if (matches(row)) found = id;
+    return !found.has_value();
+  });
+  if (found.has_value()) return *found;
   return Status::NotFound(StrFormat(
       "no row matching before image in table '%s' (replica diverged)",
       name_.c_str()));
@@ -169,20 +169,16 @@ uint64_t Table::ContentsHash() const {
   // FNV-1a over each row's values, summed (mod 2^64) across rows so the
   // result is independent of RowId assignment and iteration order.
   uint64_t total = 0;
-  for (const auto& [id, row] : rows_) {
+  ForEachRow([&](RowId, const Row& row) {
     uint64_t h = 1469598103934665603ull;
     for (const Value& v : row) {
       h ^= v.Hash();
       h *= 1099511628211ull;
     }
     total += h;
-  }
-  return total ^ (static_cast<uint64_t>(rows_.size()) * 0x9e3779b97f4a7c15ull);
-}
-
-const Row* Table::Get(RowId id) const {
-  auto it = rows_.find(id);
-  return it == rows_.end() ? nullptr : &it->second;
+    return true;
+  });
+  return total ^ (static_cast<uint64_t>(live_rows_) * 0x9e3779b97f4a7c15ull);
 }
 
 Result<RowId> Table::FindByPrimaryKey(const Value& key) const {
@@ -209,9 +205,10 @@ Status Table::CreateIndex(const std::string& index_name,
   idx.name = index_name;
   idx.column = col;
   idx.tree = std::make_unique<BPlusTree<SecondaryKey, RowId>>();
-  for (const auto& [id, row] : rows_) {
+  ForEachRow([&](RowId id, const Row& row) {
     idx.tree->Insert(SecondaryKey{row[col], id}, id);
-  }
+    return true;
+  });
   secondary_.push_back(std::move(idx));
   return Status::Ok();
 }
@@ -294,7 +291,9 @@ Status Table::ScanPrimary(const Value* lo, bool lo_inclusive, const Value* hi,
 }
 
 void Table::Truncate() {
+  first_row_id_ = next_row_id();
   rows_.clear();
+  live_rows_ = 0;
   if (primary_ != nullptr) primary_->Clear();
   for (auto& idx : secondary_) idx.tree->Clear();
 }
@@ -308,24 +307,35 @@ bool Table::ContentsEqual(const Table& a, const Table& b) {
     return indexes;
   };
   if (index_set(a) != index_set(b)) return false;
-  if (a.rows_.size() != b.rows_.size()) return false;
+  if (a.live_rows_ != b.live_rows_) return false;
   // Replicas fed one statement stream hold their rows in the same RowId
   // order (a copy keeps the RowIds; slaves assign them in binlog order), so
-  // walk both stores in lockstep first: equal sequences are equal multisets.
+  // walk the live rows of both stores in lockstep first: equal sequences are
+  // equal multisets. The live counts are equal, so while `a` has a live row
+  // left, so does `b`.
   auto ia = a.rows_.begin();
   auto ib = b.rows_.begin();
-  while (ia != a.rows_.end() && ia->second == ib->second) {
+  while (true) {
+    while (ia != a.rows_.end() && ia->empty()) ++ia;
+    while (ib != b.rows_.end() && ib->empty()) ++ib;
+    if (ia == a.rows_.end()) return true;
+    if (*ia != *ib) break;
     ++ia;
     ++ib;
   }
-  if (ia == a.rows_.end()) return true;
   // The orders differ: compare as sorted multisets of rows (RowIds excluded;
   // contents are what matter).
   std::vector<const Row*> ra, rb;
-  ra.reserve(a.rows_.size());
-  rb.reserve(b.rows_.size());
-  for (const auto& [id, row] : a.rows_) ra.push_back(&row);
-  for (const auto& [id, row] : b.rows_) rb.push_back(&row);
+  ra.reserve(a.live_rows_);
+  rb.reserve(b.live_rows_);
+  a.ForEachRow([&](RowId, const Row& row) {
+    ra.push_back(&row);
+    return true;
+  });
+  b.ForEachRow([&](RowId, const Row& row) {
+    rb.push_back(&row);
+    return true;
+  });
   auto row_less = [](const Row* x, const Row* y) {
     for (size_t i = 0; i < std::min(x->size(), y->size()); ++i) {
       int c = Value::Compare((*x)[i], (*y)[i]);
@@ -354,32 +364,36 @@ bool Table::ValidateIndexes(std::string* error) const {
     if (!primary_->Validate(&tree_err)) {
       return fail("primary tree invalid: " + tree_err);
     }
-    if (primary_->size() != rows_.size()) {
+    if (primary_->size() != live_rows_) {
       return fail("primary index size mismatch");
     }
     size_t pk_col = *schema_.primary_key_index();
-    for (const auto& [id, row] : rows_) {
+    bool indexed = true;
+    ForEachRow([&](RowId id, const Row& row) {
       const RowId* found = primary_->Find(row[pk_col]);
-      if (found == nullptr || *found != id) {
-        return fail("row missing from primary index");
-      }
-    }
+      indexed = found != nullptr && *found == id;
+      return indexed;
+    });
+    if (!indexed) return fail("row missing from primary index");
   }
   for (const auto& idx : secondary_) {
     std::string tree_err;
     if (!idx.tree->Validate(&tree_err)) {
       return fail("secondary tree invalid: " + tree_err);
     }
-    if (idx.tree->size() != rows_.size()) {
+    if (idx.tree->size() != live_rows_) {
       return fail(StrFormat("secondary index '%s' size mismatch",
                             idx.name.c_str()));
     }
-    for (const auto& [id, row] : rows_) {
+    bool indexed = true;
+    ForEachRow([&](RowId id, const Row& row) {
       const RowId* found = idx.tree->Find(SecondaryKey{row[idx.column], id});
-      if (found == nullptr || *found != id) {
-        return fail(StrFormat("row missing from secondary index '%s'",
-                              idx.name.c_str()));
-      }
+      indexed = found != nullptr && *found == id;
+      return indexed;
+    });
+    if (!indexed) {
+      return fail(StrFormat("row missing from secondary index '%s'",
+                            idx.name.c_str()));
     }
   }
   return true;

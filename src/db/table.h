@@ -2,8 +2,8 @@
 #define CLOUDDB_DB_TABLE_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -35,7 +35,8 @@ struct SecondaryKey {
 
 /// A heap of rows plus indexes.
 ///
-/// - Rows live in an id-addressed store; RowIds are assigned monotonically.
+/// - Rows live in a RowId-indexed store; RowIds are assigned monotonically
+///   and never reused, not even after a delete or a TRUNCATE.
 /// - If the schema declares a PRIMARY KEY, a unique B+Tree index over it is
 ///   maintained automatically and uniqueness is enforced.
 /// - Any column can get a secondary (non-unique) B+Tree index.
@@ -53,7 +54,7 @@ class Table {
 
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
-  size_t num_rows() const { return rows_.size(); }
+  size_t num_rows() const { return live_rows_; }
 
   /// Validates and inserts `row`; enforces PK uniqueness. Returns the new
   /// RowId.
@@ -81,8 +82,16 @@ class Table {
   /// row-based vs statement-based ablation tests.
   uint64_t ContentsHash() const;
 
-  /// Row access (nullptr if the id is dead).
-  const Row* Get(RowId id) const;
+  /// Row access (nullptr if the id is dead or was never assigned): a bounds
+  /// check and one index. The unsigned difference sends ids below the first
+  /// slot past the end too.
+  const Row* Get(RowId id) const {
+    uint64_t slot = static_cast<uint64_t>(id) -
+                    static_cast<uint64_t>(first_row_id_);
+    if (slot >= rows_.size()) return nullptr;
+    const Row& row = rows_[slot];
+    return row.empty() ? nullptr : &row;
+  }
 
   /// Looks up by primary key. Requires a declared primary key.
   Result<RowId> FindByPrimaryKey(const Value& key) const;
@@ -117,7 +126,10 @@ class Table {
   /// Visitor: bool(RowId, const Row&) — return false to stop.
   template <typename Visitor>
   void ForEachRow(Visitor&& visit) const {
-    for (const auto& [id, row] : rows_) {
+    RowId id = first_row_id_ - 1;
+    for (const Row& row : rows_) {
+      ++id;
+      if (row.empty()) continue;
       if (!visit(id, row)) return;
     }
   }
@@ -147,19 +159,23 @@ class Table {
 
   Status IndexInsert(RowId id, const Row& row);
   void IndexErase(RowId id, const Row& row);
-  /// The live row matching `image` (see ApplyRowDelta). Returns the rows_
-  /// iterator so the delta path mutates in place instead of re-finding the
-  /// row it just located.
-  Result<std::map<RowId, Row>::iterator> LocateByImage(const Row& image);
-  /// Index-maintaining in-place update of `it`'s row; shared by Update and
-  /// the row-delta fast path.
-  Status UpdateLocated(std::map<RowId, Row>::iterator it, Row new_row);
+  /// The RowId of the live row matching `image` (see ApplyRowDelta).
+  Result<RowId> LocateByImage(const Row& image) const;
+  /// The slot of `id`, which the caller has checked with Get.
+  Row& Slot(RowId id) { return rows_[static_cast<size_t>(id - first_row_id_)]; }
+  RowId next_row_id() const {
+    return first_row_id_ + static_cast<RowId>(rows_.size());
+  }
 
   std::string name_;
   Schema schema_;
-  RowId next_row_id_ = 1;
-  // std::map keeps ForEachRow deterministic in RowId order.
-  std::map<RowId, Row> rows_;
+  // rows_[i] holds RowId first_row_id_ + i, so the slots are in RowId order
+  // and the next RowId is first_row_id_ + rows_.size(). An empty Row marks a
+  // deleted one: Schema::Create rejects zero-column tables, so a live row is
+  // never empty. A deque appends without moving the rows already stored.
+  std::deque<Row> rows_;
+  RowId first_row_id_ = 1;  // the next RowId at the last TRUNCATE
+  size_t live_rows_ = 0;
   std::unique_ptr<BPlusTree<Value, RowId>> primary_;  // null if no PK
   std::vector<SecondaryIndex> secondary_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -74,19 +75,17 @@ void MasterNode::DetachSlave(SlaveNode* slave) {
   auto it = std::find(slaves_.begin(), slaves_.end(), slave);
   if (it == slaves_.end()) return;
   slaves_.erase(it);
-  acked_through_.erase(slave->node_id());
-  // Release any synchronous waiter that was still counting on this slave;
-  // otherwise a scale-in during a sync write would strand the client.
-  for (auto w = sync_waiters_.begin(); w != sync_waiters_.end();) {
-    if (--w->remaining == 0) {
-      QueryCallback done = std::move(w->done);
-      Result<db::ExecResult> result = std::move(w->result);
-      w = sync_waiters_.erase(w);
-      done(std::move(result));
-    } else {
-      ++w;
-    }
+  // The slave's acks already counted for every waiter up to its cumulative
+  // ack position. The waiters above it were still counting on it: they stop
+  // waiting for it, as if it had acked them, so a scale-in during a sync
+  // write does not strand the client.
+  int64_t acked = -1;
+  if (auto a = acked_through_.find(slave->node_id());
+      a != acked_through_.end()) {
+    acked = a->second;
+    acked_through_.erase(a);
   }
+  CountAcks(acked, std::numeric_limits<int64_t>::max());
 }
 
 void MasterNode::ExecuteAndRespond(const std::string& sql,
@@ -114,9 +113,13 @@ void MasterNode::OnSlaveAck(net::NodeId slave_node, int64_t index) {
   int64_t prev = it->second;
   if (index <= prev) return;  // stale or duplicate ack
   it->second = index;
+  CountAcks(prev, index);
+}
+
+void MasterNode::CountAcks(int64_t after, int64_t through) {
   std::vector<SyncWaiter> released;
   for (auto w = sync_waiters_.begin(); w != sync_waiters_.end();) {
-    if (w->index > prev && w->index <= index && --w->remaining == 0) {
+    if (w->index > after && w->index <= through && --w->remaining == 0) {
       released.push_back(std::move(*w));
       w = sync_waiters_.erase(w);
     } else {

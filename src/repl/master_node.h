@@ -107,6 +107,9 @@ class MasterNode : public DbNode {
     Result<db::ExecResult> result;
   };
 
+  /// One slave's acks for the events in (after, through]: each waiter there
+  /// counts one slave fewer, and those left with none get their response.
+  void CountAcks(int64_t after, int64_t through);
   void OnBinlogAppend(const db::BinlogEvent& event);
   void PushEventTo(SlaveNode* slave, const db::BinlogEvent& event);
   /// Ships the pending batch — one group message per slave — and rearms.

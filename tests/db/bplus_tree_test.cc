@@ -80,7 +80,7 @@ TEST(BPlusTreeTest, ReverseOrderInsertionValid) {
   std::string err;
   ASSERT_TRUE(tree.Validate(&err)) << err;
   int expected = 0;
-  tree.ScanAll([&](const int& k, const int&) {
+  tree.Scan(nullptr, true, nullptr, true, [&](const int& k, const int&) {
     EXPECT_EQ(k, expected++);
     return true;
   });
@@ -91,7 +91,7 @@ TEST(BPlusTreeTest, ScanAllInOrder) {
   Tree tree;
   for (int i : {5, 1, 9, 3, 7}) tree.Insert(i, i);
   std::vector<int> keys;
-  tree.ScanAll([&](const int& k, const int&) {
+  tree.Scan(nullptr, true, nullptr, true, [&](const int& k, const int&) {
     keys.push_back(k);
     return true;
   });
@@ -125,7 +125,8 @@ TEST(BPlusTreeTest, ScanEarlyStop) {
   Tree tree;
   for (int i = 0; i < 100; ++i) tree.Insert(i, i);
   int visited = 0;
-  tree.ScanAll([&](const int&, const int&) { return ++visited < 5; });
+  tree.Scan(nullptr, true, nullptr, true,
+            [&](const int&, const int&) { return ++visited < 5; });
   EXPECT_EQ(visited, 5);
 }
 
@@ -156,10 +157,11 @@ TEST(BPlusTreeTest, StringKeys) {
   tree.Insert("apple", 2);
   tree.Insert("cherry", 3);
   std::vector<std::string> keys;
-  tree.ScanAll([&](const std::string& k, const int&) {
-    keys.push_back(k);
-    return true;
-  });
+  tree.Scan(nullptr, true, nullptr, true,
+            [&](const std::string& k, const int&) {
+              keys.push_back(k);
+              return true;
+            });
   EXPECT_EQ(keys, (std::vector<std::string>{"apple", "banana", "cherry"}));
 }
 
@@ -201,7 +203,7 @@ TEST_P(BPlusTreePropertyTest, MatchesReferenceModelUnderRandomOps) {
   ASSERT_TRUE(tree.Validate(&err)) << err;
   ASSERT_EQ(tree.size(), model.size());
   auto it = model.begin();
-  tree.ScanAll([&](const int& k, const int& v) {
+  tree.Scan(nullptr, true, nullptr, true, [&](const int& k, const int& v) {
     EXPECT_EQ(k, it->first);
     EXPECT_EQ(v, it->second);
     ++it;
@@ -252,7 +254,7 @@ TEST(BPlusTreePropertyTest, RangeScansMatchModelAfterChurn) {
 /// Every (key, value) pair in scan order, through the leaf chain.
 std::vector<std::pair<int, int>> Entries(const Tree& tree) {
   std::vector<std::pair<int, int>> out;
-  tree.ScanAll([&](const int& k, const int& v) {
+  tree.Scan(nullptr, true, nullptr, true, [&](const int& k, const int& v) {
     out.emplace_back(k, v);
     return true;
   });

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -10,6 +12,7 @@
 
 #include "common/result.h"
 #include "common/rng.h"
+#include "common/status.h"
 #include "common/str_util.h"
 #include "db/schema.h"
 #include "db/value.h"
@@ -484,6 +487,113 @@ TEST(TableContentsEqualTest, AgreesWithTheSortedComparison) {
   // Both verdicts occur often enough for the agreement to mean something.
   EXPECT_GT(equal, 100);
   EXPECT_GT(unequal, 150);
+}
+
+/// Checks `table` against a RowId -> row map: Get for every id from -1 to
+/// `next_id` (dead, zero and unassigned ids give nullptr), ForEachRow's
+/// (RowId, row) sequence, num_rows and the indexes.
+void ExpectMatchesModel(const Table& table, const std::map<RowId, Row>& model,
+                        RowId next_id) {
+  for (RowId id = -1; id <= next_id; ++id) {
+    auto it = model.find(id);
+    const Row* row = table.Get(id);
+    if (it == model.end()) {
+      ASSERT_EQ(row, nullptr) << "row id " << id;
+    } else {
+      ASSERT_NE(row, nullptr) << "row id " << id;
+      ASSERT_EQ(*row, it->second) << "row id " << id;
+    }
+  }
+  std::vector<std::pair<RowId, Row>> visited;
+  table.ForEachRow([&](RowId id, const Row& row) {
+    visited.emplace_back(id, row);
+    return true;
+  });
+  ASSERT_EQ(visited,
+            (std::vector<std::pair<RowId, Row>>(model.begin(), model.end())));
+  ASSERT_EQ(table.num_rows(), model.size());
+  std::string err;
+  ASSERT_TRUE(table.ValidateIndexes(&err)) << err;
+}
+
+// The row store against a map model of it under seeded churn: inserts (some
+// rejected as duplicate keys, which must not use up a RowId), updates,
+// deletes (some of dead ids), TRUNCATEs (RowIds keep counting) and clones
+// (the churn continues on the copy). After every step the table matches the
+// model, and a fresh clone holds the same rows and assigns the next RowId
+// its source would.
+TEST(TableRowStoreTest, MatchesAMapModelUnderChurn) {
+  int rejected = 0;
+  int dead_deletes = 0;
+  int truncates = 0;
+  int clones = 0;
+  for (bool primary_key : {true, false}) {
+    SCOPED_TRACE(primary_key ? "primary key" : "no primary key");
+    std::unique_ptr<Table> table = EmptyPropertyTable(primary_key);
+    std::map<RowId, Row> model;
+    RowId next_id = 1;
+    Rng rng(primary_key ? 11 : 12);
+    auto random_live = [&] {
+      return std::next(model.begin(),
+                       rng.UniformInt(0, static_cast<int64_t>(model.size()) -
+                                             1));
+    };
+    auto holds_key = [&](const Value& key, RowId except) {
+      return std::any_of(model.begin(), model.end(), [&](const auto& entry) {
+        return entry.first != except && entry.second[0] == key;
+      });
+    };
+    for (int step = 0; step < 800; ++step) {
+      SCOPED_TRACE(StrFormat("step %d", step));
+      double action = rng.NextDouble();
+      if (action < 0.5 || model.empty()) {
+        Row row = RandomPropertyRow(rng, rng.UniformInt(0, 40));
+        bool duplicate = primary_key && holds_key(row[0], -1);
+        Result<RowId> id = table->Insert(row);
+        ASSERT_EQ(id.ok(), !duplicate);
+        if (id.ok()) {
+          ASSERT_EQ(*id, next_id);
+          model.emplace(next_id++, std::move(row));
+        } else {
+          ++rejected;
+        }
+      } else if (action < 0.7) {
+        RowId id = rng.Bernoulli(0.2) ? rng.UniformInt(-1, next_id)
+                                      : random_live()->first;
+        bool live = model.erase(id) > 0;
+        Status st = table->Delete(id);
+        ASSERT_EQ(st.ok(), live) << st.ToString();
+        if (!live) ++dead_deletes;
+      } else if (action < 0.97) {
+        auto it = random_live();
+        Row row = RandomPropertyRow(rng, rng.Bernoulli(0.5)
+                                             ? it->second[0].AsInt64()
+                                             : rng.UniformInt(0, 40));
+        bool duplicate = primary_key && holds_key(row[0], it->first);
+        Status st = table->Update(it->first, row);
+        ASSERT_EQ(st.ok(), !duplicate) << st.ToString();
+        if (st.ok()) it->second = std::move(row);
+      } else if (action < 0.985) {
+        table->Truncate();
+        model.clear();
+        ++truncates;
+      } else {
+        table = table->Clone();
+        ++clones;
+      }
+      ASSERT_NO_FATAL_FAILURE(ExpectMatchesModel(*table, model, next_id));
+      std::unique_ptr<Table> copy = table->Clone();
+      ASSERT_NO_FATAL_FAILURE(ExpectMatchesModel(*copy, model, next_id));
+      Result<RowId> fresh = copy->Insert(RandomPropertyRow(rng, 1000 + step));
+      ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+      EXPECT_EQ(*fresh, next_id);
+    }
+  }
+  // Every kind of step ran.
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(dead_deletes, 0);
+  EXPECT_GT(truncates, 0);
+  EXPECT_GT(clones, 0);
 }
 
 }  // namespace

@@ -171,6 +171,32 @@ TEST_F(ReplicationTest, RetiringTheUnackedSlaveReleasesASyncWrite) {
   EXPECT_TRUE(cluster->FullyReplicated());
 }
 
+TEST_F(ReplicationTest, RetiringTheAckedSlaveKeepsASyncWritePending) {
+  auto cluster = MakeCluster(2, /*sync=*/true);
+  ASSERT_TRUE(
+      cluster->master()->ExecuteDirect("CREATE TABLE t (a INT)").ok());
+  sim_.Run();
+  cluster->slave(1)->instance().cpu().Freeze();
+  bool responded = false;
+  cluster->master()->Submit("INSERT INTO t VALUES (1)", Millis(10),
+                            [&](Result<db::ExecResult> r) {
+                              EXPECT_TRUE(r.ok()) << r.status().ToString();
+                              responded = true;
+                            });
+  sim_.RunUntil(Seconds(5));
+  EXPECT_EQ(cluster->slave(0)->events_applied(),
+            cluster->master()->binlog_size());
+  EXPECT_FALSE(responded);
+  // Retiring the slave that acked leaves the write waiting on the one that
+  // has not applied it.
+  ASSERT_TRUE(cluster->RetireSlave(0).ok());
+  EXPECT_FALSE(responded);
+  cluster->slave(1)->instance().cpu().Thaw();
+  sim_.Run();
+  EXPECT_TRUE(responded);
+  EXPECT_TRUE(cluster->FullyReplicated());
+}
+
 TEST_F(ReplicationTest, SyncModeSlowerThanAsyncForTheClient) {
   SimTime async_done = 0;
   SimTime sync_done = 0;
