@@ -136,9 +136,10 @@ std::vector<db::BinlogEvent> CaptureEvents(const std::vector<std::string>& sql) 
   return events;
 }
 
-// Statement apply: the historical slave path — every replicated statement is
-// fingerprinted against the statement cache, bound, planned, and executed
-// from its SQL text (exactly what SlaveNode's SQL thread does).
+// Statement apply from text: every replicated statement is fingerprinted
+// against the statement cache, bound, planned, and executed. SlaveNode's SQL
+// thread does the same minus the fingerprint: it executes the master's
+// compiled statement, shipped with the event.
 void BM_SlaveApplyStatement(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   std::vector<std::string> workload = MakeBalancedWorkload(/*seed=*/17, n / 3);

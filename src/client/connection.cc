@@ -2,6 +2,7 @@
 #include "common/result.h"
 #include "common/time_types.h"
 #include "db/database.h"
+#include "db/statement_cache.h"
 #include "net/network.h"
 #include "repl/db_node.h"
 #include "sim/simulation.h"
@@ -20,17 +21,18 @@ Connection::Connection(sim::Simulation* sim, net::Network* network,
       target_(target),
       id_(id) {}
 
-void Connection::Execute(const std::string& sql, SimDuration cpu_cost,
-                         Callback done) {
+void Connection::Execute(std::shared_ptr<const db::CompiledSql> compiled,
+                         SimDuration cpu_cost, Callback done) {
   assert(!busy_);
   busy_ = true;
   SimTime started = sim_->Now();
-  int64_t request_bytes = static_cast<int64_t>(sql.size()) + 64;
+  int64_t request_bytes = static_cast<int64_t>(compiled->text().size()) + 64;
   network_->Send(
       client_node_, target_->node_id(), request_bytes,
-      [this, sql, cpu_cost, started, done = std::move(done)]() mutable {
+      [this, compiled = std::move(compiled), cpu_cost, started,
+       done = std::move(done)]() mutable {
         target_->Submit(
-            sql, cpu_cost,
+            std::move(compiled), cpu_cost,
             [this, started,
              done = std::move(done)](Result<db::ExecResult> result) mutable {
               int64_t response_bytes =

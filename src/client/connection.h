@@ -3,10 +3,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 
 #include "common/result.h"
 #include "common/time_types.h"
 #include "db/database.h"
+#include "db/statement_cache.h"
 #include "net/network.h"
 #include "repl/db_node.h"
 #include "sim/simulation.h"
@@ -27,9 +29,12 @@ class Connection {
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
 
-  /// Sends `sql` to the target. `cpu_cost` < 0 uses the node's cost model
-  /// default. Must not be called while `busy()`.
-  void Execute(const std::string& sql, SimDuration cpu_cost, Callback done);
+  /// Sends the compiled statement to the target, which executes it as
+  /// compiled; the request is charged its text's bytes. `cpu_cost` < 0
+  /// uses the node's cost model default. Must not be called while
+  /// `busy()`.
+  void Execute(std::shared_ptr<const db::CompiledSql> compiled,
+               SimDuration cpu_cost, Callback done);
 
   bool busy() const { return busy_; }
   repl::DbNode* target() { return target_; }

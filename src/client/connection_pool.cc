@@ -3,6 +3,7 @@
 #include "common/result.h"
 #include "common/time_types.h"
 #include "db/database.h"
+#include "db/statement_cache.h"
 #include "net/network.h"
 #include "repl/db_node.h"
 #include "sim/simulation.h"
@@ -49,10 +50,11 @@ void ConnectionPool::Return(Connection* connection) {
   idle_.push_back(connection);
 }
 
-void ConnectionPool::Execute(const std::string& sql, SimDuration cpu_cost,
-                             Connection::Callback done) {
-  Borrow([this, sql, cpu_cost, done = std::move(done)](Connection* conn) mutable {
-    conn->Execute(sql, cpu_cost,
+void ConnectionPool::Execute(std::shared_ptr<const db::CompiledSql> compiled,
+                             SimDuration cpu_cost, Connection::Callback done) {
+  Borrow([this, compiled = std::move(compiled), cpu_cost,
+          done = std::move(done)](Connection* conn) mutable {
+    conn->Execute(std::move(compiled), cpu_cost,
                   [this, conn,
                    done = std::move(done)](Result<db::ExecResult> result) mutable {
                     Return(conn);

@@ -8,6 +8,7 @@
 
 #include "client/connection.h"
 #include "common/time_types.h"
+#include "db/statement_cache.h"
 #include "net/network.h"
 #include "repl/db_node.h"
 #include "sim/simulation.h"
@@ -47,9 +48,10 @@ class ConnectionPool {
   /// Returns a borrowed connection (must be idle, i.e. not mid-request).
   void Return(Connection* connection);
 
-  /// Convenience: borrow, execute, and return around one statement.
-  void Execute(const std::string& sql, SimDuration cpu_cost,
-               Connection::Callback done);
+  /// Convenience: borrow, execute, and return around one compiled
+  /// statement (a borrower waiting for a connection holds it meanwhile).
+  void Execute(std::shared_ptr<const db::CompiledSql> compiled,
+               SimDuration cpu_cost, Connection::Callback done);
 
   repl::DbNode* target() { return target_; }
   int total_connections() const { return total_created_; }

@@ -1,6 +1,8 @@
 #include "client/rw_split_proxy.h"
 
 #include <cassert>
+#include <memory>
+#include <utility>
 
 #include "client/connection_pool.h"
 #include "common/result.h"
@@ -106,6 +108,18 @@ void ReadWriteSplitProxy::Execute(const std::string& sql, bool is_read,
                                   SimDuration cpu_cost,
                                   const ReadOptions& read_options,
                                   Callback done) {
+  Route(Compile(sql), is_read, cpu_cost, read_options, std::move(done));
+}
+
+std::shared_ptr<const db::CompiledSql> ReadWriteSplitProxy::Compile(
+    const std::string& sql) {
+  return db::CompileSql(options_.route_cache ? &route_cache_ : nullptr, sql);
+}
+
+void ReadWriteSplitProxy::Route(std::shared_ptr<const db::CompiledSql> compiled,
+                                bool is_read, SimDuration cpu_cost,
+                                const ReadOptions& read_options,
+                                Callback done) {
   if (is_read) {
     reads_total_->Increment();
   } else {
@@ -123,7 +137,7 @@ void ReadWriteSplitProxy::Execute(const std::string& sql, bool is_read,
   }
   if (slave < 0) {  // write, or no (eligible) slave to read from
     ++writes_routed_;
-    master_pool_->Execute(sql, cpu_cost, std::move(done));
+    master_pool_->Execute(std::move(compiled), cpu_cost, std::move(done));
     return;
   }
   ++reads_routed_[static_cast<size_t>(slave)];
@@ -131,7 +145,7 @@ void ReadWriteSplitProxy::Execute(const std::string& sql, bool is_read,
   SimTime started = sim_->Now();
   if (!bounded) {
     slave_pools_[static_cast<size_t>(slave)]->Execute(
-        sql, cpu_cost,
+        std::move(compiled), cpu_cost,
         [this, slave, started,
          done = std::move(done)](Result<db::ExecResult> result) mutable {
           FinishSlaveRead(slave, started);
@@ -140,9 +154,10 @@ void ReadWriteSplitProxy::Execute(const std::string& sql, bool is_read,
     return;
   }
   SimDuration bound = read_options.max_staleness;
+  // The retry on the master below re-sends the same compiled statement.
   slave_pools_[static_cast<size_t>(slave)]->Execute(
-      sql, cpu_cost,
-      [this, slave, started, bound, sql, cpu_cost,
+      compiled, cpu_cost,
+      [this, slave, started, bound, compiled, cpu_cost,
        done = std::move(done)](Result<db::ExecResult> result) mutable {
         FinishSlaveRead(slave, started);
         if (!result.ok() && result.status().IsUnavailable()) {
@@ -151,7 +166,8 @@ void ReadWriteSplitProxy::Execute(const std::string& sql, bool is_read,
           // the master is fresh by definition — reroute there.
           read_retries_->Increment();
           ++writes_routed_;
-          master_pool_->Execute(sql, cpu_cost, std::move(done));
+          master_pool_->Execute(std::move(compiled), cpu_cost,
+                                std::move(done));
           return;
         }
         // Achieved-freshness accounting: the routing decision used the
@@ -188,11 +204,11 @@ void ReadWriteSplitProxy::ExecuteAuto(const std::string& sql,
                                       Callback done) {
   // Route from the cached template when the route cache is on: after the
   // first sighting of a statement shape, classification costs a
-  // fingerprint, not a parse.
-  Result<db::CompiledSql> compiled =
-      db::CompileSql(options_.route_cache ? &route_cache_ : nullptr, sql);
-  bool is_read = compiled.ok() && !db::IsWriteStatement(compiled->statement());
-  Execute(sql, is_read, cpu_cost, read_options, std::move(done));
+  // fingerprint, not a parse. The same compiled form then runs on the
+  // backend.
+  std::shared_ptr<const db::CompiledSql> compiled = Compile(sql);
+  bool is_read = compiled->ok() && !db::IsWriteStatement(compiled->statement());
+  Route(std::move(compiled), is_read, cpu_cost, read_options, std::move(done));
 }
 
 int64_t ReadWriteSplitProxy::total_reads_routed() const {

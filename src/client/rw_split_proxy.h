@@ -53,8 +53,11 @@ struct ReadOptions {
 struct ProxyOptions {
   BalancePolicy policy = BalancePolicy::kRoundRobin;
   ConnectionPoolOptions pool;
-  /// ExecuteAuto classifies read vs write through a proxy-local statement
-  /// cache (fingerprint once per shape) instead of parsing every statement.
+  /// The proxy compiles each statement once, where it enters the tier,
+  /// through a proxy-local statement cache when this is on (fingerprint
+  /// once per shape) and by a plain parse when off. That compiled form
+  /// classifies read vs write for ExecuteAuto and is what the serving
+  /// replica executes.
   bool route_cache = true;
 };
 
@@ -71,8 +74,9 @@ class ReadWriteSplitProxy {
                       std::vector<repl::SlaveNode*> slaves,
                       const ProxyOptions& options);
 
-  /// Routes `sql`: is_read -> a slave per the balancing policy (the master
-  /// serves reads only when there are no slaves); otherwise -> the master.
+  /// Compiles `sql` (see ProxyOptions::route_cache) and routes it: is_read
+  /// -> a slave per the balancing policy (the master serves reads only when
+  /// there are no slaves); otherwise -> the master.
   void Execute(const std::string& sql, bool is_read, SimDuration cpu_cost,
                Callback done);
 
@@ -84,8 +88,9 @@ class ReadWriteSplitProxy {
   void Execute(const std::string& sql, bool is_read, SimDuration cpu_cost,
                const ReadOptions& read_options, Callback done);
 
-  /// Convenience: determines read vs write by compiling `sql` (CompileSql,
-  /// through the route cache when ProxyOptions::route_cache is on).
+  /// Like Execute, with read vs write determined from the compiled
+  /// statement; a text that does not parse goes to the master, which fails
+  /// it.
   void ExecuteAuto(const std::string& sql, SimDuration cpu_cost,
                    Callback done);
 
@@ -141,7 +146,7 @@ class ReadWriteSplitProxy {
     return *slave_pools_[static_cast<size_t>(i)];
   }
 
-  /// Routing cache stats (hits = statements classified without a parse).
+  /// Routing cache stats (hits = statements compiled without a parse).
   const db::StatementCache& route_cache() const { return route_cache_; }
 
   /// Proxy metric registry: routing counters (bounded reads, master
@@ -151,6 +156,12 @@ class ReadWriteSplitProxy {
   const metrics::MetricRegistry& metrics() const { return metrics_; }
 
  private:
+  /// The proxy's one compile step, through route_cache_ when it is on.
+  std::shared_ptr<const db::CompiledSql> Compile(const std::string& sql);
+  /// Sends an op compiled here to its backend (the body of Execute).
+  void Route(std::shared_ptr<const db::CompiledSql> compiled, bool is_read,
+             SimDuration cpu_cost, const ReadOptions& read_options,
+             Callback done);
   int PickSlave(SimDuration max_staleness);
   /// Bookkeeping when a read on slave `slave_index` started at `started`
   /// completes: outstanding count and the EWMA response time.

@@ -107,8 +107,10 @@ struct BenchmarkReport {
   double master_cpu_utilization = 0.0;
   std::vector<double> slave_cpu_utilization;
   /// Statement-cache counters at report time, summed over the master and all
-  /// slaves (execution caches) and taken from the proxy (routing cache).
-  /// All zeros when the caches are disabled.
+  /// slaves (what each replica compiled itself: the pre-load, heartbeats,
+  /// heartbeat reads, re-shipped events) and taken from the proxy (routing
+  /// cache: one compile per op, which the serving replica and every slave
+  /// execute). All zeros when the caches are disabled.
   int64_t statement_cache_hits = 0;
   int64_t statement_cache_misses = 0;
   int64_t route_cache_hits = 0;

@@ -1,7 +1,9 @@
 #include "db/binlog.h"
 
+#include <memory>
 #include <utility>
 
+#include "db/statement_cache.h"
 #include "db/value.h"
 #include "db/writeset.h"
 
@@ -46,16 +48,24 @@ int64_t EventWireSize(const BinlogEvent& event) {
   return size;
 }
 
-int64_t Binlog::Append(std::string statement,
+ShippedEvent::ShippedEvent(const BinlogEvent& event,
+                           std::shared_ptr<const CompiledSql> compiled)
+    : index(event.index),
+      writeset(event.writeset),
+      commit_micros(event.commit_micros),
+      wire_bytes(EventWireSize(event)),
+      compiled(std::move(compiled)) {}
+
+int64_t Binlog::Append(const std::shared_ptr<const CompiledSql>& compiled,
                        std::optional<StatementWriteset> writeset,
                        int64_t commit_micros) {
   BinlogEvent ev;
   ev.index = static_cast<int64_t>(events_.size());
-  ev.statement = std::move(statement);
+  ev.statement = compiled->text();
   ev.writeset = std::move(writeset);
   ev.commit_micros = commit_micros;
   events_.push_back(std::move(ev));
-  if (listener_) listener_(events_.back());
+  if (listener_) listener_(events_.back(), compiled);
   return events_.back().index;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -11,10 +12,14 @@
 
 namespace clouddb::db {
 
+class CompiledSql;
+
 /// One committed statement in the binary log. Every statement is its own
 /// transaction, so an event carries exactly one write statement's SQL
-/// *text* — slaves re-parse and re-execute it, which is what makes
-/// non-deterministic functions (NOW_MICROS) evaluate per replica.
+/// *text*: what the network charges for shipping it. Slaves re-execute the
+/// statement (the master's compiled form of this text is what ships, see
+/// ShippedEvent), and a function call in it evaluates at execution, so
+/// NOW_MICROS() reads each replica's own clock.
 ///
 /// In row-based mode the event also carries the statement's writeset: the
 /// row images the master's execution produced. Slaves apply a covered
@@ -26,6 +31,24 @@ struct BinlogEvent {
   /// Empty in statement-based mode.
   std::optional<StatementWriteset> writeset;
   int64_t commit_micros = 0;  // committing server's local clock at commit
+};
+
+/// An appended event as replication ships it: the logged event's index,
+/// writeset and commit stamp, its wire charge, and the master's compiled
+/// form of its statement, which a slave executes instead of compiling the
+/// text again. The compiled form keeps the text, so the wrapper does not
+/// copy it a second time. One immutable object per event, shared by every
+/// slave's message and relay log; the binlog itself keeps only the
+/// BinlogEvent.
+struct ShippedEvent {
+  ShippedEvent(const BinlogEvent& event,
+               std::shared_ptr<const CompiledSql> compiled);
+
+  int64_t index;
+  std::optional<StatementWriteset> writeset;
+  int64_t commit_micros;
+  int64_t wire_bytes;  // EventWireSize(event)
+  std::shared_ptr<const CompiledSql> compiled;
 };
 
 /// Bytes the simulated network charges for shipping an event to a slave.
@@ -45,9 +68,10 @@ class Binlog {
   Binlog(const Binlog&) = delete;
   Binlog& operator=(const Binlog&) = delete;
 
-  /// Appends one statement's event (`writeset` set in row-based mode);
-  /// returns its index.
-  int64_t Append(std::string statement,
+  /// Appends the event of one committed statement, logging its text
+  /// (`writeset` set in row-based mode), and hands `compiled` on to the
+  /// append listener; returns the event's index.
+  int64_t Append(const std::shared_ptr<const CompiledSql>& compiled,
                  std::optional<StatementWriteset> writeset,
                  int64_t commit_micros);
 
@@ -57,15 +81,18 @@ class Binlog {
     return events_[static_cast<size_t>(index)];
   }
 
-  /// Called after every append — replication masters use this to push new
-  /// events to connected dump threads.
-  void SetAppendListener(std::function<void(const BinlogEvent&)> listener) {
+  /// Called after every append with the event and the compiled statement
+  /// it logs — replication masters use this to push new events to
+  /// connected dump threads.
+  using AppendListener = std::function<void(
+      const BinlogEvent&, const std::shared_ptr<const CompiledSql>&)>;
+  void SetAppendListener(AppendListener listener) {
     listener_ = std::move(listener);
   }
 
  private:
   std::vector<BinlogEvent> events_;
-  std::function<void(const BinlogEvent&)> listener_;
+  AppendListener listener_;
 };
 
 }  // namespace clouddb::db

@@ -650,18 +650,18 @@ Database::Database(DatabaseOptions options)
     : options_(std::move(options)), functions_(options_.now_micros) {}
 
 Result<ExecResult> Database::Execute(const std::string& sql) {
-  CLOUDDB_ASSIGN_OR_RETURN(CompiledSql compiled, Compile(sql));
-  return Execute(compiled, sql);
+  return Execute(Compile(sql));
 }
 
-Result<CompiledSql> Database::Compile(const std::string& sql) {
+std::shared_ptr<const CompiledSql> Database::Compile(const std::string& sql) {
   return CompileSql(options_.statement_cache ? &statement_cache_ : nullptr,
                     sql);
 }
 
-Result<ExecResult> Database::Execute(const CompiledSql& compiled,
-                                     const std::string& sql_text) {
-  const Statement& stmt = compiled.statement();
+Result<ExecResult> Database::Execute(
+    const std::shared_ptr<const CompiledSql>& compiled) {
+  if (!compiled->ok()) return compiled->status();
+  const Statement& stmt = compiled->statement();
   bool is_write = IsWriteStatement(stmt);
   // Row-based capture: only statements that will reach the binlog capture
   // row images, and only when the coverage rule admits them (no DDL, no
@@ -670,7 +670,7 @@ Result<ExecResult> Database::Execute(const CompiledSql& compiled,
   bool row_capture = options_.row_based_repl && binlog_active && is_write &&
                      !IsDdl(stmt) && !StatementHasFunctionCall(stmt);
   std::vector<RowOp> captured_ops;
-  Executor executor(this, compiled.params(),
+  Executor executor(this, compiled->params(),
                     row_capture ? &captured_ops : nullptr);
   Result<ExecResult> result = executor.Run(stmt);
   if (!result.ok()) {
@@ -686,7 +686,7 @@ Result<ExecResult> Database::Execute(const CompiledSql& compiled,
     if (options_.row_based_repl) {
       writeset = StatementWriteset{row_capture, std::move(captured_ops)};
     }
-    binlog_.Append(sql_text, std::move(writeset),
+    binlog_.Append(compiled, std::move(writeset),
                    options_.now_micros ? options_.now_micros() : 0);
   }
   return result;

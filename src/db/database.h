@@ -45,7 +45,9 @@ struct DatabaseOptions {
   /// Whether Compile() goes through the statement cache (parse each
   /// distinct statement shape once; bind literals per call). Off = parse
   /// every time. Either way the results are identical — the cache is
-  /// wall-clock-only.
+  /// wall-clock-only. It serves only the text this database compiles
+  /// itself: a statement compiled elsewhere (the proxy's, or the master's
+  /// for a slave) executes as it arrived.
   bool statement_cache = true;
 
   /// Whether committed write statements additionally capture row-based
@@ -78,16 +80,18 @@ class Database {
 
   /// Compiles `sql` through this database's statement cache when it is
   /// enabled, else by a plain parse (see CompileSql). Callers that need the
-  /// AST before executing (cost estimation, one set-up statement run on
-  /// every replica) compile once and hand the result to Execute.
-  Result<CompiledSql> Compile(const std::string& sql);
+  /// AST before executing (one set-up statement run on every replica, a
+  /// resync re-shipping logged statements) compile once and hand the result
+  /// to Execute.
+  std::shared_ptr<const CompiledSql> Compile(const std::string& sql);
 
-  /// Executes an already-compiled statement. It may come from another
-  /// replica's Compile: tables and columns resolve against this database's
-  /// catalog when it runs. `sql_text` is the original statement text,
-  /// recorded in the binlog if this is a write.
-  Result<ExecResult> Execute(const CompiledSql& compiled,
-                             const std::string& sql_text);
+  /// Executes an already-compiled statement; a text that did not parse
+  /// fails with its parse error. It may come from another replica's or the
+  /// proxy's compile: tables and columns resolve against this database's
+  /// catalog when it runs, and functions (NOW_MICROS) evaluate here. A
+  /// committed write logs the statement's text and hands `compiled` to the
+  /// binlog's append listener.
+  Result<ExecResult> Execute(const std::shared_ptr<const CompiledSql>& compiled);
 
   // --- Introspection -------------------------------------------------------
   Table* GetTable(const std::string& name);

@@ -1,5 +1,7 @@
 #include "db/statement_cache.h"
 
+#include <memory>
+#include <string>
 #include <utility>
 
 #include "db/sql_lexer.h"
@@ -150,13 +152,22 @@ std::vector<std::string> StatementCache::FingerprintsByRecency() const {
   return out;
 }
 
-Result<CompiledSql> CompileSql(StatementCache* cache, const std::string& sql) {
+std::shared_ptr<const CompiledSql> CompileSql(StatementCache* cache,
+                                              std::string sql) {
   if (cache != nullptr) {
     Result<PreparedCall> call = cache->Prepare(sql);
-    if (call.ok()) return CompiledSql(std::move(*call));
+    if (call.ok()) {
+      return std::make_shared<const CompiledSql>(std::move(sql),
+                                                 std::move(*call));
+    }
   }
-  CLOUDDB_ASSIGN_OR_RETURN(Statement stmt, ParseSql(sql));
-  return CompiledSql(std::move(stmt));
+  Result<Statement> parsed = ParseSql(sql);
+  if (!parsed.ok()) {
+    return std::make_shared<const CompiledSql>(std::move(sql),
+                                               parsed.status());
+  }
+  return std::make_shared<const CompiledSql>(std::move(sql),
+                                             std::move(*parsed));
 }
 
 }  // namespace clouddb::db

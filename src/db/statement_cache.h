@@ -6,6 +6,8 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/result.h"
@@ -111,41 +113,63 @@ class StatementCache {
   StatementCacheStats stats_;
 };
 
-/// One SQL text made executable: the statement cache's template with this
-/// text's literals bound, or, when the cache is off or does not admit the
-/// shape, a plain parse of the text. Copies share the template or the
-/// parse, so one compiled statement can run on every replica, or wait
-/// behind a queued CPU job, without a second parse.
+/// One SQL text made executable, compiled once where it enters the tier:
+/// the proxy's compile runs on the replica that serves the op, and the
+/// master's compile of a committed write runs on every slave. It keeps the
+/// text (what the network charges and the binlog logs) and one form of it:
+/// the statement cache's template with this text's literals bound; a plain
+/// parse when the cache is off or does not admit the shape; or, for a text
+/// that does not parse, the parse error, which executing it returns. Built
+/// by CompileSql and passed on as `std::shared_ptr<const CompiledSql>`, so
+/// one compile can wait behind a queued CPU job, or run on every replica,
+/// without a second one.
 class CompiledSql {
  public:
-  explicit CompiledSql(PreparedCall call) : call_(std::move(call)) {}
-  explicit CompiledSql(Statement parsed)
-      : parsed_(std::make_shared<Statement>(std::move(parsed))) {}
+  CompiledSql(std::string text, PreparedCall call)
+      : text_(std::move(text)), form_(std::move(call)) {}
+  CompiledSql(std::string text, Statement parsed)
+      : text_(std::move(text)),
+        form_(std::make_unique<const Statement>(std::move(parsed))) {}
+  CompiledSql(std::string text, Status parse_error)
+      : text_(std::move(text)), form_(std::move(parse_error)) {}
 
-  /// The AST either way: the template (literals as parameter slots) or the
-  /// plain parse (literals inline).
+  const std::string& text() const { return text_; }
+  /// False when the text does not parse; status() is then the error.
+  bool ok() const { return !std::holds_alternative<Status>(form_); }
+  Status status() const {
+    return ok() ? Status::Ok() : std::get<Status>(form_);
+  }
+  /// The AST (requires ok()): the template (literals as parameter slots) or
+  /// the plain parse (literals inline).
   const Statement& statement() const {
-    return call_.prepared != nullptr ? call_.prepared->statement : *parsed_;
+    const auto* call = std::get_if<PreparedCall>(&form_);
+    return call != nullptr
+               ? call->prepared->statement
+               : *std::get<std::unique_ptr<const Statement>>(form_);
   }
   /// The literals bound to the template's parameters; null for a plain
   /// parse.
   const std::vector<Value>* params() const {
-    return call_.prepared != nullptr ? &call_.params : nullptr;
+    const auto* call = std::get_if<PreparedCall>(&form_);
+    return call != nullptr ? &call->params : nullptr;
   }
 
  private:
-  PreparedCall call_;                        // empty for a plain parse
-  std::shared_ptr<const Statement> parsed_;  // null for a template
+  std::string text_;
+  // A plain parse lives apart, so the common template form stays small: a
+  // compiled statement is held for as long as its op or event is in flight.
+  std::variant<PreparedCall, std::unique_ptr<const Statement>, Status> form_;
 };
 
-/// The one compile step every executor of SQL text shares (the database,
-/// the slave apply loop, the cost estimate and the proxy's classifier):
-/// `cache`'s template when `cache` is non-null (on) and admits the shape,
-/// otherwise ParseSql. Any Prepare failure (an uncacheable shape, a
-/// template that fails to parse, even a tokenizer error) falls back to the
-/// plain parse, which reproduces cache-off behavior and error text byte for
-/// byte. Fails only when the text does not parse.
-Result<CompiledSql> CompileSql(StatementCache* cache, const std::string& sql);
+/// The one compile step: `cache`'s template when `cache` is non-null (on)
+/// and admits the shape, otherwise ParseSql. Any Prepare failure (an
+/// uncacheable shape, a template that fails to parse, even a tokenizer
+/// error) falls back to the plain parse, which reproduces cache-off
+/// behavior and error text byte for byte. A text that does not parse
+/// compiles to that parse error (ok() is false), so it travels like any
+/// statement and fails where it executes.
+std::shared_ptr<const CompiledSql> CompileSql(StatementCache* cache,
+                                              std::string sql);
 
 }  // namespace clouddb::db
 

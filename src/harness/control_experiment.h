@@ -43,6 +43,7 @@ struct ControlExperimentConfig {
   int initial_slaves = 1;
   SimDuration think_time_mean = Seconds(1);
   double apply_factor = 0.5;
+  /// As ExperimentConfig::statement_cache.
   bool statement_cache = true;
 
   /// The control plane under test. Policy is always kFreshnessAware here.

@@ -49,9 +49,14 @@ struct ExperimentConfig {
   cloud::NtpOptions ntp;
   bool enable_ntp = true;
   bool synchronous_replication = false;
-  /// Parse-once statement caches on every replica and in the proxy's router.
-  /// Off reverts to parse-per-statement; experiment *results* must be
-  /// bit-identical either way (the cache only removes redundant work).
+  /// Parse-once statement caches in the proxy and on every replica. The
+  /// proxy compiles each op once (through its cache when on, by a plain
+  /// parse when off), and that compiled form runs on the serving replica
+  /// and, for a write, on every slave; a replica's own cache serves only
+  /// the text it compiles itself (the pre-load, heartbeats, heartbeat
+  /// reads, re-shipped events). Off reverts to parse-per-statement;
+  /// experiment *results* must be bit-identical either way (the cache only
+  /// removes redundant work).
   bool statement_cache = true;
   /// Has no effect. Kept only because perfbench's replay
   /// (perfbench/src/layered.cc) still reads it; ROADMAP item 1 deletes it

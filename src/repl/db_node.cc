@@ -83,48 +83,57 @@ std::unique_ptr<db::Database> DbNode::ReleaseDatabase() {
   return std::move(database_);
 }
 
-void DbNode::Submit(const std::string& sql, SimDuration cpu_cost,
-                    QueryCallback done) {
+void DbNode::Refuse(QueryCallback done) {
+  sim_->ScheduleAfter(0, [done = std::move(done)] {
+    done(Status::Unavailable("database node is offline"));
+  });
+}
+
+void DbNode::Submit(std::shared_ptr<const db::CompiledSql> compiled,
+                    SimDuration cpu_cost, QueryCallback done) {
   if (!online_ || database_ == nullptr) {
-    // Connection refused: the caller hears back after its network round
-    // trip, with no CPU consumed here.
-    sim_->ScheduleAfter(0, [done = std::move(done)] {
-      done(Status::Unavailable("database node is offline"));
-    });
+    Refuse(std::move(done));
     return;
   }
   if (cpu_cost < 0) {
     // Parsing for cost estimation is not charged: real servers spend a
-    // negligible fraction of statement time in the parser. Compiling here
-    // warms the statement cache, so the Execute() this submit leads to
-    // reuses the same parse instead of a second one. The compiled form is
-    // not carried across the CPU queue: the execution compiles again (a
-    // cache hit) when the CPU reaches it, in queue order with every other
-    // statement and after any DDL queued ahead of it.
-    cpu_cost = SimDuration{0};
-    Result<db::CompiledSql> compiled = database_->Compile(sql);
-    if (compiled.ok()) {
-      cpu_cost = cost_model_.EstimateStatement(compiled->statement());
-    }
+    // negligible fraction of statement time in the parser. A text that
+    // does not parse costs nothing and fails when it executes.
+    cpu_cost = compiled->ok()
+                   ? cost_model_.EstimateStatement(compiled->statement())
+                   : SimDuration{0};
   }
-  instance_->cpu().Submit(cpu_cost, [this, sql, done = std::move(done)]() mutable {
-    ExecuteAndRespond(sql, std::move(done));
-  });
+  instance_->cpu().Submit(
+      cpu_cost,
+      [this, compiled = std::move(compiled), done = std::move(done)]() mutable {
+        ExecuteAndRespond(compiled, std::move(done));
+      });
+}
+
+void DbNode::Submit(const std::string& sql, SimDuration cpu_cost,
+                    QueryCallback done) {
+  if (!online_ || database_ == nullptr) {
+    Refuse(std::move(done));
+    return;
+  }
+  Submit(database_->Compile(sql), cpu_cost, std::move(done));
 }
 
 Result<db::ExecResult> DbNode::ExecuteDirect(const std::string& sql) {
-  return ExecuteNow(sql);
-}
-
-Result<db::ExecResult> DbNode::ExecuteNow(const std::string& sql,
-                                          const db::CompiledSql* compiled) {
   if (!online_ || database_ == nullptr) {
     ++queries_failed_;
     return Status::Unavailable("database node is offline");
   }
-  Result<db::ExecResult> result = compiled != nullptr
-                                      ? database_->Execute(*compiled, sql)
-                                      : database_->Execute(sql);
+  return ExecuteNow(database_->Compile(sql));
+}
+
+Result<db::ExecResult> DbNode::ExecuteNow(
+    const std::shared_ptr<const db::CompiledSql>& compiled) {
+  if (!online_ || database_ == nullptr) {
+    ++queries_failed_;
+    return Status::Unavailable("database node is offline");
+  }
+  Result<db::ExecResult> result = database_->Execute(compiled);
   if (result.ok()) {
     ++queries_completed_;
   } else {

@@ -43,11 +43,18 @@ class DbNode {
   DbNode(const DbNode&) = delete;
   DbNode& operator=(const DbNode&) = delete;
 
-  /// Queues `sql` on the node's CPU with nominal cost `cpu_cost`
+  /// Queues `compiled` on the node's CPU with nominal cost `cpu_cost`
   /// (< 0 = use the cost model's per-kind default) and executes it when the
-  /// CPU reaches it. `done` fires on this node at completion; callers on
-  /// other instances talk to the node through `client::Connection`, which
-  /// adds the network hops.
+  /// CPU reaches it. The compiled form is the one that executes: the node
+  /// does not compile the text again. `done` fires on this node at
+  /// completion; callers on other instances talk to the node through
+  /// `client::Connection`, which adds the network hops.
+  void Submit(std::shared_ptr<const db::CompiledSql> compiled,
+              SimDuration cpu_cost, QueryCallback done);
+
+  /// Text handed to the node directly (the heartbeat writer, tests): this
+  /// node's database compiles it now, at submit time, and the compiled
+  /// form queues as above.
   void Submit(const std::string& sql, SimDuration cpu_cost,
               QueryCallback done);
 
@@ -89,18 +96,17 @@ class DbNode {
   sim::Simulation* sim() { return sim_; }
   net::Network* network() { return network_; }
 
-  /// Executes `sql` as its own transaction and counts the outcome.
-  /// `compiled` (nullable) is `sql` as already compiled by this node's
-  /// database, where the AST was needed before the CPU reached the query
-  /// (the slave's apply cost); null compiles it here.
-  Result<db::ExecResult> ExecuteNow(const std::string& sql,
-                                    const db::CompiledSql* compiled = nullptr);
+  /// Executes `compiled` as its own transaction and counts the outcome.
+  Result<db::ExecResult> ExecuteNow(
+      const std::shared_ptr<const db::CompiledSql>& compiled);
 
   /// Runs once the CPU reaches the query: executes and delivers the result.
   /// MasterNode overrides this to defer the response in synchronous
   /// replication mode.
-  virtual void ExecuteAndRespond(const std::string& sql, QueryCallback done) {
-    done(ExecuteNow(sql));
+  virtual void ExecuteAndRespond(
+      const std::shared_ptr<const db::CompiledSql>& compiled,
+      QueryCallback done) {
+    done(ExecuteNow(compiled));
   }
 
   /// Fires on every Crash()/Restart() of the hosting instance (registered
@@ -121,6 +127,9 @@ class DbNode {
 
  private:
   void RegisterBaseMetrics();
+  /// Answers a query an offline node refuses: Unavailable, after the
+  /// caller's network turnaround, with no CPU consumed here.
+  void Refuse(QueryCallback done);
 };
 
 }  // namespace clouddb::repl

@@ -11,6 +11,7 @@
 #include "common/result.h"
 #include "db/binlog.h"
 #include "db/database.h"
+#include "db/statement_cache.h"
 #include "net/network.h"
 #include "repl/cost_model.h"
 #include "sim/simulation.h"
@@ -22,7 +23,10 @@ MasterNode::MasterNode(sim::Simulation* sim, net::Network* network,
     : DbNode(sim, network, instance, std::move(cost_model),
              /*enable_binlog=*/true) {
   database_->binlog().SetAppendListener(
-      [this](const db::BinlogEvent& event) { OnBinlogAppend(event); });
+      [this](const db::BinlogEvent& event,
+             const std::shared_ptr<const db::CompiledSql>& compiled) {
+        OnBinlogAppend(event, compiled);
+      });
   flush_timer_.Bind(sim_, [this] { FlushBatch(); });
   RegisterMasterMetrics();
 }
@@ -33,7 +37,10 @@ MasterNode::MasterNode(sim::Simulation* sim, net::Network* network,
     : DbNode(sim, network, instance, std::move(cost_model),
              std::move(adopted), /*enable_binlog=*/true) {
   database_->binlog().SetAppendListener(
-      [this](const db::BinlogEvent& event) { OnBinlogAppend(event); });
+      [this](const db::BinlogEvent& event,
+             const std::shared_ptr<const db::CompiledSql>& compiled) {
+        OnBinlogAppend(event, compiled);
+      });
   flush_timer_.Bind(sim_, [this] { FlushBatch(); });
   RegisterMasterMetrics();
 }
@@ -88,10 +95,11 @@ void MasterNode::DetachSlave(SlaveNode* slave) {
   CountAcks(acked, std::numeric_limits<int64_t>::max());
 }
 
-void MasterNode::ExecuteAndRespond(const std::string& sql,
-                                   QueryCallback done) {
+void MasterNode::ExecuteAndRespond(
+    const std::shared_ptr<const db::CompiledSql>& compiled,
+    QueryCallback done) {
   int64_t before = database_->binlog().size();
-  Result<db::ExecResult> result = ExecuteNow(sql);
+  Result<db::ExecResult> result = ExecuteNow(compiled);
   int64_t after = database_->binlog().size();
   // Asynchronous replication (the default): respond as soon as the master
   // commits. Synchronous: hold the response until all slaves ack the event.
@@ -141,7 +149,7 @@ void MasterNode::OnDumpRequest(SlaveNode* slave, int64_t from_index) {
                  [slave, size] { slave->OnResyncAck(size); });
   if (ship_.batch_size <= 1) {
     for (int64_t i = from_index; i < size; ++i) {
-      PushEventTo(slave, database_->binlog().At(i));
+      PushEventTo(slave, Reship(i));
     }
     return;
   }
@@ -149,24 +157,34 @@ void MasterNode::OnDumpRequest(SlaveNode* slave, int64_t from_index) {
   // a resync enjoys the same per-message amortization as the live stream.
   for (int64_t i = from_index; i < size; i += ship_.batch_size) {
     int64_t end = std::min(size, i + ship_.batch_size);
-    auto batch = std::make_shared<std::vector<db::BinlogEvent>>();
+    auto batch = std::make_shared<ShippedBatch>();
     batch->reserve(static_cast<size_t>(end - i));
     for (int64_t j = i; j < end; ++j) {
-      batch->push_back(database_->binlog().At(j));
+      batch->push_back(Reship(j));
     }
     ShipBatchTo(slave, batch);
   }
 }
 
-void MasterNode::OnBinlogAppend(const db::BinlogEvent& event) {
+std::shared_ptr<const db::ShippedEvent> MasterNode::Reship(int64_t index) {
+  const db::BinlogEvent& event = database_->binlog().At(index);
+  return std::make_shared<const db::ShippedEvent>(
+      event, database_->Compile(event.statement));
+}
+
+void MasterNode::OnBinlogAppend(
+    const db::BinlogEvent& event,
+    const std::shared_ptr<const db::CompiledSql>& compiled) {
+  // The one copy of the event: every slave's message shares it.
+  auto shipped = std::make_shared<const db::ShippedEvent>(event, compiled);
   if (ship_.batch_size <= 1) {
     // Legacy per-event push: one message per (slave, event), immediately.
     for (SlaveNode* slave : slaves_) {
-      PushEventTo(slave, event);
+      PushEventTo(slave, shipped);
     }
     return;
   }
-  pending_batch_.push_back(event);
+  pending_batch_.push_back(std::move(shipped));
   if (static_cast<int>(pending_batch_.size()) >= ship_.batch_size) {
     FlushBatch();
   } else if (pending_batch_.size() == 1) {
@@ -183,38 +201,37 @@ void MasterNode::FlushBatch() {
     pending_batch_.clear();
     return;
   }
-  auto batch = std::make_shared<const std::vector<db::BinlogEvent>>(
-      std::move(pending_batch_));
+  auto batch = std::make_shared<const ShippedBatch>(std::move(pending_batch_));
   pending_batch_.clear();
   for (SlaveNode* slave : slaves_) {
     ShipBatchTo(slave, batch);
   }
 }
 
-void MasterNode::ShipBatchTo(
-    SlaveNode* slave,
-    const std::shared_ptr<const std::vector<db::BinlogEvent>>& batch) {
+void MasterNode::ShipBatchTo(SlaveNode* slave,
+                             const std::shared_ptr<const ShippedBatch>& batch) {
   ++batches_shipped_;
   ++messages_sent_;
   events_pushed_ += static_cast<int64_t>(batch->size());
   batches_counter_->Increment();
   events_per_batch_->Observe(static_cast<double>(batch->size()));
   int64_t size = 16;  // group-message header
-  for (const db::BinlogEvent& event : *batch) {
-    size += db::EventWireSize(event);
+  for (const std::shared_ptr<const db::ShippedEvent>& shipped : *batch) {
+    size += shipped->wire_bytes;
   }
-  // The batch is shared across slaves; delivery hands each its own copy of
-  // the events via the IO-thread batch entry point.
+  // The batch and its events are shared across slaves; delivery hands the
+  // slave's IO thread the batch.
   network_->Send(node_id(), slave->node_id(), size,
                  [slave, batch] { slave->OnBinlogBatch(*batch); });
 }
 
-void MasterNode::PushEventTo(SlaveNode* slave, const db::BinlogEvent& event) {
+void MasterNode::PushEventTo(
+    SlaveNode* slave, const std::shared_ptr<const db::ShippedEvent>& shipped) {
   ++events_pushed_;
   ++messages_sent_;
-  // Copy the event into the message; delivery invokes the slave's IO thread.
-  network_->Send(node_id(), slave->node_id(), db::EventWireSize(event),
-                 [slave, event] { slave->OnBinlogEvent(event); });
+  // The message shares the event; delivery invokes the slave's IO thread.
+  network_->Send(node_id(), slave->node_id(), shipped->wire_bytes,
+                 [slave, shipped] { slave->OnBinlogEvent(shipped); });
 }
 
 }  // namespace clouddb::repl

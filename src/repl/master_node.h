@@ -12,6 +12,7 @@
 #include "common/time_types.h"
 #include "db/binlog.h"
 #include "db/database.h"
+#include "db/statement_cache.h"
 #include "metrics/metric_registry.h"
 #include "net/network.h"
 #include "repl/cost_model.h"
@@ -80,10 +81,11 @@ class MasterNode : public DbNode {
   void OnSlaveAck(net::NodeId slave_node, int64_t index);
 
   /// Catch-up request from a reconnecting slave (arrives over the network):
-  /// re-stream binlog events with index >= `from_index`. The dump ack is
-  /// sent first on the same FIFO path, so the slave sees ack, then events,
-  /// in order. A crashed/offline master stays silent — the slave's backoff
-  /// handles it.
+  /// re-stream binlog events with index >= `from_index`, each compiled once
+  /// through this master's database, so a re-shipped event carries its
+  /// compiled form like a live one. The dump ack is sent first on the same
+  /// FIFO path, so the slave sees ack, then events, in order. A
+  /// crashed/offline master stays silent — the slave's backoff handles it.
   void OnDumpRequest(SlaveNode* slave, int64_t from_index);
 
   int64_t events_pushed() const { return events_pushed_; }
@@ -95,9 +97,13 @@ class MasterNode : public DbNode {
 
  protected:
   // DbNode:
-  void ExecuteAndRespond(const std::string& sql, QueryCallback done) override;
+  void ExecuteAndRespond(const std::shared_ptr<const db::CompiledSql>& compiled,
+                         QueryCallback done) override;
 
  private:
+  /// One group message's events; slaves share the batch and its events.
+  using ShippedBatch = std::vector<std::shared_ptr<const db::ShippedEvent>>;
+
   void RegisterMasterMetrics();
 
   struct SyncWaiter {
@@ -110,13 +116,18 @@ class MasterNode : public DbNode {
   /// One slave's acks for the events in (after, through]: each waiter there
   /// counts one slave fewer, and those left with none get their response.
   void CountAcks(int64_t after, int64_t through);
-  void OnBinlogAppend(const db::BinlogEvent& event);
-  void PushEventTo(SlaveNode* slave, const db::BinlogEvent& event);
+  /// Wraps each appended event, with the statement it logs, in one shared
+  /// ShippedEvent and pushes or buffers it for every slave.
+  void OnBinlogAppend(const db::BinlogEvent& event,
+                      const std::shared_ptr<const db::CompiledSql>& compiled);
+  /// Binlog event `index` wrapped for a resync, compiled again here.
+  std::shared_ptr<const db::ShippedEvent> Reship(int64_t index);
+  void PushEventTo(SlaveNode* slave,
+                   const std::shared_ptr<const db::ShippedEvent>& shipped);
   /// Ships the pending batch — one group message per slave — and rearms.
   void FlushBatch();
   void ShipBatchTo(SlaveNode* slave,
-                   const std::shared_ptr<const std::vector<db::BinlogEvent>>&
-                       batch);
+                   const std::shared_ptr<const ShippedBatch>& batch);
 
   std::vector<SlaveNode*> slaves_;
   bool synchronous_ = false;
@@ -125,7 +136,7 @@ class MasterNode : public DbNode {
   /// batch-end ack covers every event in (previous, acked] — group commit.
   std::map<net::NodeId, int64_t> acked_through_;
   ShipOptions ship_;
-  std::vector<db::BinlogEvent> pending_batch_;
+  ShippedBatch pending_batch_;
   sim::Timer flush_timer_;
   int64_t events_pushed_ = 0;
   int64_t messages_sent_ = 0;

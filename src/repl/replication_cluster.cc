@@ -1,6 +1,7 @@
 #include "repl/replication_cluster.h"
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -152,15 +153,15 @@ Status ReplicationCluster::RunDirect(const std::string& sql, bool on_slaves) {
   // once across the whole run of calls, not once per statement, and the
   // master's template runs on every copy; otherwise the master's parse does.
   db::Database& master = master_->database();
-  CLOUDDB_ASSIGN_OR_RETURN(db::CompiledSql compiled, master.Compile(sql));
+  std::shared_ptr<const db::CompiledSql> compiled = master.Compile(sql);
   // These statements must not replicate: every copy gets them directly.
   master.set_binlog_suppressed(true);
-  Result<db::ExecResult> result = master.Execute(compiled, sql);
+  Result<db::ExecResult> result = master.Execute(compiled);
   master.set_binlog_suppressed(false);
   if (!result.ok()) return result.status();
   if (!on_slaves) return Status::Ok();
   for (auto& slave : slaves_) {
-    Result<db::ExecResult> copy = slave->database().Execute(compiled, sql);
+    Result<db::ExecResult> copy = slave->database().Execute(compiled);
     if (!copy.ok()) return copy.status();
   }
   return Status::Ok();

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <optional>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "repl/master_node.h"
 #include "cloud/instance.h"
-#include "common/result.h"
 #include "common/time_types.h"
 #include "db/binlog.h"
 #include "db/database.h"
@@ -49,11 +48,12 @@ SlaveNode::SlaveNode(sim::Simulation* sim, net::Network* network,
   });
 }
 
-void SlaveNode::OnBinlogBatch(const std::vector<db::BinlogEvent>& events) {
+void SlaveNode::OnBinlogBatch(
+    const std::vector<std::shared_ptr<const db::ShippedEvent>>& events) {
   if (broken_ || !online()) return;
   int64_t before = next_expected_;
-  for (const db::BinlogEvent& event : events) {
-    OnBinlogEvent(event);
+  for (const std::shared_ptr<const db::ShippedEvent>& shipped : events) {
+    OnBinlogEvent(shipped);
   }
   // Register the batch boundary only if the batch advanced the stream (a
   // pure-duplicate batch from an overlapping resync has nothing to ack).
@@ -62,13 +62,14 @@ void SlaveNode::OnBinlogBatch(const std::vector<db::BinlogEvent>& events) {
   }
 }
 
-void SlaveNode::OnBinlogEvent(db::BinlogEvent event) {
+void SlaveNode::OnBinlogEvent(std::shared_ptr<const db::ShippedEvent> shipped) {
   if (broken_ || !online()) return;
-  if (event.index < next_expected_) {
+  int64_t index = shipped->index;
+  if (index < next_expected_) {
     // Already received (a resync stream overlapping live pushes).
     return;
   }
-  if (event.index > next_expected_) {
+  if (index > next_expected_) {
     // Events went missing on the wire (partition window, packet loss, or a
     // crash that ate the relay log). Applying past the gap would silently
     // diverge, so drop and — when enabled — fetch the missing range.
@@ -76,8 +77,8 @@ void SlaveNode::OnBinlogEvent(db::BinlogEvent event) {
     if (auto_resync_) RequestResync();
     return;
   }
-  next_expected_ = event.index + 1;
-  relay_log_.push_back(std::move(event));
+  next_expected_ = index + 1;
+  relay_log_.push_back(std::move(shipped));
   MaybeStartApply();
 }
 
@@ -86,42 +87,31 @@ void SlaveNode::MaybeStartApply() {
     return;
   }
   applying_ = true;
-  db::BinlogEvent event = std::move(relay_log_.front());
+  std::shared_ptr<const db::ShippedEvent> shipped =
+      std::move(relay_log_.front());
   relay_log_.pop_front();
 
-  // Compile the statement once: the same compiled form feeds both the cost
-  // model and the apply below. A covered writeset skips the lexer/parser
-  // entirely — both here (cost) and in the apply (row images straight into
-  // the table).
-  bool covered = event.writeset.has_value() && event.writeset->covered;
-  std::optional<db::CompiledSql> compiled;
-  SimDuration cost = 0;
-  if (covered) {
-    cost = cost_model_.EstimateWritesetApply(*event.writeset);
-  } else {
-    Result<db::CompiledSql> c = database_->Compile(event.statement);
-    if (c.ok()) {
-      cost = cost_model_.EstimateApply(c->statement());
-      compiled = std::move(*c);
-    }
-    // An unparseable statement costs nothing and leaves `compiled` empty;
-    // the apply below compiles it again, fails identically, and stops the
-    // SQL thread.
-  }
+  // The apply cost comes from the master's compiled statement, or, for a
+  // covered writeset, from its row images: neither touches the lexer or
+  // the parser here.
+  bool covered = shipped->writeset.has_value() && shipped->writeset->covered;
+  SimDuration cost =
+      covered ? cost_model_.EstimateWritesetApply(*shipped->writeset)
+              : cost_model_.EstimateApply(shipped->compiled->statement());
 
   int64_t epoch = apply_epoch_;
-  instance_->cpu().Submit(cost, [this, epoch, covered, event = std::move(event),
-                                 compiled = std::move(compiled)]() mutable {
+  instance_->cpu().Submit(cost, [this, epoch, covered,
+                                 shipped = std::move(shipped)] {
     // Rebased while this job was queued, or promoted: the database went to
     // the new master, and this job must not touch it.
     if (epoch != apply_epoch_ || database_ == nullptr) return;
     bool ok;
     if (covered) {
-      ok = db::ApplyStatementWriteset(database_.get(), *event.writeset).ok();
+      ok = db::ApplyStatementWriteset(database_.get(), *shipped->writeset).ok();
       if (ok) ++writeset_applies_;
     } else {
-      if (event.writeset.has_value()) ++fallback_applies_;
-      ok = ExecuteNow(event.statement, compiled ? &*compiled : nullptr).ok();
+      if (shipped->writeset.has_value()) ++fallback_applies_;
+      ok = ExecuteNow(shipped->compiled).ok();
     }
     if (!ok) {
       // MySQL stops the SQL thread on an apply error; replication on this
@@ -130,11 +120,11 @@ void SlaveNode::MaybeStartApply() {
       applying_ = false;
       return;
     }
-    applied_index_ = event.index;
+    applied_index_ = shipped->index;
     ++events_applied_;
     apply_delay_ms_->Observe(
         static_cast<double>(instance_->LocalNowMicros() -
-                            event.commit_micros) /
+                            shipped->commit_micros) /
         1000.0);
     // Group-commit ack: inside a batch, hold the ack until the batch-end
     // event applies, then send one cumulative ack for the whole range.
@@ -147,7 +137,7 @@ void SlaveNode::MaybeStartApply() {
       }
     }
     if (ack_due && master_ != nullptr && master_->synchronous()) {
-      int64_t index = event.index;
+      int64_t index = shipped->index;
       MasterNode* master = master_;
       network_->Send(node_id(), master->node_id(), /*size_bytes=*/48,
                      [master, this, index] {

@@ -2,6 +2,8 @@
 #define CLOUDDB_REPL_SLAVE_NODE_H_
 
 #include <deque>
+#include <memory>
+#include <vector>
 
 #include "db/binlog.h"
 #include "repl/db_node.h"
@@ -46,8 +48,9 @@ struct ReconnectOptions {
 /// - the *IO thread* receives binlog events from the master's dump thread
 ///   and appends them to the relay log (no CPU charge — network I/O);
 /// - the *SQL apply thread* pops relay-log events in order and re-executes
-///   their statements, one event at a time, charged to the same CPU that
-///   serves read queries. This shared FCFS queue is the resource contention
+///   their statements (the master's compiled form, shipped with each event:
+///   the slave never compiles), one event at a time, charged to the same
+///   CPU that serves read queries. This shared FCFS queue is the resource contention
 ///   the paper identifies: increasing read load delays writeset application
 ///   and vice versa, inflating the replication delay.
 ///
@@ -67,17 +70,19 @@ class SlaveNode : public DbNode {
   /// MasterNode::AttachSlave.
   void SetMaster(MasterNode* master) { master_ = master; }
 
-  /// IO thread entry: a binlog event arrived from the master.
-  /// Duplicates (index already received) are dropped; a gap (index beyond
-  /// the next expected) is dropped too and, under auto-resync, triggers an
-  /// immediate catch-up request.
-  void OnBinlogEvent(db::BinlogEvent event);
+  /// IO thread entry: a binlog event arrived from the master. The relay
+  /// log keeps the shared event itself, not a copy. Duplicates (index
+  /// already received) are dropped; a gap (index beyond the next expected)
+  /// is dropped too and, under auto-resync, triggers an immediate catch-up
+  /// request.
+  void OnBinlogEvent(std::shared_ptr<const db::ShippedEvent> shipped);
 
   /// IO thread entry for a group message (see ShipOptions): unpacks the
   /// batch into the relay log in order and records the batch boundary so
   /// synchronous mode sends ONE cumulative ack per batch (group commit)
   /// instead of one per event.
-  void OnBinlogBatch(const std::vector<db::BinlogEvent>& events);
+  void OnBinlogBatch(
+      const std::vector<std::shared_ptr<const db::ShippedEvent>>& events);
 
   /// Marks the slave as pre-loaded with the master's data through binlog
   /// index `applied_index` (a table copy before a mid-run attachment): drops
@@ -142,7 +147,7 @@ class SlaveNode : public DbNode {
   void OnAckTimeout();
 
   MasterNode* master_ = nullptr;
-  std::deque<db::BinlogEvent> relay_log_;
+  std::deque<std::shared_ptr<const db::ShippedEvent>> relay_log_;
   /// Batch-end indexes still awaiting their cumulative ack, in order. While
   /// the front mark is ahead of applied_index_, per-event acks are
   /// suppressed; reaching the mark sends one ack covering the whole batch.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "cloud/cloud_provider.h"
 #include "repl/master_node.h"
 #include "client/connection.h"
@@ -11,6 +14,7 @@
 #include "common/status.h"
 #include "common/time_types.h"
 #include "db/database.h"
+#include "db/statement_cache.h"
 #include "repl/cost_model.h"
 #include "sim/simulation.h"
 
@@ -118,7 +122,7 @@ TEST_F(ConnectionPoolTest, ExecuteRoundTripsThroughNetworkAndCpu) {
   ConnectionPool pool = MakePool(2);
   SimTime done_at = -1;
   int64_t count = -1;
-  pool.Execute("SELECT COUNT(*) FROM t", Millis(10),
+  pool.Execute(db::CompileSql(nullptr, "SELECT COUNT(*) FROM t"), Millis(10),
                [&](Result<db::ExecResult> r) {
                  ASSERT_TRUE(r.ok());
                  count = r->rows[0][0].AsInt64();
@@ -137,7 +141,7 @@ TEST_F(ConnectionPoolTest, ConnectionTracksResponseStats) {
   pool.Borrow([&](Connection* c) { conn = c; });
   sim_.Run();
   ASSERT_NE(conn, nullptr);
-  conn->Execute("SELECT COUNT(*) FROM t", Millis(10),
+  conn->Execute(db::CompileSql(nullptr, "SELECT COUNT(*) FROM t"), Millis(10),
                 [&](Result<db::ExecResult>) {});
   sim_.Run();
   EXPECT_EQ(conn->requests_completed(), 1);
@@ -150,11 +154,35 @@ TEST_F(ConnectionPoolTest, ConnectionTracksResponseStats) {
 TEST_F(ConnectionPoolTest, ErrorsPropagateAndConnectionIsReturned) {
   ConnectionPool pool = MakePool(1);
   Status seen;
-  pool.Execute("SELECT * FROM missing_table", Millis(1),
+  pool.Execute(db::CompileSql(nullptr, "SELECT * FROM missing_table"),
+               Millis(1),
                [&](Result<db::ExecResult> r) { seen = r.status(); });
   sim_.Run();
   EXPECT_TRUE(seen.IsNotFound());
   EXPECT_EQ(pool.idle_count(), 1u);
+}
+
+TEST_F(ConnectionPoolTest, QueuedBorrowerKeepsItsCompiledStatement) {
+  ConnectionPool pool = MakePool(1);
+  std::vector<int64_t> rows_affected;
+  auto record = [&](Result<db::ExecResult> r) {
+    ASSERT_TRUE(r.ok());
+    rows_affected.push_back(r->rows_affected);
+  };
+  // The second statement waits in the borrow queue; the pool's copy of its
+  // compiled form is the only one left once the caller's goes away.
+  pool.Execute(db::CompileSql(nullptr, "INSERT INTO t VALUES (1)"), Millis(5),
+               record);
+  {
+    auto second = db::CompileSql(nullptr, "UPDATE t SET a = 2 WHERE a = 1");
+    pool.Execute(second, Millis(5), record);
+  }
+  EXPECT_EQ(pool.waiting_borrowers(), 1u);
+  sim_.Run();
+  EXPECT_EQ(rows_affected, (std::vector<int64_t>{1, 1}));
+  EXPECT_EQ(node_->database().binlog().size(), 3);  // CREATE, INSERT, UPDATE
+  EXPECT_EQ(node_->database().binlog().At(2).statement,
+            "UPDATE t SET a = 2 WHERE a = 1");
 }
 
 }  // namespace

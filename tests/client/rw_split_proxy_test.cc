@@ -5,8 +5,10 @@
 #include "cloud/cloud_provider.h"
 #include "repl/replication_cluster.h"
 #include "common/result.h"
+#include "common/status.h"
 #include "common/time_types.h"
 #include "db/database.h"
+#include "db/sql_parser.h"
 #include "harness/deployment.h"
 #include "repl/slave_node.h"
 #include "sim/simulation.h"
@@ -127,9 +129,19 @@ TEST_F(RwSplitProxyTest, ExecuteAutoClassifiesStatements) {
                         [](Result<db::ExecResult> r) { ASSERT_TRUE(r.ok()); });
   d_->proxy.ExecuteAuto("SELECT COUNT(*) FROM t", Millis(5),
                         [](Result<db::ExecResult> r) { ASSERT_TRUE(r.ok()); });
+  // Text that does not parse travels to the master like a write, and the
+  // master fails it with the parse error.
+  Status unparseable;
+  d_->proxy.ExecuteAuto("BEGIN", Millis(5), [&](Result<db::ExecResult> r) {
+    unparseable = r.status();
+  });
   d_->sim.Run();
-  EXPECT_EQ(d_->proxy.writes_routed(), 1);
+  EXPECT_EQ(d_->proxy.writes_routed(), 2);
   EXPECT_EQ(d_->proxy.total_reads_routed(), 1);
+  EXPECT_FALSE(unparseable.ok());
+  EXPECT_EQ(unparseable.ToString(),
+            db::ParseSql("BEGIN").status().ToString());
+  EXPECT_EQ(d_->cluster.master()->queries_failed(), 1);
 }
 
 TEST_F(RwSplitProxyTest, ReadYourWritesCanBeStale) {

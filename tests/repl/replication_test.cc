@@ -17,7 +17,6 @@
 #include "repl/slave_node.h"
 #include "common/result.h"
 #include "common/time_types.h"
-#include "db/binlog.h"
 #include "db/database.h"
 #include "db/statement_cache.h"
 #include "db/table.h"
@@ -278,20 +277,6 @@ TEST_F(ReplicationTest, BrokenSlaveStopsApplying) {
   EXPECT_FALSE(cluster->FullyReplicated());
 }
 
-TEST_F(ReplicationTest, UnparseableEventStopsTheSqlThread) {
-  auto cluster = MakeCluster(1);
-  SlaveNode* slave = cluster->slave(0);
-  // Text no master would log: it compiles to nothing, and fails again when
-  // the apply compiles it.
-  db::BinlogEvent event;
-  event.statement = "NOT SQL";
-  slave->OnBinlogEvent(event);
-  sim_.Run();
-  EXPECT_TRUE(slave->replication_broken());
-  EXPECT_EQ(slave->queries_failed(), 1);
-  EXPECT_EQ(slave->applied_index(), -1);
-}
-
 TEST_F(ReplicationTest, ExecuteEverywhereDirectDoesNotReplicate) {
   auto cluster = MakeCluster(2);
   ASSERT_TRUE(
@@ -341,6 +326,103 @@ void ExpectSameStats(const db::StatementCacheStats& a,
   EXPECT_EQ(a.evictions, b.evictions);
   EXPECT_EQ(a.invalidations, b.invalidations);
   EXPECT_EQ(a.bypasses, b.bypasses);
+}
+
+// A statement-based slave executes the master's compiled form, shipped with
+// each event, and never compiles the text itself: not for live events, at
+// either shipping policy, and not for the range a resync re-ships after a
+// crash. Its statement cache sees no lookup at all.
+TEST_F(ReplicationTest, SlavesApplyTheShippedCompiledStatement) {
+  for (int batch_size : {1, 8}) {
+    SCOPED_TRACE(StrFormat("binlog batch size %d", batch_size));
+    Tier tier(options_, 2);
+    ReplicationCluster& cluster = tier.cluster;
+    cluster.SetBinlogBatchSize(batch_size);
+    MasterNode* master = cluster.master();
+    ASSERT_TRUE(
+        master->ExecuteDirect("CREATE TABLE t (a INT PRIMARY KEY, b INT)")
+            .ok());
+    tier.sim.Run();
+    std::vector<db::StatementCacheStats> before;
+    for (int i = 0; i < 2; ++i) {
+      before.push_back(cluster.slave(i)->database().statement_cache().stats());
+    }
+    auto write = [&](int first, int count) {
+      for (int k = first; k < first + count; ++k) {
+        ASSERT_TRUE(master
+                        ->ExecuteDirect(StrFormat(
+                            "INSERT INTO t VALUES (%d, %d)", k, k % 3))
+                        .ok());
+        ASSERT_TRUE(master
+                        ->ExecuteDirect(StrFormat(
+                            "UPDATE t SET b = b + 1 WHERE a = %d", k))
+                        .ok());
+      }
+    };
+    auto expect_no_slave_compiles = [&] {
+      for (int i = 0; i < 2; ++i) {
+        ExpectSameStats(cluster.slave(i)->database().statement_cache().stats(),
+                        before[static_cast<size_t>(i)]);
+      }
+    };
+
+    write(0, 10);
+    tier.sim.Run();
+    expect_no_slave_compiles();
+    EXPECT_TRUE(cluster.Converged());
+
+    // Slave 1 misses the writes made while it is down and catches up
+    // through a resync, which re-ships the range with its compiled forms.
+    SlaveNode* crashed = cluster.slave(1);
+    crashed->StartAutoResync();
+    crashed->instance().Crash();
+    write(10, 10);
+    tier.sim.RunUntil(tier.sim.Now() + Seconds(1));
+    crashed->instance().Restart();
+    tier.sim.RunUntil(tier.sim.Now() + Seconds(5));
+    crashed->StopAutoResync();
+    tier.sim.Run();
+    EXPECT_GE(crashed->resync_acks_received(), 1);
+    expect_no_slave_compiles();
+    EXPECT_TRUE(cluster.FullyReplicated());
+    EXPECT_TRUE(cluster.Converged());
+  }
+}
+
+// The master's compiled form of a function-bearing statement runs on the
+// slave, but NOW_MICROS() in it is still a call: each replica evaluates it
+// against its own clock when it executes, in statement and in row mode (a
+// function-bearing statement ships no row images).
+TEST_F(ReplicationTest, NowMicrosReadsEachReplicasClock) {
+  const SimDuration step = Seconds(5);
+  const SimDuration drain = Seconds(1);
+  for (bool row_based : {false, true}) {
+    SCOPED_TRACE(row_based ? "row-based" : "statement-based");
+    Tier tier(options_, 1);
+    tier.cluster.SetRowBasedReplication(row_based);
+    MasterNode* master = tier.cluster.master();
+    ASSERT_TRUE(master
+                    ->ExecuteDirect(
+                        "CREATE TABLE hb (hb_id BIGINT PRIMARY KEY, ts BIGINT)")
+                    .ok());
+    tier.sim.Run();
+    tier.cluster.slave(0)->instance().clock().StepBy(tier.sim.Now(), step);
+    SimTime start = tier.sim.Now();
+    ASSERT_TRUE(master
+                    ->ExecuteDirect("INSERT INTO hb (hb_id, ts) "
+                                    "VALUES (1, NOW_MICROS())")
+                    .ok());
+    tier.sim.RunUntil(start + drain);
+    ASSERT_TRUE(tier.cluster.FullyReplicated());
+    auto ts_of = [](db::Database& database) -> int64_t {
+      auto r = database.Execute("SELECT ts FROM hb WHERE hb_id = 1");
+      EXPECT_TRUE(r.ok() && r->rows.size() == 1);
+      return r.ok() && r->rows.size() == 1 ? r->rows[0][0].AsInt64() : 0;
+    };
+    int64_t lag = ts_of(tier.replica(1)) - ts_of(tier.replica(0));
+    EXPECT_GE(lag, step);
+    EXPECT_LT(lag, step + drain);
+  }
 }
 
 // Loading the master once and copying it onto each slave leaves every
