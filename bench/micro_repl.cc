@@ -1,9 +1,10 @@
 // Microbenchmarks (google-benchmark) for the replication apply and shipping
 // paths: slave-side statement apply (lex + parse + plan + execute) versus
-// writeset direct apply (row images through Table::ApplyRowDelta), and the
+// writeset direct apply (captured rows through Table::Insert), and the
 // group-shipping batch sweep (network sends per replicated event as the ship
-// batch size grows). These back the perf claims in DESIGN.md "Row-based
-// replication & group shipping".
+// batch size grows). Every workload is INSERTs, as in the paper's write mix.
+// These back the perf claims in DESIGN.md "Row-based replication & group
+// shipping".
 //
 // Usage: micro_repl [--json <path>] [google-benchmark flags]
 // --json writes the standard benchmark JSON report to <path>.
@@ -17,10 +18,10 @@
 
 #include "cloud/cloud_provider.h"
 #include "common/rng.h"
+#include "common/status.h"
 #include "common/str_util.h"
 #include "db/binlog.h"
 #include "db/database.h"
-#include "db/writeset.h"
 #include "db/writeset_apply.h"
 #include "repl/master_node.h"
 #include "repl/replication_cluster.h"
@@ -44,66 +45,25 @@ std::string InsertSql(long long id, long long qty) {
       id, qty, qty * 3 + 7, id % 1000, qty % 5, id, id);
 }
 
-std::string UpdateSql(long long id, long long qty) {
-  return StrFormat(
-      "UPDATE items SET qty = %lld, note = 'touched %lld' WHERE id = %lld",
-      qty, qty, id);
-}
-
-// Deterministic literal-only write workload (insert/update/delete mix), the
-// same shape the row-repl equivalence test replays. Every statement is
-// writeset-coverable: no DDL, no functions.
-std::vector<std::string> MakeWriteWorkload(uint64_t seed, int steps) {
+// Deterministic literal-only write workload: `count` inserts of fresh ids
+// from `first_id` on. Every statement is writeset-coverable: no DDL, no
+// functions.
+std::vector<std::string> MakeInsertWorkload(uint64_t seed, int64_t first_id,
+                                            int count) {
   std::vector<std::string> sql;
+  sql.reserve(static_cast<size_t>(count));
   Rng rng(seed);
-  std::vector<int64_t> live;
-  int64_t next_id = 1;
-  for (int i = 0; i < steps; ++i) {
-    int64_t kind = rng.UniformInt(0, 9);
-    if (live.empty() || kind < 5) {
-      int64_t id = next_id++;
-      sql.push_back(InsertSql(id, rng.UniformInt(-50, 50)));
-      live.push_back(id);
-    } else if (kind < 8) {
-      int64_t id = live[static_cast<size_t>(
-          rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1))];
-      sql.push_back(UpdateSql(id, rng.UniformInt(-50, 50)));
-    } else {
-      size_t pick = static_cast<size_t>(
-          rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
-      sql.push_back(StrFormat("DELETE FROM items WHERE id = %lld",
-                              static_cast<long long>(live[pick])));
-      live.erase(live.begin() + static_cast<long>(pick));
-    }
+  for (int64_t id = first_id; id < first_id + count; ++id) {
+    sql.push_back(InsertSql(id, rng.UniformInt(-50, 50)));
   }
   return sql;
 }
 
-// Resident rows both replicas start from, so tree operations run against a
+// Resident rows every replica starts from, so tree operations run against a
 // populated table rather than an empty one.
 constexpr int kBaseRows = 512;
-// Block ids sit far above the resident rows so replays never collide.
-constexpr int64_t kBlockIdBase = 1'000'000;
-
-// State-restoring workload: `blocks` blocks of INSERT → UPDATE → DELETE on a
-// fresh id each, so the table ends every pass exactly where it started. That
-// lets both apply benchmarks replay the same statement list (and the same
-// captured row images — every op's before-image matches again) for as many
-// iterations as google-benchmark wants, with no per-iteration replica
-// rebuild polluting the timings.
-std::vector<std::string> MakeBalancedWorkload(uint64_t seed, int blocks) {
-  std::vector<std::string> sql;
-  sql.reserve(static_cast<size_t>(blocks) * 3);
-  Rng rng(seed);
-  for (int i = 0; i < blocks; ++i) {
-    long long id = kBlockIdBase + i;
-    long long qty = static_cast<long long>(rng.UniformInt(-50, 50));
-    sql.push_back(InsertSql(id, qty));
-    sql.push_back(UpdateSql(id, rng.UniformInt(-50, 50)));
-    sql.push_back(StrFormat("DELETE FROM items WHERE id = %lld", id));
-  }
-  return sql;
-}
+// Workload ids sit far above the resident rows so they never collide.
+constexpr int64_t kWorkloadIdBase = 1'000'000;
 
 std::unique_ptr<db::Database> MakeNode(bool row_based) {
   db::DatabaseOptions options;
@@ -117,6 +77,14 @@ std::unique_ptr<db::Database> MakeNode(bool row_based) {
     if (!insert.ok()) std::abort();
   }
   return node;
+}
+
+// A replica with no tables and logging off (no log-slave-updates):
+// ResetReplica gives it its tables.
+std::unique_ptr<db::Database> MakeEmptyReplica() {
+  db::DatabaseOptions options;
+  options.enable_binlog = false;
+  return std::make_unique<db::Database>(options);
 }
 
 // Runs the workload through a row-based master and returns the binlog events
@@ -136,18 +104,34 @@ std::vector<db::BinlogEvent> CaptureEvents(const std::vector<std::string>& sql) 
   return events;
 }
 
+// Replaces `replica`'s tables with fresh clones of `populated`'s, with
+// timing paused: the inserts only ever add rows, so every iteration applies
+// them to its own copy of the starting tables (and the last iteration's copy
+// is freed here, untimed, too).
+void ResetReplica(benchmark::State& state, const db::Database& populated,
+                  db::Database* replica) {
+  state.PauseTiming();
+  replica->CopyTablesFrom(populated);
+  state.ResumeTiming();
+}
+
 // Statement apply from text: every replicated statement is fingerprinted
 // against the statement cache, bound, planned, and executed. SlaveNode's SQL
 // thread does the same minus the fingerprint: it executes the master's
 // compiled statement, shipped with the event.
 void BM_SlaveApplyStatement(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  std::vector<std::string> workload = MakeBalancedWorkload(/*seed=*/17, n / 3);
-  auto replica = MakeNode(/*row_based=*/false);
+  std::vector<std::string> workload =
+      MakeInsertWorkload(/*seed=*/17, kWorkloadIdBase, n);
+  auto populated = MakeNode(/*row_based=*/false);
+  auto replica = MakeEmptyReplica();
   for (auto _ : state) {
+    ResetReplica(state, *populated, replica.get());
     for (const std::string& sql : workload) {
       auto result = replica->Execute(sql);
-      benchmark::DoNotOptimize(result.ok());
+      benchmark::DoNotOptimize(result);
+      // Each iteration's fresh copy takes every insert.
+      if (!result.ok()) std::abort();
     }
   }
   state.SetItemsProcessed(state.iterations() *
@@ -155,17 +139,20 @@ void BM_SlaveApplyStatement(benchmark::State& state) {
 }
 BENCHMARK(BM_SlaveApplyStatement)->Arg(768)->Arg(3072);
 
-// Writeset apply: the row-based fast path — the master's captured row images
-// go straight into the tables, no SQL front end.
+// Writeset apply: the row-based fast path — the master's captured rows go
+// straight into the tables, no SQL front end.
 void BM_SlaveApplyWriteset(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   std::vector<db::BinlogEvent> events =
-      CaptureEvents(MakeBalancedWorkload(/*seed=*/17, n / 3));
-  auto replica = MakeNode(/*row_based=*/false);
+      CaptureEvents(MakeInsertWorkload(/*seed=*/17, kWorkloadIdBase, n));
+  auto populated = MakeNode(/*row_based=*/false);
+  auto replica = MakeEmptyReplica();
   for (auto _ : state) {
+    ResetReplica(state, *populated, replica.get());
     for (const db::BinlogEvent& event : events) {
-      auto rows = db::ApplyStatementWriteset(replica.get(), *event.writeset);
-      benchmark::DoNotOptimize(rows.ok());
+      Status st = db::ApplyStatementWriteset(replica.get(), *event.writeset);
+      benchmark::DoNotOptimize(st);
+      if (!st.ok()) std::abort();
     }
   }
   state.SetItemsProcessed(state.iterations() *
@@ -182,7 +169,8 @@ void BM_GroupShipping(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));
   constexpr int kWrites = 256;
   constexpr int kSlaves = 2;
-  std::vector<std::string> workload = MakeWriteWorkload(/*seed=*/23, kWrites);
+  std::vector<std::string> workload =
+      MakeInsertWorkload(/*seed=*/23, /*first_id=*/1, kWrites);
   int64_t messages = 0;
   int64_t events = 0;
   for (auto _ : state) {

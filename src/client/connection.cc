@@ -5,18 +5,15 @@
 #include "db/statement_cache.h"
 #include "net/network.h"
 #include "repl/db_node.h"
-#include "sim/simulation.h"
 
 #include <cassert>
 #include <utility>
 
 namespace clouddb::client {
 
-Connection::Connection(sim::Simulation* sim, net::Network* network,
-                       net::NodeId client_node, repl::DbNode* target,
-                       int64_t id)
-    : sim_(sim),
-      network_(network),
+Connection::Connection(net::Network* network, net::NodeId client_node,
+                       repl::DbNode* target, int64_t id)
+    : network_(network),
       client_node_(client_node),
       target_(target),
       id_(id) {}
@@ -25,36 +22,28 @@ void Connection::Execute(std::shared_ptr<const db::CompiledSql> compiled,
                          SimDuration cpu_cost, Callback done) {
   assert(!busy_);
   busy_ = true;
-  SimTime started = sim_->Now();
   int64_t request_bytes = static_cast<int64_t>(compiled->text().size()) + 64;
   network_->Send(
       client_node_, target_->node_id(), request_bytes,
-      [this, compiled = std::move(compiled), cpu_cost, started,
+      [this, compiled = std::move(compiled), cpu_cost,
        done = std::move(done)]() mutable {
         target_->Submit(
             std::move(compiled), cpu_cost,
-            [this, started,
-             done = std::move(done)](Result<db::ExecResult> result) mutable {
+            [this, done = std::move(done)](
+                Result<db::ExecResult> result) mutable {
               int64_t response_bytes =
                   result.ok()
                       ? static_cast<int64_t>(result->rows.size()) * 64 + 64
                       : 64;
               network_->Send(target_->node_id(), client_node_, response_bytes,
-                             [this, started, done = std::move(done),
+                             [this, done = std::move(done),
                               result = std::move(result)]() mutable {
                                busy_ = false;
                                ++requests_completed_;
-                               total_response_micros_ += sim_->Now() - started;
                                done(std::move(result));
                              });
             });
       });
-}
-
-double Connection::MeanResponseMicros() const {
-  if (requests_completed_ == 0) return 0.0;
-  return static_cast<double>(total_response_micros_) /
-         static_cast<double>(requests_completed_);
 }
 
 }  // namespace clouddb::client

@@ -11,7 +11,6 @@
 #include "db/statement_cache.h"
 #include "net/network.h"
 #include "repl/db_node.h"
-#include "sim/simulation.h"
 
 namespace clouddb::client {
 
@@ -23,8 +22,8 @@ class Connection {
  public:
   using Callback = std::function<void(Result<db::ExecResult>)>;
 
-  Connection(sim::Simulation* sim, net::Network* network,
-             net::NodeId client_node, repl::DbNode* target, int64_t id);
+  Connection(net::Network* network, net::NodeId client_node,
+             repl::DbNode* target, int64_t id);
 
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
@@ -40,18 +39,14 @@ class Connection {
   repl::DbNode* target() { return target_; }
   int64_t id() const { return id_; }
   int64_t requests_completed() const { return requests_completed_; }
-  /// Mean round-trip response time over completed requests, µs.
-  double MeanResponseMicros() const;
 
  private:
-  sim::Simulation* sim_;
   net::Network* network_;
   net::NodeId client_node_;
   repl::DbNode* target_;
   int64_t id_;
   bool busy_ = false;
   int64_t requests_completed_ = 0;
-  int64_t total_response_micros_ = 0;
 };
 
 }  // namespace clouddb::client

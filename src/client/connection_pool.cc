@@ -6,18 +6,16 @@
 #include "db/statement_cache.h"
 #include "net/network.h"
 #include "repl/db_node.h"
-#include "sim/simulation.h"
 
 #include <cassert>
 #include <utility>
 
 namespace clouddb::client {
 
-ConnectionPool::ConnectionPool(sim::Simulation* sim, net::Network* network,
-                               net::NodeId client_node, repl::DbNode* target,
+ConnectionPool::ConnectionPool(net::Network* network, net::NodeId client_node,
+                               repl::DbNode* target,
                                const ConnectionPoolOptions& options)
-    : sim_(sim),
-      network_(network),
+    : network_(network),
       client_node_(client_node),
       target_(target),
       options_(options) {
@@ -70,7 +68,7 @@ void ConnectionPool::CreateConnection(Ready ready) {
   network_->Ping(client_node_, target_->node_id(),
                  [this, ready = std::move(ready)](SimDuration) mutable {
                    all_.push_back(std::make_unique<Connection>(
-                       sim_, network_, client_node_, target_, next_conn_id_++));
+                       network_, client_node_, target_, next_conn_id_++));
                    ready(all_.back().get());
                  });
 }

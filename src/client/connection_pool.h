@@ -11,7 +11,6 @@
 #include "db/statement_cache.h"
 #include "net/network.h"
 #include "repl/db_node.h"
-#include "sim/simulation.h"
 
 namespace clouddb::client {
 
@@ -33,9 +32,8 @@ class ConnectionPool {
  public:
   using Ready = std::function<void(Connection*)>;
 
-  ConnectionPool(sim::Simulation* sim, net::Network* network,
-                 net::NodeId client_node, repl::DbNode* target,
-                 const ConnectionPoolOptions& options);
+  ConnectionPool(net::Network* network, net::NodeId client_node,
+                 repl::DbNode* target, const ConnectionPoolOptions& options);
 
   ConnectionPool(const ConnectionPool&) = delete;
   ConnectionPool& operator=(const ConnectionPool&) = delete;
@@ -63,7 +61,6 @@ class ConnectionPool {
  private:
   void CreateConnection(Ready ready);
 
-  sim::Simulation* sim_;
   net::Network* network_;
   net::NodeId client_node_;
   repl::DbNode* target_;

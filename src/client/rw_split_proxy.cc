@@ -48,8 +48,8 @@ ReadWriteSplitProxy::ReadWriteSplitProxy(sim::Simulation* sim,
   read_retries_ = metrics_.AddCounter("proxy.reads.retries");
   sla_checked_ = metrics_.AddCounter("proxy.sla.checked");
   sla_violations_ = metrics_.AddCounter("proxy.sla.violations");
-  master_pool_ = std::make_unique<ConnectionPool>(sim, network, client_node,
-                                                  master, options.pool);
+  master_pool_ = std::make_unique<ConnectionPool>(network, client_node, master,
+                                                  options.pool);
   for (repl::SlaveNode* slave : slaves) {
     AddSlave(slave);
   }
@@ -58,7 +58,7 @@ ReadWriteSplitProxy::ReadWriteSplitProxy(sim::Simulation* sim,
 void ReadWriteSplitProxy::AddSlave(repl::SlaveNode* slave) {
   int index = static_cast<int>(slave_pools_.size());
   slave_pools_.push_back(std::make_unique<ConnectionPool>(
-      sim_, network_, client_node_, slave, options_.pool));
+      network_, client_node_, slave, options_.pool));
   active_.push_back(true);
   outstanding_.push_back(0);
   ewma_response_us_.push_back(0.0);
@@ -82,7 +82,7 @@ void ReadWriteSplitProxy::AddSlave(repl::SlaveNode* slave) {
 
 void ReadWriteSplitProxy::ReplaceMaster(repl::MasterNode* master) {
   old_master_pools_.push_back(std::move(master_pool_));
-  master_pool_ = std::make_unique<ConnectionPool>(sim_, network_, client_node_,
+  master_pool_ = std::make_unique<ConnectionPool>(network_, client_node_,
                                                   master, options_.pool);
   for (size_t i = 0; i < slave_pools_.size(); ++i) {
     if (slave_pools_[i]->target()->node_id() == master->node_id()) {

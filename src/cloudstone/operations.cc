@@ -10,26 +10,6 @@
 
 namespace clouddb::cloudstone {
 
-const char* OpTypeToString(OpType op) {
-  switch (op) {
-    case OpType::kBrowseEvents:
-      return "browse_events";
-    case OpType::kSearchEvents:
-      return "search_events";
-    case OpType::kViewEvent:
-      return "view_event";
-    case OpType::kCreateEvent:
-      return "create_event";
-    case OpType::kJoinEvent:
-      return "join_event";
-    case OpType::kTagEvent:
-      return "tag_event";
-    case OpType::kAddComment:
-      return "add_comment";
-  }
-  return "?";
-}
-
 bool IsReadOp(OpType op) {
   switch (op) {
     case OpType::kBrowseEvents:
@@ -69,29 +49,6 @@ WorkloadMix WorkloadMix::EightyTwenty() {
   mix.tag_weight = 0.25;
   mix.comment_weight = 0.20;
   return mix;
-}
-
-namespace {
-const OperationCosts kDefaultCosts{};
-}  // namespace
-
-SimDuration WorkloadMix::ExpectedReadCost() const {
-  double total = browse_weight + search_weight + view_weight;
-  double c = (browse_weight * static_cast<double>(kDefaultCosts.browse) +
-              search_weight * static_cast<double>(kDefaultCosts.search) +
-              view_weight * static_cast<double>(kDefaultCosts.view)) /
-             total;
-  return static_cast<SimDuration>(c);
-}
-
-SimDuration WorkloadMix::ExpectedWriteCost() const {
-  double total = create_weight + join_weight + tag_weight + comment_weight;
-  double c = (create_weight * static_cast<double>(kDefaultCosts.create) +
-              join_weight * static_cast<double>(kDefaultCosts.join) +
-              tag_weight * static_cast<double>(kDefaultCosts.tag) +
-              comment_weight * static_cast<double>(kDefaultCosts.comment)) /
-             total;
-  return static_cast<SimDuration>(c);
 }
 
 SimDuration OperationCosts::CostOf(OpType op) const {

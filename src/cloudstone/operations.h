@@ -29,7 +29,6 @@ enum class OpType {
   kAddComment,
 };
 
-const char* OpTypeToString(OpType op);
 bool IsReadOp(OpType op);
 
 /// A generated operation, ready to send through the proxy.
@@ -59,10 +58,6 @@ struct WorkloadMix {
   static WorkloadMix FiftyFifty();
   /// The paper's 80/20 configuration (run with initial data size 600).
   static WorkloadMix EightyTwenty();
-
-  /// Expected nominal CPU cost of one read / one write under this mix, µs.
-  SimDuration ExpectedReadCost() const;
-  SimDuration ExpectedWriteCost() const;
 };
 
 /// Nominal per-operation CPU costs (µs at small-instance speed 1.0).

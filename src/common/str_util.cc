@@ -22,31 +22,6 @@ std::string StrFormat(const char* fmt, ...) {
   return out;
 }
 
-std::vector<std::string> StrSplit(std::string_view s, char sep) {
-  std::vector<std::string> parts;
-  size_t start = 0;
-  while (true) {
-    size_t pos = s.find(sep, start);
-    if (pos == std::string_view::npos) {
-      parts.emplace_back(s.substr(start));
-      break;
-    }
-    parts.emplace_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return parts;
-}
-
-std::string StrJoin(const std::vector<std::string>& parts,
-                    std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out.append(sep);
-    out.append(parts[i]);
-  }
-  return out;
-}
-
 std::string ToLower(std::string_view s) {
   std::string out(s);
   for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
@@ -57,23 +32,6 @@ std::string ToUpper(std::string_view s) {
   std::string out(s);
   for (char& c : out) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
   return out;
-}
-
-std::string_view StripWhitespace(std::string_view s) {
-  size_t b = 0;
-  while (b < s.size() && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  size_t e = s.size();
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
 }
 
 bool EqualsIgnoreCase(std::string_view a, std::string_view b) {

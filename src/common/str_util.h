@@ -3,7 +3,6 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace clouddb {
 
@@ -11,23 +10,9 @@ namespace clouddb {
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/// Splits `s` on `sep`, keeping empty fields.
-std::vector<std::string> StrSplit(std::string_view s, char sep);
-
-/// Joins `parts` with `sep`.
-std::string StrJoin(const std::vector<std::string>& parts,
-                    std::string_view sep);
-
 /// ASCII lower/upper-casing (locale-independent).
 std::string ToLower(std::string_view s);
 std::string ToUpper(std::string_view s);
-
-/// Removes leading and trailing ASCII whitespace.
-std::string_view StripWhitespace(std::string_view s);
-
-/// True if `s` starts with / ends with the given prefix/suffix.
-bool StartsWith(std::string_view s, std::string_view prefix);
-bool EndsWith(std::string_view s, std::string_view suffix);
 
 /// Case-insensitive ASCII equality.
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);

@@ -40,9 +40,11 @@ int64_t EventWireSize(const BinlogEvent& event) {
   size += static_cast<int64_t>(event.statement.size());
   if (event.writeset.has_value()) {
     size += 5;  // covered flag + op count
-    for (const RowOp& op : event.writeset->ops) {
-      size += 5 + static_cast<int64_t>(op.table.size());  // kind + table
-      size += RowWireSize(op.before) + RowWireSize(op.after);
+    if (event.writeset->row != nullptr) {
+      const RowOp& op = *event.writeset->row;
+      // Kind, table name, and the count field of the empty before image.
+      size += 9 + static_cast<int64_t>(op.table.size());
+      size += RowWireSize(op.after);
     }
   }
   return size;

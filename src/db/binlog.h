@@ -22,9 +22,9 @@ class CompiledSql;
 /// NOW_MICROS() reads each replica's own clock.
 ///
 /// In row-based mode the event also carries the statement's writeset: the
-/// row images the master's execution produced. Slaves apply a covered
-/// writeset directly through Table::ApplyRowDelta and fall back to the text
-/// for an uncovered one (DDL, function-bearing statements).
+/// row the master's INSERT stored. Slaves insert a covered writeset's row
+/// directly through Table::Insert and fall back to the text for an uncovered
+/// one (DDL, function-bearing statements).
 struct BinlogEvent {
   int64_t index = 0;  // position in the log, 0-based and dense
   std::string statement;
@@ -36,10 +36,10 @@ struct BinlogEvent {
 /// An appended event as replication ships it: the logged event's index,
 /// writeset and commit stamp, its wire charge, and the master's compiled
 /// form of its statement, which a slave executes instead of compiling the
-/// text again. The compiled form keeps the text, so the wrapper does not
-/// copy it a second time. One immutable object per event, shared by every
-/// slave's message and relay log; the binlog itself keeps only the
-/// BinlogEvent.
+/// text again. The compiled form keeps the text and the writeset shares the
+/// logged event's row, so the wrapper copies neither. One immutable object
+/// per event, shared by every slave's message and relay log; the binlog
+/// itself keeps only the BinlogEvent.
 struct ShippedEvent {
   ShippedEvent(const BinlogEvent& event,
                std::shared_ptr<const CompiledSql> compiled);
@@ -56,9 +56,10 @@ struct ShippedEvent {
 /// model. A statement-only event costs a 32-byte header plus the statement
 /// text — the size the network has always charged — so disabling row-based
 /// mode reproduces historical traffic byte for byte. A writeset adds 5
-/// bytes, each row op 5 plus its table name, and each before/after row
-/// image 4 plus, per value, 1 (NULL), 9 (integer or double) or 5 plus the
-/// length (string).
+/// bytes, and a covered one's row op 9 plus its table name (a kind byte, the
+/// name's length, and an empty before image's 4-byte count, kept so recorded
+/// byte totals stay as they are) plus its row image: 4 plus, per value, 1
+/// (NULL), 9 (integer or double) or 5 plus the length (string).
 int64_t EventWireSize(const BinlogEvent& event);
 
 /// Append-only, in-memory binary log.

@@ -13,17 +13,17 @@
 
 namespace clouddb::db {
 
-/// In-memory B+Tree: the engine's index structure.
+/// In-memory, insert-only B+Tree: the engine's index structure. Tables are
+/// append-only, so an index only ever gains keys; it has no erase.
 ///
 /// - Unique keys (composite keys are used for non-unique secondary indexes).
 /// - Leaves are linked for ordered range scans.
-/// - Full rebalancing on erase (borrow from siblings, else merge).
 /// - Copies are deep, node for node (`Table::Clone` copies each index so).
 /// - `Validate()` checks all structural invariants; the property-based tests
 ///   run it against a std::map reference model after every mutation batch.
 ///
-/// `MaxKeys` is the fan-out (max keys per node); nodes other than the root
-/// hold at least MaxKeys/2 keys.
+/// `MaxKeys` is the fan-out (max keys per node); splits leave every node
+/// other than the root at least MaxKeys/2 keys.
 template <typename K, typename V, typename Less = std::less<K>,
           int MaxKeys = 32>
 class BPlusTree {
@@ -67,29 +67,8 @@ class BPlusTree {
     return nullptr;
   }
 
-  bool Contains(const K& key) const { return Find(key) != nullptr; }
-
-  /// Removes `key`; returns false if absent.
-  bool Erase(const K& key) {
-    bool erased = EraseImpl(root_.get(), key);
-    if (erased) {
-      --size_;
-      // Shrink the root if it became a single-child internal node.
-      if (!root_->leaf && root_->keys.empty()) {
-        std::unique_ptr<Node> child = std::move(root_->children[0]);
-        root_ = std::move(child);
-      }
-    }
-    return erased;
-  }
-
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-
-  void Clear() {
-    root_ = std::make_unique<Node>(/*leaf=*/true);
-    size_ = 0;
-  }
 
   /// Visits entries with lo <= key <= hi in key order (bounds optional via
   /// nullptr; `*_inclusive` ignored for absent bounds). The visitor returns
@@ -310,109 +289,6 @@ class BPlusTree {
     n->keys.resize(static_cast<size_t>(mid));
     n->children.resize(static_cast<size_t>(mid) + 1);
     return SplitResult{std::move(separator), std::move(right)};
-  }
-
-  bool EraseImpl(Node* n, const K& key) {
-    if (n->leaf) {
-      int i = LowerBound(n->keys, key);
-      if (i >= static_cast<int>(n->keys.size()) ||
-          !Equal(n->keys[static_cast<size_t>(i)], key)) {
-        return false;
-      }
-      n->keys.erase(n->keys.begin() + i);
-      n->values.erase(n->values.begin() + i);
-      return true;
-    }
-    int ci = ChildIndex(n, key);
-    Node* child = n->children[static_cast<size_t>(ci)].get();
-    bool erased = EraseImpl(child, key);
-    if (erased && static_cast<int>(child->keys.size()) < kMinKeys) {
-      Rebalance(n, ci);
-    }
-    return erased;
-  }
-
-  /// Child `ci` of `parent` underflowed: borrow from a sibling or merge.
-  void Rebalance(Node* parent, int ci) {
-    // Callers pass ci from ChildIndex, so it indexes a live child.
-    Node* child = parent->children[static_cast<size_t>(ci)].get();
-    Node* left =
-        ci > 0 ? parent->children[static_cast<size_t>(ci) - 1].get() : nullptr;
-    Node* right = ci + 1 < static_cast<int>(parent->children.size())
-                      ? parent->children[static_cast<size_t>(ci) + 1].get()
-                      : nullptr;
-
-    if (left != nullptr && static_cast<int>(left->keys.size()) > kMinKeys) {
-      BorrowFromLeft(parent, ci, left, child);
-      return;
-    }
-    if (right != nullptr && static_cast<int>(right->keys.size()) > kMinKeys) {
-      BorrowFromRight(parent, ci, child, right);
-      return;
-    }
-    if (left != nullptr) {
-      MergeChildren(parent, ci - 1);
-    } else {
-      assert(right != nullptr);
-      MergeChildren(parent, ci);
-    }
-  }
-
-  void BorrowFromLeft(Node* parent, int ci, Node* left, Node* child) {
-    if (child->leaf) {
-      child->keys.insert(child->keys.begin(), std::move(left->keys.back()));
-      child->values.insert(child->values.begin(),
-                           std::move(left->values.back()));
-      left->keys.pop_back();
-      left->values.pop_back();
-      parent->keys[static_cast<size_t>(ci) - 1] = child->keys.front();
-    } else {
-      // Rotate through the parent separator.
-      child->keys.insert(child->keys.begin(),
-                         std::move(parent->keys[static_cast<size_t>(ci) - 1]));
-      parent->keys[static_cast<size_t>(ci) - 1] = std::move(left->keys.back());
-      left->keys.pop_back();
-      child->children.insert(child->children.begin(),
-                             std::move(left->children.back()));
-      left->children.pop_back();
-    }
-  }
-
-  void BorrowFromRight(Node* parent, int ci, Node* child, Node* right) {
-    if (child->leaf) {
-      child->keys.push_back(std::move(right->keys.front()));
-      child->values.push_back(std::move(right->values.front()));
-      right->keys.erase(right->keys.begin());
-      right->values.erase(right->values.begin());
-      parent->keys[static_cast<size_t>(ci)] = right->keys.front();
-    } else {
-      child->keys.push_back(std::move(parent->keys[static_cast<size_t>(ci)]));
-      parent->keys[static_cast<size_t>(ci)] = std::move(right->keys.front());
-      right->keys.erase(right->keys.begin());
-      child->children.push_back(std::move(right->children.front()));
-      right->children.erase(right->children.begin());
-    }
-  }
-
-  /// Merges children li and li+1 of `parent` into child li.
-  void MergeChildren(Node* parent, int li) {
-    Node* left = parent->children[static_cast<size_t>(li)].get();
-    std::unique_ptr<Node> right_owner =
-        std::move(parent->children[static_cast<size_t>(li) + 1]);
-    Node* right = right_owner.get();
-    if (left->leaf) {
-      for (size_t i = 0; i < right->keys.size(); ++i) {
-        left->keys.push_back(std::move(right->keys[i]));
-        left->values.push_back(std::move(right->values[i]));
-      }
-      left->next = right->next;
-    } else {
-      left->keys.push_back(std::move(parent->keys[static_cast<size_t>(li)]));
-      for (auto& k : right->keys) left->keys.push_back(std::move(k));
-      for (auto& c : right->children) left->children.push_back(std::move(c));
-    }
-    parent->keys.erase(parent->keys.begin() + li);
-    parent->children.erase(parent->children.begin() + li + 1);
   }
 
   bool ValidateNode(const Node* n, bool is_root, const K* lower, const K* upper,

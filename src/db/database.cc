@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 #include <optional>
 
 #include "common/str_util.h"
@@ -24,9 +25,7 @@ std::string TableKey(const std::string& name) { return ToLower(name); }
 
 bool IsDdl(const Statement& stmt) {
   return std::holds_alternative<CreateTableStatement>(stmt) ||
-         std::holds_alternative<CreateIndexStatement>(stmt) ||
-         std::holds_alternative<DropTableStatement>(stmt) ||
-         std::holds_alternative<TruncateStatement>(stmt);
+         std::holds_alternative<CreateIndexStatement>(stmt);
 }
 
 /// A single-column comparison extracted from the WHERE conjunction, with the
@@ -57,41 +56,23 @@ bool StatementHasFunctionCall(const Statement& stmt) {
     for (const auto& expr : insert->values) {
       if (expr != nullptr && ExprHasFunctionCall(*expr)) return true;
     }
-    return false;
-  }
-  if (const auto* update = std::get_if<UpdateStatement>(&stmt)) {
-    for (const auto& [col, expr] : update->assignments) {
-      if (expr != nullptr && ExprHasFunctionCall(*expr)) return true;
-    }
-    return update->where != nullptr && ExprHasFunctionCall(*update->where);
-  }
-  if (const auto* del = std::get_if<DeleteStatement>(&stmt)) {
-    return del->where != nullptr && ExprHasFunctionCall(*del->where);
   }
   return false;
 }
 
-/// The before image of one row the running UPDATE changed, put back if the
-/// statement fails part-way. Only an UPDATE can fail after a mutation: an
-/// INSERT writes its one row as its last fallible step, and a DELETE's
-/// Table::Delete of a row CollectMatches just returned cannot fail.
-struct UndoRecord {
-  Table* table;
-  RowId row_id;
-  Row old_row;
-};
-
 }  // namespace
 
-/// Executor of one statement: access path selection, predicate filtering,
-/// and mutation with a statement-local undo log.
+/// Executor of one statement: access path selection and predicate filtering
+/// for a SELECT, an INSERT's one row write, and the two DDL statements. A
+/// statement that fails does so before it changes anything (an INSERT's
+/// Table::Insert is its last fallible step), so a failure leaves no trace.
 class Executor {
  public:
-  /// `capture` (nullable) receives the row images of every mutation this
-  /// statement performs — the row-based replication writeset. Null (the
-  /// default) skips capture entirely, so statement-based mode pays nothing.
+  /// `capture` (nullable) receives the row an INSERT writes — the row-based
+  /// replication writeset. Null (the default) skips capture entirely, so
+  /// statement-based mode pays nothing.
   Executor(Database* database, const std::vector<Value>* params = nullptr,
-           std::vector<RowOp>* capture = nullptr)
+           std::shared_ptr<const RowOp>* capture = nullptr)
       : db_(database), params_(params), capture_(capture) {}
 
   Result<ExecResult> Run(const Statement& stmt) {
@@ -103,36 +84,14 @@ class Executor {
       Result<ExecResult> operator()(const CreateIndexStatement& s) {
         return e->CreateIndex(s);
       }
-      Result<ExecResult> operator()(const DropTableStatement& s) {
-        return e->DropTable(s);
-      }
-      Result<ExecResult> operator()(const TruncateStatement& s) {
-        return e->Truncate(s);
-      }
       Result<ExecResult> operator()(const InsertStatement& s) {
         return e->Insert(s);
       }
       Result<ExecResult> operator()(const SelectStatement& s) {
         return e->Select(s);
       }
-      Result<ExecResult> operator()(const UpdateStatement& s) {
-        return e->Update(s);
-      }
-      Result<ExecResult> operator()(const DeleteStatement& s) {
-        return e->Delete(s);
-      }
     };
     return std::visit(Visitor{this}, stmt);
-  }
-
-  /// Reverts the statement's row updates, newest first, so a statement that
-  /// failed part-way leaves its table as it found it.
-  void Undo() {
-    for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
-      Status st = it->table->Update(it->row_id, std::move(it->old_row));
-      assert(st.ok());
-      (void)st;
-    }
   }
 
  private:
@@ -159,24 +118,6 @@ class Executor {
     CLOUDDB_ASSIGN_OR_RETURN(Table * table, ResolveTable(stmt.table));
     CLOUDDB_RETURN_IF_ERROR(table->CreateIndex(stmt.index, stmt.column));
     return ExecResult{};
-  }
-
-  Result<ExecResult> DropTable(const DropTableStatement& stmt) {
-    auto it = db_->tables_.find(TableKey(stmt.table));
-    if (it == db_->tables_.end()) {
-      return Status::NotFound(
-          StrFormat("no table named '%s'", stmt.table.c_str()));
-    }
-    db_->tables_.erase(it);
-    return ExecResult{};
-  }
-
-  Result<ExecResult> Truncate(const TruncateStatement& stmt) {
-    CLOUDDB_ASSIGN_OR_RETURN(Table * table, ResolveTable(stmt.table));
-    ExecResult result;
-    result.rows_affected = static_cast<int64_t>(table->num_rows());
-    table->Truncate();
-    return result;
   }
 
   Result<ExecResult> Insert(const InsertStatement& stmt) {
@@ -214,8 +155,8 @@ class Executor {
     if (capture_ != nullptr) {
       // The after image is the row as *stored* (post type-coercion), fetched
       // back so a slave's direct apply reproduces it bit for bit.
-      capture_->push_back(RowOp{RowOp::Kind::kInsert, TableKey(stmt.table),
-                                {}, *table->Get(id)});
+      *capture_ = std::make_shared<const RowOp>(
+          RowOp{TableKey(stmt.table), *table->Get(id)});
     }
     ExecResult result;
     result.rows_affected = 1;
@@ -383,56 +324,6 @@ class Executor {
     return result;
   }
 
-  Result<ExecResult> Update(const UpdateStatement& stmt) {
-    CLOUDDB_ASSIGN_OR_RETURN(Table * table, ResolveTable(stmt.table));
-    const Schema& schema = table->schema();
-    // Pre-resolve assignment targets.
-    std::vector<size_t> target_cols;
-    for (const auto& [col, expr] : stmt.assignments) {
-      CLOUDDB_ASSIGN_OR_RETURN(size_t idx, schema.ColumnIndex(col));
-      target_cols.push_back(idx);
-    }
-    ExecResult result;
-    CLOUDDB_ASSIGN_OR_RETURN(std::vector<RowId> matches,
-                             CollectMatches(table, stmt.where.get(), &result));
-    for (RowId id : matches) {
-      const Row* old_row = table->Get(id);
-      Row new_row = *old_row;
-      for (size_t i = 0; i < stmt.assignments.size(); ++i) {
-        // Assignments see the *old* row (SQL semantics).
-        CLOUDDB_ASSIGN_OR_RETURN(
-            Value v, EvaluateExpr(*stmt.assignments[i].second, &schema,
-                                  old_row, db_->functions_, params_));
-        new_row[target_cols[i]] = std::move(v);
-      }
-      Row saved = *old_row;
-      CLOUDDB_RETURN_IF_ERROR(table->Update(id, std::move(new_row)));
-      if (capture_ != nullptr) {
-        capture_->push_back(RowOp{RowOp::Kind::kUpdate, TableKey(stmt.table),
-                                  saved, *table->Get(id)});
-      }
-      undo_.push_back(UndoRecord{table, id, std::move(saved)});
-      ++result.rows_affected;
-    }
-    return result;
-  }
-
-  Result<ExecResult> Delete(const DeleteStatement& stmt) {
-    CLOUDDB_ASSIGN_OR_RETURN(Table * table, ResolveTable(stmt.table));
-    ExecResult result;
-    CLOUDDB_ASSIGN_OR_RETURN(std::vector<RowId> matches,
-                             CollectMatches(table, stmt.where.get(), &result));
-    for (RowId id : matches) {
-      if (capture_ != nullptr) {
-        capture_->push_back(RowOp{RowOp::Kind::kDelete, TableKey(stmt.table),
-                                  *table->Get(id), {}});
-      }
-      CLOUDDB_RETURN_IF_ERROR(table->Delete(id));
-      ++result.rows_affected;
-    }
-    return result;
-  }
-
   /// Extracts index-usable single-column constraints from the WHERE
   /// conjunction (col op <row-independent expr>, either side). Clears
   /// `*exhaustive` when some leaf yields no constraint.
@@ -507,10 +398,11 @@ class Executor {
   /// pushdown: when the scan's bounds prove the whole predicate and the
   /// index order satisfies the requested ORDER BY (or there is none), the
   /// scan stops after `limit_hint` rows.
-  Result<std::vector<RowId>> CollectMatches(
-      Table* table, const Expr* where, ExecResult* meta,
-      int64_t limit_hint = -1, size_t order_col = SIZE_MAX,
-      bool order_desc = false) {
+  Result<std::vector<RowId>> CollectMatches(Table* table, const Expr* where,
+                                            ExecResult* meta,
+                                            int64_t limit_hint,
+                                            size_t order_col,
+                                            bool order_desc) {
     const Schema& schema = table->schema();
     std::vector<Constraint> constraints;
     bool exhaustive = true;  // every WHERE leaf became a constraint
@@ -642,8 +534,7 @@ class Executor {
 
   Database* db_;
   const std::vector<Value>* params_;  // null unless running a cached template
-  std::vector<RowOp>* capture_;       // row-based writeset sink or null
-  std::vector<UndoRecord> undo_;      // this statement's updates, in order
+  std::shared_ptr<const RowOp>* capture_;  // row-based writeset sink or null
 };
 
 Database::Database(DatabaseOptions options)
@@ -669,22 +560,19 @@ Result<ExecResult> Database::Execute(
   bool binlog_active = options_.enable_binlog && !binlog_suppressed_;
   bool row_capture = options_.row_based_repl && binlog_active && is_write &&
                      !IsDdl(stmt) && !StatementHasFunctionCall(stmt);
-  std::vector<RowOp> captured_ops;
-  Executor executor(this, compiled->params(),
-                    row_capture ? &captured_ops : nullptr);
-  Result<ExecResult> result = executor.Run(stmt);
-  if (!result.ok()) {
-    executor.Undo();
-    return result;
-  }
+  std::shared_ptr<const RowOp> captured;
+  Result<ExecResult> result = Executor(this, compiled->params(),
+                                       row_capture ? &captured : nullptr)
+                                  .Run(stmt);
+  if (!result.ok()) return result;
   // DDL changed the catalog: cached templates must not survive it.
   if (IsDdl(stmt)) statement_cache_.Invalidate();
   // Commit: a write becomes one binlog event, carrying a writeset in
-  // row-based mode (uncovered, with no ops, for DDL and function calls).
+  // row-based mode (uncovered, with no row, for DDL and function calls).
   if (is_write && binlog_active) {
     std::optional<StatementWriteset> writeset;
     if (options_.row_based_repl) {
-      writeset = StatementWriteset{row_capture, std::move(captured_ops)};
+      writeset = StatementWriteset{std::move(captured)};
     }
     binlog_.Append(compiled, std::move(writeset),
                    options_.now_micros ? options_.now_micros() : 0);

@@ -51,17 +51,17 @@ struct DatabaseOptions {
   bool statement_cache = true;
 
   /// Whether committed write statements additionally capture row-based
-  /// writesets into their binlog events (row images for insert/delete/
-  /// update). Off = statement-only events, the historical format. DDL and
+  /// writesets into their binlog events (an INSERT's stored row). Off =
+  /// statement-only events, the historical format. DDL and
   /// function-bearing statements are never covered regardless of this flag;
   /// they replicate as statement text (see db/writeset.h).
   bool row_based_repl = false;
 };
 
 /// A single-node relational database: catalog, SQL execution and a
-/// statement-based binlog. Every statement is its own transaction
-/// (auto-commit): a statement that fails part-way replays its undo log in
-/// reverse and leaves no trace, and a committed write appends exactly one
+/// statement-based binlog. Tables are append-only (INSERT is the one row
+/// write). Every statement is its own transaction (auto-commit): a statement
+/// that fails leaves no trace, and a committed write appends exactly one
 /// binlog event.
 ///
 /// Typical use:

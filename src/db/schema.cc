@@ -83,7 +83,10 @@ Status Schema::CoerceRow(Row* row) const {
   for (size_t i = 0; i < row->size(); ++i) {
     if (columns_[i].type == ValueType::kDouble &&
         (*row)[i].type() == ValueType::kInt64) {
-      (*row)[i] = Value(static_cast<double>((*row)[i].AsInt64()));
+      // Copied from a named value: assigning a temporary draws GCC 12
+      // -Wmaybe-uninitialized reports from the variant's move.
+      const Value widened(static_cast<double>((*row)[i].AsInt64()));
+      (*row)[i] = widened;
     }
   }
   return Status::Ok();

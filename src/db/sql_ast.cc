@@ -146,41 +146,11 @@ ExprPtr CloneExpr(const Expr& expr) {
 }
 
 bool IsWriteStatement(const Statement& stmt) {
-  return std::holds_alternative<CreateTableStatement>(stmt) ||
-         std::holds_alternative<CreateIndexStatement>(stmt) ||
-         std::holds_alternative<DropTableStatement>(stmt) ||
-         std::holds_alternative<TruncateStatement>(stmt) ||
-         std::holds_alternative<InsertStatement>(stmt) ||
-         std::holds_alternative<UpdateStatement>(stmt) ||
-         std::holds_alternative<DeleteStatement>(stmt);
+  return !std::holds_alternative<SelectStatement>(stmt);
 }
 
 std::string TargetTable(const Statement& stmt) {
-  struct Visitor {
-    std::string operator()(const CreateTableStatement& s) { return s.table; }
-    std::string operator()(const CreateIndexStatement& s) { return s.table; }
-    std::string operator()(const DropTableStatement& s) { return s.table; }
-    std::string operator()(const TruncateStatement& s) { return s.table; }
-    std::string operator()(const InsertStatement& s) { return s.table; }
-    std::string operator()(const SelectStatement& s) { return s.table; }
-    std::string operator()(const UpdateStatement& s) { return s.table; }
-    std::string operator()(const DeleteStatement& s) { return s.table; }
-  };
-  return std::visit(Visitor{}, stmt);
-}
-
-const char* StatementKindName(const Statement& stmt) {
-  struct Visitor {
-    const char* operator()(const CreateTableStatement&) { return "CREATE TABLE"; }
-    const char* operator()(const CreateIndexStatement&) { return "CREATE INDEX"; }
-    const char* operator()(const DropTableStatement&) { return "DROP TABLE"; }
-    const char* operator()(const TruncateStatement&) { return "TRUNCATE"; }
-    const char* operator()(const InsertStatement&) { return "INSERT"; }
-    const char* operator()(const SelectStatement&) { return "SELECT"; }
-    const char* operator()(const UpdateStatement&) { return "UPDATE"; }
-    const char* operator()(const DeleteStatement&) { return "DELETE"; }
-  };
-  return std::visit(Visitor{}, stmt);
+  return std::visit([](const auto& s) { return s.table; }, stmt);
 }
 
 }  // namespace clouddb::db

@@ -4,7 +4,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <variant>
 #include <vector>
 
@@ -88,14 +87,6 @@ struct CreateIndexStatement {
   std::string column;
 };
 
-struct DropTableStatement {
-  std::string table;
-};
-
-struct TruncateStatement {
-  std::string table;
-};
-
 struct InsertStatement {
   std::string table;
   std::vector<std::string> columns;  // empty = schema order
@@ -136,33 +127,19 @@ struct SelectStatement {
   std::optional<size_t> limit_param;
 };
 
-struct UpdateStatement {
-  std::string table;
-  std::vector<std::pair<std::string, ExprPtr>> assignments;
-  ExprPtr where;  // may be null
-};
-
-struct DeleteStatement {
-  std::string table;
-  ExprPtr where;  // may be null
-};
-
 /// A parsed SQL statement. Move-only (expressions own their children).
-using Statement =
-    std::variant<CreateTableStatement, CreateIndexStatement,
-                 DropTableStatement, TruncateStatement, InsertStatement,
-                 SelectStatement, UpdateStatement, DeleteStatement>;
+/// Tables are append-only: INSERT is the one row write, and CREATE TABLE and
+/// CREATE INDEX are the only DDL.
+using Statement = std::variant<CreateTableStatement, CreateIndexStatement,
+                               InsertStatement, SelectStatement>;
 
 /// True for statements that modify data or schema (and therefore must be
-/// written to the binlog and routed to the master).
+/// written to the binlog and routed to the master): everything but SELECT.
 bool IsWriteStatement(const Statement& stmt);
 
 /// The table a statement targets, as spelled in the text. Callers
 /// lower-case it for catalog lookups.
 std::string TargetTable(const Statement& stmt);
-
-/// Short statement-kind name for diagnostics ("INSERT", "SELECT", ...).
-const char* StatementKindName(const Statement& stmt);
 
 }  // namespace clouddb::db
 

@@ -23,12 +23,8 @@ class Parser {
     const Token& t = Peek();
     Result<Statement> result = [&]() -> Result<Statement> {
       if (t.IsKeyword("CREATE")) return ParseCreate();
-      if (t.IsKeyword("DROP")) return ParseDrop();
-      if (t.IsKeyword("TRUNCATE")) return ParseTruncate();
       if (t.IsKeyword("INSERT")) return ParseInsert();
       if (t.IsKeyword("SELECT")) return ParseSelect();
-      if (t.IsKeyword("UPDATE")) return ParseUpdate();
-      if (t.IsKeyword("DELETE")) return ParseDelete();
       return Error("expected a statement");
     }();
     if (!result.ok()) return result;
@@ -149,22 +145,6 @@ class Parser {
     CLOUDDB_RETURN_IF_ERROR(ExpectSymbol("("));
     CLOUDDB_ASSIGN_OR_RETURN(stmt.column, ExpectIdentifier());
     CLOUDDB_RETURN_IF_ERROR(ExpectSymbol(")"));
-    return Statement(std::move(stmt));
-  }
-
-  Result<Statement> ParseDrop() {
-    Advance();  // DROP
-    CLOUDDB_RETURN_IF_ERROR(ExpectKeyword("TABLE"));
-    DropTableStatement stmt;
-    CLOUDDB_ASSIGN_OR_RETURN(stmt.table, ExpectIdentifier());
-    return Statement(std::move(stmt));
-  }
-
-  Result<Statement> ParseTruncate() {
-    Advance();  // TRUNCATE
-    if (Peek().IsKeyword("TABLE")) Advance();
-    TruncateStatement stmt;
-    CLOUDDB_ASSIGN_OR_RETURN(stmt.table, ExpectIdentifier());
     return Statement(std::move(stmt));
   }
 
@@ -292,41 +272,6 @@ class Parser {
         stmt.limit = Advance().int_value;
         if (*stmt.limit < 0) return Error("LIMIT must be non-negative");
       }
-    }
-    return Statement(std::move(stmt));
-  }
-
-  Result<Statement> ParseUpdate() {
-    Advance();  // UPDATE
-    UpdateStatement stmt;
-    CLOUDDB_ASSIGN_OR_RETURN(stmt.table, ExpectIdentifier());
-    CLOUDDB_RETURN_IF_ERROR(ExpectKeyword("SET"));
-    while (true) {
-      CLOUDDB_ASSIGN_OR_RETURN(std::string col, ExpectIdentifier());
-      CLOUDDB_RETURN_IF_ERROR(ExpectSymbol("="));
-      CLOUDDB_ASSIGN_OR_RETURN(ExprPtr e, ParseExpr());
-      stmt.assignments.emplace_back(std::move(col), std::move(e));
-      if (Peek().IsSymbol(",")) {
-        Advance();
-        continue;
-      }
-      break;
-    }
-    if (Peek().IsKeyword("WHERE")) {
-      Advance();
-      CLOUDDB_ASSIGN_OR_RETURN(stmt.where, ParsePredicate());
-    }
-    return Statement(std::move(stmt));
-  }
-
-  Result<Statement> ParseDelete() {
-    Advance();  // DELETE
-    CLOUDDB_RETURN_IF_ERROR(ExpectKeyword("FROM"));
-    DeleteStatement stmt;
-    CLOUDDB_ASSIGN_OR_RETURN(stmt.table, ExpectIdentifier());
-    if (Peek().IsKeyword("WHERE")) {
-      Advance();
-      CLOUDDB_ASSIGN_OR_RETURN(stmt.where, ParsePredicate());
     }
     return Statement(std::move(stmt));
   }

@@ -16,13 +16,12 @@ namespace clouddb::db {
 ///
 ///   CREATE TABLE t (col TYPE [PRIMARY KEY | NOT NULL], ...)
 ///   CREATE INDEX idx ON t (col)
-///   DROP TABLE t
-///   TRUNCATE t                    -- or TRUNCATE TABLE t
 ///   INSERT INTO t [(cols)] VALUES (expr, ...)
 ///   SELECT * | COUNT(*) | cols FROM t [WHERE pred] [ORDER BY col [ASC|DESC]]
 ///       [LIMIT n]
-///   UPDATE t SET col = expr [, ...] [WHERE pred]
-///   DELETE FROM t [WHERE pred]
+///
+/// Tables are append-only: UPDATE, DELETE, DROP TABLE and TRUNCATE are not
+/// statements, so their text fails to parse.
 ///
 /// TYPE is INT | BIGINT | TIMESTAMP (64-bit int), DOUBLE,
 /// TEXT | VARCHAR[(n)] (string).

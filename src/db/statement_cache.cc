@@ -17,15 +17,15 @@ namespace {
 
 /// True when the fingerprint's leading token can begin a cacheable
 /// statement. Everything else (DDL, garbage) takes the plain parse path so
-/// its behavior — including error text — is identical with the cache off. The check is exact: keywords are uppercased in the
-/// fingerprint and every token carries a trailing space, so an identifier
-/// spelled "selectx" ("selectx ") can never match "SELECT ".
+/// its behavior — including error text — is identical with the cache off.
+/// The check is exact: keywords are uppercased in the fingerprint and every
+/// token carries a trailing space, so an identifier spelled "selectx"
+/// ("selectx ") can never match "SELECT ".
 bool CacheableFingerprint(const std::string& fp) {
   auto starts_with = [&](const char* prefix) {
     return fp.compare(0, std::char_traits<char>::length(prefix), prefix) == 0;
   };
-  return starts_with("SELECT ") || starts_with("INSERT ") ||
-         starts_with("UPDATE ") || starts_with("DELETE ");
+  return starts_with("SELECT ") || starts_with("INSERT ");
 }
 
 bool IsLiteralToken(const Token& t) {
@@ -42,15 +42,15 @@ std::string FingerprintTokens(const std::vector<Token>& tokens,
   for (const Token& t : tokens) {
     switch (t.type) {
       case TokenType::kInteger:
-        params->push_back(Value(t.int_value));
+        params->emplace_back(t.int_value);
         fp += "? ";
         break;
       case TokenType::kDouble:
-        params->push_back(Value(t.double_value));
+        params->emplace_back(t.double_value);
         fp += "? ";
         break;
       case TokenType::kString:
-        params->push_back(Value(t.text));
+        params->emplace_back(t.text);
         fp += "? ";
         break;
       case TokenType::kEnd:
@@ -76,12 +76,8 @@ std::vector<Token> MaskLiterals(const std::vector<Token>& tokens) {
   int64_t next_param = 0;
   for (const Token& t : tokens) {
     if (IsLiteralToken(t)) {
-      Token p;
-      p.type = TokenType::kParameter;
-      p.text = "?";
-      p.int_value = next_param++;
-      p.offset = t.offset;
-      masked.push_back(std::move(p));
+      masked.push_back(
+          Token{TokenType::kParameter, "?", next_param++, 0.0, t.offset});
     } else {
       masked.push_back(t);
     }

@@ -67,8 +67,8 @@ struct PreparedCall {
 /// and replicas (a hard requirement: the simulation's results must be
 /// independent of host timing).
 ///
-/// Only DML (SELECT/INSERT/UPDATE/DELETE) is cached. DDL bypasses the cache,
-/// and executing DDL must call Invalidate().
+/// Only SELECT and INSERT are cached. DDL bypasses the cache, and executing
+/// DDL must call Invalidate().
 class StatementCache {
  public:
   explicit StatementCache(size_t capacity = kDefaultCapacity);

@@ -1,7 +1,6 @@
 #include "db/table.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/str_util.h"
 #include "common/result.h"
@@ -9,7 +8,6 @@
 #include "db/bplus_tree.h"
 #include "db/schema.h"
 #include "db/value.h"
-#include "db/writeset.h"
 
 namespace clouddb::db {
 
@@ -23,8 +21,6 @@ Table::Table(std::string name, Schema schema)
 std::unique_ptr<Table> Table::Clone() const {
   auto copy = std::make_unique<Table>(name_, schema_);
   copy->rows_ = rows_;
-  copy->first_row_id_ = first_row_id_;
-  copy->live_rows_ = live_rows_;
   if (primary_ != nullptr) {
     copy->primary_ = std::make_unique<BPlusTree<Value, RowId>>(*primary_);
   }
@@ -39,130 +35,22 @@ std::unique_ptr<Table> Table::Clone() const {
 Result<RowId> Table::Insert(Row row) {
   CLOUDDB_RETURN_IF_ERROR(schema_.CoerceRow(&row));
   // The primary tree's Insert already detects duplicates, so there is no
-  // separate Contains() probe — one traversal instead of two. The row id is
-  // only consumed once the insert is known to stick.
-  RowId id = next_row_id();
-  Status st = IndexInsert(id, row);
-  if (!st.ok()) {
-    if (primary_ != nullptr) {
-      return Status::AlreadyExists(
-          StrFormat("duplicate primary key %s in table '%s'",
-                    row[*schema_.primary_key_index()].ToSqlLiteral().c_str(),
-                    name_.c_str()));
-    }
-    return st;
-  }
-  rows_.push_back(std::move(row));
-  ++live_rows_;
-  return id;
-}
-
-Status Table::Delete(RowId id) {
-  const Row* row = Get(id);
-  if (row == nullptr) {
-    return Status::NotFound(StrFormat("row %lld not found in table '%s'",
-                                      static_cast<long long>(id),
-                                      name_.c_str()));
-  }
-  IndexErase(id, *row);
-  // The empty row marks the slot dead and frees the values.
-  Slot(id) = Row();
-  --live_rows_;
-  return Status::Ok();
-}
-
-Status Table::Update(RowId id, Row new_row) {
-  const Row* row = Get(id);
-  if (row == nullptr) {
-    return Status::NotFound(StrFormat("row %lld not found in table '%s'",
-                                      static_cast<long long>(id),
-                                      name_.c_str()));
-  }
-  CLOUDDB_RETURN_IF_ERROR(schema_.CoerceRow(&new_row));
-  const Row& old_row = *row;
-  // Maintain only the indexes whose key column actually changed. The common
-  // replicated UPDATE touches non-indexed columns, where a blanket
-  // erase+reinsert would pay two B+Tree rebalances per index for nothing.
-  bool pk_changed = false;
+  // separate lookup first — one traversal instead of two. Nothing changes
+  // before that check, so a duplicate leaves the table as it was.
+  RowId id = static_cast<RowId>(rows_.size()) + 1;
   if (primary_ != nullptr) {
-    size_t pk_col = *schema_.primary_key_index();
-    const Value& old_pk = old_row[pk_col];
-    const Value& new_pk = new_row[pk_col];
-    pk_changed = old_pk != new_pk;
-    if (pk_changed && primary_->Contains(new_pk)) {
+    const Value& pk = row[*schema_.primary_key_index()];
+    if (!primary_->Insert(pk, id)) {
       return Status::AlreadyExists(
           StrFormat("duplicate primary key %s in table '%s'",
-                    new_pk.ToSqlLiteral().c_str(), name_.c_str()));
+                    pk.ToSqlLiteral().c_str(), name_.c_str()));
     }
-  }
-  if (pk_changed) {
-    size_t pk_col = *schema_.primary_key_index();
-    primary_->Erase(old_row[pk_col]);
-    primary_->Insert(new_row[pk_col], id);
   }
   for (auto& idx : secondary_) {
-    if (old_row[idx.column] == new_row[idx.column]) continue;
-    idx.tree->Erase(SecondaryKey{old_row[idx.column], id});
-    idx.tree->Insert(SecondaryKey{new_row[idx.column], id}, id);
+    idx.tree->Insert(SecondaryKey{row[idx.column], id}, id);
   }
-  Slot(id) = std::move(new_row);
-  return Status::Ok();
-}
-
-Status Table::ApplyRowDelta(const RowOp& op) {
-  switch (op.kind) {
-    case RowOp::Kind::kInsert: {
-      Result<RowId> id = Insert(Row(op.after));
-      return id.ok() ? Status::Ok() : id.status();
-    }
-    case RowOp::Kind::kDelete: {
-      CLOUDDB_ASSIGN_OR_RETURN(RowId id, LocateByImage(op.before));
-      return Delete(id);
-    }
-    case RowOp::Kind::kUpdate: {
-      CLOUDDB_ASSIGN_OR_RETURN(RowId id, LocateByImage(op.before));
-      return Update(id, Row(op.after));
-    }
-  }
-  return Status::Internal("unknown row op kind");
-}
-
-Result<RowId> Table::LocateByImage(const Row& image) const {
-  if (image.size() != schema_.num_columns()) {
-    return Status::InvalidArgument(
-        StrFormat("row image has %zu columns, table '%s' has %zu",
-                  image.size(), name_.c_str(), schema_.num_columns()));
-  }
-  auto matches = [&](const Row& row) {
-    for (size_t i = 0; i < image.size(); ++i) {
-      if (row[i] != image[i]) return false;
-    }
-    return true;
-  };
-  if (primary_ != nullptr) {
-    CLOUDDB_ASSIGN_OR_RETURN(
-        RowId id, FindByPrimaryKey(image[*schema_.primary_key_index()]));
-    const Row* row = Get(id);
-    if (row == nullptr || !matches(*row)) {
-      return Status::NotFound(StrFormat(
-          "before image mismatch for %s in table '%s' (replica diverged)",
-          image[*schema_.primary_key_index()].ToSqlLiteral().c_str(),
-          name_.c_str()));
-    }
-    return id;
-  }
-  // No primary key: first content-equal row in RowId order. Any matching
-  // row is interchangeable for multiset equality, and scanning in RowId
-  // order keeps the choice deterministic.
-  std::optional<RowId> found;
-  ForEachRow([&](RowId id, const Row& row) {
-    if (matches(row)) found = id;
-    return !found.has_value();
-  });
-  if (found.has_value()) return *found;
-  return Status::NotFound(StrFormat(
-      "no row matching before image in table '%s' (replica diverged)",
-      name_.c_str()));
+  rows_.push_back(std::move(row));
+  return id;
 }
 
 uint64_t Table::ContentsHash() const {
@@ -178,20 +66,7 @@ uint64_t Table::ContentsHash() const {
     total += h;
     return true;
   });
-  return total ^ (static_cast<uint64_t>(live_rows_) * 0x9e3779b97f4a7c15ull);
-}
-
-Result<RowId> Table::FindByPrimaryKey(const Value& key) const {
-  if (primary_ == nullptr) {
-    return Status::FailedPrecondition(
-        StrFormat("table '%s' has no primary key", name_.c_str()));
-  }
-  const RowId* id = primary_->Find(key);
-  if (id == nullptr) {
-    return Status::NotFound(StrFormat("primary key %s not found",
-                                      key.ToSqlLiteral().c_str()));
-  }
-  return *id;
+  return total ^ (static_cast<uint64_t>(rows_.size()) * 0x9e3779b97f4a7c15ull);
 }
 
 Status Table::CreateIndex(const std::string& index_name,
@@ -290,14 +165,6 @@ Status Table::ScanPrimary(const Value* lo, bool lo_inclusive, const Value* hi,
   return Status::Ok();
 }
 
-void Table::Truncate() {
-  first_row_id_ = next_row_id();
-  rows_.clear();
-  live_rows_ = 0;
-  if (primary_ != nullptr) primary_->Clear();
-  for (auto& idx : secondary_) idx.tree->Clear();
-}
-
 bool Table::ContentsEqual(const Table& a, const Table& b) {
   if (a.schema_ != b.schema_) return false;
   auto index_set = [](const Table& t) {
@@ -307,27 +174,17 @@ bool Table::ContentsEqual(const Table& a, const Table& b) {
     return indexes;
   };
   if (index_set(a) != index_set(b)) return false;
-  if (a.live_rows_ != b.live_rows_) return false;
   // Replicas fed one statement stream hold their rows in the same RowId
   // order (a copy keeps the RowIds; slaves assign them in binlog order), so
-  // walk the live rows of both stores in lockstep first: equal sequences are
-  // equal multisets. The live counts are equal, so while `a` has a live row
-  // left, so does `b`.
-  auto ia = a.rows_.begin();
-  auto ib = b.rows_.begin();
-  while (true) {
-    while (ia != a.rows_.end() && ia->empty()) ++ia;
-    while (ib != b.rows_.end() && ib->empty()) ++ib;
-    if (ia == a.rows_.end()) return true;
-    if (*ia != *ib) break;
-    ++ia;
-    ++ib;
-  }
+  // compare the two stores slot by slot first: equal sequences are equal
+  // multisets.
+  if (a.rows_ == b.rows_) return true;
+  if (a.rows_.size() != b.rows_.size()) return false;
   // The orders differ: compare as sorted multisets of rows (RowIds excluded;
   // contents are what matter).
   std::vector<const Row*> ra, rb;
-  ra.reserve(a.live_rows_);
-  rb.reserve(b.live_rows_);
+  ra.reserve(a.rows_.size());
+  rb.reserve(b.rows_.size());
   a.ForEachRow([&](RowId, const Row& row) {
     ra.push_back(&row);
     return true;
@@ -364,7 +221,7 @@ bool Table::ValidateIndexes(std::string* error) const {
     if (!primary_->Validate(&tree_err)) {
       return fail("primary tree invalid: " + tree_err);
     }
-    if (primary_->size() != live_rows_) {
+    if (primary_->size() != rows_.size()) {
       return fail("primary index size mismatch");
     }
     size_t pk_col = *schema_.primary_key_index();
@@ -381,7 +238,7 @@ bool Table::ValidateIndexes(std::string* error) const {
     if (!idx.tree->Validate(&tree_err)) {
       return fail("secondary tree invalid: " + tree_err);
     }
-    if (idx.tree->size() != live_rows_) {
+    if (idx.tree->size() != rows_.size()) {
       return fail(StrFormat("secondary index '%s' size mismatch",
                             idx.name.c_str()));
     }
@@ -397,28 +254,6 @@ bool Table::ValidateIndexes(std::string* error) const {
     }
   }
   return true;
-}
-
-Status Table::IndexInsert(RowId id, const Row& row) {
-  if (primary_ != nullptr) {
-    const Value& pk = row[*schema_.primary_key_index()];
-    if (!primary_->Insert(pk, id)) {
-      return Status::AlreadyExists("duplicate primary key");
-    }
-  }
-  for (auto& idx : secondary_) {
-    idx.tree->Insert(SecondaryKey{row[idx.column], id}, id);
-  }
-  return Status::Ok();
-}
-
-void Table::IndexErase(RowId id, const Row& row) {
-  if (primary_ != nullptr) {
-    primary_->Erase(row[*schema_.primary_key_index()]);
-  }
-  for (auto& idx : secondary_) {
-    idx.tree->Erase(SecondaryKey{row[idx.column], id});
-  }
 }
 
 }  // namespace clouddb::db

@@ -13,11 +13,11 @@
 #include "db/bplus_tree.h"
 #include "db/schema.h"
 #include "db/value.h"
-#include "db/writeset.h"
 
 namespace clouddb::db {
 
-/// Internal row identifier; stable for the life of the row.
+/// Internal row identifier: the table's rows are numbered 1, 2, ... in
+/// insertion order.
 using RowId = int64_t;
 
 /// Composite key for secondary (non-unique) indexes: the indexed value plus
@@ -33,10 +33,10 @@ struct SecondaryKey {
   }
 };
 
-/// A heap of rows plus indexes.
+/// An append-only heap of rows plus indexes.
 ///
-/// - Rows live in a RowId-indexed store; RowIds are assigned monotonically
-///   and never reused, not even after a delete or a TRUNCATE.
+/// - Rows live in a RowId-indexed store; a row, once inserted, is never
+///   changed or removed, so RowId i is always the i-th row inserted.
 /// - If the schema declares a PRIMARY KEY, a unique B+Tree index over it is
 ///   maintained automatically and uniqueness is enforced.
 /// - Any column can get a secondary (non-unique) B+Tree index.
@@ -54,27 +54,12 @@ class Table {
 
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
-  size_t num_rows() const { return live_rows_; }
+  size_t num_rows() const { return rows_.size(); }
 
   /// Validates and inserts `row`; enforces PK uniqueness. Returns the new
-  /// RowId.
+  /// RowId. A failed insert changes nothing. Row-based replication's direct
+  /// apply inserts the master's captured row images through this too.
   Result<RowId> Insert(Row row);
-
-  /// Deletes by RowId. Returns NotFound if absent.
-  Status Delete(RowId id);
-
-  /// Replaces the row's contents (all indexes updated). The primary key may
-  /// change as long as it stays unique.
-  Status Update(RowId id, Row new_row);
-
-  /// Row-based replication's direct-apply path: applies one captured row
-  /// image delta — insert the after image, delete/update the row matching
-  /// the before image — updating the row store, NULL-bearing column values,
-  /// and every index, with no SQL involved. Before images are located by
-  /// primary key when one exists (then verified column-for-column against
-  /// the live row), otherwise by a first-match content scan; a mismatch
-  /// means the replica diverged and fails with NotFound.
-  Status ApplyRowDelta(const RowOp& op);
 
   /// Order-independent 64-bit checksum of the row multiset (RowIds
   /// excluded). Two tables with equal contents hash equally regardless of
@@ -82,21 +67,11 @@ class Table {
   /// row-based vs statement-based ablation tests.
   uint64_t ContentsHash() const;
 
-  /// Row access (nullptr if the id is dead or was never assigned): a bounds
-  /// check and one index. The unsigned difference sends ids below the first
-  /// slot past the end too.
+  /// Row access (nullptr if the id was never assigned): a bounds check and
+  /// one index. The unsigned difference sends ids below 1 past the end too.
   const Row* Get(RowId id) const {
-    uint64_t slot = static_cast<uint64_t>(id) -
-                    static_cast<uint64_t>(first_row_id_);
-    if (slot >= rows_.size()) return nullptr;
-    const Row& row = rows_[slot];
-    return row.empty() ? nullptr : &row;
-  }
-
-  /// Looks up by primary key. Requires a declared primary key.
-  Result<RowId> FindByPrimaryKey(const Value& key) const;
-  bool HasPrimaryKey() const {
-    return schema_.primary_key_index().has_value();
+    uint64_t slot = static_cast<uint64_t>(id) - 1;
+    return slot < rows_.size() ? &rows_[slot] : nullptr;
   }
 
   /// Creates a secondary index on `column` (named `index_name`). Fails if the
@@ -122,20 +97,15 @@ class Table {
                      bool hi_inclusive,
                      const std::function<bool(RowId)>& visit) const;
 
-  /// Visits every live row in RowId order.
+  /// Visits every row in RowId order.
   /// Visitor: bool(RowId, const Row&) — return false to stop.
   template <typename Visitor>
   void ForEachRow(Visitor&& visit) const {
-    RowId id = first_row_id_ - 1;
+    RowId id = 0;
     for (const Row& row : rows_) {
-      ++id;
-      if (row.empty()) continue;
-      if (!visit(id, row)) return;
+      if (!visit(++id, row)) return;
     }
   }
-
-  /// Removes all rows (indexes cleared; schema and index definitions kept).
-  void Truncate();
 
   /// Deep equality of contents and catalog: equal schemas, the same set of
   /// (index name, column) secondary indexes, and the same multiset of rows
@@ -157,25 +127,12 @@ class Table {
     std::unique_ptr<BPlusTree<SecondaryKey, RowId>> tree;
   };
 
-  Status IndexInsert(RowId id, const Row& row);
-  void IndexErase(RowId id, const Row& row);
-  /// The RowId of the live row matching `image` (see ApplyRowDelta).
-  Result<RowId> LocateByImage(const Row& image) const;
-  /// The slot of `id`, which the caller has checked with Get.
-  Row& Slot(RowId id) { return rows_[static_cast<size_t>(id - first_row_id_)]; }
-  RowId next_row_id() const {
-    return first_row_id_ + static_cast<RowId>(rows_.size());
-  }
-
   std::string name_;
   Schema schema_;
-  // rows_[i] holds RowId first_row_id_ + i, so the slots are in RowId order
-  // and the next RowId is first_row_id_ + rows_.size(). An empty Row marks a
-  // deleted one: Schema::Create rejects zero-column tables, so a live row is
-  // never empty. A deque appends without moving the rows already stored.
+  // rows_[i] holds RowId i + 1, so the slots are in RowId order and the next
+  // RowId is rows_.size() + 1. A deque appends without moving the rows
+  // already stored.
   std::deque<Row> rows_;
-  RowId first_row_id_ = 1;  // the next RowId at the last TRUNCATE
-  size_t live_rows_ = 0;
   std::unique_ptr<BPlusTree<Value, RowId>> primary_;  // null if no PK
   std::vector<SecondaryIndex> secondary_;
 };

@@ -3,22 +3,17 @@
 #include "common/str_util.h"
 #include "common/time_types.h"
 #include "db/sql_ast.h"
-#include "db/writeset.h"
 
 namespace clouddb::repl {
 
 SimDuration CostModel::EstimateStatement(const db::Statement& stmt) const {
   if (std::holds_alternative<db::SelectStatement>(stmt)) return select_cost;
   if (std::holds_alternative<db::InsertStatement>(stmt)) return insert_cost;
-  if (std::holds_alternative<db::UpdateStatement>(stmt)) return update_cost;
-  if (std::holds_alternative<db::DeleteStatement>(stmt)) return delete_cost;
   return ddl_cost;
 }
 
-SimDuration CostModel::EstimateWritesetApply(
-    const db::StatementWriteset& ws) const {
-  return writeset_apply_cost +
-         writeset_row_cost * static_cast<SimDuration>(ws.ops.size());
+SimDuration CostModel::EstimateWritesetApply() const {
+  return writeset_apply_cost + writeset_row_cost;
 }
 
 SimDuration CostModel::EstimateApply(const db::Statement& stmt) const {

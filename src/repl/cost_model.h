@@ -6,7 +6,6 @@
 
 #include "common/time_types.h"
 #include "db/sql_ast.h"
-#include "db/writeset.h"
 
 namespace clouddb::repl {
 
@@ -18,8 +17,6 @@ namespace clouddb::repl {
 struct CostModel {
   SimDuration select_cost = Millis(60);
   SimDuration insert_cost = Millis(30);
-  SimDuration update_cost = Millis(40);
-  SimDuration delete_cost = Millis(40);
   SimDuration ddl_cost = Millis(5);
 
   /// Slave apply cost = apply_factor * the statement's nominal cost
@@ -32,9 +29,10 @@ struct CostModel {
   /// never target the function-bearing tables the overrides exist for).
   std::map<std::string, SimDuration> apply_cost_by_table;
 
-  /// Direct row-image apply (row-based mode): locate + mutate + index
+  /// Direct row-image apply (row-based mode): the row insert and its index
   /// maintenance only — no lexing, parsing, planning, or expression
-  /// evaluation. Charged per covered statement plus a per-row term.
+  /// evaluation. A covered statement inserts one row and is charged the
+  /// statement term plus the row term.
   SimDuration writeset_apply_cost = Millis(2);
   SimDuration writeset_row_cost = Micros(100);
 
@@ -45,7 +43,7 @@ struct CostModel {
   SimDuration EstimateApply(const db::Statement& stmt) const;
 
   /// Cost of directly applying one covered writeset statement on a slave.
-  SimDuration EstimateWritesetApply(const db::StatementWriteset& ws) const;
+  SimDuration EstimateWritesetApply() const;
 };
 
 }  // namespace clouddb::repl

@@ -94,9 +94,10 @@ void SlaveNode::MaybeStartApply() {
   // The apply cost comes from the master's compiled statement, or, for a
   // covered writeset, from its row images: neither touches the lexer or
   // the parser here.
-  bool covered = shipped->writeset.has_value() && shipped->writeset->covered;
+  bool covered =
+      shipped->writeset.has_value() && shipped->writeset->row != nullptr;
   SimDuration cost =
-      covered ? cost_model_.EstimateWritesetApply(*shipped->writeset)
+      covered ? cost_model_.EstimateWritesetApply()
               : cost_model_.EstimateApply(shipped->compiled->statement());
 
   int64_t epoch = apply_epoch_;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "cloud/cloud_provider.h"
 #include "repl/replication_cluster.h"
 #include "common/result.h"
@@ -130,18 +133,35 @@ TEST_F(RwSplitProxyTest, ExecuteAutoClassifiesStatements) {
   d_->proxy.ExecuteAuto("SELECT COUNT(*) FROM t", Millis(5),
                         [](Result<db::ExecResult> r) { ASSERT_TRUE(r.ok()); });
   // Text that does not parse travels to the master like a write, and the
-  // master fails it with the parse error.
-  Status unparseable;
-  d_->proxy.ExecuteAuto("BEGIN", Millis(5), [&](Result<db::ExecResult> r) {
-    unparseable = r.status();
-  });
+  // master fails it with the parse error: transaction control, and the
+  // statements append-only tables do not have.
+  const std::vector<std::string> unparseable = {
+      "BEGIN", "UPDATE t SET a = 3 WHERE a = 2", "DELETE FROM t WHERE a = 2",
+      "DROP TABLE t", "TRUNCATE t"};
+  std::vector<Status> failed(unparseable.size());
+  for (size_t i = 0; i < unparseable.size(); ++i) {
+    d_->proxy.ExecuteAuto(unparseable[i], Millis(5),
+                          [&failed, i](Result<db::ExecResult> r) {
+                            failed[i] = r.status();
+                          });
+  }
   d_->sim.Run();
-  EXPECT_EQ(d_->proxy.writes_routed(), 2);
+  EXPECT_EQ(d_->proxy.writes_routed(), 1 + 5);
   EXPECT_EQ(d_->proxy.total_reads_routed(), 1);
-  EXPECT_FALSE(unparseable.ok());
-  EXPECT_EQ(unparseable.ToString(),
-            db::ParseSql("BEGIN").status().ToString());
-  EXPECT_EQ(d_->cluster.master()->queries_failed(), 1);
+  for (size_t i = 0; i < unparseable.size(); ++i) {
+    EXPECT_FALSE(failed[i].ok()) << unparseable[i];
+    EXPECT_EQ(failed[i].ToString(),
+              db::ParseSql(unparseable[i]).status().ToString());
+  }
+  EXPECT_EQ(d_->cluster.master()->queries_failed(), 5);
+  // None of them changed anything: the table holds the one inserted row.
+  d_->proxy.ExecuteAuto("SELECT COUNT(*) FROM t", Millis(5),
+                        [](Result<db::ExecResult> r) {
+                          ASSERT_TRUE(r.ok());
+                          EXPECT_EQ(r->rows[0][0].AsInt64(), 1);
+                        });
+  d_->sim.Run();
+  EXPECT_TRUE(d_->cluster.Converged());
 }
 
 TEST_F(RwSplitProxyTest, ReadYourWritesCanBeStale) {

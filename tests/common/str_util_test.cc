@@ -19,40 +19,10 @@ TEST(StrFormatTest, LongOutput) {
   EXPECT_EQ(out.back(), ']');
 }
 
-TEST(StrSplitTest, SplitsAndKeepsEmptyFields) {
-  EXPECT_EQ(StrSplit("a,b,c", ','),
-            (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(StrSplit("a,,c", ','), (std::vector<std::string>{"a", "", "c"}));
-  EXPECT_EQ(StrSplit("", ','), (std::vector<std::string>{""}));
-  EXPECT_EQ(StrSplit(",", ','), (std::vector<std::string>{"", ""}));
-}
-
-TEST(StrJoinTest, JoinsWithSeparator) {
-  EXPECT_EQ(StrJoin({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(StrJoin({}, ","), "");
-  EXPECT_EQ(StrJoin({"only"}, ","), "only");
-}
-
 TEST(CaseTest, ToLowerUpper) {
   EXPECT_EQ(ToLower("SeLeCt *"), "select *");
   EXPECT_EQ(ToUpper("SeLeCt *"), "SELECT *");
   EXPECT_EQ(ToLower(""), "");
-}
-
-TEST(StripWhitespaceTest, StripsBothEnds) {
-  EXPECT_EQ(StripWhitespace("  x  "), "x");
-  EXPECT_EQ(StripWhitespace("\t\nabc\r "), "abc");
-  EXPECT_EQ(StripWhitespace("   "), "");
-  EXPECT_EQ(StripWhitespace("abc"), "abc");
-}
-
-TEST(PrefixSuffixTest, StartsEndsWith) {
-  EXPECT_TRUE(StartsWith("SELECT 1", "SELECT"));
-  EXPECT_FALSE(StartsWith("SEL", "SELECT"));
-  EXPECT_TRUE(EndsWith("a.csv", ".csv"));
-  EXPECT_FALSE(EndsWith("csv", ".csv"));
-  EXPECT_TRUE(StartsWith("x", ""));
-  EXPECT_TRUE(EndsWith("x", ""));
 }
 
 TEST(EqualsIgnoreCaseTest, Comparisons) {

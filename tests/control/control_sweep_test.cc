@@ -7,12 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "client/rw_split_proxy.h"
-#include "common/str_util.h"
 #include "common/time_types.h"
 #include "harness/control_experiment.h"
 
@@ -60,15 +60,15 @@ TEST(ControlExperimentTest, ClosesTheLoopOnAShortRun) {
 /// value count" with the column padding removed.
 std::vector<std::string> StatementCacheRows(const std::string& table) {
   std::vector<std::string> rows;
-  for (const std::string& line : StrSplit(table, '\n')) {
-    std::vector<std::string> cells;
-    for (const std::string& cell : StrSplit(line, '|')) {
-      std::string_view trimmed = StripWhitespace(cell);
-      if (!trimmed.empty()) cells.emplace_back(trimmed);
+  std::istringstream lines(table);
+  for (std::string line; std::getline(lines, line);) {
+    std::replace(line.begin(), line.end(), '|', ' ');
+    std::istringstream cells(line);
+    std::string row;
+    for (std::string cell; cells >> cell;) {
+      row += row.empty() ? cell : " " + cell;
     }
-    if (!cells.empty() && StartsWith(cells[0], "db.statement_cache.")) {
-      rows.push_back(StrJoin(cells, " "));
-    }
+    if (row.rfind("db.statement_cache.", 0) == 0) rows.push_back(row);
   }
   return rows;
 }

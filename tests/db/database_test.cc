@@ -5,6 +5,8 @@
 #include "db/writeset.h"
 #include "db/writeset_apply.h"
 
+#include <memory>
+
 #include <gtest/gtest.h>
 
 namespace clouddb::db {
@@ -29,15 +31,6 @@ class DatabaseTest : public ::testing::Test {
 
   Database db_;
 };
-
-RowOp PeopleOp(RowOp::Kind kind, Row before, Row after) {
-  RowOp op;
-  op.kind = kind;
-  op.table = "people";
-  op.before = std::move(before);
-  op.after = std::move(after);
-  return op;
-}
 
 Row Person(int64_t id, const char* name, int64_t age) {
   return Row{Value(id), Value(name), Value(age)};
@@ -154,31 +147,6 @@ TEST_F(DatabaseTest, ProjectionSubset) {
   EXPECT_EQ(r.rows[0][1].AsInt64(), 1);
 }
 
-TEST_F(DatabaseTest, UpdateRowsAffected) {
-  SetUpPeople();
-  ExecResult r = Must("UPDATE people SET age = age + 1 WHERE age = 25");
-  EXPECT_EQ(r.rows_affected, 2);
-  ExecResult check = Must("SELECT COUNT(*) FROM people WHERE age = 26");
-  EXPECT_EQ(check.rows[0][0].AsInt64(), 2);
-}
-
-TEST_F(DatabaseTest, UpdateSeesOldRowInAssignments) {
-  Must("CREATE TABLE t (a INT, b INT)");
-  Must("INSERT INTO t VALUES (1, 10)");
-  // Swap using old values: both assignments read the pre-update row.
-  Must("UPDATE t SET a = b, b = a");
-  ExecResult r = Must("SELECT * FROM t");
-  EXPECT_EQ(r.rows[0][0].AsInt64(), 10);
-  EXPECT_EQ(r.rows[0][1].AsInt64(), 1);
-}
-
-TEST_F(DatabaseTest, DeleteRowsAffected) {
-  SetUpPeople();
-  ExecResult r = Must("DELETE FROM people WHERE age < 30");
-  EXPECT_EQ(r.rows_affected, 2);
-  EXPECT_EQ(Must("SELECT COUNT(*) FROM people").rows[0][0].AsInt64(), 2);
-}
-
 TEST_F(DatabaseTest, InsertWithColumnListFillsNulls) {
   Must("CREATE TABLE t (a INT PRIMARY KEY, b TEXT, c DOUBLE)");
   Must("INSERT INTO t (a) VALUES (1)");
@@ -202,18 +170,28 @@ TEST_F(DatabaseTest, ErrorsForMissingTableAndColumn) {
   EXPECT_FALSE(db_.Execute("INSERT INTO people (nope) VALUES (1)").ok());
 }
 
-TEST_F(DatabaseTest, DropTable) {
+// Tables are append-only: the statements that would change or remove rows
+// or tables are not SQL this engine knows, so they fail as parse errors and
+// leave the tables and the binlog as they were, with the cache on or off.
+TEST_F(DatabaseTest, UpdateDeleteDropAndTruncateFailToParse) {
   SetUpPeople();
-  Must("DROP TABLE people");
-  EXPECT_EQ(db_.GetTable("people"), nullptr);
-  EXPECT_TRUE(db_.Execute("DROP TABLE people").status().IsNotFound());
-}
-
-TEST_F(DatabaseTest, TruncateReportsRowCount) {
-  SetUpPeople();
-  ExecResult r = Must("TRUNCATE people");
-  EXPECT_EQ(r.rows_affected, 4);
-  EXPECT_EQ(Must("SELECT COUNT(*) FROM people").rows[0][0].AsInt64(), 0);
+  for (bool cache : {true, false}) {
+    db_.set_statement_cache_enabled(cache);
+    for (const char* sql : {"UPDATE people SET age = 1 WHERE id = 1",
+                            "DELETE FROM people WHERE id = 1",
+                            "DROP TABLE people", "TRUNCATE people",
+                            "TRUNCATE TABLE people"}) {
+      Database before;
+      before.CopyTablesFrom(db_);
+      int64_t logged = db_.binlog().size();
+      Status st = db_.Execute(sql).status();
+      EXPECT_TRUE(st.IsInvalidArgument()) << sql << ": " << st.ToString();
+      EXPECT_NE(st.ToString().find("parse error"), std::string::npos) << sql;
+      EXPECT_TRUE(Database::ContentsEqual(before, db_)) << sql;
+      EXPECT_EQ(db_.binlog().size(), logged) << sql;
+    }
+  }
+  EXPECT_EQ(Must("SELECT COUNT(*) FROM people").rows[0][0].AsInt64(), 4);
 }
 
 TEST_F(DatabaseTest, TableNamesAreCaseInsensitive) {
@@ -238,11 +216,15 @@ TEST_F(DatabaseTest, BinlogRecordsWritesNotReads) {
 TEST_F(DatabaseTest, FailedAutocommitNotLogged) {
   SetUpPeople();
   Must("CREATE INDEX idx_age ON people (age)");
+  // Each fails before it changes anything: a duplicate key, NULL in a NOT
+  // NULL column, an unknown column, an index name in use, an index on an
+  // unknown column.
   const char* const kFailing[] = {
       "INSERT INTO people VALUES (1, 'dup', 0)",
-      // Row 1 becomes 5, then row 2 collides with it: the statement's undo
-      // must put row 1 back.
-      "UPDATE people SET id = 5 WHERE id < 3",
+      "INSERT INTO people VALUES (9, NULL, 0)",
+      "INSERT INTO people (id, nope) VALUES (9, 1)",
+      "CREATE INDEX idx_age ON people (name)",
+      "CREATE INDEX idx_nope ON people (nope)",
   };
   for (bool row_based : {false, true}) {
     db_.set_row_based_repl_enabled(row_based);
@@ -433,50 +415,52 @@ TEST_F(DatabaseTest, WritesetApplyRejectsUncoveredWriteset) {
   SetUpPeople();
   Database before;
   before.CopyTablesFrom(db_);
-  StatementWriteset ws;  // covered = false: apply the statement text instead
-  ws.ops.push_back(PeopleOp(RowOp::Kind::kInsert, {}, Person(5, "eve", 40)));
-  Status st = ApplyStatementWriteset(&db_, ws).status();
+  StatementWriteset ws;  // null row: apply the statement text instead
+  Status st = ApplyStatementWriteset(&db_, ws);
   EXPECT_TRUE(st.IsFailedPrecondition()) << st.ToString();
   EXPECT_TRUE(Database::ContentsEqual(before, db_));
 }
 
-TEST_F(DatabaseTest, WritesetApplyUnwindsOnDivergedBeforeImage) {
+TEST_F(DatabaseTest, WritesetApplyInsertsTheCapturedRow) {
+  SetUpPeople();
+  Must("CREATE INDEX idx_age ON people (age)");
+  StatementWriteset ws{
+      std::make_shared<const RowOp>(RowOp{"people", Person(5, "eve", 40)})};
+  Status st = ApplyStatementWriteset(&db_, ws);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(db_.GetTable("people")->num_rows(), 5u);
+  ExecResult r = Must("SELECT name FROM people WHERE age = 40");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0][0].AsString(), "eve");
+  std::string err;
+  EXPECT_TRUE(db_.ValidateAllIndexes(&err)) << err;
+}
+
+// A replica that diverged from the master may already hold the captured
+// row's key: the insert is refused and the replica keeps what it had.
+TEST_F(DatabaseTest, WritesetApplyOfAKeyTheReplicaHoldsChangesNothing) {
   SetUpPeople();
   Must("CREATE INDEX idx_age ON people (age)");
   Database before;
   before.CopyTablesFrom(db_);
-  StatementWriteset ws;
-  ws.covered = true;
-  ws.ops.push_back(PeopleOp(RowOp::Kind::kInsert, {}, Person(5, "eve", 40)));
-  ws.ops.push_back(PeopleOp(RowOp::Kind::kUpdate, Person(2, "bob", 25),
-                            Person(2, "bob", 26)));
-  ws.ops.push_back(PeopleOp(RowOp::Kind::kDelete, Person(3, "cat", 35), {}));
-  // This replica's dan is 25, not 99: the fourth op finds a diverged row.
-  ws.ops.push_back(PeopleOp(RowOp::Kind::kDelete, Person(4, "dan", 99), {}));
-  Status st = ApplyStatementWriteset(&db_, ws).status();
-  EXPECT_TRUE(st.IsNotFound()) << st.ToString();
-  EXPECT_NE(st.ToString().find("replica diverged"), std::string::npos);
-  // The three applied ops were inverted: the statement stayed atomic.
+  StatementWriteset ws{
+      std::make_shared<const RowOp>(RowOp{"people", Person(2, "bob", 26)})};
+  Status st = ApplyStatementWriteset(&db_, ws);
+  EXPECT_TRUE(st.IsAlreadyExists()) << st.ToString();
   EXPECT_TRUE(Database::ContentsEqual(before, db_));
   std::string err;
   EXPECT_TRUE(db_.ValidateAllIndexes(&err)) << err;
 }
 
-TEST_F(DatabaseTest, WritesetApplyUnwindsOnMissingTable) {
+TEST_F(DatabaseTest, WritesetApplyFailsOnMissingTable) {
   SetUpPeople();
   Database before;
   before.CopyTablesFrom(db_);
-  StatementWriteset ws;
-  ws.covered = true;
-  ws.ops.push_back(PeopleOp(RowOp::Kind::kInsert, {}, Person(5, "eve", 40)));
-  RowOp ghost = PeopleOp(RowOp::Kind::kInsert, {}, Row{Value(int64_t{1})});
-  ghost.table = "ghosts";
-  ws.ops.push_back(ghost);
-  Status st = ApplyStatementWriteset(&db_, ws).status();
+  StatementWriteset ws{
+      std::make_shared<const RowOp>(RowOp{"ghosts", Row{Value(int64_t{1})}})};
+  Status st = ApplyStatementWriteset(&db_, ws);
   EXPECT_TRUE(st.IsNotFound()) << st.ToString();
   EXPECT_TRUE(Database::ContentsEqual(before, db_));
-  EXPECT_EQ(Must("SELECT COUNT(*) FROM people WHERE id = 5").rows[0][0],
-            Value(int64_t{0}));
 }
 
 }  // namespace

@@ -18,12 +18,12 @@ namespace {
 
 /// Canonical rendering of a result set for comparison. Order-insensitive
 /// unless `ordered` (ORDER BY queries compare the sort column sequence).
-std::string Canonical(const ExecResult& result, bool ordered) {
+std::vector<std::string> Canonical(const ExecResult& result, bool ordered) {
   std::vector<std::string> rows;
   rows.reserve(result.rows.size());
   for (const Row& row : result.rows) rows.push_back(RowToString(row));
   if (!ordered) std::sort(rows.begin(), rows.end());
-  return StrJoin(rows, "\n");
+  return rows;
 }
 
 class PlannerEquivalenceTest : public ::testing::TestWithParam<uint64_t> {
@@ -42,17 +42,20 @@ class PlannerEquivalenceTest : public ::testing::TestWithParam<uint64_t> {
     // access paths in the two databases.
     Rng rng(GetParam());
     for (int i = 0; i < 400; ++i) {
-      // Prices are unique (i*37 mod 1000 is injective for i < 1000), so
-      // ORDER BY price has no ties and LIMIT cutoffs are deterministic
-      // across plans. cat is deliberately low-cardinality.
-      std::string sql = StrFormat(
-          "INSERT INTO items VALUES (%d, %lld, %lld, 'item_%lld')", i,
-          static_cast<long long>(rng.UniformInt(0, 20)),
-          static_cast<long long>((i * 37) % 1000),
-          static_cast<long long>(rng.UniformInt(0, 50)));
+      std::string sql = ItemInsert(rng, i);
       ASSERT_TRUE(indexed_.Execute(sql).ok());
       ASSERT_TRUE(heap_.Execute(sql).ok());
     }
+  }
+
+  /// The INSERT of item `i`. Prices are unique (i*37 mod 1000 is injective
+  /// for i < 1000), so ORDER BY price has no ties and LIMIT cutoffs are
+  /// deterministic across plans. cat is deliberately low-cardinality.
+  static std::string ItemInsert(Rng& rng, int i) {
+    return StrFormat("INSERT INTO items VALUES (%d, %lld, %lld, 'item_%lld')",
+                     i, static_cast<long long>(rng.UniformInt(0, 20)),
+                     static_cast<long long>((i * 37) % 1000),
+                     static_cast<long long>(rng.UniformInt(0, 50)));
   }
 
   void ExpectSameResults(const std::string& sql, bool ordered) {
@@ -129,25 +132,20 @@ TEST_P(PlannerEquivalenceTest, RandomRangeAndEqualityQueries) {
 
 TEST_P(PlannerEquivalenceTest, EquivalenceSurvivesMutations) {
   Rng rng(GetParam() * 31 + 5);
+  int next_id = 400;
   for (int round = 0; round < 30; ++round) {
-    // Apply the same random mutation to both databases.
-    std::string mutation;
-    if (rng.Bernoulli(0.5)) {
-      mutation = StrFormat(
-          "UPDATE items SET name = 'renamed_%lld' WHERE cat = %lld",
-          static_cast<long long>(rng.UniformInt(0, 9)),
-          static_cast<long long>(rng.UniformInt(0, 20)));
-    } else {
-      mutation = StrFormat("DELETE FROM items WHERE price > %lld AND "
-                           "price < %lld",
-                           static_cast<long long>(rng.UniformInt(0, 400)),
-                           static_cast<long long>(rng.UniformInt(400, 999)));
-    }
-    auto ra = indexed_.Execute(mutation);
-    auto rb = heap_.Execute(mutation);
-    ASSERT_EQ(ra.ok(), rb.ok());
-    if (ra.ok()) {
-      ASSERT_EQ(ra->rows_affected, rb->rows_affected) << mutation;
+    // Apply the same random inserts to both databases: a batch of new
+    // items, now and then one that reuses a taken id and is refused.
+    int64_t batch = rng.UniformInt(1, 9);
+    for (int64_t k = 0; k < batch; ++k) {
+      bool reuse = rng.Bernoulli(0.1);
+      std::string mutation =
+          ItemInsert(rng, reuse ? static_cast<int>(rng.UniformInt(0, 399))
+                                : next_id++);
+      auto ra = indexed_.Execute(mutation);
+      auto rb = heap_.Execute(mutation);
+      ASSERT_EQ(ra.ok(), !reuse) << mutation;
+      ASSERT_EQ(rb.ok(), !reuse) << mutation;
     }
     ExpectSameResults("SELECT * FROM items", false);
     ExpectSameResults(

@@ -1,4 +1,5 @@
 #include "db/sql_parser.h"
+#include "common/result.h"
 #include "db/sql_ast.h"
 #include "db/value.h"
 
@@ -45,11 +46,22 @@ TEST(ParserTest, CreateIndex) {
   EXPECT_EQ(ci.column, "age");
 }
 
-TEST(ParserTest, DropAndTruncate) {
-  EXPECT_EQ(MustParseAs<DropTableStatement>(("DROP TABLE t")).table, "t");
-  EXPECT_EQ(MustParseAs<TruncateStatement>(("TRUNCATE t")).table, "t");
-  EXPECT_EQ(MustParseAs<TruncateStatement>(("TRUNCATE TABLE t")).table,
-            "t");
+// Tables are append-only: the statements that would change or remove rows
+// or tables are not part of the grammar. Their words are not keywords
+// either, so each text fails at its first token.
+TEST(ParserTest, UpdateDeleteDropAndTruncateFailToParse) {
+  for (const char* sql :
+       {"UPDATE t SET a = a + 1, b = 'y' WHERE id = 3", "DELETE FROM t",
+        "DELETE FROM t WHERE a < 3", "DROP TABLE t", "TRUNCATE t",
+        "TRUNCATE TABLE t"}) {
+    Result<Statement> r = ParseSql(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << sql;
+    EXPECT_NE(r.status().message().find(
+                  "parse error at offset 0: expected a statement"),
+              std::string::npos)
+        << sql << " -> " << r.status().ToString();
+  }
 }
 
 TEST(ParserTest, InsertWithColumnList) {
@@ -111,23 +123,6 @@ TEST(ParserTest, SelectCountStar) {
   EXPECT_FALSE(sel.star);
 }
 
-TEST(ParserTest, UpdateMultipleAssignments) {
-  auto upd = MustParseAs<UpdateStatement>(("UPDATE t SET a = a + 1, b = 'y' WHERE id = 3"));
-  EXPECT_EQ(upd.table, "t");
-  ASSERT_EQ(upd.assignments.size(), 2u);
-  EXPECT_EQ(upd.assignments[0].first, "a");
-  EXPECT_EQ(upd.assignments[0].second->kind, Expr::Kind::kBinary);
-  EXPECT_EQ(upd.assignments[1].second->literal, Value("y"));
-  ASSERT_NE(upd.where, nullptr);
-}
-
-TEST(ParserTest, DeleteWithAndWithoutWhere) {
-  auto d1 = MustParseAs<DeleteStatement>(("DELETE FROM t WHERE a < 3"));
-  EXPECT_NE(d1.where, nullptr);
-  auto d2 = MustParseAs<DeleteStatement>(("DELETE FROM t"));
-  EXPECT_EQ(d2.where, nullptr);
-}
-
 TEST(ParserTest, ExpressionPrecedence) {
   auto sel = MustParseAs<SelectStatement>(("SELECT * FROM t WHERE a = 1 + 2 * 3"));
   // Rhs of '=' must be 1 + (2*3).
@@ -172,17 +167,12 @@ TEST(ParserTest, ComparisonOperators) {
 
 TEST(ParserTest, StatementClassifiers) {
   EXPECT_TRUE(IsWriteStatement(MustParse("INSERT INTO t VALUES (1)")));
-  EXPECT_TRUE(IsWriteStatement(MustParse("UPDATE t SET a = 1")));
-  EXPECT_TRUE(IsWriteStatement(MustParse("DELETE FROM t")));
   EXPECT_TRUE(IsWriteStatement(MustParse("CREATE TABLE t (a INT)")));
-  EXPECT_TRUE(IsWriteStatement(MustParse("DROP TABLE t")));
+  EXPECT_TRUE(IsWriteStatement(MustParse("CREATE INDEX i ON t (a)")));
   EXPECT_FALSE(IsWriteStatement(MustParse("SELECT * FROM t")));
-}
-
-TEST(ParserTest, StatementKindNames) {
-  EXPECT_STREQ(StatementKindName(MustParse("SELECT * FROM t")), "SELECT");
-  EXPECT_STREQ(StatementKindName(MustParse("INSERT INTO t VALUES (1)")),
-               "INSERT");
+  EXPECT_EQ(TargetTable(MustParse("INSERT INTO Items VALUES (1)")), "Items");
+  EXPECT_EQ(TargetTable(MustParse("CREATE INDEX i ON t (a)")), "t");
+  EXPECT_EQ(TargetTable(MustParse("SELECT * FROM s")), "s");
 }
 
 struct BadSqlCase {
@@ -211,9 +201,6 @@ INSTANTIATE_TEST_SUITE_P(
                       BadSqlCase{"CREATE TABLE t (a)"},
                       BadSqlCase{"CREATE TABLE t (a FLOAT)"},
                       BadSqlCase{"CREATE INDEX i ON t"},
-                      BadSqlCase{"UPDATE t a = 1"},
-                      BadSqlCase{"UPDATE t SET a"},
-                      BadSqlCase{"DELETE t"},
                       BadSqlCase{"SELECT * FROM t WHERE"},
                       BadSqlCase{"SELECT * FROM t WHERE a ="},
                       BadSqlCase{"SELECT * FROM t LIMIT x"},

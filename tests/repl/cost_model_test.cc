@@ -21,11 +21,9 @@ TEST(CostModelTest, PerKindDefaults) {
             model.select_cost);
   EXPECT_EQ(model.EstimateStatement(Parse("INSERT INTO t VALUES (1)")),
             model.insert_cost);
-  EXPECT_EQ(model.EstimateStatement(Parse("UPDATE t SET a = 1")),
-            model.update_cost);
-  EXPECT_EQ(model.EstimateStatement(Parse("DELETE FROM t")),
-            model.delete_cost);
   EXPECT_EQ(model.EstimateStatement(Parse("CREATE TABLE t (a INT)")),
+            model.ddl_cost);
+  EXPECT_EQ(model.EstimateStatement(Parse("CREATE INDEX i ON t (a)")),
             model.ddl_cost);
 }
 

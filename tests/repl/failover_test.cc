@@ -408,7 +408,8 @@ TEST_F(FailoverTest, CopyTablesFromCopiesEverything) {
   ASSERT_TRUE(source.Execute("INSERT INTO a VALUES (1, 'x', 1.5)").ok());
   ASSERT_TRUE(source.Execute("INSERT INTO a VALUES (2, NULL, NULL)").ok());
   ASSERT_TRUE(source.Execute("INSERT INTO a VALUES (3, 'y', 2.5)").ok());
-  ASSERT_TRUE(source.Execute("DELETE FROM a WHERE id = 1").ok());
+  // Refused: uses up no RowId.
+  ASSERT_FALSE(source.Execute("INSERT INTO a VALUES (1, 'dup', 0.5)").ok());
   db::Database target;
   ASSERT_TRUE(target.Execute("CREATE TABLE junk (z INT)").ok());
   ASSERT_TRUE(target.Execute("INSERT INTO junk VALUES (1)").ok());
@@ -418,9 +419,11 @@ TEST_F(FailoverTest, CopyTablesFromCopiesEverything) {
   EXPECT_GT(target.statement_cache().stats().invalidations, invalidations);
   EXPECT_TRUE(db::Database::ContentsEqual(source, target));
   EXPECT_EQ(target.GetTable("junk"), nullptr);
-  // Rows keep their RowIds (the deleted row leaves the same gap).
+  // Rows keep their RowIds.
   const db::Table* a = target.GetTable("a");
-  EXPECT_EQ(a->Get(1), nullptr);
+  ASSERT_NE(a->Get(1), nullptr);
+  EXPECT_EQ((*a->Get(1))[1].AsString(), "x");
+  EXPECT_TRUE((*a->Get(2))[1].is_null());
   ASSERT_NE(a->Get(3), nullptr);
   EXPECT_EQ((*a->Get(3))[1].AsString(), "y");
   // Secondary indexes copied.
@@ -429,9 +432,9 @@ TEST_F(FailoverTest, CopyTablesFromCopiesEverything) {
   EXPECT_TRUE(target.ValidateAllIndexes(&err)) << err;
   // New rows continue the source's RowId sequence.
   ASSERT_TRUE(target.Execute("INSERT INTO a VALUES (4, 'z', 0.5)").ok());
-  auto found = a->FindByPrimaryKey(db::Value(int64_t{4}));
-  ASSERT_TRUE(found.ok());
-  EXPECT_EQ(*found, 4);
+  ASSERT_NE(a->Get(4), nullptr);
+  EXPECT_EQ((*a->Get(4))[0], db::Value(int64_t{4}));
+  EXPECT_EQ(a->Get(5), nullptr);
 }
 
 }  // namespace

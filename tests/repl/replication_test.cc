@@ -92,14 +92,24 @@ TEST_F(ReplicationTest, EventsApplyInOrder) {
                                               i, i))
                     .ok());
     ASSERT_TRUE(cluster->master()
-                    ->ExecuteDirect(StrFormat(
-                        "UPDATE t SET b = b * 2 + 1 WHERE a = %d", i))
+                    ->ExecuteDirect(StrFormat("INSERT INTO t VALUES (%d, %d)",
+                                              1000 - i, 2 * i + 1))
                     .ok());
   }
   sim_.Run();
   EXPECT_TRUE(cluster->Converged());
   EXPECT_EQ(cluster->slave(0)->applied_index(),
             cluster->master()->database().binlog().size() - 1);
+  // A slave assigns RowIds in the order it applies: in binlog order, every
+  // row sits under the master's RowId.
+  const db::Table* master_t = cluster->master()->database().GetTable("t");
+  const db::Table* slave_t = cluster->slave(0)->database().GetTable("t");
+  ASSERT_EQ(slave_t->num_rows(), master_t->num_rows());
+  master_t->ForEachRow([&](db::RowId id, const db::Row& row) {
+    const db::Row* same = slave_t->Get(id);
+    EXPECT_TRUE(same != nullptr && *same == row) << "row " << id;
+    return true;
+  });
 }
 
 TEST_F(ReplicationTest, AsyncWriteCompletesBeforeSlaveApplies) {
@@ -355,7 +365,7 @@ TEST_F(ReplicationTest, SlavesApplyTheShippedCompiledStatement) {
                         .ok());
         ASSERT_TRUE(master
                         ->ExecuteDirect(StrFormat(
-                            "UPDATE t SET b = b + 1 WHERE a = %d", k))
+                            "INSERT INTO t (a) VALUES (%d)", 1000 + k))
                         .ok());
       }
     };
@@ -499,10 +509,16 @@ TEST_F(ReplicationTest, AddedSlaveIsATrueCopyOfTheMaster) {
                         execute, /*scale=*/20, /*seed=*/5, &state);
                   })
                   .ok());
-  // A replicated delete leaves a RowId gap the copy must keep.
+  // A replicated insert after the load, and a refused one, which uses up no
+  // RowId: the copy must hand out the master's next RowId.
   ASSERT_TRUE(cluster->master()
-                  ->ExecuteDirect("DELETE FROM events WHERE event_id = 1")
+                  ->ExecuteDirect("INSERT INTO tags (tag_id, name) "
+                                  "VALUES (100000, 'fresh')")
                   .ok());
+  ASSERT_FALSE(cluster->master()
+                   ->ExecuteDirect("INSERT INTO tags (tag_id, name) "
+                                   "VALUES (100000, 'again')")
+                   .ok());
   sim_.Run();
   Result<int> added = cluster->AddSlave();
   ASSERT_TRUE(added.ok());
@@ -530,9 +546,10 @@ TEST_F(ReplicationTest, AddedSlaveIsATrueCopyOfTheMaster) {
   EXPECT_TRUE(cluster->Converged());
 
   // The copy joins the live stream at the master's binlog position: the
-  // next write applies on it, with no gap.
+  // next write applies on it, with no gap, under the master's RowId.
   ASSERT_TRUE(cluster->master()
-                  ->ExecuteDirect("DELETE FROM events WHERE event_id = 2")
+                  ->ExecuteDirect("INSERT INTO tags (tag_id, name) "
+                                  "VALUES (100001, 'later')")
                   .ok());
   sim_.Run();
   SlaveNode* slave = cluster->slave(*added);
@@ -540,6 +557,12 @@ TEST_F(ReplicationTest, AddedSlaveIsATrueCopyOfTheMaster) {
   EXPECT_EQ(slave->gap_events_detected(), 0);
   EXPECT_TRUE(cluster->FullyReplicated());
   EXPECT_TRUE(cluster->Converged());
+  const db::Table* master_tags = master.GetTable("tags");
+  const db::Table* copy_tags = copy.GetTable("tags");
+  ASSERT_EQ(copy_tags->num_rows(), master_tags->num_rows());
+  const auto newest = static_cast<db::RowId>(master_tags->num_rows());
+  ASSERT_NE(copy_tags->Get(newest), nullptr);
+  EXPECT_EQ(*copy_tags->Get(newest), *master_tags->Get(newest));
 }
 
 TEST_F(ReplicationTest, RevivedSlaveCarriesTheMastersCatalog) {

@@ -57,42 +57,34 @@ struct Deployment {
   std::unique_ptr<ReplicationCluster> cluster;
 };
 
-/// Deterministic function-free workload: interleaved inserts, updates and
-/// deletes on a keyed table, with a CREATE INDEX dropped mid-stream so the
-/// run always exercises the DDL fallback inside a row-based stream.
+/// Deterministic function-free workload: inserts of shuffled keys into a
+/// keyed table, some with a NULL column, with a CREATE INDEX dropped
+/// mid-stream so the run always exercises the DDL fallback inside a
+/// row-based stream.
 std::vector<std::string> MakeWorkload(uint64_t seed, int steps) {
   std::vector<std::string> sql;
   sql.push_back(
       "CREATE TABLE items (id INT PRIMARY KEY, qty INT, label TEXT)");
   Rng rng(seed);
-  std::vector<int64_t> live;
-  int64_t next_id = 1;
+  std::vector<int64_t> ids;
+  for (int64_t id = 1; id <= steps; ++id) ids.push_back(id);
+  for (size_t i = ids.size(); i > 1; --i) {
+    std::swap(ids[i - 1], ids[static_cast<size_t>(rng.UniformInt(
+                              0, static_cast<int64_t>(i) - 1))]);
+  }
   for (int i = 0; i < steps; ++i) {
     if (i == steps / 2) {
       sql.push_back("CREATE INDEX idx_items_qty ON items (qty)");
       continue;
     }
-    int64_t kind = rng.UniformInt(0, 9);
-    if (live.empty() || kind < 5) {
-      int64_t id = next_id++;
-      sql.push_back(StrFormat("INSERT INTO items VALUES (%lld, %lld, 'L%lld')",
-                              static_cast<long long>(id),
-                              static_cast<long long>(rng.UniformInt(-50, 50)),
-                              static_cast<long long>(id % 7)));
-      live.push_back(id);
-    } else if (kind < 8) {
-      int64_t id = live[static_cast<size_t>(
-          rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1))];
-      sql.push_back(StrFormat("UPDATE items SET qty = %lld WHERE id = %lld",
-                              static_cast<long long>(rng.UniformInt(-50, 50)),
-                              static_cast<long long>(id)));
-    } else {
-      size_t pick = static_cast<size_t>(
-          rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
-      sql.push_back(StrFormat("DELETE FROM items WHERE id = %lld",
-                              static_cast<long long>(live[pick])));
-      live.erase(live.begin() + static_cast<long>(pick));
-    }
+    long long id = static_cast<long long>(ids[static_cast<size_t>(i)]);
+    std::string qty =
+        rng.Bernoulli(0.1)
+            ? "NULL"
+            : StrFormat("%lld",
+                        static_cast<long long>(rng.UniformInt(-50, 50)));
+    sql.push_back(StrFormat("INSERT INTO items VALUES (%lld, %s, 'L%lld')",
+                            id, qty.c_str(), id % 7));
   }
   return sql;
 }
@@ -140,10 +132,10 @@ TEST(RowReplTest, RandomizedWorkloadIsBitIdenticalAcrossModes) {
   // Wire traffic, pinned exactly: the in-memory event format may change,
   // what the network carries and charges for it may not.
   EXPECT_EQ(stmt_mode.provider->network().messages_sent(), 242);
-  EXPECT_EQ(stmt_mode.provider->network().bytes_sent(), 16930);
+  EXPECT_EQ(stmt_mode.provider->network().bytes_sent(), 17380);
   EXPECT_EQ(stmt_mode.cluster->master()->events_pushed(), 242);
   EXPECT_EQ(row_mode.provider->network().messages_sent(), 32);
-  EXPECT_EQ(row_mode.provider->network().bytes_sent(), 30386);
+  EXPECT_EQ(row_mode.provider->network().bytes_sent(), 29176);
   EXPECT_EQ(row_mode.cluster->master()->events_pushed(), 242);
 }
 
@@ -252,34 +244,60 @@ TEST(RowReplTest, LegacyModeIsByteIdenticalOnTheWire) {
 
 TEST(RowReplTest, WritesetEventWireSizeIsPinned) {
   // What the network charges for a row-based event: 32 + the statement text;
-  // 5 for its writeset; 5 + the table name per op; and per before/after row
-  // image 4, plus 1 per NULL, 9 per integer or double, 5 + length per string.
-  db::StatementWriteset ws;
-  ws.covered = true;
-  ws.ops.push_back(db::RowOp{
-      db::RowOp::Kind::kUpdate, "items",
-      {db::Value(int64_t{1}), db::Value(2.5), db::Value("ab"),
-       db::Value::Null()},
-      {db::Value(int64_t{1}), db::Value(2.5), db::Value("abc"),
-       db::Value::Null()}});
-  ws.ops.push_back(db::RowOp{
-      db::RowOp::Kind::kInsert, "t", {}, {db::Value(int64_t{42})}});
-  db::BinlogEvent update;
-  update.statement = "UPDATE items SET qty = 7 WHERE id = 1";
-  update.writeset = ws;
-  ASSERT_EQ(update.statement.size(), 37u);
-  const int64_t update_op = (5 + 5) + (4 + 9 + 9 + (5 + 2) + 1) +
-                            (4 + 9 + 9 + (5 + 3) + 1);  // 71
-  const int64_t insert_op = (5 + 1) + 4 + (4 + 9);      // 23
-  EXPECT_EQ(db::EventWireSize(update),
-            32 + 37 + 5 + update_op + insert_op);  // 168
+  // 5 for its writeset; for a covered one's row op 9 + the table name (the 4
+  // of it an empty before image's count); and for the inserted row 4, plus 1
+  // per NULL, 9 per integer or double, 5 + length per string.
+  db::BinlogEvent items;
+  items.statement = "INSERT INTO items VALUES (1, 2.5, 'abc', NULL)";
+  items.writeset = db::StatementWriteset{std::make_shared<const db::RowOp>(
+      db::RowOp{"items",
+                {db::Value(int64_t{1}), db::Value(2.5), db::Value("abc"),
+                 db::Value::Null()}})};
+  ASSERT_EQ(items.statement.size(), 46u);
+  const int64_t items_op = (9 + 5) + (4 + 9 + 9 + (5 + 3) + 1);  // 45
+  EXPECT_EQ(db::EventWireSize(items), 32 + 46 + 5 + items_op);   // 128
 
-  // DDL is never covered: its writeset ships with no ops.
+  db::BinlogEvent t;
+  t.statement = "INSERT INTO t VALUES (42)";
+  t.writeset = db::StatementWriteset{std::make_shared<const db::RowOp>(
+      db::RowOp{"t", {db::Value(int64_t{42})}})};
+  ASSERT_EQ(t.statement.size(), 25u);
+  EXPECT_EQ(db::EventWireSize(t), 32 + 25 + 5 + (9 + 1) + (4 + 9));  // 85
+
+  // DDL is never covered: its writeset ships with no row.
   db::BinlogEvent ddl;
   ddl.statement = "CREATE TABLE x (a INT PRIMARY KEY)";
   ddl.writeset = db::StatementWriteset{};
   ASSERT_EQ(ddl.statement.size(), 34u);
   EXPECT_EQ(db::EventWireSize(ddl), 32 + 34 + 5);  // 71
+}
+
+// The writeset a master captures for an INSERT is the row as stored, after
+// type coercion (an integer written to a DOUBLE column is stored as a
+// double), and the event's wire charge follows from it.
+TEST(RowReplTest, CapturedWritesetIsTheStoredRow) {
+  Deployment d(1);
+  d.cluster->SetRowBasedReplication(true);
+  ASSERT_TRUE(d.Run("CREATE TABLE m (id INT PRIMARY KEY, v DOUBLE, s TEXT)")
+                  .ok());
+  const std::string sql = "INSERT INTO m VALUES (7, 3, NULL)";
+  ASSERT_TRUE(d.Run(sql).ok());
+  const db::Binlog& binlog = d.cluster->master()->database().binlog();
+  const db::BinlogEvent& event = binlog.At(binlog.size() - 1);
+  ASSERT_TRUE(event.writeset.has_value());
+  ASSERT_NE(event.writeset->row, nullptr);
+  const db::RowOp& op = *event.writeset->row;
+  EXPECT_EQ(op.table, "m");
+  ASSERT_EQ(op.after.size(), 3u);
+  EXPECT_EQ(op.after[1].type(), db::ValueType::kDouble);
+  EXPECT_TRUE(op.after[2].is_null());
+  EXPECT_EQ(db::EventWireSize(event),
+            32 + static_cast<int64_t>(sql.size()) + 5 + (9 + 1) +
+                (4 + 9 + 9 + 1));
+  d.sim.Run();
+  EXPECT_TRUE(d.cluster->Converged());
+  EXPECT_EQ(d.cluster->slave(0)->writeset_applies(), 1);
+  EXPECT_EQ(*d.cluster->slave(0)->database().GetTable("m")->Get(1), op.after);
 }
 
 TEST(RowReplTest, ReplicationMetricsAppearInSnapshots) {

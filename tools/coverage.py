@@ -14,6 +14,12 @@ in a header counts once, and counts as covered if any translation unit ran
 it. Every compiled object counts toward the totals, run or not, so both runs
 share one denominator.
 
+Last it lists every src/ function the traffic run never calls, one line
+each: file:line, name, and its gcov line count. A function compiled in
+several translation units or template instances counts as called if any of
+them ran, or if any line of its body after the first ran (an inlined copy
+has no call count of its own, and a lambda's first line is its caller's).
+
   python3 tools/coverage.py
 
 Needs python3 and gcov only. Exits nonzero if the build, a binary or a test
@@ -24,6 +30,7 @@ fig3 (which also prints Fig. 6 from the same runs).
 import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -92,9 +99,16 @@ def run_ctest(jobs):
 
 
 def measure():
-    """{src-relative path: {line: covered}} over every compiled object."""
+    """Line and function coverage over every compiled object.
+
+    Returns ({src-relative path: {line: covered}},
+             {(src-relative path, first line): function}) where a function
+    is {"names": demangled names, "called": bool, "lines": line numbers,
+    "end": last line}.
+    """
     notes = sorted(str(p) for p in BUILD.rglob("*.gcno"))
     lines = defaultdict(dict)
+    functions = {}
     for i in range(0, len(notes), 64):
         proc = subprocess.run(["gcov", "--json-format", "--stdout"] +
                               notes[i:i + 64], cwd=BUILD, text=True,
@@ -111,12 +125,30 @@ def measure():
                 path = Path(os.path.normpath(cwd / entry["file"]))
                 if SRC not in path.parents:
                     continue
-                per_line = lines[str(path.relative_to(SRC))]
+                rel = str(path.relative_to(SRC))
+                per_line = lines[rel]
+                lines_of = defaultdict(set)  # mangled name -> line numbers
                 for line in entry["lines"]:
                     number = line["line_number"]
                     per_line[number] = (per_line.get(number, False) or
                                         line["count"] > 0)
-    return lines
+                    lines_of[line.get("function_name")].add(number)
+                for fn in entry["functions"]:
+                    record = functions.setdefault(
+                        (rel, fn["start_line"]),
+                        {"names": set(), "called": False, "lines": set(),
+                         "end": fn["end_line"]})
+                    record["names"].add(fn["demangled_name"])
+                    record["called"] |= fn["execution_count"] > 0
+                    record["lines"] |= lines_of[fn["name"]]
+                    record["end"] = max(record["end"], fn["end_line"])
+    for (rel, start), record in functions.items():
+        # The body's lines: a lambda's first line is also its caller's.
+        end = record["end"]
+        body = range(start + 1, end + 1) if end > start else (start,)
+        record["called"] |= any(lines[rel].get(number, False)
+                                for number in body)
+    return lines, functions
 
 
 def tally(lines):
@@ -135,6 +167,26 @@ def cell(covered, total):
     return f"{covered:>5}/{total:<5} {pct:5.1f}%"
 
 
+def readable(name):
+    """A demangled name with the standard library's default arguments cut."""
+    name = name.replace("std::__cxx11::basic_string<char, "
+                        "std::char_traits<char>, std::allocator<char> >",
+                        "std::string")
+    name = re.sub(r", std::allocator<[^<>]*(<[^<>]*>)?[^<>]*> >", ">", name)
+    return name.replace("[abi:cxx11]", "")
+
+
+def print_uncalled(functions):
+    uncalled = sorted((key, record) for key, record in functions.items()
+                      if not record["called"])
+    total = sum(len(record["lines"]) for _, record in uncalled)
+    print(f"\nsrc/ functions the bench+examples run never calls: "
+          f"{len(uncalled)} ({total} lines)")
+    for (path, line), record in uncalled:
+        name = readable(min(record["names"], key=len))
+        print(f"src/{path}:{line}  {name}  {len(record['lines'])}")
+
+
 def main():
     argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
     if shutil.which("gcov") is None:
@@ -146,11 +198,11 @@ def main():
     print("run 1: bench (CLOUDDB_FAST=1) and examples", flush=True)
     zero_counters()
     run_traffic(jobs)
-    traffic = measure()
+    traffic, traffic_functions = measure()
     print("run 2: ctest", flush=True)
     zero_counters()
     run_ctest(jobs)
-    ctest = measure()
+    ctest, _ = measure()
 
     traffic_rows, ctest_rows = tally(traffic), tally(ctest)
     modules = sorted(k for k in ctest_rows if k != "total") + ["total"]
@@ -172,6 +224,7 @@ def main():
     print(f"\nlines only ctest reaches: {total_only}; top {TOP} files")
     for count, path in only_ctest[:TOP]:
         print(f"{count:>6}  src/{path}")
+    print_uncalled(traffic_functions)
 
 
 if __name__ == "__main__":

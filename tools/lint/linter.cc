@@ -124,7 +124,7 @@ const char* RuleRemedy(std::string_view rule) {
     return "derive time from sim::Simulation::Now() / LocalClock";
   if (rule == kRuleRandom) return "draw from a seeded clouddb::Rng instead";
   if (rule == kRuleApplyNoparse)
-    return "operate on db::RowOp images via Table::ApplyRowDelta only";
+    return "insert db::RowOp images via Table::Insert only";
   return "model concurrency as simulation events (sim/simulation.h)";
 }
 
