@@ -16,6 +16,14 @@
 # Extra flags passed on the command line come after the defaults, so
 # e.g. `bench/run_bench.sh build --benchmark_repetitions=1` overrides them.
 #
+# The script always records all five binaries. To re-record one record
+# alone (say a change touched only what micro_repl measures), run that
+# binary with the same flags from the repository root:
+#   build/bench/<name> --json BENCH_<name>.json \
+#       --benchmark_repetitions=5 --benchmark_report_aggregates_only=true
+# Passing --benchmark_filter here instead would overwrite the other four
+# records with reports that lack their rows.
+#
 # Usage: bench/run_bench.sh [build_dir] [extra google-benchmark flags...]
 set -euo pipefail
 

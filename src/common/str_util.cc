@@ -28,12 +28,6 @@ std::string ToLower(std::string_view s) {
   return out;
 }
 
-std::string ToUpper(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  return out;
-}
-
 bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {

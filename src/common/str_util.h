@@ -10,9 +10,8 @@ namespace clouddb {
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/// ASCII lower/upper-casing (locale-independent).
+/// ASCII lower-casing (locale-independent).
 std::string ToLower(std::string_view s);
-std::string ToUpper(std::string_view s);
 
 /// Case-insensitive ASCII equality.
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);

@@ -18,13 +18,13 @@ class CompiledSql;
 /// transaction, so an event carries exactly one write statement's SQL
 /// *text*: what the network charges for shipping it. Slaves re-execute the
 /// statement (the master's compiled form of this text is what ships, see
-/// ShippedEvent), and a function call in it evaluates at execution, so
-/// NOW_MICROS() reads each replica's own clock.
+/// ShippedEvent), and a NOW_MICROS() in it evaluates at execution, so it
+/// reads each replica's own clock.
 ///
 /// In row-based mode the event also carries the statement's writeset: the
 /// row the master's INSERT stored. Slaves insert a covered writeset's row
 /// directly through Table::Insert and fall back to the text for an uncovered
-/// one (DDL, function-bearing statements).
+/// one (DDL, an INSERT with a NOW_MICROS() value).
 struct BinlogEvent {
   int64_t index = 0;  // position in the log, 0-based and dense
   std::string statement;

@@ -6,7 +6,6 @@
 #include <optional>
 
 #include "common/str_util.h"
-#include "db/expr_eval.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "db/schema.h"
@@ -28,37 +27,50 @@ bool IsDdl(const Statement& stmt) {
          std::holds_alternative<CreateIndexStatement>(stmt);
 }
 
-/// A single-column comparison extracted from the WHERE conjunction, with the
-/// non-column side already evaluated.
+/// Coverage rule for row-based capture: an INSERT with a NOW_MICROS() value
+/// is never covered. Statement-based semantics, which the row-based toggle
+/// must reproduce bit-identically, re-evaluate it per replica; the heartbeat
+/// delay measurement depends on exactly that.
+bool InsertReadsTheClock(const Statement& stmt) {
+  const auto* insert = std::get_if<InsertStatement>(&stmt);
+  return insert != nullptr &&
+         std::any_of(insert->values.begin(), insert->values.end(),
+                     [](const Operand& v) {
+                       return v.kind == Operand::Kind::kNowMicros;
+                     });
+}
+
+/// A WHERE comparison resolved against the table it runs on: the column's
+/// slot and the operand's value.
 struct Constraint {
   size_t column;
-  BinaryOp op;  // kEq, kLt, kLe, kGt, kGe (kNe is never index-usable)
+  CompareOp op;
   Value value;
 };
 
-bool ExprHasFunctionCall(const Expr& expr) {
-  if (expr.kind == Expr::Kind::kFunctionCall) return true;
-  for (const auto& arg : expr.args) {
-    if (arg != nullptr && ExprHasFunctionCall(*arg)) return true;
+/// True when `row` satisfies `c`. A NULL on either side never matches.
+bool Satisfies(const Row& row, const Constraint& c) {
+  const Value& v = row[c.column];
+  if (v.is_null() || c.value.is_null()) return false;
+  int cmp = Value::Compare(v, c.value);
+  switch (c.op) {
+    case CompareOp::kEq:
+      return cmp == 0;
+    case CompareOp::kLt:
+      return cmp < 0;
+    case CompareOp::kLe:
+      return cmp <= 0;
+    case CompareOp::kGt:
+      return cmp > 0;
+    case CompareOp::kGe:
+      return cmp >= 0;
   }
-  if (expr.lhs != nullptr && ExprHasFunctionCall(*expr.lhs)) return true;
-  if (expr.rhs != nullptr && ExprHasFunctionCall(*expr.rhs)) return true;
   return false;
 }
 
-/// Coverage rule for row-based capture: a statement carrying any function
-/// call is never covered. Functions may be non-deterministic (NOW_MICROS),
-/// and statement-based semantics — which the row-based toggle must reproduce
-/// bit-identically — re-evaluate them per replica; the heartbeat delay
-/// measurement depends on exactly that.
-bool StatementHasFunctionCall(const Statement& stmt) {
-  if (const auto* insert = std::get_if<InsertStatement>(&stmt)) {
-    for (const auto& expr : insert->values) {
-      if (expr != nullptr && ExprHasFunctionCall(*expr)) return true;
-    }
-  }
-  return false;
-}
+/// "No column": the scan column of a table scan, or an unordered SELECT's
+/// sort column.
+constexpr size_t kNoColumn = SIZE_MAX;
 
 }  // namespace
 
@@ -123,13 +135,10 @@ class Executor {
   Result<ExecResult> Insert(const InsertStatement& stmt) {
     CLOUDDB_ASSIGN_OR_RETURN(Table * table, ResolveTable(stmt.table));
     const Schema& schema = table->schema();
-    // Evaluate the value expressions (no row context: column refs fail).
     std::vector<Value> values;
     values.reserve(stmt.values.size());
-    for (const auto& expr : stmt.values) {
-      CLOUDDB_ASSIGN_OR_RETURN(
-          Value v,
-          EvaluateExpr(*expr, nullptr, nullptr, db_->functions_, params_));
+    for (const Operand& operand : stmt.values) {
+      CLOUDDB_ASSIGN_OR_RETURN(Value v, Resolve(operand));
       values.push_back(std::move(v));
     }
     Row row;
@@ -167,33 +176,32 @@ class Executor {
     CLOUDDB_ASSIGN_OR_RETURN(Table * table, ResolveTable(stmt.table));
     const Schema& schema = table->schema();
     ExecResult result;
-    // Resolve LIMIT: a cached template carries it as a parameter slot.
-    std::optional<int64_t> stmt_limit = stmt.limit;
-    if (stmt.limit_param.has_value()) {
-      if (params_ == nullptr || *stmt.limit_param >= params_->size()) {
-        return Status::Internal("unbound LIMIT parameter");
+    // The LIMIT count is checked here rather than by the parser: a cached
+    // template binds it per execution, so both paths fail alike.
+    std::optional<size_t> limit;
+    if (stmt.limit.has_value()) {
+      CLOUDDB_ASSIGN_OR_RETURN(Value n, Resolve(*stmt.limit));
+      if (n.type() != ValueType::kInt64 || n.AsInt64() < 0) {
+        return Status::InvalidArgument("LIMIT must be a non-negative integer");
       }
-      CLOUDDB_ASSIGN_OR_RETURN(int64_t n,
-                               (*params_)[*stmt.limit_param].ToInt64());
-      if (n < 0) return Status::InvalidArgument("LIMIT must be non-negative");
-      stmt_limit = n;
+      limit = static_cast<size_t>(n.AsInt64());
     }
-    // Limit pushdown hints: when the scan can prove the predicate and the
-    // requested order, it may stop early.
-    int64_t limit_hint = -1;
-    size_t order_col = SIZE_MAX;
-    if (stmt_limit.has_value() && stmt.aggregates.empty()) {
-      limit_hint = *stmt_limit;
-    }
+    size_t order_col = kNoColumn;
     if (!stmt.order_by.empty()) {
       CLOUDDB_ASSIGN_OR_RETURN(order_col, schema.ColumnIndex(stmt.order_by));
     }
+    // Limit pushdown hint: the scan may stop early when it proves the WHERE
+    // clause and the order. COUNT(*) counts every match whatever the LIMIT.
+    int64_t limit_hint = limit.has_value() && !stmt.count_star
+                             ? static_cast<int64_t>(*limit)
+                             : -1;
     CLOUDDB_ASSIGN_OR_RETURN(
         std::vector<RowId> matches,
-        CollectMatches(table, stmt.where.get(), &result, limit_hint,
-                       order_col, stmt.order_desc));
-    if (!stmt.aggregates.empty()) {
-      return Aggregate(stmt, *table, matches, std::move(result));
+        CollectMatches(table, stmt.where, &result, limit_hint, order_col));
+    if (stmt.count_star) {
+      result.column_names.push_back("COUNT(*)");
+      result.rows.push_back(Row{Value(static_cast<int64_t>(matches.size()))});
+      return result;
     }
     // Resolve projection.
     std::vector<size_t> proj;
@@ -214,26 +222,18 @@ class Executor {
     std::vector<const Row*> rows;
     rows.reserve(matches.size());
     for (RowId id : matches) rows.push_back(table->Get(id));
-    // ORDER BY before projection (the sort column need not be projected).
-    if (!stmt.order_by.empty()) {
-      CLOUDDB_ASSIGN_OR_RETURN(size_t sort_col,
-                               schema.ColumnIndex(stmt.order_by));
-      if (EqualsIgnoreCase(result.scan_ordered_by, stmt.order_by)) {
-        // The index scan already produced this order.
-        if (stmt.order_desc) std::reverse(rows.begin(), rows.end());
-      } else {
-        bool desc = stmt.order_desc;
-        std::stable_sort(rows.begin(), rows.end(),
-                         [&](const Row* a, const Row* b) {
-                           int c = Value::Compare((*a)[sort_col],
-                                                  (*b)[sort_col]);
-                           return desc ? c > 0 : c < 0;
-                         });
-      }
+    // ORDER BY before projection (the sort column need not be projected),
+    // unless the index scan already produced this order.
+    if (order_col != kNoColumn &&
+        !EqualsIgnoreCase(result.scan_ordered_by, stmt.order_by)) {
+      std::stable_sort(rows.begin(), rows.end(),
+                       [&](const Row* a, const Row* b) {
+                         return Value::Compare((*a)[order_col],
+                                               (*b)[order_col]) < 0;
+                       });
     }
-    size_t limit = stmt_limit.has_value() ? static_cast<size_t>(*stmt_limit)
-                                          : rows.size();
-    for (size_t i = 0; i < rows.size() && i < limit; ++i) {
+    size_t count = std::min(rows.size(), limit.value_or(rows.size()));
+    for (size_t i = 0; i < count; ++i) {
       Row out;
       out.reserve(proj.size());
       for (size_t col : proj) out.push_back((*rows[i])[col]);
@@ -242,181 +242,58 @@ class Executor {
     return result;
   }
 
-  /// Computes the aggregate SELECT list over the matched rows.
-  /// SQL semantics: NULL inputs are skipped; MIN/MAX/SUM/AVG over an empty
-  /// (or all-NULL) set yield NULL; COUNT(*) yields 0.
-  Result<ExecResult> Aggregate(const SelectStatement& stmt, const Table& table,
-                               const std::vector<RowId>& matches,
-                               ExecResult result) {
-    const Schema& schema = table.schema();
-    Row out_row;
-    for (const AggregateItem& item : stmt.aggregates) {
-      if (item.fn == AggregateFn::kCountStar) {
-        result.column_names.push_back("COUNT(*)");
-        out_row.push_back(Value(static_cast<int64_t>(matches.size())));
-        continue;
-      }
-      CLOUDDB_ASSIGN_OR_RETURN(size_t col, schema.ColumnIndex(item.column));
-      result.column_names.push_back(StrFormat(
-          "%s(%s)", AggregateFnToString(item.fn), item.column.c_str()));
-      bool numeric_needed =
-          item.fn == AggregateFn::kSum || item.fn == AggregateFn::kAvg;
-      if (numeric_needed && schema.columns()[col].type == ValueType::kString) {
-        return Status::InvalidArgument(
-            StrFormat("%s over non-numeric column '%s'",
-                      AggregateFnToString(item.fn), item.column.c_str()));
-      }
-      int64_t count = 0;
-      int64_t int_sum = 0;
-      double dbl_sum = 0.0;
-      Value best;  // MIN/MAX accumulator
-      for (RowId id : matches) {
-        const Value& v = (*table.Get(id))[col];
-        if (v.is_null()) continue;
-        ++count;
-        switch (item.fn) {
-          case AggregateFn::kMin:
-            if (best.is_null() || v < best) best = v;
-            break;
-          case AggregateFn::kMax:
-            if (best.is_null() || v > best) best = v;
-            break;
-          case AggregateFn::kSum:
-          case AggregateFn::kAvg:
-            if (v.type() == ValueType::kInt64) {
-              int_sum += v.AsInt64();
-            } else {
-              CLOUDDB_ASSIGN_OR_RETURN(double d, v.ToDouble());
-              dbl_sum += d;
-            }
-            break;
-          default:
-            break;
+  /// The value of one operand. NOW_MICROS() reads this database's clock.
+  /// Statement-based replication re-executes each write on every replica, so
+  /// it is evaluated again per replica, against that instance's drifting
+  /// local clock. The paper's heartbeat mechanism relies on this for a
+  /// per-replica commit timestamp: the master inserts its local time, and
+  /// each slave stores its own when it re-executes the insert.
+  Result<Value> Resolve(const Operand& operand) const {
+    switch (operand.kind) {
+      case Operand::Kind::kLiteral:
+        return operand.literal;
+      case Operand::Kind::kParameter:
+        if (params_ == nullptr || operand.param_index >= params_->size()) {
+          return Status::Internal(StrFormat("unbound statement parameter ?%zu",
+                                            operand.param_index));
         }
-      }
-      if (count == 0) {
-        out_row.push_back(Value::Null());
-        continue;
-      }
-      switch (item.fn) {
-        case AggregateFn::kMin:
-        case AggregateFn::kMax:
-          out_row.push_back(best);
-          break;
-        case AggregateFn::kSum:
-          // SUM(int column) stays integral; any double contribution widens.
-          if (schema.columns()[col].type == ValueType::kInt64) {
-            out_row.push_back(Value(int_sum));
-          } else {
-            out_row.push_back(Value(dbl_sum + static_cast<double>(int_sum)));
-          }
-          break;
-        case AggregateFn::kAvg:
-          out_row.push_back(
-              Value((dbl_sum + static_cast<double>(int_sum)) /
-                    static_cast<double>(count)));
-          break;
-        default:
-          break;
-      }
+        return (*params_)[operand.param_index];
+      case Operand::Kind::kNowMicros:
+        return Value(db_->NowMicros());
     }
-    result.rows.push_back(std::move(out_row));
-    return result;
+    return Status::Internal("unknown operand kind");
   }
 
-  /// Extracts index-usable single-column constraints from the WHERE
-  /// conjunction (col op <row-independent expr>, either side). Clears
-  /// `*exhaustive` when some leaf yields no constraint.
-  Status ExtractConstraints(const Expr& expr, const Schema& schema,
-                            std::vector<Constraint>* out, bool* exhaustive) {
-    if (expr.kind == Expr::Kind::kBinary && expr.op == BinaryOp::kAnd) {
-      CLOUDDB_RETURN_IF_ERROR(
-          ExtractConstraints(*expr.lhs, schema, out, exhaustive));
-      return ExtractConstraints(*expr.rhs, schema, out, exhaustive);
-    }
-    const size_t before = out->size();
-    CLOUDDB_RETURN_IF_ERROR(ExtractConstraint(expr, schema, out));
-    if (out->size() == before) *exhaustive = false;
-    return Status::Ok();
-  }
-
-  /// Appends the constraint of one WHERE leaf, if it has one. A
-  /// non-comparison, a column-vs-column or unknown-column comparison and a
-  /// NULL-valued comparison have none.
-  Status ExtractConstraint(const Expr& expr, const Schema& schema,
-                           std::vector<Constraint>* out) {
-    if (expr.kind != Expr::Kind::kBinary) return Status::Ok();
-    BinaryOp op = expr.op;
-    if (op != BinaryOp::kEq && op != BinaryOp::kLt && op != BinaryOp::kLe &&
-        op != BinaryOp::kGt && op != BinaryOp::kGe) {
-      return Status::Ok();
-    }
-    const Expr* col_side = nullptr;
-    const Expr* val_side = nullptr;
-    if (expr.lhs->kind == Expr::Kind::kColumnRef &&
-        IsRowIndependent(*expr.rhs)) {
-      col_side = expr.lhs.get();
-      val_side = expr.rhs.get();
-    } else if (expr.rhs->kind == Expr::Kind::kColumnRef &&
-               IsRowIndependent(*expr.lhs)) {
-      col_side = expr.rhs.get();
-      val_side = expr.lhs.get();
-      // Flip the operator: `5 < col` means `col > 5`.
-      switch (op) {
-        case BinaryOp::kLt:
-          op = BinaryOp::kGt;
-          break;
-        case BinaryOp::kLe:
-          op = BinaryOp::kGe;
-          break;
-        case BinaryOp::kGt:
-          op = BinaryOp::kLt;
-          break;
-        case BinaryOp::kGe:
-          op = BinaryOp::kLe;
-          break;
-        default:
-          break;
-      }
-    } else {
-      return Status::Ok();
-    }
-    auto col_idx = schema.ColumnIndex(col_side->column);
-    if (!col_idx.ok()) return Status::Ok();  // checked later by the filter
-    CLOUDDB_ASSIGN_OR_RETURN(
-        Value v,
-        EvaluateExpr(*val_side, nullptr, nullptr, db_->functions_, params_));
-    if (v.is_null()) return Status::Ok();  // NULL comparisons never match
-    out->push_back(Constraint{*col_idx, op, std::move(v)});
-    return Status::Ok();
-  }
-
-  /// Selects an access path, gathers candidate rows, applies the full
-  /// predicate, and returns matching RowIds in access order.
+  /// Resolves the WHERE comparisons, selects an access path, gathers
+  /// candidate rows, checks each comparison once per candidate row, and
+  /// returns the matching RowIds in access order.
   ///
-  /// `limit_hint` (>= 0), `order_col` and `order_desc` enable limit
-  /// pushdown: when the scan's bounds prove the whole predicate and the
-  /// index order satisfies the requested ORDER BY (or there is none), the
-  /// scan stops after `limit_hint` rows.
-  Result<std::vector<RowId>> CollectMatches(Table* table, const Expr* where,
-                                            ExecResult* meta,
-                                            int64_t limit_hint,
-                                            size_t order_col,
-                                            bool order_desc) {
+  /// `limit_hint` (>= 0) and `order_col` enable limit pushdown: when the
+  /// scan's bounds prove the whole WHERE clause and the index order
+  /// satisfies the requested ORDER BY (or there is none), the scan stops
+  /// after `limit_hint` rows.
+  Result<std::vector<RowId>> CollectMatches(
+      Table* table, const std::vector<Comparison>& where, ExecResult* meta,
+      int64_t limit_hint, size_t order_col) {
     const Schema& schema = table->schema();
     std::vector<Constraint> constraints;
-    bool exhaustive = true;  // every WHERE leaf became a constraint
-    if (where != nullptr) {
-      CLOUDDB_RETURN_IF_ERROR(
-          ExtractConstraints(*where, schema, &constraints, &exhaustive));
+    constraints.reserve(where.size());
+    for (const Comparison& c : where) {
+      CLOUDDB_ASSIGN_OR_RETURN(size_t column, schema.ColumnIndex(c.column));
+      CLOUDDB_ASSIGN_OR_RETURN(Value value, Resolve(c.value));
+      constraints.push_back(Constraint{column, c.op, std::move(value)});
     }
+    // A comparison with NULL matches nothing, so it gives no key to look up.
+    auto indexed = [&](const Constraint& c) {
+      return !c.value.is_null() && table->HasIndexOn(c.column);
+    };
     // Access-path selection: PK equality, then any indexed equality, then an
     // indexed range, then full scan.
     auto pk = schema.primary_key_index();
     const Constraint* chosen_eq = nullptr;
-    size_t range_col = SIZE_MAX;
+    size_t range_col = kNoColumn;
     for (const Constraint& c : constraints) {
-      if (c.op != BinaryOp::kEq || !table->HasIndexOn(c.column)) continue;
+      if (c.op != CompareOp::kEq || !indexed(c)) continue;
       if (pk.has_value() && c.column == *pk) {
         chosen_eq = &c;
         break;  // best possible
@@ -425,38 +302,30 @@ class Executor {
     }
     if (chosen_eq == nullptr) {
       for (const Constraint& c : constraints) {
-        if (c.op != BinaryOp::kEq && table->HasIndexOn(c.column)) {
+        if (c.op != CompareOp::kEq && indexed(c)) {
           range_col = c.column;
           break;
         }
       }
     }
 
-    // Limit pushdown: decide whether the scan alone proves the predicate
-    // and delivers the requested order. It does when every WHERE leaf is a
-    // constraint the scan's bounds encode: `=` the chosen value on an
-    // equality path, any range comparison on the column of a range path.
+    // The scan alone proves the WHERE clause when its bounds encode every
+    // comparison: `=` the chosen value on an equality path, any range
+    // comparison on the column of a range path. Limit pushdown needs that
+    // and the requested order: the scan column's, or none.
     size_t scan_col = chosen_eq != nullptr ? chosen_eq->column : range_col;
-    bool subsumed = where == nullptr || (scan_col != SIZE_MAX && exhaustive);
-    for (size_t i = 0; subsumed && i < constraints.size(); ++i) {
-      const Constraint& c = constraints[i];
-      subsumed = c.column == scan_col &&
+    bool subsumed = std::all_of(
+        constraints.begin(), constraints.end(), [&](const Constraint& c) {
+          return c.column == scan_col && !c.value.is_null() &&
                  (chosen_eq != nullptr
-                      ? c.op == BinaryOp::kEq &&
+                      ? c.op == CompareOp::kEq &&
                             Value::Compare(c.value, chosen_eq->value) == 0
-                      : c.op != BinaryOp::kEq);
-    }
+                      : c.op != CompareOp::kEq);
+        });
     int64_t early_stop = -1;
-    if (limit_hint >= 0 && subsumed) {
-      bool order_satisfied =
-          order_col == SIZE_MAX ||
-          (scan_col != SIZE_MAX && order_col == scan_col && !order_desc);
-      if (order_satisfied && (scan_col != SIZE_MAX || where == nullptr)) {
-        // Unordered full scans with no predicate may also stop early.
-        if (scan_col != SIZE_MAX || order_col == SIZE_MAX) {
-          early_stop = limit_hint;
-        }
-      }
+    if (limit_hint >= 0 && subsumed &&
+        (order_col == kNoColumn || order_col == scan_col)) {
+      early_stop = limit_hint;
     }
     auto keep_scanning = [&](const std::vector<RowId>& collected) {
       return early_stop < 0 ||
@@ -475,30 +344,39 @@ class Executor {
             candidates.push_back(id);
             return keep_scanning(candidates);
           }));
-    } else if (range_col != SIZE_MAX) {
+    } else if (range_col != kNoColumn) {
       // Combine all range constraints on the chosen column into bounds.
-      const Value* lo = nullptr;
+      // NULL keys sort first in an index and match no comparison, so a scan
+      // with no lower bound starts above them.
+      const Value null_key;
+      const Value* lo = &null_key;
       const Value* hi = nullptr;
-      bool lo_inc = true;
+      bool lo_inc = false;
       bool hi_inc = true;
+      // The tighter bound wins, and of two at the same value the exclusive
+      // one: the scan must not return a row some comparison rejects.
       for (const Constraint& c : constraints) {
-        if (c.column != range_col) continue;
+        if (c.column != range_col || c.value.is_null()) continue;
         switch (c.op) {
-          case BinaryOp::kGt:
-          case BinaryOp::kGe:
-            if (lo == nullptr || c.value > *lo) {
+          case CompareOp::kGt:
+          case CompareOp::kGe: {
+            int cmp = Value::Compare(c.value, *lo);
+            if (cmp > 0 || (cmp == 0 && c.op == CompareOp::kGt)) {
               lo = &c.value;
-              lo_inc = c.op == BinaryOp::kGe;
+              lo_inc = c.op == CompareOp::kGe;
             }
             break;
-          case BinaryOp::kLt:
-          case BinaryOp::kLe:
-            if (hi == nullptr || c.value < *hi) {
+          }
+          case CompareOp::kLt:
+          case CompareOp::kLe: {
+            int cmp = hi == nullptr ? -1 : Value::Compare(c.value, *hi);
+            if (cmp < 0 || (cmp == 0 && c.op == CompareOp::kLt)) {
               hi = &c.value;
-              hi_inc = c.op == BinaryOp::kLe;
+              hi_inc = c.op == CompareOp::kLe;
             }
             break;
-          default:
+          }
+          case CompareOp::kEq:
             break;
         }
       }
@@ -519,15 +397,15 @@ class Executor {
     }
     meta->rows_examined += static_cast<int64_t>(candidates.size());
 
-    if (where == nullptr || subsumed) return candidates;
+    if (subsumed) return candidates;
     std::vector<RowId> matches;
     matches.reserve(candidates.size());
     for (RowId id : candidates) {
-      const Row* row = table->Get(id);
-      CLOUDDB_ASSIGN_OR_RETURN(
-          bool keep, EvaluatePredicate(*where, &schema, row, db_->functions_,
-                                       params_));
-      if (keep) matches.push_back(id);
+      const Row& row = *table->Get(id);
+      if (std::all_of(constraints.begin(), constraints.end(),
+                      [&](const Constraint& c) { return Satisfies(row, c); })) {
+        matches.push_back(id);
+      }
     }
     return matches;
   }
@@ -537,8 +415,7 @@ class Executor {
   std::shared_ptr<const RowOp>* capture_;  // row-based writeset sink or null
 };
 
-Database::Database(DatabaseOptions options)
-    : options_(std::move(options)), functions_(options_.now_micros) {}
+Database::Database(DatabaseOptions options) : options_(std::move(options)) {}
 
 Result<ExecResult> Database::Execute(const std::string& sql) {
   return Execute(Compile(sql));
@@ -556,10 +433,10 @@ Result<ExecResult> Database::Execute(
   bool is_write = IsWriteStatement(stmt);
   // Row-based capture: only statements that will reach the binlog capture
   // row images, and only when the coverage rule admits them (no DDL, no
-  // function calls — see StatementHasFunctionCall).
+  // NOW_MICROS() — see InsertReadsTheClock).
   bool binlog_active = options_.enable_binlog && !binlog_suppressed_;
   bool row_capture = options_.row_based_repl && binlog_active && is_write &&
-                     !IsDdl(stmt) && !StatementHasFunctionCall(stmt);
+                     !IsDdl(stmt) && !InsertReadsTheClock(stmt);
   std::shared_ptr<const RowOp> captured;
   Result<ExecResult> result = Executor(this, compiled->params(),
                                        row_capture ? &captured : nullptr)
@@ -568,14 +445,13 @@ Result<ExecResult> Database::Execute(
   // DDL changed the catalog: cached templates must not survive it.
   if (IsDdl(stmt)) statement_cache_.Invalidate();
   // Commit: a write becomes one binlog event, carrying a writeset in
-  // row-based mode (uncovered, with no row, for DDL and function calls).
+  // row-based mode (uncovered, with no row, for DDL and NOW_MICROS()).
   if (is_write && binlog_active) {
     std::optional<StatementWriteset> writeset;
     if (options_.row_based_repl) {
       writeset = StatementWriteset{std::move(captured)};
     }
-    binlog_.Append(compiled, std::move(writeset),
-                   options_.now_micros ? options_.now_micros() : 0);
+    binlog_.Append(compiled, std::move(writeset), NowMicros());
   }
   return result;
 }
@@ -595,11 +471,6 @@ std::vector<std::string> Database::TableNames() const {
   names.reserve(tables_.size());
   for (const auto& [key, table] : tables_) names.push_back(table->name());
   return names;
-}
-
-void Database::SetTimeSource(std::function<int64_t()> now_micros) {
-  options_.now_micros = now_micros;
-  functions_.SetTimeSource(std::move(now_micros));
 }
 
 bool Database::ValidateAllIndexes(std::string* error) const {

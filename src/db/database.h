@@ -6,13 +6,12 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
 #include "db/binlog.h"
-#include "db/functions.h"
-#include "db/sql_ast.h"
 #include "db/statement_cache.h"
 #include "db/table.h"
 #include "db/value.h"
@@ -52,9 +51,9 @@ struct DatabaseOptions {
 
   /// Whether committed write statements additionally capture row-based
   /// writesets into their binlog events (an INSERT's stored row). Off =
-  /// statement-only events, the historical format. DDL and
-  /// function-bearing statements are never covered regardless of this flag;
-  /// they replicate as statement text (see db/writeset.h).
+  /// statement-only events, the historical format. DDL and an INSERT with a
+  /// NOW_MICROS() value are never covered regardless of this flag; they
+  /// replicate as statement text (see db/writeset.h).
   bool row_based_repl = false;
 };
 
@@ -88,7 +87,7 @@ class Database {
   /// Executes an already-compiled statement; a text that did not parse
   /// fails with its parse error. It may come from another replica's or the
   /// proxy's compile: tables and columns resolve against this database's
-  /// catalog when it runs, and functions (NOW_MICROS) evaluate here. A
+  /// catalog when it runs, and NOW_MICROS() evaluates here. A
   /// committed write logs the statement's text and hands `compiled` to the
   /// binlog's append listener.
   Result<ExecResult> Execute(const std::shared_ptr<const CompiledSql>& compiled);
@@ -100,7 +99,6 @@ class Database {
 
   Binlog& binlog() { return binlog_; }
   const Binlog& binlog() const { return binlog_; }
-  FunctionRegistry& functions() { return functions_; }
   const DatabaseOptions& options() const { return options_; }
   StatementCache& statement_cache() { return statement_cache_; }
   const StatementCache& statement_cache() const { return statement_cache_; }
@@ -119,8 +117,10 @@ class Database {
   }
   bool row_based_repl_enabled() const { return options_.row_based_repl; }
 
-  /// Replaces the NOW_MICROS time source (also updates options()).
-  void SetTimeSource(std::function<int64_t()> now_micros);
+  /// Replaces the NOW_MICROS time source (options().now_micros).
+  void SetTimeSource(std::function<int64_t()> now_micros) {
+    options_.now_micros = std::move(now_micros);
+  }
 
   /// Temporarily disables binlog appends (used by the direct pre-load and
   /// set-up statements, which every replica gets without replication).
@@ -147,17 +147,21 @@ class Database {
   /// same schema, secondary-index set and row multiset) — the master/slave
   /// convergence check. Tables named in `ignore_tables` are excluded from
   /// the per-table comparison: statement-based replication re-evaluates
-  /// non-deterministic functions per replica, so tables like the heartbeat
-  /// table (whose NOW_MICROS() column *intentionally* differs per replica)
-  /// must be skipped.
+  /// NOW_MICROS() per replica, so tables like the heartbeat table (whose
+  /// NOW_MICROS() column *intentionally* differs per replica) must be
+  /// skipped.
   static bool ContentsEqual(const Database& a, const Database& b,
                             const std::vector<std::string>& ignore_tables = {});
 
  private:
   friend class Executor;
 
+  /// The NOW_MICROS() clock: options().now_micros, or 0 when unset.
+  int64_t NowMicros() const {
+    return options_.now_micros ? options_.now_micros() : 0;
+  }
+
   DatabaseOptions options_;
-  FunctionRegistry functions_;
   Binlog binlog_;
   StatementCache statement_cache_;
   std::map<std::string, std::unique_ptr<Table>> tables_;  // keys lower-cased

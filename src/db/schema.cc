@@ -46,10 +46,6 @@ Result<size_t> Schema::ColumnIndex(const std::string& name) const {
   return Status::NotFound(StrFormat("no column named '%s'", name.c_str()));
 }
 
-bool Schema::HasColumn(const std::string& name) const {
-  return ColumnIndex(name).ok();
-}
-
 Status Schema::ValidateRow(const Row& row) const {
   if (row.size() != columns_.size()) {
     return Status::InvalidArgument(
@@ -90,20 +86,6 @@ Status Schema::CoerceRow(Row* row) const {
     }
   }
   return Status::Ok();
-}
-
-std::string Schema::ToString() const {
-  std::string out = "(";
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += columns_[i].name;
-    out += " ";
-    out += ValueTypeToString(columns_[i].type);
-    if (columns_[i].primary_key) out += " PRIMARY KEY";
-    else if (columns_[i].not_null) out += " NOT NULL";
-  }
-  out += ")";
-  return out;
 }
 
 }  // namespace clouddb::db

@@ -35,7 +35,6 @@ class Schema {
 
   /// Index of column `name` (case-insensitive), or error.
   Result<size_t> ColumnIndex(const std::string& name) const;
-  bool HasColumn(const std::string& name) const;
 
   /// Index of the primary-key column, if declared.
   std::optional<size_t> primary_key_index() const { return pk_index_; }
@@ -46,8 +45,6 @@ class Schema {
 
   /// Coerces in place (int -> double widening for double columns).
   Status CoerceRow(Row* row) const;
-
-  std::string ToString() const;
 
   bool operator==(const Schema&) const = default;
 

@@ -26,12 +26,10 @@ class KeywordTrie {
  public:
   KeywordTrie() {
     static const char* const kKeywords[] = {
-        "CREATE", "TABLE",  "INDEX",  "ON",     "INSERT", "INTO",   "VALUES",
-        "SELECT", "FROM",   "WHERE",  "ORDER",  "BY",     "ASC",    "DESC",
-        "LIMIT",  "AND",    "NOT",    "NULL",   "PRIMARY", "KEY",   "INT",
-        "BIGINT", "DOUBLE", "TEXT",   "VARCHAR", "TIMESTAMP", "COUNT",
-        "IS",     "OR",     "IN",     "BETWEEN", "MIN",   "MAX",    "SUM",
-        "AVG",
+        "CREATE", "TABLE",   "INDEX", "ON",     "INSERT", "INTO",
+        "VALUES", "SELECT",  "FROM",  "WHERE",  "ORDER",  "BY",
+        "LIMIT",  "AND",     "NOT",   "NULL",   "PRIMARY", "KEY",
+        "INT",    "BIGINT",  "DOUBLE", "TEXT",  "COUNT",
     };
     nodes_.emplace_back();  // root
     for (const char* kw : kKeywords) Insert(kw);
@@ -52,8 +50,8 @@ class KeywordTrie {
     return nodes_[static_cast<size_t>(node)].canonical;
   }
 
-  /// Longest keyword ("TIMESTAMP"); longer words skip the walk entirely.
-  static constexpr size_t kMaxKeywordLen = 9;
+  /// Longest keyword ("PRIMARY"); longer words skip the walk entirely.
+  static constexpr size_t kMaxKeywordLen = 7;
 
  private:
   struct Node {
@@ -93,6 +91,11 @@ bool IsIdentChar(char c) {
 bool IsDigitAt(const std::string& sql, size_t k) {
   return k < sql.size() && std::isdigit(static_cast<unsigned char>(sql[k]));
 }
+/// A number starts with a digit, or with '.' and a digit.
+bool NumberStartsAt(const std::string& sql, size_t k) {
+  return IsDigitAt(sql, k) ||
+         (k < sql.size() && sql[k] == '.' && IsDigitAt(sql, k + 1));
+}
 
 /// The one lexical scan of SQL text, shared by Tokenize and FingerprintSql.
 /// Skips whitespace and hands each lexeme, with its source offset, to
@@ -125,8 +128,12 @@ Status ScanSql(const std::string& sql, Sink* sink) {
       }
       continue;
     }
-    if (IsDigitAt(sql, i) || (c == '.' && IsDigitAt(sql, i + 1))) {
+    // The grammar has no binary minus, so a '-' directly before a number is
+    // the number's sign: "-5" is one literal, and shares its fingerprint
+    // with "5".
+    if (NumberStartsAt(sql, i) || (c == '-' && NumberStartsAt(sql, i + 1))) {
       bool is_double = false;
+      if (c == '-') ++i;
       while (IsDigitAt(sql, i)) ++i;
       if (i < n && sql[i] == '.') {
         is_double = true;
@@ -183,7 +190,9 @@ Status ScanSql(const std::string& sql, Sink* sink) {
       sink->String(start, std::move(value));
       continue;
     }
-    // Two-character symbols first: <= >= != <>.
+    // Two-character symbols first: <= >= != <>. Symbols the grammar has no
+    // use for (!= <> + - / .) still lex, so a statement using one fails in
+    // the parser, which names the offending token.
     const char next = i + 1 < n ? sql[i + 1] : '\0';
     size_t len = 1;
     if ((next == '=' && (c == '<' || c == '>' || c == '!')) ||

@@ -14,10 +14,10 @@ namespace clouddb::db {
 enum class TokenType {
   kKeyword,     // recognized SQL keyword, normalized to upper case
   kIdentifier,  // table/column/index names
-  kInteger,     // 64-bit integer literal
-  kDouble,      // floating-point literal
+  kInteger,     // 64-bit integer literal; a '-' written before it is its sign
+  kDouble,      // floating-point literal, signed the same way
   kString,      // 'single quoted', '' escapes a quote
-  kSymbol,      // ( ) , * = != <> < <= > >= + - / .
+  kSymbol,      // ( ) , * = != <> < <= > >= + - / . ;
   kParameter,   // `?` placeholder — never produced by Tokenize; synthesized
                 // by the statement cache when masking literals (int_value
                 // holds the parameter slot)

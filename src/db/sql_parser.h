@@ -16,26 +16,27 @@ namespace clouddb::db {
 ///
 ///   CREATE TABLE t (col TYPE [PRIMARY KEY | NOT NULL], ...)
 ///   CREATE INDEX idx ON t (col)
-///   INSERT INTO t [(cols)] VALUES (expr, ...)
-///   SELECT * | COUNT(*) | cols FROM t [WHERE pred] [ORDER BY col [ASC|DESC]]
-///       [LIMIT n]
+///   INSERT INTO t [(cols)] VALUES (value, ...)
+///   SELECT * | COUNT(*) | cols FROM t
+///       [WHERE col op value [AND col op value ...]] [ORDER BY col]
+///       [LIMIT value]
 ///
-/// Tables are append-only: UPDATE, DELETE, DROP TABLE and TRUNCATE are not
-/// statements, so their text fails to parse.
+/// TYPE is INT | BIGINT (64-bit int), DOUBLE or TEXT (string). op is one of
+/// = < <= > >=. A value is a literal (a number, which carries its own sign,
+/// a 'string' or NULL) or NOW_MICROS(). ORDER BY sorts ascending. The LIMIT
+/// value is checked when the statement executes, so a bad count fails alike
+/// with the statement cache on or off.
 ///
-/// TYPE is INT | BIGINT | TIMESTAMP (64-bit int), DOUBLE,
-/// TEXT | VARCHAR[(n)] (string).
-///
-/// pred is a conjunction: comparison (AND comparison)*, where comparison is
-/// expr (= | != | <> | < | <= | > | >=) expr, or expr IS [NOT] NULL.
-/// Expressions support +, -, *, / with the usual precedence, parentheses,
-/// column references, literals, and function calls (e.g. NOW_MICROS()).
+/// Everything else fails to parse, among it OR, NOT, IN, BETWEEN, IS NULL,
+/// != and <>, arithmetic and parentheses, `value op col`, functions other
+/// than NOW_MICROS, aggregates other than COUNT(*), ASC and DESC, the types
+/// VARCHAR and TIMESTAMP, and UPDATE, DELETE, DROP TABLE and TRUNCATE
+/// (tables are append-only).
 Result<Statement> ParseSql(const std::string& sql);
 
 /// Parses an already-tokenized statement. Used by the statement cache, which
 /// tokenizes once to fingerprint and then parses the literal-masked token
-/// stream (kParameter tokens become Expr::kParameter placeholders; a
-/// kParameter after LIMIT sets SelectStatement::limit_param).
+/// stream (kParameter tokens become Operand::kParameter placeholders).
 Result<Statement> ParseTokens(std::vector<Token> tokens);
 
 }  // namespace clouddb::db

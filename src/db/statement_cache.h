@@ -38,7 +38,7 @@ struct StatementCacheStats {
 };
 
 /// A parsed statement template: the AST with every literal replaced by an
-/// Expr::kParameter placeholder. Shared (not cloned) across executions;
+/// Operand::kParameter placeholder. Shared (not cloned) across executions;
 /// immutable after insertion. Held by shared_ptr so an execution queued
 /// behind the CPU scheduler survives eviction or DDL invalidation of its
 /// cache entry.
@@ -57,9 +57,9 @@ struct PreparedCall {
 
 /// Deterministic LRU cache of parsed statement templates keyed on a
 /// normalized fingerprint (literals masked to `?`, keyword case and
-/// whitespace folded, identifier case preserved — aggregate output column
-/// names echo the query's spelling, so folding identifiers could change
-/// visible results).
+/// whitespace folded, identifier case preserved — error texts echo the
+/// query's spelling of a table or column name, so folding identifiers could
+/// change visible results).
 ///
 /// Recency is tracked purely by list position maintained on each access —
 /// no wall clock, no timestamps — so cache behavior is a deterministic

@@ -1,11 +1,6 @@
 #include "db/value.h"
 
-#include <cmath>
-#include <cstdio>
-
 #include "common/str_util.h"
-#include "common/result.h"
-#include "common/status.h"
 
 namespace clouddb::db {
 
@@ -18,35 +13,9 @@ const char* ValueTypeToString(ValueType t) {
     case ValueType::kDouble:
       return "DOUBLE";
     case ValueType::kString:
-      // Spelled as the SQL type so Schema::ToString round-trips through the
-      // parser (used when recreating a schema from a live table).
       return "TEXT";
   }
   return "?";
-}
-
-Result<double> Value::ToDouble() const {
-  switch (type()) {
-    case ValueType::kInt64:
-      return static_cast<double>(AsInt64());
-    case ValueType::kDouble:
-      return AsDouble();
-    default:
-      return Status::InvalidArgument(
-          StrFormat("cannot coerce %s to DOUBLE", ValueTypeToString(type())));
-  }
-}
-
-Result<int64_t> Value::ToInt64() const {
-  switch (type()) {
-    case ValueType::kInt64:
-      return AsInt64();
-    case ValueType::kDouble:
-      return static_cast<int64_t>(AsDouble());
-    default:
-      return Status::InvalidArgument(
-          StrFormat("cannot coerce %s to INT", ValueTypeToString(type())));
-  }
 }
 
 std::string Value::ToSqlLiteral() const {
@@ -73,11 +42,6 @@ std::string Value::ToSqlLiteral() const {
     }
   }
   return "NULL";
-}
-
-std::string Value::ToString() const {
-  if (type() == ValueType::kString) return AsString();
-  return ToSqlLiteral();
 }
 
 int Value::CompareSlow(const Value& a, const Value& b) {

@@ -6,9 +6,6 @@
 #include <variant>
 #include <vector>
 
-#include "common/result.h"
-#include "common/status.h"
-
 namespace clouddb::db {
 
 /// Column data types supported by the engine.
@@ -54,21 +51,13 @@ class Value {
   double AsDouble() const { return std::get<double>(data_); }
   const std::string& AsString() const { return std::get<std::string>(data_); }
 
-  /// Numeric coercion: int64 or double -> double. Fails on other types.
-  Result<double> ToDouble() const;
-  /// int64 passes through; double truncates. Fails on other types.
-  Result<int64_t> ToInt64() const;
-
-  /// SQL-literal rendering: NULL, 42, 3.14, 'escaped''string'.
-  /// Round-trips through the lexer — this is how statement-based replication
-  /// serializes evaluated values.
+  /// SQL-literal rendering: NULL, 42, -3.14, 'escaped''string'. Round-trips
+  /// through the lexer (a negative number lexes as one signed literal).
   std::string ToSqlLiteral() const;
-  /// Human-readable rendering (strings unquoted).
-  std::string ToString() const;
 
   /// Total ordering across types (see class comment). NULLs compare equal
-  /// here (needed for index keys); SQL three-valued logic is handled by the
-  /// executor before comparing.
+  /// here (needed for index keys); the executor, for which a NULL matches no
+  /// comparison, checks for NULL before comparing.
   friend bool operator==(const Value& a, const Value& b) {
     return Compare(a, b) == 0;
   }

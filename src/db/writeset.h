@@ -21,12 +21,12 @@ struct RowOp {
 /// event (BinlogEvent::writeset).
 ///
 /// `row` is set exactly when the coverage/fallback rule admits the
-/// statement, and is then the one row its INSERT stored. DDL and any
-/// statement whose expressions contain a function call are *not* covered —
-/// function calls (NOW_MICROS in particular) must re-evaluate per replica
-/// under statement-based semantics, and the heartbeat delay measurement
-/// depends on exactly that. Uncovered statements ship with a null row;
-/// slaves apply them through the ordinary parse-and-execute path.
+/// statement, and is then the one row its INSERT stored. DDL and an INSERT
+/// with a NOW_MICROS() value are *not* covered — NOW_MICROS() must
+/// re-evaluate per replica under statement-based semantics, and the
+/// heartbeat delay measurement depends on exactly that. Uncovered
+/// statements ship with a null row; slaves apply them through the ordinary
+/// parse-and-execute path.
 ///
 /// A captured row never changes, so the binlog's event and every shipped
 /// copy of it share one; a pointer also keeps the slot small in the

@@ -13,12 +13,10 @@ std::map<int64_t, int64_t> ReadHeartbeats(db::Database& database,
   std::map<int64_t, int64_t> out;
   if (database.GetTable(table) == nullptr) return out;
   // The first poll parses the SELECT once (when the statement cache is on);
-  // every later poll binds the same template again. A negative bound would
-  // lex as a unary minus, a second template, so it is clamped: no id is
-  // below 1 either way.
+  // every later poll binds the same template again, a negative bound too
+  // (a number's sign is part of its literal).
   const std::string sql = "SELECT hb_id, ts FROM " + table +
-                          " WHERE hb_id > " +
-                          std::to_string(after_id < 0 ? 0 : after_id);
+                          " WHERE hb_id > " + std::to_string(after_id);
   Result<db::ExecResult> rows = database.Execute(sql);
   if (!rows.ok()) return out;
   int id_col = -1;

@@ -90,8 +90,8 @@ class ReplicationCluster {
   /// then gives every slave one copy of the master's tables
   /// (CopyMasterOnto), as an operator seeds replicas from a snapshot. Each
   /// statement is evaluated once, on the master: a loader that calls
-  /// NOW_MICROS() or another function leaves the master's values on every
-  /// slave (the Cloudstone loader calls none). Stops at the first failing
+  /// NOW_MICROS() leaves the master's values on every slave (the Cloudstone
+  /// loader writes only literals). Stops at the first failing
   /// statement, before any slave is copied.
   Status LoadDirect(
       const std::function<Status(

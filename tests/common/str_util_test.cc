@@ -19,9 +19,8 @@ TEST(StrFormatTest, LongOutput) {
   EXPECT_EQ(out.back(), ']');
 }
 
-TEST(CaseTest, ToLowerUpper) {
+TEST(CaseTest, ToLower) {
   EXPECT_EQ(ToLower("SeLeCt *"), "select *");
-  EXPECT_EQ(ToUpper("SeLeCt *"), "SELECT *");
   EXPECT_EQ(ToLower(""), "");
 }
 

@@ -6,6 +6,9 @@
 #include "db/writeset_apply.h"
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -89,16 +92,6 @@ TEST_F(DatabaseTest, PkRangePlan) {
   EXPECT_EQ(r.rows.size(), 2u);
 }
 
-TEST_F(DatabaseTest, FlippedComparisonUsesIndex) {
-  SetUpPeople();
-  ExecResult r = Must("SELECT * FROM people WHERE 2 = id");
-  EXPECT_EQ(r.plan, "pk_eq(id)");
-  ASSERT_EQ(r.rows.size(), 1u);
-  ExecResult r2 = Must("SELECT * FROM people WHERE 2 < id");
-  EXPECT_EQ(r2.plan, "index_range(id)");
-  EXPECT_EQ(r2.rows.size(), 2u);
-}
-
 TEST_F(DatabaseTest, PredicateStillAppliedAfterIndexScan) {
   SetUpPeople();
   // id = 2 via index, plus a non-indexable residual predicate.
@@ -109,10 +102,11 @@ TEST_F(DatabaseTest, PredicateStillAppliedAfterIndexScan) {
 
 TEST_F(DatabaseTest, OrderByAndLimit) {
   SetUpPeople();
-  ExecResult r = Must("SELECT name FROM people ORDER BY age DESC LIMIT 2");
-  ASSERT_EQ(r.rows.size(), 2u);
-  EXPECT_EQ(r.rows[0][0].AsString(), "cat");
-  EXPECT_EQ(r.rows[1][0].AsString(), "ann");
+  ExecResult r = Must("SELECT name FROM people ORDER BY age LIMIT 3");
+  ASSERT_EQ(r.rows.size(), 3u);
+  EXPECT_EQ(r.rows[0][0].AsString(), "bob");
+  EXPECT_EQ(r.rows[1][0].AsString(), "dan");
+  EXPECT_EQ(r.rows[2][0].AsString(), "ann");
 }
 
 TEST_F(DatabaseTest, OrderByAscendingStable) {
@@ -132,11 +126,33 @@ TEST_F(DatabaseTest, CountStar) {
   ASSERT_EQ(r.rows.size(), 1u);
   EXPECT_EQ(r.rows[0][0].AsInt64(), 2);
   EXPECT_EQ(r.column_names[0], "COUNT(*)");
+  // No match counts 0, and LIMIT does not cut the count.
+  EXPECT_EQ(Must("SELECT COUNT(*) FROM people WHERE age > 1000").rows,
+            (std::vector<Row>{{Value(int64_t{0})}}));
+  EXPECT_EQ(Must("SELECT COUNT(*) FROM people LIMIT 1").rows,
+            (std::vector<Row>{{Value(int64_t{4})}}));
 }
 
 TEST_F(DatabaseTest, LimitZero) {
   SetUpPeople();
   EXPECT_EQ(Must("SELECT * FROM people LIMIT 0").rows.size(), 0u);
+}
+
+// The LIMIT count is checked when the statement runs, with the cache on or
+// off: a cached template binds it like any literal.
+TEST_F(DatabaseTest, LimitMustBeANonNegativeInteger) {
+  SetUpPeople();
+  for (bool cache : {true, false}) {
+    db_.set_statement_cache_enabled(cache);
+    for (const char* sql :
+         {"SELECT * FROM people LIMIT -1", "SELECT * FROM people LIMIT 1.5",
+          "SELECT * FROM people LIMIT 'two'",
+          "SELECT * FROM people LIMIT NULL"}) {
+      Status st = db_.Execute(sql).status();
+      EXPECT_TRUE(st.IsInvalidArgument()) << sql;
+      EXPECT_EQ(st.message(), "LIMIT must be a non-negative integer") << sql;
+    }
+  }
 }
 
 TEST_F(DatabaseTest, ProjectionSubset) {
@@ -310,105 +326,92 @@ TEST_F(DatabaseTest, TableNamesListsTables) {
   EXPECT_EQ(names.size(), 2u);
 }
 
-// ---- Extended predicates & aggregates -------------------------------------
+// ---- WHERE comparisons ---------------------------------------------------
 
-TEST_F(DatabaseTest, OrPredicateSelectsUnion) {
+TEST_F(DatabaseTest, InclusiveRangeUsesIndexRange) {
   SetUpPeople();
-  ExecResult r = Must("SELECT name FROM people WHERE id = 1 OR age = 25");
-  EXPECT_EQ(r.rows.size(), 3u);  // ann + bob + dan
-  // OR disables index constraint extraction -> full scan.
-  EXPECT_EQ(r.plan, "table_scan");
-}
-
-TEST_F(DatabaseTest, OrWithinAndStillUsesIndexFromConjunct) {
-  SetUpPeople();
-  ExecResult r = Must(
-      "SELECT * FROM people WHERE id = 2 AND (age = 25 OR age = 30)");
-  EXPECT_EQ(r.plan, "pk_eq(id)");
-  EXPECT_EQ(r.rows.size(), 1u);
-}
-
-TEST_F(DatabaseTest, InListPredicate) {
-  SetUpPeople();
-  ExecResult r = Must("SELECT name FROM people WHERE id IN (1, 3, 99)");
-  EXPECT_EQ(r.rows.size(), 2u);
-  ExecResult nr = Must("SELECT name FROM people WHERE id NOT IN (1, 3)");
-  EXPECT_EQ(nr.rows.size(), 2u);
-}
-
-TEST_F(DatabaseTest, BetweenUsesIndexRange) {
-  SetUpPeople();
-  ExecResult r = Must("SELECT * FROM people WHERE id BETWEEN 2 AND 3");
+  ExecResult r = Must("SELECT * FROM people WHERE id >= 2 AND id <= 3");
   EXPECT_EQ(r.plan, "index_range(id)");
   EXPECT_EQ(r.rows.size(), 2u);
 }
 
-TEST_F(DatabaseTest, NotPredicate) {
-  SetUpPeople();
-  ExecResult r = Must("SELECT * FROM people WHERE NOT age = 25");
-  EXPECT_EQ(r.rows.size(), 2u);
+// A row matches when every comparison holds. Values compare in Value order:
+// int and double numerically, strings lexicographically, and a number never
+// equals a string and ranks below every one.
+TEST_F(DatabaseTest, ComparisonsFollowValueOrder) {
+  Must("CREATE TABLE t (id BIGINT PRIMARY KEY, name TEXT, score DOUBLE)");
+  Must("INSERT INTO t VALUES (6, 'amy', 1.5)");
+  Must("INSERT INTO t VALUES (7, 'ann', 2.5)");
+  Must("INSERT INTO t VALUES (8, 'bob', -1)");
+  const std::pair<const char*, std::vector<int64_t>> kCases[] = {
+      {"id = 7", {7}},
+      {"id < 8", {6, 7}},
+      {"id <= 7", {6, 7}},
+      {"id > 7", {8}},
+      {"id >= 8", {8}},
+      {"name = 'ann'", {7}},
+      {"name < 'bob'", {6, 7}},
+      {"name > ''", {6, 7, 8}},
+      {"id = '7'", {}},
+      {"id < 'x'", {6, 7, 8}},
+      {"name > 5", {6, 7, 8}},
+      {"score = 2.5", {7}},
+      {"score > 2", {7}},
+      {"score < -0.5", {8}},
+      {"score >= -1", {6, 7, 8}},
+      {"id = 7.0", {7}},
+      {"id < 7.5", {6, 7}},
+      {"id >= 7.5", {8}},
+      {"id >= 7 AND name = 'bob'", {8}},
+      {"id >= 7 AND name = 'amy'", {}},
+      {"id > -100 AND score < 2 AND score > -2", {6, 8}},
+  };
+  for (const auto& [where, ids] : kCases) {
+    std::string sql = std::string("SELECT id FROM t WHERE ") + where;
+    std::vector<Row> want;
+    for (int64_t id : ids) want.push_back(Row{Value(id)});
+    EXPECT_EQ(Must(sql).rows, want) << sql;
+  }
+  EXPECT_TRUE(db_.Execute("SELECT id FROM t WHERE missing = 1")
+                  .status()
+                  .IsNotFound());
 }
 
-TEST_F(DatabaseTest, AggregatesOverWhere) {
-  SetUpPeople();
-  ExecResult r = Must(
-      "SELECT MIN(age), MAX(age), SUM(age), AVG(age), COUNT(*) FROM people "
-      "WHERE age >= 25");
-  ASSERT_EQ(r.rows.size(), 1u);
-  const Row& row = r.rows[0];
-  EXPECT_EQ(row[0], Value(int64_t{25}));
-  EXPECT_EQ(row[1], Value(int64_t{35}));
-  EXPECT_EQ(row[2], Value(int64_t{115}));
-  EXPECT_DOUBLE_EQ(row[3].AsDouble(), 115.0 / 4.0);
-  EXPECT_EQ(row[4], Value(int64_t{4}));
-  EXPECT_EQ(r.column_names[0], "MIN(age)");
-  EXPECT_EQ(r.column_names[4], "COUNT(*)");
-}
-
-TEST_F(DatabaseTest, AggregatesOnEmptySetAreNullExceptCount) {
-  SetUpPeople();
-  ExecResult r = Must(
-      "SELECT MIN(age), SUM(age), COUNT(*) FROM people WHERE age > 1000");
-  const Row& row = r.rows[0];
-  EXPECT_TRUE(row[0].is_null());
-  EXPECT_TRUE(row[1].is_null());
-  EXPECT_EQ(row[2], Value(int64_t{0}));
-}
-
-TEST_F(DatabaseTest, AggregatesSkipNulls) {
-  Must("CREATE TABLE t (a INT, b INT)");
+// NULL never matches a comparison: neither a NULL literal nor a NULL the row
+// holds, whatever the operator and whichever path reads the rows. NULL keys
+// sort first in an index, so a range scan with no lower bound must start
+// above them.
+TEST_F(DatabaseTest, NullNeverMatchesAComparison) {
+  Must("CREATE TABLE t (a INT PRIMARY KEY, b INT)");
   Must("INSERT INTO t VALUES (1, 10)");
   Must("INSERT INTO t VALUES (2, NULL)");
   Must("INSERT INTO t VALUES (3, 20)");
-  ExecResult r = Must("SELECT COUNT(*), SUM(b), AVG(b), MIN(b) FROM t");
-  const Row& row = r.rows[0];
-  EXPECT_EQ(row[0], Value(int64_t{3}));  // COUNT(*) counts rows
-  EXPECT_EQ(row[1], Value(int64_t{30}));
-  EXPECT_DOUBLE_EQ(row[2].AsDouble(), 15.0);
-  EXPECT_EQ(row[3], Value(int64_t{10}));
-  // IS [NOT] NULL filters on the stored NULL.
-  ExecResult null_b = Must("SELECT a FROM t WHERE b IS NULL");
-  ASSERT_EQ(null_b.rows.size(), 1u);
-  EXPECT_EQ(null_b.rows[0][0], Value(int64_t{2}));
-  EXPECT_EQ(Must("SELECT a FROM t WHERE b IS NOT NULL").rows.size(), 2u);
+  const std::vector<Row> kTen = {{Value(int64_t{1})}};
+  for (bool indexed : {false, true}) {
+    if (indexed) Must("CREATE INDEX idx_b ON t (b)");
+    const char* plan = indexed ? "index_range(b)" : "table_scan";
+    ExecResult below = Must("SELECT a FROM t WHERE b < 15");
+    EXPECT_EQ(below.plan, plan);
+    EXPECT_EQ(below.rows, kTen);
+    ExecResult first = Must("SELECT a FROM t WHERE b <= 15 ORDER BY b LIMIT 1");
+    EXPECT_EQ(first.plan, plan);
+    EXPECT_EQ(first.rows, kTen);
+    EXPECT_EQ(Must("SELECT a FROM t WHERE b >= 0").rows.size(), 2u);
+    for (const char* sql :
+         {"SELECT a FROM t WHERE b = NULL", "SELECT a FROM t WHERE a < NULL",
+          "SELECT a FROM t WHERE a >= 1 AND b > NULL"}) {
+      EXPECT_TRUE(Must(sql).rows.empty()) << sql;
+    }
+    // COUNT(*) counts rows, NULLs included.
+    EXPECT_EQ(Must("SELECT COUNT(*) FROM t").rows[0][0], Value(int64_t{3}));
+  }
 }
 
-TEST_F(DatabaseTest, SumOverStringColumnRejected) {
-  SetUpPeople();
-  EXPECT_FALSE(db_.Execute("SELECT SUM(name) FROM people").ok());
-  // MIN/MAX over strings are fine (lexicographic).
-  ExecResult r = Must("SELECT MIN(name), MAX(name) FROM people");
-  EXPECT_EQ(r.rows[0][0], Value("ann"));
-  EXPECT_EQ(r.rows[0][1], Value("dan"));
-}
-
-TEST_F(DatabaseTest, AvgOfDoubleColumn) {
-  Must("CREATE TABLE m (v DOUBLE)");
-  Must("INSERT INTO m VALUES (1.5)");
-  Must("INSERT INTO m VALUES (2.5)");
-  ExecResult r = Must("SELECT AVG(v), SUM(v) FROM m");
-  EXPECT_DOUBLE_EQ(r.rows[0][0].AsDouble(), 2.0);
-  EXPECT_DOUBLE_EQ(r.rows[0][1].AsDouble(), 4.0);
+TEST_F(DatabaseTest, NowMicrosDefaultsToZero) {
+  Must("CREATE TABLE hb (id INT PRIMARY KEY, ts BIGINT)");
+  Must("INSERT INTO hb VALUES (1, NOW_MICROS())");
+  EXPECT_EQ(Must("SELECT ts FROM hb").rows[0][0], Value(int64_t{0}));
+  EXPECT_EQ(Must("SELECT id FROM hb WHERE ts <= now_micros()").rows.size(), 1u);
 }
 
 TEST_F(DatabaseTest, WritesetApplyRejectsUncoveredWriteset) {

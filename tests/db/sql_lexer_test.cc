@@ -52,6 +52,29 @@ TEST(LexerTest, DoubleLiterals) {
   EXPECT_DOUBLE_EQ(tokens[4].double_value, 0.25);
 }
 
+// A '-' directly before a number is the number's sign; anywhere else it
+// stays a symbol, which the parser rejects.
+TEST(LexerTest, SignedLiterals) {
+  auto tokens = MustTokenize("-5 -2.5 -.25 x-1 - 3 -9223372036854775808");
+  ASSERT_EQ(tokens.size(), 9u);
+  EXPECT_EQ(tokens[0].type, TokenType::kInteger);
+  EXPECT_EQ(tokens[0].int_value, -5);
+  EXPECT_EQ(tokens[0].text, "-5");
+  EXPECT_EQ(tokens[1].type, TokenType::kDouble);
+  EXPECT_DOUBLE_EQ(tokens[1].double_value, -2.5);
+  EXPECT_DOUBLE_EQ(tokens[2].double_value, -0.25);
+  EXPECT_EQ(tokens[3].type, TokenType::kIdentifier);
+  EXPECT_EQ(tokens[4].int_value, -1);
+  EXPECT_TRUE(tokens[5].IsSymbol("-"));
+  EXPECT_EQ(tokens[6].int_value, 3);
+  EXPECT_EQ(tokens[7].int_value, INT64_MIN);
+  auto r = Tokenize("SELECT -9223372036854775809");
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("out of range at offset 7"),
+            std::string::npos)
+      << r.status().ToString();
+}
+
 TEST(LexerTest, StringLiteralsWithEscapes) {
   auto tokens = MustTokenize("'hello' 'it''s' ''");
   EXPECT_EQ(tokens[0].type, TokenType::kString);

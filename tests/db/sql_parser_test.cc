@@ -3,6 +3,11 @@
 #include "db/sql_ast.h"
 #include "db/value.h"
 
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace clouddb::db {
@@ -25,17 +30,18 @@ T MustParseAs(const std::string& sql) {
 TEST(ParserTest, CreateTable) {
   Statement stmt = MustParse(
       "CREATE TABLE t (id BIGINT PRIMARY KEY, name TEXT NOT NULL, "
-      "score DOUBLE, note VARCHAR(80), stamp TIMESTAMP)");
+      "score DOUBLE, n INT NOT NULL)");
   auto& create = std::get<CreateTableStatement>(stmt);
   EXPECT_EQ(create.table, "t");
-  ASSERT_EQ(create.columns.size(), 5u);
+  ASSERT_EQ(create.columns.size(), 4u);
   EXPECT_TRUE(create.columns[0].primary_key);
   EXPECT_EQ(create.columns[0].type, ValueType::kInt64);
   EXPECT_TRUE(create.columns[1].not_null);
   EXPECT_EQ(create.columns[1].type, ValueType::kString);
   EXPECT_EQ(create.columns[2].type, ValueType::kDouble);
-  EXPECT_EQ(create.columns[3].type, ValueType::kString);
-  EXPECT_EQ(create.columns[4].type, ValueType::kInt64);
+  EXPECT_EQ(create.columns[3].type, ValueType::kInt64);
+  EXPECT_TRUE(create.columns[3].not_null);
+  EXPECT_FALSE(create.columns[3].primary_key);
 }
 
 TEST(ParserTest, CreateIndex) {
@@ -71,23 +77,41 @@ TEST(ParserTest, InsertWithColumnList) {
   EXPECT_EQ(ins.table, "t");
   EXPECT_EQ(ins.columns, (std::vector<std::string>{"a", "b"}));
   ASSERT_EQ(ins.values.size(), 2u);
-  EXPECT_EQ(ins.values[0]->literal, Value(int64_t{1}));
-  EXPECT_EQ(ins.values[1]->literal, Value("x"));
+  EXPECT_EQ(ins.values[0].kind, Operand::Kind::kLiteral);
+  EXPECT_EQ(ins.values[0].literal, Value(int64_t{1}));
+  EXPECT_EQ(ins.values[1].literal, Value("x"));
 }
 
 TEST(ParserTest, InsertWithoutColumnList) {
   auto ins = MustParseAs<InsertStatement>(("INSERT INTO t VALUES (1, 2.5, NULL)"));
   EXPECT_TRUE(ins.columns.empty());
   ASSERT_EQ(ins.values.size(), 3u);
-  EXPECT_TRUE(ins.values[2]->literal.is_null());
+  EXPECT_EQ(ins.values[1].literal, Value(2.5));
+  EXPECT_EQ(ins.values[2].kind, Operand::Kind::kLiteral);
+  EXPECT_TRUE(ins.values[2].literal.is_null());
 }
 
-TEST(ParserTest, InsertWithFunctionCall) {
-  auto ins = MustParseAs<InsertStatement>(("INSERT INTO hb (id, ts) VALUES (7, NOW_MICROS())"));
-  ASSERT_EQ(ins.values.size(), 2u);
-  EXPECT_EQ(ins.values[1]->kind, Expr::Kind::kFunctionCall);
-  EXPECT_EQ(ins.values[1]->function, "NOW_MICROS");
-  EXPECT_TRUE(ins.values[1]->args.empty());
+TEST(ParserTest, InsertWithNowMicros) {
+  auto ins = MustParseAs<InsertStatement>(
+      "INSERT INTO hb (id, ts, n) VALUES (7, NOW_MICROS(), now_micros())");
+  ASSERT_EQ(ins.values.size(), 3u);
+  EXPECT_EQ(ins.values[0].kind, Operand::Kind::kLiteral);
+  EXPECT_EQ(ins.values[1].kind, Operand::Kind::kNowMicros);
+  EXPECT_EQ(ins.values[2].kind, Operand::Kind::kNowMicros);
+}
+
+// A '-' written before a number is its sign: the literal is negative.
+TEST(ParserTest, SignedLiterals) {
+  auto ins = MustParseAs<InsertStatement>(
+      "INSERT INTO t VALUES (-5, -2.5, -.25, -9223372036854775808)");
+  ASSERT_EQ(ins.values.size(), 4u);
+  EXPECT_EQ(ins.values[0].literal, Value(int64_t{-5}));
+  EXPECT_EQ(ins.values[1].literal, Value(-2.5));
+  EXPECT_EQ(ins.values[2].literal, Value(-0.25));
+  EXPECT_EQ(ins.values[3].literal, Value(INT64_MIN));
+  auto sel = MustParseAs<SelectStatement>("SELECT * FROM t WHERE a>-1");
+  ASSERT_EQ(sel.where.size(), 1u);
+  EXPECT_EQ(sel.where[0].value.literal, Value(int64_t{-1}));
 }
 
 TEST(ParserTest, SelectStar) {
@@ -95,26 +119,36 @@ TEST(ParserTest, SelectStar) {
   EXPECT_TRUE(sel.star);
   EXPECT_FALSE(sel.count_star);
   EXPECT_EQ(sel.table, "t");
-  EXPECT_EQ(sel.where, nullptr);
+  EXPECT_TRUE(sel.where.empty());
+  EXPECT_TRUE(sel.order_by.empty());
+  EXPECT_FALSE(sel.limit.has_value());
 }
 
 TEST(ParserTest, SelectColumnsWhereOrderLimit) {
-  auto sel = MustParseAs<SelectStatement>((
-      "SELECT a, b FROM t WHERE a >= 5 AND b = 'x' ORDER BY a DESC LIMIT 10"));
+  auto sel = MustParseAs<SelectStatement>(
+      "SELECT a, b FROM t WHERE a >= 5 AND b = 'x' AND c < NOW_MICROS() "
+      "ORDER BY a LIMIT 10");
   EXPECT_EQ(sel.columns, (std::vector<std::string>{"a", "b"}));
-  ASSERT_NE(sel.where, nullptr);
-  EXPECT_EQ(sel.where->kind, Expr::Kind::kBinary);
-  EXPECT_EQ(sel.where->op, BinaryOp::kAnd);
+  ASSERT_EQ(sel.where.size(), 3u);
+  EXPECT_EQ(sel.where[0].column, "a");
+  EXPECT_EQ(sel.where[0].op, CompareOp::kGe);
+  EXPECT_EQ(sel.where[0].value.literal, Value(int64_t{5}));
+  EXPECT_EQ(sel.where[1].column, "b");
+  EXPECT_EQ(sel.where[1].op, CompareOp::kEq);
+  EXPECT_EQ(sel.where[1].value.literal, Value("x"));
+  EXPECT_EQ(sel.where[2].op, CompareOp::kLt);
+  EXPECT_EQ(sel.where[2].value.kind, Operand::Kind::kNowMicros);
   EXPECT_EQ(sel.order_by, "a");
-  EXPECT_TRUE(sel.order_desc);
   ASSERT_TRUE(sel.limit.has_value());
-  EXPECT_EQ(*sel.limit, 10);
+  EXPECT_EQ(sel.limit->literal, Value(int64_t{10}));
 }
 
-TEST(ParserTest, SelectOrderByAscExplicit) {
-  auto sel = MustParseAs<SelectStatement>(("SELECT * FROM t ORDER BY a ASC"));
-  EXPECT_EQ(sel.order_by, "a");
-  EXPECT_FALSE(sel.order_desc);
+// The LIMIT count is any literal; the executor checks it (see
+// DatabaseTest.LimitMustBeANonNegativeInteger).
+TEST(ParserTest, LimitTakesALiteral) {
+  auto sel = MustParseAs<SelectStatement>("SELECT * FROM t LIMIT -1");
+  ASSERT_TRUE(sel.limit.has_value());
+  EXPECT_EQ(sel.limit->literal, Value(int64_t{-1}));
 }
 
 TEST(ParserTest, SelectCountStar) {
@@ -123,45 +157,15 @@ TEST(ParserTest, SelectCountStar) {
   EXPECT_FALSE(sel.star);
 }
 
-TEST(ParserTest, ExpressionPrecedence) {
-  auto sel = MustParseAs<SelectStatement>(("SELECT * FROM t WHERE a = 1 + 2 * 3"));
-  // Rhs of '=' must be 1 + (2*3).
-  const Expr& eq = *sel.where;
-  EXPECT_EQ(eq.op, BinaryOp::kEq);
-  const Expr& add = *eq.rhs;
-  EXPECT_EQ(add.op, BinaryOp::kAdd);
-  EXPECT_EQ(add.lhs->literal, Value(int64_t{1}));
-  EXPECT_EQ(add.rhs->op, BinaryOp::kMul);
-}
-
-TEST(ParserTest, ParenthesesOverridePrecedence) {
-  auto sel = MustParseAs<SelectStatement>(("SELECT * FROM t WHERE a = (1 + 2) * 3"));
-  const Expr& mul = *sel.where->rhs;
-  EXPECT_EQ(mul.op, BinaryOp::kMul);
-  EXPECT_EQ(mul.lhs->op, BinaryOp::kAdd);
-}
-
-TEST(ParserTest, UnaryMinus) {
-  auto ins = MustParseAs<InsertStatement>(("INSERT INTO t VALUES (-5)"));
-  const Expr& e = *ins.values[0];
-  // Encoded as 0 - 5.
-  EXPECT_EQ(e.kind, Expr::Kind::kBinary);
-  EXPECT_EQ(e.op, BinaryOp::kSub);
-  EXPECT_EQ(e.rhs->literal, Value(int64_t{5}));
-}
-
-TEST(ParserTest, IsNullAndIsNotNull) {
-  auto s1 = MustParseAs<SelectStatement>(("SELECT * FROM t WHERE a IS NULL"));
-  EXPECT_EQ(s1.where->kind, Expr::Kind::kIsNull);
-  EXPECT_FALSE(s1.where->is_null_negated);
-  auto s2 = MustParseAs<SelectStatement>(("SELECT * FROM t WHERE a IS NOT NULL"));
-  EXPECT_TRUE(s2.where->is_null_negated);
-}
-
 TEST(ParserTest, ComparisonOperators) {
-  for (const char* op : {"=", "!=", "<>", "<", "<=", ">", ">="}) {
-    std::string sql = std::string("SELECT * FROM t WHERE a ") + op + " 1";
-    EXPECT_TRUE(ParseSql(sql).ok()) << sql;
+  const std::pair<const char*, CompareOp> kOps[] = {
+      {"=", CompareOp::kEq}, {"<", CompareOp::kLt}, {"<=", CompareOp::kLe},
+      {">", CompareOp::kGt}, {">=", CompareOp::kGe}};
+  for (const auto& [text, op] : kOps) {
+    std::string sql = std::string("SELECT * FROM t WHERE a ") + text + " 1";
+    auto sel = MustParseAs<SelectStatement>(sql);
+    ASSERT_EQ(sel.where.size(), 1u) << sql;
+    EXPECT_EQ(sel.where[0].op, op) << sql;
   }
 }
 
@@ -214,102 +218,53 @@ TEST(ParserTest, TrailingSemicolonAccepted) {
   EXPECT_TRUE(ParseSql("SELECT * FROM t;").ok());
 }
 
-TEST(ParserTest, OrBindsLooserThanAnd) {
-  auto sel = MustParseAs<SelectStatement>(
-      "SELECT * FROM t WHERE a = 1 AND b = 2 OR c = 3");
-  // Parsed as (a=1 AND b=2) OR (c=3).
-  ASSERT_EQ(sel.where->op, BinaryOp::kOr);
-  EXPECT_EQ(sel.where->lhs->op, BinaryOp::kAnd);
-  EXPECT_EQ(sel.where->rhs->op, BinaryOp::kEq);
+// The grammar is the SQL the workloads send (see sql_parser.h): every other
+// form fails in the parser, which names the offending token.
+class RemovedGrammarTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(RemovedGrammarTest, FailsToParse) {
+  Result<Statement> r = ParseSql(GetParam());
+  ASSERT_FALSE(r.ok()) << GetParam();
+  EXPECT_TRUE(r.status().IsInvalidArgument()) << GetParam();
+  EXPECT_EQ(r.status().message().rfind("parse error at offset ", 0), 0u)
+      << GetParam() << " -> " << r.status().ToString();
 }
 
-TEST(ParserTest, NotPrefix) {
-  auto sel = MustParseAs<SelectStatement>(
-      "SELECT * FROM t WHERE NOT a = 1");
-  EXPECT_EQ(sel.where->kind, Expr::Kind::kNot);
-  EXPECT_EQ(sel.where->lhs->op, BinaryOp::kEq);
-}
-
-TEST(ParserTest, InList) {
-  auto sel = MustParseAs<SelectStatement>(
-      "SELECT * FROM t WHERE a IN (1, 2, 3)");
-  ASSERT_EQ(sel.where->kind, Expr::Kind::kInList);
-  EXPECT_FALSE(sel.where->is_null_negated);
-  EXPECT_EQ(sel.where->args.size(), 3u);
-}
-
-TEST(ParserTest, NotInList) {
-  auto sel = MustParseAs<SelectStatement>(
-      "SELECT * FROM t WHERE a NOT IN (1, 2)");
-  ASSERT_EQ(sel.where->kind, Expr::Kind::kInList);
-  EXPECT_TRUE(sel.where->is_null_negated);
-}
-
-TEST(ParserTest, BetweenDesugarsToRange) {
-  auto sel = MustParseAs<SelectStatement>(
-      "SELECT * FROM t WHERE a BETWEEN 3 AND 7");
-  // (a >= 3) AND (a <= 7)
-  ASSERT_EQ(sel.where->op, BinaryOp::kAnd);
-  EXPECT_EQ(sel.where->lhs->op, BinaryOp::kGe);
-  EXPECT_EQ(sel.where->rhs->op, BinaryOp::kLe);
-  EXPECT_EQ(sel.where->lhs->rhs->literal, Value(int64_t{3}));
-  EXPECT_EQ(sel.where->rhs->rhs->literal, Value(int64_t{7}));
-}
-
-TEST(ParserTest, NotBetween) {
-  auto sel = MustParseAs<SelectStatement>(
-      "SELECT * FROM t WHERE a NOT BETWEEN 3 AND 7");
-  EXPECT_EQ(sel.where->kind, Expr::Kind::kNot);
-  EXPECT_EQ(sel.where->lhs->op, BinaryOp::kAnd);
-}
-
-TEST(ParserTest, BetweenCombinesWithOuterAnd) {
-  auto sel = MustParseAs<SelectStatement>(
-      "SELECT * FROM t WHERE a BETWEEN 1 AND 5 AND b = 2");
-  // ((a>=1 AND a<=5) AND b=2)
-  ASSERT_EQ(sel.where->op, BinaryOp::kAnd);
-  EXPECT_EQ(sel.where->lhs->op, BinaryOp::kAnd);
-  EXPECT_EQ(sel.where->rhs->op, BinaryOp::kEq);
-}
-
-TEST(ParserTest, AggregateSelectList) {
-  auto sel = MustParseAs<SelectStatement>(
-      "SELECT MIN(a), MAX(a), SUM(b), AVG(b), COUNT(*) FROM t");
-  ASSERT_EQ(sel.aggregates.size(), 5u);
-  EXPECT_EQ(sel.aggregates[0].fn, AggregateFn::kMin);
-  EXPECT_EQ(sel.aggregates[0].column, "a");
-  EXPECT_EQ(sel.aggregates[2].fn, AggregateFn::kSum);
-  EXPECT_EQ(sel.aggregates[4].fn, AggregateFn::kCountStar);
-  EXPECT_FALSE(sel.count_star);  // not a lone COUNT(*)
-}
-
-TEST(ParserTest, LoneCountStarSetsFlag) {
-  auto sel = MustParseAs<SelectStatement>("SELECT COUNT(*) FROM t");
-  EXPECT_TRUE(sel.count_star);
-  ASSERT_EQ(sel.aggregates.size(), 1u);
-}
-
-TEST(ParserTest, MixedAggregatesAndColumnsRejected) {
-  EXPECT_FALSE(ParseSql("SELECT a, MAX(b) FROM t").ok());
-  EXPECT_FALSE(ParseSql("SELECT MAX(b), a FROM t").ok());
-}
-
-TEST(ParserTest, NewPredicateErrorCases) {
-  EXPECT_FALSE(ParseSql("SELECT * FROM t WHERE a IN ()").ok());
-  EXPECT_FALSE(ParseSql("SELECT * FROM t WHERE a IN 1").ok());
-  EXPECT_FALSE(ParseSql("SELECT * FROM t WHERE a BETWEEN 1").ok());
-  EXPECT_FALSE(ParseSql("SELECT * FROM t WHERE a NOT 5").ok());
-  EXPECT_FALSE(ParseSql("SELECT * FROM t WHERE NOT").ok());
-}
-
-TEST(ParserTest, CloneExprDeepCopies) {
-  auto sel = MustParseAs<SelectStatement>(
-      "SELECT * FROM t WHERE a IN (1, 2) AND NOT b = ABS(0 - 3)");
-  ExprPtr copy = CloneExpr(*sel.where);
-  EXPECT_EQ(copy->ToString(), sel.where->ToString());
-  EXPECT_NE(copy.get(), sel.where.get());
-  EXPECT_NE(copy->lhs.get(), sel.where->lhs.get());
-}
+INSTANTIATE_TEST_SUITE_P(
+    Forms, RemovedGrammarTest,
+    ::testing::Values(
+        // Boolean connectives other than AND.
+        "SELECT * FROM t WHERE a = 1 OR b = 2", "SELECT * FROM t WHERE NOT a = 1",
+        "SELECT * FROM t WHERE a IN (1, 2)", "SELECT * FROM t WHERE a NOT IN (1)",
+        "SELECT * FROM t WHERE a BETWEEN 1 AND 5",
+        "SELECT * FROM t WHERE a NOT BETWEEN 1 AND 5",
+        "SELECT * FROM t WHERE a IS NULL", "SELECT * FROM t WHERE a IS NOT NULL",
+        // Comparison operators other than = < <= > >=.
+        "SELECT * FROM t WHERE a != 1", "SELECT * FROM t WHERE a <> 1",
+        // Arithmetic, grouping and unary minus apart from a number's sign.
+        "SELECT * FROM t WHERE a = 1 + 2", "SELECT * FROM t WHERE a = 2 * 3",
+        "SELECT * FROM t WHERE a = 4 / 2", "SELECT * FROM t WHERE a = 1 - 2",
+        "SELECT * FROM t WHERE a = - 2", "SELECT * FROM t WHERE (a = 1)",
+        "SELECT * FROM t WHERE a = (1)", "INSERT INTO t VALUES (1 + 1)",
+        "INSERT INTO t VALUES (-a)",
+        // Only `column op value`.
+        "SELECT * FROM t WHERE 5 = a", "SELECT * FROM t WHERE a = b",
+        "SELECT * FROM t WHERE NOW_MICROS() > a", "INSERT INTO t VALUES (a)",
+        // No function but NOW_MICROS(), which takes no argument.
+        "SELECT * FROM t WHERE a = ABS(-5)", "INSERT INTO t VALUES (LENGTH('x'))",
+        "INSERT INTO t VALUES (CONCAT('a', 'b'))",
+        "INSERT INTO t VALUES (MOD(7, 2))", "INSERT INTO t VALUES (NOW_MICROS(1))",
+        "INSERT INTO t VALUES (NOW_MICROS)",
+        // No aggregate but a lone COUNT(*).
+        "SELECT MIN(a) FROM t", "SELECT MAX(a) FROM t", "SELECT SUM(a) FROM t",
+        "SELECT AVG(a) FROM t", "SELECT COUNT(a) FROM t",
+        "SELECT COUNT(*), COUNT(*) FROM t", "SELECT a, COUNT(*) FROM t",
+        "SELECT COUNT(*), a FROM t",
+        // ORDER BY sorts ascending and takes no direction.
+        "SELECT * FROM t ORDER BY a ASC", "SELECT * FROM t ORDER BY a DESC",
+        // Column types INT, BIGINT, DOUBLE and TEXT only.
+        "CREATE TABLE t (a VARCHAR(10))", "CREATE TABLE t (a VARCHAR)",
+        "CREATE TABLE t (a TIMESTAMP)"));
 
 }  // namespace
 }  // namespace clouddb::db

@@ -32,6 +32,7 @@ TEST(Fingerprint, FusedScanMatchesTokenConstruction) {
       "select  A , b  from T where a >= 1 AND b <> 'x' or c != .5",
       "INSERT INTO t (a, b) VALUES (1, 'it''s'), (2, '')",
       "INSERT INTO t VALUES (-5, 1.5e+3, 7E2, 2.)",
+      "SELECT a FROM t WHERE x>-1 AND y < -.5e-3 AND z = - 4 AND w=a-1",
       "SELECT a FROM t WHERE c BETWEEN 2 AND 7 AND a IN (1, 2, 3) AND "
       "b IS NOT NULL",
       "SELECT MIN(Age), COUNT(*) FROM people ORDER BY id DESC LIMIT 10",
@@ -74,11 +75,17 @@ TEST(Fingerprint, SameShapeDifferentLiteralsShareOneTemplate) {
   // to show literal masking and whitespace/keyword folding alone.
   auto c = cache.Prepare("select *  from t WHERE a=99 and b = 'yy'");
   ASSERT_TRUE(c.ok());
+  // A number's sign is part of the literal, so a negative one binds to the
+  // same template too.
+  auto d = cache.Prepare("SELECT * FROM t WHERE a = -5 AND b = 'x'");
+  ASSERT_TRUE(d.ok());
   EXPECT_EQ(a->prepared.get(), c->prepared.get());  // literally one template
+  EXPECT_EQ(a->prepared.get(), d->prepared.get());
   EXPECT_NE(a->prepared.get(), b->prepared.get());
   EXPECT_EQ(a->params, (std::vector<Value>{Value(int64_t{5}), Value("x")}));
   EXPECT_EQ(c->params, (std::vector<Value>{Value(int64_t{99}), Value("yy")}));
-  EXPECT_EQ(cache.stats().hits, 1);
+  EXPECT_EQ(d->params, (std::vector<Value>{Value(int64_t{-5}), Value("x")}));
+  EXPECT_EQ(cache.stats().hits, 2);
   EXPECT_EQ(cache.stats().misses, 2);
 }
 
@@ -86,14 +93,15 @@ TEST(Fingerprint, SameShapeDifferentLiteralsShareOneTemplate) {
 TEST(Fingerprint, NeverConflatesDifferentSemantics) {
   const StrVec distinct = {
       "SELECT a FROM t WHERE x = 1",
-      "SELECT a, b FROM t WHERE x = 1",      // different column list
-      "SELECT a FROM t WHERE x = NOW_MICROS()",  // function, not literal
-      "SELECT a FROM t WHERE x IN (1)",
-      "SELECT a FROM t WHERE x IN (1, 2)",   // different IN-list arity
-      "SELECT a FROM t WHERE x = -1",        // unary minus is shape, not value
-      "SELECT MIN(Age) FROM t",
-      "SELECT MIN(age) FROM t",  // output column name echoes the spelling
+      "SELECT a, b FROM t WHERE x = 1",          // different column list
+      "SELECT a FROM t WHERE x = NOW_MICROS()",  // the clock, not a literal
+      "SELECT a FROM t WHERE x = NULL",          // NULL is not masked
+      "SELECT a FROM t WHERE x < 1",             // different operator
+      "SELECT a FROM t WHERE x = 1 AND y = 1",   // more comparisons
+      "SELECT a FROM t WHERE X = 1",  // error texts echo the spelling
+      "SELECT a FROM t WHERE x = 1 ORDER BY a",
       "SELECT a FROM t WHERE x = 1 LIMIT 2",
+      "SELECT COUNT(*) FROM t WHERE x = 1",
   };
   StatementCache cache;
   for (const std::string& sql : distinct) {
@@ -359,10 +367,9 @@ TEST(CacheEquivalence, RepeatedShapesPlansErrorsAndEdgeLiterals) {
       "SELECT id FROM people ORDER BY id LIMIT 5",
       "SELECT id FROM people ORDER BY id LIMIT 0",
       "SELECT id FROM people ORDER BY id LIMIT 5",
-      // Negative literals lex as unary minus over a masked literal.
+      // A number's sign is part of the literal: one template for both.
       "SELECT id FROM people WHERE id > -3 AND score > -1.5 LIMIT 3",
-      // Aggregate output columns echo the query's identifier spelling.
-      "SELECT MIN(Age), MAX(Age), AVG(score) FROM people",
+      "SELECT id FROM people WHERE id > 3 AND score > 1.5 LIMIT 3",
       "SELECT COUNT(*) FROM people WHERE name = 'p3'",
       // String edge cases: '' escape, empty string.
       "SELECT id FROM people WHERE name = 'it''s'",
@@ -371,15 +378,24 @@ TEST(CacheEquivalence, RepeatedShapesPlansErrorsAndEdgeLiterals) {
       "INSERT INTO people VALUES (31, 'p31', 99, 0.5)",
       "INSERT INTO people VALUES (32, 'p32', 98, 1.5)",
       "INSERT INTO people VALUES (30, 'again', 97, 2.5)",
+      "INSERT INTO people VALUES (33, 'p33', -5, -0.5)",
+      "INSERT INTO people VALUES (34, 'p34', 5, 0.5)",
       "SELECT name FROM people WHERE Age >= 97",
-      // UPDATE and DELETE are parse errors, alike with the cache on or off.
+      "SELECT id, Age, score FROM people WHERE Age <= 5",
+      // Removed statements and forms are parse errors, alike with the cache
+      // on or off.
       "UPDATE people SET Age = 99 WHERE id = 5",
       "DELETE FROM people WHERE id = 30",
+      "SELECT MIN(Age) FROM people",
+      "SELECT id FROM people WHERE Age BETWEEN 21 AND 24",
       // Errors must be byte-identical: unknown table, bad syntax, bad lex,
-      // negative LIMIT (a *valid* template whose bound value is rejected).
+      // and a bad LIMIT count (a *valid* template whose bound value the
+      // executor rejects, as it rejects the plain parse's literal).
       "SELECT * FROM nope WHERE id = 1",
       "SELECT FROM WHERE",
       "SELECT 'unterminated",
+      "SELECT id FROM people LIMIT -1",
+      "SELECT id FROM people LIMIT 1.5",
       "SELECT id FROM people LIMIT 0 - 1",
       "SELECT * FROM people WHERE id = 7",
   };

@@ -18,15 +18,6 @@ TEST(ValueTest, TypedAccessors) {
   EXPECT_EQ(Value(std::string("s")).AsString(), "s");
 }
 
-TEST(ValueTest, NumericCoercion) {
-  ASSERT_TRUE(Value(int64_t{7}).ToDouble().ok());
-  EXPECT_DOUBLE_EQ(*Value(int64_t{7}).ToDouble(), 7.0);
-  ASSERT_TRUE(Value(7.9).ToInt64().ok());
-  EXPECT_EQ(*Value(7.9).ToInt64(), 7);  // truncation
-  EXPECT_FALSE(Value("x").ToDouble().ok());
-  EXPECT_FALSE(Value::Null().ToInt64().ok());
-}
-
 TEST(ValueTest, CrossTypeNumericComparison) {
   EXPECT_EQ(Value(int64_t{2}), Value(2.0));
   EXPECT_LT(Value(int64_t{2}), Value(2.5));
@@ -93,11 +84,6 @@ TEST(ValueTest, RowToStringFormatsTuple) {
   Row row = {Value(int64_t{1}), Value("x"), Value::Null()};
   EXPECT_EQ(RowToString(row), "(1, 'x', NULL)");
   EXPECT_EQ(RowToString({}), "()");
-}
-
-TEST(ValueTest, ToStringUnquotesStrings) {
-  EXPECT_EQ(Value("plain").ToString(), "plain");
-  EXPECT_EQ(Value(int64_t{3}).ToString(), "3");
 }
 
 }  // namespace
