@@ -36,11 +36,11 @@ using namespace clouddb;
 // handful of scalar and text columns, not a 2-column toy shape.
 constexpr char kCreateTable[] =
     "CREATE TABLE items (id INT PRIMARY KEY, qty INT, price INT, owner INT, "
-    "rating DOUBLE, label TEXT, note TEXT)";
+    "rating BIGINT, label TEXT, note TEXT)";
 
 std::string InsertSql(long long id, long long qty) {
   return StrFormat(
-      "INSERT INTO items VALUES (%lld, %lld, %lld, %lld, %lld.5, "
+      "INSERT INTO items VALUES (%lld, %lld, %lld, %lld, %lld, "
       "'item-%lld', 'replicated row payload %lld')",
       id, qty, qty * 3 + 7, id % 1000, qty % 5, id, id);
 }

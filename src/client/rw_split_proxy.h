@@ -54,8 +54,8 @@ struct ProxyOptions {
   BalancePolicy policy = BalancePolicy::kRoundRobin;
   ConnectionPoolOptions pool;
   /// The proxy compiles each statement once, where it enters the tier,
-  /// through a proxy-local statement cache when this is on (fingerprint
-  /// once per shape) and by a plain parse when off. That compiled form
+  /// through a proxy-local statement cache when this is on (parse once per
+  /// shape) and by ParseSql, into the same form, when off. That compiled form
   /// classifies read vs write for ExecuteAuto and is what the serving
   /// replica executes.
   bool route_cache = true;

@@ -16,8 +16,6 @@ const char* StatusCodeToString(StatusCode code) {
       return "FailedPrecondition";
     case StatusCode::kUnavailable:
       return "Unavailable";
-    case StatusCode::kNotSupported:
-      return "NotSupported";
     case StatusCode::kInternal:
       return "Internal";
   }

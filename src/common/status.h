@@ -15,7 +15,6 @@ enum class StatusCode {
   kAlreadyExists,
   kFailedPrecondition,
   kUnavailable,
-  kNotSupported,
   kInternal,
 };
 
@@ -59,9 +58,6 @@ class [[nodiscard]] Status {
   static Status Unavailable(std::string msg) {
     return Status(StatusCode::kUnavailable, std::move(msg));
   }
-  static Status NotSupported(std::string msg) {
-    return Status(StatusCode::kNotSupported, std::move(msg));
-  }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
   }
@@ -79,7 +75,6 @@ class [[nodiscard]] Status {
     return code_ == StatusCode::kFailedPrecondition;
   }
   bool IsUnavailable() const { return code_ == StatusCode::kUnavailable; }
-  bool IsNotSupported() const { return code_ == StatusCode::kNotSupported; }
   bool IsInternal() const { return code_ == StatusCode::kInternal; }
 
   /// "OK" or "<Code>: <message>".

@@ -11,14 +11,13 @@ namespace clouddb::db {
 
 namespace {
 
-// Charge per value: a one-byte type tag, then 8 bytes for a number or a
+// Charge per value: a one-byte type tag, then 8 bytes for an integer or a
 // 4-byte length plus the bytes for a string.
 int64_t ValueWireSize(const Value& v) {
   switch (v.type()) {
     case ValueType::kNull:
       return 1;
     case ValueType::kInt64:
-    case ValueType::kDouble:
       return 9;
     case ValueType::kString:
       return 5 + static_cast<int64_t>(v.AsString().size());

@@ -59,7 +59,7 @@ struct ShippedEvent {
 /// bytes, and a covered one's row op 9 plus its table name (a kind byte, the
 /// name's length, and an empty before image's 4-byte count, kept so recorded
 /// byte totals stay as they are) plus its row image: 4 plus, per value, 1
-/// (NULL), 9 (integer or double) or 5 plus the length (string).
+/// (NULL), 9 (integer) or 5 plus the length (string).
 int64_t EventWireSize(const BinlogEvent& event);
 
 /// Append-only, in-memory binary log.

@@ -22,11 +22,6 @@ namespace {
 /// Lower-cased catalog key for a table name.
 std::string TableKey(const std::string& name) { return ToLower(name); }
 
-bool IsDdl(const Statement& stmt) {
-  return std::holds_alternative<CreateTableStatement>(stmt) ||
-         std::holds_alternative<CreateIndexStatement>(stmt);
-}
-
 /// Coverage rule for row-based capture: an INSERT with a NOW_MICROS() value
 /// is never covered. Statement-based semantics, which the row-based toggle
 /// must reproduce bit-identically, re-evaluate it per replica; the heartbeat
@@ -80,11 +75,12 @@ constexpr size_t kNoColumn = SIZE_MAX;
 /// Table::Insert is its last fallible step), so a failure leaves no trace.
 class Executor {
  public:
+  /// `params` are the values bound to the statement's parameter slots.
   /// `capture` (nullable) receives the row an INSERT writes — the row-based
-  /// replication writeset. Null (the default) skips capture entirely, so
-  /// statement-based mode pays nothing.
-  Executor(Database* database, const std::vector<Value>* params = nullptr,
-           std::shared_ptr<const RowOp>* capture = nullptr)
+  /// replication writeset. Null skips capture entirely, so statement-based
+  /// mode pays nothing.
+  Executor(Database* database, const std::vector<Value>& params,
+           std::shared_ptr<const RowOp>* capture)
       : db_(database), params_(params), capture_(capture) {}
 
   Result<ExecResult> Run(const Statement& stmt) {
@@ -138,8 +134,7 @@ class Executor {
     std::vector<Value> values;
     values.reserve(stmt.values.size());
     for (const Operand& operand : stmt.values) {
-      CLOUDDB_ASSIGN_OR_RETURN(Value v, Resolve(operand));
-      values.push_back(std::move(v));
+      values.push_back(Resolve(operand));
     }
     Row row;
     if (stmt.columns.empty()) {
@@ -162,8 +157,8 @@ class Executor {
     }
     CLOUDDB_ASSIGN_OR_RETURN(RowId id, table->Insert(std::move(row)));
     if (capture_ != nullptr) {
-      // The after image is the row as *stored* (post type-coercion), fetched
-      // back so a slave's direct apply reproduces it bit for bit.
+      // The after image is the row as stored, fetched back so a slave's
+      // direct apply reproduces it bit for bit.
       *capture_ = std::make_shared<const RowOp>(
           RowOp{TableKey(stmt.table), *table->Get(id)});
     }
@@ -176,11 +171,11 @@ class Executor {
     CLOUDDB_ASSIGN_OR_RETURN(Table * table, ResolveTable(stmt.table));
     const Schema& schema = table->schema();
     ExecResult result;
-    // The LIMIT count is checked here rather than by the parser: a cached
-    // template binds it per execution, so both paths fail alike.
+    // The LIMIT count is checked here rather than by the parser: a template
+    // binds it per execution, like any literal.
     std::optional<size_t> limit;
     if (stmt.limit.has_value()) {
-      CLOUDDB_ASSIGN_OR_RETURN(Value n, Resolve(*stmt.limit));
+      Value n = Resolve(*stmt.limit);
       if (n.type() != ValueType::kInt64 || n.AsInt64() < 0) {
         return Status::InvalidArgument("LIMIT must be a non-negative integer");
       }
@@ -199,8 +194,12 @@ class Executor {
         std::vector<RowId> matches,
         CollectMatches(table, stmt.where, &result, limit_hint, order_col));
     if (stmt.count_star) {
+      // The one count row, unless the LIMIT cuts it (LIMIT 0).
       result.column_names.push_back("COUNT(*)");
-      result.rows.push_back(Row{Value(static_cast<int64_t>(matches.size()))});
+      if (limit.value_or(1) > 0) {
+        result.rows.push_back(
+            Row{Value(static_cast<int64_t>(matches.size()))});
+      }
       return result;
     }
     // Resolve projection.
@@ -248,20 +247,16 @@ class Executor {
   /// local clock. The paper's heartbeat mechanism relies on this for a
   /// per-replica commit timestamp: the master inserts its local time, and
   /// each slave stores its own when it re-executes the insert.
-  Result<Value> Resolve(const Operand& operand) const {
+  Value Resolve(const Operand& operand) const {
     switch (operand.kind) {
-      case Operand::Kind::kLiteral:
-        return operand.literal;
       case Operand::Kind::kParameter:
-        if (params_ == nullptr || operand.param_index >= params_->size()) {
-          return Status::Internal(StrFormat("unbound statement parameter ?%zu",
-                                            operand.param_index));
-        }
-        return (*params_)[operand.param_index];
+        return params_[operand.param_index];
+      case Operand::Kind::kNull:
+        return Value::Null();
       case Operand::Kind::kNowMicros:
         return Value(db_->NowMicros());
     }
-    return Status::Internal("unknown operand kind");
+    return Value::Null();
   }
 
   /// Resolves the WHERE comparisons, selects an access path, gathers
@@ -280,8 +275,7 @@ class Executor {
     constraints.reserve(where.size());
     for (const Comparison& c : where) {
       CLOUDDB_ASSIGN_OR_RETURN(size_t column, schema.ColumnIndex(c.column));
-      CLOUDDB_ASSIGN_OR_RETURN(Value value, Resolve(c.value));
-      constraints.push_back(Constraint{column, c.op, std::move(value)});
+      constraints.push_back(Constraint{column, c.op, Resolve(c.value)});
     }
     // A comparison with NULL matches nothing, so it gives no key to look up.
     auto indexed = [&](const Constraint& c) {
@@ -411,7 +405,7 @@ class Executor {
   }
 
   Database* db_;
-  const std::vector<Value>* params_;  // null unless running a cached template
+  const std::vector<Value>& params_;
   std::shared_ptr<const RowOp>* capture_;  // row-based writeset sink or null
 };
 

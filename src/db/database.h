@@ -78,7 +78,7 @@ class Database {
   Result<ExecResult> Execute(const std::string& sql);
 
   /// Compiles `sql` through this database's statement cache when it is
-  /// enabled, else by a plain parse (see CompileSql). Callers that need the
+  /// enabled, else by ParseSql (see CompileSql). Callers that need the
   /// AST before executing (one set-up statement run on every replica, a
   /// resync re-shipping logged statements) compile once and hand the result
   /// to Execute.

@@ -62,27 +62,11 @@ Status Schema::ValidateRow(const Row& row) const {
       }
       continue;
     }
-    bool ok = v.type() == col.type ||
-              (col.type == ValueType::kDouble && v.type() == ValueType::kInt64);
-    if (!ok) {
+    if (v.type() != col.type) {
       return Status::InvalidArgument(
           StrFormat("type mismatch in column '%s': expected %s, got %s",
                     col.name.c_str(), ValueTypeToString(col.type),
                     ValueTypeToString(v.type())));
-    }
-  }
-  return Status::Ok();
-}
-
-Status Schema::CoerceRow(Row* row) const {
-  CLOUDDB_RETURN_IF_ERROR(ValidateRow(*row));
-  for (size_t i = 0; i < row->size(); ++i) {
-    if (columns_[i].type == ValueType::kDouble &&
-        (*row)[i].type() == ValueType::kInt64) {
-      // Copied from a named value: assigning a temporary draws GCC 12
-      // -Wmaybe-uninitialized reports from the variant's move.
-      const Value widened(static_cast<double>((*row)[i].AsInt64()));
-      (*row)[i] = widened;
     }
   }
   return Status::Ok();

@@ -39,12 +39,8 @@ class Schema {
   /// Index of the primary-key column, if declared.
   std::optional<size_t> primary_key_index() const { return pk_index_; }
 
-  /// Checks a row against the schema: arity, types (int is accepted where
-  /// double is declared and silently widened), NOT NULL.
+  /// Checks a row against the schema: arity, each value's type, NOT NULL.
   Status ValidateRow(const Row& row) const;
-
-  /// Coerces in place (int -> double widening for double columns).
-  Status CoerceRow(Row* row) const;
 
   bool operator==(const Schema&) const = default;
 

@@ -1,6 +1,7 @@
 #ifndef CLOUDDB_DB_SQL_AST_H_
 #define CLOUDDB_DB_SQL_AST_H_
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <variant>
@@ -12,18 +13,19 @@
 namespace clouddb::db {
 
 /// One value of a statement: an INSERT value, the right-hand side of a WHERE
-/// comparison, or the LIMIT count.
+/// comparison, or the LIMIT count. A statement holds no literal values: the
+/// parser numbers each literal in text order, and an execution binds the
+/// values from PreparedCall::params, so one parsed statement serves every
+/// text of its shape.
 struct Operand {
   enum class Kind {
-    kLiteral,    // a number (carrying its own sign), a string or NULL
-    kParameter,  // `?`: a masked literal in a cached statement template,
-                 // bound per execution from PreparedCall::params
+    kParameter,  // a number (carrying its own sign) or a string
+    kNull,       // NULL
     kNowMicros,  // NOW_MICROS(), read from the executing replica's clock
   };
 
-  Kind kind = Kind::kLiteral;
-  Value literal;           // kLiteral
-  size_t param_index = 0;  // kParameter: slot in the bound param vector
+  Kind kind = Kind::kParameter;
+  size_t param_index = 0;  // kParameter: slot in PreparedCall::params
 };
 
 /// The comparison operators of a WHERE clause.
@@ -70,10 +72,26 @@ struct SelectStatement {
 using Statement = std::variant<CreateTableStatement, CreateIndexStatement,
                                InsertStatement, SelectStatement>;
 
+/// A statement and the literal values of one text of it, bound positionally
+/// to its parameters: what ParseSql returns, and what a statement cache hit
+/// returns with the shared template of the text's shape. The statement is
+/// immutable and shared, so a queued execution keeps it alive across a
+/// cache invalidation.
+struct PreparedCall {
+  std::shared_ptr<const Statement> statement;
+  std::vector<Value> params;
+};
+
 /// True for statements that modify data or schema (and therefore must be
 /// written to the binlog and routed to the master): everything but SELECT.
 inline bool IsWriteStatement(const Statement& stmt) {
   return !std::holds_alternative<SelectStatement>(stmt);
+}
+
+/// True for CREATE TABLE and CREATE INDEX, which change the catalog.
+inline bool IsDdl(const Statement& stmt) {
+  return std::holds_alternative<CreateTableStatement>(stmt) ||
+         std::holds_alternative<CreateIndexStatement>(stmt);
 }
 
 /// The table a statement targets, as spelled in the text. Callers

@@ -26,10 +26,10 @@ class KeywordTrie {
  public:
   KeywordTrie() {
     static const char* const kKeywords[] = {
-        "CREATE", "TABLE",   "INDEX", "ON",     "INSERT", "INTO",
-        "VALUES", "SELECT",  "FROM",  "WHERE",  "ORDER",  "BY",
-        "LIMIT",  "AND",     "NOT",   "NULL",   "PRIMARY", "KEY",
-        "INT",    "BIGINT",  "DOUBLE", "TEXT",  "COUNT",
+        "CREATE", "TABLE",  "INDEX", "ON",    "INSERT",  "INTO",
+        "VALUES", "SELECT", "FROM",  "WHERE", "ORDER",   "BY",
+        "LIMIT",  "AND",    "NOT",   "NULL",  "PRIMARY", "KEY",
+        "INT",    "BIGINT", "TEXT",  "COUNT",
     };
     nodes_.emplace_back();  // root
     for (const char* kw : kKeywords) Insert(kw);
@@ -91,18 +91,13 @@ bool IsIdentChar(char c) {
 bool IsDigitAt(const std::string& sql, size_t k) {
   return k < sql.size() && std::isdigit(static_cast<unsigned char>(sql[k]));
 }
-/// A number starts with a digit, or with '.' and a digit.
-bool NumberStartsAt(const std::string& sql, size_t k) {
-  return IsDigitAt(sql, k) ||
-         (k < sql.size() && sql[k] == '.' && IsDigitAt(sql, k + 1));
-}
 
 /// The one lexical scan of SQL text, shared by Tokenize and FingerprintSql.
 /// Skips whitespace and hands each lexeme, with its source offset, to
 /// `sink`:
 ///   Word(type, start, text)       keyword (canonical uppercase spelling),
 ///                                 identifier or symbol, as emitted;
-///   Integer(start, text, value)   Double(start, text, value);
+///   Integer(start, text, value);
 ///   String(start, value)          quotes stripped, '' unescaped.
 /// Returns the first lexical error; the sink has then seen a prefix.
 template <typename Sink>
@@ -128,41 +123,22 @@ Status ScanSql(const std::string& sql, Sink* sink) {
       }
       continue;
     }
-    // The grammar has no binary minus, so a '-' directly before a number is
-    // the number's sign: "-5" is one literal, and shares its fingerprint
-    // with "5".
-    if (NumberStartsAt(sql, i) || (c == '-' && NumberStartsAt(sql, i + 1))) {
-      bool is_double = false;
+    // A number is a run of digits; the grammar has no binary minus, so a '-'
+    // directly before a digit is the number's sign: "-5" is one literal, and
+    // shares its fingerprint with "5". There is no fraction or exponent:
+    // "1.5" lexes as 1 . 5 and "1e3" as 1 e3, which the parser rejects.
+    if (IsDigitAt(sql, i) || (c == '-' && IsDigitAt(sql, i + 1))) {
       if (c == '-') ++i;
       while (IsDigitAt(sql, i)) ++i;
-      if (i < n && sql[i] == '.') {
-        is_double = true;
-        ++i;
-        while (IsDigitAt(sql, i)) ++i;
+      // strtoll stops at exactly the character the scan above stopped at, so
+      // it parses in place from the source buffer.
+      errno = 0;
+      int64_t v = std::strtoll(sql.c_str() + start, nullptr, 10);
+      if (errno == ERANGE) {
+        return Status::InvalidArgument(
+            StrFormat("integer literal out of range at offset %zu", start));
       }
-      if (i < n && (sql[i] == 'e' || sql[i] == 'E')) {
-        size_t k = i + 1;
-        if (k < n && (sql[k] == '+' || sql[k] == '-')) ++k;
-        if (IsDigitAt(sql, k)) {
-          is_double = true;
-          i = k;
-          while (IsDigitAt(sql, i)) ++i;
-        }
-      }
-      const std::string_view text(sql.data() + start, i - start);
-      // strtod/strtoll stop at exactly the character the scan above stopped
-      // at, so they parse in place from the source buffer.
-      if (is_double) {
-        sink->Double(start, text, std::strtod(sql.c_str() + start, nullptr));
-      } else {
-        errno = 0;
-        int64_t v = std::strtoll(sql.c_str() + start, nullptr, 10);
-        if (errno == ERANGE) {
-          return Status::InvalidArgument(
-              StrFormat("integer literal out of range at offset %zu", start));
-        }
-        sink->Integer(start, text, v);
-      }
+      sink->Integer(start, std::string_view(sql.data() + start, i - start), v);
       continue;
     }
     if (c == '\'') {
@@ -213,17 +189,13 @@ Status ScanSql(const std::string& sql, Sink* sink) {
 /// Tokenize's sink: one Token per lexeme.
 struct TokenSink {
   void Word(TokenType type, size_t start, std::string_view text) {
-    out->push_back(Token{type, std::string(text), 0, 0.0, start});
+    out->push_back(Token{type, std::string(text), 0, start});
   }
   void Integer(size_t start, std::string_view text, int64_t v) {
-    out->push_back(
-        Token{TokenType::kInteger, std::string(text), v, 0.0, start});
-  }
-  void Double(size_t start, std::string_view text, double v) {
-    out->push_back(Token{TokenType::kDouble, std::string(text), 0, v, start});
+    out->push_back(Token{TokenType::kInteger, std::string(text), v, start});
   }
   void String(size_t start, std::string value) {
-    out->push_back(Token{TokenType::kString, std::move(value), 0, 0.0, start});
+    out->push_back(Token{TokenType::kString, std::move(value), 0, start});
   }
 
   std::vector<Token>* out;
@@ -237,7 +209,6 @@ struct FingerprintSink {
     *fp += ' ';
   }
   void Integer(size_t, std::string_view, int64_t v) { Literal(v); }
-  void Double(size_t, std::string_view, double v) { Literal(v); }
   void String(size_t, std::string value) { Literal(std::move(value)); }
   /// Builds the Value in place in `params`: a moved temporary Value draws
   /// GCC 12 -Wmaybe-uninitialized reports from its variant move.
@@ -268,7 +239,7 @@ Result<std::vector<Token>> Tokenize(const std::string& sql) {
   out.reserve(sql.size() / 4 + 4);
   TokenSink sink{&out};
   CLOUDDB_RETURN_IF_ERROR(ScanSql(sql, &sink));
-  out.push_back(Token{TokenType::kEnd, std::string(), 0, 0.0, sql.size()});
+  out.push_back(Token{TokenType::kEnd, std::string(), 0, sql.size()});
   return out;
 }
 

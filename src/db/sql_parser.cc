@@ -1,5 +1,6 @@
 #include "db/sql_parser.h"
 
+#include <memory>
 #include <utility>
 
 #include "common/str_util.h"
@@ -19,7 +20,7 @@ class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
 
-  Result<Statement> ParseStatement() {
+  Result<PreparedCall> ParseStatement() {
     const Token& t = Peek();
     Result<Statement> result = [&]() -> Result<Statement> {
       if (t.IsKeyword("CREATE")) return ParseCreate();
@@ -27,12 +28,14 @@ class Parser {
       if (t.IsKeyword("SELECT")) return ParseSelect();
       return Error("expected a statement");
     }();
-    if (!result.ok()) return result;
+    if (!result.ok()) return result.status();
     if (Peek().IsSymbol(";")) Advance();
     if (Peek().type != TokenType::kEnd) {
       return Error("unexpected trailing input");
     }
-    return result;
+    return PreparedCall{
+        std::make_shared<const Statement>(std::move(result).value()),
+        std::move(params_)};
   }
 
  private:
@@ -111,8 +114,6 @@ class Parser {
     ValueType type = ValueType::kNull;
     if (t.IsKeyword("INT") || t.IsKeyword("BIGINT")) {
       type = ValueType::kInt64;
-    } else if (t.IsKeyword("DOUBLE")) {
-      type = ValueType::kDouble;
     } else if (t.IsKeyword("TEXT")) {
       type = ValueType::kString;
     } else {
@@ -234,21 +235,22 @@ class Parser {
     return c;
   }
 
-  /// operand := number | 'string' | NULL | NOW_MICROS() | ?
+  /// operand := number | 'string' | NULL | NOW_MICROS()
+  /// A number or string takes the next parameter slot, and its value goes to
+  /// params_. The parser consumes every literal of a statement that parses,
+  /// in text order, so the slots number the literals as the fingerprint scan
+  /// collects them.
   Result<Operand> ParseOperand() {
     const Token& t = Peek();
     Operand op;
     if (t.type == TokenType::kInteger) {
-      op.literal = Value(t.int_value);
-    } else if (t.type == TokenType::kDouble) {
-      op.literal = Value(t.double_value);
+      op.param_index = params_.size();
+      params_.emplace_back(t.int_value);
     } else if (t.type == TokenType::kString) {
-      op.literal = Value(t.text);
+      op.param_index = params_.size();
+      params_.emplace_back(t.text);
     } else if (t.IsKeyword("NULL")) {
-      op.literal = Value::Null();
-    } else if (t.type == TokenType::kParameter) {
-      op.kind = Operand::Kind::kParameter;
-      op.param_index = static_cast<size_t>(t.int_value);
+      op.kind = Operand::Kind::kNull;
     } else if (t.type == TokenType::kIdentifier &&
                EqualsIgnoreCase(t.text, "NOW_MICROS") &&
                Peek(1).IsSymbol("(") && Peek(2).IsSymbol(")")) {
@@ -264,17 +266,13 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  std::vector<Value> params_;  // the literals consumed so far
 };
 
 }  // namespace
 
-Result<Statement> ParseSql(const std::string& sql) {
+Result<PreparedCall> ParseSql(const std::string& sql) {
   CLOUDDB_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(sql));
-  Parser parser(std::move(tokens));
-  return parser.ParseStatement();
-}
-
-Result<Statement> ParseTokens(std::vector<Token> tokens) {
   Parser parser(std::move(tokens));
   return parser.ParseStatement();
 }

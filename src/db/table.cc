@@ -33,7 +33,7 @@ std::unique_ptr<Table> Table::Clone() const {
 }
 
 Result<RowId> Table::Insert(Row row) {
-  CLOUDDB_RETURN_IF_ERROR(schema_.CoerceRow(&row));
+  CLOUDDB_RETURN_IF_ERROR(schema_.ValidateRow(row));
   // The primary tree's Insert already detects duplicates, so there is no
   // separate lookup first — one traversal instead of two. Nothing changes
   // before that check, so a duplicate leaves the table as it was.

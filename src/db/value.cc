@@ -10,8 +10,6 @@ const char* ValueTypeToString(ValueType t) {
       return "NULL";
     case ValueType::kInt64:
       return "INT";
-    case ValueType::kDouble:
-      return "DOUBLE";
     case ValueType::kString:
       return "TEXT";
   }
@@ -24,13 +22,6 @@ std::string Value::ToSqlLiteral() const {
       return "NULL";
     case ValueType::kInt64:
       return StrFormat("%lld", static_cast<long long>(AsInt64()));
-    case ValueType::kDouble: {
-      // %.17g round-trips IEEE-754 doubles exactly.
-      std::string s = StrFormat("%.17g", AsDouble());
-      // Ensure the literal re-lexes as a double, not an integer.
-      if (s.find_first_of(".eEnN") == std::string::npos) s += ".0";
-      return s;
-    }
     case ValueType::kString: {
       std::string out = "'";
       for (char c : AsString()) {
@@ -45,43 +36,14 @@ std::string Value::ToSqlLiteral() const {
 }
 
 int Value::CompareSlow(const Value& a, const Value& b) {
+  // Compare() has taken two integers, so equal types here are two NULLs
+  // (equal for ordering purposes) or two strings.
   ValueType ta = a.type();
   ValueType tb = b.type();
-  auto rank = [](ValueType t) {
-    switch (t) {
-      case ValueType::kNull:
-        return 0;
-      case ValueType::kInt64:
-      case ValueType::kDouble:
-        return 1;
-      case ValueType::kString:
-        return 2;
-    }
-    return 0;
-  };
-  int ra = rank(ta);
-  int rb = rank(tb);
-  if (ra != rb) return ra < rb ? -1 : 1;
-  switch (ra) {
-    case 0:
-      return 0;  // NULL == NULL for ordering purposes
-    case 1: {
-      if (ta == ValueType::kInt64 && tb == ValueType::kInt64) {
-        int64_t x = a.AsInt64();
-        int64_t y = b.AsInt64();
-        return x < y ? -1 : (x > y ? 1 : 0);
-      }
-      double x = ta == ValueType::kInt64 ? static_cast<double>(a.AsInt64())
-                                         : a.AsDouble();
-      double y = tb == ValueType::kInt64 ? static_cast<double>(b.AsInt64())
-                                         : b.AsDouble();
-      return x < y ? -1 : (x > y ? 1 : 0);
-    }
-    default: {
-      int c = a.AsString().compare(b.AsString());
-      return c < 0 ? -1 : (c > 0 ? 1 : 0);
-    }
-  }
+  if (ta != tb) return ta < tb ? -1 : 1;
+  if (ta == ValueType::kNull) return 0;
+  int c = a.AsString().compare(b.AsString());
+  return c < 0 ? -1 : (c > 0 ? 1 : 0);
 }
 
 uint64_t Value::Hash() const {
@@ -94,18 +56,6 @@ uint64_t Value::Hash() const {
       return 0xDEADBEEFull;
     case ValueType::kInt64:
       return mix(1, static_cast<uint64_t>(AsInt64()));
-    case ValueType::kDouble: {
-      // Hash doubles through their numeric value so 1 and 1.0 collide
-      // (they compare equal).
-      double d = AsDouble();
-      if (d == static_cast<double>(static_cast<int64_t>(d))) {
-        return mix(1, static_cast<uint64_t>(static_cast<int64_t>(d)));
-      }
-      uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(d));
-      __builtin_memcpy(&bits, &d, sizeof(bits));
-      return mix(2, bits);
-    }
     case ValueType::kString: {
       uint64_t h = 1469598103934665603ull;  // FNV-1a
       for (char c : AsString()) {

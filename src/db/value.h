@@ -8,24 +8,24 @@
 
 namespace clouddb::db {
 
-/// Column data types supported by the engine.
+/// Column data types supported by the engine, in Value's ordering.
 enum class ValueType {
   kNull,
   kInt64,
-  kDouble,
   kString,
 };
 
 const char* ValueTypeToString(ValueType t);
 
-/// A single SQL value: NULL, 64-bit integer, double, or string.
-/// Ordered: NULL < numerics < strings; int64 and double compare numerically.
+/// A single SQL value: NULL, 64-bit integer, or string.
+/// Ordered: NULL < integers < strings.
 class Value {
  public:
   /// NULL value.
   Value() : data_(std::monostate{}) {}
   explicit Value(int64_t v) : data_(v) {}
-  explicit Value(double v) : data_(v) {}
+  /// There is no floating-point type: Value(2.5) must not become Value(2).
+  explicit Value(double) = delete;
   explicit Value(std::string v) : data_(std::move(v)) {}
   explicit Value(const char* v) : data_(std::string(v)) {}
 
@@ -37,8 +37,6 @@ class Value {
       case 1:
         return ValueType::kInt64;
       case 2:
-        return ValueType::kDouble;
-      case 3:
         return ValueType::kString;
       default:
         return ValueType::kNull;
@@ -48,10 +46,9 @@ class Value {
 
   /// Typed accessors; must match `type()`.
   int64_t AsInt64() const { return std::get<int64_t>(data_); }
-  double AsDouble() const { return std::get<double>(data_); }
   const std::string& AsString() const { return std::get<std::string>(data_); }
 
-  /// SQL-literal rendering: NULL, 42, -3.14, 'escaped''string'. Round-trips
+  /// SQL-literal rendering: NULL, -42, 'escaped''string'. Round-trips
   /// through the lexer (a negative number lexes as one signed literal).
   std::string ToSqlLiteral() const;
 
@@ -95,10 +92,10 @@ class Value {
   uint64_t Hash() const;
 
  private:
-  /// Mixed-type and non-integer orderings (see class comment).
+  /// Mixed-type and string orderings (see class comment).
   static int CompareSlow(const Value& a, const Value& b);
 
-  std::variant<std::monostate, int64_t, double, std::string> data_;
+  std::variant<std::monostate, int64_t, std::string> data_;
 };
 
 /// A tuple of values; the engine's row representation.

@@ -65,14 +65,6 @@ void DbNode::RegisterBaseMetrics() {
                : static_cast<double>(
                      database_->statement_cache().stats().misses);
   });
-  metrics_.AddProbe("db.statement_cache.hit_rate", [this] {
-    if (database_ == nullptr) return 0.0;
-    const db::StatementCacheStats& stats = database_->statement_cache().stats();
-    int64_t lookups = stats.hits + stats.misses;
-    return lookups == 0 ? 0.0
-                        : static_cast<double>(stats.hits) /
-                              static_cast<double>(lookups);
-  });
   metrics_.AddProbe("db.cpu.busy_micros", [this] {
     return static_cast<double>(instance_->cpu().CumulativeBusyMicros());
   });

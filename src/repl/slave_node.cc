@@ -11,7 +11,6 @@
 #include "common/time_types.h"
 #include "db/binlog.h"
 #include "db/database.h"
-#include "db/statement_cache.h"
 #include "db/writeset_apply.h"
 #include "net/network.h"
 #include "repl/cost_model.h"

@@ -46,8 +46,6 @@ INSTANTIATE_TEST_SUITE_P(
                  StatusCode::kFailedPrecondition, "FailedPrecondition"},
         CodeCase{Status::Unavailable("m"), StatusCode::kUnavailable,
                  "Unavailable"},
-        CodeCase{Status::NotSupported("m"), StatusCode::kNotSupported,
-                 "NotSupported"},
         CodeCase{Status::Internal("m"), StatusCode::kInternal, "Internal"}));
 
 TEST(StatusTest, PredicatesMatchCode) {

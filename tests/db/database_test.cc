@@ -138,6 +138,24 @@ TEST_F(DatabaseTest, LimitZero) {
   EXPECT_EQ(Must("SELECT * FROM people LIMIT 0").rows.size(), 0u);
 }
 
+// LIMIT cuts COUNT(*)'s one result row like any other: LIMIT 0 returns no
+// row, with the cache on or off, while the count still counts every match.
+TEST_F(DatabaseTest, CountStarLimitZeroReturnsNoRow) {
+  SetUpPeople();
+  for (bool cache : {true, false}) {
+    db_.set_statement_cache_enabled(cache);
+    ExecResult none = Must("SELECT COUNT(*) FROM people LIMIT 0");
+    EXPECT_TRUE(none.rows.empty()) << "cache " << cache;
+    EXPECT_EQ(none.column_names, std::vector<std::string>{"COUNT(*)"});
+    EXPECT_TRUE(
+        Must("SELECT COUNT(*) FROM people WHERE age = 25 LIMIT 0").rows.empty())
+        << "cache " << cache;
+    EXPECT_EQ(Must("SELECT COUNT(*) FROM people WHERE age = 25 LIMIT 1").rows,
+              (std::vector<Row>{{Value(int64_t{2})}}))
+        << "cache " << cache;
+  }
+}
+
 // The LIMIT count is checked when the statement runs, with the cache on or
 // off: a cached template binds it like any literal.
 TEST_F(DatabaseTest, LimitMustBeANonNegativeInteger) {
@@ -145,13 +163,17 @@ TEST_F(DatabaseTest, LimitMustBeANonNegativeInteger) {
   for (bool cache : {true, false}) {
     db_.set_statement_cache_enabled(cache);
     for (const char* sql :
-         {"SELECT * FROM people LIMIT -1", "SELECT * FROM people LIMIT 1.5",
-          "SELECT * FROM people LIMIT 'two'",
+         {"SELECT * FROM people LIMIT -1", "SELECT * FROM people LIMIT 'two'",
           "SELECT * FROM people LIMIT NULL"}) {
       Status st = db_.Execute(sql).status();
       EXPECT_TRUE(st.IsInvalidArgument()) << sql;
       EXPECT_EQ(st.message(), "LIMIT must be a non-negative integer") << sql;
     }
+    // A decimal is no number at all: the text fails to parse.
+    Status decimal = db_.Execute("SELECT * FROM people LIMIT 1.5").status();
+    EXPECT_TRUE(decimal.IsInvalidArgument());
+    EXPECT_EQ(decimal.message().rfind("parse error at offset ", 0), 0u)
+        << decimal.ToString();
   }
 }
 
@@ -164,7 +186,7 @@ TEST_F(DatabaseTest, ProjectionSubset) {
 }
 
 TEST_F(DatabaseTest, InsertWithColumnListFillsNulls) {
-  Must("CREATE TABLE t (a INT PRIMARY KEY, b TEXT, c DOUBLE)");
+  Must("CREATE TABLE t (a INT PRIMARY KEY, b TEXT, c INT)");
   Must("INSERT INTO t (a) VALUES (1)");
   ExecResult r = Must("SELECT * FROM t");
   EXPECT_TRUE(r.rows[0][1].is_null());
@@ -336,12 +358,12 @@ TEST_F(DatabaseTest, InclusiveRangeUsesIndexRange) {
 }
 
 // A row matches when every comparison holds. Values compare in Value order:
-// int and double numerically, strings lexicographically, and a number never
+// integers numerically, strings lexicographically, and a number never
 // equals a string and ranks below every one.
 TEST_F(DatabaseTest, ComparisonsFollowValueOrder) {
-  Must("CREATE TABLE t (id BIGINT PRIMARY KEY, name TEXT, score DOUBLE)");
-  Must("INSERT INTO t VALUES (6, 'amy', 1.5)");
-  Must("INSERT INTO t VALUES (7, 'ann', 2.5)");
+  Must("CREATE TABLE t (id BIGINT PRIMARY KEY, name TEXT, score INT)");
+  Must("INSERT INTO t VALUES (6, 'amy', 1)");
+  Must("INSERT INTO t VALUES (7, 'ann', 2)");
   Must("INSERT INTO t VALUES (8, 'bob', -1)");
   const std::pair<const char*, std::vector<int64_t>> kCases[] = {
       {"id = 7", {7}},
@@ -355,13 +377,10 @@ TEST_F(DatabaseTest, ComparisonsFollowValueOrder) {
       {"id = '7'", {}},
       {"id < 'x'", {6, 7, 8}},
       {"name > 5", {6, 7, 8}},
-      {"score = 2.5", {7}},
-      {"score > 2", {7}},
-      {"score < -0.5", {8}},
+      {"score = 2", {7}},
+      {"score > 1", {7}},
+      {"score < 0", {8}},
       {"score >= -1", {6, 7, 8}},
-      {"id = 7.0", {7}},
-      {"id < 7.5", {6, 7}},
-      {"id >= 7.5", {8}},
       {"id >= 7 AND name = 'bob'", {8}},
       {"id >= 7 AND name = 'amy'", {}},
       {"id > -100 AND score < 2 AND score > -2", {6, 8}},

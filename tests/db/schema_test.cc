@@ -10,7 +10,7 @@ Schema MakeSchema() {
   auto schema = Schema::Create({
       {"id", ValueType::kInt64, false, true},
       {"name", ValueType::kString, true, false},
-      {"score", ValueType::kDouble, false, false},
+      {"score", ValueType::kInt64, false, false},
   });
   EXPECT_TRUE(schema.ok());
   return std::move(schema).value();
@@ -62,9 +62,6 @@ TEST(SchemaTest, ColumnIndexIsCaseInsensitive) {
 TEST(SchemaTest, ValidateRowHappyPath) {
   Schema s = MakeSchema();
   EXPECT_TRUE(
-      s.ValidateRow({Value(int64_t{1}), Value("x"), Value(1.5)}).ok());
-  // Int accepted where double declared.
-  EXPECT_TRUE(
       s.ValidateRow({Value(int64_t{1}), Value("x"), Value(int64_t{2})}).ok());
   // Nullable column may be null.
   EXPECT_TRUE(
@@ -80,26 +77,22 @@ TEST(SchemaTest, ValidateRowRejectsArityMismatch) {
 TEST(SchemaTest, ValidateRowRejectsNullInNotNull) {
   Schema s = MakeSchema();
   EXPECT_FALSE(
-      s.ValidateRow({Value::Null(), Value("x"), Value(1.0)}).ok());
+      s.ValidateRow({Value::Null(), Value("x"), Value(int64_t{1})}).ok());
   EXPECT_FALSE(
-      s.ValidateRow({Value(int64_t{1}), Value::Null(), Value(1.0)}).ok());
+      s.ValidateRow({Value(int64_t{1}), Value::Null(), Value(int64_t{1})})
+          .ok());
 }
 
 TEST(SchemaTest, ValidateRowRejectsTypeMismatch) {
   Schema s = MakeSchema();
-  EXPECT_FALSE(s.ValidateRow({Value("str"), Value("x"), Value(1.0)}).ok());
+  // A string where an integer is declared, and an integer where a string
+  // is: no value changes type on the way in.
   EXPECT_FALSE(
-      s.ValidateRow({Value(int64_t{1}), Value(int64_t{2}), Value(1.0)}).ok());
-  // Double NOT accepted where int declared.
-  EXPECT_FALSE(s.ValidateRow({Value(1.5), Value("x"), Value(1.0)}).ok());
-}
-
-TEST(SchemaTest, CoerceWidensIntToDouble) {
-  Schema s = MakeSchema();
-  Row row = {Value(int64_t{1}), Value("x"), Value(int64_t{3})};
-  ASSERT_TRUE(s.CoerceRow(&row).ok());
-  EXPECT_EQ(row[2].type(), ValueType::kDouble);
-  EXPECT_DOUBLE_EQ(row[2].AsDouble(), 3.0);
+      s.ValidateRow({Value("str"), Value("x"), Value(int64_t{1})}).ok());
+  EXPECT_FALSE(
+      s.ValidateRow({Value(int64_t{1}), Value(int64_t{2}), Value(int64_t{1})})
+          .ok());
+  EXPECT_FALSE(s.ValidateRow({Value(int64_t{1}), Value("x"), Value("3")}).ok());
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include "db/sql_lexer.h"
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace clouddb::db {
@@ -42,32 +46,37 @@ TEST(LexerTest, IntegerLiterals) {
   EXPECT_EQ(tokens[0].type, TokenType::kInteger);
 }
 
-TEST(LexerTest, DoubleLiterals) {
-  auto tokens = MustTokenize("3.14 0.5 2e3 1.5e-2 .25");
-  EXPECT_EQ(tokens[0].type, TokenType::kDouble);
-  EXPECT_DOUBLE_EQ(tokens[0].double_value, 3.14);
-  EXPECT_DOUBLE_EQ(tokens[1].double_value, 0.5);
-  EXPECT_DOUBLE_EQ(tokens[2].double_value, 2000.0);
-  EXPECT_DOUBLE_EQ(tokens[3].double_value, 0.015);
-  EXPECT_DOUBLE_EQ(tokens[4].double_value, 0.25);
+// A number is a run of digits: a decimal point or an exponent ends it, so
+// no text lexes as a fractional literal, and the parser rejects what is
+// left.
+TEST(LexerTest, NumbersAreIntegers) {
+  auto tokens = MustTokenize("1.5 .5 1e3 2. -.5");
+  const std::vector<std::pair<TokenType, std::string>> want = {
+      {TokenType::kInteger, "1"},    {TokenType::kSymbol, "."},
+      {TokenType::kInteger, "5"},    {TokenType::kSymbol, "."},
+      {TokenType::kInteger, "5"},    {TokenType::kInteger, "1"},
+      {TokenType::kIdentifier, "e3"}, {TokenType::kInteger, "2"},
+      {TokenType::kSymbol, "."},     {TokenType::kSymbol, "-"},
+      {TokenType::kSymbol, "."},     {TokenType::kInteger, "5"},
+      {TokenType::kEnd, ""}};
+  std::vector<std::pair<TokenType, std::string>> got;
+  for (const Token& t : tokens) got.emplace_back(t.type, t.text);
+  EXPECT_EQ(got, want);
 }
 
-// A '-' directly before a number is the number's sign; anywhere else it
+// A '-' directly before a digit is the number's sign; anywhere else it
 // stays a symbol, which the parser rejects.
 TEST(LexerTest, SignedLiterals) {
-  auto tokens = MustTokenize("-5 -2.5 -.25 x-1 - 3 -9223372036854775808");
-  ASSERT_EQ(tokens.size(), 9u);
+  auto tokens = MustTokenize("-5 x-1 - 3 -9223372036854775808");
+  ASSERT_EQ(tokens.size(), 7u);
   EXPECT_EQ(tokens[0].type, TokenType::kInteger);
   EXPECT_EQ(tokens[0].int_value, -5);
   EXPECT_EQ(tokens[0].text, "-5");
-  EXPECT_EQ(tokens[1].type, TokenType::kDouble);
-  EXPECT_DOUBLE_EQ(tokens[1].double_value, -2.5);
-  EXPECT_DOUBLE_EQ(tokens[2].double_value, -0.25);
-  EXPECT_EQ(tokens[3].type, TokenType::kIdentifier);
-  EXPECT_EQ(tokens[4].int_value, -1);
-  EXPECT_TRUE(tokens[5].IsSymbol("-"));
-  EXPECT_EQ(tokens[6].int_value, 3);
-  EXPECT_EQ(tokens[7].int_value, INT64_MIN);
+  EXPECT_EQ(tokens[1].type, TokenType::kIdentifier);
+  EXPECT_EQ(tokens[2].int_value, -1);
+  EXPECT_TRUE(tokens[3].IsSymbol("-"));
+  EXPECT_EQ(tokens[4].int_value, 3);
+  EXPECT_EQ(tokens[5].int_value, INT64_MIN);
   auto r = Tokenize("SELECT -9223372036854775809");
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("out of range at offset 7"),

@@ -1,6 +1,6 @@
 #include "db/sql_parser.h"
-#include "common/result.h"
 #include "db/sql_ast.h"
+#include "db/statement_cache.h"
 #include "db/value.h"
 
 #include <cstdint>
@@ -13,24 +13,31 @@
 namespace clouddb::db {
 namespace {
 
-Statement MustParse(const std::string& sql) {
+PreparedCall MustParseCall(const std::string& sql) {
   auto r = ParseSql(sql);
   EXPECT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
   return std::move(r).value();
 }
 
+Statement MustParse(const std::string& sql) {
+  return *MustParseCall(sql).statement;
+}
 
 template <typename T>
 T MustParseAs(const std::string& sql) {
-  auto r = ParseSql(sql);
-  EXPECT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
-  return std::move(std::get<T>(*r));
+  return std::get<T>(MustParse(sql));
+}
+
+/// A parameter operand bound to slot `index`.
+void ExpectSlot(const Operand& op, size_t index) {
+  EXPECT_EQ(op.kind, Operand::Kind::kParameter);
+  EXPECT_EQ(op.param_index, index);
 }
 
 TEST(ParserTest, CreateTable) {
   Statement stmt = MustParse(
       "CREATE TABLE t (id BIGINT PRIMARY KEY, name TEXT NOT NULL, "
-      "score DOUBLE, n INT NOT NULL)");
+      "score INT, n INT NOT NULL)");
   auto& create = std::get<CreateTableStatement>(stmt);
   EXPECT_EQ(create.table, "t");
   ASSERT_EQ(create.columns.size(), 4u);
@@ -38,7 +45,7 @@ TEST(ParserTest, CreateTable) {
   EXPECT_EQ(create.columns[0].type, ValueType::kInt64);
   EXPECT_TRUE(create.columns[1].not_null);
   EXPECT_EQ(create.columns[1].type, ValueType::kString);
-  EXPECT_EQ(create.columns[2].type, ValueType::kDouble);
+  EXPECT_EQ(create.columns[2].type, ValueType::kInt64);
   EXPECT_EQ(create.columns[3].type, ValueType::kInt64);
   EXPECT_TRUE(create.columns[3].not_null);
   EXPECT_FALSE(create.columns[3].primary_key);
@@ -60,7 +67,7 @@ TEST(ParserTest, UpdateDeleteDropAndTruncateFailToParse) {
        {"UPDATE t SET a = a + 1, b = 'y' WHERE id = 3", "DELETE FROM t",
         "DELETE FROM t WHERE a < 3", "DROP TABLE t", "TRUNCATE t",
         "TRUNCATE TABLE t"}) {
-    Result<Statement> r = ParseSql(sql);
+    auto r = ParseSql(sql);
     ASSERT_FALSE(r.ok()) << sql;
     EXPECT_TRUE(r.status().IsInvalidArgument()) << sql;
     EXPECT_NE(r.status().message().find(
@@ -71,47 +78,49 @@ TEST(ParserTest, UpdateDeleteDropAndTruncateFailToParse) {
 }
 
 TEST(ParserTest, InsertWithColumnList) {
-  Statement stmt =
-      MustParse("INSERT INTO t (a, b) VALUES (1, 'x')");
-  auto& ins = std::get<InsertStatement>(stmt);
+  PreparedCall call = MustParseCall("INSERT INTO t (a, b) VALUES (1, 'x')");
+  auto& ins = std::get<InsertStatement>(*call.statement);
   EXPECT_EQ(ins.table, "t");
   EXPECT_EQ(ins.columns, (std::vector<std::string>{"a", "b"}));
   ASSERT_EQ(ins.values.size(), 2u);
-  EXPECT_EQ(ins.values[0].kind, Operand::Kind::kLiteral);
-  EXPECT_EQ(ins.values[0].literal, Value(int64_t{1}));
-  EXPECT_EQ(ins.values[1].literal, Value("x"));
+  ExpectSlot(ins.values[0], 0);
+  ExpectSlot(ins.values[1], 1);
+  EXPECT_EQ(call.params, (std::vector<Value>{Value(int64_t{1}), Value("x")}));
 }
 
+// NULL is an operand of its own, not a parameter: it takes no slot.
 TEST(ParserTest, InsertWithoutColumnList) {
-  auto ins = MustParseAs<InsertStatement>(("INSERT INTO t VALUES (1, 2.5, NULL)"));
+  PreparedCall call = MustParseCall("INSERT INTO t VALUES (1, NULL, 'y')");
+  auto& ins = std::get<InsertStatement>(*call.statement);
   EXPECT_TRUE(ins.columns.empty());
   ASSERT_EQ(ins.values.size(), 3u);
-  EXPECT_EQ(ins.values[1].literal, Value(2.5));
-  EXPECT_EQ(ins.values[2].kind, Operand::Kind::kLiteral);
-  EXPECT_TRUE(ins.values[2].literal.is_null());
+  ExpectSlot(ins.values[0], 0);
+  EXPECT_EQ(ins.values[1].kind, Operand::Kind::kNull);
+  ExpectSlot(ins.values[2], 1);
+  EXPECT_EQ(call.params, (std::vector<Value>{Value(int64_t{1}), Value("y")}));
 }
 
 TEST(ParserTest, InsertWithNowMicros) {
-  auto ins = MustParseAs<InsertStatement>(
+  PreparedCall call = MustParseCall(
       "INSERT INTO hb (id, ts, n) VALUES (7, NOW_MICROS(), now_micros())");
+  auto& ins = std::get<InsertStatement>(*call.statement);
   ASSERT_EQ(ins.values.size(), 3u);
-  EXPECT_EQ(ins.values[0].kind, Operand::Kind::kLiteral);
+  ExpectSlot(ins.values[0], 0);
   EXPECT_EQ(ins.values[1].kind, Operand::Kind::kNowMicros);
   EXPECT_EQ(ins.values[2].kind, Operand::Kind::kNowMicros);
+  EXPECT_EQ(call.params, std::vector<Value>{Value(int64_t{7})});
 }
 
 // A '-' written before a number is its sign: the literal is negative.
 TEST(ParserTest, SignedLiterals) {
-  auto ins = MustParseAs<InsertStatement>(
-      "INSERT INTO t VALUES (-5, -2.5, -.25, -9223372036854775808)");
-  ASSERT_EQ(ins.values.size(), 4u);
-  EXPECT_EQ(ins.values[0].literal, Value(int64_t{-5}));
-  EXPECT_EQ(ins.values[1].literal, Value(-2.5));
-  EXPECT_EQ(ins.values[2].literal, Value(-0.25));
-  EXPECT_EQ(ins.values[3].literal, Value(INT64_MIN));
-  auto sel = MustParseAs<SelectStatement>("SELECT * FROM t WHERE a>-1");
-  ASSERT_EQ(sel.where.size(), 1u);
-  EXPECT_EQ(sel.where[0].value.literal, Value(int64_t{-1}));
+  PreparedCall ins =
+      MustParseCall("INSERT INTO t VALUES (-5, 0, -9223372036854775808)");
+  EXPECT_EQ(ins.params, (std::vector<Value>{Value(int64_t{-5}),
+                                            Value(int64_t{0}),
+                                            Value(INT64_MIN)}));
+  PreparedCall sel = MustParseCall("SELECT * FROM t WHERE a>-1");
+  ASSERT_EQ(std::get<SelectStatement>(*sel.statement).where.size(), 1u);
+  EXPECT_EQ(sel.params, std::vector<Value>{Value(int64_t{-1})});
 }
 
 TEST(ParserTest, SelectStar) {
@@ -124,31 +133,39 @@ TEST(ParserTest, SelectStar) {
   EXPECT_FALSE(sel.limit.has_value());
 }
 
+// The slots number the literals in text order, across the WHERE clause and
+// the LIMIT; NULL and NOW_MICROS() take none.
 TEST(ParserTest, SelectColumnsWhereOrderLimit) {
-  auto sel = MustParseAs<SelectStatement>(
+  PreparedCall call = MustParseCall(
       "SELECT a, b FROM t WHERE a >= 5 AND b = 'x' AND c < NOW_MICROS() "
-      "ORDER BY a LIMIT 10");
+      "AND d = NULL ORDER BY a LIMIT 10");
+  auto& sel = std::get<SelectStatement>(*call.statement);
   EXPECT_EQ(sel.columns, (std::vector<std::string>{"a", "b"}));
-  ASSERT_EQ(sel.where.size(), 3u);
+  ASSERT_EQ(sel.where.size(), 4u);
   EXPECT_EQ(sel.where[0].column, "a");
   EXPECT_EQ(sel.where[0].op, CompareOp::kGe);
-  EXPECT_EQ(sel.where[0].value.literal, Value(int64_t{5}));
+  ExpectSlot(sel.where[0].value, 0);
   EXPECT_EQ(sel.where[1].column, "b");
   EXPECT_EQ(sel.where[1].op, CompareOp::kEq);
-  EXPECT_EQ(sel.where[1].value.literal, Value("x"));
+  ExpectSlot(sel.where[1].value, 1);
   EXPECT_EQ(sel.where[2].op, CompareOp::kLt);
   EXPECT_EQ(sel.where[2].value.kind, Operand::Kind::kNowMicros);
+  EXPECT_EQ(sel.where[3].value.kind, Operand::Kind::kNull);
   EXPECT_EQ(sel.order_by, "a");
   ASSERT_TRUE(sel.limit.has_value());
-  EXPECT_EQ(sel.limit->literal, Value(int64_t{10}));
+  ExpectSlot(*sel.limit, 2);
+  EXPECT_EQ(call.params, (std::vector<Value>{Value(int64_t{5}), Value("x"),
+                                             Value(int64_t{10})}));
 }
 
 // The LIMIT count is any literal; the executor checks it (see
 // DatabaseTest.LimitMustBeANonNegativeInteger).
 TEST(ParserTest, LimitTakesALiteral) {
-  auto sel = MustParseAs<SelectStatement>("SELECT * FROM t LIMIT -1");
+  PreparedCall call = MustParseCall("SELECT * FROM t LIMIT -1");
+  auto& sel = std::get<SelectStatement>(*call.statement);
   ASSERT_TRUE(sel.limit.has_value());
-  EXPECT_EQ(sel.limit->literal, Value(int64_t{-1}));
+  ExpectSlot(*sel.limit, 0);
+  EXPECT_EQ(call.params, std::vector<Value>{Value(int64_t{-1})});
 }
 
 TEST(ParserTest, SelectCountStar) {
@@ -223,7 +240,7 @@ TEST(ParserTest, TrailingSemicolonAccepted) {
 class RemovedGrammarTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(RemovedGrammarTest, FailsToParse) {
-  Result<Statement> r = ParseSql(GetParam());
+  auto r = ParseSql(GetParam());
   ASSERT_FALSE(r.ok()) << GetParam();
   EXPECT_TRUE(r.status().IsInvalidArgument()) << GetParam();
   EXPECT_EQ(r.status().message().rfind("parse error at offset ", 0), 0u)
@@ -262,9 +279,50 @@ INSTANTIATE_TEST_SUITE_P(
         "SELECT COUNT(*), a FROM t",
         // ORDER BY sorts ascending and takes no direction.
         "SELECT * FROM t ORDER BY a ASC", "SELECT * FROM t ORDER BY a DESC",
-        // Column types INT, BIGINT, DOUBLE and TEXT only.
+        // Column types INT, BIGINT and TEXT only.
         "CREATE TABLE t (a VARCHAR(10))", "CREATE TABLE t (a VARCHAR)",
         "CREATE TABLE t (a TIMESTAMP)"));
+
+// There is no floating-point type: DOUBLE is not a column type, and a
+// decimal point or an exponent does not continue a number. Each text fails
+// to parse with the same error whether it is compiled through a statement
+// cache or not, and the cache remembers none of them.
+class NoFloatingPointTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(NoFloatingPointTest, FailsToParseWithTheCacheOnAndOff) {
+  const std::string sql = GetParam();
+  auto parsed = ParseSql(sql);
+  ASSERT_FALSE(parsed.ok()) << sql;
+  EXPECT_TRUE(parsed.status().IsInvalidArgument()) << sql;
+  EXPECT_EQ(parsed.status().message().rfind("parse error at offset ", 0), 0u)
+      << sql << " -> " << parsed.status().ToString();
+  if (sql.find("DOUBLE") != std::string::npos) {
+    EXPECT_NE(parsed.status().message().find("expected column type"),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
+  StatementCache cache;
+  for (StatementCache* on : {&cache, static_cast<StatementCache*>(nullptr)}) {
+    auto compiled = CompileSql(on, sql);
+    ASSERT_FALSE(compiled->ok()) << sql;
+    EXPECT_EQ(compiled->status().ToString(), parsed.status().ToString())
+        << sql;
+  }
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().bypasses, 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Forms, NoFloatingPointTest,
+    ::testing::Values("CREATE TABLE t (a DOUBLE)",
+                      "CREATE TABLE t (id INT PRIMARY KEY, d DOUBLE NOT NULL)",
+                      "INSERT INTO t VALUES (1.5)", "INSERT INTO t VALUES (.5)",
+                      "INSERT INTO t VALUES (1e3)", "INSERT INTO t VALUES (2.)",
+                      "INSERT INTO t VALUES (-1.5)",
+                      "SELECT * FROM t WHERE a = 1.5",
+                      "SELECT * FROM t WHERE a < .5",
+                      "SELECT * FROM t WHERE a >= 1e3",
+                      "SELECT * FROM t LIMIT 2."));
 
 }  // namespace
 }  // namespace clouddb::db

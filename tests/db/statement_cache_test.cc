@@ -6,9 +6,14 @@
 #include <gtest/gtest.h>
 
 #include "cloud/cloud_provider.h"
+#include "cloudstone/operations.h"
+#include "cloudstone/schema.h"
+#include "common/rng.h"
 #include "common/str_util.h"
 #include "db/database.h"
+#include "db/schema.h"
 #include "db/sql_lexer.h"
+#include "db/sql_parser.h"
 #include "repl/replication_cluster.h"
 #include "sim/simulation.h"
 #include "common/status.h"
@@ -20,8 +25,69 @@ namespace {
 
 using StrVec = std::vector<std::string>;
 
+/// A template written out field by field: two compiles give the same
+/// template when these strings are equal.
+std::string Describe(const Statement& stmt) {
+  auto operand = [](const Operand& op) {
+    return StrFormat(" (%d %zu)", static_cast<int>(op.kind), op.param_index);
+  };
+  std::string out;
+  if (const auto* s = std::get_if<SelectStatement>(&stmt)) {
+    out = StrFormat("SELECT %s star=%d count=%d order=%s", s->table.c_str(),
+                    s->star, s->count_star, s->order_by.c_str());
+    for (const std::string& column : s->columns) out += " " + column;
+    for (const Comparison& c : s->where) {
+      out += StrFormat(" %s %d", c.column.c_str(), static_cast<int>(c.op)) +
+             operand(c.value);
+    }
+    if (s->limit.has_value()) out += " limit" + operand(*s->limit);
+  } else if (const auto* s = std::get_if<InsertStatement>(&stmt)) {
+    out = "INSERT " + s->table;
+    for (const std::string& column : s->columns) out += " " + column;
+    for (const Operand& value : s->values) out += operand(value);
+  } else if (const auto* s = std::get_if<CreateTableStatement>(&stmt)) {
+    out = "CREATE TABLE " + s->table;
+    for (const ColumnDef& c : s->columns) {
+      out += StrFormat(" %s %d %d %d", c.name.c_str(), static_cast<int>(c.type),
+                       c.not_null, c.primary_key);
+    }
+  } else {
+    const auto& index = std::get<CreateIndexStatement>(stmt);
+    out = "CREATE INDEX " + index.index + " " + index.table + " " +
+          index.column;
+  }
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 // Fingerprinting
+
+/// Reference fingerprint construction from Tokenize's token stream: every
+/// token's text with one trailing space, each literal as `?` with its value
+/// appended to `params`.
+std::string FingerprintTokens(const std::vector<Token>& tokens,
+                              std::vector<Value>* params) {
+  std::string fp;
+  for (const Token& t : tokens) {
+    switch (t.type) {
+      case TokenType::kInteger:
+        params->emplace_back(t.int_value);
+        fp += "? ";
+        break;
+      case TokenType::kString:
+        params->emplace_back(t.text);
+        fp += "? ";
+        break;
+      case TokenType::kEnd:
+        break;
+      default:
+        fp += t.text;
+        fp += ' ';
+        break;
+    }
+  }
+  return fp;
+}
 
 // The fused single-pass scan (the hit path) must agree byte for byte — and
 // value for value — with the reference token-stream construction on every
@@ -79,9 +145,9 @@ TEST(Fingerprint, SameShapeDifferentLiteralsShareOneTemplate) {
   // same template too.
   auto d = cache.Prepare("SELECT * FROM t WHERE a = -5 AND b = 'x'");
   ASSERT_TRUE(d.ok());
-  EXPECT_EQ(a->prepared.get(), c->prepared.get());  // literally one template
-  EXPECT_EQ(a->prepared.get(), d->prepared.get());
-  EXPECT_NE(a->prepared.get(), b->prepared.get());
+  EXPECT_EQ(a->statement.get(), c->statement.get());  // one template
+  EXPECT_EQ(a->statement.get(), d->statement.get());
+  EXPECT_NE(a->statement.get(), b->statement.get());
   EXPECT_EQ(a->params, (std::vector<Value>{Value(int64_t{5}), Value("x")}));
   EXPECT_EQ(c->params, (std::vector<Value>{Value(int64_t{99}), Value("yy")}));
   EXPECT_EQ(d->params, (std::vector<Value>{Value(int64_t{-5}), Value("x")}));
@@ -112,17 +178,23 @@ TEST(Fingerprint, NeverConflatesDifferentSemantics) {
   EXPECT_EQ(cache.size(), distinct.size());
 }
 
-TEST(Fingerprint, DdlAndEmptyInputBypass) {
+// DDL is parsed and not remembered; empty input and texts that are not
+// statements at all (tables are append-only) fail with ParseSql's error.
+// Each counts as a bypass.
+TEST(Fingerprint, DdlAndUnparsedTextsBypass) {
   StatementCache cache;
-  // DDL, empty input, and texts that are not statements at all (tables are
-  // append-only), which then fail in the plain parse.
   for (const char* sql :
-       {"CREATE TABLE t (a INT PRIMARY KEY)", "CREATE INDEX i ON t (a)", "",
-        "UPDATE t SET a = 1", "DELETE FROM t WHERE a = 1", "DROP TABLE t",
-        "TRUNCATE t"}) {
+       {"CREATE TABLE t (a INT PRIMARY KEY)", "CREATE INDEX i ON t (a)"}) {
     auto call = cache.Prepare(sql);
-    EXPECT_FALSE(call.ok()) << sql;
-    EXPECT_EQ(call.status().code(), StatusCode::kNotSupported) << sql;
+    ASSERT_TRUE(call.ok()) << sql;
+    EXPECT_TRUE(IsDdl(*call->statement)) << sql;
+  }
+  for (const char* sql : {"", "UPDATE t SET a = 1", "DELETE FROM t WHERE a = 1",
+                          "DROP TABLE t", "TRUNCATE t"}) {
+    auto call = cache.Prepare(sql);
+    ASSERT_FALSE(call.ok()) << sql;
+    EXPECT_EQ(call.status().ToString(), ParseSql(sql).status().ToString())
+        << sql;
   }
   EXPECT_EQ(cache.stats().bypasses, 7);
   EXPECT_EQ(cache.stats().misses, 0);
@@ -130,36 +202,32 @@ TEST(Fingerprint, DdlAndEmptyInputBypass) {
 }
 
 // ---------------------------------------------------------------------------
-// LRU behavior
+// The memo: a map keyed by the fingerprint
 
-TEST(StatementCacheLru, RecencyAndEvictionAreDeterministic) {
-  StatementCache cache(/*capacity=*/2);
-  (void)cache.Prepare("SELECT a FROM t");
-  auto b = cache.Prepare("SELECT b FROM t");
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(cache.FingerprintsByRecency(),
-            (StrVec{"SELECT b FROM t ", "SELECT a FROM t "}));
-  // The same text twice in a row: a hit on the same template, recency as is.
-  auto b_again = cache.Prepare("SELECT b FROM t");
-  ASSERT_TRUE(b_again.ok());
-  EXPECT_EQ(b_again->prepared.get(), b->prepared.get());
-  EXPECT_EQ(cache.stats().hits, 1);
-  EXPECT_EQ(cache.FingerprintsByRecency(),
-            (StrVec{"SELECT b FROM t ", "SELECT a FROM t "}));
-  // Touch `a`: becomes MRU.
-  (void)cache.Prepare("SELECT a FROM t");
-  EXPECT_EQ(cache.FingerprintsByRecency(),
-            (StrVec{"SELECT a FROM t ", "SELECT b FROM t "}));
-  // Insert a third shape: `b` (now LRU) is evicted.
-  (void)cache.Prepare("SELECT c FROM t");
-  EXPECT_EQ(cache.FingerprintsByRecency(),
-            (StrVec{"SELECT c FROM t ", "SELECT a FROM t "}));
-  EXPECT_EQ(cache.stats().evictions, 1);
-  EXPECT_EQ(cache.stats().hits, 2);
-  EXPECT_EQ(cache.stats().misses, 3);
+// Every shape stays remembered, however many there are: a second pass over
+// more shapes than a workload issues is all hits, on the first pass's
+// templates.
+TEST(StatementCacheMemo, RemembersEveryShape) {
+  StatementCache cache;
+  std::vector<std::shared_ptr<const Statement>> first;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int i = 0; i < 300; ++i) {
+      auto call = cache.Prepare(StrFormat("SELECT c%d FROM t WHERE a = %d", i,
+                                          pass));
+      ASSERT_TRUE(call.ok()) << i;
+      if (pass == 0) {
+        first.push_back(call->statement);
+      } else {
+        EXPECT_EQ(call->statement.get(), first[static_cast<size_t>(i)].get());
+      }
+    }
+  }
+  EXPECT_EQ(cache.size(), 300u);
+  EXPECT_EQ(cache.stats().misses, 300);
+  EXPECT_EQ(cache.stats().hits, 300);
 }
 
-TEST(StatementCacheLru, InvalidateDropsEverything) {
+TEST(StatementCacheMemo, InvalidateDropsEverything) {
   StatementCache cache;
   (void)cache.Prepare("SELECT a FROM t WHERE x = 1");
   (void)cache.Prepare("SELECT a FROM t WHERE x = 1");
@@ -172,16 +240,18 @@ TEST(StatementCacheLru, InvalidateDropsEverything) {
   EXPECT_EQ(cache.stats().misses, 2);  // re-parsed
 }
 
-// An execution holding a PreparedCall must survive eviction of its entry.
-TEST(StatementCacheLru, InFlightCallSurvivesEviction) {
-  StatementCache cache(/*capacity=*/1);
+// An execution holding a PreparedCall must survive the invalidation of its
+// entry.
+TEST(StatementCacheMemo, InFlightCallSurvivesInvalidate) {
+  StatementCache cache;
   auto call = cache.Prepare("SELECT a FROM t WHERE x = 1");
   ASSERT_TRUE(call.ok());
-  (void)cache.Prepare("SELECT b FROM t");  // evicts the first template
-  EXPECT_EQ(cache.stats().evictions, 1);
-  EXPECT_EQ(call->prepared->fingerprint, "SELECT a FROM t WHERE x = ? ");
-  EXPECT_TRUE(std::holds_alternative<SelectStatement>(
-      call->prepared->statement));
+  cache.Invalidate();
+  EXPECT_EQ(cache.size(), 0u);
+  const auto& select = std::get<SelectStatement>(*call->statement);
+  ASSERT_EQ(select.where.size(), 1u);
+  EXPECT_EQ(select.where[0].column, "x");
+  EXPECT_EQ(call->params, std::vector<Value>{Value(int64_t{1})});
 }
 
 // ---------------------------------------------------------------------------
@@ -228,7 +298,7 @@ TEST_F(CachedDatabaseTest, CompiledStatementHeldAcrossDdlRunsOnNewCatalog) {
   // execution would.
   auto compiled = db_.Compile(select);
   ASSERT_TRUE(compiled->ok());
-  ASSERT_NE(compiled->params(), nullptr);
+  ASSERT_EQ(compiled->params().size(), 2u);
 
   // DDL drops every cached template; the held one still runs, and plans
   // against the new index.
@@ -241,17 +311,17 @@ TEST_F(CachedDatabaseTest, CompiledStatementHeldAcrossDdlRunsOnNewCatalog) {
 
   // A catalog with the filtered columns at different slots (and an extra
   // column in between), as another replica's could be: a statement that
-  // ran by its compile-time column slots would filter id against 'n = 3'
-  // and s against a double.
+  // ran by its compile-time column slots would compare s with 3 and extra
+  // with 'x1'.
   Database other;
   ASSERT_TRUE(other
                   .Execute("CREATE TABLE t (id BIGINT PRIMARY KEY, s TEXT, "
-                           "extra DOUBLE, n BIGINT)")
+                           "extra TEXT, n BIGINT)")
                   .ok());
   for (int i = 0; i < 30; ++i) {
     ASSERT_TRUE(other
-                    .Execute(StrFormat("INSERT INTO t VALUES (%d, 'x%d', 0.5, "
-                                       "%d)",
+                    .Execute(StrFormat("INSERT INTO t VALUES (%d, 'x%d', "
+                                       "'x1', %d)",
                                        i, i % 3, i % 7))
                     .ok());
   }
@@ -268,42 +338,44 @@ TEST_F(CachedDatabaseTest, CompiledStatementHeldAcrossDdlRunsOnNewCatalog) {
 // ---------------------------------------------------------------------------
 // CompileSql: the one compile step behind every executor of SQL text
 
-TEST(CompileSql, TemplateWhenTheCacheAdmitsTheShapeElsePlainParse) {
+TEST(CompileSql, OneFormWithTheCacheOnOrOff) {
   StatementCache cache;
-  // Cache on, cacheable shape: the template, this text's literals bound.
+  // Cache on: the template, this text's literals bound.
   auto dml = CompileSql(&cache, "SELECT a FROM t WHERE b = 5");
   ASSERT_TRUE(dml->ok());
   EXPECT_EQ(dml->text(), "SELECT a FROM t WHERE b = 5");
-  ASSERT_NE(dml->params(), nullptr);
-  EXPECT_EQ(*dml->params(), std::vector<Value>{Value(int64_t{5})});
+  EXPECT_EQ(dml->params(), std::vector<Value>{Value(int64_t{5})});
   EXPECT_EQ(cache.stats().misses, 1);
-  // Cache on, a shape it bypasses: a plain parse.
+  // Cache on, DDL: parsed, not remembered.
   auto ddl = CompileSql(&cache, "CREATE TABLE t (a INT)");
   ASSERT_TRUE(ddl->ok());
-  EXPECT_EQ(ddl->params(), nullptr);
+  EXPECT_TRUE(ddl->params().empty());
   EXPECT_TRUE(std::holds_alternative<CreateTableStatement>(ddl->statement()));
   EXPECT_EQ(cache.stats().bypasses, 1);
-  // Cache off: a plain parse even of a cacheable shape; the cache is idle.
+  EXPECT_EQ(cache.size(), 1u);
+  // Cache off: the same template and values, parsed afresh; the cache is
+  // idle.
   auto off = CompileSql(nullptr, "SELECT a FROM t WHERE b = 5");
   ASSERT_TRUE(off->ok());
-  EXPECT_EQ(off->params(), nullptr);
+  EXPECT_NE(&off->statement(), &dml->statement());
+  EXPECT_EQ(Describe(off->statement()), Describe(dml->statement()));
+  EXPECT_EQ(off->params(), dml->params());
   EXPECT_EQ(cache.stats().hits, 0);
   // A second text of the same shape: the same template, its own literals.
   auto same_shape = CompileSql(&cache, "SELECT a FROM t WHERE b = 6");
   ASSERT_TRUE(same_shape->ok());
   EXPECT_EQ(&same_shape->statement(), &dml->statement());
-  EXPECT_EQ(*same_shape->params(), std::vector<Value>{Value(int64_t{6})});
+  EXPECT_EQ(same_shape->params(), std::vector<Value>{Value(int64_t{6})});
   EXPECT_EQ(cache.stats().hits, 1);
   EXPECT_EQ(same_shape->text(), "SELECT a FROM t WHERE b = 6");
 }
 
-TEST(CompileSql, FailsOnlyWhenThePlainParseFails) {
+TEST(CompileSql, ParseErrorsAreParseSqlErrors) {
   StatementCache cache;
   Database database;
-  // A cacheable shape whose template does not parse, a tokenizer error and
-  // an uncacheable shape: each falls back to the plain parse, so the error
-  // is the cache-off error. The failed compile keeps its text and returns
-  // that error where it executes.
+  // A SELECT that does not parse, a tokenizer error and a text that is no
+  // statement: the cache-on error is the cache-off error. The failed
+  // compile keeps its text and returns that error where it executes.
   for (const std::string sql :
        {"SELECT FROM t WHERE", "SELECT 'unterminated", "NOT SQL"}) {
     auto on = CompileSql(&cache, sql);
@@ -349,13 +421,13 @@ void ExpectEquivalent(const StrVec& statements) {
 TEST(CacheEquivalence, RepeatedShapesPlansErrorsAndEdgeLiterals) {
   StrVec statements = {
       "CREATE TABLE people (id BIGINT PRIMARY KEY, name TEXT NOT NULL, "
-      "Age INT, score DOUBLE)",
+      "Age INT, score INT)",
       "CREATE INDEX idx_age ON people (Age)",
   };
   for (int i = 1; i <= 30; ++i) {
     statements.push_back(StrFormat(
-        "INSERT INTO people VALUES (%d, 'p%d', %d, %d.5)", i, i, 20 + i % 9,
-        i));
+        "INSERT INTO people VALUES (%d, 'p%d', %d, %d)", i, i, 20 + i % 9,
+        i - 15));
   }
   StrVec probes = {
       // Repeated shapes with fresh literals: point, range, scan.
@@ -368,18 +440,21 @@ TEST(CacheEquivalence, RepeatedShapesPlansErrorsAndEdgeLiterals) {
       "SELECT id FROM people ORDER BY id LIMIT 0",
       "SELECT id FROM people ORDER BY id LIMIT 5",
       // A number's sign is part of the literal: one template for both.
-      "SELECT id FROM people WHERE id > -3 AND score > -1.5 LIMIT 3",
-      "SELECT id FROM people WHERE id > 3 AND score > 1.5 LIMIT 3",
+      "SELECT id FROM people WHERE id > -3 AND score > -2 LIMIT 3",
+      "SELECT id FROM people WHERE id > 3 AND score > 2 LIMIT 3",
       "SELECT COUNT(*) FROM people WHERE name = 'p3'",
+      "SELECT COUNT(*) FROM people WHERE name = 'p3' LIMIT 0",
       // String edge cases: '' escape, empty string.
       "SELECT id FROM people WHERE name = 'it''s'",
       "SELECT id FROM people WHERE name = ''",
-      // Writes through the cache, a refused one among them.
-      "INSERT INTO people VALUES (31, 'p31', 99, 0.5)",
-      "INSERT INTO people VALUES (32, 'p32', 98, 1.5)",
-      "INSERT INTO people VALUES (30, 'again', 97, 2.5)",
-      "INSERT INTO people VALUES (33, 'p33', -5, -0.5)",
-      "INSERT INTO people VALUES (34, 'p34', 5, 0.5)",
+      // Writes through the cache, refused ones among them: a duplicate key
+      // and a string in an integer column.
+      "INSERT INTO people VALUES (31, 'p31', 99, 0)",
+      "INSERT INTO people VALUES (32, 'p32', 98, 1)",
+      "INSERT INTO people VALUES (30, 'again', 97, 2)",
+      "INSERT INTO people VALUES (33, 'p33', -5, -1)",
+      "INSERT INTO people VALUES (34, 'p34', 5, 'five')",
+      "INSERT INTO people VALUES (35, 'p35', NULL, NULL)",
       "SELECT name FROM people WHERE Age >= 97",
       "SELECT id, Age, score FROM people WHERE Age <= 5",
       // Removed statements and forms are parse errors, alike with the cache
@@ -388,19 +463,76 @@ TEST(CacheEquivalence, RepeatedShapesPlansErrorsAndEdgeLiterals) {
       "DELETE FROM people WHERE id = 30",
       "SELECT MIN(Age) FROM people",
       "SELECT id FROM people WHERE Age BETWEEN 21 AND 24",
+      "SELECT id FROM people WHERE score = 1.5",
+      "SELECT id FROM people LIMIT 1.5",
+      "CREATE TABLE more (a DOUBLE)",
       // Errors must be byte-identical: unknown table, bad syntax, bad lex,
-      // and a bad LIMIT count (a *valid* template whose bound value the
-      // executor rejects, as it rejects the plain parse's literal).
+      // and a bad LIMIT count (a template that parses, whose bound value
+      // the executor rejects).
       "SELECT * FROM nope WHERE id = 1",
       "SELECT FROM WHERE",
       "SELECT 'unterminated",
       "SELECT id FROM people LIMIT -1",
-      "SELECT id FROM people LIMIT 1.5",
+      "SELECT id FROM people LIMIT 'two'",
       "SELECT id FROM people LIMIT 0 - 1",
       "SELECT * FROM people WHERE id = 7",
   };
   statements.insert(statements.end(), probes.begin(), probes.end());
   ExpectEquivalent(statements);
+}
+
+/// Every SQL text shape the workloads issue: the Cloudstone schema, its
+/// pre-load and both operation mixes, and the heartbeat's table, insert and
+/// poll.
+StrVec WorkloadStatements() {
+  StrVec sql = cloudstone::SchemaStatements();
+  cloudstone::WorkloadState state;
+  Status loaded = cloudstone::LoadInitialData(
+      [&](const std::string& text) {
+        sql.push_back(text);
+        return Status::Ok();
+      },
+      /*scale=*/20, /*seed=*/1, &state);
+  EXPECT_TRUE(loaded.ok()) << loaded.ToString();
+  int64_t now = 1'000'000;
+  for (const auto& mix : {cloudstone::WorkloadMix::FiftyFifty(),
+                          cloudstone::WorkloadMix::EightyTwenty()}) {
+    cloudstone::OperationGenerator gen(mix, cloudstone::OperationCosts{},
+                                       &state, [&] { return now += 997; });
+    Rng rng(7);
+    for (int i = 0; i < 300; ++i) sql.push_back(gen.Next(rng).sql);
+  }
+  sql.push_back("CREATE TABLE heartbeat (hb_id BIGINT PRIMARY KEY, ts BIGINT)");
+  for (int64_t id : {-1, 0, 1, 2, 41}) {
+    sql.push_back(StrFormat(
+        "INSERT INTO heartbeat (hb_id, ts) VALUES (%lld, NOW_MICROS())",
+        static_cast<long long>(id)));
+    sql.push_back(StrFormat("SELECT hb_id, ts FROM heartbeat WHERE hb_id > %lld",
+                            static_cast<long long>(id)));
+  }
+  return sql;
+}
+
+// A workload text compiles to one form whether the cache is on or off: the
+// same template and the same literal values, through the cache's miss and
+// its hit path alike. The fingerprint scan, which binds a hit's values,
+// collects exactly the values ParseSql binds.
+TEST(CacheEquivalence, WorkloadShapesCompileAlikeOnAndOff) {
+  StatementCache cache;
+  for (const std::string& sql : WorkloadStatements()) {
+    auto on = CompileSql(&cache, sql);
+    auto off = CompileSql(nullptr, sql);
+    ASSERT_TRUE(on->ok()) << sql << " -> " << on->status().ToString();
+    ASSERT_TRUE(off->ok()) << sql << " -> " << off->status().ToString();
+    EXPECT_EQ(Describe(on->statement()), Describe(off->statement())) << sql;
+    EXPECT_EQ(on->params(), off->params()) << sql;
+    std::vector<Value> scanned;
+    ASSERT_TRUE(FingerprintSql(sql, &scanned).ok()) << sql;
+    EXPECT_EQ(scanned, off->params()) << sql;
+  }
+  // Each shape parsed once; most texts were hits.
+  EXPECT_GT(cache.stats().hits, 10 * cache.stats().misses);
+  EXPECT_GE(cache.stats().bypasses, 13);  // the schema's and heartbeat's DDL
 }
 
 // ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ namespace {
 db::Statement Parse(const std::string& sql) {
   auto r = db::ParseSql(sql);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
-  return std::move(r).value();
+  return *r->statement;
 }
 
 TEST(CostModelTest, PerKindDefaults) {

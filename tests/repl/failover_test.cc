@@ -402,14 +402,14 @@ TEST_F(FailoverTest, CopyTablesFromCopiesEverything) {
   db::Database source;
   ASSERT_TRUE(source
                   .Execute("CREATE TABLE a (id INT PRIMARY KEY, v TEXT, "
-                           "d DOUBLE)")
+                           "d BIGINT)")
                   .ok());
   ASSERT_TRUE(source.Execute("CREATE INDEX idx_v ON a (v)").ok());
-  ASSERT_TRUE(source.Execute("INSERT INTO a VALUES (1, 'x', 1.5)").ok());
+  ASSERT_TRUE(source.Execute("INSERT INTO a VALUES (1, 'x', -15)").ok());
   ASSERT_TRUE(source.Execute("INSERT INTO a VALUES (2, NULL, NULL)").ok());
-  ASSERT_TRUE(source.Execute("INSERT INTO a VALUES (3, 'y', 2.5)").ok());
+  ASSERT_TRUE(source.Execute("INSERT INTO a VALUES (3, 'y', 25)").ok());
   // Refused: uses up no RowId.
-  ASSERT_FALSE(source.Execute("INSERT INTO a VALUES (1, 'dup', 0.5)").ok());
+  ASSERT_FALSE(source.Execute("INSERT INTO a VALUES (1, 'dup', 5)").ok());
   db::Database target;
   ASSERT_TRUE(target.Execute("CREATE TABLE junk (z INT)").ok());
   ASSERT_TRUE(target.Execute("INSERT INTO junk VALUES (1)").ok());
@@ -431,7 +431,7 @@ TEST_F(FailoverTest, CopyTablesFromCopiesEverything) {
   std::string err;
   EXPECT_TRUE(target.ValidateAllIndexes(&err)) << err;
   // New rows continue the source's RowId sequence.
-  ASSERT_TRUE(target.Execute("INSERT INTO a VALUES (4, 'z', 0.5)").ok());
+  ASSERT_TRUE(target.Execute("INSERT INTO a VALUES (4, 'z', 5)").ok());
   ASSERT_NE(a->Get(4), nullptr);
   EXPECT_EQ((*a->Get(4))[0], db::Value(int64_t{4}));
   EXPECT_EQ(a->Get(5), nullptr);

@@ -333,7 +333,6 @@ void ExpectSameStats(const db::StatementCacheStats& a,
                      const db::StatementCacheStats& b) {
   EXPECT_EQ(a.hits, b.hits);
   EXPECT_EQ(a.misses, b.misses);
-  EXPECT_EQ(a.evictions, b.evictions);
   EXPECT_EQ(a.invalidations, b.invalidations);
   EXPECT_EQ(a.bypasses, b.bypasses);
 }

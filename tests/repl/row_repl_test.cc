@@ -246,13 +246,13 @@ TEST(RowReplTest, WritesetEventWireSizeIsPinned) {
   // What the network charges for a row-based event: 32 + the statement text;
   // 5 for its writeset; for a covered one's row op 9 + the table name (the 4
   // of it an empty before image's count); and for the inserted row 4, plus 1
-  // per NULL, 9 per integer or double, 5 + length per string.
+  // per NULL, 9 per integer, 5 + length per string.
   db::BinlogEvent items;
-  items.statement = "INSERT INTO items VALUES (1, 2.5, 'abc', NULL)";
+  items.statement = "INSERT INTO items VALUES (1, -25, 'abc', NULL)";
   items.writeset = db::StatementWriteset{std::make_shared<const db::RowOp>(
       db::RowOp{"items",
-                {db::Value(int64_t{1}), db::Value(2.5), db::Value("abc"),
-                 db::Value::Null()}})};
+                {db::Value(int64_t{1}), db::Value(int64_t{-25}),
+                 db::Value("abc"), db::Value::Null()}})};
   ASSERT_EQ(items.statement.size(), 46u);
   const int64_t items_op = (9 + 5) + (4 + 9 + 9 + (5 + 3) + 1);  // 45
   EXPECT_EQ(db::EventWireSize(items), 32 + 46 + 5 + items_op);   // 128
@@ -272,15 +272,15 @@ TEST(RowReplTest, WritesetEventWireSizeIsPinned) {
   EXPECT_EQ(db::EventWireSize(ddl), 32 + 34 + 5);  // 71
 }
 
-// The writeset a master captures for an INSERT is the row as stored, after
-// type coercion (an integer written to a DOUBLE column is stored as a
-// double), and the event's wire charge follows from it.
+// The writeset a master captures for an INSERT is the row as stored, with
+// the columns a column list leaves out NULL, and the event's wire charge
+// follows from it.
 TEST(RowReplTest, CapturedWritesetIsTheStoredRow) {
   Deployment d(1);
   d.cluster->SetRowBasedReplication(true);
-  ASSERT_TRUE(d.Run("CREATE TABLE m (id INT PRIMARY KEY, v DOUBLE, s TEXT)")
+  ASSERT_TRUE(d.Run("CREATE TABLE m (id INT PRIMARY KEY, v BIGINT, s TEXT)")
                   .ok());
-  const std::string sql = "INSERT INTO m VALUES (7, 3, NULL)";
+  const std::string sql = "INSERT INTO m (v, id) VALUES (3, 7)";
   ASSERT_TRUE(d.Run(sql).ok());
   const db::Binlog& binlog = d.cluster->master()->database().binlog();
   const db::BinlogEvent& event = binlog.At(binlog.size() - 1);
@@ -289,7 +289,7 @@ TEST(RowReplTest, CapturedWritesetIsTheStoredRow) {
   const db::RowOp& op = *event.writeset->row;
   EXPECT_EQ(op.table, "m");
   ASSERT_EQ(op.after.size(), 3u);
-  EXPECT_EQ(op.after[1].type(), db::ValueType::kDouble);
+  EXPECT_EQ(op.after[1], db::Value(int64_t{3}));
   EXPECT_TRUE(op.after[2].is_null());
   EXPECT_EQ(db::EventWireSize(event),
             32 + static_cast<int64_t>(sql.size()) + 5 + (9 + 1) +

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Line coverage of src/: what the figures and examples run versus ctest.
 
-Configures and builds a --coverage tree in build-cov/, then measures two
-runs, each from zeroed counters:
+Configures and builds a --coverage tree in build-cov/, drops the notes of
+objects whose source file is gone, then measures two runs, each from zeroed
+counters:
 
   traffic  every non-micro binary in bench/ (CLOUDDB_FAST=1, --jobs set to
            the core count) and every example;
@@ -69,6 +70,24 @@ def build(jobs):
         configure += ["-G", "Ninja"]
     run_logged(configure, "configure")
     run_logged(["cmake", "--build", str(BUILD), "-j", str(jobs)], "build")
+
+
+def drop_stale_notes():
+    """Deletes the notes and counts of objects whose source file is gone.
+
+    An incremental build leaves them in place, and gcov would read them: a
+    deleted file's lines and functions, and its inline copies of headers
+    keyed to the headers' current line numbers. An object's path under
+    <dir>/CMakeFiles/<target>.dir/ names its source, <dir>/<source>.
+    """
+    for path in [*BUILD.rglob("*.gcno"), *BUILD.rglob("*.gcda")]:
+        parts = path.relative_to(BUILD).parts
+        if "CMakeFiles" not in parts:
+            continue
+        k = parts.index("CMakeFiles")
+        source = ROOT.joinpath(*parts[:k], *parts[k + 2:]).with_suffix("")
+        if not source.exists():
+            path.unlink()
 
 
 def zero_counters():
@@ -195,6 +214,7 @@ def main():
 
     print(f"building {BUILD.relative_to(ROOT)}", flush=True)
     build(jobs)
+    drop_stale_notes()
     print("run 1: bench (CLOUDDB_FAST=1) and examples", flush=True)
     zero_counters()
     run_traffic(jobs)
