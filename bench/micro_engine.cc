@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -154,14 +155,14 @@ void BM_StatementCachePrepareScanHit(benchmark::State& state) {
 BENCHMARK(BM_StatementCachePrepareScanHit);
 
 // Miss path: every statement has a distinct shape, so each Prepare parses
-// and remembers a fresh template; clearing the memo every 64 statements
-// bounds its size.
+// and remembers a fresh template; a fresh cache every 64 statements bounds
+// the memo's size.
 void BM_StatementCachePrepareMiss(benchmark::State& state) {
-  db::StatementCache cache;
+  std::optional<db::StatementCache> cache;
   int64_t i = 0;
   for (auto _ : state) {
-    if (i % 64 == 0) cache.Invalidate();
-    auto call = cache.Prepare(
+    if (i % 64 == 0) cache.emplace();
+    auto call = cache->Prepare(
         StrFormat("SELECT c%lld FROM t WHERE a = 1",
                   static_cast<long long>(i++ % 1000)));
     benchmark::DoNotOptimize(call.ok());

@@ -10,7 +10,7 @@
 //
 //   client::ReadOptions bounded;
 //   bounded.max_staleness = Millis(500);   // "at most 0.5 s stale"
-//   proxy.ExecuteAuto(sql, cpu_cost, bounded, [](auto result) { ... });
+//   proxy.Execute(sql, cpu_cost, bounded, [](auto result) { ... });
 
 #include <cstdio>
 

@@ -95,7 +95,7 @@ int main() {
         StrFormat("INSERT INTO events VALUES (%lld, %lld)",
                   static_cast<long long>(next_id),
                   static_cast<long long>(next_id * 7)),
-        /*is_read=*/false, /*cpu_cost=*/-1, [&](Result<db::ExecResult> r) {
+        /*cpu_cost=*/-1, [&](Result<db::ExecResult> r) {
           if (r.ok()) {
             ++write_ok;
           } else {

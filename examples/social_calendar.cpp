@@ -29,7 +29,7 @@ namespace {
 /// Runs one statement through the proxy and prints the outcome.
 void Run(sim::Simulation& sim, client::ReadWriteSplitProxy& proxy,
          const std::string& sql) {
-  proxy.ExecuteAuto(sql, /*cpu_cost=*/-1, [&, sql](Result<db::ExecResult> r) {
+  proxy.Execute(sql, /*cpu_cost=*/-1, [&, sql](Result<db::ExecResult> r) {
     if (!r.ok()) {
       std::printf("  !! %s -> %s\n", sql.c_str(),
                   r.status().ToString().c_str());

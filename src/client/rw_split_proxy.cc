@@ -99,27 +99,22 @@ void ReadWriteSplitProxy::ReactivateSlave(int slave_index) {
   active_[static_cast<size_t>(slave_index)] = true;
 }
 
-void ReadWriteSplitProxy::Execute(const std::string& sql, bool is_read,
+void ReadWriteSplitProxy::Execute(const std::string& sql,
                                   SimDuration cpu_cost, Callback done) {
-  Execute(sql, is_read, cpu_cost, ReadOptions{}, std::move(done));
+  Execute(sql, cpu_cost, ReadOptions{}, std::move(done));
 }
 
-void ReadWriteSplitProxy::Execute(const std::string& sql, bool is_read,
+void ReadWriteSplitProxy::Execute(const std::string& sql,
                                   SimDuration cpu_cost,
                                   const ReadOptions& read_options,
                                   Callback done) {
-  Route(Compile(sql), is_read, cpu_cost, read_options, std::move(done));
-}
-
-std::shared_ptr<const db::CompiledSql> ReadWriteSplitProxy::Compile(
-    const std::string& sql) {
-  return db::CompileSql(options_.route_cache ? &route_cache_ : nullptr, sql);
-}
-
-void ReadWriteSplitProxy::Route(std::shared_ptr<const db::CompiledSql> compiled,
-                                bool is_read, SimDuration cpu_cost,
-                                const ReadOptions& read_options,
-                                Callback done) {
+  // The proxy's one compile step, through the route cache when it is on:
+  // after the first sighting of a statement shape, classification costs a
+  // fingerprint, not a parse. The same compiled form then runs on the
+  // backend.
+  std::shared_ptr<const db::CompiledSql> compiled =
+      db::CompileSql(options_.route_cache ? &route_cache_ : nullptr, sql);
+  bool is_read = compiled->ok() && !db::IsWriteStatement(compiled->statement());
   if (is_read) {
     reads_total_->Increment();
   } else {
@@ -191,24 +186,6 @@ void ReadWriteSplitProxy::FinishSlaveRead(int slave_index, SimTime started) {
   double& ewma = ewma_response_us_[static_cast<size_t>(slave_index)];
   ewma = ewma == 0.0 ? response
                      : (1.0 - kEwmaAlpha) * ewma + kEwmaAlpha * response;
-}
-
-void ReadWriteSplitProxy::ExecuteAuto(const std::string& sql,
-                                      SimDuration cpu_cost, Callback done) {
-  ExecuteAuto(sql, cpu_cost, ReadOptions{}, std::move(done));
-}
-
-void ReadWriteSplitProxy::ExecuteAuto(const std::string& sql,
-                                      SimDuration cpu_cost,
-                                      const ReadOptions& read_options,
-                                      Callback done) {
-  // Route from the cached template when the route cache is on: after the
-  // first sighting of a statement shape, classification costs a
-  // fingerprint, not a parse. The same compiled form then runs on the
-  // backend.
-  std::shared_ptr<const db::CompiledSql> compiled = Compile(sql);
-  bool is_read = compiled->ok() && !db::IsWriteStatement(compiled->statement());
-  Route(std::move(compiled), is_read, cpu_cost, read_options, std::move(done));
 }
 
 int64_t ReadWriteSplitProxy::total_reads_routed() const {

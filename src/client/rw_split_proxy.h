@@ -56,8 +56,8 @@ struct ProxyOptions {
   /// The proxy compiles each statement once, where it enters the tier,
   /// through a proxy-local statement cache when this is on (parse once per
   /// shape) and by ParseSql, into the same form, when off. That compiled form
-  /// classifies read vs write for ExecuteAuto and is what the serving
-  /// replica executes.
+  /// classifies read vs write for Execute and is what the serving replica
+  /// executes.
   bool route_cache = true;
 };
 
@@ -74,29 +74,21 @@ class ReadWriteSplitProxy {
                       std::vector<repl::SlaveNode*> slaves,
                       const ProxyOptions& options);
 
-  /// Compiles `sql` (see ProxyOptions::route_cache) and routes it: is_read
-  /// -> a slave per the balancing policy (the master serves reads only when
-  /// there are no slaves); otherwise -> the master.
-  void Execute(const std::string& sql, bool is_read, SimDuration cpu_cost,
-               Callback done);
+  /// Compiles `sql` (see ProxyOptions::route_cache) and routes it by the
+  /// compiled statement: a SELECT goes to a slave per the balancing policy
+  /// (the master serves reads only when there are no slaves); anything
+  /// else, and a text that does not parse, goes to the master, which fails
+  /// what does not parse.
+  void Execute(const std::string& sql, SimDuration cpu_cost, Callback done);
 
   /// Freshness-SLA routing: like Execute, but a read carrying a
   /// non-negative `read_options.max_staleness` only goes to a slave whose
   /// observed staleness is within the bound (master fallback otherwise),
   /// and a bounded read that a slave fails with Unavailable mid-query
-  /// (partition, crash) is transparently retried on the master.
-  void Execute(const std::string& sql, bool is_read, SimDuration cpu_cost,
+  /// (partition, crash) is transparently retried on the master. Writes
+  /// ignore the bound.
+  void Execute(const std::string& sql, SimDuration cpu_cost,
                const ReadOptions& read_options, Callback done);
-
-  /// Like Execute, with read vs write determined from the compiled
-  /// statement; a text that does not parse goes to the master, which fails
-  /// it.
-  void ExecuteAuto(const std::string& sql, SimDuration cpu_cost,
-                   Callback done);
-
-  /// ExecuteAuto with a staleness bound for reads (writes ignore it).
-  void ExecuteAuto(const std::string& sql, SimDuration cpu_cost,
-                   const ReadOptions& read_options, Callback done);
 
   /// Wires the observed-staleness signal (ms, per slave index; negative =
   /// unknown) that kFreshnessAware and bounded reads consult. Typically
@@ -156,12 +148,6 @@ class ReadWriteSplitProxy {
   const metrics::MetricRegistry& metrics() const { return metrics_; }
 
  private:
-  /// The proxy's one compile step, through route_cache_ when it is on.
-  std::shared_ptr<const db::CompiledSql> Compile(const std::string& sql);
-  /// Sends an op compiled here to its backend (the body of Execute).
-  void Route(std::shared_ptr<const db::CompiledSql> compiled, bool is_read,
-             SimDuration cpu_cost, const ReadOptions& read_options,
-             Callback done);
   int PickSlave(SimDuration max_staleness);
   /// Bookkeeping when a read on slave `slave_index` started at `started`
   /// completes: outstanding count and the EWMA response time.

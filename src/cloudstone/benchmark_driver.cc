@@ -95,14 +95,14 @@ void UserEmulator::IssueOp() {
   // Route through the proxy's own statement classifier (as Connector/J
   // does): the proxy fingerprints or parses the text, not the driver's
   // op metadata. op.is_read is kept for the metrics breakdown only.
-  proxy_->ExecuteAuto(op.sql, op.cpu_cost, read_options_,
-                      [this, type = op.type, is_read = op.is_read,
-                       issued](Result<db::ExecResult> result) {
-                        metrics_->Record(OpRecord{sim_->Now(), type, is_read,
-                                                  result.ok(),
-                                                  sim_->Now() - issued});
-                        ThinkThenIssue();
-                      });
+  proxy_->Execute(op.sql, op.cpu_cost, read_options_,
+                  [this, type = op.type, is_read = op.is_read,
+                   issued](Result<db::ExecResult> result) {
+                    metrics_->Record(OpRecord{sim_->Now(), type, is_read,
+                                              result.ok(),
+                                              sim_->Now() - issued});
+                    ThinkThenIssue();
+                  });
 }
 
 BenchmarkDriver::BenchmarkDriver(sim::Simulation* sim,

@@ -37,13 +37,12 @@ std::vector<std::string> SchemaStatements() {
       "  user_id BIGINT NOT NULL,"
       "  body TEXT,"
       "  created_at BIGINT)",
-      // Secondary indexes backing the workload's reads.
+      // The secondary indexes the reads use: browse scans event_date and
+      // search looks up tag_id (view reads events by primary key). Every
+      // replica updates each index on every insert, so none is kept that no
+      // read uses (OperationsTest.EverySecondaryIndexServesARead).
       "CREATE INDEX idx_events_date ON events (event_date)",
-      "CREATE INDEX idx_events_creator ON events (created_by)",
       "CREATE INDEX idx_event_tags_tag ON event_tags (tag_id)",
-      "CREATE INDEX idx_event_tags_event ON event_tags (event_id)",
-      "CREATE INDEX idx_attendees_event ON attendees (event_id)",
-      "CREATE INDEX idx_comments_event ON comments (event_id)",
   };
 }
 

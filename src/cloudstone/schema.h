@@ -33,8 +33,9 @@ struct WorkloadState {
 };
 
 /// DDL for the social-events-calendar database (the Cloudstone/Olio model):
-/// users, events, tags, event_tags, attendees, comments, plus the secondary
-/// indexes the read operations need.
+/// users, events, tags, event_tags, attendees, comments, plus the two
+/// secondary indexes the read operations use (events.event_date,
+/// event_tags.tag_id).
 std::vector<std::string> SchemaStatements();
 
 /// Sizing derived from the paper's "initial data size" parameter

@@ -436,8 +436,6 @@ Result<ExecResult> Database::Execute(
                                        row_capture ? &captured : nullptr)
                                   .Run(stmt);
   if (!result.ok()) return result;
-  // DDL changed the catalog: cached templates must not survive it.
-  if (IsDdl(stmt)) statement_cache_.Invalidate();
   // Commit: a write becomes one binlog event, carrying a writeset in
   // row-based mode (uncovered, with no row, for DDL and NOW_MICROS()).
   if (is_write && binlog_active) {
@@ -480,8 +478,6 @@ void Database::CopyTablesFrom(const Database& source) {
   for (const auto& [key, table] : source.tables_) {
     tables_.emplace(key, table->Clone());
   }
-  // The catalog changed under any cached templates, exactly as after DDL.
-  statement_cache_.Invalidate();
 }
 
 bool Database::ContentsEqual(const Database& a, const Database& b,

@@ -137,9 +137,10 @@ class Database {
   bool ValidateAllIndexes(std::string* error) const;
 
   /// Replaces every table with a copy of `source`'s (Table::Clone: rows
-  /// under their RowIds, schemas, primary and secondary indexes) and
-  /// invalidates the statement cache, as DDL does. The binlog and options
-  /// are untouched. This is the one way a replica is copied:
+  /// under their RowIds, schemas, primary and secondary indexes). The
+  /// binlog, options and statement cache are untouched: a remembered
+  /// template resolves its names against whatever catalog it runs on.
+  /// This is the one way a replica is copied:
   /// attaching a new slave and re-cloning failover survivors both use it.
   void CopyTablesFrom(const Database& source);
 

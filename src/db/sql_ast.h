@@ -75,8 +75,7 @@ using Statement = std::variant<CreateTableStatement, CreateIndexStatement,
 /// A statement and the literal values of one text of it, bound positionally
 /// to its parameters: what ParseSql returns, and what a statement cache hit
 /// returns with the shared template of the text's shape. The statement is
-/// immutable and shared, so a queued execution keeps it alive across a
-/// cache invalidation.
+/// immutable, and one template serves every text of its shape.
 struct PreparedCall {
   std::shared_ptr<const Statement> statement;
   std::vector<Value> params;

@@ -33,11 +33,6 @@ Result<PreparedCall> StatementCache::Prepare(const std::string& sql) {
   return parsed;
 }
 
-void StatementCache::Invalidate() {
-  stats_.invalidations += static_cast<int64_t>(templates_.size());
-  templates_.clear();
-}
-
 std::shared_ptr<const CompiledSql> CompileSql(StatementCache* cache,
                                               std::string sql) {
   Result<PreparedCall> call =

@@ -19,9 +19,8 @@ namespace clouddb::db {
 /// Counters exposed for benchmarks, the Cloudstone report, and tests.
 struct StatementCacheStats {
   int64_t hits = 0;
-  int64_t misses = 0;          // fingerprint absent; parsed and remembered
-  int64_t invalidations = 0;   // entries dropped by Invalidate() (DDL)
-  int64_t bypasses = 0;        // DDL, and texts that lex but do not parse
+  int64_t misses = 0;    // fingerprint absent; parsed and remembered
+  int64_t bypasses = 0;  // DDL, and texts that lex but do not parse
 };
 
 /// A memo of parsed statement templates keyed on the normalized fingerprint
@@ -32,8 +31,11 @@ struct StatementCacheStats {
 /// bound, so its behavior is a deterministic function of the statement
 /// sequence and replays identically across runs and replicas.
 ///
-/// Only SELECT and INSERT are remembered. DDL is parsed and not remembered,
-/// and executing DDL must call Invalidate().
+/// Only SELECT and INSERT are remembered. DDL is parsed and not remembered.
+/// Nothing is ever dropped: a template holds table and column names, not
+/// catalog slots or a plan, and each execution resolves them and chooses its
+/// access path against the catalog it runs on, so no DDL and no replica copy
+/// can make a remembered template wrong.
 class StatementCache {
  public:
   StatementCache() = default;
@@ -46,9 +48,6 @@ class StatementCache {
   /// result, remembering its template when it parses and is not DDL. Either
   /// way the result, errors included, is ParseSql's.
   Result<PreparedCall> Prepare(const std::string& sql);
-
-  /// Drops every entry (DDL changed the catalog under the cached plans).
-  void Invalidate();
 
   size_t size() const { return templates_.size(); }
   const StatementCacheStats& stats() const { return stats_; }

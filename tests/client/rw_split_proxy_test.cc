@@ -46,7 +46,7 @@ class RwSplitProxyTest : public ::testing::Test {
 TEST_F(RwSplitProxyTest, WritesGoToMaster) {
   MakeDeployment(2, BalancePolicy::kRoundRobin);
   for (int i = 0; i < 5; ++i) {
-    d_->proxy.Execute("INSERT INTO t VALUES (1)", /*is_read=*/false, Millis(5),
+    d_->proxy.Execute("INSERT INTO t VALUES (1)", Millis(5),
                       [](Result<db::ExecResult> r) { ASSERT_TRUE(r.ok()); });
   }
   d_->sim.Run();
@@ -58,7 +58,7 @@ TEST_F(RwSplitProxyTest, WritesGoToMaster) {
 TEST_F(RwSplitProxyTest, RoundRobinSpreadsReadsEvenly) {
   MakeDeployment(3, BalancePolicy::kRoundRobin);
   for (int i = 0; i < 9; ++i) {
-    d_->proxy.Execute("SELECT COUNT(*) FROM t", /*is_read=*/true, Millis(5),
+    d_->proxy.Execute("SELECT COUNT(*) FROM t", Millis(5),
                       [](Result<db::ExecResult> r) { ASSERT_TRUE(r.ok()); });
   }
   d_->sim.Run();
@@ -71,7 +71,7 @@ TEST_F(RwSplitProxyTest, RoundRobinSpreadsReadsEvenly) {
 TEST_F(RwSplitProxyTest, NoSlavesSendsReadsToMaster) {
   MakeDeployment(0, BalancePolicy::kRoundRobin);
   int done = 0;
-  d_->proxy.Execute("SELECT COUNT(*) FROM t", /*is_read=*/true, Millis(5),
+  d_->proxy.Execute("SELECT COUNT(*) FROM t", Millis(5),
                     [&](Result<db::ExecResult> r) {
                       ASSERT_TRUE(r.ok());
                       ++done;
@@ -86,13 +86,13 @@ TEST_F(RwSplitProxyTest, LeastOutstandingAvoidsBusySlave) {
   // The first read goes to slave 0 (tie broken by index) and gets stuck
   // behind a 100-second CPU job, staying "outstanding" for the whole test.
   d_->cluster.slave(0)->instance().cpu().Submit(Seconds(100), [] {});
-  d_->proxy.Execute("SELECT COUNT(*) FROM t", true, Millis(1),
+  d_->proxy.Execute("SELECT COUNT(*) FROM t", Millis(1),
                     [](Result<db::ExecResult>) {});
   // Subsequent reads are issued one at a time, each after the previous one
   // completes; slave 0 always has 1 outstanding, so all go to slave 1.
   std::function<void(int)> chain = [&](int remaining) {
     if (remaining == 0) return;
-    d_->proxy.Execute("SELECT COUNT(*) FROM t", true, Millis(1),
+    d_->proxy.Execute("SELECT COUNT(*) FROM t", Millis(1),
                       [&, remaining](Result<db::ExecResult>) {
                         chain(remaining - 1);
                       });
@@ -110,7 +110,7 @@ TEST_F(RwSplitProxyTest, LatencyWeightedPrefersFastSlave) {
   int completed = 0;
   std::function<void(int)> issue = [&](int remaining) {
     if (remaining == 0) return;
-    d_->proxy.Execute("SELECT COUNT(*) FROM t", true, Millis(5),
+    d_->proxy.Execute("SELECT COUNT(*) FROM t", Millis(5),
                       [&, remaining](Result<db::ExecResult>) {
                         ++completed;
                         issue(remaining - 1);
@@ -126,12 +126,12 @@ TEST_F(RwSplitProxyTest, LatencyWeightedPrefersFastSlave) {
   EXPECT_GE(d_->proxy.reads_routed(1), 18);
 }
 
-TEST_F(RwSplitProxyTest, ExecuteAutoClassifiesStatements) {
+TEST_F(RwSplitProxyTest, ExecuteClassifiesStatements) {
   MakeDeployment(1, BalancePolicy::kRoundRobin);
-  d_->proxy.ExecuteAuto("INSERT INTO t VALUES (2)", Millis(5),
-                        [](Result<db::ExecResult> r) { ASSERT_TRUE(r.ok()); });
-  d_->proxy.ExecuteAuto("SELECT COUNT(*) FROM t", Millis(5),
-                        [](Result<db::ExecResult> r) { ASSERT_TRUE(r.ok()); });
+  d_->proxy.Execute("INSERT INTO t VALUES (2)", Millis(5),
+                    [](Result<db::ExecResult> r) { ASSERT_TRUE(r.ok()); });
+  d_->proxy.Execute("SELECT COUNT(*) FROM t", Millis(5),
+                    [](Result<db::ExecResult> r) { ASSERT_TRUE(r.ok()); });
   // Text that does not parse travels to the master like a write, and the
   // master fails it with the parse error: transaction control, and the
   // statements append-only tables do not have.
@@ -140,10 +140,10 @@ TEST_F(RwSplitProxyTest, ExecuteAutoClassifiesStatements) {
       "DROP TABLE t", "TRUNCATE t"};
   std::vector<Status> failed(unparseable.size());
   for (size_t i = 0; i < unparseable.size(); ++i) {
-    d_->proxy.ExecuteAuto(unparseable[i], Millis(5),
-                          [&failed, i](Result<db::ExecResult> r) {
-                            failed[i] = r.status();
-                          });
+    d_->proxy.Execute(unparseable[i], Millis(5),
+                      [&failed, i](Result<db::ExecResult> r) {
+                        failed[i] = r.status();
+                      });
   }
   d_->sim.Run();
   EXPECT_EQ(d_->proxy.writes_routed(), 1 + 5);
@@ -155,11 +155,11 @@ TEST_F(RwSplitProxyTest, ExecuteAutoClassifiesStatements) {
   }
   EXPECT_EQ(d_->cluster.master()->queries_failed(), 5);
   // None of them changed anything: the table holds the one inserted row.
-  d_->proxy.ExecuteAuto("SELECT COUNT(*) FROM t", Millis(5),
-                        [](Result<db::ExecResult> r) {
-                          ASSERT_TRUE(r.ok());
-                          EXPECT_EQ(r->rows[0][0].AsInt64(), 1);
-                        });
+  d_->proxy.Execute("SELECT COUNT(*) FROM t", Millis(5),
+                    [](Result<db::ExecResult> r) {
+                      ASSERT_TRUE(r.ok());
+                      EXPECT_EQ(r->rows[0][0].AsInt64(), 1);
+                    });
   d_->sim.Run();
   EXPECT_TRUE(d_->cluster.Converged());
 }
@@ -170,10 +170,10 @@ TEST_F(RwSplitProxyTest, ReadYourWritesCanBeStale) {
   MakeDeployment(1, BalancePolicy::kRoundRobin);
   int64_t read_count = -1;
   d_->proxy.Execute(
-      "INSERT INTO t VALUES (42)", false, Millis(5),
+      "INSERT INTO t VALUES (42)", Millis(5),
       [&](Result<db::ExecResult> r) {
         ASSERT_TRUE(r.ok());
-        d_->proxy.Execute("SELECT COUNT(*) FROM t", true, Millis(5),
+        d_->proxy.Execute("SELECT COUNT(*) FROM t", Millis(5),
                           [&](Result<db::ExecResult> rr) {
                             ASSERT_TRUE(rr.ok());
                             read_count = rr->rows[0][0].AsInt64();

@@ -54,7 +54,7 @@ class FreshnessRoutingTest : public ::testing::Test {
   void BoundedRead(SimDuration bound, int* ok_count) {
     ReadOptions read_options;
     read_options.max_staleness = bound;
-    d_->proxy.Execute("SELECT COUNT(*) FROM t", /*is_read=*/true, Millis(1),
+    d_->proxy.Execute("SELECT COUNT(*) FROM t", Millis(1),
                       read_options, [ok_count](Result<db::ExecResult> r) {
                         *ok_count += r.ok();
                       });

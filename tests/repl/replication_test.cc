@@ -4,6 +4,7 @@
 #include <map>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "cloud/cloud_provider.h"
@@ -18,6 +19,8 @@
 #include "common/result.h"
 #include "common/time_types.h"
 #include "db/database.h"
+#include "db/sql_ast.h"
+#include "db/sql_parser.h"
 #include "db/statement_cache.h"
 #include "db/table.h"
 #include "db/value.h"
@@ -333,7 +336,6 @@ void ExpectSameStats(const db::StatementCacheStats& a,
                      const db::StatementCacheStats& b) {
   EXPECT_EQ(a.hits, b.hits);
   EXPECT_EQ(a.misses, b.misses);
-  EXPECT_EQ(a.invalidations, b.invalidations);
   EXPECT_EQ(a.bypasses, b.bypasses);
 }
 
@@ -539,7 +541,14 @@ TEST_F(ReplicationTest, AddedSlaveIsATrueCopyOfTheMaster) {
       return true;
     });
   }
-  EXPECT_EQ(indexes, 6u);  // Cloudstone's secondary indexes
+  size_t schema_indexes = 0;
+  for (const std::string& sql : cloudstone::SchemaStatements()) {
+    Result<db::PreparedCall> call = db::ParseSql(sql);
+    ASSERT_TRUE(call.ok()) << sql;
+    schema_indexes +=
+        std::holds_alternative<db::CreateIndexStatement>(*call->statement);
+  }
+  EXPECT_EQ(indexes, schema_indexes);  // Cloudstone's secondary indexes
   std::string err;
   EXPECT_TRUE(copy.ValidateAllIndexes(&err)) << err;
   EXPECT_TRUE(cluster->Converged());
