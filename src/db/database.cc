@@ -149,18 +149,28 @@ class Executor {
         return Status::InvalidArgument("INSERT column/value count mismatch");
       }
       row.assign(schema.num_columns(), Value::Null());
+      std::vector<bool> named(schema.num_columns(), false);
       for (size_t i = 0; i < stmt.columns.size(); ++i) {
         CLOUDDB_ASSIGN_OR_RETURN(size_t col,
                                  schema.ColumnIndex(stmt.columns[i]));
+        if (named[col]) {
+          return Status::InvalidArgument(StrFormat(
+              "column '%s' specified twice", stmt.columns[i].c_str()));
+        }
+        named[col] = true;
         row[col] = std::move(values[i]);
       }
     }
-    CLOUDDB_ASSIGN_OR_RETURN(RowId id, table->Insert(std::move(row)));
-    if (capture_ != nullptr) {
-      // The after image is the row as stored, fetched back so a slave's
-      // direct apply reproduces it bit for bit.
-      *capture_ = std::make_shared<const RowOp>(
-          RowOp{TableKey(stmt.table), *table->Get(id)});
+    if (capture_ == nullptr) {
+      CLOUDDB_RETURN_IF_ERROR(table->Insert(std::move(row)).status());
+    } else {
+      // The after image is the row object the table stores, so the binlog
+      // event, every shipped copy and each slave's direct apply share it.
+      auto op = std::make_shared<const RowOp>(
+          RowOp{TableKey(stmt.table), std::move(row)});
+      CLOUDDB_RETURN_IF_ERROR(
+          table->Insert(std::shared_ptr<const Row>(op, &op->after)).status());
+      *capture_ = std::move(op);
     }
     ExecResult result;
     result.rows_affected = 1;

@@ -136,8 +136,9 @@ class Database {
   /// True when every table's indexes are internally consistent (test hook).
   bool ValidateAllIndexes(std::string* error) const;
 
-  /// Replaces every table with a copy of `source`'s (Table::Clone: rows
-  /// under their RowIds, schemas, primary and secondary indexes). The
+  /// Replaces every table with a copy of `source`'s (Table::Clone: the
+  /// copy shares `source`'s immutable rows under their RowIds and owns its
+  /// slots, RowId counter, schema, primary and secondary indexes). The
   /// binlog, options and statement cache are untouched: a remembered
   /// template resolves its names against whatever catalog it runs on.
   /// This is the one way a replica is copied:

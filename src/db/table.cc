@@ -1,6 +1,7 @@
 #include "db/table.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/str_util.h"
 #include "common/result.h"
@@ -20,6 +21,8 @@ Table::Table(std::string name, Schema schema)
 
 std::unique_ptr<Table> Table::Clone() const {
   auto copy = std::make_unique<Table>(name_, schema_);
+  // Rows never change once stored, so the copy shares them: only the slots
+  // are copied.
   copy->rows_ = rows_;
   if (primary_ != nullptr) {
     copy->primary_ = std::make_unique<BPlusTree<Value, RowId>>(*primary_);
@@ -32,14 +35,18 @@ std::unique_ptr<Table> Table::Clone() const {
   return copy;
 }
 
-Result<RowId> Table::Insert(Row row) {
-  CLOUDDB_RETURN_IF_ERROR(schema_.ValidateRow(row));
+Result<RowId> Table::Insert(std::shared_ptr<const Row> row) {
+  if (row == nullptr) {
+    return Status::InvalidArgument(
+        StrFormat("null row for table '%s'", name_.c_str()));
+  }
+  CLOUDDB_RETURN_IF_ERROR(schema_.ValidateRow(*row));
   // The primary tree's Insert already detects duplicates, so there is no
   // separate lookup first — one traversal instead of two. Nothing changes
   // before that check, so a duplicate leaves the table as it was.
   RowId id = static_cast<RowId>(rows_.size()) + 1;
   if (primary_ != nullptr) {
-    const Value& pk = row[*schema_.primary_key_index()];
+    const Value& pk = (*row)[*schema_.primary_key_index()];
     if (!primary_->Insert(pk, id)) {
       return Status::AlreadyExists(
           StrFormat("duplicate primary key %s in table '%s'",
@@ -47,7 +54,7 @@ Result<RowId> Table::Insert(Row row) {
     }
   }
   for (auto& idx : secondary_) {
-    idx.tree->Insert(SecondaryKey{row[idx.column], id}, id);
+    idx.tree->Insert(SecondaryKey{(*row)[idx.column], id}, id);
   }
   rows_.push_back(std::move(row));
   return id;
@@ -174,12 +181,19 @@ bool Table::ContentsEqual(const Table& a, const Table& b) {
     return indexes;
   };
   if (index_set(a) != index_set(b)) return false;
+  if (a.rows_.size() != b.rows_.size()) return false;
   // Replicas fed one statement stream hold their rows in the same RowId
   // order (a copy keeps the RowIds; slaves assign them in binlog order), so
   // compare the two stores slot by slot first: equal sequences are equal
-  // multisets.
-  if (a.rows_ == b.rows_) return true;
-  if (a.rows_.size() != b.rows_.size()) return false;
+  // multisets. A copy's rows, and the captured rows a row-based stream
+  // inserts, are one object on both sides, which needs no value comparison.
+  if (std::equal(a.rows_.begin(), a.rows_.end(), b.rows_.begin(),
+                 [](const std::shared_ptr<const Row>& x,
+                    const std::shared_ptr<const Row>& y) {
+                   return x == y || *x == *y;
+                 })) {
+    return true;
+  }
   // The orders differ: compare as sorted multisets of rows (RowIds excluded;
   // contents are what matter).
   std::vector<const Row*> ra, rb;

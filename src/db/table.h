@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -37,6 +38,8 @@ struct SecondaryKey {
 ///
 /// - Rows live in a RowId-indexed store; a row, once inserted, is never
 ///   changed or removed, so RowId i is always the i-th row inserted.
+/// - A stored row is an immutable shared object: a clone of the table, and
+///   every replica that inserts the same captured row, hold one copy of it.
 /// - If the schema declares a PRIMARY KEY, a unique B+Tree index over it is
 ///   maintained automatically and uniqueness is enforced.
 /// - Any column can get a secondary (non-unique) B+Tree index.
@@ -47,19 +50,28 @@ class Table {
   Table(const Table&) = delete;
   Table& operator=(const Table&) = delete;
 
-  /// Deep copy: every row under its RowId, the RowId counter, the schema,
-  /// the primary index and every secondary index, each copied node for node
-  /// by BPlusTree's copy constructor.
+  /// Copy that shares the rows: every slot holds the source's row object
+  /// under its RowId, so no row is copied. The RowId counter, the schema,
+  /// the primary index and every secondary index are the copy's own, each
+  /// tree copied node for node by BPlusTree's copy constructor, so the two
+  /// tables grow on their own from here.
   std::unique_ptr<Table> Clone() const;
 
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
   size_t num_rows() const { return rows_.size(); }
 
-  /// Validates and inserts `row`; enforces PK uniqueness. Returns the new
-  /// RowId. A failed insert changes nothing. Row-based replication's direct
-  /// apply inserts the master's captured row images through this too.
-  Result<RowId> Insert(Row row);
+  /// Validates and inserts `row`, which the table then shares; enforces PK
+  /// uniqueness and refuses a null row. Returns the new RowId. A failed
+  /// insert changes nothing. The executor's INSERT and row-based
+  /// replication's direct apply both store the master's captured row image
+  /// through this, so the master and every slave hold one row object.
+  Result<RowId> Insert(std::shared_ptr<const Row> row);
+  /// Inserts a row of its own (the statement path without row capture, and
+  /// tests).
+  Result<RowId> Insert(Row row) {
+    return Insert(std::make_shared<const Row>(std::move(row)));
+  }
 
   /// Order-independent 64-bit checksum of the row multiset (RowIds
   /// excluded). Two tables with equal contents hash equally regardless of
@@ -71,7 +83,7 @@ class Table {
   /// one index. The unsigned difference sends ids below 1 past the end too.
   const Row* Get(RowId id) const {
     uint64_t slot = static_cast<uint64_t>(id) - 1;
-    return slot < rows_.size() ? &rows_[slot] : nullptr;
+    return slot < rows_.size() ? rows_[slot].get() : nullptr;
   }
 
   /// Creates a secondary index on `column` (named `index_name`). Fails if the
@@ -102,8 +114,8 @@ class Table {
   template <typename Visitor>
   void ForEachRow(Visitor&& visit) const {
     RowId id = 0;
-    for (const Row& row : rows_) {
-      if (!visit(++id, row)) return;
+    for (const std::shared_ptr<const Row>& row : rows_) {
+      if (!visit(++id, *row)) return;
     }
   }
 
@@ -112,8 +124,10 @@ class Table {
   /// (RowIds excluded); used to assert master/slave convergence. The rows
   /// are first walked in RowId order on both sides, one linear pass that
   /// settles the common case (replicas fed one statement stream hold their
-  /// rows in the same order); at the first unequal pair it falls back to
-  /// comparing both tables' rows sorted, so the verdict stays exact.
+  /// rows in the same order): two slots holding one shared row are equal
+  /// without comparing values, any others are compared by value. At the
+  /// first unequal pair it falls back to comparing both tables' rows
+  /// sorted, so the verdict stays exact.
   static bool ContentsEqual(const Table& a, const Table& b);
 
   /// Internal-consistency check for tests: every row is present in every
@@ -130,9 +144,9 @@ class Table {
   std::string name_;
   Schema schema_;
   // rows_[i] holds RowId i + 1, so the slots are in RowId order and the next
-  // RowId is rows_.size() + 1. A deque appends without moving the rows
-  // already stored.
-  std::deque<Row> rows_;
+  // RowId is rows_.size() + 1. A slot points to an immutable row that clones
+  // and other replicas may share; the slots themselves are this table's.
+  std::deque<std::shared_ptr<const Row>> rows_;
   std::unique_ptr<BPlusTree<Value, RowId>> primary_;  // null if no PK
   std::vector<SecondaryIndex> secondary_;
 };

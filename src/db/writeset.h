@@ -28,9 +28,10 @@ struct RowOp {
 /// statements ship with a null row; slaves apply them through the ordinary
 /// parse-and-execute path.
 ///
-/// A captured row never changes, so the binlog's event and every shipped
-/// copy of it share one; a pointer also keeps the slot small in the
-/// statement-based events that never fill it.
+/// A captured row never changes, so the binlog's event, every shipped copy
+/// of it, the master's table and each row-based slave's table share one
+/// (the tables hold an aliasing pointer to `after`); a pointer also keeps
+/// the slot small in the statement-based events that never fill it.
 struct StatementWriteset {
   std::shared_ptr<const RowOp> row;
 };

@@ -1,5 +1,7 @@
 #include "db/writeset_apply.h"
 
+#include <memory>
+
 #include "common/status.h"
 #include "common/str_util.h"
 #include "db/database.h"
@@ -19,7 +21,9 @@ Status ApplyStatementWriteset(Database* db, const StatementWriteset& ws) {
     return Status::NotFound(
         StrFormat("no table named '%s'", ws.row->table.c_str()));
   }
-  return table->Insert(Row(ws.row->after)).status();
+  // The table shares the master's captured row instead of copying it.
+  return table->Insert(std::shared_ptr<const Row>(ws.row, &ws.row->after))
+      .status();
 }
 
 }  // namespace clouddb::db

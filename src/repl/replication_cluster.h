@@ -133,10 +133,11 @@ class ReplicationCluster {
 
  private:
   /// The one way a slave's data is copied: replaces its tables with the
-  /// master's (db::Database::CopyTablesFrom — rows, schemas and indexes, as
-  /// an operator restores a backup onto a replica) and seeds its binlog
-  /// position at the copy point. A slave joining mid-run is then attached;
-  /// the pre-load's slaves already are.
+  /// master's (db::Database::CopyTablesFrom, as an operator restores a
+  /// backup onto a replica: the slave gets its own schemas, indexes and
+  /// RowId counters, and shares the master's rows, which never change once
+  /// stored) and seeds its binlog position at the copy point. A slave
+  /// joining mid-run is then attached; the pre-load's slaves already are.
   void CopyMasterOnto(SlaveNode* slave);
 
   /// Runs `sql` on the master's database with its binlog suppressed and,

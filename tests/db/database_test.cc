@@ -193,6 +193,31 @@ TEST_F(DatabaseTest, InsertWithColumnListFillsNulls) {
   EXPECT_TRUE(r.rows[0][2].is_null());
 }
 
+// An INSERT whose column list names one column twice, in any case, is
+// refused (MySQL: "Column 'b' specified twice") with the cache on or off,
+// before it changes anything: no row is stored and nothing is logged.
+TEST_F(DatabaseTest, InsertNamingAColumnTwiceIsRefused) {
+  Must("CREATE TABLE t (a INT PRIMARY KEY, b INT, c TEXT)");
+  for (bool cache : {true, false}) {
+    db_.set_statement_cache_enabled(cache);
+    for (const char* sql : {"INSERT INTO t (a, b, b) VALUES (1, 2, 3)",
+                            "INSERT INTO t (a, b, B) VALUES (1, 2, 3)",
+                            "INSERT INTO t (A, c, a) VALUES (1, 'x', 2)"}) {
+      int64_t logged = db_.binlog().size();
+      Status st = db_.Execute(sql).status();
+      EXPECT_TRUE(st.IsInvalidArgument()) << sql << ": " << st.ToString();
+      EXPECT_NE(st.ToString().find("specified twice"), std::string::npos)
+          << sql;
+      EXPECT_EQ(db_.binlog().size(), logged) << sql;
+    }
+  }
+  EXPECT_EQ(Must("SELECT COUNT(*) FROM t").rows[0][0].AsInt64(), 0);
+  Must("INSERT INTO t (b, a) VALUES (2, 1)");
+  ExecResult r = Must("SELECT * FROM t");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0], (Row{Value(int64_t{1}), Value(int64_t{2}), Value()}));
+}
+
 TEST_F(DatabaseTest, DuplicatePkRejected) {
   SetUpPeople();
   auto r = db_.Execute("INSERT INTO people VALUES (1, 'dup', 1)");

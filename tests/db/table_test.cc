@@ -165,6 +165,47 @@ TEST_F(TableTest, ContentsEqualIgnoresRowIds) {
   EXPECT_FALSE(Table::ContentsEqual(table_, other));
 }
 
+// A clone shares its source's rows: every slot holds the source's row
+// object. The slots, the RowId counter and the indexes are each table's own,
+// so an insert into the copy leaves the source as it was, and the rows
+// outlive the table that first stored them.
+TEST_F(TableTest, CloneSharesEveryRow) {
+  auto source = std::make_unique<Table>("users", UserSchema());
+  ASSERT_TRUE(source->CreateIndex("idx_age", "age").ok());
+  const RowId n = 40;
+  std::vector<Row> model;
+  for (RowId i = 1; i <= n; ++i) {
+    model.push_back(MakeUser(i, "u" + std::to_string(i), i % 7));
+    ASSERT_TRUE(source->Insert(model.back()).ok());
+  }
+  std::unique_ptr<Table> copy = source->Clone();
+  for (RowId id = 1; id <= n; ++id) {
+    ASSERT_NE(copy->Get(id), nullptr) << "row id " << id;
+    EXPECT_EQ(copy->Get(id), source->Get(id)) << "row id " << id;
+  }
+  ASSERT_TRUE(copy->Insert(MakeUser(n + 1, "fresh", 3)).ok());
+  EXPECT_EQ(source->num_rows(), static_cast<size_t>(n));
+  EXPECT_EQ(source->Get(n + 1), nullptr);
+  std::string err;
+  EXPECT_TRUE(source->ValidateIndexes(&err)) << err;
+
+  source.reset();
+  model.push_back(MakeUser(n + 1, "fresh", 3));
+  ASSERT_EQ(copy->num_rows(), model.size());
+  for (RowId id = 1; id <= n + 1; ++id) {
+    ASSERT_NE(copy->Get(id), nullptr) << "row id " << id;
+    EXPECT_EQ(*copy->Get(id), model[static_cast<size_t>(id - 1)])
+        << "row id " << id;
+  }
+  EXPECT_TRUE(copy->ValidateIndexes(&err)) << err;
+}
+
+TEST_F(TableTest, InsertRefusesANullRow) {
+  Result<RowId> id = table_.Insert(std::shared_ptr<const Row>());
+  EXPECT_TRUE(id.status().IsInvalidArgument()) << id.status().ToString();
+  EXPECT_EQ(table_.num_rows(), 0u);
+}
+
 TEST_F(TableTest, IndexConsistencyUnderRandomChurn) {
   ASSERT_TRUE(table_.CreateIndex("idx_age", "age").ok());
   Rng rng(7);
@@ -243,8 +284,13 @@ enum class PairKind {
   kChangedLast,    // ... the last row's
   kNullVsValue,    // ... one row's nullable value swapped with NULL
   kSwappedRow,     // ... one row left out and another appended: counts match
+  // A clone of the first table, which shares its rows, and then fresh rows
+  // appended to both:
+  kCloneSameAppends,      // the same rows in the same order: equal
+  kCloneChangedAppend,    // ... one of them changed on the clone: unequal
+  kCloneShuffledAppends,  // ... in shuffled order on the clone: equal
 };
-constexpr int kPairKinds = 7;
+constexpr int kPairKinds = 10;
 
 std::unique_ptr<Table> EmptyPropertyTable(bool primary_key) {
   auto schema = Schema::Create({
@@ -290,16 +336,58 @@ void PlantChange(Rng& rng, Row* row, size_t column, bool null_swap) {
   }
 }
 
+/// Shuffles `rows` in place.
+void Shuffle(Rng& rng, std::vector<Row>* rows) {
+  for (size_t i = rows->size(); i > 1; --i) {
+    size_t j =
+        static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(i) - 1));
+    std::swap((*rows)[i - 1], (*rows)[j]);
+  }
+}
+
+/// The clone kinds' `b`: a clone of `a`, and then fresh rows appended to
+/// both as `kind` says. The appended rows hold keys no other row holds, so
+/// either side accepts every one in any order. On kCloneSameAppends about
+/// half of `b`'s appended slots hold `a`'s row object, as a row-based
+/// stream's inserts do, and the rest an equal row of their own.
+void AppendAfterClone(PairKind kind, Rng& rng, Table* a,
+                      std::unique_ptr<Table>* b) {
+  *b = a->Clone();
+  int64_t count = rng.UniformInt(1, 20);
+  std::vector<Row> appended;
+  for (int64_t i = 0; i < count; ++i) {
+    appended.push_back(RandomPropertyRow(rng, 100 + i));
+  }
+  std::vector<Row> to_b = appended;
+  if (kind == PairKind::kCloneChangedAppend) {
+    size_t pos = static_cast<size_t>(rng.UniformInt(0, count - 1));
+    size_t column = static_cast<size_t>(rng.UniformInt(1, 2));
+    PlantChange(rng, &to_b[pos], column, /*null_swap=*/rng.Bernoulli(0.5));
+  } else if (kind == PairKind::kCloneShuffledAppends) {
+    Shuffle(rng, &to_b);
+  }
+  for (size_t i = 0; i < appended.size(); ++i) {
+    auto row = std::make_shared<const Row>(appended[i]);
+    ASSERT_TRUE(a->Insert(row).ok());
+    bool share = kind == PairKind::kCloneSameAppends && rng.Bernoulli(0.5);
+    ASSERT_TRUE((share ? (*b)->Insert(row) : (*b)->Insert(to_b[i])).ok());
+  }
+}
+
 /// Builds a table pair of `kind` from `seed`: `a` takes a random insert
 /// stream (duplicate keys rejected), `b` takes `a`'s rows as `kind` says.
 void BuildPair(PairKind kind, bool primary_key, uint64_t seed, Table* a,
-               Table* b) {
+               std::unique_ptr<Table>* b) {
   Rng rng(seed);
   int64_t inserts = rng.UniformInt(0, 80);
   int64_t id_range = primary_key ? 60 : 4;
   for (int64_t i = 0; i < inserts; ++i) {
     Row row = RandomPropertyRow(rng, rng.UniformInt(0, id_range));
     (void)a->Insert(std::move(row));
+  }
+  if (kind >= PairKind::kCloneSameAppends) {  // the clone kinds come last
+    AppendAfterClone(kind, rng, a, b);
+    return;
   }
   std::vector<Row> rows = RowsOf(*a);
   size_t n = rows.size();
@@ -312,11 +400,7 @@ void BuildPair(PairKind kind, bool primary_key, uint64_t seed, Table* a,
       case PairKind::kSameStream:
         break;
       case PairKind::kPermuted:
-        for (size_t i = n; i > 1; --i) {
-          size_t j = static_cast<size_t>(
-              rng.UniformInt(0, static_cast<int64_t>(i) - 1));
-          std::swap(rows[i - 1], rows[j]);
-        }
+        Shuffle(rng, &rows);
         break;
       case PairKind::kChangedFirst:
         PlantChange(rng, &rows[0], column, /*null_swap=*/false);
@@ -342,16 +426,20 @@ void BuildPair(PairKind kind, bool primary_key, uint64_t seed, Table* a,
                 : RandomPropertyRow(rng, 1000 + rng.UniformInt(0, 9)));
         break;
       }
+      default:
+        break;
     }
   }
-  for (Row& row : rows) ASSERT_TRUE(b->Insert(std::move(row)).ok());
+  for (Row& row : rows) ASSERT_TRUE((*b)->Insert(std::move(row)).ok());
 }
 
 // ContentsEqual's lockstep walk plus fallback must return exactly what the
 // sort-based comparison returns, on pairs built to take each path: the same
 // rows in the same order (walk), the same rows in a shuffled order
 // (fallback), and one planted difference at the first, a middle or the last
-// row, NULL against a value, or a row swapped for another.
+// row, NULL against a value, or a row swapped for another. The clone kinds
+// hold the walk's shared-row shortcut to the same verdicts: a prefix of
+// shared rows followed by equal, changed or shuffled appended rows.
 TEST(TableContentsEqualTest, AgreesWithTheSortedComparison) {
   int equal = 0;
   int unequal = 0;
@@ -364,13 +452,18 @@ TEST(TableContentsEqualTest, AgreesWithTheSortedComparison) {
       std::unique_ptr<Table> a = EmptyPropertyTable(primary_key);
       std::unique_ptr<Table> b = EmptyPropertyTable(primary_key);
       BuildPair(kind, primary_key, seed * 7919 + static_cast<uint64_t>(k),
-                a.get(), b.get());
+                a.get(), &b);
       if (HasFatalFailure()) return;
       bool expected = SortedContentsEqual(*a, *b);
       EXPECT_EQ(Table::ContentsEqual(*a, *b), expected);
       EXPECT_EQ(Table::ContentsEqual(*b, *a), expected);
-      if (kind == PairKind::kSameStream || kind == PairKind::kPermuted) {
+      if (kind == PairKind::kSameStream || kind == PairKind::kPermuted ||
+          kind == PairKind::kCloneSameAppends ||
+          kind == PairKind::kCloneShuffledAppends) {
         EXPECT_TRUE(expected);
+      }
+      if (kind == PairKind::kCloneChangedAppend) {
+        EXPECT_FALSE(expected);
       }
       ++(expected ? equal : unequal);
     }

@@ -10,6 +10,7 @@
 #include "common/str_util.h"
 #include "repl/replication_cluster.h"
 #include "common/result.h"
+#include "common/status.h"
 #include "db/database.h"
 #include "db/table.h"
 #include "metrics/metric_registry.h"
@@ -298,6 +299,130 @@ TEST(RowReplTest, CapturedWritesetIsTheStoredRow) {
   EXPECT_TRUE(d.cluster->Converged());
   EXPECT_EQ(d.cluster->slave(0)->writeset_applies(), 1);
   EXPECT_EQ(*d.cluster->slave(0)->database().GetTable("m")->Get(1), op.after);
+}
+
+constexpr int kPreloadedItems = 3;
+constexpr int kTrafficItems = 6;
+
+/// Pre-loads `d` through LoadDirect (kPreloadedItems rows of `items`, an
+/// empty `heartbeat` table), then replicates kTrafficItems covered INSERTs
+/// into `items`, each followed by a heartbeat INSERT of NOW_MICROS(), and
+/// drains. Converged() skips the heartbeat table, whose values differ per
+/// replica.
+void LoadAndReplicate(Deployment* d) {
+  ASSERT_TRUE(d->cluster
+                  ->LoadDirect([](const auto& execute) -> Status {
+                    CLOUDDB_RETURN_IF_ERROR(
+                        execute("CREATE TABLE items (id INT PRIMARY KEY, "
+                                "qty INT, label TEXT)"));
+                    CLOUDDB_RETURN_IF_ERROR(
+                        execute("CREATE TABLE heartbeat (hb_id INT PRIMARY "
+                                "KEY, ts BIGINT)"));
+                    for (int id = 1; id <= kPreloadedItems; ++id) {
+                      CLOUDDB_RETURN_IF_ERROR(execute(StrFormat(
+                          "INSERT INTO items VALUES (%d, %d, 'pre')", id,
+                          id)));
+                    }
+                    return Status::Ok();
+                  })
+                  .ok());
+  for (int i = 0; i < kTrafficItems; ++i) {
+    ASSERT_TRUE(d->Run(StrFormat("INSERT INTO items VALUES (%d, %d, 'L%d')",
+                                 100 + i, i, i))
+                    .ok());
+    ASSERT_TRUE(d->Run(StrFormat("INSERT INTO heartbeat (hb_id, ts) VALUES "
+                                 "(%d, NOW_MICROS())",
+                                 i))
+                    .ok());
+  }
+  d->sim.Run();
+  ASSERT_TRUE(d->cluster->FullyReplicated());
+  ASSERT_TRUE(d->cluster->Converged());
+}
+
+// One copy of each row for the tier: in a drained row-based tier, each
+// slave's row for a covered INSERT is the master's object, the after image
+// the INSERT's binlog event carries, and so is each pre-loaded row, which
+// LoadDirect copies from the master. A heartbeat row (NOW_MICROS(), not
+// covered) is evaluated and built on each replica.
+TEST(RowReplTest, SlavesHoldTheMastersRowImages) {
+  Deployment d(2);
+  d.cluster->SetRowBasedReplication(true);
+  ASSERT_NO_FATAL_FAILURE(LoadAndReplicate(&d));
+  const db::Database& master = d.cluster->master()->database();
+  const db::Table* items = master.GetTable("items");
+  const db::Table* heartbeat = master.GetTable("heartbeat");
+  ASSERT_EQ(items->num_rows(),
+            static_cast<size_t>(kPreloadedItems + kTrafficItems));
+  ASSERT_EQ(heartbeat->num_rows(), static_cast<size_t>(kTrafficItems));
+
+  std::vector<const db::Row*> images;
+  const db::Binlog& binlog = master.binlog();
+  for (int64_t i = 0; i < binlog.size(); ++i) {
+    const auto& writeset = binlog.At(i).writeset;
+    ASSERT_TRUE(writeset.has_value());
+    if (writeset->row != nullptr) images.push_back(&writeset->row->after);
+  }
+  ASSERT_EQ(images.size(), static_cast<size_t>(kTrafficItems));
+  for (int k = 0; k < kTrafficItems; ++k) {
+    EXPECT_EQ(items->Get(kPreloadedItems + k + 1),
+              images[static_cast<size_t>(k)]);
+  }
+
+  for (int s = 0; s < 2; ++s) {
+    SCOPED_TRACE(StrFormat("slave %d", s));
+    const db::Database& slave = d.cluster->slave(s)->database();
+    const db::Table* slave_items = slave.GetTable("items");
+    const db::Table* slave_heartbeat = slave.GetTable("heartbeat");
+    ASSERT_EQ(slave_items->num_rows(), items->num_rows());
+    for (db::RowId id = 1; id <= static_cast<db::RowId>(items->num_rows());
+         ++id) {
+      EXPECT_EQ(slave_items->Get(id), items->Get(id)) << "items row " << id;
+    }
+    ASSERT_EQ(slave_heartbeat->num_rows(), heartbeat->num_rows());
+    for (db::RowId id = 1;
+         id <= static_cast<db::RowId>(heartbeat->num_rows()); ++id) {
+      ASSERT_NE(slave_heartbeat->Get(id), nullptr);
+      EXPECT_NE(slave_heartbeat->Get(id), heartbeat->Get(id))
+          << "heartbeat row " << id;
+    }
+    EXPECT_EQ(d.cluster->slave(s)->writeset_applies(), kTrafficItems);
+  }
+}
+
+// A statement-based slave executes each write itself, so its traffic rows
+// equal the master's but are objects of its own. The pre-loaded rows are
+// still the master's: LoadDirect copies them.
+TEST(RowReplTest, StatementSlavesBuildTheirOwnRows) {
+  Deployment d(2);
+  ASSERT_NO_FATAL_FAILURE(LoadAndReplicate(&d));
+  const db::Table* items = d.cluster->master()->database().GetTable("items");
+  const db::Table* heartbeat =
+      d.cluster->master()->database().GetTable("heartbeat");
+  for (int s = 0; s < 2; ++s) {
+    SCOPED_TRACE(StrFormat("slave %d", s));
+    const db::Database& slave = d.cluster->slave(s)->database();
+    const db::Table* slave_items = slave.GetTable("items");
+    ASSERT_EQ(slave_items->num_rows(), items->num_rows());
+    for (db::RowId id = 1; id <= static_cast<db::RowId>(items->num_rows());
+         ++id) {
+      const db::Row* row = slave_items->Get(id);
+      ASSERT_NE(row, nullptr);
+      EXPECT_EQ(*row, *items->Get(id)) << "items row " << id;
+      if (id <= kPreloadedItems) {
+        EXPECT_EQ(row, items->Get(id)) << "pre-loaded row " << id;
+      } else {
+        EXPECT_NE(row, items->Get(id)) << "traffic row " << id;
+      }
+    }
+    const db::Table* slave_heartbeat = slave.GetTable("heartbeat");
+    ASSERT_EQ(slave_heartbeat->num_rows(), heartbeat->num_rows());
+    for (db::RowId id = 1;
+         id <= static_cast<db::RowId>(heartbeat->num_rows()); ++id) {
+      EXPECT_NE(slave_heartbeat->Get(id), heartbeat->Get(id))
+          << "heartbeat row " << id;
+    }
+  }
 }
 
 TEST(RowReplTest, ReplicationMetricsAppearInSnapshots) {
